@@ -152,14 +152,14 @@ def _assessment_doc(scan_id: str, reports, category: DpcgCategory, args, sweep_e
     return doc
 
 
-def _write_contact_overlays(masks: MaskVolume, reports, directory, scan_id: str, connectivity: int):
+def _write_contact_overlays(masks: MaskVolume, reports, directory, scan_id: str):
     out = Path(directory)
     for cid, key in VESSEL_KEYS:
         report = reports[cid]
         for s in report.slices:
             if not s.present:
                 continue
-            rgb = overlay.contact_overlay(masks, cid, s.z, connectivity)
+            rgb = overlay.contact_overlay(masks, cid, s.z, report.table)
             overlay.write_ppm(out / f"{scan_id}_{key}_z{s.z:03d}.ppm", rgb)
 
 
@@ -220,7 +220,7 @@ def cmd_assess(args) -> int:
             raise CliError(str(exc), EXIT_SCHEMA) from None
 
     if args.overlay:
-        _write_contact_overlays(masks, reports, args.overlay, scan_id, args.connectivity)
+        _write_contact_overlays(masks, reports, args.overlay, scan_id)
 
     _emit(_assessment_doc(scan_id, reports, category, args, sweep_entries), args.output)
     return EXIT_OK
@@ -242,8 +242,10 @@ def _read_manifest(path) -> list[dict]:
             entry = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CliError(f"manifest line {i}: {exc}", EXIT_INPUT) from None
-        if "scan_id" not in entry or "prediction" not in entry:
+        if not isinstance(entry, dict) or "scan_id" not in entry or "prediction" not in entry:
             raise CliError(f"manifest line {i}: needs scan_id and prediction", EXIT_INPUT)
+        if not isinstance(entry["scan_id"], (str, int)):
+            raise CliError(f"manifest line {i}: scan_id must be a string or integer", EXIT_INPUT)
         if entry["scan_id"] in seen:
             raise CliError(f"manifest line {i}: duplicate scan id {entry['scan_id']!r}", EXIT_INPUT)
         seen.add(entry["scan_id"])
@@ -335,6 +337,13 @@ def _metrics_table(report: evaluation.MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _entry_path(base: Path, entry: dict, key: str) -> Path:
+    value = entry[key]
+    if not isinstance(value, str):
+        raise CliError(f"{key} must be a path string, got {value!r}", EXIT_INPUT)
+    return base / value
+
+
 def cmd_evaluate(args) -> int:
     entries = _read_manifest(args.manifest)
     base = Path(args.manifest).parent
@@ -343,15 +352,15 @@ def cmd_evaluate(args) -> int:
     for entry in entries:
         scan_id = str(entry["scan_id"])
         try:
-            pred = _load_mask(base / entry["prediction"])
+            pred = _load_mask(_entry_path(base, entry, "prediction"))
             if "ground_truth" not in entry:
                 raise CliError("entry lacks ground_truth", EXIT_INPUT)
-            gt = _load_mask(base / entry["ground_truth"])
+            gt = _load_mask(_entry_path(base, entry, "ground_truth"))
             gt_critical = None
             if args.critical:
                 if "critical_ground_truth" not in entry:
                     raise CliError("critical evaluation needs critical_ground_truth", EXIT_INPUT)
-                gt_critical = _load_mask(base / entry["critical_ground_truth"])
+                gt_critical = _load_mask(_entry_path(base, entry, "critical_ground_truth"))
             evals.append(
                 evaluation.evaluate_scan(
                     pred,

@@ -15,12 +15,28 @@ analytic angles agree):
   contact pixel angles, which equals max-min whenever the arc does not
   cross the 0 deg branch cut. The literal max-min variant stays available
   as ``span_method="minmax"`` for comparison.
+
+One whole-scan kernel, ``component_table``, measures every vessel component
+of a scan at once:
+
+1. crop both grids to the vessel bounding box plus a 1-pixel in-plane
+   margin, so every in-slice neighbour of a vessel pixel stays inside;
+2. label the crop once with an in-plane-only 3x3x3 structure: components
+   never join across slices, and the raster label order is (slice, first
+   pixel), the order reports list them in;
+3. dilate the tumor crop once with a (1, 3, 3) structure; a vessel pixel is
+   in contact where the dilation is set;
+4. take centroids from ``np.bincount`` sums of grid coordinates and the
+   angle of every contact pixel at nonzero radius around its centroid;
+5. sort the angles by (component, angle) and reduce each component's
+   segment: the largest gap comes from a segmented ``np.maximum.reduceat``
+   over the differences, max-min from the segment ends.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -30,9 +46,13 @@ from .volume import ChannelId, MaskVolume
 
 SPAN_METHODS = ("largest-gap", "minmax")
 
-_STRUCT_4 = ndimage.generate_binary_structure(2, 1)
-_STRUCT_8 = ndimage.generate_binary_structure(2, 2)
 _STRUCT_26 = ndimage.generate_binary_structure(3, 3)
+# In-slice adjacency as 3-D structures: only the middle plane is set.
+_IN_SLICE = {
+    conn: np.pad(ndimage.generate_binary_structure(2, rank)[None], ((1, 1), (0, 0), (0, 0)))
+    for conn, rank in ((4, 1), (8, 2))
+}
+_NEIGHBOURHOOD = np.ones((1, 3, 3), dtype=bool)
 
 
 class DpcgCategory(IntEnum):
@@ -52,31 +72,24 @@ class DpcgCategory(IntEnum):
 
 
 @dataclass(frozen=True)
-class Component2D:
-    """One in-slice connected region of a vessel mask."""
+class ComponentTable:
+    """Every in-slice vessel component of a scan, in grid coordinates.
 
-    z: int
-    pixels: np.ndarray  # (N, 2) int rows/cols, row-major sorted
-    connectivity: int
+    Row k describes component k. Components are ordered by slice, then by
+    their first pixel in raster order. Contact pixels are grouped by
+    component: component k owns ``contact[contact_start[k]:contact_start[k + 1]]``.
+    """
 
-    def __post_init__(self):
-        if self.pixels.ndim != 2 or self.pixels.shape[1] != 2 or len(self.pixels) == 0:
-            raise ValueError("component needs a non-empty (N, 2) pixel array")
-
-
-@dataclass(frozen=True)
-class ContactSet:
-    """Contact pixels of one vessel component plus their centroid angles."""
-
-    z: int
-    component: Component2D
-    contact_pixels: np.ndarray  # (M, 2) int, subset of component pixels
-    centroid: tuple[float, float]  # (row, col) over ALL component pixels
-    angles_deg: np.ndarray  # one angle per contact pixel at nonzero radius
+    z: np.ndarray  # (K,) slice index
+    centroid: np.ndarray  # (K, 2) mean (row, col) over ALL component pixels
+    span_deg: np.ndarray  # (K,) angular span of the contact pixels
+    contact: np.ndarray  # (M, 3) (z, row, col) contact pixels
+    contact_start: np.ndarray  # (K + 1,) offsets into ``contact``
 
     @property
-    def present(self) -> bool:
-        return len(self.contact_pixels) > 0
+    def present(self) -> np.ndarray:
+        """Per component: does it have at least one contact pixel."""
+        return np.diff(self.contact_start) > 0
 
 
 @dataclass(frozen=True)
@@ -94,28 +107,7 @@ class InvolvementReport:
     max_span_deg: float
     argmax_slice: int | None
     present: bool
-
-
-def connected_components(mask2d: np.ndarray, connectivity: int = 8, z: int = -1) -> list[Component2D]:
-    """Partition a binary slice into components, ordered by first pixel."""
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    mask = np.asarray(mask2d) > 0
-    if mask.ndim != 2:
-        raise ValueError("mask2d must be 2-D")
-    struct = _STRUCT_8 if connectivity == 8 else _STRUCT_4
-    labeled, n = ndimage.label(mask, structure=struct)
-    if n == 0:
-        return []
-    coords = np.argwhere(labeled > 0)  # row-major order
-    labels = labeled[coords[:, 0], coords[:, 1]]
-    order = np.argsort(labels, kind="stable")  # keeps row-major order per label
-    coords = coords[order]
-    labels = labels[order]
-    splits = np.searchsorted(labels, np.arange(2, n + 1))
-    groups = np.split(coords, splits)
-    groups.sort(key=lambda g: (int(g[0, 0]), int(g[0, 1])))
-    return [Component2D(z=z, pixels=g, connectivity=connectivity) for g in groups]
+    table: ComponentTable = field(compare=False, repr=False)
 
 
 def pixel_angle(centroid: tuple[float, float], pixel: tuple[float, float]) -> float:
@@ -125,34 +117,6 @@ def pixel_angle(centroid: tuple[float, float], pixel: tuple[float, float]) -> fl
     if d_row == 0.0 and d_col == 0.0:
         raise ValueError("pixel coincides with centroid (zero radius)")
     return math.degrees(math.atan2(-d_row, d_col)) % 360.0
-
-
-def _pixel_angles(centroid: tuple[float, float], pixels: np.ndarray) -> np.ndarray:
-    d_row = pixels[:, 0] - centroid[0]
-    d_col = pixels[:, 1] - centroid[1]
-    nonzero = (d_row != 0.0) | (d_col != 0.0)
-    return np.degrees(np.arctan2(-d_row[nonzero], d_col[nonzero])) % 360.0
-
-
-def contact_pixels(tumor2d: np.ndarray, vessel: Component2D) -> ContactSet:
-    """Contact pixels of one vessel component against the tumor slice.
-
-    A vessel pixel is in contact when the tumor occupies it or any of its 8
-    neighbours. The centroid is the mean of all component pixels; angles are
-    computed only for contact pixels at nonzero radius.
-    """
-    tumor = np.asarray(tumor2d) > 0
-    if tumor.ndim != 2:
-        raise ValueError("tumor2d must be 2-D")
-    rows, cols = vessel.pixels[:, 0], vessel.pixels[:, 1]
-    if rows.max(initial=0) >= tumor.shape[0] or cols.max(initial=0) >= tumor.shape[1]:
-        raise ValueError("vessel component exceeds tumor slice dims")
-    near = ndimage.binary_dilation(tumor, structure=np.ones((3, 3), dtype=bool))
-    hit = near[rows, cols]
-    contact = vessel.pixels[hit]
-    centroid = (float(vessel.pixels[:, 0].mean()), float(vessel.pixels[:, 1].mean()))
-    angles = _pixel_angles(centroid, contact.astype(np.float64)) if len(contact) else np.empty(0)
-    return ContactSet(vessel.z, vessel, contact, centroid, angles)
 
 
 def angular_span(angles, method: str = "largest-gap") -> float:
@@ -176,36 +140,91 @@ def angular_span(angles, method: str = "largest-gap") -> float:
     return float(360.0 - max(gaps.max(), wrap))
 
 
-def slice_contact_sets(
-    tumor2d: np.ndarray,
-    vessel2d: np.ndarray,
-    connectivity: int = 8,
-    z: int = -1,
-) -> list[ContactSet]:
-    """ContactSet for every vessel component of one slice."""
-    tumor = np.asarray(tumor2d)
-    vessel = np.asarray(vessel2d)
-    if tumor.shape != vessel.shape:
-        raise ValueError(f"slice dims mismatch: {tumor.shape} vs {vessel.shape}")
-    return [contact_pixels(tumor, comp) for comp in connected_components(vessel, connectivity, z)]
+def _bounding_box(grid: np.ndarray) -> tuple[slice, slice, slice]:
+    """Slices around the set voxels of a 3-D boolean grid, empty when none is set."""
+    plane = grid.any(axis=0)
+    zs = np.flatnonzero(grid.reshape(len(grid), -1).any(axis=1))
+    rows = np.flatnonzero(plane.any(axis=1))
+    cols = np.flatnonzero(plane.any(axis=0))
+    return tuple(slice(i[0], i[-1] + 1) if i.size else slice(0, 0) for i in (zs, rows, cols))
 
 
-def slice_involvement(
-    tumor2d: np.ndarray,
-    vessel2d: np.ndarray,
+def _segment_spans(labels: np.ndarray, angles: np.ndarray, n: int, method: str) -> np.ndarray:
+    """angular_span of each label's angles, for labels 0..n-1 at once."""
+    spans = np.zeros(n)
+    order = np.lexsort((angles, labels))
+    a = angles[order]
+    count = np.bincount(labels, minlength=n)
+    end = np.cumsum(count) - 1
+    start = end - count + 1
+    multi = count >= 2
+    if not multi.any():
+        return spans
+    first, last = a[start[multi]], a[end[multi]]
+    if method == "minmax":
+        spans[multi] = last - first
+        return spans
+    gaps = np.diff(a)
+    gaps[end[count > 0][:-1]] = -1.0  # differences across two components
+    widest = np.maximum.reduceat(gaps, start[multi])
+    wrap = 360.0 - last + first
+    spans[multi] = 360.0 - np.maximum(widest, wrap)
+    return spans
+
+
+def component_table(
+    tumor3d: np.ndarray,
+    vessel3d: np.ndarray,
     connectivity: int = 8,
     span_method: str = "largest-gap",
-    z: int = -1,
-) -> SliceInvolvement:
-    """Involvement of one axial slice: per-component spans and their max."""
-    spans = []
-    present = False
-    for cs in slice_contact_sets(tumor2d, vessel2d, connectivity, z):
-        if cs.present:
-            present = True
-        spans.append(angular_span(cs.angles_deg, span_method))
-    max_span = max(spans, default=0.0)
-    return SliceInvolvement(z, tuple(spans), max_span, present)
+) -> ComponentTable:
+    """Centroid, contact pixels and contact span of every in-slice vessel component."""
+    if connectivity not in (4, 8):
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    if span_method not in SPAN_METHODS:
+        raise ValueError(f"unknown span method {span_method!r}")
+    tumor = np.asarray(tumor3d)
+    vessel = np.asarray(vessel3d) > 0
+    if tumor.shape != vessel.shape:
+        raise ValueError(f"geometry mismatch: {tumor.shape} vs {vessel.shape}")
+    if vessel.ndim != 3:
+        raise ValueError("expected 3-D grids")
+
+    zs, rows, cols = _bounding_box(vessel)
+    box = (
+        zs,
+        slice(max(rows.start - 1, 0), rows.stop + 1),
+        slice(max(cols.start - 1, 0), cols.stop + 1),
+    )
+    origin = np.array([s.start for s in box])
+
+    labels, n = ndimage.label(vessel[box], structure=_IN_SLICE[connectivity])
+    near = ndimage.binary_dilation(tumor[box] > 0, structure=_NEIGHBOURHOOD)
+    pixels = np.argwhere(labels)  # raster order, crop coordinates
+    hit = near[tuple(pixels.T)]
+    label = labels[tuple(pixels.T)] - 1
+    pixels += origin
+
+    size = np.bincount(label, minlength=n)
+    centroid = np.stack(
+        [np.bincount(label, pixels[:, 1], n) / size, np.bincount(label, pixels[:, 2], n) / size],
+        axis=1,
+    )
+    z = np.empty(n, np.intp)
+    z[label] = pixels[:, 0]  # every pixel of a component lies on its slice
+
+    contact_label = label[hit]
+    order = np.argsort(contact_label, kind="stable")
+    contact = pixels[hit][order]
+    contact_label = contact_label[order]
+    contact_start = np.concatenate(([0], np.cumsum(np.bincount(contact_label, minlength=n))))
+
+    d_row = contact[:, 1] - centroid[contact_label, 0]
+    d_col = contact[:, 2] - centroid[contact_label, 1]
+    nonzero = (d_row != 0.0) | (d_col != 0.0)
+    angles = np.degrees(np.arctan2(-d_row[nonzero], d_col[nonzero])) % 360.0
+    spans = _segment_spans(contact_label[nonzero], angles, n, span_method)
+    return ComponentTable(z, centroid, spans, contact, contact_start)
 
 
 def scan_involvement(
@@ -216,12 +235,14 @@ def scan_involvement(
 ) -> InvolvementReport:
     """Aggregate slice involvement over a whole scan for one vessel class."""
     tumor = masks.channel(ChannelId.TUMOR)
-    vessel_grid = masks.channel(vessel)
-    slices = []
-    for z in range(masks.dims[0]):
-        slices.append(
-            slice_involvement(tumor[z], vessel_grid[z], connectivity, span_method, z=z)
-        )
+    table = component_table(tumor, masks.channel(vessel), connectivity, span_method)
+    bounds = np.searchsorted(table.z, np.arange(masks.dims[0] + 1)).tolist()
+    spans = table.span_deg.tolist()
+    contacted = table.present.tolist()
+    slices = tuple(
+        SliceInvolvement(z, tuple(spans[lo:hi]), max(spans[lo:hi], default=0.0), any(contacted[lo:hi]))
+        for z, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    )
     present = any(s.present for s in slices)
     max_span = max((s.max_span_deg for s in slices), default=0.0)
     argmax = None
@@ -229,7 +250,7 @@ def scan_involvement(
         argmax = next(
             s.z for s in slices if s.present and s.max_span_deg == max_span
         )
-    return InvolvementReport(ChannelId(vessel), tuple(slices), max_span, argmax, present)
+    return InvolvementReport(ChannelId(vessel), slices, max_span, argmax, present, table)
 
 
 def filter_critical(
@@ -241,22 +262,26 @@ def filter_critical(
 
     voxel mode removes exactly the overlapping voxels; component mode removes
     every 26-connected vessel component that touches the pancreas anywhere.
+    Components lie inside the vessel bounding box, so only that box is
+    labelled; a keep/drop lookup indexed by label paints the survivors.
     """
-    vessel = np.asarray(vessel3d)
+    vessel = np.asarray(vessel3d) > 0
     pancreas = np.asarray(pancreas3d)
     if vessel.shape != pancreas.shape:
         raise ValueError(f"geometry mismatch: {vessel.shape} vs {pancreas.shape}")
     if vessel.ndim != 3:
         raise ValueError("expected 3-D grids")
     if mode == "voxel":
-        return ((vessel > 0) & ~(pancreas > 0)).astype(np.uint8)
+        return (vessel & ~(pancreas > 0)).astype(np.uint8)
     if mode == "component":
-        labeled, n = ndimage.label(vessel > 0, structure=_STRUCT_26)
-        if n == 0:
-            return (vessel > 0).astype(np.uint8)
-        touching = np.unique(labeled[(pancreas > 0) & (labeled > 0)])
-        keep = (labeled > 0) & ~np.isin(labeled, touching)
-        return keep.astype(np.uint8)
+        out = np.zeros(vessel.shape, dtype=np.uint8)
+        box = _bounding_box(vessel)
+        labeled, n = ndimage.label(vessel[box], structure=_STRUCT_26)
+        keep = np.ones(n + 1, dtype=np.uint8)
+        keep[0] = 0
+        keep[labeled[pancreas[box] > 0]] = 0
+        out[box] = keep[labeled]
+        return out
     raise ValueError(f"unknown filter mode {mode!r}")
 
 

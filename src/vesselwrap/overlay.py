@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .involvement import slice_contact_sets
+from .involvement import ComponentTable
 from .volume import ChannelId, MaskVolume
 
 HEAT_SCALE = 0.5
@@ -36,8 +36,12 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     path.write_bytes(header + rgb.tobytes())
 
 
-def contact_overlay(masks: MaskVolume, vessel: ChannelId, z: int, connectivity: int = 8) -> np.ndarray:
-    """RGB view of one slice with contact pixels and centroid marked."""
+def contact_overlay(masks: MaskVolume, vessel: ChannelId, z: int, table: ComponentTable) -> np.ndarray:
+    """RGB view of one slice with contact pixels and centroids marked.
+
+    ``table`` is the component table of the vessel's InvolvementReport on
+    these masks; contact pixels and centroids are painted from it.
+    """
     tumor = masks.channel(ChannelId.TUMOR)[z] > 0
     vessel_grid = masks.channel(vessel)[z] > 0
     rgb = np.zeros(tumor.shape + (3,), dtype=np.uint8)
@@ -46,12 +50,13 @@ def contact_overlay(masks: MaskVolume, vessel: ChannelId, z: int, connectivity: 
     rgb[vessel_grid] = COLOR_VESSEL
     rgb[tumor] = COLOR_TUMOR
     rgb[tumor & vessel_grid] = COLOR_OVERLAP
-    for cs in slice_contact_sets(tumor, vessel_grid, connectivity, z):
-        if not cs.present:
+    lo, hi = np.searchsorted(table.z, (z, z + 1))
+    for k in range(lo, hi):
+        contact = table.contact[table.contact_start[k]:table.contact_start[k + 1]]
+        if not len(contact):
             continue
-        rows, cols = cs.contact_pixels[:, 0], cs.contact_pixels[:, 1]
-        rgb[rows, cols] = COLOR_CONTACT
-        cr, cc = int(round(cs.centroid[0])), int(round(cs.centroid[1]))
+        rgb[contact[:, 1], contact[:, 2]] = COLOR_CONTACT
+        cr, cc = (int(round(v)) for v in table.centroid[k].tolist())
         for dr, dc in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
             r, c = cr + dr, cc + dc
             if 0 <= r < rgb.shape[0] and 0 <= c < rgb.shape[1]:

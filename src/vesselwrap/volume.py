@@ -5,7 +5,7 @@ at ``<stem>.json`` describes geometry and dtype, the voxel data sits in
 ``<stem>.raw`` as a little-endian dump. Header keys (the on-disk contract):
 
 ``dims``
-    ``[Z, H, W]`` voxel counts.
+    ``[Z, H, W]`` voxel counts, positive integers.
 ``spacing_mm``
     ``[z, y, x]`` voxel edge lengths in millimeters, all strictly positive.
 ``dtype``
@@ -14,17 +14,18 @@ at ``<stem>.json`` describes geometry and dtype, the voxel data sits in
 ``order``
     always ``"channel-major,z,y,x"``.
 ``channels``
-    ordered list of channel names for mask/probability volumes; omitted or
-    ``null`` for a single-grid layered label volume.
+    ordered list of distinct channel names for mask/probability volumes;
+    omitted or ``null`` for a single-grid layered label volume.
 
 Probability payloads are clamped into [0, 1] at ingest with a 0.001
-tolerance; values further out are rejected as corrupt.
+tolerance; values further out, and NaN, are rejected as corrupt.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -240,6 +241,54 @@ def _raw_path(header_path: Path) -> Path:
     return header_path.with_suffix(".raw")
 
 
+def _positive_triple(value, kinds) -> bool:
+    """A list of three positive finite numbers of the given kinds, bools excluded."""
+    return (
+        isinstance(value, list)
+        and len(value) == 3
+        and all(
+            isinstance(v, kinds) and not isinstance(v, bool) and 0 < v <= sys.float_info.max
+            for v in value
+        )
+    )
+
+
+def _parse_header(header, path: Path):
+    """Validate a parsed header; returns (dims, spacing, dtype, channels).
+
+    Every malformed field raises VolumeFormatError naming the field.
+    """
+    if not isinstance(header, dict):
+        raise VolumeFormatError(f"header {path} is not a JSON object")
+    for key in ("dims", "spacing_mm", "dtype", "order"):
+        if key not in header:
+            raise VolumeFormatError(f"header {path} missing key {key!r}")
+    if header["order"] != HEADER_ORDER:
+        raise VolumeFormatError(f"unsupported order {header['order']!r}")
+    dims, spacing = header["dims"], header["spacing_mm"]
+    if not _positive_triple(dims, int):
+        raise VolumeFormatError(f"bad dims {dims!r}: need three positive integers")
+    if not _positive_triple(spacing, (int, float)):
+        raise VolumeFormatError(f"bad spacing_mm {spacing!r}: need three positive finite numbers")
+    dtype = header["dtype"]
+    if dtype not in ("u8", "f32"):
+        raise VolumeFormatError(f"unknown dtype {dtype!r}")
+    names = header.get("channels")
+    if names is None:
+        if dtype == "f32":
+            raise VolumeFormatError("f32 volumes must declare channels")
+        return tuple(dims), Spacing(*map(float, spacing)), dtype, None
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise VolumeFormatError(f"bad channels {names!r}: need a list of channel names")
+    unknown = [n for n in names if n not in NAME_TO_CHANNEL]
+    if unknown:
+        raise VolumeFormatError(f"unknown channel name {unknown[0]!r}")
+    if len(set(names)) != len(names):
+        raise VolumeFormatError(f"duplicate channel names in {names!r}")
+    channels = tuple(NAME_TO_CHANNEL[n] for n in names)
+    return tuple(dims), Spacing(*map(float, spacing)), dtype, channels
+
+
 def read_volume(path) -> Volume:
     """Load a volume from its JSON header; the raw payload sits next to it."""
     path = Path(path)
@@ -247,61 +296,31 @@ def read_volume(path) -> Volume:
         header = json.loads(path.read_text())
     except FileNotFoundError:
         raise VolumeFormatError(f"header not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
         raise VolumeFormatError(f"garbled header {path}: {exc}") from None
-    if not isinstance(header, dict):
-        raise VolumeFormatError(f"header {path} is not a JSON object")
-
-    for key in ("dims", "spacing_mm", "dtype", "order"):
-        if key not in header:
-            raise VolumeFormatError(f"header {path} missing key {key!r}")
-    if header["order"] != HEADER_ORDER:
-        raise VolumeFormatError(f"unsupported order {header['order']!r}")
-    dims = header["dims"]
-    if not (isinstance(dims, list) and len(dims) == 3 and all(int(d) > 0 for d in dims)):
-        raise VolumeFormatError(f"bad dims {dims!r}")
-    dims = tuple(int(d) for d in dims)
-    spacing = Spacing(*(float(s) for s in header["spacing_mm"]))
-    dtype = header["dtype"]
-    if dtype not in ("u8", "f32"):
-        raise VolumeFormatError(f"unknown dtype {dtype!r}")
-
-    names = header.get("channels")
-    channels: tuple[ChannelId, ...] | None
-    if names is None:
-        channels = None
-    else:
-        try:
-            channels = _check_channels(NAME_TO_CHANNEL[n] for n in names)
-        except KeyError as exc:
-            raise VolumeFormatError(f"unknown channel name {exc.args[0]!r}") from None
+    dims, spacing, dtype, channels = _parse_header(header, path)
 
     raw = _raw_path(path)
-    if not raw.exists():
-        raise VolumeFormatError(f"raw payload not found: {raw}")
-    payload = raw.read_bytes()
-
+    try:
+        size = raw.stat().st_size
+    except FileNotFoundError:
+        raise VolumeFormatError(f"raw payload not found: {raw}") from None
     n_grids = 1 if channels is None else len(channels)
     n_voxels = n_grids * dims[0] * dims[1] * dims[2]
     itemsize = 1 if dtype == "u8" else 4
-    if len(payload) != n_voxels * itemsize:
+    if size != n_voxels * itemsize:
         raise VolumeFormatError(
-            f"payload size mismatch: expected {n_voxels * itemsize} bytes, got {len(payload)}"
+            f"payload size mismatch: expected {n_voxels * itemsize} bytes, got {size}"
         )
-
-    if dtype == "u8":
-        arr = np.frombuffer(payload, dtype="<u1")
-    else:
-        arr = np.frombuffer(payload, dtype="<f4")
-    arr = arr.reshape((n_grids,) + dims).copy()
+    arr = np.fromfile(raw, dtype="<u1" if dtype == "u8" else "<f4", count=n_voxels)
+    arr = arr.reshape((n_grids,) + dims)
 
     if dtype == "f32":
-        if channels is None:
-            raise VolumeFormatError("f32 volumes must declare channels")
         lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
-        if lo < -PROB_INGEST_TOL or hi > 1.0 + PROB_INGEST_TOL:
+        # NaN propagates through min/max and fails both comparisons
+        if not (lo >= -PROB_INGEST_TOL and hi <= 1.0 + PROB_INGEST_TOL):
             raise VolumeFormatError(
-                f"probability values outside tolerated range: min={lo}, max={hi}"
+                f"probability values non-finite or outside tolerated range: min={lo}, max={hi}"
             )
         np.clip(arr, 0.0, 1.0, out=arr)
         return ProbVolume(arr, channels, spacing)

@@ -1,17 +1,29 @@
-"""Shared fixtures and independent oracles for the test suite.
+"""Shared fixtures, independent oracles and the per-component reference.
 
 The oracles here deliberately avoid the library's code paths: contact is
 checked by a per-pixel neighbourhood scan, nearest-neighbour resampling by
 an exhaustive per-axis distance argmin, and connected components by a
 plain breadth-first search.
+
+The reference below is the per-component involvement path the library
+used before its whole-scan kernel: each slice is labelled on its own and
+the whole tumor slice is dilated once per vessel component. It is slow but
+plain, and the kernel must reproduce its spans float-for-float.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from vesselwrap.involvement import SliceInvolvement, angular_span
 from vesselwrap.volume import MaskVolume, ProbVolume, Spacing, STANDARD_CHANNELS, ChannelId
+
+_STRUCT_4 = ndimage.generate_binary_structure(2, 1)
+_STRUCT_8 = ndimage.generate_binary_structure(2, 2)
 
 
 @pytest.fixture
@@ -98,3 +110,135 @@ def bfs_components(mask2d: np.ndarray, connectivity: int) -> list[set[tuple[int,
                         queue.append((rr, cc))
             groups.append(group)
     return groups
+
+
+@dataclass(frozen=True)
+class Component2D:
+    """One in-slice connected region of a vessel mask."""
+
+    z: int
+    pixels: np.ndarray  # (N, 2) int rows/cols, row-major sorted
+    connectivity: int
+
+    def __post_init__(self):
+        if self.pixels.ndim != 2 or self.pixels.shape[1] != 2 or len(self.pixels) == 0:
+            raise ValueError("component needs a non-empty (N, 2) pixel array")
+
+
+@dataclass(frozen=True)
+class ContactSet:
+    """Contact pixels of one vessel component plus their centroid angles."""
+
+    z: int
+    component: Component2D
+    contact_pixels: np.ndarray  # (M, 2) int, subset of component pixels
+    centroid: tuple[float, float]  # (row, col) over ALL component pixels
+    angles_deg: np.ndarray  # one angle per contact pixel at nonzero radius
+
+    @property
+    def present(self) -> bool:
+        return len(self.contact_pixels) > 0
+
+
+def connected_components(mask2d: np.ndarray, connectivity: int = 8, z: int = -1) -> list[Component2D]:
+    """Partition a binary slice into components, ordered by first pixel."""
+    if connectivity not in (4, 8):
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    mask = np.asarray(mask2d) > 0
+    if mask.ndim != 2:
+        raise ValueError("mask2d must be 2-D")
+    struct = _STRUCT_8 if connectivity == 8 else _STRUCT_4
+    labeled, n = ndimage.label(mask, structure=struct)
+    if n == 0:
+        return []
+    coords = np.argwhere(labeled > 0)  # row-major order
+    labels = labeled[coords[:, 0], coords[:, 1]]
+    order = np.argsort(labels, kind="stable")  # keeps row-major order per label
+    coords = coords[order]
+    labels = labels[order]
+    splits = np.searchsorted(labels, np.arange(2, n + 1))
+    groups = np.split(coords, splits)
+    groups.sort(key=lambda g: (int(g[0, 0]), int(g[0, 1])))
+    return [Component2D(z=z, pixels=g, connectivity=connectivity) for g in groups]
+
+
+def _pixel_angles(centroid: tuple[float, float], pixels: np.ndarray) -> np.ndarray:
+    d_row = pixels[:, 0] - centroid[0]
+    d_col = pixels[:, 1] - centroid[1]
+    nonzero = (d_row != 0.0) | (d_col != 0.0)
+    return np.degrees(np.arctan2(-d_row[nonzero], d_col[nonzero])) % 360.0
+
+
+def contact_pixels(tumor2d: np.ndarray, vessel: Component2D) -> ContactSet:
+    """Contact pixels of one vessel component against the tumor slice.
+
+    A vessel pixel is in contact when the tumor occupies it or any of its 8
+    neighbours. The centroid is the mean of all component pixels; angles are
+    computed only for contact pixels at nonzero radius.
+    """
+    tumor = np.asarray(tumor2d) > 0
+    if tumor.ndim != 2:
+        raise ValueError("tumor2d must be 2-D")
+    rows, cols = vessel.pixels[:, 0], vessel.pixels[:, 1]
+    if rows.max(initial=0) >= tumor.shape[0] or cols.max(initial=0) >= tumor.shape[1]:
+        raise ValueError("vessel component exceeds tumor slice dims")
+    near = ndimage.binary_dilation(tumor, structure=np.ones((3, 3), dtype=bool))
+    hit = near[rows, cols]
+    contact = vessel.pixels[hit]
+    centroid = (float(vessel.pixels[:, 0].mean()), float(vessel.pixels[:, 1].mean()))
+    angles = _pixel_angles(centroid, contact.astype(np.float64)) if len(contact) else np.empty(0)
+    return ContactSet(vessel.z, vessel, contact, centroid, angles)
+
+
+def slice_contact_sets(
+    tumor2d: np.ndarray,
+    vessel2d: np.ndarray,
+    connectivity: int = 8,
+    z: int = -1,
+) -> list[ContactSet]:
+    """ContactSet for every vessel component of one slice."""
+    tumor = np.asarray(tumor2d)
+    vessel = np.asarray(vessel2d)
+    if tumor.shape != vessel.shape:
+        raise ValueError(f"slice dims mismatch: {tumor.shape} vs {vessel.shape}")
+    return [contact_pixels(tumor, comp) for comp in connected_components(vessel, connectivity, z)]
+
+
+def slice_involvement(
+    tumor2d: np.ndarray,
+    vessel2d: np.ndarray,
+    connectivity: int = 8,
+    span_method: str = "largest-gap",
+    z: int = -1,
+) -> SliceInvolvement:
+    """Involvement of one axial slice: per-component spans and their max."""
+    spans = []
+    present = False
+    for cs in slice_contact_sets(tumor2d, vessel2d, connectivity, z):
+        if cs.present:
+            present = True
+        spans.append(angular_span(cs.angles_deg, span_method))
+    max_span = max(spans, default=0.0)
+    return SliceInvolvement(z, tuple(spans), max_span, present)
+
+
+def scan_involvement_reference(
+    tumor3d: np.ndarray,
+    vessel3d: np.ndarray,
+    connectivity: int = 8,
+    span_method: str = "largest-gap",
+) -> tuple[tuple[SliceInvolvement, ...], float, int | None, bool]:
+    """(slices, max_span_deg, argmax_slice, present), one slice at a time."""
+    slices = []
+    for z in range(tumor3d.shape[0]):
+        slices.append(
+            slice_involvement(tumor3d[z], vessel3d[z], connectivity, span_method, z=z)
+        )
+    present = any(s.present for s in slices)
+    max_span = max((s.max_span_deg for s in slices), default=0.0)
+    argmax = None
+    if present:
+        argmax = next(
+            s.z for s in slices if s.present and s.max_span_deg == max_span
+        )
+    return tuple(slices), max_span, argmax, present

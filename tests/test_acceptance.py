@@ -19,7 +19,7 @@ from vesselwrap.evaluation import (
     r_squared,
     sensitivity_specificity,
 )
-from vesselwrap.involvement import DpcgCategory, dpcg_classify, scan_involvement, slice_contact_sets
+from vesselwrap.involvement import DpcgCategory, component_table, dpcg_classify, scan_involvement
 from vesselwrap.loss import (
     bce,
     combined_loss,
@@ -92,9 +92,8 @@ def test_contact_brute_force_oracle():
     for _ in range(500):
         tumor = rng.random((16, 16)) < rng.uniform(0.05, 0.3)
         vessel = rng.random((16, 16)) < rng.uniform(0.05, 0.3)
-        got = set()
-        for cs in slice_contact_sets(tumor, vessel, 8):
-            got |= set(map(tuple, cs.contact_pixels.tolist()))
+        table = component_table(tumor[None], vessel[None], 8)
+        got = set(map(tuple, table.contact[:, 1:].tolist()))
         if got != brute_force_contact(tumor, vessel):
             mismatches += 1
     report("contact-oracle", mismatches == 0,

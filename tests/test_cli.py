@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vesselwrap import cli
+from vesselwrap.overlay import COLOR_CENTROID, COLOR_CONTACT
 from vesselwrap.loss import bce, combined_loss, overlap_loss, soft_dice_loss
 from vesselwrap.phantom import PhantomSpec, gen_uncertainty_scene, gen_wrap_scene
 from vesselwrap.volume import (
@@ -15,6 +16,7 @@ from vesselwrap.volume import (
     encode_layered,
     write_volume,
 )
+from conftest import bfs_components, brute_force_contact
 
 
 def run(*argv):
@@ -95,6 +97,35 @@ class TestAssess:
         head = files[0].read_bytes()[:2]
         assert head == b"P6"
 
+    def test_overlay_pixels_match_contact_oracle(self, tmp_path):
+        spec = PhantomSpec(dims=(4, 48, 48), vessel_center=(24.0, 24.0), slice_range=(1, 3),
+                           wrap_span_deg=200.0, jitter_seed=4)
+        scene, _ = gen_wrap_scene(spec)
+        write_volume(scene, tmp_path / "scene.json")
+        out = tmp_path / "ppm"
+        assert run(
+            "assess", tmp_path / "scene.json", "--scan-id", "s",
+            "--overlay", out, "-o", tmp_path / "doc.json",
+        ) == 0
+        tumor, vein = scene.channel(ChannelId.TUMOR), scene.channel(ChannelId.VEIN)
+        contacts = {z: brute_force_contact(tumor[z], vein[z]) for z in range(spec.dims[0])}
+        files = {int(p.stem[-3:]): p for p in out.glob("s_vein_z*.ppm")}
+        assert set(files) == {z for z, c in contacts.items() if c}
+        for z, path in files.items():
+            rgb = read_ppm(path)
+            crosses = set()
+            for comp in bfs_components(vein[z], 8):
+                if comp & contacts[z]:
+                    cr, cc = (int(round(v)) for v in np.mean(sorted(comp), axis=0))
+                    crosses |= {
+                        (cr + dr, cc + dc)
+                        for dr, dc in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+                        if 0 <= cr + dr < rgb.shape[0] and 0 <= cc + dc < rgb.shape[1]
+                    }
+            assert crosses and crosses.isdisjoint(contacts[z])  # the disk centre is no contact
+            assert pixels_of(rgb, COLOR_CENTROID) == crosses
+            assert pixels_of(rgb, COLOR_CONTACT) == contacts[z]
+
     def test_critical_filter_drops_embedded_vessel(self, tmp_path, capsys):
         # artery tube embedded in pancreas and touching tumor
         data = np.zeros((6, 3, 8, 8), dtype=np.uint8)
@@ -140,6 +171,64 @@ class TestAssess:
         cats = [e["dpcg_category"] for e in doc["sweep"]]
         assert cats == ["resectable", "resectable", "resectable", "borderline_resectable"]
         assert doc["config"]["ks"] == [-1.0, 0.0, 1.0, 2.0]
+
+
+def read_ppm(path) -> np.ndarray:
+    magic, size, depth, data = path.read_bytes().split(b"\n", 3)
+    assert (magic, depth) == (b"P6", b"255")
+    width, height = map(int, size.split())
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)
+
+
+def pixels_of(rgb: np.ndarray, color) -> set[tuple[int, int]]:
+    return set(map(tuple, np.argwhere((rgb == color).all(axis=-1)).tolist()))
+
+
+def _tav_header(**fields) -> dict:
+    header = {
+        "dims": [1, 4, 4],
+        "spacing_mm": [1.0, 1.0, 1.0],
+        "dtype": "u8",
+        "order": "channel-major,z,y,x",
+        "channels": ["artery", "vein", "tumor"],
+    }
+    header.update(fields)
+    return header
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"dims": ["a", 4, 4]},
+            {"dims": [1.7, 4, 4]},
+            {"spacing_mm": [1, 1]},
+            {"spacing_mm": [-1, 1, 1]},
+            {"channels": ["artery", "vein", "vein"]},
+        ],
+        ids=["dims-not-a-number", "dims-fractional", "spacing-two-entries",
+             "spacing-negative", "duplicate-channels"],
+    )
+    def test_bad_header_exit_2(self, tmp_path, capsys, fields):
+        (tmp_path / "v.json").write_text(json.dumps(_tav_header(**fields)))
+        (tmp_path / "v.raw").write_bytes(bytes(3 * 16))  # fits 3 channels of 1x4x4
+        assert run("assess", tmp_path / "v.json") == 2
+        assert_one_line_error(capsys)
+
+    def test_nan_probability_exit_2(self, tmp_path, capsys):
+        header = _tav_header(dims=[1, 2, 2], dtype="f32", channels=["tumor"])
+        (tmp_path / "f.json").write_text(json.dumps(header))
+        (tmp_path / "f.raw").write_bytes(np.array([0.0, np.nan, 0.5, 1.0], "<f4").tobytes())
+        fold = tmp_path / "f.json"
+        assert run("uncertainty", "--fold", fold, "--fold", fold, "--out", tmp_path / "o") == 2
+        assert_one_line_error(capsys)
 
 
 def write_manifest(tmp_path, entries, name="manifest.jsonl"):
@@ -195,6 +284,29 @@ class TestEvaluate:
         assert doc["n_scans"] == 1
         assert len(doc["failures"]) == 1
         assert "missing" in captured.err
+
+    def test_non_string_path_counts_as_failure(self, tmp_path, capsys):
+        write_scene(tmp_path, name="ok", span=90.0)
+        manifest = write_manifest(
+            tmp_path,
+            [
+                {"scan_id": "ok", "prediction": "ok.json", "ground_truth": "ok.json"},
+                {"scan_id": "bad", "prediction": 5, "ground_truth": "ok.json"},
+            ],
+        )
+        assert run("evaluate", manifest) == 4
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["n_scans"] == 1
+        assert doc["failures"] == ["bad: prediction must be a path string, got 5"]
+        assert "Traceback" not in captured.err
+
+    def test_unhashable_scan_id_exit_2(self, tmp_path, capsys):
+        manifest = write_manifest(
+            tmp_path, [{"scan_id": ["a"], "prediction": "s.json", "ground_truth": "s.json"}]
+        )
+        assert run("evaluate", manifest) == 2
+        assert_one_line_error(capsys)
 
     def test_duplicate_scan_ids_rejected(self, tmp_path):
         write_scene(tmp_path, name="s", span=90.0)

@@ -1,62 +1,113 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vesselwrap.involvement import (
+    SPAN_METHODS,
     DpcgCategory,
     angular_span,
-    connected_components,
-    contact_pixels,
+    component_table,
     dpcg_classify,
     filter_critical,
     pixel_angle,
     scan_involvement,
-    slice_contact_sets,
-    slice_involvement,
 )
 from vesselwrap.phantom import PhantomSpec, gen_wrap_scene
 from vesselwrap.volume import ChannelId, MissingChannelError
-from conftest import bfs_components, brute_force_contact, tav_volume
+from conftest import (
+    bfs_components,
+    brute_force_contact,
+    scan_involvement_reference,
+    slice_contact_sets,
+    slice_involvement,
+    tav_volume,
+)
+
+
+def table_2d(tumor2d, vessel2d, connectivity=8, span_method="largest-gap"):
+    """component_table of a one-slice grid pair."""
+    return component_table(
+        np.asarray(tumor2d)[None], np.asarray(vessel2d)[None], connectivity, span_method
+    )
+
+
+def contact_of(table, k) -> list[tuple[int, int]]:
+    """Sorted (row, col) contact pixels of component k."""
+    rows = table.contact[table.contact_start[k]:table.contact_start[k + 1], 1:]
+    return sorted(map(tuple, rows.tolist()))
+
+
+def components(mask2d, connectivity=8) -> list[list[tuple[int, int]]]:
+    """Pixels of each component in table order: under an all-tumor slice
+    every vessel pixel is a contact pixel."""
+    mask = np.asarray(mask2d)
+    table = table_2d(np.ones(mask.shape), mask, connectivity)
+    return [contact_of(table, k) for k in range(len(table.z))]
+
+
+def slice_report(tumor2d, vessel2d, connectivity=8, span_method="largest-gap"):
+    """SliceInvolvement of a one-slice scan, through scan_involvement."""
+    tumor = np.asarray(tumor2d)[None]
+    vessel = np.asarray(vessel2d)[None]
+    masks = tav_volume(tumor, np.zeros_like(tumor), vessel)
+    return scan_involvement(masks, ChannelId.VEIN, connectivity, span_method).slices[0]
+
+
+def assert_matches_reference(tumor, vessel, connectivity, span_method):
+    """The kernel's report and table equal the per-component reference exactly."""
+    masks = tav_volume(tumor, np.zeros_like(tumor), vessel)
+    rep = scan_involvement(masks, ChannelId.VEIN, connectivity, span_method)
+    slices, max_span, argmax, present = scan_involvement_reference(
+        tumor, vessel, connectivity, span_method
+    )
+    assert rep.slices == slices  # float == on every component span
+    assert (rep.max_span_deg, rep.argmax_slice, rep.present) == (max_span, argmax, present)
+    ref = [
+        cs for z in range(len(tumor))
+        for cs in slice_contact_sets(tumor[z], vessel[z], connectivity, z)
+    ]
+    table = rep.table
+    assert table.z.tolist() == [cs.z for cs in ref]
+    assert [tuple(c) for c in table.centroid.tolist()] == [cs.centroid for cs in ref]
+    for k, cs in enumerate(ref):
+        assert set(table.contact[table.contact_start[k]:table.contact_start[k + 1], 0]) <= {cs.z}
+        assert contact_of(table, k) == sorted(map(tuple, cs.contact_pixels.tolist()))
 
 
 class TestConnectedComponents:
     def test_empty(self):
-        assert connected_components(np.zeros((4, 4)), 8) == []
+        assert components(np.zeros((4, 4))) == []
 
     def test_diagonal_8_joined(self):
         mask = np.zeros((4, 4))
         mask[1, 1] = mask[2, 2] = 1
-        comps = connected_components(mask, 8)
-        assert len(comps) == 1
-        assert comps[0].pixels.tolist() == [[1, 1], [2, 2]]
+        assert components(mask, 8) == [[(1, 1), (2, 2)]]
 
     def test_diagonal_4_split(self):
         mask = np.zeros((4, 4))
         mask[1, 1] = mask[2, 2] = 1
-        comps = connected_components(mask, 4)
-        assert len(comps) == 2
+        assert len(components(mask, 4)) == 2
 
     def test_ordering_by_first_pixel(self):
         mask = np.zeros((5, 5))
         mask[3, 0] = 1  # later row
         mask[0, 4] = 1  # first row, high col
-        comps = connected_components(mask, 8)
-        assert comps[0].pixels.tolist() == [[0, 4]]
-        assert comps[1].pixels.tolist() == [[3, 0]]
+        assert components(mask, 8) == [[(0, 4)], [(3, 0)]]
 
     def test_bad_connectivity(self):
         with pytest.raises(ValueError):
-            connected_components(np.zeros((2, 2)), 6)
+            component_table(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), 6)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), connectivity=st.sampled_from([4, 8]))
     def test_matches_bfs(self, seed, connectivity):
         gen = np.random.default_rng(seed)
         mask = gen.random((8, 8)) < 0.4
-        comps = connected_components(mask, connectivity)
-        expected = bfs_components(mask, connectivity)
-        got = [set(map(tuple, c.pixels.tolist())) for c in comps]
-        assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
+        got = components(mask, connectivity)
+        expected = sorted(bfs_components(mask, connectivity), key=min)  # by first pixel
+        assert got == [sorted(group) for group in expected]
 
 
 class TestContactPixels:
@@ -65,42 +116,37 @@ class TestContactPixels:
         tumor[0, 0] = 1
         vessel = np.zeros((8, 8))
         vessel[6, 6] = 1
-        comp = connected_components(vessel, 8)[0]
-        cs = contact_pixels(tumor, comp)
-        assert not cs.present
-        assert len(cs.angles_deg) == 0
+        table = table_2d(tumor, vessel)
+        assert table.present.tolist() == [False]
+        assert len(table.contact) == 0
 
     def test_overlap_voxel_counts_as_contact(self):
         grid = np.zeros((3, 3))
         grid[1, 1] = 1
-        comp = connected_components(grid, 8)[0]
-        cs = contact_pixels(grid, comp)  # tumor == vessel pixel
-        assert cs.present
-        assert cs.contact_pixels.tolist() == [[1, 1]]
+        table = table_2d(grid, grid)  # tumor == vessel pixel
+        assert table.present.tolist() == [True]
+        assert table.contact.tolist() == [[0, 1, 1]]
         # single-pixel component: zero radius, no angles, but still present
-        assert len(cs.angles_deg) == 0
+        assert table.span_deg.tolist() == [0.0]
 
     def test_centroid_uses_all_component_pixels(self):
         vessel = np.zeros((5, 5))
         vessel[2, 1:4] = 1
         tumor = np.zeros((5, 5))
         tumor[1, 1] = 1  # touches only the left end
-        comp = connected_components(vessel, 8)[0]
-        cs = contact_pixels(tumor, comp)
-        assert cs.centroid == (2.0, 2.0)
+        table = table_2d(tumor, vessel)
+        assert table.centroid.tolist() == [[2.0, 2.0]]
 
     def test_random_slices_match_brute_force(self, rng):
         for _ in range(100):
             tumor = rng.random((16, 16)) < 0.15
             vessel = rng.random((16, 16)) < 0.2
-            got = set()
-            for cs in slice_contact_sets(tumor, vessel, 8):
-                got |= set(map(tuple, cs.contact_pixels.tolist()))
+            got = set(map(tuple, table_2d(tumor, vessel).contact[:, 1:].tolist()))
             assert got == brute_force_contact(tumor, vessel)
 
     def test_dims_mismatch(self):
         with pytest.raises(ValueError):
-            slice_contact_sets(np.zeros((4, 4)), np.zeros((5, 5)))
+            component_table(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -109,10 +155,9 @@ class TestContactPixels:
         tumor = gen.random((12, 12)) < 0.1
         bigger = tumor | (gen.random((12, 12)) < 0.1)
         vessel = gen.random((12, 12)) < 0.25
-        for comp in connected_components(vessel, 8):
-            small = set(map(tuple, contact_pixels(tumor, comp).contact_pixels.tolist()))
-            grown = set(map(tuple, contact_pixels(bigger, comp).contact_pixels.tolist()))
-            assert small <= grown
+        small, grown = table_2d(tumor, vessel), table_2d(bigger, vessel)
+        for k in range(len(small.z)):  # same vessel, same components
+            assert set(contact_of(small, k)) <= set(contact_of(grown, k))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -120,12 +165,81 @@ class TestContactPixels:
         gen = np.random.default_rng(seed)
         tumor = gen.random((12, 12)) < 0.08
         vessel = gen.random((12, 12)) < 0.12
-        base = slice_involvement(tumor, vessel).present
+        base = slice_report(tumor, vessel).present
         grown_tumor = tumor | (gen.random((12, 12)) < 0.1)
         grown_vessel = vessel | (gen.random((12, 12)) < 0.1)
         if base:
-            assert slice_involvement(grown_tumor, vessel).present
-            assert slice_involvement(tumor, grown_vessel).present
+            assert slice_report(grown_tumor, vessel).present
+            assert slice_report(tumor, grown_vessel).present
+
+
+class TestKernelEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12)),
+        vessel_density=st.floats(0.0, 0.7),
+        tumor_density=st.floats(0.0, 0.5),
+        empty_vessel=st.booleans(),
+        connectivity=st.sampled_from([4, 8]),
+        span_method=st.sampled_from(SPAN_METHODS),
+    )
+    def test_matches_reference(
+        self, seed, dims, vessel_density, tumor_density, empty_vessel, connectivity, span_method
+    ):
+        gen = np.random.default_rng(seed)
+        vessel = gen.random(dims) < vessel_density
+        tumor = gen.random(dims) < tumor_density  # overlaps the vessel freely
+        vessel[gen.random(dims[0]) < 0.3] = False  # empty slices
+        if empty_vessel:
+            vessel[:] = False
+        assert_matches_reference(tumor, vessel, connectivity, span_method)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("span_method", SPAN_METHODS)
+    def test_edge_cases_match_reference(self, connectivity, span_method):
+        tumor = np.zeros((5, 9, 9), dtype=bool)
+        vessel = np.zeros_like(tumor)
+        # slice 0 stays empty; slice 1: components on every border
+        vessel[1, 0, :4] = vessel[1, 4:, 0] = vessel[1, 8, 5:] = vessel[1, :3, 8] = True
+        tumor[1, 1, 1:3] = tumor[1, 7, 7] = True
+        # slice 2: one-pixel components, one overlapped by tumor, and a 3x3
+        # block whose centre pixel is a contact pixel at its own centroid
+        vessel[2, 0, 0] = vessel[2, 8, 8] = vessel[2, 4, 0] = True
+        tumor[2, 8, 8] = True
+        vessel[2, 3:6, 3:6] = True
+        tumor[2, 4, 4] = True
+        # slice 3: a ring around a tumor core, contact on all sides
+        vessel[3, 2:7, 2:7] = True
+        vessel[3, 3:6, 3:6] = False
+        tumor[3, 4, 4] = True
+        # slice 4: the same wide ring, then a component with one angle (0 deg)
+        # and one whose first angle is 180 deg; their difference must not
+        # count as a gap of the ring
+        vessel[4, 0:5, 0:5] = True
+        vessel[4, 1:4, 1:4] = False
+        tumor[4, 2, 2] = True
+        vessel[4, 6, 0:2] = True
+        tumor[4, 6, 2] = True
+        vessel[4, 8, 5:7] = True
+        tumor[4, 8, 4] = True
+        assert_matches_reference(tumor, vessel, connectivity, span_method)
+        assert_matches_reference(tumor, np.zeros_like(vessel), connectivity, span_method)
+
+    def test_many_components_one_slice_fast(self):
+        gen = np.random.default_rng(11)
+        vessel = np.zeros((1, 256, 256), dtype=bool)
+        for dr in range(3):  # small random blobs on a 4-px lattice
+            for dc in range(3):
+                vessel[0, dr::4, dc::4] = gen.random((64, 64)) < 0.5
+        tumor = gen.random((1, 256, 256)) < 0.05
+        t0 = time.perf_counter()
+        table = component_table(tumor, vessel)
+        elapsed = time.perf_counter() - t0
+        assert len(table.z) >= 3000
+        assert elapsed < 1.0
+        got = set(map(tuple, table.contact[:, 1:].tolist()))
+        assert got == brute_force_contact(tumor[0], vessel[0])
 
 
 class TestPixelAngle:
@@ -179,7 +293,7 @@ class TestAngularSpan:
 
 class TestSliceInvolvement:
     def test_empty_vessel(self):
-        si = slice_involvement(np.ones((4, 4)), np.zeros((4, 4)))
+        si = slice_report(np.ones((4, 4)), np.zeros((4, 4)))
         assert not si.present
         assert si.max_span_deg == 0.0
 
@@ -189,10 +303,11 @@ class TestSliceInvolvement:
         vessel[7, 6:9] = 1  # far component
         tumor = np.zeros((9, 9))
         tumor[0, 1:4] = 1
-        si = slice_involvement(tumor, vessel)
+        si = slice_report(tumor, vessel)
         assert si.present
-        touched = slice_contact_sets(tumor, vessel)[0]
-        assert si.max_span_deg == pytest.approx(angular_span(touched.angles_deg))
+        centroid = (1.0, 2.0)  # the touched component comes first
+        angles = [pixel_angle(centroid, (1.0, c)) for c in (1.0, 3.0)]  # (1, 2) sits at radius 0
+        assert si.max_span_deg == pytest.approx(angular_span(angles))
         assert si.component_spans_deg[1] == 0.0
 
     def test_single_contact_pixel_presence_with_zero_span(self):
@@ -200,7 +315,7 @@ class TestSliceInvolvement:
         vessel[2, 2] = 1
         tumor = np.zeros((5, 5))
         tumor[2, 3] = 1
-        si = slice_involvement(tumor, vessel)
+        si = slice_report(tumor, vessel)
         assert si.present
         assert si.max_span_deg == 0.0
 
@@ -208,7 +323,7 @@ class TestSliceInvolvement:
         spec = PhantomSpec(dims=(3, 128, 128), slice_range=(1, 2), vessel_radius_px=8.0,
                            wrap_span_deg=180.0, axis_jitter_px=0.0)
         scene, truth = gen_wrap_scene(spec)
-        si = slice_involvement(scene.channel(ChannelId.TUMOR)[1], scene.channel(ChannelId.VEIN)[1])
+        si = slice_report(scene.channel(ChannelId.TUMOR)[1], scene.channel(ChannelId.VEIN)[1])
         assert si.max_span_deg == pytest.approx(truth.max_span_deg, abs=10.0)
 
 
