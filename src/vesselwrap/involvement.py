@@ -19,13 +19,17 @@ analytic angles agree):
 One whole-scan kernel, ``component_table``, measures every vessel component
 of a scan at once:
 
-1. crop both grids to the vessel bounding box plus a 1-pixel in-plane
-   margin, so every in-slice neighbour of a vessel pixel stays inside;
-2. label the crop once with an in-plane-only 3x3x3 structure: components
-   never join across slices, and the raster label order is (slice, first
-   pixel), the order reports list them in;
-3. dilate the tumor crop once with a (1, 3, 3) structure; a vessel pixel is
-   in contact where the dilation is set;
+1. gather both grids on the slices, rows and columns that hold a vessel
+   pixel, the rows and columns widened by one on each side. Every in-slice
+   neighbour of a vessel pixel is kept and stays its neighbour, and two
+   vessel pixels are neighbours in the gathered grid only if they are in
+   the scan, so the work follows the vessels' extent, not the distance
+   between them;
+2. label the gathered grid once with an in-plane-only 3x3x3 structure:
+   components never join across slices, and the raster label order is
+   (slice, first pixel), the order reports list them in;
+3. dilate the gathered tumor once with a (1, 3, 3) structure; a vessel
+   pixel is in contact where the dilation is set;
 4. take centroids from ``np.bincount`` sums of grid coordinates and the
    angle of every contact pixel at nonzero radius around its centroid;
 5. sort the angles by (component, angle) and reduce each component's
@@ -140,13 +144,30 @@ def angular_span(angles, method: str = "largest-gap") -> float:
     return float(360.0 - max(gaps.max(), wrap))
 
 
-def _bounding_box(grid: np.ndarray) -> tuple[slice, slice, slice]:
-    """Slices around the set voxels of a 3-D boolean grid, empty when none is set."""
-    plane = grid.any(axis=0)
-    zs = np.flatnonzero(grid.reshape(len(grid), -1).any(axis=1))
-    rows = np.flatnonzero(plane.any(axis=1))
-    cols = np.flatnonzero(plane.any(axis=0))
-    return tuple(slice(i[0], i[-1] + 1) if i.size else slice(0, 0) for i in (zs, rows, cols))
+def _occupied_lines(grid: np.ndarray, margin: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """Indices along each axis of a 3-D grid of the planes holding a nonzero voxel.
+
+    Each axis keeps the planes within ``margin`` of a nonzero one. Where an
+    axis has a margin of one, the gathered grid ``grid[np.ix_(*lines)]``
+    keeps every neighbour of a nonzero voxel along it next to that voxel,
+    and nonzero voxels meet only where they meet in ``grid``. An all-zero
+    grid gives three empty index arrays.
+    """
+    plane = np.any(grid, axis=0)
+    occupied = (np.any(grid, axis=(1, 2)), plane.any(axis=1), plane.any(axis=0))
+    lines = []
+    for keep, m in zip(occupied, margin):
+        if m:
+            keep = ndimage.binary_dilation(keep, iterations=m)
+        lines.append(np.flatnonzero(keep))
+    return tuple(lines)
+
+
+def _gather_index(lines: tuple[np.ndarray, ...]) -> tuple:
+    """Index for the grid cells at ``lines``: plain slices when every axis is one run."""
+    if all(i.size == 0 or i[-1] - i[0] + 1 == i.size for i in lines):
+        return tuple(slice(i[0], i[-1] + 1) if i.size else slice(0, 0) for i in lines)
+    return np.ix_(*lines)
 
 
 def _segment_spans(labels: np.ndarray, angles: np.ndarray, n: int, method: str) -> np.ndarray:
@@ -184,26 +205,21 @@ def component_table(
     if span_method not in SPAN_METHODS:
         raise ValueError(f"unknown span method {span_method!r}")
     tumor = np.asarray(tumor3d)
-    vessel = np.asarray(vessel3d) > 0
+    vessel = np.asarray(vessel3d)
     if tumor.shape != vessel.shape:
         raise ValueError(f"geometry mismatch: {tumor.shape} vs {vessel.shape}")
     if vessel.ndim != 3:
         raise ValueError("expected 3-D grids")
 
-    zs, rows, cols = _bounding_box(vessel)
-    box = (
-        zs,
-        slice(max(rows.start - 1, 0), rows.stop + 1),
-        slice(max(cols.start - 1, 0), cols.stop + 1),
-    )
-    origin = np.array([s.start for s in box])
-
-    labels, n = ndimage.label(vessel[box], structure=_IN_SLICE[connectivity])
-    near = ndimage.binary_dilation(tumor[box] > 0, structure=_NEIGHBOURHOOD)
-    pixels = np.argwhere(labels)  # raster order, crop coordinates
+    lines = _occupied_lines(vessel, (0, 1, 1))
+    index = _gather_index(lines)
+    labels, n = ndimage.label(vessel[index] > 0, structure=_IN_SLICE[connectivity])
+    near = ndimage.binary_dilation(tumor[index] > 0, structure=_NEIGHBOURHOOD)
+    pixels = np.argwhere(labels)  # raster order, gathered coordinates
     hit = near[tuple(pixels.T)]
     label = labels[tuple(pixels.T)] - 1
-    pixels += origin
+    for axis, kept in enumerate(lines):
+        pixels[:, axis] = kept[pixels[:, axis]]
 
     size = np.bincount(label, minlength=n)
     centroid = np.stack(
@@ -262,36 +278,47 @@ def filter_critical(
 
     voxel mode removes exactly the overlapping voxels; component mode removes
     every 26-connected vessel component that touches the pancreas anywhere.
-    Components lie inside the vessel bounding box, so only that box is
-    labelled; a keep/drop lookup indexed by label paints the survivors.
+    Only the planes holding a vessel voxel, widened by one on every axis,
+    are gathered and labelled; a keep/drop lookup indexed by label paints
+    the survivors back.
     """
-    vessel = np.asarray(vessel3d) > 0
+    vessel = np.asarray(vessel3d)
     pancreas = np.asarray(pancreas3d)
     if vessel.shape != pancreas.shape:
         raise ValueError(f"geometry mismatch: {vessel.shape} vs {pancreas.shape}")
     if vessel.ndim != 3:
         raise ValueError("expected 3-D grids")
     if mode == "voxel":
-        return (vessel & ~(pancreas > 0)).astype(np.uint8)
+        return ((vessel > 0) & ~(pancreas > 0)).astype(np.uint8)
     if mode == "component":
         out = np.zeros(vessel.shape, dtype=np.uint8)
-        box = _bounding_box(vessel)
-        labeled, n = ndimage.label(vessel[box], structure=_STRUCT_26)
+        index = _gather_index(_occupied_lines(vessel, (1, 1, 1)))
+        labeled, n = ndimage.label(vessel[index] > 0, structure=_STRUCT_26)
         keep = np.ones(n + 1, dtype=np.uint8)
         keep[0] = 0
-        keep[labeled[pancreas[box] > 0]] = 0
-        out[box] = keep[labeled]
+        keep[labeled[pancreas[index] > 0]] = 0
+        out[index] = keep[labeled]
         return out
     raise ValueError(f"unknown filter mode {mode!r}")
 
 
 def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume:
-    """Apply filter_critical to the artery and vein channels of a volume."""
+    """Apply filter_critical to the artery and vein channels of a volume.
+
+    The mask stack is copied only when the filter drops a voxel; otherwise
+    the result shares the input's read-only data.
+    """
     pancreas = masks.channel(ChannelId.PANCREAS)
-    data = masks.data.copy()
+    data = masks.data
     for cid in (ChannelId.ARTERY, ChannelId.VEIN):
         if masks.has_channel(cid):
-            data[masks.channel_index(cid)] = filter_critical(masks.channel(cid), pancreas, mode)
+            vessel = masks.channel(cid)
+            kept = filter_critical(vessel, pancreas, mode)
+            if np.count_nonzero(kept) != np.count_nonzero(vessel):  # kept is a subset
+                if data is masks.data:
+                    data = data.copy()
+                data[masks.channel_index(cid)] = kept
+            del kept  # one filtered channel alive at a time
     return MaskVolume(data, masks.channels, masks.spacing, dict(masks.meta))
 
 

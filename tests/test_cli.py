@@ -97,6 +97,19 @@ class TestAssess:
         head = files[0].read_bytes()[:2]
         assert head == b"P6"
 
+    def test_overlay_rerun_rewrites_same_bytes(self, tmp_path):
+        write_scene(tmp_path, span=90.0)
+        overlay_dir = tmp_path / "ppm"
+        argv = ("assess", tmp_path / "scene.json", "--scan-id", "s",
+                "--overlay", overlay_dir, "-o", tmp_path / "doc.json")
+        assert run(*argv) == 0
+        first = {p.name: p.read_bytes() for p in overlay_dir.glob("*.ppm")}
+        for name in first:
+            with (overlay_dir / name).open("ab") as f:
+                f.write(b"stale tail")
+        assert run(*argv) == 0
+        assert {p.name: p.read_bytes() for p in overlay_dir.glob("*.ppm")} == first
+
     def test_overlay_pixels_match_contact_oracle(self, tmp_path):
         spec = PhantomSpec(dims=(4, 48, 48), vessel_center=(24.0, 24.0), slice_range=(1, 3),
                            wrap_span_deg=200.0, jitter_seed=4)

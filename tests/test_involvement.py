@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from vesselwrap.involvement import (
     SPAN_METHODS,
@@ -193,6 +194,43 @@ class TestKernelEquivalence:
         vessel[gen.random(dims[0]) < 0.3] = False  # empty slices
         if empty_vessel:
             vessel[:] = False
+        assert_matches_reference(tumor, vessel, connectivity, span_method)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 4), st.integers(8, 40), st.integers(8, 40)),
+        vessel_density=st.floats(0.0, 0.08),
+        tumor_density=st.floats(0.0, 0.3),
+        connectivity=st.sampled_from([4, 8]),
+        span_method=st.sampled_from(SPAN_METHODS),
+    )
+    def test_sparse_vessels_match_reference(
+        self, seed, dims, vessel_density, tumor_density, connectivity, span_method
+    ):
+        # scattered vessel pixels leave empty rows and columns between them,
+        # which the kernel drops before labelling
+        gen = np.random.default_rng(seed)
+        vessel = gen.random(dims) < vessel_density
+        tumor = gen.random(dims) < tumor_density
+        assert_matches_reference(tumor, vessel, connectivity, span_method)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("span_method", SPAN_METHODS)
+    def test_far_apart_components_match_reference(self, connectivity, span_method):
+        tumor = np.zeros((3, 30, 30), dtype=bool)
+        vessel = np.zeros_like(tumor)
+        # pixels one empty row or column apart stay separate components;
+        # tumor in a dropped row must not reach them
+        vessel[0, 2, 2] = vessel[0, 4, 2] = vessel[0, 2, 4] = vessel[0, 4, 4] = True
+        tumor[0, 3, 3] = True
+        vessel[0, 25:28, 25:28] = True
+        tumor[0, 24, 26] = tumor[0, 14, 14] = True
+        # diagonal neighbours next to a wide gap of rows and columns
+        vessel[1, 0, 0] = vessel[1, 1, 1] = vessel[1, 29, 29] = vessel[1, 28, 27] = True
+        tumor[1, 2, 2] = tumor[1, 27, 28] = True
+        vessel[2, 10, 0:3] = vessel[2, 10, 27:30] = True
+        tumor[2, 11, 3] = tumor[2, 9, 26] = tumor[2, 10, 15] = True
         assert_matches_reference(tumor, vessel, connectivity, span_method)
 
     @pytest.mark.parametrize("connectivity", [4, 8])
@@ -393,6 +431,34 @@ class TestFilterCritical:
         out = filter_critical(vessel, pancreas, mode="component")
         assert out.sum() == 20
         assert (out[:, :, 3] == 1).all()
+
+    def test_component_mode_keeps_one_voxel_gaps(self):
+        vessel = np.zeros((7, 12, 12), dtype=np.uint8)
+        vessel[0, 0, 0] = vessel[2, 2, 2] = 1  # one empty plane apart on every axis
+        vessel[6, 11, 11] = vessel[5, 10, 10] = 1  # 26-connected across a corner
+        vessel[3, 6, 0] = vessel[3, 6, 11] = 1
+        pancreas = np.zeros_like(vessel)
+        pancreas[0, 0, 0] = pancreas[6, 11, 11] = pancreas[3, 6, 0] = 1
+        out = filter_critical(vessel, pancreas, mode="component")
+        assert sorted(map(tuple, np.argwhere(out).tolist())) == [(2, 2, 2), (3, 6, 11)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 8), st.integers(1, 24), st.integers(1, 24)),
+        vessel_density=st.floats(0.0, 0.3),
+        pancreas_density=st.floats(0.0, 0.1),
+    )
+    def test_component_mode_matches_full_grid_labelling(
+        self, seed, dims, vessel_density, pancreas_density
+    ):
+        gen = np.random.default_rng(seed)
+        vessel = (gen.random(dims) < vessel_density).astype(np.uint8)
+        pancreas = (gen.random(dims) < pancreas_density).astype(np.uint8)
+        labels, _ = ndimage.label(vessel, structure=np.ones((3, 3, 3)))
+        touched = np.unique(labels[(pancreas > 0) & (labels > 0)])
+        expected = ((labels > 0) & ~np.isin(labels, touched)).astype(np.uint8)
+        assert np.array_equal(filter_critical(vessel, pancreas, mode="component"), expected)
 
     def test_geometry_mismatch(self):
         with pytest.raises(ValueError):
