@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -163,7 +164,16 @@ def _write_contact_overlays(masks: MaskVolume, reports, directory, scan_id: str)
             overlay.write_ppm(out / f"{scan_id}_{key}_z{s.z:03d}.ppm", rgb)
 
 
-def _load_fold_field(paths, threshold: float) -> unc.UncertaintyField:
+def _check_sweep_args(args) -> None:
+    """Non-finite ks or thresholds would emit invalid JSON and grade on empty masks."""
+    for k in args.ks:
+        if not math.isfinite(k):
+            raise CliError(f"--ks values must be finite, got {k}", EXIT_INPUT)
+    if not math.isfinite(args.threshold):
+        raise CliError(f"--threshold must be finite, got {args.threshold}", EXIT_INPUT)
+
+
+def _load_fold_field(paths) -> unc.UncertaintyField:
     """Folds are probability volume headers, or directories of sample headers."""
     prob_folds: list[ProbVolume] = []
     sample_folds: list[unc.SampleSet] = []
@@ -196,6 +206,8 @@ def _load_fold_field(paths, threshold: float) -> unc.UncertaintyField:
 
 
 def cmd_assess(args) -> int:
+    if args.fold:
+        _check_sweep_args(args)
     masks = _load_mask(args.input)
     scan_id = args.scan_id or Path(args.input).stem
     try:
@@ -210,7 +222,7 @@ def cmd_assess(args) -> int:
 
     sweep_entries = None
     if args.fold:
-        field = _load_fold_field(args.fold, args.threshold)
+        field = _load_fold_field(args.fold)
         try:
             sweep_entries = unc.uncertainty_sweep(
                 field, [float(k) for k in args.ks], args.threshold,
@@ -387,7 +399,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
-    field = _load_fold_field(args.fold, args.threshold)
+    _check_sweep_args(args)
+    field = _load_fold_field(args.fold)
     try:
         entries = unc.uncertainty_sweep(
             field, [float(k) for k in args.ks], args.threshold,

@@ -13,6 +13,27 @@ choice only rescales, and it is pinned by the unit tests.
 
 Sigma-level masks threshold clamp(mean + k * std, 0, 1) at 0.5 by default;
 std >= 0 makes the masks nested in k.
+
+Every statistic and every sigma mask is streamed over the flattened
+volumes in blocks of ``_BLOCK`` voxels, so no float64 copy of a fold stack
+or of a whole field is ever held; each float64 buffer holds one block
+and stays in cache. Each block repeats, in float64, the exact operation
+sequence of ``np.stack(volumes).mean(axis=0)`` and ``.std(axis=0)``:
+
+1. the folds' blocks, upcast exactly from float32, are added in fold order
+   into a buffer that starts at +0.0 (``np.add.reduce`` starts there, so a
+   -0.0 voxel cannot flip a sign bit);
+2. the sum is divided by N;
+3. the squared deviations from that mean are added in fold order, again
+   from +0.0;
+4. that sum is divided by N and square-rooted;
+5. both results are clipped into [0, 1] and cast to float32.
+
+A block is one voxel range of every fold at once and never spans folds, so
+each voxel meets the same operands in the same order as in the
+whole-volume computation, and the outputs are byte-identical to it. The
+masks likewise compute ``k * std + mean`` in float64 per block, then clip
+and compare.
 """
 
 from __future__ import annotations
@@ -66,14 +87,45 @@ def _check_same_geometry(volumes: Sequence[ProbVolume]):
             raise ValueError("volumes must share spacing")
 
 
-def _stack(volumes: Sequence[ProbVolume]) -> np.ndarray:
+# Voxels per block: 256 KB per float64 buffer, so a handful of them stay in cache.
+_BLOCK = 1 << 15
+
+
+def _blocks(size: int):
+    for lo in range(0, size, _BLOCK):
+        yield slice(lo, min(lo + _BLOCK, size))
+
+
+def _mean_std(volumes: Sequence[ProbVolume]) -> tuple[ProbVolume, ProbVolume]:
+    """Clipped float32 mean and population std across volumes, streamed."""
     _check_same_geometry(volumes)
-    return np.stack([v.data.astype(np.float64) for v in volumes])
-
-
-def _as_prob(arr: np.ndarray, like: ProbVolume) -> ProbVolume:
-    return ProbVolume(
-        np.clip(arr, 0.0, 1.0).astype(np.float32), like.channels, like.spacing
+    flats = [v.data.reshape(-1) for v in volumes]
+    n, size = len(flats), flats[0].size
+    mean, std = np.empty(size, np.float32), np.empty(size, np.float32)
+    width = min(size, _BLOCK)
+    up, acc, sq = [np.empty(width) for _ in flats], np.empty(width), np.empty(width)
+    for b in _blocks(size):
+        k = b.stop - b.start
+        xs, m, s = [x[:k] for x in up], acc[:k], sq[:k]
+        for x, f in zip(xs, flats):
+            x[...] = f[b]  # exact float32 -> float64 upcast
+        m.fill(0.0)
+        for x in xs:
+            m += x
+        m /= n
+        s.fill(0.0)
+        for x in xs:
+            x -= m
+            x *= x
+            s += x
+        s /= n
+        np.sqrt(s, out=s)
+        mean[b] = np.clip(m, 0.0, 1.0, out=m)
+        std[b] = np.clip(s, 0.0, 1.0, out=s)
+    like = volumes[0]
+    return (
+        ProbVolume(mean.reshape(like.data.shape), like.channels, like.spacing),
+        ProbVolume(std.reshape(like.data.shape), like.channels, like.spacing),
     )
 
 
@@ -82,10 +134,7 @@ def fold_mean_std(folds: Sequence[ProbVolume]) -> UncertaintyField:
     folds = list(folds)
     if len(folds) < 2:
         raise ValueError(f"need at least 2 folds for a std, got {len(folds)}")
-    stack = _stack(folds)
-    mean = stack.mean(axis=0)
-    std = stack.std(axis=0)  # population
-    return UncertaintyField(_as_prob(mean, folds[0]), _as_prob(std, folds[0]), "epistemic")
+    return UncertaintyField(*_mean_std(folds), "epistemic")
 
 
 def aleatoric(samples: SampleSet | Sequence[ProbVolume]) -> ProbVolume:
@@ -93,12 +142,11 @@ def aleatoric(samples: SampleSet | Sequence[ProbVolume]) -> ProbVolume:
     vols = samples.samples if isinstance(samples, SampleSet) else tuple(samples)
     if len(vols) < 2:
         raise ValueError(f"need at least 2 samples for a std, got {len(vols)}")
-    stack = _stack(vols)
-    return _as_prob(stack.std(axis=0), vols[0])
+    return _mean_std(vols)[1]
 
 
 def fold_means(folds: Sequence[SampleSet]) -> list[ProbVolume]:
-    return [_as_prob(_stack(f.samples).mean(axis=0), f.samples[0]) for f in folds]
+    return [_mean_std(f.samples)[0] for f in folds]
 
 
 def mean_aleatoric(folds: Sequence[SampleSet]) -> ProbVolume:
@@ -106,8 +154,7 @@ def mean_aleatoric(folds: Sequence[SampleSet]) -> ProbVolume:
     folds = list(folds)
     if not folds:
         raise ValueError("need at least one fold")
-    stds = [aleatoric(f).data.astype(np.float64) for f in folds]
-    return _as_prob(np.mean(stds, axis=0), folds[0].samples[0])
+    return _mean_std([aleatoric(f) for f in folds])[0]
 
 
 def epistemic_from_samples(folds: Sequence[SampleSet]) -> ProbVolume:
@@ -115,30 +162,40 @@ def epistemic_from_samples(folds: Sequence[SampleSet]) -> ProbVolume:
     means = fold_means(folds)
     if len(means) < 2:
         raise ValueError(f"need at least 2 folds for a std, got {len(means)}")
-    stack = _stack(means)
-    return _as_prob(stack.std(axis=0), means[0])
+    return _mean_std(means)[1]
 
 
 def sample_mean_std(folds: Sequence[SampleSet]) -> UncertaintyField:
     """Mean prediction with the summed (aleatoric + epistemic) std."""
     folds = list(folds)
-    means = fold_means(folds)
-    mean = _stack(means).mean(axis=0)
-    total = mean_aleatoric(folds).data.astype(np.float64)
+    mean, epistemic = _mean_std(fold_means(folds))
+    total = mean_aleatoric(folds)
     if len(folds) >= 2:
-        total = total + epistemic_from_samples(folds).data.astype(np.float64)
-    return UncertaintyField(
-        _as_prob(mean, folds[0].samples[0]), _as_prob(total, folds[0].samples[0]), "total"
-    )
+        aleatoric_std, epistemic_std = total.data.reshape(-1), epistemic.data.reshape(-1)
+        summed = np.empty(aleatoric_std.size, np.float32)
+        buf = np.empty(min(summed.size, _BLOCK))
+        for b in _blocks(summed.size):
+            s = buf[: b.stop - b.start]
+            np.add(aleatoric_std[b], epistemic_std[b], out=s, dtype=np.float64)
+            summed[b] = np.clip(s, 0.0, 1.0, out=s)
+        total = ProbVolume(summed.reshape(total.data.shape), total.channels, total.spacing)
+    return UncertaintyField(mean, total, "total")
 
 
 def sigma_level_mask(f: UncertaintyField, k: float, threshold: float = 0.5) -> MaskVolume:
     """Binarize mean + k * std (clamped into [0, 1]) at the threshold."""
-    adjusted = np.clip(
-        f.mean.data.astype(np.float64) + float(k) * f.std.data.astype(np.float64), 0.0, 1.0
-    )
-    mask = (adjusted >= threshold).astype(np.uint8)
-    return MaskVolume(mask, f.mean.channels, f.mean.spacing)
+    k = float(k)
+    mean, std = f.mean.data.reshape(-1), f.std.data.reshape(-1)
+    mask = np.empty(mean.size, np.uint8)
+    buf = np.empty(min(mean.size, _BLOCK))
+    for b in _blocks(mean.size):
+        adjusted = buf[: b.stop - b.start]
+        # float64 named: a Python float times a float32 array stays float32 (NEP 50)
+        np.multiply(std[b], k, out=adjusted, dtype=np.float64)
+        np.add(adjusted, mean[b], out=adjusted)
+        np.clip(adjusted, 0.0, 1.0, out=adjusted)
+        np.greater_equal(adjusted, threshold, out=mask[b])
+    return MaskVolume(mask.reshape(f.mean.data.shape), f.mean.channels, f.mean.spacing)
 
 
 @dataclass(frozen=True)

@@ -333,13 +333,13 @@ def write_volume(v: Volume, path) -> None:
     """Write header + raw payload; read_volume inverts this bit-exactly."""
     path = Path(path)
     if isinstance(v, LayeredLabelVolume):
-        dtype, names, payload = "u8", None, v.data.astype("<u1").tobytes()
+        dtype, names, payload = "u8", None, np.ascontiguousarray(v.data, dtype="<u1")
     elif isinstance(v, MaskVolume):
         dtype, names = "u8", [CHANNEL_NAMES[c] for c in v.channels]
-        payload = v.data.astype("<u1").tobytes()
+        payload = np.ascontiguousarray(v.data, dtype="<u1")
     elif isinstance(v, ProbVolume):
         dtype, names = "f32", [CHANNEL_NAMES[c] for c in v.channels]
-        payload = v.data.astype("<f4").tobytes()
+        payload = np.ascontiguousarray(v.data, dtype="<f4")
     else:
         raise TypeError(f"not a volume: {type(v).__name__}")
     header = {

@@ -5,21 +5,28 @@ checked by a per-pixel neighbourhood scan, nearest-neighbour resampling by
 an exhaustive per-axis distance argmin, and connected components by a
 plain breadth-first search.
 
-The reference below is the per-component involvement path the library
-used before its whole-scan kernel: each slice is labelled on its own and
-the whole tumor slice is dilated once per vessel component. It is slow but
-plain, and the kernel must reproduce its spans float-for-float.
+The first reference below is the per-component involvement path the
+library used before its whole-scan kernel: each slice is labelled on its own
+and the whole tumor slice is dilated once per vessel component. It is slow
+but plain, and the kernel must reproduce its spans float-for-float.
+
+The second is the whole-volume uncertainty code the library used before it
+streamed its statistics in blocks: every statistic stacks its volumes as one
+float64 array and calls numpy's mean/std, and every sigma mask upcasts the
+whole mean and std. The streamed code must reproduce its bytes exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from vesselwrap.involvement import SliceInvolvement, angular_span
+from vesselwrap.uncertainty import SampleSet, UncertaintyField, _check_same_geometry
 from vesselwrap.volume import MaskVolume, ProbVolume, Spacing, STANDARD_CHANNELS, ChannelId
 
 _STRUCT_4 = ndimage.generate_binary_structure(2, 1)
@@ -242,3 +249,72 @@ def scan_involvement_reference(
             s.z for s in slices if s.present and s.max_span_deg == max_span
         )
     return tuple(slices), max_span, argmax, present
+
+
+def _stack(volumes: Sequence[ProbVolume]) -> np.ndarray:
+    _check_same_geometry(volumes)
+    return np.stack([v.data.astype(np.float64) for v in volumes])
+
+
+def _as_prob(arr: np.ndarray, like: ProbVolume) -> ProbVolume:
+    return ProbVolume(
+        np.clip(arr, 0.0, 1.0).astype(np.float32), like.channels, like.spacing
+    )
+
+
+def fold_mean_std_reference(folds: Sequence[ProbVolume]) -> UncertaintyField:
+    folds = list(folds)
+    if len(folds) < 2:
+        raise ValueError(f"need at least 2 folds for a std, got {len(folds)}")
+    stack = _stack(folds)
+    mean = stack.mean(axis=0)
+    std = stack.std(axis=0)  # population
+    return UncertaintyField(_as_prob(mean, folds[0]), _as_prob(std, folds[0]), "epistemic")
+
+
+def aleatoric_reference(samples: SampleSet | Sequence[ProbVolume]) -> ProbVolume:
+    vols = samples.samples if isinstance(samples, SampleSet) else tuple(samples)
+    if len(vols) < 2:
+        raise ValueError(f"need at least 2 samples for a std, got {len(vols)}")
+    stack = _stack(vols)
+    return _as_prob(stack.std(axis=0), vols[0])
+
+
+def fold_means_reference(folds: Sequence[SampleSet]) -> list[ProbVolume]:
+    return [_as_prob(_stack(f.samples).mean(axis=0), f.samples[0]) for f in folds]
+
+
+def mean_aleatoric_reference(folds: Sequence[SampleSet]) -> ProbVolume:
+    folds = list(folds)
+    if not folds:
+        raise ValueError("need at least one fold")
+    stds = [aleatoric_reference(f).data.astype(np.float64) for f in folds]
+    return _as_prob(np.mean(stds, axis=0), folds[0].samples[0])
+
+
+def epistemic_from_samples_reference(folds: Sequence[SampleSet]) -> ProbVolume:
+    means = fold_means_reference(folds)
+    if len(means) < 2:
+        raise ValueError(f"need at least 2 folds for a std, got {len(means)}")
+    stack = _stack(means)
+    return _as_prob(stack.std(axis=0), means[0])
+
+
+def sample_mean_std_reference(folds: Sequence[SampleSet]) -> UncertaintyField:
+    folds = list(folds)
+    means = fold_means_reference(folds)
+    mean = _stack(means).mean(axis=0)
+    total = mean_aleatoric_reference(folds).data.astype(np.float64)
+    if len(folds) >= 2:
+        total = total + epistemic_from_samples_reference(folds).data.astype(np.float64)
+    return UncertaintyField(
+        _as_prob(mean, folds[0].samples[0]), _as_prob(total, folds[0].samples[0]), "total"
+    )
+
+
+def sigma_level_mask_reference(f: UncertaintyField, k: float, threshold: float = 0.5) -> MaskVolume:
+    adjusted = np.clip(
+        f.mean.data.astype(np.float64) + float(k) * f.std.data.astype(np.float64), 0.0, 1.0
+    )
+    mask = (adjusted >= threshold).astype(np.uint8)
+    return MaskVolume(mask, f.mean.channels, f.mean.spacing)

@@ -1,19 +1,28 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vesselwrap import cli
 from vesselwrap.overlay import COLOR_CENTROID, COLOR_CONTACT
 from vesselwrap.loss import bce, combined_loss, overlap_loss, soft_dice_loss
 from vesselwrap.phantom import PhantomSpec, gen_uncertainty_scene, gen_wrap_scene
 from vesselwrap.volume import (
+    CHANNEL_NAMES,
+    HEADER_ORDER,
     ChannelId,
     MaskVolume,
     ProbVolume,
     Spacing,
     STANDARD_CHANNELS,
+    VolumeFormatError,
     encode_layered,
+    read_volume,
     write_volume,
 )
 from conftest import bfs_components, brute_force_contact
@@ -235,6 +244,27 @@ class TestInputBoundary:
         assert run("assess", tmp_path / "v.json") == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--ks", "nan"], ["--ks", "0", "inf"], ["--ks=-inf"], ["--threshold", "nan"]],
+        ids=["ks-nan", "ks-inf", "ks-minus-inf", "threshold-nan"],
+    )
+    def test_non_finite_sweep_params_exit_2(self, tmp_path, capsys, flags):
+        spec = PhantomSpec(wrap_span_deg=70.0, band_extra_deg=25.0)
+        folds, _ = gen_uncertainty_scene(spec)
+        scene, _ = gen_wrap_scene(spec)
+        write_volume(scene, tmp_path / "scene.json")
+        fold_args = []
+        for i, fold in enumerate(folds[:2]):
+            write_volume(fold, tmp_path / f"f{i}.json")
+            fold_args += ["--fold", tmp_path / f"f{i}.json"]
+        out = tmp_path / "out"
+        assert run("uncertainty", *fold_args, "--out", out, *flags) == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+        assert run("assess", tmp_path / "scene.json", *fold_args, *flags) == 2
+        assert_one_line_error(capsys)
+
     def test_nan_probability_exit_2(self, tmp_path, capsys):
         header = _tav_header(dims=[1, 2, 2], dtype="f32", channels=["tumor"])
         (tmp_path / "f.json").write_text(json.dumps(header))
@@ -242,6 +272,111 @@ class TestInputBoundary:
         fold = tmp_path / "f.json"
         assert run("uncertainty", "--fold", fold, "--fold", fold, "--out", tmp_path / "o") == 2
         assert_one_line_error(capsys)
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70), st.lists(st.integers(0, 3), max_size=2),
+)
+_CHANNEL_NAMES = sorted(CHANNEL_NAMES.values())
+# malformed values per header field: list entries for dims/spacing/channels, whole values else
+_BAD_VALUES = {
+    "dims": [0, -1, 1.0, 2.0, 2.5, True, None, "2", [1], 10**20, 2**63],
+    "spacing_mm": [0, 0.0, -1.0, float("nan"), float("inf"), "1.0", None, True, 10**400],
+    "channels": ["bogus", "tumor", "Tumor", 3, None],
+    "dtype": ["f64", "U8", "", None, 8],
+    "order": ["z,y,x", "", None],
+}
+
+
+@st.composite
+def _fuzz_header(draw) -> dict:
+    """A valid header with up to two fields malformed, resized or dropped."""
+    header = {
+        "dims": draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)),
+        "spacing_mm": draw(st.lists(st.floats(0.1, 3.0), min_size=3, max_size=3)),
+        "dtype": draw(st.sampled_from(["u8", "f32"])),
+        "order": HEADER_ORDER,
+        "channels": draw(st.one_of(
+            st.none(), st.lists(st.sampled_from(_CHANNEL_NAMES), unique=True, max_size=4)
+        )),
+    }
+    keys = draw(st.permutations(sorted(header)))
+    for key in keys[: draw(st.sampled_from([0, 1, 1, 1, 2]))]:
+        how = draw(st.sampled_from(["entry", "entry", "length", "drop", "junk"]))
+        value = header[key]
+        if how == "drop":
+            del header[key]
+        elif how == "junk":
+            header[key] = draw(_JUNK)
+        elif not isinstance(value, list) or not value:
+            header[key] = draw(st.sampled_from(_BAD_VALUES[key]))
+        elif how == "length":
+            header[key] = value[:-1] if draw(st.booleans()) else value + value[:1]
+        else:
+            value[draw(st.integers(0, len(value) - 1))] = draw(st.sampled_from(_BAD_VALUES[key]))
+    return header
+
+
+def _exact_payload_length(header: dict) -> int | None:
+    """The payload length read_volume expects, when the header makes that computable."""
+    dims, names = header.get("dims"), header.get("channels")
+    if not (isinstance(dims, list) and len(dims) == 3):
+        return None
+    # fractional dims too, so a length that fits their product reaches the payload read
+    if not all(isinstance(d, (int, float)) and not isinstance(d, bool) and 0 < d <= 5
+               for d in dims):
+        return None
+    grids = len(names) if isinstance(names, list) else 1
+    return int(grids * dims[0] * dims[1] * dims[2] * (4 if header.get("dtype") == "f32" else 1))
+
+
+class TestHeaderFuzz:
+    """Any header and payload length: a volume or VolumeFormatError, exit 0/2/3, no traceback."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        header=_fuzz_header(),
+        length_kind=st.sampled_from(["exact", "exact", "short", "long", "any"]),
+        any_length=st.integers(0, 600),
+        payload_seed=st.integers(0, 2**32 - 1),
+        valid_values=st.booleans(),
+    )
+    def test_read_volume_and_assess(self, header, length_kind, any_length, payload_seed,
+                                    valid_values):
+        exact = _exact_payload_length(header)
+        length = {"exact": exact, "short": exact and exact - 1, "long": exact and exact + 4}.get(
+            length_kind
+        )
+        length = any_length if length is None else length
+        gen = np.random.default_rng(payload_seed)
+        if not valid_values:
+            payload = gen.integers(0, 256, length, dtype=np.uint8).tobytes()
+        elif header.get("dtype") == "f32":
+            payload = gen.random(length // 4, dtype=np.float32).astype("<f4").tobytes()
+            payload += bytes(length % 4)
+        else:
+            payload = gen.integers(0, 2, length, dtype=np.uint8).tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "v.json"
+            path.write_text(json.dumps(header))
+            path.with_suffix(".raw").write_bytes(payload)
+            try:
+                vol = read_volume(path)
+            except VolumeFormatError:
+                vol = None
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["assess", str(path)])
+        if vol is None or isinstance(vol, ProbVolume):
+            assert code == 2
+        else:
+            assert code in (0, 3)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+        else:
+            assert err.getvalue() == ""
 
 
 def write_manifest(tmp_path, entries, name="manifest.jsonl"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,18 +8,29 @@ from hypothesis import given, settings, strategies as st
 from vesselwrap.involvement import DpcgCategory
 from vesselwrap.phantom import PhantomSpec, gen_uncertainty_scene
 from vesselwrap.uncertainty import (
+    _BLOCK,
     SampleSet,
     UncertaintyField,
     aleatoric,
     epistemic_from_samples,
     fold_mean_std,
+    fold_means,
     mean_aleatoric,
     sample_mean_std,
     sigma_level_mask,
     uncertainty_sweep,
 )
 from vesselwrap.volume import ChannelId
-from conftest import make_prob
+from conftest import (
+    aleatoric_reference,
+    epistemic_from_samples_reference,
+    fold_mean_std_reference,
+    fold_means_reference,
+    make_prob,
+    mean_aleatoric_reference,
+    sample_mean_std_reference,
+    sigma_level_mask_reference,
+)
 
 CH = (ChannelId.TUMOR,)
 
@@ -204,3 +216,127 @@ class TestUncertaintySweep:
             assert entry.reports[ChannelId.VEIN].max_span_deg == pytest.approx(
                 truths[k].max_span_deg, abs=10.0
             )
+
+
+# -0.0, exact 0/1 and the 0.5 threshold, plus exact quarters for tied sums
+SPECIAL_VALUES = np.array([-0.0, 0.0, 1.0, 0.5, 0.25, 0.75], dtype=np.float32)
+SIZES = st.one_of(
+    st.integers(1, 300),
+    st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37]),
+)
+KS = st.one_of(st.sampled_from([-2.5, -1.0, 0.0, 0.3, 1.0, 2.0]), st.floats(-4.0, 4.0))
+THRESHOLDS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _random_volumes(gen, count, size, special_share):
+    vols = []
+    for _ in range(count):
+        data = gen.random(size, dtype=np.float32)
+        pick = gen.random(size) < special_share
+        data[pick] = gen.choice(SPECIAL_VALUES, int(pick.sum()))
+        vols.append(make_prob(data.reshape(1, 1, 1, size), channels=CH))
+    return vols
+
+
+def assert_same_bytes(got, want):
+    assert got.data.dtype == want.data.dtype and got.data.shape == want.data.shape
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def assert_same_outcome(fn, reference, *args):
+    """Both raise ValueError, or both return volumes with identical bytes."""
+    try:
+        want = reference(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fn(*args)
+        return None
+    got = fn(*args)
+    if isinstance(want, UncertaintyField):
+        assert got.kind == want.kind
+        assert_same_bytes(got.mean, want.mean)
+        assert_same_bytes(got.std, want.std)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+    else:
+        assert_same_bytes(got, want)
+    return got
+
+
+class TestStreamedEquivalence:
+    """The block-streamed statistics and masks equal the whole-volume reference bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_folds=st.integers(2, 5),
+        size=SIZES,
+        special_share=st.sampled_from([0.0, 0.3, 1.0]),
+        ks=st.lists(KS, min_size=1, max_size=3),
+        threshold=THRESHOLDS,
+    )
+    def test_fold_field_and_masks(self, seed, n_folds, size, special_share, ks, threshold):
+        folds = _random_volumes(np.random.default_rng(seed), n_folds, size, special_share)
+        field = assert_same_outcome(fold_mean_std, fold_mean_std_reference, folds)
+        for k in ks:
+            assert_same_bytes(
+                sigma_level_mask(field, k, threshold),
+                sigma_level_mask_reference(field, k, threshold),
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        size=SIZES,
+        special_share=st.sampled_from([0.0, 0.3, 1.0]),
+        k=KS,
+        threshold=THRESHOLDS,
+        near_threshold=st.booleans(),
+    )
+    def test_masks_of_arbitrary_fields(
+        self, seed, size, special_share, k, threshold, near_threshold
+    ):
+        # mean and std drawn independently, -0.0 included, not from any fold set
+        mean, std = _random_volumes(np.random.default_rng(seed), 2, size, special_share)
+        if near_threshold:
+            # mean + k * std lands within a float32 step of the threshold, so
+            # the comparison depends on every rounding step of the float64 sum
+            near = np.clip(threshold - k * std.data.astype(np.float64), 0.0, 1.0)
+            mean = make_prob(near.astype(np.float32), channels=CH)
+        field = UncertaintyField(mean, std, "epistemic")
+        assert_same_bytes(
+            sigma_level_mask(field, k, threshold), sigma_level_mask_reference(field, k, threshold)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        sample_counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        size=SIZES,
+        special_share=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_sample_statistics(self, seed, sample_counts, size, special_share):
+        gen = np.random.default_rng(seed)
+        folds = [
+            SampleSet(tuple(_random_volumes(gen, count, size, special_share)))
+            for count in sample_counts
+        ]
+        assert_same_outcome(fold_means, fold_means_reference, folds)
+        assert_same_outcome(aleatoric, aleatoric_reference, folds[0])
+        assert_same_outcome(mean_aleatoric, mean_aleatoric_reference, folds)
+        assert_same_outcome(epistemic_from_samples, epistemic_from_samples_reference, folds)
+        assert_same_outcome(sample_mean_std, sample_mean_std_reference, folds)
+
+    def test_fold_mean_std_holds_no_float64_stack(self):
+        gen = np.random.default_rng(3)
+        folds = [make_prob(gen.random((6, 16, 128, 128), dtype=np.float32)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            field = fold_mean_std(folds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = field.mean.data.nbytes + field.std.data.nbytes
+        assert peak < 1.5 * outputs, (peak, outputs)

@@ -131,6 +131,15 @@ class TestReadWrite:
         back = read_volume(tmp_path / "p.json")
         assert (back.data == vol.data).all()
 
+    @pytest.mark.parametrize("order", [">", "<"])
+    def test_roundtrip_prob_any_byte_order(self, tmp_path, rng, order):
+        data = rng.random((2, 3, 4, 5)).astype(f"{order}f4")
+        vol = ProbVolume(data, (ChannelId.ARTERY, ChannelId.TUMOR), SP1)
+        write_volume(vol, tmp_path / "p.json")
+        assert (tmp_path / "p.raw").read_bytes() == data.astype("<f4").tobytes()
+        back = read_volume(tmp_path / "p.json")
+        assert back.data.tobytes() == vol.data.tobytes()
+
     def test_write_unwritable_path(self, tmp_path):
         vol = make_prob(np.zeros((1, 1, 1, 1)), channels=(ChannelId.TUMOR,))
         target = tmp_path / "adir.json"
