@@ -4,7 +4,9 @@ Commands: assess, evaluate, uncertainty, loss, phantom. All machine
 output is JSON with stable key order and fixed rounding (degrees to 2
 decimals, losses to 6), so identical inputs yield byte-identical
 documents. Exit codes: 0 ok, 2 input error, 3 schema/channel error,
-4 partial batch failure.
+4 partial batch failure. ``main()`` is the one place that maps exceptions
+to exit codes; the commands only raise. ``evaluate`` alone catches, to
+count a failed manifest entry and go on with the rest.
 """
 
 from __future__ import annotations
@@ -19,20 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, loss as loss_mod, overlay, phantom as phantom_mod, uncertainty as unc
-from .involvement import (
-    DpcgCategory,
-    InvolvementReport,
-    dpcg_classify,
-    filter_critical_volume,
-    scan_involvement,
-)
+from .involvement import DpcgCategory, InvolvementReport, assess_scan, filter_critical_volume
 from .volume import (
     ChannelId,
     LayeredLabelVolume,
     MaskVolume,
     MissingChannelError,
     ProbVolume,
-    VolumeFormatError,
     decode_layered,
     read_volume,
     write_volume,
@@ -79,19 +74,13 @@ def _emit(doc: dict, output: str | None) -> None:
     os.replace(tmp, path)
 
 
-def _load_mask(path, threshold_hint: str = "") -> MaskVolume:
-    try:
-        vol = read_volume(path)
-    except VolumeFormatError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from None
+def _load_mask(path) -> MaskVolume:
+    vol = read_volume(path)
     if isinstance(vol, LayeredLabelVolume):
         return decode_layered(vol)
     if isinstance(vol, MaskVolume):
         return vol
-    raise CliError(
-        f"{path}: expected a mask or layered-label volume, got probabilities{threshold_hint}",
-        EXIT_INPUT,
-    )
+    raise CliError(f"{path}: expected a mask or layered-label volume, got probabilities", EXIT_INPUT)
 
 
 def _report_dict(report: InvolvementReport) -> dict:
@@ -111,13 +100,6 @@ def _report_dict(report: InvolvementReport) -> dict:
     }
 
 
-def _vessel_reports(masks: MaskVolume, connectivity: int, span_method: str):
-    reports = {}
-    for cid, _ in VESSEL_KEYS:
-        reports[cid] = scan_involvement(masks, cid, connectivity, span_method)
-    return reports
-
-
 def _config_echo(args, sweep: bool) -> dict:
     cfg = {
         "connectivity": args.connectivity,
@@ -132,24 +114,24 @@ def _config_echo(args, sweep: bool) -> dict:
     return cfg
 
 
-def _assessment_doc(scan_id: str, reports, category: DpcgCategory, args, sweep_entries=None) -> dict:
+def _grading_dict(reports: dict[ChannelId, InvolvementReport], category: DpcgCategory) -> dict:
+    return {
+        "vessels": {key: _report_dict(reports[cid]) for cid, key in VESSEL_KEYS},
+        "dpcg_category": category.label,
+    }
+
+
+def _assessment_doc(scan_id: str, args, body: dict, sweep: list[unc.SweepEntry] | None = None) -> dict:
+    """The assessment document: header, config echo, ``body`` keys, then the sweep if any."""
     doc = {
         "schema": SCHEMA_ASSESSMENT,
         "tool_version": __version__,
         "scan_id": scan_id,
-        "config": _config_echo(args, sweep_entries is not None),
-        "vessels": {key: _report_dict(reports[cid]) for cid, key in VESSEL_KEYS},
-        "dpcg_category": category.label,
+        "config": _config_echo(args, sweep is not None),
+        **body,
     }
-    if sweep_entries is not None:
-        doc["sweep"] = [
-            {
-                "k": float(entry.k),
-                "vessels": {key: _report_dict(entry.reports[cid]) for cid, key in VESSEL_KEYS},
-                "dpcg_category": entry.category.label,
-            }
-            for entry in sweep_entries
-        ]
+    if sweep is not None:
+        doc["sweep"] = [{"k": float(e.k), **_grading_dict(e.reports, e.category)} for e in sweep]
     return doc
 
 
@@ -162,15 +144,6 @@ def _write_contact_overlays(masks: MaskVolume, reports, directory, scan_id: str)
                 continue
             rgb = overlay.contact_overlay(masks, cid, s.z, report.table)
             overlay.write_ppm(out / f"{scan_id}_{key}_z{s.z:03d}.ppm", rgb)
-
-
-def _check_sweep_args(args) -> None:
-    """Non-finite ks or thresholds would emit invalid JSON and grade on empty masks."""
-    for k in args.ks:
-        if not math.isfinite(k):
-            raise CliError(f"--ks values must be finite, got {k}", EXIT_INPUT)
-    if not math.isfinite(args.threshold):
-        raise CliError(f"--threshold must be finite, got {args.threshold}", EXIT_INPUT)
 
 
 def _load_fold_field(paths) -> unc.UncertaintyField:
@@ -197,44 +170,28 @@ def _load_fold_field(paths) -> unc.UncertaintyField:
             prob_folds.append(vol)
     if prob_folds and sample_folds:
         raise CliError("mix of deterministic folds and sample directories", EXIT_INPUT)
-    try:
-        if sample_folds:
-            return unc.sample_mean_std(sample_folds)
-        return unc.fold_mean_std(prob_folds)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from None
+    if sample_folds:
+        return unc.sample_mean_std(sample_folds)
+    return unc.fold_mean_std(prob_folds)
+
+
+def _fold_sweep(args) -> tuple[unc.UncertaintyField, list[unc.SweepEntry]]:
+    """The ``--fold`` field, graded at every ``--ks`` sigma level."""
+    field = _load_fold_field(args.fold)
+    entries = unc.uncertainty_sweep(field, args.ks, args.threshold, args.connectivity, args.span_method)
+    return field, entries
 
 
 def cmd_assess(args) -> int:
-    if args.fold:
-        _check_sweep_args(args)
     masks = _load_mask(args.input)
     scan_id = args.scan_id or Path(args.input).stem
-    try:
-        if args.critical:
-            masks = filter_critical_volume(masks, args.filter_mode)
-        reports = _vessel_reports(masks, args.connectivity, args.span_method)
-    except MissingChannelError as exc:
-        raise CliError(str(exc), EXIT_SCHEMA) from None
-    category = dpcg_classify(
-        reports[ChannelId.VEIN].max_span_deg, reports[ChannelId.ARTERY].max_span_deg
-    )
-
-    sweep_entries = None
-    if args.fold:
-        field = _load_fold_field(args.fold)
-        try:
-            sweep_entries = unc.uncertainty_sweep(
-                field, [float(k) for k in args.ks], args.threshold,
-                args.connectivity, args.span_method,
-            )
-        except MissingChannelError as exc:
-            raise CliError(str(exc), EXIT_SCHEMA) from None
-
+    if args.critical:
+        masks = filter_critical_volume(masks, args.filter_mode)
+    reports, category = assess_scan(masks, args.connectivity, args.span_method)
+    sweep = _fold_sweep(args)[1] if args.fold else None
     if args.overlay:
         _write_contact_overlays(masks, reports, args.overlay, scan_id)
-
-    _emit(_assessment_doc(scan_id, reports, category, args, sweep_entries), args.output)
+    _emit(_assessment_doc(scan_id, args, _grading_dict(reports, category), sweep), args.output)
     return EXIT_OK
 
 
@@ -319,12 +276,12 @@ _TABLE_ROWS = (
     ("Vein Dice", ("dice", "vein")),
     ("Artery Overlap Dice", ("dice", "artery_overlap")),
     ("Vein Overlap Dice", ("dice", "vein_overlap")),
-    ("Artery Sensitivity", ("sens", "artery")),
-    ("Artery Specificity", ("spec", "artery")),
-    ("Vein Sensitivity", ("sens", "vein")),
-    ("Vein Specificity", ("spec", "vein")),
-    ("Scan Sensitivity", ("sens", "scan")),
-    ("Scan Specificity", ("spec", "scan")),
+    ("Artery Sensitivity", ("sensitivity", "artery")),
+    ("Artery Specificity", ("specificity", "artery")),
+    ("Vein Sensitivity", ("sensitivity", "vein")),
+    ("Vein Specificity", ("specificity", "vein")),
+    ("Scan Sensitivity", ("sensitivity", "scan")),
+    ("Scan Specificity", ("specificity", "scan")),
     ("Artery R2", ("r2", "artery")),
     ("Vein R2", ("r2", "vein")),
 )
@@ -332,18 +289,11 @@ _TABLE_ROWS = (
 
 def _metrics_table(report: evaluation.MetricsReport) -> str:
     lines = [f"{'Metric':<22}  {'Value':>14}"]
-    for label, (kind, key) in _TABLE_ROWS:
-        if kind == "dice":
-            stats = report.dice.get(key)
-            value = "n/a" if stats is None else f"{stats.mean:.4f} +- {stats.std_per_case:.4f}"
-        elif kind == "sens":
-            v = report.sensitivity[key]
-            value = "undefined" if v is None else f"{v:.4f}"
-        elif kind == "spec":
-            v = report.specificity[key]
-            value = "undefined" if v is None else f"{v:.4f}"
+    for label, (attr, key) in _TABLE_ROWS:
+        v = getattr(report, attr).get(key)
+        if attr == "dice":
+            value = "n/a" if v is None else f"{v.mean:.4f} +- {v.std_per_case:.4f}"
         else:
-            v = report.r2[key]
             value = "undefined" if v is None else f"{v:.4f}"
         lines.append(f"{label:<22}  {value:>14}")
     return "\n".join(lines) + "\n"
@@ -386,7 +336,7 @@ def cmd_evaluate(args) -> int:
                     span_method=args.span_method,
                 )
             )
-        except (CliError, MissingChannelError, VolumeFormatError, ValueError) as exc:
+        except (CliError, ValueError) as exc:
             failures.append(f"{scan_id}: {exc}")
     evals.sort(key=lambda ev: ev.scan_id)
     report = evaluation.build_metrics_report(evals, failures)
@@ -399,35 +349,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
-    _check_sweep_args(args)
-    field = _load_fold_field(args.fold)
-    try:
-        entries = unc.uncertainty_sweep(
-            field, [float(k) for k in args.ks], args.threshold,
-            args.connectivity, args.span_method,
-        )
-    except MissingChannelError as exc:
-        raise CliError(str(exc), EXIT_SCHEMA) from None
-
+    field, entries = _fold_sweep(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_volume(field.mean, out / "mean.json")
     write_volume(field.std, out / "std.json")
-    doc = {
-        "schema": SCHEMA_ASSESSMENT,
-        "tool_version": __version__,
-        "scan_id": args.scan_id,
-        "config": _config_echo(args, sweep=True),
-        "uncertainty_kind": field.kind,
-        "sweep": [
-            {
-                "k": float(e.k),
-                "vessels": {key: _report_dict(e.reports[cid]) for cid, key in VESSEL_KEYS},
-                "dpcg_category": e.category.label,
-            }
-            for e in entries
-        ],
-    }
+    doc = _assessment_doc(args.scan_id, args, {"uncertainty_kind": field.kind}, entries)
     _emit(doc, str(out / "uncertainty.json"))
     if args.overlay:
         heat_dir = Path(args.overlay)
@@ -449,11 +376,8 @@ _GRADCHECK_MAX_ELEMENTS = 16384
 
 
 def cmd_loss(args) -> int:
-    try:
-        pred_vol = read_volume(args.prediction)
-        gt_vol = read_volume(args.ground_truth)
-    except VolumeFormatError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from None
+    pred_vol = read_volume(args.prediction)
+    gt_vol = read_volume(args.ground_truth)
     if isinstance(pred_vol, LayeredLabelVolume) or isinstance(gt_vol, LayeredLabelVolume):
         raise CliError("loss expects multi-channel volumes", EXIT_INPUT)
     if pred_vol.channels != gt_vol.channels or pred_vol.dims != gt_vol.dims:
@@ -463,20 +387,14 @@ def cmd_loss(args) -> int:
     gt = gt_vol.data.astype(np.float64)
     weights = loss_mod.LossWeights(args.beta, args.alpha_w)
     channels = pred_vol.channels
-    try:
-        values = {
-            "bce": _loss_value(loss_mod.bce(pred, gt)),
-            "dice": _loss_value(loss_mod.soft_dice_loss(pred, gt)),
-            "overlap": _loss_value(loss_mod.overlap_loss(pred, gt, channels)),
-            "combined": _loss_value(loss_mod.combined_loss(pred, gt, weights, channels)),
-        }
-    except MissingChannelError as exc:
-        raise CliError(str(exc), EXIT_SCHEMA) from None
     doc = {
         "schema": "vesselwrap.loss/1",
         "tool_version": __version__,
         "weights": {"beta": args.beta, "alpha_w": args.alpha_w},
-        **values,
+        "bce": _loss_value(loss_mod.bce(pred, gt)),
+        "dice": _loss_value(loss_mod.soft_dice_loss(pred, gt)),
+        "overlap": _loss_value(loss_mod.overlap_loss(pred, gt, channels)),
+        "combined": _loss_value(loss_mod.combined_loss(pred, gt, weights, channels)),
     }
     if args.gradcheck:
         if pred.size > _GRADCHECK_MAX_ELEMENTS:
@@ -485,15 +403,10 @@ def cmd_loss(args) -> int:
                 f"{_GRADCHECK_MAX_ELEMENTS} elements",
                 EXIT_INPUT,
             )
-        try:
-            doc["gradcheck_max_rel_error"] = {
-                name: float(
-                    f"{loss_mod.gradcheck_loss(name, pred, gt, weights, channels):.3e}"
-                )
-                for name in ("bce", "dice", "overlap", "combined")
-            }
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_INPUT) from None
+        doc["gradcheck_max_rel_error"] = {
+            name: float(f"{loss_mod.gradcheck_loss(name, pred, gt, weights, channels):.3e}")
+            for name in ("bce", "dice", "overlap", "combined")
+        }
     _emit(doc, args.output)
     return EXIT_OK
 
@@ -501,32 +414,7 @@ def cmd_loss(args) -> int:
 def cmd_phantom(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.scene == "wrap":
-        spec = phantom_mod.PhantomSpec(
-            vessel_radius_px=args.radius,
-            wrap_span_deg=args.span,
-            wrap_center_deg=args.center_deg,
-            vessel_channel=ChannelId.ARTERY if args.channel == "artery" else ChannelId.VEIN,
-            jitter_seed=args.seed,
-        )
-        scene, truth = phantom_mod.gen_wrap_scene(spec)
-        write_volume(scene, out / "scene.json")
-        _emit(_truth_doc(truth), str(out / "truth.json"))
-    elif args.scene == "uncertainty":
-        spec = phantom_mod.PhantomSpec(
-            vessel_radius_px=args.radius,
-            wrap_span_deg=args.span,
-            wrap_center_deg=args.center_deg,
-            vessel_channel=ChannelId.ARTERY if args.channel == "artery" else ChannelId.VEIN,
-            band_extra_deg=args.band_extra_deg,
-            jitter_seed=args.seed,
-        )
-        folds, truths = phantom_mod.gen_uncertainty_scene(spec, tuple(float(k) for k in args.ks))
-        for i, fold in enumerate(folds):
-            write_volume(fold, out / f"fold{i}.json")
-        doc = {"per_k": {f"{k:g}": _truth_doc(t) for k, t in sorted(truths.items())}}
-        _emit(doc, str(out / "truth.json"))
-    else:  # confusion
+    if args.scene == "confusion":
         cases = phantom_mod.gen_confusion_suite(args.seed)
         manifest_lines = []
         expected = {}
@@ -545,6 +433,25 @@ def cmd_phantom(args) -> int:
             expected[case.name] = {"vessel": case.vessel.name.lower(), "cell": case.expected}
         (out / "manifest.jsonl").write_text("\n".join(manifest_lines) + "\n")
         _emit({"expected": expected}, str(out / "expected.json"))
+        return EXIT_OK
+    spec = phantom_mod.PhantomSpec(
+        vessel_radius_px=args.radius,
+        wrap_span_deg=args.span,
+        wrap_center_deg=args.center_deg,
+        vessel_channel=ChannelId.ARTERY if args.channel == "artery" else ChannelId.VEIN,
+        band_extra_deg=args.band_extra_deg if args.scene == "uncertainty" else 0.0,
+        jitter_seed=args.seed,
+    )
+    if args.scene == "wrap":
+        scene, truth = phantom_mod.gen_wrap_scene(spec)
+        write_volume(scene, out / "scene.json")
+        _emit(_truth_doc(truth), str(out / "truth.json"))
+    else:
+        folds, truths = phantom_mod.gen_uncertainty_scene(spec, tuple(float(k) for k in args.ks))
+        for i, fold in enumerate(folds):
+            write_volume(fold, out / f"fold{i}.json")
+        doc = {"per_k": {f"{k:g}": _truth_doc(t) for k, t in sorted(truths.items())}}
+        _emit(doc, str(out / "truth.json"))
     return EXIT_OK
 
 
@@ -626,19 +533,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and map its failure to an exit code and one ``error:`` line.
+
+    A CliError exits with its own code, a MissingChannelError with 3, and any
+    other ValueError (a malformed volume, loss weights or phantom parameters)
+    with 2. A non-finite float flag is rejected with 2 before the command runs:
+    it would be echoed into the document as NaN or Infinity, which is not JSON.
+    """
+    args = build_parser().parse_args(argv)
     try:
+        for dest, value in vars(args).items():
+            for v in value if isinstance(value, list) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise CliError(f"--{dest.replace('_', '-')} must be finite, got {v}")
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
-    except VolumeFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except MissingChannelError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SCHEMA
+        if isinstance(exc, CliError):
+            return exc.code
+        return EXIT_SCHEMA if isinstance(exc, MissingChannelError) else EXIT_INPUT
 
 
 def entrypoint() -> None:

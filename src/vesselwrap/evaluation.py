@@ -141,10 +141,6 @@ class ScanEval:
     max_deg_gt: dict[ChannelId, float]
 
 
-def _vessel_report(masks: MaskVolume, vessel: ChannelId, connectivity, span_method):
-    return inv.scan_involvement(masks, vessel, connectivity, span_method)
-
-
 def evaluate_scan(
     pred: MaskVolume,
     gt: MaskVolume,
@@ -191,8 +187,8 @@ def evaluate_scan(
     max_deg_pred: dict[ChannelId, float] = {}
     max_deg_gt: dict[ChannelId, float] = {}
     for vessel in VESSEL_KINDS:
-        rp = _vessel_report(pred_masks, vessel, connectivity, span_method)
-        rg = _vessel_report(gt_masks, vessel, connectivity, span_method)
+        rp = inv.scan_involvement(pred_masks, vessel, connectivity, span_method)
+        rg = inv.scan_involvement(gt_masks, vessel, connectivity, span_method)
         presence_pred[vessel] = rp.present
         presence_gt[vessel] = rg.present
         max_deg_pred[vessel] = rp.max_span_deg
@@ -201,24 +197,6 @@ def evaluate_scan(
     return ScanEval(
         scan_id, fold, dice_by_channel, presence_pred, presence_gt, max_deg_pred, max_deg_gt
     )
-
-
-def critical_vessel_eval(
-    pred: MaskVolume,
-    gt: MaskVolume,
-    gt_critical: MaskVolume,
-    filter_mode: str = "voxel",
-    connectivity: int = 8,
-    span_method: str = "largest-gap",
-) -> dict[ChannelId, ConfusionCell]:
-    """Confusion cells after pancreas filtering, against GT critical vessels."""
-    filtered = inv.filter_critical_volume(pred, filter_mode)
-    cells = {}
-    for vessel in VESSEL_KINDS:
-        pred_presence = _vessel_report(filtered, vessel, connectivity, span_method).present
-        gt_presence = _vessel_report(gt_critical, vessel, connectivity, span_method).present
-        cells[vessel] = involvement_confusion(pred_presence, gt_presence)
-    return cells
 
 
 @dataclass

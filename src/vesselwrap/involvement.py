@@ -39,7 +39,6 @@ of a scan at once:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -112,15 +111,6 @@ class InvolvementReport:
     argmax_slice: int | None
     present: bool
     table: ComponentTable = field(compare=False, repr=False)
-
-
-def pixel_angle(centroid: tuple[float, float], pixel: tuple[float, float]) -> float:
-    """Angle of a pixel around a centroid, degrees in [0, 360)."""
-    d_row = pixel[0] - centroid[0]
-    d_col = pixel[1] - centroid[1]
-    if d_row == 0.0 and d_col == 0.0:
-        raise ValueError("pixel coincides with centroid (zero radius)")
-    return math.degrees(math.atan2(-d_row, d_col)) % 360.0
 
 
 def angular_span(angles, method: str = "largest-gap") -> float:
@@ -267,6 +257,20 @@ def scan_involvement(
             s.z for s in slices if s.present and s.max_span_deg == max_span
         )
     return InvolvementReport(ChannelId(vessel), slices, max_span, argmax, present, table)
+
+
+def assess_scan(
+    masks: MaskVolume,
+    connectivity: int = 8,
+    span_method: str = "largest-gap",
+) -> tuple[dict[ChannelId, InvolvementReport], DpcgCategory]:
+    """Artery and vein involvement of a scan, in that order, and its DPCG grade."""
+    reports = {
+        cid: scan_involvement(masks, cid, connectivity, span_method)
+        for cid in (ChannelId.ARTERY, ChannelId.VEIN)
+    }
+    grade = dpcg_classify(reports[ChannelId.VEIN].max_span_deg, reports[ChannelId.ARTERY].max_span_deg)
+    return reports, grade
 
 
 def filter_critical(

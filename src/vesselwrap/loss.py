@@ -181,12 +181,12 @@ def gradcheck(value_fn, grad_fn, pred, *args, step: float = GRADCHECK_STEP) -> f
     return worst
 
 
-# name -> (value_fn, grad_fn, needs_channel_map)
+# name -> (value_fn, grad_fn); both take (pred, gt, *extra args)
 LOSS_FUNCTIONS = {
-    "bce": (bce, bce_grad, False),
-    "dice": (soft_dice_loss, soft_dice_grad, False),
-    "overlap": (overlap_loss, overlap_grad, True),
-    "combined": (combined_loss, combined_grad, True),
+    "bce": (bce, bce_grad),
+    "dice": (soft_dice_loss, soft_dice_grad),
+    "overlap": (overlap_loss, overlap_grad),
+    "combined": (combined_loss, combined_grad),
 }
 
 
@@ -201,21 +201,6 @@ def gradcheck_loss(
     """gradcheck() for a named loss on a (pred, gt) pair."""
     if name not in LOSS_FUNCTIONS:
         raise ValueError(f"unknown loss {name!r}")
-    value_fn, grad_fn, needs_channels = LOSS_FUNCTIONS[name]
-    if name == "combined":
-        return gradcheck(
-            lambda p, g: value_fn(p, g, weights, channels),
-            lambda p, g: grad_fn(p, g, weights, channels),
-            pred,
-            gt,
-            step=step,
-        )
-    if needs_channels:
-        return gradcheck(
-            lambda p, g: value_fn(p, g, channels),
-            lambda p, g: grad_fn(p, g, channels),
-            pred,
-            gt,
-            step=step,
-        )
-    return gradcheck(value_fn, grad_fn, pred, gt, step=step)
+    value_fn, grad_fn = LOSS_FUNCTIONS[name]
+    extra = {"overlap": (channels,), "combined": (weights, channels)}.get(name, ())
+    return gradcheck(value_fn, grad_fn, pred, gt, *extra, step=step)

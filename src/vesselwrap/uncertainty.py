@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .involvement import DpcgCategory, InvolvementReport, dpcg_classify, scan_involvement
+from .involvement import DpcgCategory, InvolvementReport, assess_scan
 from .volume import ChannelId, MaskVolume, ProbVolume
 
 DEFAULT_KS = (-1.0, 0.0, 1.0, 2.0)
@@ -217,15 +217,7 @@ def uncertainty_sweep(
     Raises MissingChannelError (via the involvement module) when the field
     lacks the tumor, artery or vein channel.
     """
-    entries = []
-    for k in ks:
-        masks = sigma_level_mask(f, k, threshold)
-        reports = {
-            cid: scan_involvement(masks, cid, connectivity, span_method)
-            for cid in (ChannelId.ARTERY, ChannelId.VEIN)
-        }
-        category = dpcg_classify(
-            reports[ChannelId.VEIN].max_span_deg, reports[ChannelId.ARTERY].max_span_deg
-        )
-        entries.append(SweepEntry(float(k), reports, category))
-    return entries
+    return [
+        SweepEntry(float(k), *assess_scan(sigma_level_mask(f, k, threshold), connectivity, span_method))
+        for k in ks
+    ]

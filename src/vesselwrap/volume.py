@@ -36,9 +36,8 @@ import numpy as np
 HEADER_ORDER = "channel-major,z,y,x"
 PROB_INGEST_TOL = 1e-3
 
-# Resampling target matching the mean voxel size of the original dataset
-# (z, y, x in mm); overridable wherever a Spacing is accepted.
-DEFAULT_TARGET_SPACING_MM = (1.0, 0.67, 0.67)
+# Header dtype -> little-endian payload dtype.
+_FILE_DTYPES = {"u8": "<u1", "f32": "<f4"}
 
 
 class VolumeFormatError(ValueError):
@@ -116,10 +115,6 @@ class Spacing:
         return (float(self.z_mm), float(self.y_mm), float(self.x_mm))
 
 
-def default_target_spacing() -> Spacing:
-    return Spacing(*DEFAULT_TARGET_SPACING_MM)
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -133,34 +128,32 @@ def _check_channels(channels: Sequence[ChannelId]) -> tuple[ChannelId, ...]:
 
 
 @dataclass(frozen=True)
-class MaskVolume:
-    """Multi-channel binary volume; channels may overlap voxel-wise.
-
-    ``data`` has shape (C, Z, H, W), dtype uint8, values in {0, 1}.
-    """
+class _ChannelVolume:
+    """A (C, Z, H, W) stack with one grid per channel: shape checks and channel lookup."""
 
     data: np.ndarray
     channels: tuple[ChannelId, ...]
     spacing: Spacing
     meta: dict = field(default_factory=dict)
 
+    _kind = "channel"
+    _dtype = None  # None keeps the input dtype
+
     def __post_init__(self):
         channels = _check_channels(self.channels)
-        arr = np.ascontiguousarray(self.data)
+        arr = np.ascontiguousarray(self.data, dtype=self._dtype)
         if arr.ndim != 4:
-            raise ValueError(f"mask data must be 4-D (C,Z,H,W), got shape {arr.shape}")
+            raise ValueError(f"{self._kind} data must be 4-D (C,Z,H,W), got shape {arr.shape}")
         if arr.shape[0] != len(channels):
             raise ValueError(
                 f"channel count mismatch: data has {arr.shape[0]}, channel list has {len(channels)}"
             )
-        if arr.dtype != np.uint8:
-            if not np.isin(arr, (0, 1)).all():
-                raise VolumeFormatError("mask voxels must be 0 or 1")
-            arr = arr.astype(np.uint8)
-        elif arr.size and arr.max() > 1:
-            raise VolumeFormatError("mask voxels must be 0 or 1")
-        object.__setattr__(self, "data", _freeze(arr))
+        object.__setattr__(self, "data", _freeze(self._checked_values(arr)))
         object.__setattr__(self, "channels", channels)
+
+    def _checked_values(self, arr: np.ndarray) -> np.ndarray:
+        """The voxel data to store; subclasses reject values outside their range."""
+        return arr
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -181,36 +174,37 @@ class MaskVolume:
         return ChannelId(cid) in self.channels
 
 
-@dataclass(frozen=True)
-class ProbVolume:
+class MaskVolume(_ChannelVolume):
+    """Multi-channel binary volume; channels may overlap voxel-wise.
+
+    ``data`` has shape (C, Z, H, W), dtype uint8, values in {0, 1}.
+    """
+
+    _kind = "mask"
+
+    def _checked_values(self, arr):
+        if arr.dtype != np.uint8:
+            if not np.isin(arr, (0, 1)).all():
+                raise VolumeFormatError("mask voxels must be 0 or 1")
+            return arr.astype(np.uint8)
+        if arr.size and arr.max() > 1:
+            raise VolumeFormatError("mask voxels must be 0 or 1")
+        return arr
+
+
+class ProbVolume(_ChannelVolume):
     """Multi-channel probability volume, same geometry rules as MaskVolume.
 
     ``data`` has shape (C, Z, H, W), dtype float32, values in [0, 1].
     """
 
-    data: np.ndarray
-    channels: tuple[ChannelId, ...]
-    spacing: Spacing
-    meta: dict = field(default_factory=dict)
+    _kind = "probability"
+    _dtype = np.float32
 
-    def __post_init__(self):
-        channels = _check_channels(self.channels)
-        arr = np.ascontiguousarray(self.data, dtype=np.float32)
-        if arr.ndim != 4:
-            raise ValueError(f"probability data must be 4-D (C,Z,H,W), got shape {arr.shape}")
-        if arr.shape[0] != len(channels):
-            raise ValueError(
-                f"channel count mismatch: data has {arr.shape[0]}, channel list has {len(channels)}"
-            )
+    def _checked_values(self, arr):
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise VolumeFormatError("probabilities must lie in [0, 1]")
-        object.__setattr__(self, "data", _freeze(arr))
-        object.__setattr__(self, "channels", channels)
-
-    dims = MaskVolume.dims
-    channel_index = MaskVolume.channel_index
-    channel = MaskVolume.channel
-    has_channel = MaskVolume.has_channel
+        return arr
 
 
 @dataclass(frozen=True)
@@ -307,12 +301,12 @@ def read_volume(path) -> Volume:
         raise VolumeFormatError(f"raw payload not found: {raw}") from None
     n_grids = 1 if channels is None else len(channels)
     n_voxels = n_grids * dims[0] * dims[1] * dims[2]
-    itemsize = 1 if dtype == "u8" else 4
+    itemsize = np.dtype(_FILE_DTYPES[dtype]).itemsize
     if size != n_voxels * itemsize:
         raise VolumeFormatError(
             f"payload size mismatch: expected {n_voxels * itemsize} bytes, got {size}"
         )
-    arr = np.fromfile(raw, dtype="<u1" if dtype == "u8" else "<f4", count=n_voxels)
+    arr = np.fromfile(raw, dtype=_FILE_DTYPES[dtype], count=n_voxels)
     arr = arr.reshape((n_grids,) + dims)
 
     if dtype == "f32":
@@ -333,15 +327,12 @@ def write_volume(v: Volume, path) -> None:
     """Write header + raw payload; read_volume inverts this bit-exactly."""
     path = Path(path)
     if isinstance(v, LayeredLabelVolume):
-        dtype, names, payload = "u8", None, np.ascontiguousarray(v.data, dtype="<u1")
-    elif isinstance(v, MaskVolume):
-        dtype, names = "u8", [CHANNEL_NAMES[c] for c in v.channels]
-        payload = np.ascontiguousarray(v.data, dtype="<u1")
-    elif isinstance(v, ProbVolume):
-        dtype, names = "f32", [CHANNEL_NAMES[c] for c in v.channels]
-        payload = np.ascontiguousarray(v.data, dtype="<f4")
+        names = None
+    elif isinstance(v, _ChannelVolume):
+        names = [CHANNEL_NAMES[c] for c in v.channels]
     else:
         raise TypeError(f"not a volume: {type(v).__name__}")
+    dtype = "f32" if isinstance(v, ProbVolume) else "u8"
     header = {
         "dims": list(v.dims),
         "spacing_mm": list(v.spacing.as_tuple()),
@@ -351,7 +342,7 @@ def write_volume(v: Volume, path) -> None:
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(header, indent=2) + "\n")
-    _raw_path(path).write_bytes(payload)
+    _raw_path(path).write_bytes(np.ascontiguousarray(v.data, dtype=_FILE_DTYPES[dtype]))
 
 
 def decode_layered(lv: LayeredLabelVolume) -> MaskVolume:
@@ -464,8 +455,7 @@ def resample(v: Volume, target: Spacing, mode: str) -> Volume:
     else:
         data = _trilinear(v.data, coords, v.dims)
         data = np.clip(data, 0.0, 1.0).astype(np.float32)
-    cls = MaskVolume if isinstance(v, MaskVolume) else ProbVolume
-    return cls(data, v.channels, target, dict(v.meta))
+    return type(v)(data, v.channels, target, dict(v.meta))
 
 
 def crop_around(v: Volume, center: Sequence[int], size: Sequence[int] = (64, 128, 128)) -> Volume:
@@ -504,5 +494,4 @@ def crop_around(v: Volume, center: Sequence[int], size: Sequence[int] = (64, 128
     if isinstance(v, LayeredLabelVolume):
         return LayeredLabelVolume(_block(v.data), v.spacing, meta)
     data = np.stack([_block(v.data[c]) for c in range(v.data.shape[0])])
-    cls = MaskVolume if isinstance(v, MaskVolume) else ProbVolume
-    return cls(data, v.channels, v.spacing, meta)
+    return type(v)(data, v.channels, v.spacing, meta)

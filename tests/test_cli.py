@@ -225,6 +225,19 @@ def assert_one_line_error(capsys):
     assert "Traceback" not in err
 
 
+def write_cli_inputs(tmp_path) -> dict[str, str]:
+    """A wrap scene, a one-entry manifest on it and a loss pair; paths by name."""
+    scene, _ = write_scene(tmp_path)
+    (tmp_path / "manifest.jsonl").write_text(
+        json.dumps({"scan_id": "s", "prediction": "scene.json", "ground_truth": "scene.json"}) + "\n"
+    )
+    write_volume(scene, tmp_path / "gt.json")
+    pred = ProbVolume(0.1 + 0.8 * scene.data.astype(np.float32), scene.channels, scene.spacing)
+    write_volume(pred, tmp_path / "pred.json")
+    names = ("scene.json", "manifest.jsonl", "pred.json", "gt.json", "out")
+    return {name.split(".")[0]: str(tmp_path / name) for name in names}
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize(
         "fields",
@@ -263,6 +276,40 @@ class TestInputBoundary:
         assert_one_line_error(capsys)
         assert not out.exists()
         assert run("assess", tmp_path / "scene.json", *fold_args, *flags) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["assess", "{scene}", "--threshold", "nan"], "--threshold must be finite, got nan"),
+            (["evaluate", "{manifest}", "--threshold", "inf"], "--threshold must be finite, got inf"),
+            (["loss", "{pred}", "{gt}", "--beta=-inf"], "--beta must be finite, got -inf"),
+            (["phantom", "wrap", "--out", "{out}", "--center-deg", "nan"],
+             "--center-deg must be finite, got nan"),
+            (["phantom", "uncertainty", "--out", "{out}", "--ks", "0", "inf"],
+             "--ks must be finite, got inf"),
+        ],
+        ids=["assess-threshold", "evaluate-threshold", "loss-beta", "phantom-center", "phantom-ks"],
+    )
+    def test_non_finite_flag_exit_2(self, tmp_path, capsys, argv, error):
+        paths = write_cli_inputs(tmp_path)
+        assert run(*(a.format(**paths) for a in argv)) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loss", "{pred}", "{gt}", "--beta", "2"],
+            ["loss", "{pred}", "{gt}", "--alpha-w", "nan"],
+            ["phantom", "wrap", "--out", "{out}", "--radius", "1"],
+            ["phantom", "wrap", "--out", "{out}", "--span", "400"],
+        ],
+        ids=["loss-beta-2", "loss-alpha-w-nan", "phantom-radius-1", "phantom-span-400"],
+    )
+    def test_rejected_parameter_exit_2_without_traceback(self, tmp_path, capsys, argv):
+        paths = write_cli_inputs(tmp_path)
+        assert run(*(a.format(**paths) for a in argv)) == 2
         assert_one_line_error(capsys)
 
     def test_nan_probability_exit_2(self, tmp_path, capsys):

@@ -7,7 +7,6 @@ from vesselwrap.evaluation import (
     ConfusionCounts,
     BucketRow,
     build_metrics_report,
-    critical_vessel_eval,
     dice,
     dpcg_bucket_table,
     evaluate_scan,
@@ -207,29 +206,38 @@ def _tube_volume(artery_cols, pancreas_cols, tumor_cols, dims=(3, 8, 8)):
     return MaskVolume(data, STANDARD_CHANNELS, Spacing(1.0, 1.0, 1.0))
 
 
+def critical_cells(pred, gt_critical) -> dict[ChannelId, ConfusionCell]:
+    """Per-vessel confusion cells of evaluate_scan in critical mode."""
+    ev = evaluate_scan(pred, pred, gt_critical=gt_critical, critical=True)
+    return {
+        v: involvement_confusion(ev.presence_pred[v], ev.presence_gt[v])
+        for v in (ChannelId.ARTERY, ChannelId.VEIN)
+    }
+
+
 class TestCriticalVesselEval:
     def test_contact_via_embedded_vessel_filtered_to_tn(self):
         # artery column 2 inside pancreas columns 1..3; tumor column 3 touches it
         pred = _tube_volume(artery_cols=[2], pancreas_cols=[1, 2, 3], tumor_cols=[3])
         gt_critical = _tube_volume(artery_cols=[], pancreas_cols=[], tumor_cols=[])
-        cells = critical_vessel_eval(pred, pred, gt_critical)
+        cells = critical_cells(pred, gt_critical)
         assert cells[ChannelId.ARTERY] is ConfusionCell.TN
 
     def test_free_vessel_unaffected_by_filter(self):
         pred = _tube_volume(artery_cols=[2], pancreas_cols=[6], tumor_cols=[3])
         gt_critical = _tube_volume(artery_cols=[2], pancreas_cols=[], tumor_cols=[3])
-        cells = critical_vessel_eval(pred, pred, gt_critical)
+        cells = critical_cells(pred, gt_critical)
         assert cells[ChannelId.ARTERY] is ConfusionCell.TP
 
     def test_two_tubes_only_free_counted(self):
         # embedded tube at col 2 (in pancreas), free tube at col 6; tumor touches both
         pred = _tube_volume(artery_cols=[2, 6], pancreas_cols=[1, 2, 3], tumor_cols=[3, 5])
         gt_free_only = _tube_volume(artery_cols=[6], pancreas_cols=[], tumor_cols=[5])
-        cells = critical_vessel_eval(pred, pred, gt_free_only)
+        cells = critical_cells(pred, gt_free_only)
         assert cells[ChannelId.ARTERY] is ConfusionCell.TP
         # drop the free tube contact from GT: prediction still counts the free tube
         gt_none = _tube_volume(artery_cols=[], pancreas_cols=[], tumor_cols=[])
-        cells = critical_vessel_eval(pred, pred, gt_none)
+        cells = critical_cells(pred, gt_none)
         assert cells[ChannelId.ARTERY] is ConfusionCell.FP
 
 

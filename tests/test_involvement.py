@@ -12,12 +12,12 @@ from vesselwrap.involvement import (
     component_table,
     dpcg_classify,
     filter_critical,
-    pixel_angle,
     scan_involvement,
 )
 from vesselwrap.phantom import PhantomSpec, gen_wrap_scene
 from vesselwrap.volume import ChannelId, MissingChannelError
 from conftest import (
+    _pixel_angles,
     bfs_components,
     brute_force_contact,
     scan_involvement_reference,
@@ -280,16 +280,104 @@ class TestKernelEquivalence:
         assert got == brute_force_contact(tumor[0], vessel[0])
 
 
+def random_grids(seed, dims, vessel_density, tumor_density):
+    """(tumor, vessel) boolean grids, each voxel set with its grid's density."""
+    gen = np.random.default_rng(seed)
+    return gen.random(dims) < tumor_density, gen.random(dims) < vessel_density
+
+
+def slice_facts(tumor, vessel, connectivity=8, span_method="largest-gap"):
+    """Per slice of scan_involvement: (sorted component spans, present)."""
+    masks = tav_volume(tumor, np.zeros_like(tumor), vessel)
+    rep = scan_involvement(masks, ChannelId.VEIN, connectivity, span_method)
+    return [(sorted(s.component_spans_deg), s.present) for s in rep.slices]
+
+
+def assert_same_slice_facts(got, want):
+    assert len(got) == len(want)
+    for (spans, present), (want_spans, want_present) in zip(got, want):
+        assert present == want_present
+        assert spans == pytest.approx(want_spans, abs=1e-9)
+
+
+_GRIDS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 12)),
+    vessel_density=st.floats(0.0, 0.7),
+    tumor_density=st.floats(0.0, 0.5),
+)
+
+
+class TestKernelInvariance:
+    """Geometric properties of the kernel that need no reference to check."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(**_GRIDS, turns=st.integers(1, 3), connectivity=st.sampled_from([4, 8]))
+    def test_rot90_keeps_spans_and_presence(
+        self, seed, dims, vessel_density, tumor_density, turns, connectivity
+    ):
+        tumor, vessel = random_grids(seed, dims, vessel_density, tumor_density)
+        turned = [np.rot90(g, turns, axes=(1, 2)) for g in (tumor, vessel)]
+        assert_same_slice_facts(
+            slice_facts(*turned, connectivity), slice_facts(tumor, vessel, connectivity)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        **_GRIDS,
+        offset=st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 5)),
+        pad=st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 5)),
+        connectivity=st.sampled_from([4, 8]),
+        span_method=st.sampled_from(SPAN_METHODS),
+    )
+    def test_translation_shifts_contact_keeps_spans(
+        self, seed, dims, vessel_density, tumor_density, offset, pad, connectivity, span_method
+    ):
+        tumor, vessel = random_grids(seed, dims, vessel_density, tumor_density)
+        at = tuple(slice(o, o + d) for o, d in zip(offset, dims))
+        big_tumor, big_vessel = (
+            np.zeros(tuple(d + o + p for d, o, p in zip(dims, offset, pad)), bool) for _ in range(2)
+        )
+        big_tumor[at], big_vessel[at] = tumor, vessel
+        small = component_table(tumor, vessel, connectivity, span_method)
+        big = component_table(big_tumor, big_vessel, connectivity, span_method)
+        assert np.array_equal(big.contact, small.contact + np.array(offset))
+        assert np.array_equal(big.contact_start, small.contact_start)
+        assert np.array_equal(big.z, small.z + offset[0])
+        np.testing.assert_allclose(big.span_deg, small.span_deg, rtol=0, atol=1e-9)
+        facts = slice_facts(big_tumor, big_vessel, connectivity, span_method)
+        assert_same_slice_facts(
+            facts[offset[0]:offset[0] + dims[0]],
+            slice_facts(tumor, vessel, connectivity, span_method),
+        )
+        assert all(f == ([], False) for f in facts[:offset[0]] + facts[offset[0] + dims[0]:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(**_GRIDS)
+    def test_connectivity_keeps_contact_and_presence(
+        self, seed, dims, vessel_density, tumor_density
+    ):
+        tumor, vessel = random_grids(seed, dims, vessel_density, tumor_density)
+        four, eight = (component_table(tumor, vessel, c) for c in (4, 8))
+        assert set(map(tuple, eight.contact.tolist())) == set(map(tuple, four.contact.tolist()))
+        assert [p for _, p in slice_facts(tumor, vessel, 8)] == [
+            p for _, p in slice_facts(tumor, vessel, 4)
+        ]
+        eight_count, four_count = (np.bincount(t.z, minlength=dims[0]) for t in (eight, four))
+        assert np.all(eight_count <= four_count)
+
+
 class TestPixelAngle:
+    """The reference's angle convention, which the kernel must reproduce."""
+
     def test_axis_conventions(self):
-        assert pixel_angle((2.0, 2.0), (2.0, 3.0)) == 0.0
-        assert pixel_angle((2.0, 2.0), (1.0, 2.0)) == 90.0
-        assert pixel_angle((2.0, 2.0), (3.0, 3.0)) == 315.0
-        assert pixel_angle((2.0, 2.0), (2.0, 1.0)) == 180.0
+        pixels = np.array([[2.0, 3.0], [1.0, 2.0], [3.0, 3.0], [2.0, 1.0]])
+        assert _pixel_angles((2.0, 2.0), pixels).tolist() == [0.0, 90.0, 315.0, 180.0]
 
     def test_zero_radius_rejected(self):
-        with pytest.raises(ValueError):
-            pixel_angle((1.0, 1.0), (1.0, 1.0))
+        # a pixel at the centroid has no angle and is dropped, not given 0 deg
+        pixels = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 1.0]])
+        assert _pixel_angles((1.0, 1.0), pixels).tolist() == [0.0]
 
 
 class TestAngularSpan:
@@ -344,7 +432,8 @@ class TestSliceInvolvement:
         si = slice_report(tumor, vessel)
         assert si.present
         centroid = (1.0, 2.0)  # the touched component comes first
-        angles = [pixel_angle(centroid, (1.0, c)) for c in (1.0, 3.0)]  # (1, 2) sits at radius 0
+        angles = _pixel_angles(centroid, np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]]))
+        assert len(angles) == 2  # (1, 2) sits at radius 0
         assert si.max_span_deg == pytest.approx(angular_span(angles))
         assert si.component_spans_deg[1] == 0.0
 
