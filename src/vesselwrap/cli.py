@@ -21,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, loss as loss_mod, overlay, phantom as phantom_mod, uncertainty as unc
-from .involvement import DpcgCategory, InvolvementReport, assess_scan, filter_critical_volume
+from .involvement import VESSELS, DpcgCategory, InvolvementReport, assess_scan, filter_critical_volume
 from .volume import (
+    CHANNEL_NAMES,
+    NAME_TO_CHANNEL,
     ChannelId,
     LayeredLabelVolume,
     MaskVolume,
@@ -40,8 +42,6 @@ EXIT_PARTIAL = 4
 
 SCHEMA_ASSESSMENT = "vesselwrap.assessment/1"
 SCHEMA_METRICS = "vesselwrap.metrics/1"
-
-VESSEL_KEYS = ((ChannelId.ARTERY, "artery"), (ChannelId.VEIN, "vein"))
 
 
 class CliError(Exception):
@@ -116,7 +116,7 @@ def _config_echo(args, sweep: bool) -> dict:
 
 def _grading_dict(reports: dict[ChannelId, InvolvementReport], category: DpcgCategory) -> dict:
     return {
-        "vessels": {key: _report_dict(reports[cid]) for cid, key in VESSEL_KEYS},
+        "vessels": {CHANNEL_NAMES[cid]: _report_dict(reports[cid]) for cid in VESSELS},
         "dpcg_category": category.label,
     }
 
@@ -137,13 +137,13 @@ def _assessment_doc(scan_id: str, args, body: dict, sweep: list[unc.SweepEntry] 
 
 def _write_contact_overlays(masks: MaskVolume, reports, directory, scan_id: str):
     out = Path(directory)
-    for cid, key in VESSEL_KEYS:
+    for cid in VESSELS:
         report = reports[cid]
         for s in report.slices:
             if not s.present:
                 continue
             rgb = overlay.contact_overlay(masks, cid, s.z, report.table)
-            overlay.write_ppm(out / f"{scan_id}_{key}_z{s.z:03d}.ppm", rgb)
+            overlay.write_ppm(out / f"{scan_id}_{CHANNEL_NAMES[cid]}_z{s.z:03d}.ppm", rgb)
 
 
 def _load_fold_field(paths) -> unc.UncertaintyField:
@@ -238,24 +238,18 @@ def _rate_dict(value: float | None, reason: str) -> dict:
 
 
 def _metrics_doc(report: evaluation.MetricsReport, args) -> dict:
-    involvement = {}
-    for key in ("artery", "vein", "scan"):
-        counts = report.confusion[key]
-        involvement[key] = {
+    involvement = {
+        key: {
             "confusion": counts.as_dict(),
             "sensitivity": _rate_dict(report.sensitivity[key], "tp+fn == 0"),
             "specificity": _rate_dict(report.specificity[key], "tn+fp == 0"),
         }
-    r2 = {
-        key: _rate_dict(report.r2[key], report.r2_reason[key] or "")
-        for key in ("artery", "vein")
+        for key, counts in report.confusion.items()
     }
+    r2 = {key: _rate_dict(value, report.r2_reason[key] or "") for key, value in report.r2.items()}
     buckets = {
-        key: [
-            {"bucket": row.bucket, "matched": row.matched, "total": row.total}
-            for row in report.buckets[key]
-        ]
-        for key in ("artery", "vein")
+        key: [{"bucket": row.bucket, "matched": row.matched, "total": row.total} for row in rows]
+        for key, rows in report.buckets.items()
     }
     return {
         "schema": SCHEMA_METRICS,
@@ -336,7 +330,7 @@ def cmd_evaluate(args) -> int:
                     span_method=args.span_method,
                 )
             )
-        except (CliError, ValueError) as exc:
+        except (CliError, ValueError, OSError) as exc:
             failures.append(f"{scan_id}: {exc}")
     evals.sort(key=lambda ev: ev.scan_id)
     report = evaluation.build_metrics_report(evals, failures)
@@ -438,7 +432,7 @@ def cmd_phantom(args) -> int:
         vessel_radius_px=args.radius,
         wrap_span_deg=args.span,
         wrap_center_deg=args.center_deg,
-        vessel_channel=ChannelId.ARTERY if args.channel == "artery" else ChannelId.VEIN,
+        vessel_channel=NAME_TO_CHANNEL[args.channel],
         band_extra_deg=args.band_extra_deg if args.scene == "uncertainty" else 0.0,
         jitter_seed=args.seed,
     )
@@ -486,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--critical", action="store_true", help="drop vessels overlapping the pancreas")
     p.add_argument("--fold", action="append", default=[],
                    help="probability fold volume or sample directory (repeatable)")
-    p.add_argument("--ks", type=float, nargs="+", default=[-1.0, 0.0, 1.0, 2.0])
+    p.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
     p.add_argument("--overlay", default=None, help="write per-slice contact overlays here")
     _add_common_flags(p)
     p.set_defaults(func=cmd_assess)
@@ -501,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uncertainty", help="mean/std volumes and a sigma sweep")
     p.add_argument("--fold", action="append", required=True,
                    help="probability fold volume or sample directory (repeatable)")
-    p.add_argument("--ks", type=float, nargs="+", default=[-1.0, 0.0, 1.0, 2.0])
+    p.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scan-id", default="scan")
     p.add_argument("--overlay", default=None, help="write heat maps here")
@@ -525,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-deg", type=float, default=90.0)
     p.add_argument("--channel", choices=("artery", "vein"), default="vein")
     p.add_argument("--band-extra-deg", type=float, default=25.0)
-    p.add_argument("--ks", type=float, nargs="+", default=[-1.0, 0.0, 1.0, 2.0])
+    p.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_phantom)
 
@@ -537,8 +531,9 @@ def main(argv=None) -> int:
 
     A CliError exits with its own code, a MissingChannelError with 3, and any
     other ValueError (a malformed volume, loss weights or phantom parameters)
-    with 2. A non-finite float flag is rejected with 2 before the command runs:
-    it would be echoed into the document as NaN or Infinity, which is not JSON.
+    or OSError (an unreadable path, or one of the wrong kind) with 2. A
+    non-finite float flag is rejected with 2 before the command runs: it
+    would be echoed into the document as NaN or Infinity, which is not JSON.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -547,7 +542,7 @@ def main(argv=None) -> int:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise CliError(f"--{dest.replace('_', '-')} must be finite, got {v}")
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, CliError):
             return exc.code

@@ -17,9 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import involvement as inv
-from .volume import ChannelId, MaskVolume
-
-VESSEL_KINDS = (ChannelId.ARTERY, ChannelId.VEIN)
+from .volume import CHANNEL_NAMES, ChannelId, MaskVolume
 
 
 class ConfusionCell(Enum):
@@ -186,7 +184,7 @@ def evaluate_scan(
     presence_gt: dict[ChannelId, bool] = {}
     max_deg_pred: dict[ChannelId, float] = {}
     max_deg_gt: dict[ChannelId, float] = {}
-    for vessel in VESSEL_KINDS:
+    for vessel in inv.VESSELS:
         rp = inv.scan_involvement(pred_masks, vessel, connectivity, span_method)
         rg = inv.scan_involvement(gt_masks, vessel, connectivity, span_method)
         presence_pred[vessel] = rp.present
@@ -227,10 +225,10 @@ def _dice_stats(values: list[float], folds: list[str | None]) -> DiceStats:
     std_fold = None
     labels = sorted({f for f in folds if f is not None})
     if len(labels) >= 2:
-        fold_means = [
+        means = [
             float(np.mean([v for v, f in zip(values, folds) if f == lab])) for lab in labels
         ]
-        std_fold = float(np.std(fold_means))
+        std_fold = float(np.std(means))
     return DiceStats(float(arr.mean()), float(arr.std()), std_fold, len(values))
 
 
@@ -246,8 +244,8 @@ def build_metrics_report(evals: Sequence[ScanEval], failures: Sequence[str] = ()
 
     confusion = {"artery": ConfusionCounts(), "vein": ConfusionCounts(), "scan": ConfusionCounts()}
     for ev in evals:
-        for vessel, key in ((ChannelId.ARTERY, "artery"), (ChannelId.VEIN, "vein")):
-            confusion[key].add(
+        for vessel in inv.VESSELS:
+            confusion[CHANNEL_NAMES[vessel]].add(
                 involvement_confusion(ev.presence_pred[vessel], ev.presence_gt[vessel])
             )
         confusion["scan"].add(
@@ -269,7 +267,8 @@ def build_metrics_report(evals: Sequence[ScanEval], failures: Sequence[str] = ()
     r2 = {}
     r2_reason = {}
     buckets = {}
-    for vessel, key in ((ChannelId.ARTERY, "artery"), (ChannelId.VEIN, "vein")):
+    for vessel in inv.VESSELS:
+        key = CHANNEL_NAMES[vessel]
         pairs = [(ev.max_deg_gt[vessel], ev.max_deg_pred[vessel]) for ev in evals]
         buckets[key] = dpcg_bucket_table(pairs)
         gt_deg = [p[0] for p in pairs]

@@ -48,6 +48,8 @@ from scipy import ndimage
 from .volume import ChannelId, MaskVolume
 
 SPAN_METHODS = ("largest-gap", "minmax")
+# The graded vessels, in report order.
+VESSELS = (ChannelId.ARTERY, ChannelId.VEIN)
 
 _STRUCT_26 = ndimage.generate_binary_structure(3, 3)
 # In-slice adjacency as 3-D structures: only the middle plane is set.
@@ -113,27 +115,6 @@ class InvolvementReport:
     table: ComponentTable = field(compare=False, repr=False)
 
 
-def angular_span(angles, method: str = "largest-gap") -> float:
-    """Spread of a set of angles in degrees.
-
-    largest-gap: 360 minus the widest gap between sorted angles (wrap
-    included); handles arcs crossing 0 deg. minmax: literal max - min.
-    Fewer than two angles span 0.
-    """
-    if method not in SPAN_METHODS:
-        raise ValueError(f"unknown span method {method!r}")
-    a = np.sort(np.asarray(angles, dtype=np.float64).ravel())
-    if a.size and (a[0] < 0.0 or a[-1] >= 360.0):
-        raise ValueError("angles must lie in [0, 360)")
-    if a.size < 2:
-        return 0.0
-    if method == "minmax":
-        return float(a[-1] - a[0])
-    gaps = np.diff(a)
-    wrap = 360.0 - a[-1] + a[0]
-    return float(360.0 - max(gaps.max(), wrap))
-
-
 def _occupied_lines(grid: np.ndarray, margin: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
     """Indices along each axis of a 3-D grid of the planes holding a nonzero voxel.
 
@@ -161,7 +142,7 @@ def _gather_index(lines: tuple[np.ndarray, ...]) -> tuple:
 
 
 def _segment_spans(labels: np.ndarray, angles: np.ndarray, n: int, method: str) -> np.ndarray:
-    """angular_span of each label's angles, for labels 0..n-1 at once."""
+    """The span of each label's angles, for labels 0..n-1 at once."""
     spans = np.zeros(n)
     order = np.lexsort((angles, labels))
     a = angles[order]
@@ -267,7 +248,7 @@ def assess_scan(
     """Artery and vein involvement of a scan, in that order, and its DPCG grade."""
     reports = {
         cid: scan_involvement(masks, cid, connectivity, span_method)
-        for cid in (ChannelId.ARTERY, ChannelId.VEIN)
+        for cid in VESSELS
     }
     grade = dpcg_classify(reports[ChannelId.VEIN].max_span_deg, reports[ChannelId.ARTERY].max_span_deg)
     return reports, grade
@@ -314,7 +295,7 @@ def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume
     """
     pancreas = masks.channel(ChannelId.PANCREAS)
     data = masks.data
-    for cid in (ChannelId.ARTERY, ChannelId.VEIN):
+    for cid in VESSELS:
         if masks.has_channel(cid):
             vessel = masks.channel(cid)
             kept = filter_critical(vessel, pancreas, mode)
@@ -323,7 +304,7 @@ def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume
                     data = data.copy()
                 data[masks.channel_index(cid)] = kept
             del kept  # one filtered channel alive at a time
-    return MaskVolume(data, masks.channels, masks.spacing, dict(masks.meta))
+    return MaskVolume(data, masks.channels, masks.spacing)
 
 
 def dpcg_classify(vein_deg: float, artery_deg: float) -> DpcgCategory:

@@ -18,7 +18,6 @@ from .volume import ChannelId, MaskVolume
 HEAT_SCALE = 0.5
 HEAT_CLIP = 0.01
 
-COLOR_BACKGROUND = (0, 0, 0)
 COLOR_PANCREAS = (70, 70, 70)
 COLOR_VESSEL = (70, 120, 220)
 COLOR_TUMOR = (70, 170, 70)

@@ -31,6 +31,7 @@ import numpy as np
 from scipy import ndimage
 
 from .involvement import DpcgCategory, dpcg_classify
+from .uncertainty import DEFAULT_KS
 from .volume import ChannelId, MaskVolume, ProbVolume, Spacing, STANDARD_CHANNELS
 
 # Half-pixel angular allowance of the contact window, in tangential pixels
@@ -186,7 +187,7 @@ def gen_wrap_scene(spec: PhantomSpec) -> tuple[MaskVolume, PhantomTruth]:
 
 def gen_uncertainty_scene(
     spec: PhantomSpec,
-    ks: tuple[float, ...] = (-1.0, 0.0, 1.0, 2.0),
+    ks: tuple[float, ...] = DEFAULT_KS,
     threshold: float = 0.5,
 ) -> tuple[list[ProbVolume], dict[float, PhantomTruth]]:
     """Fold probabilities differing only in a rim band, plus per-k truths.

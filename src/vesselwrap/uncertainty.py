@@ -71,7 +71,7 @@ class UncertaintyField:
 
     mean: ProbVolume
     std: ProbVolume
-    kind: str  # epistemic | aleatoric | mean-aleatoric | total
+    kind: str  # epistemic | total
 
     def __post_init__(self):
         if self.mean.dims != self.std.dims or self.mean.channels != self.std.channels:
@@ -137,39 +137,21 @@ def fold_mean_std(folds: Sequence[ProbVolume]) -> UncertaintyField:
     return UncertaintyField(*_mean_std(folds), "epistemic")
 
 
-def aleatoric(samples: SampleSet | Sequence[ProbVolume]) -> ProbVolume:
-    """Per-voxel population std across one fold's samples."""
-    vols = samples.samples if isinstance(samples, SampleSet) else tuple(samples)
-    if len(vols) < 2:
-        raise ValueError(f"need at least 2 samples for a std, got {len(vols)}")
-    return _mean_std(vols)[1]
-
-
-def fold_means(folds: Sequence[SampleSet]) -> list[ProbVolume]:
-    return [_mean_std(f.samples)[0] for f in folds]
-
-
-def mean_aleatoric(folds: Sequence[SampleSet]) -> ProbVolume:
-    """Fold mean of each fold's aleatoric std; K=1 degenerates to that fold."""
-    folds = list(folds)
-    if not folds:
-        raise ValueError("need at least one fold")
-    return _mean_std([aleatoric(f) for f in folds])[0]
-
-
-def epistemic_from_samples(folds: Sequence[SampleSet]) -> ProbVolume:
-    """Population std of the per-fold sample means."""
-    means = fold_means(folds)
-    if len(means) < 2:
-        raise ValueError(f"need at least 2 folds for a std, got {len(means)}")
-    return _mean_std(means)[1]
-
-
 def sample_mean_std(folds: Sequence[SampleSet]) -> UncertaintyField:
-    """Mean prediction with the summed (aleatoric + epistemic) std."""
+    """Mean prediction with the summed (aleatoric + epistemic) std.
+
+    Each fold's samples are streamed once, for that fold's mean and its
+    aleatoric std. The mean prediction and the epistemic std come from the
+    fold means; the aleatoric part is the fold mean of the aleatoric stds,
+    which for a single fold is that fold's std alone.
+    """
     folds = list(folds)
-    mean, epistemic = _mean_std(fold_means(folds))
-    total = mean_aleatoric(folds)
+    per_fold = [_mean_std(f.samples) for f in folds]
+    mean, epistemic = _mean_std([m for m, _ in per_fold])
+    for f in folds:
+        if len(f) < 2:
+            raise ValueError(f"need at least 2 samples for a std, got {len(f)}")
+    total = _mean_std([s for _, s in per_fold])[0]
     if len(folds) >= 2:
         aleatoric_std, epistemic_std = total.data.reshape(-1), epistemic.data.reshape(-1)
         summed = np.empty(aleatoric_std.size, np.float32)

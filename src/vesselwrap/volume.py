@@ -1,4 +1,4 @@
-"""Volumetric data model, canonical file format and geometric preparation.
+"""Volumetric data model and canonical file format.
 
 Volumes live on disk as a JSON header plus a sibling raw payload: the header
 at ``<stem>.json`` describes geometry and dtype, the voxel data sits in
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import Sequence, Union
@@ -134,7 +134,6 @@ class _ChannelVolume:
     data: np.ndarray
     channels: tuple[ChannelId, ...]
     spacing: Spacing
-    meta: dict = field(default_factory=dict)
 
     _kind = "channel"
     _dtype = None  # None keeps the input dtype
@@ -213,7 +212,6 @@ class LayeredLabelVolume:
 
     data: np.ndarray
     spacing: Spacing
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data)
@@ -361,7 +359,7 @@ def decode_layered(lv: LayeredLabelVolume) -> MaskVolume:
             continue
         for cid in targets:
             out[STANDARD_CHANNELS.index(cid)][where] = 1
-    return MaskVolume(out, STANDARD_CHANNELS, lv.spacing, dict(lv.meta))
+    return MaskVolume(out, STANDARD_CHANNELS, lv.spacing)
 
 
 # Re-layering priority, most important last so it wins the single-label slot.
@@ -392,106 +390,4 @@ def encode_layered(mv: MaskVolume) -> LayeredLabelVolume:
             labels[tumor & (mv.channel(ChannelId.ARTERY) > 0)] = 7
         if mv.has_channel(ChannelId.VEIN):
             labels[tumor & (mv.channel(ChannelId.VEIN) > 0)] = 8
-    return LayeredLabelVolume(labels, mv.spacing, dict(mv.meta))
-
-
-def _resample_axes(dims, src: Spacing, dst: Spacing):
-    """Output dims and fractional source coordinates per axis (voxel centers)."""
-    out_dims = []
-    coords = []
-    for n, s, t in zip(dims, src.as_tuple(), dst.as_tuple()):
-        m = max(1, int(round(n * s / t)))
-        out_dims.append(m)
-        j = np.arange(m, dtype=np.float64)
-        coords.append((j + 0.5) * t / s - 0.5)
-    return tuple(out_dims), coords
-
-
-def _nearest_indices(coords, dims):
-    # exact half-distance ties go to the lower index (first nearest)
-    return [
-        np.clip(np.ceil(x - 0.5).astype(np.intp), 0, n - 1)
-        for x, n in zip(coords, dims)
-    ]
-
-
-def _trilinear(grid4d: np.ndarray, coords, dims) -> np.ndarray:
-    out = grid4d.astype(np.float64)
-    for axis, (x, n) in enumerate(zip(coords, dims), start=1):
-        lo = np.floor(x).astype(np.intp)
-        w = x - lo
-        i0 = np.clip(lo, 0, n - 1)
-        i1 = np.clip(lo + 1, 0, n - 1)
-        shape = [1] * out.ndim
-        shape[axis] = len(x)
-        w = w.reshape(shape)
-        out = np.take(out, i0, axis=axis) * (1.0 - w) + np.take(out, i1, axis=axis) * w
-    return out
-
-
-def resample(v: Volume, target: Spacing, mode: str) -> Volume:
-    """Resample onto a new voxel grid; dims = round(dims * spacing / target).
-
-    Masks and layered labels only admit nearest-neighbour; probabilities may
-    use nearest or trilinear. Voxel centers anchor the coordinate mapping.
-    """
-    if mode not in ("nearest", "trilinear"):
-        raise ValueError(f"unknown resample mode {mode!r}")
-    if not isinstance(target, Spacing):
-        target = Spacing(*target)
-    if isinstance(v, (MaskVolume, LayeredLabelVolume)) and mode != "nearest":
-        raise ValueError("masks and label volumes must be resampled with mode='nearest'")
-
-    out_dims, coords = _resample_axes(v.dims, v.spacing, target)
-
-    if isinstance(v, LayeredLabelVolume):
-        zi, yi, xi = _nearest_indices(coords, v.dims)
-        data = v.data[np.ix_(zi, yi, xi)]
-        return LayeredLabelVolume(data, target, dict(v.meta))
-
-    if mode == "nearest":
-        zi, yi, xi = _nearest_indices(coords, v.dims)
-        data = v.data[:, zi[:, None, None], yi[None, :, None], xi[None, None, :]]
-    else:
-        data = _trilinear(v.data, coords, v.dims)
-        data = np.clip(data, 0.0, 1.0).astype(np.float32)
-    return type(v)(data, v.channels, target, dict(v.meta))
-
-
-def crop_around(v: Volume, center: Sequence[int], size: Sequence[int] = (64, 128, 128)) -> Volume:
-    """Crop a fixed-size block centered on a voxel, zero-padding overhang.
-
-    The effective padding per face is recorded in the output meta under
-    ``crop_padding`` together with the source-grid ``crop_origin``.
-    """
-    center = tuple(int(c) for c in center)
-    size = tuple(int(s) for s in size)
-    if len(center) != 3 or len(size) != 3 or any(s <= 0 for s in size):
-        raise ValueError("center and size must be 3-component, size positive")
-    dims = v.dims
-    if any(not (0 <= c < n) for c, n in zip(center, dims)):
-        raise ValueError(f"crop center {center} outside volume dims {dims}")
-
-    start = [c - s // 2 for c, s in zip(center, size)]
-    stop = [b + s for b, s in zip(start, size)]
-    src_lo = [max(0, b) for b in start]
-    src_hi = [min(n, e) for n, e in zip(dims, stop)]
-    dst_lo = [sl - b for sl, b in zip(src_lo, start)]
-    dst_hi = [d + (h - l) for d, l, h in zip(dst_lo, src_lo, src_hi)]
-    padding = [[dst_lo[i], size[i] - dst_hi[i]] for i in range(3)]
-
-    meta = dict(v.meta)
-    meta["crop_origin"] = list(start)
-    meta["crop_padding"] = padding
-
-    def _block(grid: np.ndarray) -> np.ndarray:
-        out = np.zeros(size, dtype=grid.dtype)
-        out[dst_lo[0]:dst_hi[0], dst_lo[1]:dst_hi[1], dst_lo[2]:dst_hi[2]] = grid[
-            src_lo[0]:src_hi[0], src_lo[1]:src_hi[1], src_lo[2]:src_hi[2]
-        ]
-        return out
-
-    if isinstance(v, LayeredLabelVolume):
-        return LayeredLabelVolume(_block(v.data), v.spacing, meta)
-    data = np.stack([_block(v.data[c]) for c in range(v.data.shape[0])])
-    return type(v)(data, v.channels, v.spacing, meta)
+    return LayeredLabelVolume(labels, mv.spacing)

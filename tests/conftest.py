@@ -1,8 +1,7 @@
 """Shared fixtures, independent oracles and the per-component reference.
 
 The oracles here deliberately avoid the library's code paths: contact is
-checked by a per-pixel neighbourhood scan, nearest-neighbour resampling by
-an exhaustive per-axis distance argmin, and connected components by a
+checked by a per-pixel neighbourhood scan and connected components by a
 plain breadth-first search.
 
 The first reference below is the per-component involvement path the
@@ -25,7 +24,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from vesselwrap.involvement import SliceInvolvement, angular_span
+from vesselwrap.involvement import SPAN_METHODS, SliceInvolvement
 from vesselwrap.uncertainty import SampleSet, UncertaintyField, _check_same_geometry
 from vesselwrap.volume import MaskVolume, ProbVolume, Spacing, STANDARD_CHANNELS, ChannelId
 
@@ -71,23 +70,6 @@ def brute_force_contact(tumor2d: np.ndarray, vessel2d: np.ndarray) -> set[tuple[
             if hit:
                 out.add((r, c))
     return out
-
-
-def brute_force_nearest(grid: np.ndarray, src: Spacing, dst: Spacing) -> np.ndarray:
-    """Exhaustive nearest-neighbour resample of one 3-D grid (voxel centers)."""
-    dims = grid.shape
-    out_dims = tuple(max(1, int(round(n * s / t)))
-                     for n, s, t in zip(dims, src.as_tuple(), dst.as_tuple()))
-    axes_idx = []
-    for n_out, n_in, s, t in zip(out_dims, dims, src.as_tuple(), dst.as_tuple()):
-        centers_in = (np.arange(n_in) + 0.5) * s
-        idx = []
-        for j in range(n_out):
-            target = (j + 0.5) * t
-            idx.append(int(np.argmin(np.abs(centers_in - target))))
-        axes_idx.append(np.array(idx))
-    zi, yi, xi = axes_idx
-    return grid[np.ix_(zi, yi, xi)]
 
 
 def bfs_components(mask2d: np.ndarray, connectivity: int) -> list[set[tuple[int, int]]]:
@@ -209,6 +191,27 @@ def slice_contact_sets(
     if tumor.shape != vessel.shape:
         raise ValueError(f"slice dims mismatch: {tumor.shape} vs {vessel.shape}")
     return [contact_pixels(tumor, comp) for comp in connected_components(vessel, connectivity, z)]
+
+
+def angular_span(angles, method: str = "largest-gap") -> float:
+    """Spread of a set of angles in degrees.
+
+    largest-gap: 360 minus the widest gap between sorted angles (wrap
+    included); handles arcs crossing 0 deg. minmax: literal max - min.
+    Fewer than two angles span 0.
+    """
+    if method not in SPAN_METHODS:
+        raise ValueError(f"unknown span method {method!r}")
+    a = np.sort(np.asarray(angles, dtype=np.float64).ravel())
+    if a.size and (a[0] < 0.0 or a[-1] >= 360.0):
+        raise ValueError("angles must lie in [0, 360)")
+    if a.size < 2:
+        return 0.0
+    if method == "minmax":
+        return float(a[-1] - a[0])
+    gaps = np.diff(a)
+    wrap = 360.0 - a[-1] + a[0]
+    return float(360.0 - max(gaps.max(), wrap))
 
 
 def slice_involvement(

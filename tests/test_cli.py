@@ -312,6 +312,39 @@ class TestInputBoundary:
         assert run(*(a.format(**paths) for a in argv)) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assess", "{out}"],
+            ["assess", "{scene}", "-o", "{gt}/x.json"],
+            ["assess", "{scene}", "--overlay", "{gt}"],
+        ],
+        ids=["assess-directory", "output-under-file", "overlay-is-file"],
+    )
+    def test_bad_path_exit_2(self, tmp_path, capsys, argv):
+        paths = write_cli_inputs(tmp_path)
+        Path(paths["out"]).mkdir()
+        assert run(*(a.format(**paths) for a in argv)) == 2
+        assert_one_line_error(capsys)
+
+    def test_directory_entry_counts_as_failure(self, tmp_path, capsys):
+        write_cli_inputs(tmp_path)
+        (tmp_path / "sub").mkdir()
+        manifest = write_manifest(
+            tmp_path,
+            [
+                {"scan_id": "ok", "prediction": "scene.json", "ground_truth": "gt.json"},
+                {"scan_id": "dir", "prediction": "sub", "ground_truth": "gt.json"},
+            ],
+            name="dirs.jsonl",
+        )
+        assert run("evaluate", manifest) == 4
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["n_scans"] == 1
+        assert [f.split(":")[0] for f in doc["failures"]] == ["dir"]
+        assert captured.err.startswith("error: dir: ") and "Traceback" not in captured.err
+
     def test_nan_probability_exit_2(self, tmp_path, capsys):
         header = _tav_header(dims=[1, 2, 2], dtype="f32", channels=["tumor"])
         (tmp_path / "f.json").write_text(json.dumps(header))

@@ -8,7 +8,6 @@ from scipy import ndimage
 from vesselwrap.involvement import (
     SPAN_METHODS,
     DpcgCategory,
-    angular_span,
     component_table,
     dpcg_classify,
     filter_critical,
@@ -18,6 +17,7 @@ from vesselwrap.phantom import PhantomSpec, gen_wrap_scene
 from vesselwrap.volume import ChannelId, MissingChannelError
 from conftest import (
     _pixel_angles,
+    angular_span,
     bfs_components,
     brute_force_contact,
     scan_involvement_reference,

@@ -7,25 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from vesselwrap.involvement import DpcgCategory
 from vesselwrap.phantom import PhantomSpec, gen_uncertainty_scene
+from vesselwrap import uncertainty as unc
 from vesselwrap.uncertainty import (
     _BLOCK,
     SampleSet,
     UncertaintyField,
-    aleatoric,
-    epistemic_from_samples,
     fold_mean_std,
-    fold_means,
-    mean_aleatoric,
     sample_mean_std,
     sigma_level_mask,
     uncertainty_sweep,
 )
 from vesselwrap.volume import ChannelId
 from conftest import (
-    aleatoric_reference,
     epistemic_from_samples_reference,
     fold_mean_std_reference,
-    fold_means_reference,
     make_prob,
     mean_aleatoric_reference,
     sample_mean_std_reference,
@@ -84,41 +79,54 @@ class TestFoldMeanStd:
         assert np.allclose(direct.std.data.reshape(-1), indirect.std.data.reshape(-1)[perm])
 
 
+def std_of(folds):
+    """The summed std volume of sample folds, for scalar checks."""
+    return sample_mean_std(folds).std
+
+
 class TestAleatoric:
+    """A one-fold sample set's std is that fold's sample std."""
+
     def test_identical_samples(self):
-        assert (aleatoric(SampleSet((prob_of(0.3), prob_of(0.3)))).data == 0).all()
+        assert (std_of([SampleSet((prob_of(0.3), prob_of(0.3)))]).data == 0).all()
 
     def test_two_samples(self):
-        std = aleatoric(SampleSet((prob_of(0.2), prob_of(0.8))))
+        std = std_of([SampleSet((prob_of(0.2), prob_of(0.8)))])
         assert std.data[0, 0, 0, 0] == pytest.approx(0.3, abs=1e-6)
 
     def test_single_sample_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            aleatoric(SampleSet((prob_of(0.5),)))
+        with pytest.raises(ValueError, match="at least 2 samples for a std, got 1"):
+            sample_mean_std([SampleSet((prob_of(0.5),))])
 
 
 class TestMeanAleatoric:
+    """Folds with one shared mean add no epistemic part: the std is the mean aleatoric std."""
+
     def test_all_identical(self):
         fold = SampleSet((prob_of(0.4), prob_of(0.4)))
-        assert (mean_aleatoric([fold, fold, fold]).data == 0).all()
+        assert (std_of([fold, fold, fold]).data == 0).all()
 
     def test_one_spread_fold(self):
         spread = SampleSet((prob_of(0.2), prob_of(0.8)))  # std 0.3
         tight = SampleSet((prob_of(0.5), prob_of(0.5)))   # std 0
-        out = mean_aleatoric([spread, tight, tight])
+        out = std_of([spread, tight, tight])
         assert out.data[0, 0, 0, 0] == pytest.approx(0.1, abs=1e-6)
+        assert_same_bytes(out, mean_aleatoric_reference([spread, tight, tight]))
 
     def test_single_fold_degenerates(self):
         spread = SampleSet((prob_of(0.2), prob_of(0.8)))
-        out = mean_aleatoric([spread])
+        out = std_of([spread])
         assert out.data[0, 0, 0, 0] == pytest.approx(0.3, abs=1e-6)
 
 
 class TestEpistemicFromSamples:
+    """Folds with zero sample spread leave only the epistemic std of the fold means."""
+
     def test_shared_mean_zero(self):
         a = SampleSet((prob_of(0.2), prob_of(0.8)))
         b = SampleSet((prob_of(0.5), prob_of(0.5)))
-        assert (epistemic_from_samples([a, b]).data == 0).all()
+        assert (epistemic_from_samples_reference([a, b]).data == 0).all()
+        assert_same_bytes(std_of([a, b]), mean_aleatoric_reference([a, b]))
 
     def test_fold_mean_arithmetic(self):
         folds = [
@@ -126,8 +134,9 @@ class TestEpistemicFromSamples:
             SampleSet((prob_of(0.6), prob_of(0.6))),
             SampleSet((prob_of(0.5), prob_of(0.5))),
         ]
-        out = epistemic_from_samples(folds)
-        assert out.data[0, 0, 0, 0] == pytest.approx(0.08165, abs=5e-6)
+        field = sample_mean_std(folds)
+        assert field.std.data[0, 0, 0, 0] == pytest.approx(0.08165, abs=5e-6)
+        assert field.mean.data[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-6)
 
     def test_total_is_sum_of_parts(self):
         folds = [
@@ -136,9 +145,26 @@ class TestEpistemicFromSamples:
             SampleSet((prob_of(0.4), prob_of(0.6))),
         ]
         total = sample_mean_std(folds)
-        expected = mean_aleatoric(folds).data + epistemic_from_samples(folds).data
+        expected = mean_aleatoric_reference(folds).data + epistemic_from_samples_reference(folds).data
         assert np.allclose(total.std.data, expected, atol=1e-6)
         assert total.kind == "total"
+
+
+class TestSampleMeanStdPasses:
+    @pytest.mark.parametrize("n_folds", [1, 2, 3])
+    def test_each_fold_streamed_once(self, monkeypatch, n_folds):
+        calls = []
+        real = unc._mean_std
+
+        def counting(volumes):
+            calls.append(len(volumes))
+            return real(volumes)
+
+        monkeypatch.setattr(unc, "_mean_std", counting)
+        folds = [SampleSet((prob_of(0.1 * i), prob_of(0.2), prob_of(0.9))) for i in range(n_folds)]
+        sample_mean_std(folds)
+        # one pass per fold, one over the fold means, one over the aleatoric stds
+        assert len(calls) == n_folds + 2
 
 
 class TestSigmaLevelMask:
@@ -323,10 +349,6 @@ class TestStreamedEquivalence:
             SampleSet(tuple(_random_volumes(gen, count, size, special_share)))
             for count in sample_counts
         ]
-        assert_same_outcome(fold_means, fold_means_reference, folds)
-        assert_same_outcome(aleatoric, aleatoric_reference, folds[0])
-        assert_same_outcome(mean_aleatoric, mean_aleatoric_reference, folds)
-        assert_same_outcome(epistemic_from_samples, epistemic_from_samples_reference, folds)
         assert_same_outcome(sample_mean_std, sample_mean_std_reference, folds)
 
     def test_fold_mean_std_holds_no_float64_stack(self):

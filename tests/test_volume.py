@@ -12,14 +12,12 @@ from vesselwrap.volume import (
     Spacing,
     STANDARD_CHANNELS,
     VolumeFormatError,
-    crop_around,
     decode_layered,
     encode_layered,
     read_volume,
-    resample,
     write_volume,
 )
-from conftest import brute_force_nearest, make_mask, make_prob
+from conftest import make_mask, make_prob
 
 SP1 = Spacing(1.0, 1.0, 1.0)
 
@@ -193,107 +191,3 @@ class TestLayered:
         lv = LayeredLabelVolume(labels, SP1)
         back = encode_layered(decode_layered(lv))
         assert (back.data == labels).all()
-
-
-class TestResample:
-    def test_identity_spacing(self, rng):
-        vol = make_mask(rng.integers(0, 2, size=(1, 3, 4, 5)), channels=(ChannelId.TUMOR,))
-        out = resample(vol, SP1, "nearest")
-        assert (out.data == vol.data).all()
-
-    def test_upsample_constant_mask(self):
-        vol = make_mask(
-            np.ones((1, 8, 8, 8)), channels=(ChannelId.TUMOR,), spacing=Spacing(2, 2, 2)
-        )
-        out = resample(vol, SP1, "nearest")
-        assert out.dims == (16, 16, 16)
-        assert (out.data == 1).all()
-
-    def test_single_voxel_against_brute_force(self):
-        grid = np.zeros((4, 4, 4), dtype=np.uint8)
-        grid[1, 1, 1] = 1
-        vol = make_mask(grid[None], channels=(ChannelId.TUMOR,))
-        out = resample(vol, Spacing(0.5, 0.5, 0.5), "nearest")
-        oracle = brute_force_nearest(grid, SP1, Spacing(0.5, 0.5, 0.5))
-        assert out.dims == (8, 8, 8)
-        assert (out.data[0] == oracle).all()
-        assert out.data.sum() == 8  # a 2x2x2 block
-        assert (out.data[0][2:4, 2:4, 2:4] == 1).all()
-
-    def test_random_mask_against_brute_force(self, rng):
-        grid = rng.integers(0, 2, size=(5, 7, 6)).astype(np.uint8)
-        src = Spacing(1.3, 0.9, 1.1)
-        dst = Spacing(0.7, 1.7, 0.8)
-        vol = make_mask(grid[None], channels=(ChannelId.TUMOR,), spacing=src)
-        out = resample(vol, dst, "nearest")
-        assert (out.data[0] == brute_force_nearest(grid, src, dst)).all()
-
-    def test_trilinear_constant_prob(self):
-        vol = make_prob(np.full((1, 4, 4, 4), 0.37), channels=(ChannelId.TUMOR,))
-        out = resample(vol, Spacing(0.6, 0.8, 1.4), "trilinear")
-        assert np.allclose(out.data, np.float32(0.37))
-
-    def test_trilinear_rejected_for_masks(self):
-        vol = make_mask(np.zeros((1, 2, 2, 2)), channels=(ChannelId.TUMOR,))
-        with pytest.raises(ValueError, match="nearest"):
-            resample(vol, SP1, "trilinear")
-
-    def test_mask_stays_binary(self, rng):
-        vol = make_mask(rng.integers(0, 2, size=(1, 6, 6, 6)), channels=(ChannelId.TUMOR,))
-        out = resample(vol, Spacing(0.9, 1.4, 0.6), "nearest")
-        assert set(np.unique(out.data)) <= {0, 1}
-
-    def test_layered_resample(self):
-        lv = LayeredLabelVolume(np.full((2, 2, 2), 7, dtype=np.uint8), Spacing(2, 2, 2))
-        out = resample(lv, SP1, "nearest")
-        assert out.dims == (4, 4, 4)
-        assert (out.data == 7).all()
-
-    def test_bad_target_spacing(self):
-        vol = make_mask(np.zeros((1, 2, 2, 2)), channels=(ChannelId.TUMOR,))
-        with pytest.raises(ValueError):
-            resample(vol, (1.0, 0.0, 1.0), "nearest")
-
-
-class TestCrop:
-    def test_centered_all_ones(self):
-        vol = make_mask(np.ones((1, 10, 20, 20)), channels=(ChannelId.TUMOR,))
-        out = crop_around(vol, (5, 10, 10), size=(4, 8, 8))
-        assert out.dims == (4, 8, 8)
-        assert (out.data == 1).all()
-        assert out.meta["crop_padding"] == [[0, 0], [0, 0], [0, 0]]
-
-    def test_corner_crop_zero_padded(self):
-        vol = make_mask(np.ones((1, 6, 6, 6)), channels=(ChannelId.TUMOR,))
-        out = crop_around(vol, (0, 0, 0), size=(4, 4, 4))
-        assert out.dims == (4, 4, 4)
-        # half of each axis hangs over the lower bound
-        assert out.meta["crop_padding"] == [[2, 0], [2, 0], [2, 0]]
-        assert (out.data[0][:2] == 0).all()
-        assert (out.data[0][2:, 2:, 2:] == 1).all()
-
-    def test_center_tumor_voxel_kept_at_center(self):
-        grid = np.zeros((1, 9, 9, 9), dtype=np.uint8)
-        grid[0, 4, 4, 4] = 1
-        out = crop_around(make_mask(grid, channels=(ChannelId.TUMOR,)), (4, 4, 4), (4, 6, 6))
-        # crop origin is (2, 1, 1), so the tumor voxel lands at (2, 3, 3)
-        assert out.data[0, 2, 3, 3] == 1
-        assert out.data.sum() == 1
-
-    def test_center_outside_rejected(self):
-        vol = make_mask(np.zeros((1, 4, 4, 4)), channels=(ChannelId.TUMOR,))
-        with pytest.raises(ValueError, match="outside"):
-            crop_around(vol, (4, 0, 0), (2, 2, 2))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        size=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
-    )
-    def test_output_dims_always_requested(self, seed, size):
-        gen = np.random.default_rng(seed)
-        dims = tuple(int(d) for d in gen.integers(2, 8, size=3))
-        center = tuple(int(gen.integers(0, d)) for d in dims)
-        vol = make_mask(gen.integers(0, 2, size=(1,) + dims), channels=(ChannelId.TUMOR,))
-        out = crop_around(vol, center, size)
-        assert out.dims == size
