@@ -25,11 +25,16 @@ of a scan at once:
    vessel pixels are neighbours in the gathered grid only if they are in
    the scan, so the work follows the vessels' extent, not the distance
    between them;
-2. label the gathered grid once with an in-plane-only 3x3x3 structure:
-   components never join across slices, and the raster label order is
-   (slice, first pixel), the order reports list them in;
-3. dilate the gathered tumor once with a (1, 3, 3) structure; a vessel
-   pixel is in contact where the dilation is set;
+2. label the gathered grid once with the run-length labeller
+   ``label_components``: one ``np.diff`` finds the runs of vessel pixels
+   in every row, two ``searchsorted`` calls pair the runs that touch in
+   the next row of the same slice, and a union-find merges the pairs.
+   Components never join across slices, and they are numbered by their
+   first run, so the label order is (slice, first pixel in raster order),
+   the order reports list them in;
+3. dilate the gathered tumor once by a 3x3 box in-plane (``dilate``, an OR
+   of shifted copies); a vessel pixel is in contact where the dilation is
+   set;
 4. take centroids from ``np.bincount`` sums of grid coordinates and the
    angle of every contact pixel at nonzero radius around its centroid;
 5. sort the angles by (component, angle) and reduce each component's
@@ -43,21 +48,12 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import ChannelId, MaskVolume
 
 SPAN_METHODS = ("largest-gap", "minmax")
 # The graded vessels, in report order.
 VESSELS = (ChannelId.ARTERY, ChannelId.VEIN)
-
-_STRUCT_26 = ndimage.generate_binary_structure(3, 3)
-# In-slice adjacency as 3-D structures: only the middle plane is set.
-_IN_SLICE = {
-    conn: np.pad(ndimage.generate_binary_structure(2, rank)[None], ((1, 1), (0, 0), (0, 0)))
-    for conn, rank in ((4, 1), (8, 2))
-}
-_NEIGHBOURHOOD = np.ones((1, 3, 3), dtype=bool)
 
 
 class DpcgCategory(IntEnum):
@@ -115,6 +111,88 @@ class InvolvementReport:
     table: ComponentTable = field(compare=False, repr=False)
 
 
+def dilate(grid: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Binary dilation of ``grid`` by a 3-long box along each of ``axes``.
+
+    Along every listed axis a cell is set when it or a neighbour is set;
+    cells beyond the edges count as unset. Axes ``(-2, -1)`` give the
+    in-plane 3x3 neighbourhood.
+    """
+    out = np.asarray(grid, dtype=bool)
+    for axis in axes:
+        src = np.moveaxis(out, axis, 0)
+        grown = src.copy()
+        grown[1:] |= src[:-1]
+        grown[:-1] |= src[1:]
+        out = np.moveaxis(grown, 0, axis)
+    return out
+
+
+def label_components(grid: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
+    """Connected components of a 3-D boolean grid, as ``(labels, n)``.
+
+    ``connectivity`` 4 or 8 joins pixels within a slice only, through their
+    edges or also their corners; 26 joins every voxel of the 3x3x3
+    neighbourhood. Labels are int32, 0 off the grid and 1..n numbered in the
+    raster order of each component's first voxel.
+
+    The grid is padded with a zero column on each side and a zero row after
+    each slice, and flattened. Every run of set cells then starts and ends
+    inside one row, so one ``np.diff`` finds them all. A run touches runs of
+    a later row where the column intervals overlap, widened by one column
+    for corner contact; shifted by that row's flat offset, the candidates
+    are one contiguous range of runs found with two ``searchsorted`` calls.
+    The zero row after each slice means a shift past a slice's last row
+    lands on an empty row, never on the next slice.
+    """
+    if connectivity not in (4, 8, 26):
+        raise ValueError(f"connectivity must be 4, 8 or 26, got {connectivity}")
+    grid = np.asarray(grid, dtype=bool)
+    depth, height, width = grid.shape
+    row = width + 2
+    plane = (height + 1) * row
+    padded = np.zeros((depth, height + 1, row), dtype=bool)
+    padded[:, :height, 1:-1] = grid
+    edges = np.flatnonzero(np.diff(padded.reshape(-1).view(np.int8))) + 1
+    start, end = edges[0::2], edges[1::2]
+    slack = int(connectivity != 4)
+    shifts = (row,) if connectivity != 26 else (row, plane - row, plane, plane + row)
+
+    runs = np.arange(start.size)
+    src, dst = [], []
+    for shift in shifts:
+        lo = np.searchsorted(end, start - slack + shift, side="right")
+        count = np.searchsorted(start, end + slack + shift, side="left") - lo
+        src.append(np.repeat(runs, count))
+        dst.append(np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count))
+    src, dst = np.concatenate(src), np.concatenate(dst)
+
+    # Union-find over runs: hook the root of each pair's larger side onto
+    # the smaller root, then jump pointers until every run points at its
+    # root, the first run of its component.
+    root = runs.copy()
+    while src.size:
+        a, b = root[src], root[dst]
+        link = a != b
+        if not link.any():
+            break
+        src, dst, a, b = src[link], dst[link], a[link], b[link]
+        low = np.minimum(a, b)
+        np.minimum.at(root, a, low)
+        np.minimum.at(root, b, low)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+    first = root == runs
+    number = np.cumsum(first, dtype=np.int32)
+    labels = np.zeros(grid.shape, dtype=np.int32)
+    labels[grid] = np.repeat(number[root], end - start)
+    return labels, int(np.count_nonzero(first))
+
+
 def _occupied_lines(grid: np.ndarray, margin: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
     """Indices along each axis of a 3-D grid of the planes holding a nonzero voxel.
 
@@ -128,8 +206,8 @@ def _occupied_lines(grid: np.ndarray, margin: tuple[int, int, int]) -> tuple[np.
     occupied = (np.any(grid, axis=(1, 2)), plane.any(axis=1), plane.any(axis=0))
     lines = []
     for keep, m in zip(occupied, margin):
-        if m:
-            keep = ndimage.binary_dilation(keep, iterations=m)
+        for _ in range(m):
+            keep = dilate(keep, (0,))
         lines.append(np.flatnonzero(keep))
     return tuple(lines)
 
@@ -184,8 +262,8 @@ def component_table(
 
     lines = _occupied_lines(vessel, (0, 1, 1))
     index = _gather_index(lines)
-    labels, n = ndimage.label(vessel[index] > 0, structure=_IN_SLICE[connectivity])
-    near = ndimage.binary_dilation(tumor[index] > 0, structure=_NEIGHBOURHOOD)
+    labels, n = label_components(vessel[index] > 0, connectivity)
+    near = dilate(tumor[index] > 0, (-2, -1))
     pixels = np.argwhere(labels)  # raster order, gathered coordinates
     hit = near[tuple(pixels.T)]
     label = labels[tuple(pixels.T)] - 1
@@ -278,7 +356,7 @@ def filter_critical(
     if mode == "component":
         out = np.zeros(vessel.shape, dtype=np.uint8)
         index = _gather_index(_occupied_lines(vessel, (1, 1, 1)))
-        labeled, n = ndimage.label(vessel[index] > 0, structure=_STRUCT_26)
+        labeled, n = label_components(vessel[index] > 0, 26)
         keep = np.ones(n + 1, dtype=np.uint8)
         keep[0] = 0
         keep[labeled[pancreas[index] > 0]] = 0

@@ -28,9 +28,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
-from .involvement import DpcgCategory, dpcg_classify
+from .involvement import DpcgCategory, dilate, dpcg_classify
 from .uncertainty import DEFAULT_KS
 from .volume import ChannelId, MaskVolume, ProbVolume, Spacing, STANDARD_CHANNELS
 
@@ -40,8 +39,6 @@ from .volume import ChannelId, MaskVolume, ProbVolume, Spacing, STANDARD_CHANNEL
 ANGULAR_ALLOWANCE_PX = 0.5
 
 DEFAULT_BAND_VALUES = (0.32, 0.40, 0.48)
-
-_S3 = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,8 @@ def _sector_tumor(spec: PhantomSpec, vessel, radius, dist, span_deg: float) -> n
     forbidden = vessel & (dist > half)
     return (
         annulus
-        & ndimage.binary_dilation(target, structure=_S3)
-        & ~ndimage.binary_dilation(forbidden, structure=_S3)
+        & dilate(target, (-2, -1))
+        & ~dilate(forbidden, (-2, -1))
     )
 
 

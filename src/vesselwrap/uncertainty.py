@@ -79,6 +79,8 @@ class UncertaintyField:
 
 
 def _check_same_geometry(volumes: Sequence[ProbVolume]):
+    if len(volumes) == 0:
+        raise ValueError("need at least one volume, got an empty sequence")
     first = volumes[0]
     for v in volumes[1:]:
         if v.dims != first.dims or v.channels != first.channels:

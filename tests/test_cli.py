@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -687,3 +690,49 @@ class TestPhantomCmd:
         with pytest.raises(SystemExit) as exc:
             run("--version")
         assert exc.value.code == 0
+
+
+# Runs in a fresh interpreter in which importing scipy fails, so any scipy
+# import on a command's path ends the run with a traceback.
+_WITHOUT_SCIPY = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is not available")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from vesselwrap import cli
+
+out = sys.argv[1]
+try:
+    cli.main(["--version"])
+except SystemExit as exc:
+    codes = [exc.code]
+for argv in (
+    ["phantom", "wrap", "--out", f"{out}/scene"],
+    ["assess", f"{out}/scene/scene.json", "--critical", "--filter-mode", "component",
+     "--overlay", f"{out}/overlay", "-o", f"{out}/assess.json"],
+    ["phantom", "confusion", "--out", f"{out}/suite"],
+    ["evaluate", f"{out}/suite/manifest.jsonl", "-o", f"{out}/evaluate.json"],
+):
+    codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+class TestRuntimeWithoutScipy:
+    def test_commands_run_without_scipy(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+        assert len(list((tmp_path / "overlay").iterdir())) > 0

@@ -2,15 +2,17 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from vesselwrap.involvement import (
     SPAN_METHODS,
     DpcgCategory,
     component_table,
+    dilate,
     dpcg_classify,
     filter_critical,
+    label_components,
     scan_involvement,
 )
 from vesselwrap.phantom import PhantomSpec, gen_wrap_scene
@@ -109,6 +111,85 @@ class TestConnectedComponents:
         got = components(mask, connectivity)
         expected = sorted(bfs_components(mask, connectivity), key=min)  # by first pixel
         assert got == [sorted(group) for group in expected]
+
+
+# ndimage structures for the labeller's connectivities: in-slice 4 and 8
+# set only the middle plane, 26 is the full 3x3x3 cube.
+_ORACLE_STRUCTURES = {
+    4: np.pad(ndimage.generate_binary_structure(2, 1)[None], ((1, 1), (0, 0), (0, 0))),
+    8: np.pad(ndimage.generate_binary_structure(2, 2)[None], ((1, 1), (0, 0), (0, 0))),
+    26: ndimage.generate_binary_structure(3, 3),
+}
+
+
+def assert_labels_match_ndimage(grid):
+    for connectivity, structure in _ORACLE_STRUCTURES.items():
+        labels, n = label_components(grid, connectivity)
+        want, want_n = ndimage.label(grid, structure=structure)
+        assert n == want_n, connectivity
+        assert labels.dtype == want.dtype and np.array_equal(labels, want), connectivity
+    for axes, box in (((-2, -1), (1, 3, 3)), ((0, 1, 2), (3, 3, 3))):
+        structure = np.ones(box, dtype=bool)
+        assert np.array_equal(dilate(grid, axes), ndimage.binary_dilation(grid, structure=structure))
+
+
+def _stacked_runs():
+    # a run on slice 0's last row directly above a run on slice 1's first
+    # row: diagonal 26-neighbours, and adjacent rows once the slices are
+    # flattened one after the other
+    grid = np.zeros((2, 2, 6), dtype=bool)
+    grid[0, 1, 1:4] = grid[1, 0, 1:4] = True
+    return grid
+
+
+def _border_runs():
+    # rows alternate between a run ending at column W-1 and a run starting
+    # at column 0; flattened without the zero columns they would touch
+    grid = np.zeros((2, 5, 7), dtype=bool)
+    grid[:, 0::2, 4:] = True
+    grid[:, 1::2, :3] = True
+    grid[1, 2, :] = True
+    return grid
+
+
+class TestRunLabeller:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.zeros((2, 5, 7), dtype=bool),
+            np.ones((3, 4, 5), dtype=bool),
+            np.array([[[1, 1, 0, 1, 0, 1]], [[0, 1, 1, 0, 1, 1]]], dtype=bool),  # one row
+            np.array([[[1], [1], [0], [1]], [[0], [1], [0], [1]]], dtype=bool),  # one column
+            _border_runs(),
+            _stacked_runs(),
+            np.zeros((0, 0, 0), dtype=bool),
+        ],
+        ids=["empty", "full", "one-row", "one-column", "border-columns", "stacked-slices", "zero-size"],
+    )
+    def test_edge_cases_match_ndimage(self, grid):
+        assert_labels_match_ndimage(grid)
+
+    def test_slices_join_only_under_26(self):
+        grid = _stacked_runs()
+        for connectivity in (4, 8):
+            assert label_components(grid, connectivity)[1] == 2
+        assert label_components(grid, 26)[1] == 1
+
+    def test_bad_connectivity(self):
+        with pytest.raises(ValueError):
+            label_components(np.zeros((1, 2, 2), dtype=bool), 6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 6), st.integers(1, 24), st.integers(1, 24)),
+        density=st.floats(0.0, 1.0),
+    )
+    @example(seed=0, dims=(3, 1, 24), density=0.5)
+    @example(seed=0, dims=(3, 24, 1), density=0.5)
+    @example(seed=0, dims=(6, 24, 24), density=1.0)
+    def test_random_grids_match_ndimage(self, seed, dims, density):
+        assert_labels_match_ndimage(np.random.default_rng(seed).random(dims) < density)
 
 
 class TestContactPixels:

@@ -166,6 +166,13 @@ class TestSampleMeanStdPasses:
         # one pass per fold, one over the fold means, one over the aleatoric stds
         assert len(calls) == n_folds + 2
 
+    @pytest.mark.parametrize(
+        "statistic", [sample_mean_std, unc._mean_std], ids=["sample_mean_std", "_mean_std"]
+    )
+    def test_empty_sequence_rejected(self, statistic):
+        with pytest.raises(ValueError, match="need at least one volume, got an empty sequence"):
+            statistic([])
+
 
 class TestSigmaLevelMask:
     def test_one_sigma_crosses_threshold(self):
