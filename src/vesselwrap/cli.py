@@ -3,10 +3,12 @@
 Commands: assess, evaluate, uncertainty, loss, phantom. All machine
 output is JSON with stable key order and fixed rounding (degrees to 2
 decimals, losses to 6), so identical inputs yield byte-identical
-documents. Exit codes: 0 ok, 2 input error, 3 schema/channel error,
-4 partial batch failure. ``main()`` is the one place that maps exceptions
-to exit codes; the commands only raise. ``evaluate`` alone catches, to
-count a failed manifest entry and go on with the rest.
+documents. The metrics document body, with its key order and its
+rounding (4 decimals), comes from ``evaluation.build_metrics_report``.
+Exit codes: 0 ok, 2 input error, 3 schema/channel error, 4 partial batch
+failure. ``main()`` is the one place that maps exceptions to exit codes;
+the commands only raise. ``evaluate`` alone catches, to count a failed
+manifest entry and go on with the rest.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ def _deg(x: float) -> float:
 
 def _loss_value(x: float) -> float:
     return round(float(x), 6)
-
-
-def _metric(x: float | None) -> float | None:
-    return None if x is None else round(float(x), 4)
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -222,73 +220,35 @@ def _read_manifest(path) -> list[dict]:
     return entries
 
 
-def _dice_stats_dict(stats: evaluation.DiceStats) -> dict:
-    return {
-        "mean": _metric(stats.mean),
-        "std_per_case": _metric(stats.std_per_case),
-        "std_per_fold": _metric(stats.std_per_fold),
-        "n": stats.n,
-    }
-
-
-def _rate_dict(value: float | None, reason: str) -> dict:
-    if value is None:
-        return {"value": None, "reason": reason}
-    return {"value": _metric(value), "reason": None}
-
-
-def _metrics_doc(report: evaluation.MetricsReport, args) -> dict:
-    involvement = {
-        key: {
-            "confusion": counts.as_dict(),
-            "sensitivity": _rate_dict(report.sensitivity[key], "tp+fn == 0"),
-            "specificity": _rate_dict(report.specificity[key], "tn+fp == 0"),
-        }
-        for key, counts in report.confusion.items()
-    }
-    r2 = {key: _rate_dict(value, report.r2_reason[key] or "") for key, value in report.r2.items()}
-    buckets = {
-        key: [{"bucket": row.bucket, "matched": row.matched, "total": row.total} for row in rows]
-        for key, rows in report.buckets.items()
-    }
-    return {
-        "schema": SCHEMA_METRICS,
-        "tool_version": __version__,
-        "config": _config_echo(args, sweep=False),
-        "n_scans": report.n_scans,
-        "dice": {k: _dice_stats_dict(v) for k, v in report.dice.items()},
-        "involvement": involvement,
-        "r2_max_involvement": r2,
-        "dpcg_buckets": buckets,
-        "failures": list(report.failures),
-    }
-
-
+# Table label -> key path into the metrics document body.
 _TABLE_ROWS = (
     ("Tumor Dice", ("dice", "tumor")),
     ("Artery Dice", ("dice", "artery")),
     ("Vein Dice", ("dice", "vein")),
     ("Artery Overlap Dice", ("dice", "artery_overlap")),
     ("Vein Overlap Dice", ("dice", "vein_overlap")),
-    ("Artery Sensitivity", ("sensitivity", "artery")),
-    ("Artery Specificity", ("specificity", "artery")),
-    ("Vein Sensitivity", ("sensitivity", "vein")),
-    ("Vein Specificity", ("specificity", "vein")),
-    ("Scan Sensitivity", ("sensitivity", "scan")),
-    ("Scan Specificity", ("specificity", "scan")),
-    ("Artery R2", ("r2", "artery")),
-    ("Vein R2", ("r2", "vein")),
+    ("Artery Sensitivity", ("involvement", "artery", "sensitivity")),
+    ("Artery Specificity", ("involvement", "artery", "specificity")),
+    ("Vein Sensitivity", ("involvement", "vein", "sensitivity")),
+    ("Vein Specificity", ("involvement", "vein", "specificity")),
+    ("Scan Sensitivity", ("involvement", "scan", "sensitivity")),
+    ("Scan Specificity", ("involvement", "scan", "specificity")),
+    ("Artery R2", ("r2_max_involvement", "artery")),
+    ("Vein R2", ("r2_max_involvement", "vein")),
 )
 
 
-def _metrics_table(report: evaluation.MetricsReport) -> str:
+def _metrics_table(body: dict) -> str:
+    """The headline rows of a metrics body: Dice as mean +- per-case std, rates as values."""
     lines = [f"{'Metric':<22}  {'Value':>14}"]
-    for label, (attr, key) in _TABLE_ROWS:
-        v = getattr(report, attr).get(key)
-        if attr == "dice":
-            value = "n/a" if v is None else f"{v.mean:.4f} +- {v.std_per_case:.4f}"
+    for label, path in _TABLE_ROWS:
+        v = body
+        for key in path:
+            v = v.get(key)  # only a Dice key can be missing, and only as the last step
+        if path[0] == "dice":
+            value = "n/a" if v is None else f"{v['mean']:.4f} +- {v['std_per_case']:.4f}"
         else:
-            value = "undefined" if v is None else f"{v:.4f}"
+            value = "undefined" if v["value"] is None else f"{v['value']:.4f}"
         lines.append(f"{label:<22}  {value:>14}")
     return "\n".join(lines) + "\n"
 
@@ -333,10 +293,12 @@ def cmd_evaluate(args) -> int:
         except (CliError, ValueError, OSError) as exc:
             failures.append(f"{scan_id}: {exc}")
     evals.sort(key=lambda ev: ev.scan_id)
-    report = evaluation.build_metrics_report(evals, failures)
-    _emit(_metrics_doc(report, args), args.output)
+    body = evaluation.build_metrics_report(evals, failures)
+    header = {"schema": SCHEMA_METRICS, "tool_version": __version__,
+              "config": _config_echo(args, sweep=False)}
+    _emit({**header, **body}, args.output)
     if args.table or (args.output not in (None, "-")):
-        sys.stdout.write(_metrics_table(report))
+        sys.stdout.write(_metrics_table(body))
     for failure in failures:
         sys.stderr.write(f"error: {failure}\n")
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -463,7 +425,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--span-method", choices=("largest-gap", "minmax"), default="largest-gap")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--filter-mode", choices=("voxel", "component"), default="voxel")
-    p.add_argument("--output", "-o", default=None, help="write JSON here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
     p.add_argument("--overlay", default=None, help="write per-slice contact overlays here")
     _add_common_flags(p)
+    p.add_argument("--output", "-o", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("evaluate", help="metric suite over a JSON-lines manifest")
@@ -490,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--critical", action="store_true")
     p.add_argument("--table", action="store_true", help="also print the text table")
     _add_common_flags(p)
+    p.add_argument("--output", "-o", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("uncertainty", help="mean/std volumes and a sigma sweep")
@@ -508,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--alpha-w", type=float, default=0.8, dest="alpha_w")
     p.add_argument("--gradcheck", action="store_true")
-    p.add_argument("--output", "-o", default=None)
+    p.add_argument("--output", "-o", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("phantom", help="write synthetic scenes with truth sidecars")

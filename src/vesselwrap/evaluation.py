@@ -6,43 +6,21 @@ Evaluation is per scan. A scan contributes one confusion cell per vessel
 kind: involvement presence anywhere in the prediction counts against
 presence anywhere in the ground truth, even when the locations differ.
 Scan-level presence is the OR of the artery and vein presences.
+
+``build_metrics_report`` returns the body of the metrics document, with
+its key order and its rounding (metrics to 4 decimals) fixed here; the
+CLI only puts the schema, version and config echo in front of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import involvement as inv
 from .volume import CHANNEL_NAMES, ChannelId, MaskVolume
-
-
-class ConfusionCell(Enum):
-    TP = "tp"
-    FP = "fp"
-    TN = "tn"
-    FN = "fn"
-
-
-@dataclass
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
-
-    def add(self, cell: ConfusionCell) -> None:
-        setattr(self, cell.value, getattr(self, cell.value) + 1)
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    def as_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
 
 
 def dice(pred, gt) -> float:
@@ -57,24 +35,24 @@ def dice(pred, gt) -> float:
     return 2.0 * int((p & g).sum()) / denom
 
 
-def involvement_confusion(pred_presence: bool, gt_presence: bool) -> ConfusionCell:
-    """Presence-vs-presence cell; location of the contact is irrelevant."""
+def involvement_confusion(pred_presence: bool, gt_presence: bool) -> str:
+    """Presence-vs-presence cell key: "tp", "fp", "tn" or "fn".
+
+    The location of the contact is irrelevant.
+    """
     if pred_presence:
-        return ConfusionCell.TP if gt_presence else ConfusionCell.FP
-    return ConfusionCell.FN if gt_presence else ConfusionCell.TN
+        return "tp" if gt_presence else "fp"
+    return "fn" if gt_presence else "tn"
 
 
-def scan_confusion(
-    pred_artery: bool, pred_vein: bool, gt_artery: bool, gt_vein: bool
-) -> ConfusionCell:
-    """Scan-level cell: either vessel involved counts as involvement."""
-    return involvement_confusion(pred_artery or pred_vein, gt_artery or gt_vein)
+def sensitivity_specificity(counts: dict[str, int]) -> tuple[float | None, float | None]:
+    """(sensitivity, specificity) of a ``{"tp", "fp", "tn", "fn"}`` counts dict.
 
-
-def sensitivity_specificity(c: ConfusionCounts) -> tuple[float | None, float | None]:
-    """(sensitivity, specificity); None marks an undefined (0-denominator) value."""
-    sens = c.tp / (c.tp + c.fn) if (c.tp + c.fn) > 0 else None
-    spec = c.tn / (c.tn + c.fp) if (c.tn + c.fp) > 0 else None
+    None marks an undefined (0-denominator) value.
+    """
+    tp, fp, tn, fn = (counts[key] for key in ("tp", "fp", "tn", "fn"))
+    sens = tp / (tp + fn) if (tp + fn) > 0 else None
+    spec = tn / (tn + fp) if (tn + fp) > 0 else None
     return sens, spec
 
 
@@ -107,23 +85,18 @@ def bucket_of(deg: float) -> str:
     raise ValueError(f"degrees out of range: {deg}")
 
 
-@dataclass(frozen=True)
-class BucketRow:
-    bucket: str
-    matched: int
-    total: int
+def dpcg_bucket_table(pairs: Sequence[tuple[float, float]]) -> list[dict]:
+    """Per GT bucket: how many predictions landed in the same bucket.
 
-
-def dpcg_bucket_table(pairs: Sequence[tuple[float, float]]) -> list[BucketRow]:
-    """Per GT bucket: how many predictions landed in the same bucket."""
-    matched = {label: 0 for label, _ in BUCKETS}
-    total = {label: 0 for label, _ in BUCKETS}
+    One ``{"bucket", "matched", "total"}`` row per bucket, in BUCKETS order.
+    """
+    rows = {label: {"bucket": label, "matched": 0, "total": 0} for label, _ in BUCKETS}
     for gt_deg, pred_deg in pairs:
-        label = bucket_of(gt_deg)
-        total[label] += 1
-        if bucket_of(pred_deg) == label:
-            matched[label] += 1
-    return [BucketRow(label, matched[label], total[label]) for label, _ in BUCKETS]
+        row = rows[bucket_of(gt_deg)]
+        row["total"] += 1
+        if bucket_of(pred_deg) == row["bucket"]:
+            row["matched"] += 1
+    return list(rows.values())
 
 
 @dataclass
@@ -133,10 +106,8 @@ class ScanEval:
     scan_id: str
     fold: str | None
     dice_by_channel: dict[str, float]
-    presence_pred: dict[ChannelId, bool]
-    presence_gt: dict[ChannelId, bool]
-    max_deg_pred: dict[ChannelId, float]
-    max_deg_gt: dict[ChannelId, float]
+    pred: dict[ChannelId, tuple[bool, float]]  # vessel -> (present, max_span_deg)
+    gt: dict[ChannelId, tuple[bool, float]]
 
 
 def evaluate_scan(
@@ -180,47 +151,27 @@ def evaluate_scan(
             raise ValueError("critical evaluation needs the GT critical-aggregate volume")
         gt_masks = gt_critical
 
-    presence_pred: dict[ChannelId, bool] = {}
-    presence_gt: dict[ChannelId, bool] = {}
-    max_deg_pred: dict[ChannelId, float] = {}
-    max_deg_gt: dict[ChannelId, float] = {}
-    for vessel in inv.VESSELS:
-        rp = inv.scan_involvement(pred_masks, vessel, connectivity, span_method)
-        rg = inv.scan_involvement(gt_masks, vessel, connectivity, span_method)
-        presence_pred[vessel] = rp.present
-        presence_gt[vessel] = rg.present
-        max_deg_pred[vessel] = rp.max_span_deg
-        max_deg_gt[vessel] = rg.max_span_deg
-
-    return ScanEval(
-        scan_id, fold, dice_by_channel, presence_pred, presence_gt, max_deg_pred, max_deg_gt
-    )
+    # Only the facts are kept, not the reports: a manifest would otherwise
+    # hold every scan's component tables until the report is built.
+    sides = []
+    for masks in (pred_masks, gt_masks):
+        reports, _ = inv.assess_scan(masks, connectivity, span_method)
+        sides.append({vessel: (r.present, r.max_span_deg) for vessel, r in reports.items()})
+    return ScanEval(scan_id, fold, dice_by_channel, *sides)
 
 
-@dataclass
-class DiceStats:
-    mean: float
-    std_per_case: float
-    std_per_fold: float | None
-    n: int
+def _round(x: float | None) -> float | None:
+    return None if x is None else round(float(x), 4)
 
 
-@dataclass
-class MetricsReport:
-    """Aggregate over a manifest of scans."""
-
-    n_scans: int
-    dice: dict[str, DiceStats]
-    confusion: dict[str, ConfusionCounts]  # keys: artery, vein, scan
-    sensitivity: dict[str, float | None]
-    specificity: dict[str, float | None]
-    r2: dict[str, float | None]
-    r2_reason: dict[str, str | None]
-    buckets: dict[str, list[BucketRow]]
-    failures: list[str] = field(default_factory=list)
+def _rate(value: float | None, reason: str | None = None) -> dict:
+    """A rate entry of the document; the reason explains a null value."""
+    if value is None:
+        return {"value": None, "reason": reason}
+    return {"value": _round(value), "reason": None}
 
 
-def _dice_stats(values: list[float], folds: list[str | None]) -> DiceStats:
+def _dice_stats(values: list[float], folds: list[str | None]) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     std_fold = None
     labels = sorted({f for f in folds if f is not None})
@@ -229,65 +180,60 @@ def _dice_stats(values: list[float], folds: list[str | None]) -> DiceStats:
             float(np.mean([v for v, f in zip(values, folds) if f == lab])) for lab in labels
         ]
         std_fold = float(np.std(means))
-    return DiceStats(float(arr.mean()), float(arr.std()), std_fold, len(values))
+    return {
+        "mean": _round(arr.mean()),
+        "std_per_case": _round(arr.std()),
+        "std_per_fold": _round(std_fold),
+        "n": len(values),
+    }
 
 
-def build_metrics_report(evals: Sequence[ScanEval], failures: Sequence[str] = ()) -> MetricsReport:
-    """Merge per-scan facts into the full metric suite."""
+def build_metrics_report(evals: Sequence[ScanEval], failures: Sequence[str] = ()) -> dict:
+    """The metrics document body: ``n_scans``, ``dice``, ``involvement``,
+    ``r2_max_involvement``, ``dpcg_buckets`` and ``failures``, in that order.
+    """
     dice_values: dict[str, list[float]] = {}
     dice_folds: dict[str, list[str | None]] = {}
     for ev in evals:
         for key, value in ev.dice_by_channel.items():
             dice_values.setdefault(key, []).append(value)
             dice_folds.setdefault(key, []).append(ev.fold)
-    dice_stats = {k: _dice_stats(v, dice_folds[k]) for k, v in sorted(dice_values.items())}
 
-    confusion = {"artery": ConfusionCounts(), "vein": ConfusionCounts(), "scan": ConfusionCounts()}
+    confusion = {key: {"tp": 0, "fp": 0, "tn": 0, "fn": 0} for key in ("artery", "vein", "scan")}
     for ev in evals:
         for vessel in inv.VESSELS:
-            confusion[CHANNEL_NAMES[vessel]].add(
-                involvement_confusion(ev.presence_pred[vessel], ev.presence_gt[vessel])
-            )
-        confusion["scan"].add(
-            scan_confusion(
-                ev.presence_pred[ChannelId.ARTERY],
-                ev.presence_pred[ChannelId.VEIN],
-                ev.presence_gt[ChannelId.ARTERY],
-                ev.presence_gt[ChannelId.VEIN],
-            )
-        )
-
-    sensitivity = {}
-    specificity = {}
+            cell = involvement_confusion(ev.pred[vessel][0], ev.gt[vessel][0])
+            confusion[CHANNEL_NAMES[vessel]][cell] += 1
+        # scan level: either vessel involved counts as involvement
+        scan_pred = any(present for present, _ in ev.pred.values())
+        scan_gt = any(present for present, _ in ev.gt.values())
+        confusion["scan"][involvement_confusion(scan_pred, scan_gt)] += 1
+    involvement = {}
     for key, counts in confusion.items():
         sens, spec = sensitivity_specificity(counts)
-        sensitivity[key] = sens
-        specificity[key] = spec
+        involvement[key] = {
+            "confusion": counts,
+            "sensitivity": _rate(sens, "tp+fn == 0"),
+            "specificity": _rate(spec, "tn+fp == 0"),
+        }
 
     r2 = {}
-    r2_reason = {}
     buckets = {}
     for vessel in inv.VESSELS:
         key = CHANNEL_NAMES[vessel]
-        pairs = [(ev.max_deg_gt[vessel], ev.max_deg_pred[vessel]) for ev in evals]
-        buckets[key] = dpcg_bucket_table(pairs)
-        gt_deg = [p[0] for p in pairs]
-        pred_deg = [p[1] for p in pairs]
+        gt_deg = [ev.gt[vessel][1] for ev in evals]
+        pred_deg = [ev.pred[vessel][1] for ev in evals]
+        buckets[key] = dpcg_bucket_table(list(zip(gt_deg, pred_deg)))
         try:
-            r2[key] = r_squared(gt_deg, pred_deg)
-            r2_reason[key] = None
+            r2[key] = _rate(r_squared(gt_deg, pred_deg))
         except ValueError as exc:
-            r2[key] = None
-            r2_reason[key] = str(exc)
+            r2[key] = _rate(None, str(exc))
 
-    return MetricsReport(
-        n_scans=len(evals),
-        dice=dice_stats,
-        confusion=confusion,
-        sensitivity=sensitivity,
-        specificity=specificity,
-        r2=r2,
-        r2_reason=r2_reason,
-        buckets=buckets,
-        failures=list(failures),
-    )
+    return {
+        "n_scans": len(evals),
+        "dice": {k: _dice_stats(v, dice_folds[k]) for k, v in sorted(dice_values.items())},
+        "involvement": involvement,
+        "r2_max_involvement": r2,
+        "dpcg_buckets": buckets,
+        "failures": list(failures),
+    }

@@ -14,7 +14,7 @@ choice only rescales, and it is pinned by the unit tests.
 Sigma-level masks threshold clamp(mean + k * std, 0, 1) at 0.5 by default;
 std >= 0 makes the masks nested in k.
 
-Every statistic and every sigma mask is streamed over the flattened
+Every mean, every std and every sigma mask is streamed over the flattened
 volumes in blocks of ``_BLOCK`` voxels, so no float64 copy of a fold stack
 or of a whole field is ever held; each float64 buffer holds one block
 and stays in cache. Each block repeats, in float64, the exact operation
@@ -34,6 +34,11 @@ each voxel meets the same operands in the same order as in the
 whole-volume computation, and the outputs are byte-identical to it. The
 masks likewise compute ``k * std + mean`` in float64 per block, then clip
 and compare.
+
+The summed std of ``sample_mean_std`` is the one whole-volume step: a
+float32 add capped at 1. Both operands are float32 in [0, 1], and a
+float64 sum rounded to float32 equals one float32 rounding of the exact
+sum (53 >= 2 * 24 + 2), so it matches a float64 sum bit for bit.
 """
 
 from __future__ import annotations
@@ -155,14 +160,9 @@ def sample_mean_std(folds: Sequence[SampleSet]) -> UncertaintyField:
             raise ValueError(f"need at least 2 samples for a std, got {len(f)}")
     total = _mean_std([s for _, s in per_fold])[0]
     if len(folds) >= 2:
-        aleatoric_std, epistemic_std = total.data.reshape(-1), epistemic.data.reshape(-1)
-        summed = np.empty(aleatoric_std.size, np.float32)
-        buf = np.empty(min(summed.size, _BLOCK))
-        for b in _blocks(summed.size):
-            s = buf[: b.stop - b.start]
-            np.add(aleatoric_std[b], epistemic_std[b], out=s, dtype=np.float64)
-            summed[b] = np.clip(s, 0.0, 1.0, out=s)
-        total = ProbVolume(summed.reshape(total.data.shape), total.channels, total.spacing)
+        summed = np.add(total.data, epistemic.data)
+        np.minimum(summed, 1.0, out=summed)
+        total = ProbVolume(summed, total.channels, total.spacing)
     return UncertaintyField(mean, total, "total")
 
 

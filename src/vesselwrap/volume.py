@@ -348,10 +348,9 @@ def decode_layered(lv: LayeredLabelVolume) -> MaskVolume:
 
     Labels 1..6 set their own channel; 7 sets artery+tumor, 8 sets
     vein+tumor, reconstructing the overlaps the layering collapsed.
+    The constructor of ``lv`` already confined its labels to 0..8.
     """
     labels = lv.data
-    if labels.size and labels.max() > MAX_LAYERED_LABEL:
-        raise VolumeFormatError(f"layered labels must lie in 0..{MAX_LAYERED_LABEL}")
     out = np.zeros((len(STANDARD_CHANNELS),) + lv.dims, dtype=np.uint8)
     for label, targets in LAYERED_DECODE.items():
         where = labels == label
@@ -362,17 +361,6 @@ def decode_layered(lv: LayeredLabelVolume) -> MaskVolume:
     return MaskVolume(out, STANDARD_CHANNELS, lv.spacing)
 
 
-# Re-layering priority, most important last so it wins the single-label slot.
-_LAYER_PRIORITY = (
-    (ChannelId.PANCREAS, 1),
-    (ChannelId.COMMON_BILE_DUCT, 2),
-    (ChannelId.PANCREATIC_DUCT, 3),
-    (ChannelId.ARTERY, 4),
-    (ChannelId.VEIN, 5),
-    (ChannelId.TUMOR, 6),
-)
-
-
 def encode_layered(mv: MaskVolume) -> LayeredLabelVolume:
     """Collapse the six channels back into layered labels.
 
@@ -381,7 +369,9 @@ def encode_layered(mv: MaskVolume) -> LayeredLabelVolume:
     importance (tumor > vein > artery > ducts > pancreas).
     """
     labels = np.zeros(mv.dims, dtype=np.uint8)
-    for cid, label in _LAYER_PRIORITY:
+    # Re-layering priority, most important last so it wins the single-label
+    # slot: STANDARD_CHANNELS runs least to most important, label k is entry k.
+    for label, cid in enumerate(STANDARD_CHANNELS, start=1):
         if mv.has_channel(cid):
             labels[mv.channel(cid) > 0] = label
     if mv.has_channel(ChannelId.TUMOR):

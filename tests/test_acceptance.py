@@ -11,7 +11,6 @@ import pytest
 
 from vesselwrap import cli
 from vesselwrap.evaluation import (
-    ConfusionCounts,
     build_metrics_report,
     dice,
     dpcg_bucket_table,
@@ -165,9 +164,9 @@ def test_uncertainty_nesting_and_borderline_flip():
 
 def test_metric_definitions():
     checks = []
-    sens, _ = sensitivity_specificity(ConfusionCounts(tp=15, fn=2))
+    sens, _ = sensitivity_specificity({"tp": 15, "fp": 0, "tn": 0, "fn": 2})
     checks.append(("sensitivity 15/(15+2)", round(sens, 3) == 0.882))
-    _, spec_v = sensitivity_specificity(ConfusionCounts(tn=12, fp=2))
+    _, spec_v = sensitivity_specificity({"tp": 0, "fp": 2, "tn": 12, "fn": 0})
     checks.append(("specificity 12/(12+2)", round(spec_v, 3) == 0.857))
     checks.append(
         ("r2 reversed ramp", r_squared([0.0, 90.0, 180.0], [180.0, 90.0, 0.0]) == -3.0)
@@ -183,7 +182,7 @@ def test_metric_definitions():
     rows = dpcg_bucket_table(pairs)
     checks.append(
         ("bucket table (19/19),(5/5),(0/7),(1/1)",
-         [(r.matched, r.total) for r in rows] == [(19, 19), (5, 5), (0, 7), (1, 1)])
+         [(r["matched"], r["total"]) for r in rows] == [(19, 19), (5, 5), (0, 7), (1, 1)])
     )
     scenes = [
         gen_wrap_scene(PhantomSpec(wrap_span_deg=100.0 + 15 * i, jitter_seed=i))[0]
@@ -191,8 +190,9 @@ def test_metric_definitions():
     ]
     evals = [evaluate_scan(s, s, scan_id=str(i)) for i, s in enumerate(scenes)]
     rep = build_metrics_report(evals)
-    self_ok = all(st.mean == 1.0 for st in rep.dice.values()) and all(
-        rep.confusion[k].fp == 0 and rep.confusion[k].fn == 0 for k in ("artery", "vein", "scan")
+    self_ok = all(st["mean"] == 1.0 for st in rep["dice"].values()) and all(
+        rep["involvement"][k]["confusion"]["fp"] == 0 and rep["involvement"][k]["confusion"]["fn"] == 0
+        for k in ("artery", "vein", "scan")
     )
     checks.append(("self-evaluation dice 1.0, TP/TN only", self_ok))
     failed = [name for name, ok in checks if not ok]

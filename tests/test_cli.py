@@ -586,6 +586,42 @@ class TestEvaluate:
         conf = doc["involvement"]["vein"]["confusion"]
         assert conf["tp"] == 1
 
+    @pytest.mark.parametrize("suite", ["confusion", "all-tn", "empty"])
+    def test_table_rows_match_document(self, tmp_path, capsys, suite):
+        if suite == "confusion":
+            assert run("phantom", "confusion", "--out", tmp_path, "--seed", "4") == 0
+            manifest = tmp_path / "manifest.jsonl"
+        elif suite == "all-tn":
+            write_scene(tmp_path, name="s", span=0.0)
+            manifest = write_manifest(
+                tmp_path,
+                [{"scan_id": i, "prediction": "s.json", "ground_truth": "s.json"} for i in range(3)],
+            )
+        else:
+            manifest = write_manifest(tmp_path, [])
+        capsys.readouterr()
+        assert run("evaluate", manifest, "--table", "-o", tmp_path / "doc.json") == 0
+        doc = json.loads((tmp_path / "doc.json").read_text())
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["Metric", "Value"]
+        shown = {line[:22].rstrip(): line[24:].strip() for line in lines[1:]}
+        expected = {}
+        for vessel in ("Tumor", "Artery", "Vein", "Artery Overlap", "Vein Overlap"):
+            stats = doc["dice"].get(vessel.lower().replace(" ", "_"))
+            expected[f"{vessel} Dice"] = (
+                "n/a" if stats is None else f"{stats['mean']:.4f} +- {stats['std_per_case']:.4f}"
+            )
+        rates = [
+            (f"{key.title()} {rate.title()}", doc["involvement"][key][rate])
+            for key in ("artery", "vein", "scan") for rate in ("sensitivity", "specificity")
+        ] + [(f"{key.title()} R2", doc["r2_max_involvement"][key]) for key in ("artery", "vein")]
+        for label, rate in rates:
+            expected[label] = "undefined" if rate["value"] is None else f"{rate['value']:.4f}"
+        assert shown == expected
+        values = set(shown.values())
+        assert ("undefined" in values) == (suite != "confusion")
+        assert ("n/a" in values) == (suite == "empty")
+
 
 class TestUncertaintyCmd:
     def test_zero_variance_folds_identical_entries(self, tmp_path, capsys):
@@ -606,6 +642,18 @@ class TestUncertaintyCmd:
         spans = {e["k"]: e["vessels"]["vein"]["max_involvement_deg"] for e in doc["sweep"]}
         assert len(set(spans.values())) == 1
         assert (out / "mean.json").exists() and (out / "std.raw").exists()
+
+    def test_output_flag_rejected(self, tmp_path, capsys):
+        scene, _ = write_scene(tmp_path, span=120.0)
+        prob = ProbVolume(scene.data.astype(np.float32), scene.channels, scene.spacing)
+        write_volume(prob, tmp_path / "f0.json")
+        write_volume(prob, tmp_path / "f1.json")
+        with pytest.raises(SystemExit) as exc:
+            run("uncertainty", "--fold", tmp_path / "f0.json", "--fold", tmp_path / "f1.json",
+                "--out", tmp_path / "o", "-o", tmp_path / "x.json")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -o" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "o").exists()
 
     def test_single_fold_exit_2(self, tmp_path, capsys):
         scene, _ = write_scene(tmp_path, span=120.0)

@@ -3,16 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vesselwrap.evaluation import (
-    ConfusionCell,
-    ConfusionCounts,
-    BucketRow,
     build_metrics_report,
     dice,
     dpcg_bucket_table,
     evaluate_scan,
     involvement_confusion,
     r_squared,
-    scan_confusion,
     sensitivity_specificity,
 )
 from vesselwrap.phantom import PhantomSpec, gen_confusion_suite, gen_wrap_scene
@@ -68,44 +64,71 @@ class TestDice:
             assert dice(a, closer) >= dice(a, b)
 
 
+def _scene(span, vessel=ChannelId.VEIN, angle=90.0, seed=0):
+    spec = PhantomSpec(
+        dims=(4, 64, 64), vessel_center=(32.0, 32.0), slice_range=(1, 3),
+        wrap_span_deg=span, wrap_center_deg=angle, vessel_channel=vessel, jitter_seed=seed,
+    )
+    return gen_wrap_scene(spec)[0]
+
+
+def _empty():
+    return MaskVolume(np.zeros((6, 4, 64, 64), np.uint8), STANDARD_CHANNELS, Spacing(1.0, 1.0, 1.0))
+
+
+def scan_cell_counts(pairs) -> dict[str, int]:
+    """Scan-level confusion counts of build_metrics_report over (pred, gt) scenes."""
+    evals = [evaluate_scan(p, g, scan_id=str(i)) for i, (p, g) in enumerate(pairs)]
+    return build_metrics_report(evals)["involvement"]["scan"]["confusion"]
+
+
+def counts(tp=0, fp=0, tn=0, fn=0) -> dict[str, int]:
+    return {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
+
+
 class TestConfusion:
     def test_cells(self):
-        assert involvement_confusion(True, True) is ConfusionCell.TP
-        assert involvement_confusion(True, False) is ConfusionCell.FP
-        assert involvement_confusion(False, False) is ConfusionCell.TN
-        assert involvement_confusion(False, True) is ConfusionCell.FN
+        assert involvement_confusion(True, True) == "tp"
+        assert involvement_confusion(True, False) == "fp"
+        assert involvement_confusion(False, False) == "tn"
+        assert involvement_confusion(False, True) == "fn"
 
     def test_scan_level_or(self):
+        artery = _scene(120.0, vessel=ChannelId.ARTERY)
+        vein = _scene(120.0, vessel=ChannelId.VEIN)
         # artery TP, vein TN -> scan TP
-        assert scan_confusion(True, False, True, False) is ConfusionCell.TP
+        assert scan_cell_counts([(artery, artery)]) == counts(tp=1)
         # both TN -> TN
-        assert scan_confusion(False, False, False, False) is ConfusionCell.TN
+        assert scan_cell_counts([(_empty(), _empty())]) == counts(tn=1)
         # pred vein only, GT artery only -> still TP under OR semantics
-        assert scan_confusion(False, True, True, False) is ConfusionCell.TP
+        assert scan_cell_counts([(vein, artery)]) == counts(tp=1)
 
     def test_counts_partition(self):
-        counts = ConfusionCounts()
-        cells = [ConfusionCell.TP, ConfusionCell.FP, ConfusionCell.TN, ConfusionCell.FN,
-                 ConfusionCell.TP]
-        for c in cells:
-            counts.add(c)
-        assert counts.total == len(cells)
-        assert counts.tp == 2
+        artery = _scene(120.0, vessel=ChannelId.ARTERY)
+        pairs = [(artery, artery), (artery, _empty()), (_empty(), _empty()),
+                 (_empty(), artery), (artery, artery)]
+        evals = [evaluate_scan(p, g, scan_id=str(i)) for i, (p, g) in enumerate(pairs)]
+        involvement = build_metrics_report(evals)["involvement"]
+        for key in ("artery", "vein", "scan"):
+            assert sum(involvement[key]["confusion"].values()) == len(pairs)
+        assert involvement["scan"]["confusion"] == counts(tp=2, fp=1, tn=1, fn=1)
+        # rates come rounded to 4 decimals, as the document prints them
+        assert involvement["scan"]["sensitivity"] == {"value": 0.6667, "reason": None}
 
 
 class TestSensitivitySpecificity:
     def test_headline_sensitivity(self):
-        sens, _ = sensitivity_specificity(ConfusionCounts(tp=15, fn=2))
+        sens, _ = sensitivity_specificity(counts(tp=15, fn=2))
         assert sens == pytest.approx(15 / 17)
         assert round(sens, 3) == 0.882
 
     def test_headline_specificity(self):
-        _, spec = sensitivity_specificity(ConfusionCounts(tn=12, fp=2))
+        _, spec = sensitivity_specificity(counts(tn=12, fp=2))
         assert spec == pytest.approx(12 / 14)
         assert round(spec, 3) == 0.857
 
     def test_undefined_marked_none(self):
-        sens, spec = sensitivity_specificity(ConfusionCounts(tp=0, fn=0, tn=0, fp=0))
+        sens, spec = sensitivity_specificity(counts())
         assert sens is None and spec is None
 
 
@@ -143,13 +166,13 @@ class TestBucketTable:
     def test_all_matched(self):
         pairs = [(0.0, 0.0), (45.0, 30.0), (120.0, 200.0), (300.0, 355.0)]
         rows = dpcg_bucket_table(pairs)
-        assert all(r.matched == r.total == 1 for r in rows)
+        assert all(r["matched"] == r["total"] == 1 for r in rows)
 
     def test_mismatch_counted_in_gt_bucket(self):
         rows = dpcg_bucket_table([(120.0, 60.0)])
-        by = {r.bucket: r for r in rows}
-        assert by["90 < deg <= 270"] == BucketRow("90 < deg <= 270", 0, 1)
-        assert by["0 < deg <= 90"].total == 0
+        by = {r["bucket"]: r for r in rows}
+        assert by["90 < deg <= 270"] == {"bucket": "90 < deg <= 270", "matched": 0, "total": 1}
+        assert by["0 < deg <= 90"]["total"] == 0
 
     def test_reporting_table_fixture(self):
         # constructed list reproducing the (19/19), (5/5), (0/7), (1/1) column
@@ -160,20 +183,12 @@ class TestBucketTable:
             + [(300.0, 320.0)]
         )
         rows = dpcg_bucket_table(pairs)
-        assert [(r.matched, r.total) for r in rows] == [(19, 19), (5, 5), (0, 7), (1, 1)]
+        assert [(r["matched"], r["total"]) for r in rows] == [(19, 19), (5, 5), (0, 7), (1, 1)]
 
     def test_row_totals_count_gt_bucket_members(self, rng):
         pairs = [(float(g), float(p)) for g, p in rng.uniform(0, 360, size=(50, 2))]
         rows = dpcg_bucket_table(pairs)
-        assert sum(r.total for r in rows) == 50
-
-
-def _scene(span, vessel=ChannelId.VEIN, angle=90.0, seed=0):
-    spec = PhantomSpec(
-        dims=(4, 64, 64), vessel_center=(32.0, 32.0), slice_range=(1, 3),
-        wrap_span_deg=span, wrap_center_deg=angle, vessel_channel=vessel, jitter_seed=seed,
-    )
-    return gen_wrap_scene(spec)[0]
+        assert sum(r["total"] for r in rows) == 50
 
 
 class TestEvaluateScan:
@@ -182,17 +197,14 @@ class TestEvaluateScan:
         ev = evaluate_scan(scene, scene, scan_id="self")
         assert all(v == 1.0 for v in ev.dice_by_channel.values())
         for vessel in (ChannelId.ARTERY, ChannelId.VEIN):
-            assert ev.presence_pred[vessel] == ev.presence_gt[vessel]
-            assert ev.max_deg_pred[vessel] == ev.max_deg_gt[vessel]
+            assert ev.pred[vessel] == ev.gt[vessel]
 
     def test_wrong_location_still_tp(self):
         pred = _scene(90.0, angle=45.0)
         gt = _scene(90.0, angle=270.0)
         ev = evaluate_scan(pred, gt, scan_id="wrongloc")
-        cell = involvement_confusion(
-            ev.presence_pred[ChannelId.VEIN], ev.presence_gt[ChannelId.VEIN]
-        )
-        assert cell is ConfusionCell.TP
+        cell = involvement_confusion(ev.pred[ChannelId.VEIN][0], ev.gt[ChannelId.VEIN][0])
+        assert cell == "tp"
 
 
 def _tube_volume(artery_cols, pancreas_cols, tumor_cols, dims=(3, 8, 8)):
@@ -206,11 +218,11 @@ def _tube_volume(artery_cols, pancreas_cols, tumor_cols, dims=(3, 8, 8)):
     return MaskVolume(data, STANDARD_CHANNELS, Spacing(1.0, 1.0, 1.0))
 
 
-def critical_cells(pred, gt_critical) -> dict[ChannelId, ConfusionCell]:
+def critical_cells(pred, gt_critical) -> dict[ChannelId, str]:
     """Per-vessel confusion cells of evaluate_scan in critical mode."""
     ev = evaluate_scan(pred, pred, gt_critical=gt_critical, critical=True)
     return {
-        v: involvement_confusion(ev.presence_pred[v], ev.presence_gt[v])
+        v: involvement_confusion(ev.pred[v][0], ev.gt[v][0])
         for v in (ChannelId.ARTERY, ChannelId.VEIN)
     }
 
@@ -221,24 +233,24 @@ class TestCriticalVesselEval:
         pred = _tube_volume(artery_cols=[2], pancreas_cols=[1, 2, 3], tumor_cols=[3])
         gt_critical = _tube_volume(artery_cols=[], pancreas_cols=[], tumor_cols=[])
         cells = critical_cells(pred, gt_critical)
-        assert cells[ChannelId.ARTERY] is ConfusionCell.TN
+        assert cells[ChannelId.ARTERY] == "tn"
 
     def test_free_vessel_unaffected_by_filter(self):
         pred = _tube_volume(artery_cols=[2], pancreas_cols=[6], tumor_cols=[3])
         gt_critical = _tube_volume(artery_cols=[2], pancreas_cols=[], tumor_cols=[3])
         cells = critical_cells(pred, gt_critical)
-        assert cells[ChannelId.ARTERY] is ConfusionCell.TP
+        assert cells[ChannelId.ARTERY] == "tp"
 
     def test_two_tubes_only_free_counted(self):
         # embedded tube at col 2 (in pancreas), free tube at col 6; tumor touches both
         pred = _tube_volume(artery_cols=[2, 6], pancreas_cols=[1, 2, 3], tumor_cols=[3, 5])
         gt_free_only = _tube_volume(artery_cols=[6], pancreas_cols=[], tumor_cols=[5])
         cells = critical_cells(pred, gt_free_only)
-        assert cells[ChannelId.ARTERY] is ConfusionCell.TP
+        assert cells[ChannelId.ARTERY] == "tp"
         # drop the free tube contact from GT: prediction still counts the free tube
         gt_none = _tube_volume(artery_cols=[], pancreas_cols=[], tumor_cols=[])
         cells = critical_cells(pred, gt_none)
-        assert cells[ChannelId.ARTERY] is ConfusionCell.FP
+        assert cells[ChannelId.ARTERY] == "fp"
 
 
 class TestMetricsReport:
@@ -249,35 +261,32 @@ class TestMetricsReport:
         ]
         report = build_metrics_report(evals)
         # every scene pair contributes the constructed scan-level cell
-        scan = report.confusion["scan"]
-        assert (scan.tp, scan.fp, scan.tn, scan.fn) == (5, 5, 5, 5)
-        assert scan.total == len(cases)
+        scan = report["involvement"]["scan"]["confusion"]
+        assert scan == counts(tp=5, fp=5, tn=5, fn=5)
+        assert sum(scan.values()) == len(cases)
         for case, ev in zip(cases, evals):
-            cell = involvement_confusion(
-                ev.presence_pred[case.vessel], ev.presence_gt[case.vessel]
-            )
-            assert cell.value == case.expected
+            assert involvement_confusion(ev.pred[case.vessel][0], ev.gt[case.vessel][0]) == case.expected
 
     def test_self_manifest_dice_and_confusion(self):
         scenes = [_scene(120.0, seed=s) for s in range(4)]
         evals = [evaluate_scan(s, s, scan_id=str(i)) for i, s in enumerate(scenes)]
         report = build_metrics_report(evals)
-        for stats in report.dice.values():
-            assert stats.mean == 1.0
-            assert stats.std_per_case == 0.0
+        for stats in report["dice"].values():
+            assert stats["mean"] == 1.0
+            assert stats["std_per_case"] == 0.0
         for key in ("artery", "vein", "scan"):
-            counts = report.confusion[key]
-            assert counts.fp == 0 and counts.fn == 0
-            assert counts.tp + counts.tn == len(scenes)
+            cells = report["involvement"][key]["confusion"]
+            assert cells["fp"] == 0 and cells["fn"] == 0
+            assert cells["tp"] + cells["tn"] == len(scenes)
         # jittered seeds give distinct GT degrees, so self-eval R^2 is exact
-        assert report.r2["vein"] == pytest.approx(1.0)
+        assert report["r2_max_involvement"]["vein"] == {"value": 1.0, "reason": None}
 
     def test_degenerate_r2_marked(self):
         scene = _scene(120.0, seed=1)
         evals = [evaluate_scan(scene, scene, scan_id=str(i)) for i in range(3)]
         report = build_metrics_report(evals)
-        assert report.r2["vein"] is None
-        assert "constant" in report.r2_reason["vein"]
+        assert report["r2_max_involvement"]["vein"]["value"] is None
+        assert "constant" in report["r2_max_involvement"]["vein"]["reason"]
 
     def test_per_fold_std_labeled(self):
         scenes = [_scene(120.0, seed=s) for s in range(4)]
@@ -287,7 +296,7 @@ class TestMetricsReport:
             for i, (s, f) in enumerate(zip(scenes, folds))
         ]
         report = build_metrics_report(evals)
-        stats = report.dice["tumor"]
-        assert stats.std_per_fold == 0.0  # all dice 1.0 in both folds
+        stats = report["dice"]["tumor"]
+        assert stats["std_per_fold"] == 0.0  # all dice 1.0 in both folds
         evals_nofold = [evaluate_scan(s, s, scan_id=str(i)) for i, s in enumerate(scenes)]
-        assert build_metrics_report(evals_nofold).dice["tumor"].std_per_fold is None
+        assert build_metrics_report(evals_nofold)["dice"]["tumor"]["std_per_fold"] is None

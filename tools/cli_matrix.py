@@ -1,0 +1,303 @@
+"""Run a fixed matrix of vesselwrap CLI cases and write every result to a tree.
+
+Usage::
+
+    python3 tools/cli_matrix.py SRC OUT [--only GROUP ...]
+
+``SRC`` is a checkout of this repository; its ``src/vesselwrap`` is
+imported and ``vesselwrap.cli.main`` runs every case in this one process.
+``OUT`` receives one directory per case holding ``code`` (the exit code),
+``stdout``, ``stderr`` and ``files/``, the files the case wrote. Overlay
+PPMs and raw volume payloads are replaced by ``<name>.sha256`` files,
+everything else is copied. ``OUT/inputs.sha256`` lists the inputs. Two
+checkouts give comparable trees, so a refactor that must keep every
+output byte-identical is checked with::
+
+    python3 tools/cli_matrix.py PARENT_CHECKOUT /tmp/before
+    python3 tools/cli_matrix.py .               /tmp/after
+    diff -r /tmp/before /tmp/after
+
+Cases run in a temporary working directory with relative paths, so error
+messages and documents never hold a machine-specific path, and a rerun
+writes the same tree. Groups:
+
+``phantom``
+    Small scenes from ``vesselwrap.phantom`` (a few seconds): every
+    ``phantom`` scene, ``assess`` with overlays, the critical filter, a
+    layered input and fold or sample sweeps, ``uncertainty`` on folds and
+    on sample directories, twelve ``evaluate`` manifests and flag sets,
+    ``loss`` with and without ``--gradcheck`` and the error paths.
+``sweep``
+    The seed-1 ``sigma-sweep`` benchmark folds (3 x 6x64x128x128 f32):
+    ``uncertainty`` with heat maps and changed flags, two folds at
+    threshold 0 and 1, and ``assess --fold``.
+``ct``
+    The seed-1 ``ct-assess`` benchmark scans (100x512x512, layered and
+    six-channel): ``assess`` with overlays in 4/8 connectivity x both span
+    methods x no/voxel/component filter (24 cases), and ``evaluate`` on a
+    manifest of both scans, plain, ``--table``, ``-o`` with connectivity
+    4, and ``--critical`` in voxel and component mode.
+
+The ``sweep`` and ``ct`` inputs come from ``perfbench/inputs.py`` of the
+repository this script sits in, imported by path; it needs scipy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+GROUPS = ("phantom", "sweep", "ct")
+HASHED_SUFFIXES = {".ppm", ".raw"}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _write_manifest(path: str, entries: list[dict]) -> None:
+    Path(path).write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+
+def _phantom_inputs() -> list[tuple[str, str]]:
+    from vesselwrap import cli, phantom
+    from vesselwrap.volume import ChannelId, MaskVolume, ProbVolume, encode_layered, write_volume
+
+    spec = phantom.PhantomSpec(jitter_seed=3)
+    scene = phantom.gen_wrap_scene(spec)[0]
+    write_volume(scene, "ph/scene.json")
+    write_volume(encode_layered(scene), "ph/layered.json")
+    touched = phantom.PhantomSpec(jitter_seed=3, pancreas_center=(64.0, 74.0), pancreas_radius_px=4.0)
+    write_volume(phantom.gen_wrap_scene(touched)[0], "ph/pancreas.json")
+    write_volume(phantom.gen_wrap_scene(phantom.PhantomSpec(wrap_span_deg=0.0))[0], "ph/empty.json")
+    vein = scene.channel(ChannelId.VEIN)[None]
+    write_volume(MaskVolume(vein, (ChannelId.VEIN,), scene.spacing), "ph/vein_only.json")
+    Path("ph/garbled.json").write_text("{oops")
+    Path("ph/garbled.jsonl").write_text("{oops\n")
+
+    for argv in (["phantom", "confusion", "--out", "ph/suite", "--seed", "4"],
+                 ["phantom", "uncertainty", "--out", "ph/unc", "--seed", "2"]):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"input command failed: {argv}")
+    suite = [json.loads(line) for line in Path("ph/suite/manifest.jsonl").read_text().splitlines()]
+    _write_manifest("ph/suite/folds.jsonl", [{**e, "fold": "ab"[i % 2]} for i, e in enumerate(suite)])
+    _write_manifest("ph/suite/critical.jsonl",
+                    [{**e, "critical_ground_truth": e["ground_truth"]} for e in suite])
+    _write_manifest("ph/suite/failing.jsonl", suite[:3] + [
+        {"scan_id": "missing", "prediction": "gone.json", "ground_truth": suite[0]["ground_truth"]},
+        {"scan_id": "no_gt", "prediction": suite[0]["prediction"]},
+    ])
+    _write_manifest("ph/all_tn.jsonl",
+                    [{"scan_id": f"e{i}", "prediction": "empty.json", "ground_truth": "empty.json"}
+                     for i in range(3)])
+    _write_manifest("ph/one.jsonl",
+                    [{"scan_id": 7, "prediction": "scene.json", "ground_truth": "scene.json"}])
+    _write_manifest("ph/empty.jsonl", [])
+
+    # Sample sets: each fold plus seeded noise, so both the aleatoric and
+    # the epistemic std are nonzero.
+    rng = np.random.default_rng(5)
+    folds, _ = phantom.gen_uncertainty_scene(phantom.PhantomSpec(band_extra_deg=25.0, jitter_seed=2))
+    for i, fold in enumerate(folds):
+        for j in range(3):
+            noisy = np.clip(fold.data + rng.uniform(-0.15, 0.15, fold.data.shape), 0.0, 1.0)
+            write_volume(ProbVolume(noisy.astype(np.float32), fold.channels, fold.spacing),
+                         f"ph/samples{i}/s{j}.json")
+    write_volume(folds[0], "ph/one_sample/s0.json")
+
+    gen = np.random.default_rng(6)
+    loss_gt = gen.integers(0, 2, size=(6, 2, 8, 8)).astype(np.uint8)
+    loss_pred = gen.uniform(0.05, 0.95, size=(6, 2, 8, 8)).astype(np.float32)
+    write_volume(MaskVolume(loss_gt, scene.channels, scene.spacing), "ph/loss_gt.json")
+    write_volume(ProbVolume(loss_pred, scene.channels, scene.spacing), "ph/loss_pred.json")
+
+    folds = "--fold ph/unc/fold0.json --fold ph/unc/fold1.json --fold ph/unc/fold2.json"
+    suite_m = "ph/suite/manifest.jsonl"
+    return [
+        ("version", "--version"),
+        ("phantom-wrap-default", "phantom wrap --out o"),
+        ("phantom-wrap-artery",
+         "phantom wrap --out o --channel artery --span 300 --center-deg 10 --radius 12 --seed 2"),
+        ("phantom-wrap-narrow", "phantom wrap --out o --span 45 --seed 5"),
+        ("phantom-uncertainty", "phantom uncertainty --out o --seed 1"),
+        ("phantom-confusion", "phantom confusion --out o --seed 4"),
+        ("assess-plain", "assess ph/scene.json"),
+        ("assess-overlay", "assess ph/scene.json --overlay o/overlay -o o/assess.json"),
+        ("assess-critical-component-overlay",
+         "assess ph/pancreas.json --critical --filter-mode component --overlay o/overlay "
+         "-o o/assess.json"),
+        ("assess-critical-voxel", "assess ph/pancreas.json --critical --overlay o/overlay"),
+        ("assess-layered-c4-minmax",
+         "assess ph/layered.json --connectivity 4 --span-method minmax --scan-id lay"),
+        ("assess-folds", f"assess ph/scene.json {folds}"),
+        ("assess-two-sample-folds", "assess ph/scene.json --fold ph/samples0 --fold ph/samples1"),
+        ("uncertainty-folds", f"uncertainty {folds} --out o/u --overlay o/heat"),
+        ("uncertainty-three-sample-folds",
+         "uncertainty --fold ph/samples0 --fold ph/samples1 --fold ph/samples2 "
+         "--out o/u --overlay o/heat"),
+        ("uncertainty-two-sample-folds", "uncertainty --fold ph/samples0 --fold ph/samples2 --out o/u"),
+        ("uncertainty-one-sample", "uncertainty --fold ph/one_sample --fold ph/samples0 --out o/u"),
+        ("uncertainty-output-flag", f"uncertainty {folds} --out o/u -o o/x.json"),
+        ("evaluate-plain", f"evaluate {suite_m}"),
+        ("evaluate-table", f"evaluate {suite_m} --table"),
+        ("evaluate-output", f"evaluate {suite_m} -o o/metrics.json"),
+        ("evaluate-c4-minmax", f"evaluate {suite_m} --connectivity 4 --span-method minmax"),
+        ("evaluate-folds", "evaluate ph/suite/folds.jsonl --table"),
+        ("evaluate-critical-voxel", "evaluate ph/suite/critical.jsonl --critical"),
+        ("evaluate-critical-component",
+         "evaluate ph/suite/critical.jsonl --critical --filter-mode component"),
+        ("evaluate-critical-without-gt", f"evaluate {suite_m} --critical"),
+        ("evaluate-failing-entries", "evaluate ph/suite/failing.jsonl"),
+        ("evaluate-all-tn", "evaluate ph/all_tn.jsonl --table"),
+        ("evaluate-one-scan", "evaluate ph/one.jsonl"),
+        ("evaluate-empty", "evaluate ph/empty.jsonl -o o/metrics.json"),
+        ("loss", "loss ph/loss_pred.json ph/loss_gt.json --beta 0.3"),
+        ("loss-gradcheck", "loss ph/loss_pred.json ph/loss_gt.json --gradcheck -o o/loss.json"),
+        ("error-missing-header", "assess ph/gone.json"),
+        ("error-garbled-header", "assess ph/garbled.json"),
+        ("error-probabilities-as-mask", "assess ph/unc/fold0.json"),
+        ("error-missing-channel", "assess ph/vein_only.json"),
+        ("error-loss-geometry", "loss ph/loss_pred.json ph/scene.json"),
+        ("error-nan-threshold", "assess ph/scene.json --threshold nan"),
+        ("error-output-under-file", "assess ph/scene.json -o ph/scene.json/x.json"),
+        ("error-phantom-radius", "phantom wrap --out o --radius 1"),
+        ("error-missing-manifest", "evaluate ph/none.jsonl"),
+        ("error-garbled-manifest", "evaluate ph/garbled.jsonl"),
+    ]
+
+
+def _perfbench_inputs():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sweep_inputs() -> list[tuple[str, str]]:
+    from vesselwrap.volume import MaskVolume, read_volume, write_volume
+
+    record, _ = _perfbench_inputs().build_sigma_sweep(np.random.default_rng(1), Path("sw"))
+    folds = " ".join(f"--fold sw/{f}" for f in record["folds"])
+    two_folds = " ".join(f"--fold sw/{f}" for f in record["folds"][:2])
+    fold0 = read_volume("sw/fold0.json")
+    mask = MaskVolume((fold0.data >= 0.5).astype(np.uint8), fold0.channels, fold0.spacing)
+    write_volume(mask, "sw/mask.json")
+    return [
+        ("sweep-uncertainty-heat", f"uncertainty {folds} --out o/u --overlay o/heat"),
+        ("sweep-uncertainty-flags", f"uncertainty {folds} --out o/u --ks -2 0.5 3 --threshold 0.4 "
+                                    "--connectivity 4 --span-method minmax"),
+        ("sweep-uncertainty-two-folds-t0", f"uncertainty {two_folds} --out o/u --threshold 0"),
+        ("sweep-uncertainty-two-folds-t1", f"uncertainty {two_folds} --out o/u --threshold 1"),
+        ("sweep-assess-folds", f"assess sw/mask.json {folds}"),
+        ("sweep-assess-folds-flags", f"assess sw/mask.json {folds} --ks 0 1 --threshold 0.3 "
+                                     "--connectivity 4 --span-method minmax"),
+    ]
+
+
+def _ct_inputs() -> list[tuple[str, str]]:
+    record, _ = _perfbench_inputs().build_ct_assess(np.random.default_rng(1), Path("ct"))
+    cases = []
+    for scan in record["scans"]:
+        for connectivity in ("4", "8"):
+            for method in ("largest-gap", "minmax"):
+                for mode in ("none", "voxel", "component"):
+                    critical = "" if mode == "none" else f"--critical --filter-mode {mode}"
+                    cases.append((
+                        f"ct-assess-{scan['scan_id']}-c{connectivity}-{method}-{mode}",
+                        f"assess ct/{scan['header']} --connectivity {connectivity} "
+                        f"--span-method {method} {critical} --overlay o/overlay -o o/assess.json",
+                    ))
+    _write_manifest("ct/manifest.jsonl", [
+        {"scan_id": s["scan_id"], "prediction": s["header"], "ground_truth": s["header"],
+         "critical_ground_truth": s["header"]}
+        for s in record["scans"]
+    ])
+    return cases + [
+        ("ct-evaluate-plain", "evaluate ct/manifest.jsonl"),
+        ("ct-evaluate-table", "evaluate ct/manifest.jsonl --table"),
+        ("ct-evaluate-output-c4", "evaluate ct/manifest.jsonl --connectivity 4 -o o/metrics.json"),
+        ("ct-evaluate-critical-voxel", "evaluate ct/manifest.jsonl --critical"),
+        ("ct-evaluate-critical-component",
+         "evaluate ct/manifest.jsonl --critical --filter-mode component"),
+    ]
+
+
+INPUTS = {"phantom": _phantom_inputs, "sweep": _sweep_inputs, "ct": _ct_inputs}
+
+
+def _run_case(cli, command: str, dest: Path) -> None:
+    """Run one case in the working directory and record it under ``dest``.
+
+    ``command`` is the argument list joined by spaces; no path holds one.
+    """
+    argv = command.split()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: --version, usage errors
+            code = exc.code
+    dest.mkdir(parents=True)
+    (dest / "argv").write_text(command + "\n")
+    (dest / "code").write_text(f"{code}\n")
+    (dest / "stdout").write_bytes(stdout.getvalue().encode())
+    (dest / "stderr").write_bytes(stderr.getvalue().encode())
+    written = Path("o")
+    for path in sorted(p for p in written.rglob("*") if p.is_file()):
+        target = dest / "files" / path.relative_to(written)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if path.suffix in HASHED_SUFFIXES:
+            target.with_name(target.name + ".sha256").write_text(_sha256(path) + "\n")
+        else:
+            shutil.copyfile(path, target)
+    shutil.rmtree(written, ignore_errors=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="checkout whose src/vesselwrap runs the cases")
+    parser.add_argument("out", help="directory for the result tree (must not exist)")
+    parser.add_argument("--only", nargs="+", choices=GROUPS, default=list(GROUPS))
+    args = parser.parse_args(argv)
+    out = Path(args.out).resolve()
+    out.mkdir(parents=True)
+    sys.path.insert(0, str(Path(args.src).resolve() / "src"))
+    from vesselwrap import cli
+
+    home = Path.cwd()
+    with tempfile.TemporaryDirectory(prefix="cli_matrix_") as work:
+        os.chdir(work)
+        try:
+            for group in GROUPS:
+                if group not in args.only:
+                    continue
+                cases = INPUTS[group]()
+                if len({name for name, _ in cases}) != len(cases):
+                    raise RuntimeError(f"duplicate case names in group {group}")
+                for name, command in cases:
+                    _run_case(cli, command, out / name)
+            inputs = sorted(p for p in Path(".").rglob("*") if p.is_file())
+            (out / "inputs.sha256").write_text("".join(f"{_sha256(p)}  {p}\n" for p in inputs))
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
