@@ -133,17 +133,6 @@ def _assessment_doc(scan_id: str, args, body: dict, sweep: list[unc.SweepEntry] 
     return doc
 
 
-def _write_contact_overlays(masks: MaskVolume, reports, directory, scan_id: str):
-    out = Path(directory)
-    for cid in VESSELS:
-        report = reports[cid]
-        for s in report.slices:
-            if not s.present:
-                continue
-            rgb = overlay.contact_overlay(masks, cid, s.z, report.table)
-            overlay.write_ppm(out / f"{scan_id}_{CHANNEL_NAMES[cid]}_z{s.z:03d}.ppm", rgb)
-
-
 def _load_fold_field(paths) -> unc.UncertaintyField:
     """Folds are probability volume headers, or directories of sample headers."""
     prob_folds: list[ProbVolume] = []
@@ -188,7 +177,7 @@ def cmd_assess(args) -> int:
     reports, category = assess_scan(masks, args.connectivity, args.span_method)
     sweep = _fold_sweep(args)[1] if args.fold else None
     if args.overlay:
-        _write_contact_overlays(masks, reports, args.overlay, scan_id)
+        overlay.contact_overlay(masks, reports, args.overlay, scan_id)
     _emit(_assessment_doc(scan_id, args, _grading_dict(reports, category), sweep), args.output)
     return EXIT_OK
 
@@ -201,6 +190,7 @@ def _read_manifest(path) -> list[dict]:
         raise CliError(f"cannot read manifest: {exc}", EXIT_INPUT) from None
     entries = []
     seen = set()
+    fold_type = None
     for i, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -216,6 +206,14 @@ def _read_manifest(path) -> list[dict]:
         if entry["scan_id"] in seen:
             raise CliError(f"manifest line {i}: duplicate scan id {entry['scan_id']!r}", EXIT_INPUT)
         seen.add(entry["scan_id"])
+        fold = entry.get("fold")
+        if fold is not None:
+            if not isinstance(fold, (str, int)) or isinstance(fold, bool):
+                raise CliError(f"manifest line {i}: fold must be a string or integer", EXIT_INPUT)
+            fold_type = fold_type or type(fold)
+            if type(fold) is not fold_type:
+                raise CliError(f"manifest line {i}: fold labels must be all strings or all integers",
+                               EXIT_INPUT)
         entries.append(entry)
     return entries
 

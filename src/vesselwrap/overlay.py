@@ -3,6 +3,12 @@
 Two overlay styles: per-slice contact views marking tumor, vessel, contact
 pixels and the vessel centroid, and uncertainty heat maps on the fixed
 0-0.5 scale with standard deviations below 0.01 rendered as background.
+
+Contact views cost what they draw, not the slice area. ``contact_overlay``
+takes the flat indices of the set voxels of the tumor, the pancreas and each
+vessel once per scan, with each slice's range found by ``searchsorted``, and
+paints every image of a vessel on one reused canvas: before an image, only
+the pixels the previous image painted are set back to zero.
 """
 
 from __future__ import annotations
@@ -12,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .involvement import ComponentTable
-from .volume import ChannelId, MaskVolume
+from .volume import CHANNEL_NAMES, ChannelId, MaskVolume
 
 HEAT_SCALE = 0.5
 HEAT_CLIP = 0.01
@@ -52,32 +57,73 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     _overwrite(path, header, rgb)
 
 
-def contact_overlay(masks: MaskVolume, vessel: ChannelId, z: int, table: ComponentTable) -> np.ndarray:
-    """RGB view of one slice with contact pixels and centroids marked.
+class _SliceIndex:
+    """Flat in-slice indices of the set voxels of a (Z, H, W) {0, 1} grid, by slice."""
 
-    ``table`` is the component table of the vessel's InvolvementReport on
-    these masks; contact pixels and centroids are painted from it.
+    def __init__(self, grid: np.ndarray):
+        depth, h, w = grid.shape
+        flat = np.flatnonzero(grid.view(bool))  # MaskVolume holds uint8 in {0, 1}
+        self._bounds = np.searchsorted(flat, np.arange(depth + 1) * (h * w)).tolist()
+        flat %= h * w
+        self._flat = flat
+
+    def __getitem__(self, z: int) -> np.ndarray:
+        return self._flat[self._bounds[z]:self._bounds[z + 1]]
+
+
+_CROSS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def contact_overlay(masks: MaskVolume, reports, directory, scan_id: str) -> None:
+    """Write an RGB view of every contacted slice of every vessel in ``reports``.
+
+    ``reports`` are the InvolvementReports of these masks; contact pixels
+    and centroids are painted from their component tables. The image of
+    vessel V on slice z goes to ``directory/{scan_id}_{V}_z{z:03d}.ppm``.
+    Paint order, later colors winning: pancreas, vessel, tumor, tumor and
+    vessel overlap, then per contacted component its contact pixels and the
+    cross on its rounded centroid, clipped to the slice.
     """
-    tumor = masks.channel(ChannelId.TUMOR)[z] > 0
-    vessel_grid = masks.channel(vessel)[z] > 0
-    rgb = np.zeros(tumor.shape + (3,), dtype=np.uint8)
+    contacted = [r for r in reports.values() if r.present]
+    if not contacted:
+        return
+    out = Path(directory)
+    _, h, w = masks.dims
+    tumor = _SliceIndex(masks.channel(ChannelId.TUMOR))
+    pancreas = None
     if masks.has_channel(ChannelId.PANCREAS):
-        rgb[masks.channel(ChannelId.PANCREAS)[z] > 0] = COLOR_PANCREAS
-    rgb[vessel_grid] = COLOR_VESSEL
-    rgb[tumor] = COLOR_TUMOR
-    rgb[tumor & vessel_grid] = COLOR_OVERLAP
-    lo, hi = np.searchsorted(table.z, (z, z + 1))
-    for k in range(lo, hi):
-        contact = table.contact[table.contact_start[k]:table.contact_start[k + 1]]
-        if not len(contact):
-            continue
-        rgb[contact[:, 1], contact[:, 2]] = COLOR_CONTACT
-        cr, cc = (int(round(v)) for v in table.centroid[k].tolist())
-        for dr, dc in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
-            r, c = cr + dr, cc + dc
-            if 0 <= r < rgb.shape[0] and 0 <= c < rgb.shape[1]:
-                rgb[r, c] = COLOR_CENTROID
-    return rgb
+        pancreas = _SliceIndex(masks.channel(ChannelId.PANCREAS))
+    for report in contacted:
+        vessel = _SliceIndex(masks.channel(report.vessel))
+        table = report.table
+        rgb = np.zeros((h, w, 3), dtype=np.uint8)
+        flat = rgb.reshape(h * w, 3)
+        painted = []  # contact pixels are vessel pixels, so these cover every painted pixel
+        for s in report.slices:
+            if not s.present:
+                continue
+            for idx in painted:
+                flat[idx] = 0
+            t, v = tumor[s.z], vessel[s.z]
+            painted = [t, v]
+            if pancreas is not None:
+                painted.append(pancreas[s.z])
+                flat[pancreas[s.z]] = COLOR_PANCREAS
+            flat[v] = COLOR_VESSEL
+            flat[t] = COLOR_TUMOR
+            flat[np.intersect1d(t, v, assume_unique=True)] = COLOR_OVERLAP
+            lo, hi = np.searchsorted(table.z, (s.z, s.z + 1))
+            for k in range(lo, hi):
+                contact = table.contact[table.contact_start[k]:table.contact_start[k + 1]]
+                if not len(contact):
+                    continue
+                flat[contact[:, 1] * w + contact[:, 2]] = COLOR_CONTACT
+                cr, cc = (int(round(x)) for x in table.centroid[k].tolist())
+                cross = [(cr + dr) * w + cc + dc for dr, dc in _CROSS
+                         if 0 <= cr + dr < h and 0 <= cc + dc < w]
+                flat[cross] = COLOR_CENTROID
+                painted.append(cross)
+            write_ppm(out / f"{scan_id}_{CHANNEL_NAMES[report.vessel]}_z{s.z:03d}.ppm", rgb)
 
 
 def heatmap_overlay(mean2d: np.ndarray, std2d: np.ndarray) -> np.ndarray:

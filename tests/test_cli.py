@@ -539,6 +539,30 @@ class TestEvaluate:
         assert run("evaluate", manifest) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "folds",
+        [[0, "x"], [[1]], [True], ["a", None, 1], [{"k": 1}]],
+        ids=["int-then-string", "list", "bool", "string-null-int", "object"],
+    )
+    def test_bad_fold_labels_exit_2(self, tmp_path, capsys, folds):
+        write_scene(tmp_path, name="s", span=90.0)
+        manifest = write_manifest(tmp_path, [
+            {"scan_id": f"s{i}", "prediction": "s.json", "ground_truth": "s.json", "fold": fold}
+            for i, fold in enumerate(folds)
+        ])
+        assert run("evaluate", manifest) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest line {len(folds)}: fold") and err.count("\n") == 1
+
+    def test_integer_fold_labels_with_null_and_absent(self, tmp_path, capsys):
+        write_scene(tmp_path, name="s", span=90.0)
+        entries = [{"scan_id": f"s{i}", "prediction": "s.json", "ground_truth": "s.json"} for i in range(4)]
+        for entry, fold in zip(entries, [1, None, 0]):
+            entry["fold"] = fold
+        assert run("evaluate", write_manifest(tmp_path, entries)) == 0
+        dice = json.loads(capsys.readouterr().out)["dice"]["tumor"]
+        assert dice["std_per_fold"] == 0.0
+
     def test_duplicate_scan_ids_rejected(self, tmp_path):
         write_scene(tmp_path, name="s", span=90.0)
         manifest = write_manifest(

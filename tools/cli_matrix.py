@@ -24,9 +24,11 @@ writes the same tree. Groups:
 ``phantom``
     Small scenes from ``vesselwrap.phantom`` (a few seconds): every
     ``phantom`` scene, ``assess`` with overlays, the critical filter, a
-    layered input and fold or sample sweeps, ``uncertainty`` on folds and
-    on sample directories, twelve ``evaluate`` manifests and flag sets,
-    ``loss`` with and without ``--gradcheck`` and the error paths.
+    layered input and fold or sample sweeps, overlays of the hand-built
+    ``adversarial_scene`` with and without its pancreas channel,
+    ``uncertainty`` on folds and on sample directories, twelve
+    ``evaluate`` manifests and flag sets, ``loss`` with and without
+    ``--gradcheck`` and the error paths.
 ``sweep``
     The seed-1 ``sigma-sweep`` benchmark folds (3 x 6x64x128x128 f32):
     ``uncertainty`` with heat maps and changed flags, two folds at
@@ -75,6 +77,47 @@ def _write_manifest(path: str, entries: list[dict]) -> None:
     Path(path).write_text("".join(json.dumps(e) + "\n" for e in entries))
 
 
+def adversarial_scene():
+    """A 5x28x28 pancreas/artery/vein/tumor scene whose overlays reuse a canvas riskily.
+
+    Vein slices, each painted after the one before it:
+
+    0. a large pancreas, vessel and tumor area with overlap;
+    1. two vessel pixels and one tumor pixel, so any pixel left over from
+       slice 0 shows;
+    2. contacted components on row 0, on the last column and in the
+       bottom-left corner, whose centroid crosses are clipped;
+    3. a crescent whose centroid lies off its own pixels, on the contact
+       pixels of a later component inside it, with pancreas over both;
+    4. vessel and tumor without contact, so no image.
+
+    The artery holds the same shapes mirrored left to right, and the tumor
+    and pancreas are the union of both versions.
+    """
+    from vesselwrap.volume import ChannelId, MaskVolume, Spacing
+
+    p, v, t = np.zeros((3, 5, 28, 28), dtype=np.uint8)
+    p[0, 2:26, 2:26] = 1
+    v[0, 4:21, 4:15] = 1
+    t[0, 10:25, 10:23] = 1
+    v[1, 12, 12:14] = 1
+    t[1, 13, 14] = 1
+    v[2, 0, 5:10] = t[2, 1, 6:9] = 1
+    v[2, 10:15, 27] = t[2, 11:14, 26] = 1
+    v[2, 27, 0] = t[2, 26, 1] = 1
+    rows, cols = np.mgrid[:28, :28]
+    radius = np.hypot(rows - 14, cols - 14)
+    v[3] = (radius >= 4.5) & (radius <= 5.5) & (cols <= 16)
+    v[3, 14, 11:16] = 1
+    t[3, 13:16, 8] = t[3, 15, 12] = 1
+    p[3, 12:17, 10:19] = 1
+    v[4, 3:6, 3:6] = t[4, 20:23, 20:23] = 1
+    artery = v[..., ::-1]
+    data = np.stack([p | p[..., ::-1], artery, v, t | t[..., ::-1]])
+    channels = (ChannelId.PANCREAS, ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR)
+    return MaskVolume(data, channels, Spacing(1.0, 0.7, 0.7))
+
+
 def _phantom_inputs() -> list[tuple[str, str]]:
     from vesselwrap import cli, phantom
     from vesselwrap.volume import ChannelId, MaskVolume, ProbVolume, encode_layered, write_volume
@@ -88,6 +131,10 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     write_volume(phantom.gen_wrap_scene(phantom.PhantomSpec(wrap_span_deg=0.0))[0], "ph/empty.json")
     vein = scene.channel(ChannelId.VEIN)[None]
     write_volume(MaskVolume(vein, (ChannelId.VEIN,), scene.spacing), "ph/vein_only.json")
+    adversarial = adversarial_scene()
+    write_volume(adversarial, "ph/adversarial.json")
+    write_volume(MaskVolume(adversarial.data[1:], adversarial.channels[1:], adversarial.spacing),
+                 "ph/adversarial_no_pancreas.json")
     Path("ph/garbled.json").write_text("{oops")
     Path("ph/garbled.jsonl").write_text("{oops\n")
 
@@ -143,6 +190,13 @@ def _phantom_inputs() -> list[tuple[str, str]]:
          "assess ph/pancreas.json --critical --filter-mode component --overlay o/overlay "
          "-o o/assess.json"),
         ("assess-critical-voxel", "assess ph/pancreas.json --critical --overlay o/overlay"),
+        ("assess-adversarial-overlay", "assess ph/adversarial.json --overlay o/overlay -o o/assess.json"),
+        ("assess-adversarial-c4-overlay",
+         "assess ph/adversarial.json --connectivity 4 --overlay o/overlay -o o/assess.json"),
+        ("assess-adversarial-critical-overlay",
+         "assess ph/adversarial.json --critical --overlay o/overlay -o o/assess.json"),
+        ("assess-adversarial-no-pancreas-overlay",
+         "assess ph/adversarial_no_pancreas.json --overlay o/overlay -o o/assess.json"),
         ("assess-layered-c4-minmax",
          "assess ph/layered.json --connectivity 4 --span-method minmax --scan-id lay"),
         ("assess-folds", f"assess ph/scene.json {folds}"),
