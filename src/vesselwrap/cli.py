@@ -32,6 +32,7 @@ from .volume import (
     MaskVolume,
     MissingChannelError,
     ProbVolume,
+    STANDARD_CHANNELS,
     decode_layered,
     read_volume,
     write_volume,
@@ -44,6 +45,11 @@ EXIT_PARTIAL = 4
 
 SCHEMA_ASSESSMENT = "vesselwrap.assessment/1"
 SCHEMA_METRICS = "vesselwrap.metrics/1"
+
+
+# What assess reads: the graded tumor and vessels, and the pancreas that the
+# critical filter and the overlays use.
+ASSESS_CHANNELS = (ChannelId.PANCREAS, ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR)
 
 
 class CliError(Exception):
@@ -72,10 +78,11 @@ def _emit(doc: dict, output: str | None) -> None:
     os.replace(tmp, path)
 
 
-def _load_mask(path) -> MaskVolume:
-    vol = read_volume(path)
+def _load_mask(path, channels=None) -> MaskVolume:
+    """A mask volume, decoded from layered labels if need be; ``channels`` as in read_volume."""
+    vol = read_volume(path, channels)
     if isinstance(vol, LayeredLabelVolume):
-        return decode_layered(vol)
+        return decode_layered(vol, STANDARD_CHANNELS if channels is None else channels)
     if isinstance(vol, MaskVolume):
         return vol
     raise CliError(f"{path}: expected a mask or layered-label volume, got probabilities", EXIT_INPUT)
@@ -170,7 +177,7 @@ def _fold_sweep(args) -> tuple[unc.UncertaintyField, list[unc.SweepEntry]]:
 
 
 def cmd_assess(args) -> int:
-    masks = _load_mask(args.input)
+    masks = _load_mask(args.input, ASSESS_CHANNELS)
     scan_id = args.scan_id or Path(args.input).stem
     if args.critical:
         masks = filter_critical_volume(masks, args.filter_mode)

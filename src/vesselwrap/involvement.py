@@ -368,21 +368,20 @@ def filter_critical(
 def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume:
     """Apply filter_critical to the artery and vein channels of a volume.
 
-    The mask stack is copied only when the filter drops a voxel; otherwise
-    the result shares the input's read-only data.
+    Both modes drop something from a vessel exactly when it shares a voxel
+    with the pancreas, so only such a vessel is filtered. Nothing is
+    copied: the result shares every other grid, and is ``masks`` itself
+    when no vessel touches the pancreas.
     """
     pancreas = masks.channel(ChannelId.PANCREAS)
-    data = masks.data
-    for cid in VESSELS:
-        if masks.has_channel(cid):
-            vessel = masks.channel(cid)
-            kept = filter_critical(vessel, pancreas, mode)
-            if np.count_nonzero(kept) != np.count_nonzero(vessel):  # kept is a subset
-                if data is masks.data:
-                    data = data.copy()
-                data[masks.channel_index(cid)] = kept
-            del kept  # one filtered channel alive at a time
-    return MaskVolume(data, masks.channels, masks.spacing)
+    grids = list(masks.grids)
+    for i, cid in enumerate(masks.channels):
+        # MaskVolume holds uint8 in {0, 1}, so a grid views as bool
+        if cid in VESSELS and pancreas.reshape(-1)[np.flatnonzero(grids[i].view(bool))].any():
+            grids[i] = filter_critical(grids[i], pancreas, mode)
+    if all(new is old for new, old in zip(grids, masks.grids)):
+        return masks
+    return MaskVolume(grids, masks.channels, masks.spacing)
 
 
 def dpcg_classify(vein_deg: float, artery_deg: float) -> DpcgCategory:

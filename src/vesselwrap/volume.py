@@ -19,6 +19,11 @@ at ``<stem>.json`` describes geometry and dtype, the voxel data sits in
 
 Probability payloads are clamped into [0, 1] at ingest with a 0.001
 tolerance; values further out, and NaN, are rejected as corrupt.
+
+Mask and probability volumes hold one read-only grid per channel.
+``read_volume(path, channels)`` keeps only the listed channels of a mask
+payload, yet still rejects a voxel outside {0, 1} in any channel, and
+``decode_layered(lv, channels)`` decodes only the listed ones.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ PROB_INGEST_TOL = 1e-3
 
 # Header dtype -> little-endian payload dtype.
 _FILE_DTYPES = {"u8": "<u1", "f32": "<f4"}
+# Buffer size for mask channels read_volume checks but does not keep.
+_STREAM_BYTES = 1 << 20
 
 
 class VolumeFormatError(ValueError):
@@ -95,6 +102,11 @@ LAYERED_DECODE = {
     8: (ChannelId.VEIN, ChannelId.TUMOR),
 }
 MAX_LAYERED_LABEL = 8
+# Channel -> the labels that set it.
+_DECODE_LABELS = {
+    cid: tuple(label for label, targets in LAYERED_DECODE.items() if cid in targets)
+    for cid in STANDARD_CHANNELS
+}
 
 
 @dataclass(frozen=True)
@@ -127,36 +139,61 @@ def _check_channels(channels: Sequence[ChannelId]) -> tuple[ChannelId, ...]:
     return channels
 
 
-@dataclass(frozen=True)
 class _ChannelVolume:
-    """A (C, Z, H, W) stack with one grid per channel: shape checks and channel lookup."""
+    """One read-only (Z, H, W) grid per channel: shape checks and channel lookup.
 
-    data: np.ndarray
-    channels: tuple[ChannelId, ...]
-    spacing: Spacing
+    Built from a (C, Z, H, W) array, the volume keeps that stack (read-only)
+    and ``grids`` are its channel views; ``data`` returns the stack itself.
+    Built from a sequence of (Z, H, W) grids, as the critical filter does to
+    share the grids it leaves alone, nothing is stacked and ``data`` stacks
+    a new read-only copy on every access. Volumes are immutable.
+    """
 
     _kind = "channel"
     _dtype = None  # None keeps the input dtype
 
-    def __post_init__(self):
-        channels = _check_channels(self.channels)
-        arr = np.ascontiguousarray(self.data, dtype=self._dtype)
-        if arr.ndim != 4:
-            raise ValueError(f"{self._kind} data must be 4-D (C,Z,H,W), got shape {arr.shape}")
-        if arr.shape[0] != len(channels):
+    def __init__(self, data, channels: Sequence[ChannelId], spacing: Spacing):
+        channels = _check_channels(channels)
+        stack = None
+        if isinstance(data, np.ndarray):
+            stack = np.ascontiguousarray(data, dtype=self._dtype)
+            if stack.ndim != 4:
+                raise ValueError(f"{self._kind} data must be 4-D (C,Z,H,W), got shape {stack.shape}")
+            count, dims = stack.shape[0], stack.shape[1:]
+        else:
+            data = [np.ascontiguousarray(g, dtype=self._dtype) for g in data]
+            shapes = {g.shape for g in data}
+            if len(shapes) != 1 or data[0].ndim != 3:
+                raise ValueError(
+                    f"{self._kind} grids must be 3-D (Z,H,W) of one shape, got {sorted(shapes)}"
+                )
+            count, dims = len(data), data[0].shape
+        if count != len(channels):
             raise ValueError(
-                f"channel count mismatch: data has {arr.shape[0]}, channel list has {len(channels)}"
+                f"channel count mismatch: data has {count}, channel list has {len(channels)}"
             )
-        object.__setattr__(self, "data", _freeze(self._checked_values(arr)))
-        object.__setattr__(self, "channels", channels)
+        if stack is not None:
+            stack = _freeze(self._checked_values(stack))
+            grids = tuple(stack)
+        else:
+            grids = tuple(_freeze(self._checked_values(g)) for g in data)
+        for name, value in (("grids", grids), ("channels", channels), ("spacing", spacing),
+                            ("dims", tuple(dims)), ("_stack", stack)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _checked_values(self, arr: np.ndarray) -> np.ndarray:
         """The voxel data to store; subclasses reject values outside their range."""
         return arr
 
     @property
-    def dims(self) -> tuple[int, int, int]:
-        return tuple(self.data.shape[1:])
+    def data(self) -> np.ndarray:
+        """The (C, Z, H, W) stack; a copy only for a volume built from grids."""
+        if self._stack is not None:
+            return self._stack
+        return _freeze(np.stack(self.grids))
 
     def channel_index(self, cid: ChannelId) -> int:
         try:
@@ -167,7 +204,7 @@ class _ChannelVolume:
             ) from None
 
     def channel(self, cid: ChannelId) -> np.ndarray:
-        return self.data[self.channel_index(cid)]
+        return self.grids[self.channel_index(cid)]
 
     def has_channel(self, cid: ChannelId) -> bool:
         return ChannelId(cid) in self.channels
@@ -176,7 +213,7 @@ class _ChannelVolume:
 class MaskVolume(_ChannelVolume):
     """Multi-channel binary volume; channels may overlap voxel-wise.
 
-    ``data`` has shape (C, Z, H, W), dtype uint8, values in {0, 1}.
+    Each grid is (Z, H, W), dtype uint8, values in {0, 1}.
     """
 
     _kind = "mask"
@@ -194,7 +231,7 @@ class MaskVolume(_ChannelVolume):
 class ProbVolume(_ChannelVolume):
     """Multi-channel probability volume, same geometry rules as MaskVolume.
 
-    ``data`` has shape (C, Z, H, W), dtype float32, values in [0, 1].
+    Each grid is (Z, H, W), dtype float32, values in [0, 1].
     """
 
     _kind = "probability"
@@ -265,6 +302,8 @@ def _parse_header(header, path: Path):
     dtype = header["dtype"]
     if dtype not in ("u8", "f32"):
         raise VolumeFormatError(f"unknown dtype {dtype!r}")
+    if math.prod(dims) * np.dtype(_FILE_DTYPES[dtype]).itemsize > np.iinfo(np.intp).max:
+        raise VolumeFormatError(f"bad dims {dims!r}: one grid exceeds the addressable size")
     names = header.get("channels")
     if names is None:
         if dtype == "f32":
@@ -281,8 +320,39 @@ def _parse_header(header, path: Path):
     return tuple(dims), Spacing(*map(float, spacing)), dtype, channels
 
 
-def read_volume(path) -> Volume:
-    """Load a volume from its JSON header; the raw payload sits next to it."""
+def _read_mask_channels(raw: Path, dims, names, wanted) -> tuple[np.ndarray, tuple]:
+    """The (C', Z, H, W) stack of the ``wanted`` channels of a mask payload, in file order.
+
+    Every other channel streams through one reused buffer and is checked
+    there; MaskVolume checks the kept grids.
+    """
+    kept = tuple(c for c in names if c in wanted)
+    stack = np.empty((len(kept),) + dims, dtype=np.uint8)
+    n = math.prod(dims)
+    buffer = np.empty(min(n, _STREAM_BYTES), dtype=np.uint8)
+    with open(raw, "rb") as f:
+        for cid in names:
+            streamed = cid not in kept
+            if streamed:
+                parts = (buffer[:min(buffer.size, n - lo)] for lo in range(0, n, buffer.size))
+            else:
+                parts = (stack[kept.index(cid)],)
+            for part in parts:
+                if f.readinto(part) != part.size:
+                    raise VolumeFormatError(f"payload {raw} shrank while being read")
+                if streamed and part.max() > 1:
+                    raise VolumeFormatError("mask voxels must be 0 or 1")
+    return stack, kept
+
+
+def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
+    """Load a volume from its JSON header; the raw payload sits next to it.
+
+    With ``channels``, a mask volume keeps only those of the listed
+    channels that the file has, in file order; the others are still read
+    and checked, but not kept. Probability and layered payloads are
+    always read whole.
+    """
     path = Path(path)
     try:
         header = json.loads(path.read_text())
@@ -290,20 +360,23 @@ def read_volume(path) -> Volume:
         raise VolumeFormatError(f"header not found: {path}") from None
     except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
         raise VolumeFormatError(f"garbled header {path}: {exc}") from None
-    dims, spacing, dtype, channels = _parse_header(header, path)
+    dims, spacing, dtype, names = _parse_header(header, path)
 
     raw = _raw_path(path)
     try:
         size = raw.stat().st_size
     except FileNotFoundError:
         raise VolumeFormatError(f"raw payload not found: {raw}") from None
-    n_grids = 1 if channels is None else len(channels)
-    n_voxels = n_grids * dims[0] * dims[1] * dims[2]
+    n_grids = 1 if names is None else len(names)
+    n_voxels = n_grids * math.prod(dims)
     itemsize = np.dtype(_FILE_DTYPES[dtype]).itemsize
     if size != n_voxels * itemsize:
         raise VolumeFormatError(
             f"payload size mismatch: expected {n_voxels * itemsize} bytes, got {size}"
         )
+    if dtype == "u8" and names is not None and channels is not None:
+        stack, kept = _read_mask_channels(raw, dims, names, set(map(ChannelId, channels)))
+        return MaskVolume(stack, kept, spacing)
     arr = np.fromfile(raw, dtype=_FILE_DTYPES[dtype], count=n_voxels)
     arr = arr.reshape((n_grids,) + dims)
 
@@ -315,10 +388,10 @@ def read_volume(path) -> Volume:
                 f"probability values non-finite or outside tolerated range: min={lo}, max={hi}"
             )
         np.clip(arr, 0.0, 1.0, out=arr)
-        return ProbVolume(arr, channels, spacing)
-    if channels is None:
+        return ProbVolume(arr, names, spacing)
+    if names is None:
         return LayeredLabelVolume(arr[0], spacing)
-    return MaskVolume(arr, channels, spacing)
+    return MaskVolume(arr, names, spacing)
 
 
 def write_volume(v: Volume, path) -> None:
@@ -343,22 +416,24 @@ def write_volume(v: Volume, path) -> None:
     _raw_path(path).write_bytes(np.ascontiguousarray(v.data, dtype=_FILE_DTYPES[dtype]))
 
 
-def decode_layered(lv: LayeredLabelVolume) -> MaskVolume:
-    """Expand layered labels into the six anatomical channels.
+def decode_layered(
+    lv: LayeredLabelVolume, channels: Sequence[ChannelId] = STANDARD_CHANNELS
+) -> MaskVolume:
+    """Expand layered labels into the requested anatomical channels.
 
     Labels 1..6 set their own channel; 7 sets artery+tumor, 8 sets
-    vein+tumor, reconstructing the overlaps the layering collapsed.
-    The constructor of ``lv`` already confined its labels to 0..8.
+    vein+tumor, reconstructing the overlaps the layering collapsed. Each
+    requested channel of STANDARD_CHANNELS is decoded, in that order, as
+    the OR of the labels that set it. The constructor of ``lv`` already
+    confined its labels to 0..8.
     """
-    labels = lv.data
-    out = np.zeros((len(STANDARD_CHANNELS),) + lv.dims, dtype=np.uint8)
-    for label, targets in LAYERED_DECODE.items():
-        where = labels == label
-        if not where.any():
-            continue
-        for cid in targets:
-            out[STANDARD_CHANNELS.index(cid)][where] = 1
-    return MaskVolume(out, STANDARD_CHANNELS, lv.spacing)
+    wanted = set(map(ChannelId, channels))
+    kept = tuple(c for c in STANDARD_CHANNELS if c in wanted)
+    out = np.zeros((len(kept),) + lv.dims, dtype=bool)
+    for grid, cid in zip(out, kept):
+        for label in _DECODE_LABELS[cid]:
+            grid |= lv.data == label
+    return MaskVolume(out.view(np.uint8), kept, lv.spacing)
 
 
 def encode_layered(mv: MaskVolume) -> LayeredLabelVolume:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,47 @@ class TestHeaderFuzz:
             assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
         else:
             assert err.getvalue() == ""
+
+
+class TestOversizeDims:
+    """Channel-free headers whose dims overflow numpy pass the size check with an empty payload."""
+
+    @pytest.mark.parametrize("dims", [[10**20, 1, 1], [2**40, 2**40, 1], [2**31, 2**31, 4]])
+    def test_assess_exits_2_naming_dims(self, tmp_path, capsys, dims):
+        header = {"dims": dims, "spacing_mm": [1.0, 1.0, 1.0], "dtype": "u8",
+                  "order": HEADER_ORDER, "channels": []}
+        (tmp_path / "v.json").write_text(json.dumps(header))
+        (tmp_path / "v.raw").write_bytes(b"")
+        with pytest.raises(VolumeFormatError, match=r"bad dims"):
+            read_volume(tmp_path / "v.json")
+        assert run("assess", tmp_path / "v.json") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: bad dims {dims!r}")
+
+
+class TestAssessMemory:
+    """assess keeps the four channels it grades and the filter copies no stack.
+
+    tracemalloc sees numpy buffers; the peak is measured in grids of the
+    sparse 20x256x256 scene. Reading all six channels and copying the stack
+    in the filter peaked at 13.2 grids (six channels) and 9.0 (layered).
+    """
+
+    @pytest.mark.parametrize("layered, bound", [(False, 7.0), (True, 8.0)])
+    def test_peak_in_grids(self, tmp_path, capsys, layered, bound):
+        spec = PhantomSpec(dims=(20, 256, 256), slice_range=(1, 19), vessel_center=(128.0, 128.0),
+                           pancreas_center=(128.0, 138.0), pancreas_radius_px=4.0, jitter_seed=3)
+        scene, _ = gen_wrap_scene(spec)
+        write_volume(encode_layered(scene) if layered else scene, tmp_path / "v.json")
+        tracemalloc.start()
+        try:
+            code = run("assess", tmp_path / "v.json", "--critical", "--filter-mode", "component",
+                       "--overlay", tmp_path / "ov")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / scene.channel(ChannelId.VEIN).nbytes <= bound
 
 
 def write_manifest(tmp_path, entries, name="manifest.jsonl"):

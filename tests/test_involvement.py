@@ -12,11 +12,12 @@ from vesselwrap.involvement import (
     dilate,
     dpcg_classify,
     filter_critical,
+    filter_critical_volume,
     label_components,
     scan_involvement,
 )
 from vesselwrap.phantom import PhantomSpec, gen_wrap_scene
-from vesselwrap.volume import ChannelId, MissingChannelError
+from vesselwrap.volume import ChannelId, MaskVolume, MissingChannelError, Spacing
 from conftest import (
     _pixel_angles,
     angular_span,
@@ -633,6 +634,47 @@ class TestFilterCritical:
     def test_geometry_mismatch(self):
         with pytest.raises(ValueError):
             filter_critical(np.zeros((2, 3, 3)), np.zeros((2, 4, 3)))
+
+    @pytest.mark.parametrize("mode", ["voxel", "component"])
+    def test_volume_shares_unfiltered_grids(self, mode):
+        scene, _ = gen_wrap_scene(PhantomSpec(jitter_seed=3, pancreas_center=(64.0, 74.0),
+                                              pancreas_radius_px=4.0))
+        out = filter_critical_volume(scene, mode)
+        assert out.channels == scene.channels
+        changed = [cid for cid in scene.channels if out.channel(cid) is not scene.channel(cid)]
+        assert changed == [ChannelId.VEIN]
+        assert out.channel(ChannelId.VEIN).sum() < scene.channel(ChannelId.VEIN).sum()
+        assert np.array_equal(
+            out.channel(ChannelId.VEIN),
+            filter_critical(scene.channel(ChannelId.VEIN), scene.channel(ChannelId.PANCREAS), mode),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 10), st.integers(1, 10)),
+        pancreas_density=st.sampled_from([0.0, 0.02, 0.2]),
+        mode=st.sampled_from(["voxel", "component"]),
+    )
+    def test_volume_matches_per_channel_filter(self, seed, dims, pancreas_density, mode):
+        gen = np.random.default_rng(seed)
+        channels = (ChannelId.TUMOR, ChannelId.VEIN, ChannelId.PANCREAS, ChannelId.ARTERY)
+        density = np.array([0.3, 0.3, pancreas_density, 0.3])[:, None, None, None]
+        grids = gen.random((4,) + dims) < density
+        masks = MaskVolume(grids.astype(np.uint8), channels, Spacing(1.0, 1.0, 1.0))
+        out = filter_critical_volume(masks, mode)
+        pancreas = masks.channel(ChannelId.PANCREAS)
+        for cid in channels:
+            want = masks.channel(cid)
+            if cid in (ChannelId.ARTERY, ChannelId.VEIN):
+                want = filter_critical(want, pancreas, mode)
+            assert np.array_equal(out.channel(cid), want)
+            assert (out.channel(cid) is masks.channel(cid)) == np.array_equal(want, masks.channel(cid))
+
+    @pytest.mark.parametrize("mode", ["voxel", "component"])
+    def test_volume_returned_when_nothing_dropped(self, mode):
+        scene, _ = gen_wrap_scene(PhantomSpec(jitter_seed=3))
+        assert filter_critical_volume(scene, mode) is scene
 
 
 class TestDpcgClassify:

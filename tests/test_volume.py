@@ -1,9 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vesselwrap import volume
 from vesselwrap.volume import (
     ChannelId,
     LayeredLabelVolume,
@@ -191,3 +193,139 @@ class TestLayered:
         lv = LayeredLabelVolume(labels, SP1)
         back = encode_layered(decode_layered(lv))
         assert (back.data == labels).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)),
+        subset=st.sets(st.sampled_from(list(ChannelId))),
+    )
+    def test_subset_decode_matches_full_decode(self, seed, dims, subset):
+        labels = np.random.default_rng(seed).integers(0, 9, size=dims, dtype=np.uint8)
+        lv = LayeredLabelVolume(labels, SP1)
+        full = decode_layered(lv)
+        part = decode_layered(lv, subset)
+        assert part.channels == tuple(c for c in STANDARD_CHANNELS if c in subset)
+        assert part.data.dtype == np.uint8
+        for cid in part.channels:
+            assert np.array_equal(part.channel(cid), full.channel(cid))
+
+
+class TestChannelVolume:
+    def test_stack_is_kept_and_grids_view_it(self):
+        stack = np.zeros((2, 3, 4, 5), dtype=np.uint8)
+        vol = MaskVolume(stack, (ChannelId.ARTERY, ChannelId.TUMOR), SP1)
+        assert vol.data is stack
+        assert all(g.base is stack and not g.flags.writeable for g in vol.grids)
+        assert vol.dims == (3, 4, 5)
+
+    def test_grids_are_shared_and_stacked_on_request(self):
+        artery, tumor = np.zeros((3, 4, 5), np.uint8), np.ones((3, 4, 5), np.uint8)
+        vol = MaskVolume([artery, tumor], (ChannelId.ARTERY, ChannelId.TUMOR), SP1)
+        assert vol.grids[0] is artery and vol.channel(ChannelId.TUMOR) is tumor
+        assert not artery.flags.writeable
+        assert vol.data.shape == (2, 3, 4, 5) and not vol.data.flags.writeable
+        assert np.array_equal(vol.data[1], tumor)
+
+    def test_zero_channels_keep_dims(self):
+        vol = MaskVolume(np.zeros((0, 3, 4, 5), np.uint8), (), SP1)
+        assert vol.grids == () and vol.dims == (3, 4, 5)
+
+    @pytest.mark.parametrize("grids, match", [
+        ([], "3-D"),
+        ([np.zeros((2, 2, 2)), np.zeros((2, 2, 3))], "one shape"),
+        ([np.zeros((2, 2))], "3-D"),
+        ([np.zeros((2, 2, 2))] * 2, "channel count mismatch"),
+        ([np.full((2, 2, 2), 2)], "0 or 1"),
+    ])
+    def test_bad_grids_rejected(self, grids, match):
+        with pytest.raises(ValueError, match=match):
+            MaskVolume(grids, (ChannelId.TUMOR,), SP1)
+
+    def test_immutable(self):
+        vol = make_mask(np.zeros((1, 1, 1, 1)), channels=(ChannelId.TUMOR,))
+        with pytest.raises(AttributeError):
+            vol.spacing = SP1
+
+
+def _six_channel_payload(gen, dims):
+    return gen.integers(0, 2, size=(len(STANDARD_CHANNELS),) + dims, dtype=np.uint8)
+
+
+class TestChannelRead:
+    """read_volume(path, channels) against the whole read of the same file."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)),
+        order=st.permutations(STANDARD_CHANNELS),
+        subset=st.sets(st.sampled_from(list(ChannelId))),
+        stream_bytes=st.integers(1, 80),
+    )
+    def test_kept_grids_match_whole_read(self, tmp_path_factory, seed, dims, order, subset,
+                                         stream_bytes):
+        tmp = tmp_path_factory.mktemp("lazy")
+        gen = np.random.default_rng(seed)
+        write_volume(MaskVolume(_six_channel_payload(gen, dims), order, SP1), tmp / "v.json")
+        whole = read_volume(tmp / "v.json")
+        with mock.patch.object(volume, "_STREAM_BYTES", stream_bytes):
+            part = read_volume(tmp / "v.json", subset)
+        assert isinstance(part, MaskVolume)
+        assert part.channels == tuple(c for c in order if c in subset)
+        assert part.dims == dims and part.spacing == whole.spacing
+        for cid in part.channels:
+            assert np.array_equal(part.channel(cid), whole.channel(cid))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)),
+        subset=st.sets(st.sampled_from(STANDARD_CHANNELS), max_size=5),
+        bad=st.data(),
+        stream_bytes=st.integers(1, 80),
+    )
+    def test_bad_voxel_in_unkept_channel(self, tmp_path_factory, seed, dims, subset, bad,
+                                         stream_bytes):
+        tmp = tmp_path_factory.mktemp("lazy")
+        gen = np.random.default_rng(seed)
+        payload = _six_channel_payload(gen, dims)
+        unkept = [i for i, c in enumerate(STANDARD_CHANNELS) if c not in subset]
+        channel = bad.draw(st.sampled_from(unkept))
+        payload[channel].reshape(-1)[bad.draw(st.integers(0, payload[0].size - 1))] = 2
+        names = [volume.CHANNEL_NAMES[c] for c in STANDARD_CHANNELS]
+        path = _write_raw_pair(tmp, _header(list(dims), names, "u8"), payload.tobytes())
+        with pytest.raises(VolumeFormatError) as whole:
+            read_volume(path)
+        with mock.patch.object(volume, "_STREAM_BYTES", stream_bytes), \
+                pytest.raises(VolumeFormatError) as part:
+            read_volume(path, subset)
+        assert str(part.value) == str(whole.value) == "mask voxels must be 0 or 1"
+
+    def test_channels_ignored_for_layered_and_probabilities(self, tmp_path):
+        lv = LayeredLabelVolume(np.array([[[0, 5], [7, 8]]], dtype=np.uint8), SP1)
+        write_volume(lv, tmp_path / "l.json")
+        assert isinstance(read_volume(tmp_path / "l.json", (ChannelId.TUMOR,)), LayeredLabelVolume)
+        prob = make_prob(np.full((2, 1, 2, 2), 0.5), channels=(ChannelId.ARTERY, ChannelId.TUMOR))
+        write_volume(prob, tmp_path / "p.json")
+        back = read_volume(tmp_path / "p.json", (ChannelId.TUMOR,))
+        assert back.channels == prob.channels
+
+    def test_header_errors_unchanged(self, tmp_path):
+        path = _write_raw_pair(tmp_path, _header([2, 2, 2], ["tumor", "vein"], "u8"), b"\x01" * 15)
+        with pytest.raises(VolumeFormatError, match="payload size mismatch: expected 16 bytes, got 15"):
+            read_volume(path, (ChannelId.TUMOR,))
+
+
+# Headers with no channels pass the size check with an empty payload; their
+# dims overflow what numpy can allocate.
+OVERSIZE_DIMS = ([10**20, 1, 1], [2**40, 2**40, 1], [2**31, 2**31, 4])
+
+
+class TestOversizeDims:
+    @pytest.mark.parametrize("dims", OVERSIZE_DIMS)
+    @pytest.mark.parametrize("channels", [None, (ChannelId.TUMOR,)])
+    def test_read_volume_names_dims(self, tmp_path, dims, channels):
+        path = _write_raw_pair(tmp_path, _header(dims, [], "u8"), b"")
+        with pytest.raises(VolumeFormatError, match=r"bad dims \[.*addressable"):
+            read_volume(path, channels)

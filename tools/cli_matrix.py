@@ -25,10 +25,12 @@ writes the same tree. Groups:
     Small scenes from ``vesselwrap.phantom`` (a few seconds): every
     ``phantom`` scene, ``assess`` with overlays, the critical filter, a
     layered input and fold or sample sweeps, overlays of the hand-built
-    ``adversarial_scene`` with and without its pancreas channel,
+    ``adversarial_scene`` with and without its pancreas channel and as
+    layered labels under the component filter,
     ``uncertainty`` on folds and on sample directories, twelve
     ``evaluate`` manifests and flag sets, ``loss`` with and without
-    ``--gradcheck`` and the error paths.
+    ``--gradcheck`` and the error paths, among them a voxel outside {0, 1}
+    in a channel ``assess`` does not keep.
 ``sweep``
     The seed-1 ``sigma-sweep`` benchmark folds (3 x 6x64x128x128 f32):
     ``uncertainty`` with heat maps and changed flags, two folds at
@@ -135,6 +137,13 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     write_volume(adversarial, "ph/adversarial.json")
     write_volume(MaskVolume(adversarial.data[1:], adversarial.channels[1:], adversarial.spacing),
                  "ph/adversarial_no_pancreas.json")
+    write_volume(encode_layered(adversarial), "ph/adversarial_layered.json")
+    # A six-channel scene whose only voxel outside {0, 1} sits in a channel
+    # assess does not keep (MaskVolume rejects it, so the payload is patched).
+    write_volume(scene, "ph/bad_duct.json")
+    payload = np.fromfile("ph/bad_duct.raw", dtype=np.uint8).reshape(scene.data.shape)
+    payload[scene.channel_index(ChannelId.COMMON_BILE_DUCT), 0, 0, 0] = 2
+    payload.tofile("ph/bad_duct.raw")
     Path("ph/garbled.json").write_text("{oops")
     Path("ph/garbled.jsonl").write_text("{oops\n")
 
@@ -197,6 +206,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
          "assess ph/adversarial.json --critical --overlay o/overlay -o o/assess.json"),
         ("assess-adversarial-no-pancreas-overlay",
          "assess ph/adversarial_no_pancreas.json --overlay o/overlay -o o/assess.json"),
+        ("assess-adversarial-layered-critical-component-overlay",
+         "assess ph/adversarial_layered.json --critical --filter-mode component "
+         "--overlay o/overlay -o o/assess.json"),
         ("assess-layered-c4-minmax",
          "assess ph/layered.json --connectivity 4 --span-method minmax --scan-id lay"),
         ("assess-folds", f"assess ph/scene.json {folds}"),
@@ -227,6 +239,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-garbled-header", "assess ph/garbled.json"),
         ("error-probabilities-as-mask", "assess ph/unc/fold0.json"),
         ("error-missing-channel", "assess ph/vein_only.json"),
+        ("error-critical-without-pancreas", "assess ph/adversarial_no_pancreas.json --critical"),
+        ("error-bad-voxel-in-unread-channel", "assess ph/bad_duct.json"),
         ("error-loss-geometry", "loss ph/loss_pred.json ph/scene.json"),
         ("error-nan-threshold", "assess ph/scene.json --threshold nan"),
         ("error-output-under-file", "assess ph/scene.json -o ph/scene.json/x.json"),
