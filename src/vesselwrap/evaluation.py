@@ -23,16 +23,22 @@ from . import involvement as inv
 from .volume import CHANNEL_NAMES, ChannelId, MaskVolume
 
 
+def _foreground(grid) -> np.ndarray:
+    """The grid itself when nonzero already means > 0 (bool, unsigned), else grid > 0."""
+    grid = np.asarray(grid)
+    return grid if grid.dtype.kind in "bu" else grid > 0
+
+
 def dice(pred, gt) -> float:
-    """Counts-based Dice; both-empty is a perfect 1.0."""
-    p = np.asarray(pred) > 0
-    g = np.asarray(gt) > 0
+    """Counts-based Dice of the > 0 voxels; both-empty is a perfect 1.0."""
+    p = _foreground(pred)
+    g = _foreground(gt)
     if p.shape != g.shape:
         raise ValueError(f"geometry mismatch: {p.shape} vs {g.shape}")
-    denom = int(p.sum()) + int(g.sum())
+    denom = np.count_nonzero(p) + np.count_nonzero(g)
     if denom == 0:
         return 1.0
-    return 2.0 * int((p & g).sum()) / denom
+    return 2.0 * np.count_nonzero(np.logical_and(p, g)) / denom
 
 
 def involvement_confusion(pred_presence: bool, gt_presence: bool) -> str:

@@ -748,10 +748,11 @@ class TestUncertaintyCmd:
 
 
 class TestLossCmd:
-    def _write_pair(self, tmp_path, seed=5):
+    @staticmethod
+    def _write_pair(tmp_path, seed=5, shape=(6, 2, 4, 4)):
         gen = np.random.default_rng(seed)
-        gt = gen.integers(0, 2, size=(6, 2, 4, 4)).astype(np.uint8)
-        pred = gen.uniform(0.2, 0.8, size=(6, 2, 4, 4)).astype(np.float32)
+        gt = gen.integers(0, 2, size=shape).astype(np.uint8)
+        pred = gen.uniform(0.2, 0.8, size=shape).astype(np.float32)
         write_volume(MaskVolume(gt, STANDARD_CHANNELS, Spacing(1, 1, 1)), tmp_path / "gt.json")
         write_volume(ProbVolume(pred, STANDARD_CHANNELS, Spacing(1, 1, 1)), tmp_path / "pred.json")
         return pred.astype(np.float64), gt.astype(np.float64)
@@ -774,6 +775,13 @@ class TestLossCmd:
         errs = doc["gradcheck_max_rel_error"]
         assert set(errs) == {"bce", "dice", "overlap", "combined"}
         assert all(v < 1e-4 for v in errs.values())
+
+    def test_gradcheck_above_former_size_cap(self, tmp_path, capsys):
+        self._write_pair(tmp_path, shape=(6, 4, 32, 32))
+        assert run("loss", tmp_path / "pred.json", tmp_path / "gt.json", "--gradcheck") == 0
+        errs = json.loads(capsys.readouterr().out)["gradcheck_max_rel_error"]
+        assert set(errs) == {"bce", "dice", "overlap", "combined"}
+        assert all(v <= 1e-4 for v in errs.values())
 
     def test_geometry_mismatch_exit_3(self, tmp_path, capsys):
         self._write_pair(tmp_path)
@@ -850,3 +858,39 @@ class TestRuntimeWithoutScipy:
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
         assert len(list((tmp_path / "overlay").iterdir())) > 0
+
+
+# Runs three commands in a fresh interpreter and lists the numpy.random and
+# numpy.ma modules loaded afterwards. Neither is needed, and loading them
+# raises an op's resident memory by about 7 MB (numpy.random, through
+# default_rng) or 2 MB (numpy.ma, through np.unique).
+_WITHOUT_NUMPY_RANDOM = """
+import json, sys
+from vesselwrap import cli
+
+out = sys.argv[1]
+codes = [cli.main(argv) for argv in (
+    ["loss", f"{out}/pred.json", f"{out}/gt.json", "--gradcheck", "-o", f"{out}/loss.json"],
+    ["assess", f"{out}/scene.json", "-o", f"{out}/assess.json"],
+    ["evaluate", f"{out}/suite/manifest.jsonl", "-o", f"{out}/evaluate.json"],
+)]
+print(json.dumps({"codes": codes, "unneeded": sorted(m for m in sys.modules if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"]))}))
+"""
+
+
+class TestRuntimeWithoutNumpyRandom:
+    def test_commands_do_not_load_unneeded_numpy_modules(self, tmp_path):
+        write_scene(tmp_path)
+        TestLossCmd._write_pair(tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run("phantom", "confusion", "--out", tmp_path / "suite") == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_NUMPY_RANDOM, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0, 0], "unneeded": []}

@@ -63,6 +63,32 @@ class TestDice:
             closer[z, y, x] = a[z, y, x]
             assert dice(a, closer) >= dice(a, b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+        density=st.floats(0.0, 1.0),
+        kinds=st.tuples(*[st.sampled_from(["bool", "uint8", "uint8-any", "float"])] * 2),
+    )
+    def test_counts_match_boolean_sum_formula(self, seed, shape, density, kinds):
+        gen = np.random.default_rng(seed)
+
+        def grid(kind):
+            on = gen.random(shape) < density
+            if kind == "bool":
+                return on
+            if kind == "uint8":
+                return on.astype(np.uint8)
+            if kind == "uint8-any":
+                return on * gen.integers(1, 256, size=shape).astype(np.uint8)
+            return np.where(on, gen.uniform(1e-6, 1.0, size=shape), -gen.uniform(0.0, 1.0, size=shape))
+
+        a, b = grid(kinds[0]), grid(kinds[1])
+        p, g = a > 0, b > 0
+        denom = int(p.sum()) + int(g.sum())
+        expected = 1.0 if denom == 0 else 2.0 * int((p & g).sum()) / denom
+        assert dice(a, b) == expected
+
 
 def _scene(span, vessel=ChannelId.VEIN, angle=90.0, seed=0):
     spec = PhantomSpec(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from vesselwrap.loss import (
     LossWeights,
     bce,
     bce_grad,
+    LOSS_FUNCTIONS,
     combined_loss,
+    gradcheck,
     gradcheck_loss,
     overlap_loss,
     pseudo_overlap,
@@ -228,3 +231,64 @@ class TestGradcheck:
         g = bce_grad(p, q)
         assert g[0, 0, 0, 0] == 0.0
         assert g[0, 0, 0, 1] != 0.0
+
+
+LOSS_NAMES = ("bce", "dice", "overlap", "combined")
+
+
+def _gradcheck_with(name, pred, gt, mutate=lambda g: g, weights=LossWeights()):
+    """gradcheck of a named loss with its analytic gradient passed through mutate."""
+    value_fn, grad_fn = LOSS_FUNCTIONS[name]
+    extra = {"overlap": (STANDARD_CHANNELS,), "combined": (weights, STANDARD_CHANNELS)}.get(name, ())
+    return gradcheck(value_fn, lambda *a: mutate(grad_fn(*a).copy()), pred, gt, *extra)
+
+
+def _scale_tumor(g):
+    g[T] *= 1.0 + 1e-3
+    return g
+
+
+def _flip_peak(g):
+    g.flat[np.abs(g).argmax()] *= -1.0
+    return g
+
+
+class TestGradcheckCatchesFaults:
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return random_pair(7, shape=(6, 2, 8, 8), lo=0.05, hi=0.95)
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_clean_gradient_passes(self, pair, name):
+        assert _gradcheck_with(name, *pair) <= 1e-5
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_scaled_tumor_channel_fails(self, pair, name):
+        assert _gradcheck_with(name, *pair, _scale_tumor) > 1e-4
+
+    @pytest.mark.parametrize("name", LOSS_NAMES)
+    def test_flipped_peak_sign_fails(self, pair, name):
+        assert _gradcheck_with(name, *pair, _flip_peak) > 1e-4
+
+    def test_zero_gradient_of_constant_loss_reads_zero(self, pair):
+        pred, gt = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = gradcheck(lambda p, q: 1.0, lambda p, q: np.zeros_like(p), pred, gt)
+        assert err == 0.0
+
+    def test_zero_gradient_of_varying_loss_fails(self, pair):
+        pred, gt = pair
+        assert gradcheck(bce, lambda p, q: np.zeros_like(p), pred, gt) > 1e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 10), st.integers(1, 10)),
+        beta=st.floats(0.0, 1.0),
+        alpha_w=st.floats(0.0, 1.0),
+    )
+    def test_no_false_alarm_on_random_pairs(self, seed, dims, beta, alpha_w):
+        pred, gt = random_pair(seed, shape=(6, *dims), lo=0.05, hi=0.95)
+        for name in LOSS_NAMES:
+            assert _gradcheck_with(name, pred, gt, weights=LossWeights(beta, alpha_w)) <= 1e-5
