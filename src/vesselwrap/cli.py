@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation, loss as loss_mod, overlay, phantom as phantom_mod, uncertainty as unc
-from .involvement import VESSELS, DpcgCategory, InvolvementReport, assess_scan, filter_critical_volume
+from .involvement import GRADED_CHANNELS, VESSELS, DpcgCategory, InvolvementReport, assess_scan, filter_critical_volume
 from .volume import (
     CHANNEL_NAMES,
     NAME_TO_CHANNEL,
@@ -49,7 +49,7 @@ SCHEMA_METRICS = "vesselwrap.metrics/1"
 
 # What assess reads: the graded tumor and vessels, and the pancreas that the
 # critical filter and the overlays use.
-ASSESS_CHANNELS = (ChannelId.PANCREAS, ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR)
+ASSESS_CHANNELS = (ChannelId.PANCREAS, *GRADED_CHANNELS)
 
 
 class CliError(Exception):

@@ -54,6 +54,8 @@ from .volume import ChannelId, MaskVolume
 SPAN_METHODS = ("largest-gap", "minmax")
 # The graded vessels, in report order.
 VESSELS = (ChannelId.ARTERY, ChannelId.VEIN)
+# Every channel ``assess_scan`` reads: the vessels and the tumor they are graded against.
+GRADED_CHANNELS = (*VESSELS, ChannelId.TUMOR)
 
 
 class DpcgCategory(IntEnum):

@@ -11,8 +11,7 @@ choice only rescales, and it is pinned by the unit tests.
 * total: mean aleatoric + epistemic (the displayed sum for probabilistic
   ensembles)
 
-Sigma-level masks threshold clamp(mean + k * std, 0, 1) at 0.5 by default;
-std >= 0 makes the masks nested in k.
+Sigma-level masks threshold clamp(mean + k * std, 0, 1) at 0.5 by default.
 
 Every mean, every std and every sigma mask is streamed over the flattened
 volumes in blocks of ``_BLOCK`` voxels, so no float64 copy of a fold stack
@@ -27,13 +26,29 @@ sequence of ``np.stack(volumes).mean(axis=0)`` and ``.std(axis=0)``:
 3. the squared deviations from that mean are added in fold order, again
    from +0.0;
 4. that sum is divided by N and square-rooted;
-5. both results are clipped into [0, 1] and cast to float32.
+5. both results are rounded to float32.
+
+The reference also clips both results into [0, 1], a provable no-op.
+Inputs lie in [0, 1] or are -0.0 or NaN, and rounding is monotone, so a
+sum of N inputs rounds to at most N, the mean to at most 1, each squared
+deviation to at most 1 and the std to at most sqrt(1) = 1; nothing is
+negative, and a clip passes NaN through.
 
 A block is one voxel range of every fold at once and never spans folds, so
 each voxel meets the same operands in the same order as in the
 whole-volume computation, and the outputs are byte-identical to it. The
 masks likewise compute ``k * std + mean`` in float64 per block, then clip
 and compare.
+
+A sweep masks only tumor, artery and vein, the channels the grade reads,
+and builds every k's mask from one level grid per channel. The masks are
+nested in k: for finite k and std >= 0, ``k * std`` and each later step
+round monotonically, so a voxel held at some k is held at every larger k,
+and a NaN voxel is held at none. So one dense pass tests the largest k,
+the smaller ks are tested only at the voxels of each block that pass it,
+and the grid records how many distinct ks, counted from the top, hold each
+voxel. The result is exactly ``sigma_level_mask`` per k; a non-finite k is
+rejected, because inf * 0 is NaN and would break the nesting.
 
 The summed std of ``sample_mean_std`` is the one whole-volume step: a
 float32 add capped at 1. Both operands are float32 in [0, 1], and a
@@ -43,12 +58,13 @@ sum (53 >= 2 * 24 + 2), so it matches a float64 sum bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .involvement import DpcgCategory, InvolvementReport, assess_scan
+from .involvement import GRADED_CHANNELS, DpcgCategory, InvolvementReport, assess_scan
 from .volume import ChannelId, MaskVolume, ProbVolume
 
 DEFAULT_KS = (-1.0, 0.0, 1.0, 2.0)
@@ -104,7 +120,12 @@ def _blocks(size: int):
 
 
 def _mean_std(volumes: Sequence[ProbVolume]) -> tuple[ProbVolume, ProbVolume]:
-    """Clipped float32 mean and population std across volumes, streamed."""
+    """Float32 mean and population std across volumes, streamed.
+
+    Neither result is clipped: both already lie in [0, 1] or are NaN (see
+    the module docstring). Both sums start at +0.0, because a clip keeps
+    -0.0, and a voxel that is -0.0 in every fold must still give +0.0.
+    """
     _check_same_geometry(volumes)
     flats = [v.data.reshape(-1) for v in volumes]
     n, size = len(flats), flats[0].size
@@ -126,9 +147,8 @@ def _mean_std(volumes: Sequence[ProbVolume]) -> tuple[ProbVolume, ProbVolume]:
             x *= x
             s += x
         s /= n
-        np.sqrt(s, out=s)
-        mean[b] = np.clip(m, 0.0, 1.0, out=m)
-        std[b] = np.clip(s, 0.0, 1.0, out=s)
+        mean[b] = m
+        np.sqrt(s, out=std[b], casting="same_kind")
     like = volumes[0]
     return (
         ProbVolume(mean.reshape(like.data.shape), like.channels, like.spacing),
@@ -150,14 +170,16 @@ def sample_mean_std(folds: Sequence[SampleSet]) -> UncertaintyField:
     Each fold's samples are streamed once, for that fold's mean and its
     aleatoric std. The mean prediction and the epistemic std come from the
     fold means; the aleatoric part is the fold mean of the aleatoric stds,
-    which for a single fold is that fold's std alone.
+    which for a single fold is that fold's std alone. The folds' geometry
+    and sample counts are checked before any statistic is computed.
     """
     folds = list(folds)
-    per_fold = [_mean_std(f.samples) for f in folds]
-    mean, epistemic = _mean_std([m for m, _ in per_fold])
+    _check_same_geometry([f.samples[0] for f in folds])
     for f in folds:
         if len(f) < 2:
             raise ValueError(f"need at least 2 samples for a std, got {len(f)}")
+    per_fold = [_mean_std(f.samples) for f in folds]
+    mean, epistemic = _mean_std([m for m, _ in per_fold])
     total = _mean_std([s for _, s in per_fold])[0]
     if len(folds) >= 2:
         summed = np.add(total.data, epistemic.data)
@@ -166,20 +188,44 @@ def sample_mean_std(folds: Sequence[SampleSet]) -> UncertaintyField:
     return UncertaintyField(mean, total, "total")
 
 
-def sigma_level_mask(f: UncertaintyField, k: float, threshold: float = 0.5) -> MaskVolume:
-    """Binarize mean + k * std (clamped into [0, 1]) at the threshold."""
-    k = float(k)
-    mean, std = f.mean.data.reshape(-1), f.std.data.reshape(-1)
-    mask = np.empty(mean.size, np.uint8)
+def _adjusted(std: np.ndarray, mean: np.ndarray, k: float, out: np.ndarray) -> np.ndarray:
+    """clip(k * std + mean, 0, 1) in float64, written into ``out``."""
+    # float64 named: a Python float times a float32 array stays float32 (NEP 50)
+    np.multiply(std, k, out=out, dtype=np.float64)
+    np.add(out, mean, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _level_grid(
+    mean: np.ndarray, std: np.ndarray, ks: Sequence[float], threshold: float, level: np.ndarray
+):
+    """Write into ``level`` how many of ``ks`` have a sigma mask holding each voxel.
+
+    ``ks`` are distinct and descending, so the mask of ``ks[i]`` is
+    ``level > i``. One dense pass tests the largest k; the others are
+    tested only at the voxels of each block that pass it, since the masks
+    are nested. ``level`` is a flat zeroed unsigned grid that can hold
+    ``len(ks)``.
+    """
+    mean, std = mean.reshape(-1), std.reshape(-1)
     buf = np.empty(min(mean.size, _BLOCK))
     for b in _blocks(mean.size):
-        adjusted = buf[: b.stop - b.start]
-        # float64 named: a Python float times a float32 array stays float32 (NEP 50)
-        np.multiply(std[b], k, out=adjusted, dtype=np.float64)
-        np.add(adjusted, mean[b], out=adjusted)
-        np.clip(adjusted, 0.0, 1.0, out=adjusted)
-        np.greater_equal(adjusted, threshold, out=mask[b])
-    return MaskVolume(mask.reshape(f.mean.data.shape), f.mean.channels, f.mean.spacing)
+        adjusted = _adjusted(std[b], mean[b], ks[0], buf[: b.stop - b.start])
+        hits = np.flatnonzero(adjusted >= threshold)
+        if hits.size == 0:
+            continue
+        out = level[b]
+        out[hits] = 1
+        s, m, inner = std[b][hits], mean[b][hits], buf[: hits.size]
+        for k in ks[1:]:
+            out[hits] += _adjusted(s, m, k, inner) >= threshold
+
+
+def sigma_level_mask(f: UncertaintyField, k: float, threshold: float = 0.5) -> MaskVolume:
+    """Binarize mean + k * std (clamped into [0, 1]) at the threshold."""
+    mask = np.zeros(f.mean.data.shape, np.uint8)
+    _level_grid(f.mean.data, f.std.data, [float(k)], threshold, mask.reshape(-1))
+    return MaskVolume(mask, f.mean.channels, f.mean.spacing)
 
 
 @dataclass(frozen=True)
@@ -196,12 +242,29 @@ def uncertainty_sweep(
     connectivity: int = 8,
     span_method: str = "largest-gap",
 ) -> list[SweepEntry]:
-    """Involvement and DPCG grade at every sigma step.
+    """Involvement and DPCG grade at every sigma step, in the order of ``ks``.
 
-    Raises MissingChannelError (via the involvement module) when the field
-    lacks the tumor, artery or vein channel.
+    Only the graded channels (tumor, artery and vein) are masked, each from
+    one level grid (see ``_level_grid``). Raises ValueError for a
+    non-finite k, and MissingChannelError (via the involvement module) when
+    the field lacks the tumor, artery or vein channel.
     """
-    return [
-        SweepEntry(float(k), *assess_scan(sigma_level_mask(f, k, threshold), connectivity, span_method))
-        for k in ks
-    ]
+    ks = [float(k) for k in ks]
+    for k in ks:
+        if not math.isfinite(k):
+            raise ValueError(f"sigma level k must be finite, got {k}")
+    if not ks:
+        return []
+    distinct = sorted(set(ks), reverse=True)
+    rank = {k: i for i, k in enumerate(distinct)}
+    graded = [c for c in f.mean.channels if c in GRADED_CHANNELS]
+    # uint8 up to 255 distinct ks; wider beyond, so a level never wraps
+    levels = np.zeros((len(graded), *f.mean.dims), np.min_scalar_type(len(distinct)))
+    for c, level in zip(graded, levels):
+        _level_grid(f.mean.channel(c), f.std.channel(c), distinct, threshold, level.reshape(-1))
+
+    def masks(k):
+        return MaskVolume((levels > rank[k]).view(np.uint8), graded, f.mean.spacing)
+
+    # one k's masks alive at a time
+    return [SweepEntry(k, *assess_scan(masks(k), connectivity, span_method)) for k in ks]

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from vesselwrap.uncertainty import (
     sigma_level_mask,
     uncertainty_sweep,
 )
-from vesselwrap.volume import ChannelId
+from vesselwrap.volume import STANDARD_CHANNELS, ChannelId, MissingChannelError
 from conftest import (
     epistemic_from_samples_reference,
     fold_mean_std_reference,
@@ -165,6 +166,18 @@ class TestSampleMeanStdPasses:
         sample_mean_std(folds)
         # one pass per fold, one over the fold means, one over the aleatoric stds
         assert len(calls) == n_folds + 2
+
+    def test_rejected_before_any_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(unc, "_mean_std", calls.append)
+        spread, single = SampleSet((prob_of(0.2), prob_of(0.8))), SampleSet((prob_of(0.5),))
+        with pytest.raises(ValueError, match="need at least 2 samples for a std, got 1"):
+            sample_mean_std([spread, single])
+        # cross-fold geometry is checked before the sample counts
+        other = SampleSet((prob_of(0.5, shape=(1, 1, 2, 3)),))
+        with pytest.raises(ValueError, match="volumes must share dims and channels"):
+            sample_mean_std([single, other])
+        assert calls == []
 
     @pytest.mark.parametrize(
         "statistic", [sample_mean_std, unc._mean_std], ids=["sample_mean_std", "_mean_std"]
@@ -369,3 +382,131 @@ class TestStreamedEquivalence:
             tracemalloc.stop()
         outputs = field.mean.data.nbytes + field.std.data.nbytes
         assert peak < 1.5 * outputs, (peak, outputs)
+
+
+def assert_sweep_matches_reference(field, ks, threshold):
+    """Spy on ``assess_scan``: each graded mask is the reference mask, each entry grades it."""
+    references = [sigma_level_mask_reference(field, k, threshold) for k in ks]
+    graded = [c for c in field.mean.channels
+              if c in (ChannelId.TUMOR, ChannelId.ARTERY, ChannelId.VEIN)]
+    received = []
+    real = unc.assess_scan
+
+    def spy(masks, *args):
+        reference = references[len(received)]
+        received.append(masks)
+        assert [c for c in masks.channels if c in graded] == graded
+        for c in graded:
+            assert masks.channel(c).dtype == np.uint8
+            assert masks.channel(c).tobytes() == reference.channel(c).tobytes()
+        return real(masks, *args)
+
+    try:
+        expected = [real(reference) for reference in references]
+    except MissingChannelError as exc:
+        expected = exc
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(unc, "assess_scan", spy)
+        if isinstance(expected, MissingChannelError):
+            with pytest.raises(MissingChannelError, match=f"^{re.escape(str(expected))}$"):
+                uncertainty_sweep(field, ks, threshold)
+            return
+        entries = uncertainty_sweep(field, ks, threshold)
+    assert len(received) == len(ks)
+    assert [e.k for e in entries] == [float(k) for k in ks]
+    for entry, (reports, category) in zip(entries, expected):
+        assert entry.reports == reports
+        assert list(entry.reports) == list(reports)
+        assert entry.category is category
+
+
+class TestSweepEquivalence:
+    """Every graded mask of a sweep is the reference sigma mask, and every entry grades it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        size=SIZES,
+        special_share=st.sampled_from([0.0, 0.3, 1.0]),
+        ks=st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 2.0]), KS), min_size=1, max_size=5),
+        threshold=THRESHOLDS,
+        channels=st.one_of(
+            st.permutations(STANDARD_CHANNELS),
+            st.lists(st.sampled_from(STANDARD_CHANNELS), min_size=1, max_size=6, unique=True),
+        ),
+    )
+    def test_masks_and_entries(self, seed, size, special_share, ks, threshold, channels):
+        # each channel's mean and std drawn independently, -0.0, 0 and 1 included
+        vols = _random_volumes(np.random.default_rng(seed), 2 * len(channels), size, special_share)
+        mean, std = (
+            make_prob(np.concatenate([v.data for v in vols[i::2]]), channels=channels) for i in (0, 1)
+        )
+        assert_sweep_matches_reference(UncertaintyField(mean, std, "epistemic"), ks, threshold)
+
+    def test_nan_voxels_in_no_mask(self, rng):
+        shape = (3, 2, 6, 6)
+        mean, std = rng.random(shape, dtype=np.float32), rng.random(shape, dtype=np.float32) * 0.3
+        mean[rng.random(shape) < 0.2] = np.nan
+        std[rng.random(shape) < 0.2] = np.nan
+        channels = (ChannelId.VEIN, ChannelId.TUMOR, ChannelId.ARTERY)
+        field = UncertaintyField(make_prob(mean, channels), make_prob(std, channels), "epistemic")
+        assert_sweep_matches_reference(field, [1.0, -1.0, 2.0, 1.0], 0.0)
+
+    def test_more_distinct_ks_than_uint8_counts(self, rng):
+        # 300 distinct ks: a uint8 level would wrap at a voxel held at all of them
+        shape = (3, 1, 4, 4)
+        mean, std = rng.random(shape, dtype=np.float32), rng.random(shape, dtype=np.float32) * 0.2
+        mean[:, :, 0], std[:, :, 0] = 0.9, 0.0  # held at every k
+        ks = np.linspace(-3.0, 3.0, 300)
+        ks = list(rng.permutation(np.concatenate([ks, ks[:7]])))
+        channels = (ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR)
+        field = UncertaintyField(make_prob(mean, channels), make_prob(std, channels), "epistemic")
+        assert_sweep_matches_reference(field, ks, 0.5)
+
+
+class TestSweepValidation:
+    def test_empty_ks_reads_no_channel(self):
+        field = UncertaintyField(prob_of(0.5), prob_of(0.1), "epistemic")  # tumor only
+        assert uncertainty_sweep(field, []) == []
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_rejected(self, k):
+        field = UncertaintyField(prob_of(0.5), prob_of(0.1), "epistemic")
+        with pytest.raises(ValueError, match=f"sigma level k must be finite, got {k}"):
+            uncertainty_sweep(field, [0.0, k])
+
+
+class TestSweepMemory:
+    """The sweep masks only the graded channels and gathers only within a block.
+
+    tracemalloc sees numpy buffers; the peak is measured in uint8 grids of
+    one 16x128x128 channel. Grading is stubbed out: on an all-ones mask the
+    involvement kernel alone peaks near 300 grids, which would hide the
+    masks. Masking all six channels for every k peaked at 7.281 grids on
+    the sparse field and at 7.272 on the dense one, where every voxel passes
+    the largest k; int64 indices of a whole-channel gather alone take 8.
+    """
+
+    @pytest.mark.parametrize("threshold, bound", [(0.5, 7.29), (0.0, 7.28)], ids=["sparse", "dense"])
+    def test_peak_in_grids(self, monkeypatch, threshold, bound):
+        gen = np.random.default_rng(5)
+        shape = (6, 16, 128, 128)
+        mean = np.zeros(shape, np.float32)
+        mean[:, 4:12, 40:88, 40:88] = gen.random((6, 8, 48, 48), dtype=np.float32)
+        std = gen.random(shape, dtype=np.float32) * np.float32(0.2)
+        field = UncertaintyField(make_prob(mean), make_prob(std), "epistemic")
+        calls = []
+
+        def ungraded(masks, *args):
+            calls.append(masks.channels)
+            return {}, None
+
+        monkeypatch.setattr(unc, "assess_scan", ungraded)
+        tracemalloc.start()
+        try:
+            uncertainty_sweep(field, threshold=threshold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == len(unc.DEFAULT_KS)
+        assert peak / (16 * 128 * 128) <= bound

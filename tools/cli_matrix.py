@@ -34,7 +34,9 @@ writes the same tree. Groups:
 ``sweep``
     The seed-1 ``sigma-sweep`` benchmark folds (3 x 6x64x128x128 f32):
     ``uncertainty`` with heat maps and changed flags, two folds at
-    threshold 0 and 1, and ``assess --fold``.
+    threshold 0 and 1, unsorted ks with a duplicate, a single k, threshold
+    1.5 (every mask empty), ``assess --fold`` with default and unsorted
+    ks, and the folds without their vein channel (exit 3).
 ``ct``
     The seed-1 ``ct-assess`` benchmark scans (100x512x512, layered and
     six-channel): ``assess`` with overlays in 4/8 connectivity x both span
@@ -258,7 +260,7 @@ def _perfbench_inputs():
 
 
 def _sweep_inputs() -> list[tuple[str, str]]:
-    from vesselwrap.volume import MaskVolume, read_volume, write_volume
+    from vesselwrap.volume import ChannelId, MaskVolume, ProbVolume, read_volume, write_volume
 
     record, _ = _perfbench_inputs().build_sigma_sweep(np.random.default_rng(1), Path("sw"))
     folds = " ".join(f"--fold sw/{f}" for f in record["folds"])
@@ -266,6 +268,14 @@ def _sweep_inputs() -> list[tuple[str, str]]:
     fold0 = read_volume("sw/fold0.json")
     mask = MaskVolume((fold0.data >= 0.5).astype(np.uint8), fold0.channels, fold0.spacing)
     write_volume(mask, "sw/mask.json")
+    # the same folds without their vein channel: the sweep cannot grade them
+    no_vein = []
+    for name in record["folds"]:
+        fold = read_volume(f"sw/{name}")
+        keep = [i for i, c in enumerate(fold.channels) if c != ChannelId.VEIN]
+        no_vein.append(f"--fold sw/no_vein/{name}")
+        write_volume(ProbVolume(fold.data[keep], [fold.channels[i] for i in keep], fold.spacing),
+                     f"sw/no_vein/{name}")
     return [
         ("sweep-uncertainty-heat", f"uncertainty {folds} --out o/u --overlay o/heat"),
         ("sweep-uncertainty-flags", f"uncertainty {folds} --out o/u --ks -2 0.5 3 --threshold 0.4 "
@@ -275,6 +285,11 @@ def _sweep_inputs() -> list[tuple[str, str]]:
         ("sweep-assess-folds", f"assess sw/mask.json {folds}"),
         ("sweep-assess-folds-flags", f"assess sw/mask.json {folds} --ks 0 1 --threshold 0.3 "
                                      "--connectivity 4 --span-method minmax"),
+        ("sweep-uncertainty-ks-unsorted", f"uncertainty {folds} --out o/u --ks 2 -1 0.5 0.5"),
+        ("sweep-uncertainty-one-k", f"uncertainty {folds} --out o/u --ks 1"),
+        ("sweep-uncertainty-t1.5", f"uncertainty {folds} --out o/u --threshold 1.5"),
+        ("sweep-assess-folds-ks-unsorted", f"assess sw/mask.json {folds} --ks 1 -2 0 2"),
+        ("sweep-uncertainty-no-vein", f"uncertainty {' '.join(no_vein)} --out o/u"),
     ]
 
 
