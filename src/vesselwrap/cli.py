@@ -9,6 +9,10 @@ Exit codes: 0 ok, 2 input error, 3 schema/channel error, 4 partial batch
 failure. ``main()`` is the one place that maps exceptions to exit codes;
 the commands only raise. ``evaluate`` alone catches, to count a failed
 manifest entry and go on with the rest.
+
+Each command and phantom scene declares only the flags it reads. A
+document's ``config`` echoes the ``CONFIG_KEYS`` its command declares, in
+that order, then the units and, with a sweep, the ks.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ SCHEMA_METRICS = "vesselwrap.metrics/1"
 # What assess reads: the graded tumor and vessels, and the pancreas that the
 # critical filter and the overlays use.
 ASSESS_CHANNELS = (ChannelId.PANCREAS, *GRADED_CHANNELS)
+
+# The parsed flags a document's config may echo, in document order.
+CONFIG_KEYS = ("connectivity", "span_method", "threshold", "filter_mode", "critical")
 
 
 class CliError(Exception):
@@ -106,14 +113,9 @@ def _report_dict(report: InvolvementReport) -> dict:
 
 
 def _config_echo(args, sweep: bool) -> dict:
-    cfg = {
-        "connectivity": args.connectivity,
-        "span_method": args.span_method,
-        "threshold": args.threshold,
-        "filter_mode": args.filter_mode,
-        "critical": bool(getattr(args, "critical", False)),
-        "units": {"angles": "deg"},
-    }
+    parsed = vars(args)
+    cfg = {key: parsed[key] for key in CONFIG_KEYS if key in parsed}
+    cfg["units"] = {"angles": "deg"}
     if sweep:
         cfg["ks"] = [float(k) for k in args.ks]
     return cfg
@@ -169,11 +171,12 @@ def _load_fold_field(paths) -> unc.UncertaintyField:
     return unc.fold_mean_std(prob_folds)
 
 
-def _fold_sweep(args) -> tuple[unc.UncertaintyField, list[unc.SweepEntry]]:
-    """The ``--fold`` field, graded at every ``--ks`` sigma level."""
+def _fold_sweep(args, masks=None) -> tuple[unc.UncertaintyField, list[unc.SweepEntry]]:
+    """The ``--fold`` field, on the grid of ``masks`` if given, graded at every ``--ks`` level."""
     field = _load_fold_field(args.fold)
-    entries = unc.uncertainty_sweep(field, args.ks, args.threshold, args.connectivity, args.span_method)
-    return field, entries
+    if masks is not None and (field.mean.dims, field.mean.spacing) != (masks.dims, masks.spacing):
+        raise CliError("folds must share the input's dims and spacing")
+    return field, unc.uncertainty_sweep(field, args.ks, args.threshold, args.connectivity, args.span_method)
 
 
 def cmd_assess(args) -> int:
@@ -182,7 +185,7 @@ def cmd_assess(args) -> int:
     if args.critical:
         masks = filter_critical_volume(masks, args.filter_mode)
     reports, category = assess_scan(masks, args.connectivity, args.span_method)
-    sweep = _fold_sweep(args)[1] if args.fold else None
+    sweep = _fold_sweep(args, masks)[1] if args.fold else None
     if args.overlay:
         overlay.contact_overlay(masks, reports, args.overlay, scan_id)
     _emit(_assessment_doc(scan_id, args, _grading_dict(reports, category), sweep), args.output)
@@ -208,11 +211,12 @@ def _read_manifest(path) -> list[dict]:
             raise CliError(f"manifest line {i}: {exc}", EXIT_INPUT) from None
         if not isinstance(entry, dict) or "scan_id" not in entry or "prediction" not in entry:
             raise CliError(f"manifest line {i}: needs scan_id and prediction", EXIT_INPUT)
-        if not isinstance(entry["scan_id"], (str, int)):
+        if not isinstance(entry["scan_id"], (str, int)) or isinstance(entry["scan_id"], bool):
             raise CliError(f"manifest line {i}: scan_id must be a string or integer", EXIT_INPUT)
-        if entry["scan_id"] in seen:
-            raise CliError(f"manifest line {i}: duplicate scan id {entry['scan_id']!r}", EXIT_INPUT)
-        seen.add(entry["scan_id"])
+        scan_id = str(entry["scan_id"])  # as the report prints it
+        if scan_id in seen:
+            raise CliError(f"manifest line {i}: duplicate scan id {scan_id!r}", EXIT_INPUT)
+        seen.add(scan_id)
         fold = entry.get("fold")
         if fold is not None:
             if not isinstance(fold, (str, int)) or isinstance(fold, bool):
@@ -282,19 +286,10 @@ def cmd_evaluate(args) -> int:
                 if "critical_ground_truth" not in entry:
                     raise CliError("critical evaluation needs critical_ground_truth", EXIT_INPUT)
                 gt_critical = _load_mask(_entry_path(base, entry, "critical_ground_truth"))
-            evals.append(
-                evaluation.evaluate_scan(
-                    pred,
-                    gt,
-                    scan_id=scan_id,
-                    fold=entry.get("fold"),
-                    gt_critical=gt_critical,
-                    critical=args.critical,
-                    filter_mode=args.filter_mode,
-                    connectivity=args.connectivity,
-                    span_method=args.span_method,
-                )
-            )
+            evals.append(evaluation.evaluate_scan(
+                pred, gt, scan_id=scan_id, fold=entry.get("fold"), gt_critical=gt_critical,
+                filter_mode=args.filter_mode, connectivity=args.connectivity, span_method=args.span_method,
+            ))
         except (CliError, ValueError, OSError) as exc:
             failures.append(f"{scan_id}: {exc}")
     evals.sort(key=lambda ev: ev.scan_id)
@@ -419,8 +414,18 @@ def _truth_doc(truth: phantom_mod.PhantomTruth) -> dict:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--connectivity", type=int, choices=(4, 8), default=8)
     p.add_argument("--span-method", choices=("largest-gap", "minmax"), default="largest-gap")
-    p.add_argument("--threshold", type=float, default=0.5)
+
+
+def _add_critical_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--critical", action="store_true", help="drop vessels overlapping the pancreas")
     p.add_argument("--filter-mode", choices=("voxel", "component"), default="voxel")
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    p.add_argument("--fold", action="append", required=required, default=None if required else [],
+                   help="probability fold volume or sample directory (repeatable)")
+    p.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
+    p.add_argument("--threshold", type=float, default=unc.DEFAULT_THRESHOLD)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,10 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assess", help="involvement + DPCG grade for one scan")
     p.add_argument("input", help="mask or layered-label volume header")
     p.add_argument("--scan-id", default=None)
-    p.add_argument("--critical", action="store_true", help="drop vessels overlapping the pancreas")
-    p.add_argument("--fold", action="append", default=[],
-                   help="probability fold volume or sample directory (repeatable)")
-    p.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
+    _add_critical_flags(p)
+    _add_sweep_flags(p, required=False)
     p.add_argument("--overlay", default=None, help="write per-slice contact overlays here")
     _add_common_flags(p)
     p.add_argument("--output", "-o", default=None, help="write JSON here instead of stdout")
@@ -445,16 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="metric suite over a JSON-lines manifest")
     p.add_argument("manifest")
-    p.add_argument("--critical", action="store_true")
+    _add_critical_flags(p)
     p.add_argument("--table", action="store_true", help="also print the text table")
     _add_common_flags(p)
     p.add_argument("--output", "-o", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("uncertainty", help="mean/std volumes and a sigma sweep")
-    p.add_argument("--fold", action="append", required=True,
-                   help="probability fold volume or sample directory (repeatable)")
-    p.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
+    _add_sweep_flags(p, required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scan-id", default="scan")
     p.add_argument("--overlay", default=None, help="write heat maps here")
@@ -471,16 +472,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_loss)
 
     p = sub.add_parser("phantom", help="write synthetic scenes with truth sidecars")
-    p.add_argument("scene", choices=("wrap", "confusion", "uncertainty"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--radius", type=float, default=8.0)
-    p.add_argument("--span", type=float, default=180.0)
-    p.add_argument("--center-deg", type=float, default=90.0)
-    p.add_argument("--channel", choices=("artery", "vein"), default="vein")
-    p.add_argument("--band-extra-deg", type=float, default=25.0)
-    p.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_phantom)
+    scenes = p.add_subparsers(dest="scene", required=True)
+    for scene in ("wrap", "confusion", "uncertainty"):
+        s = scenes.add_parser(scene)
+        s.add_argument("--out", required=True)
+        if scene != "confusion":
+            s.add_argument("--radius", type=float, default=8.0)
+            s.add_argument("--span", type=float, default=180.0)
+            s.add_argument("--center-deg", type=float, default=90.0)
+            s.add_argument("--channel", choices=("artery", "vein"), default="vein")
+        if scene == "uncertainty":
+            s.add_argument("--band-extra-deg", type=float, default=25.0)
+            s.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
+        s.add_argument("--seed", type=int, default=0)
 
     return parser
 

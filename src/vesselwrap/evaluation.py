@@ -122,16 +122,15 @@ def evaluate_scan(
     scan_id: str = "scan",
     fold: str | None = None,
     gt_critical: MaskVolume | None = None,
-    critical: bool = False,
     filter_mode: str = "voxel",
     connectivity: int = 8,
     span_method: str = "largest-gap",
 ) -> ScanEval:
     """Per-scan Dice and involvement facts for the aggregate metrics.
 
-    In critical mode the predicted vessels are stripped of their pancreas
-    overlap first and the ground-truth side switches to the critical-vessel
-    aggregate volume (same tumor channel rules apply there).
+    With ``gt_critical`` (critical mode) the predicted vessels are stripped
+    of their pancreas overlap first and the ground-truth side switches to
+    that critical-vessel aggregate volume (same tumor channel rules apply).
     """
     dice_by_channel: dict[str, float] = {}
     for cid in pred.channels:
@@ -149,13 +148,9 @@ def evaluate_scan(
                 gt.channel(ChannelId.TUMOR) & gt.channel(cid),
             )
 
-    pred_masks = pred
-    gt_masks = gt
-    if critical:
-        pred_masks = inv.filter_critical_volume(pred, filter_mode)
-        if gt_critical is None:
-            raise ValueError("critical evaluation needs the GT critical-aggregate volume")
-        gt_masks = gt_critical
+    pred_masks, gt_masks = pred, gt
+    if gt_critical is not None:
+        pred_masks, gt_masks = inv.filter_critical_volume(pred, filter_mode), gt_critical
 
     # Only the facts are kept, not the reports: a manifest would otherwise
     # hold every scan's component tables until the report is built.

@@ -171,16 +171,16 @@ def _sign_bits(n: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def gradcheck(value_fn, grad_fn, pred, *args, step: float = GRADCHECK_STEP) -> float:
+def gradcheck(value_fn, grad_fn, pred, *args) -> float:
     """Max relative error of the analytic gradient g against central differences.
 
     Two probe sets, each a fixed number of O(N) loss evaluations:
 
     * ``GRADCHECK_DIRECTIONS`` fixed +-1 directions d (bits of a hash of the
       flat index): error ``|g.d - fd| / max(||g||_2, GRADCHECK_FLOOR)``, where
-      fd = (L(p + h d) - L(p - h d)) / 2h. With +-1 entries this is
-      ``|g.d - fd| / (||g|| ||d|| / sqrt(N))``, so a relative fault in g
-      reads at its own size.
+      fd = (L(p + h d) - L(p - h d)) / 2h, h = GRADCHECK_STEP. With +-1
+      entries this is ``|g.d - fd| / (||g|| ||d|| / sqrt(N))``, so a
+      relative fault in g reads at its own size.
     * single-element central differences on each channel's largest-|g|
       element and ``GRADCHECK_COORDINATES`` evenly spaced flat indices:
       error ``|g_i - fd_i| / max(||g||_inf, GRADCHECK_FLOOR)``.
@@ -199,14 +199,14 @@ def gradcheck(value_fn, grad_fn, pred, *args, step: float = GRADCHECK_STEP) -> f
     def central(delta):
         up = value_fn((flat + delta).reshape(pred.shape), *args)
         down = value_fn((flat - delta).reshape(pred.shape), *args)
-        return (up - down) / (2.0 * step)
+        return (up - down) / (2.0 * GRADCHECK_STEP)
 
     worst = 0.0
     norm = max(float(np.sqrt(g @ g)), GRADCHECK_FLOOR)
     bits = _sign_bits(flat.size)
     for j in range(GRADCHECK_DIRECTIONS):
         d = 1.0 - 2.0 * ((bits >> np.uint64(j)) & np.uint64(1)).astype(np.float64)
-        worst = max(worst, abs(float(g @ d) - central(step * d)) / norm)
+        worst = max(worst, abs(float(g @ d) - central(GRADCHECK_STEP * d)) / norm)
 
     mag = np.abs(g)
     peak = max(float(mag.max()), GRADCHECK_FLOOR)
@@ -216,7 +216,7 @@ def gradcheck(value_fn, grad_fn, pred, *args, step: float = GRADCHECK_STEP) -> f
     delta = np.zeros_like(flat)
     # A set, not np.unique: np.unique imports numpy.ma, about 2 MB per process.
     for i in sorted({*peaks.tolist(), *spread.tolist()}):
-        delta[i] = step
+        delta[i] = GRADCHECK_STEP
         worst = max(worst, abs(g[i] - central(delta)) / peak)
         delta[i] = 0.0
     return worst
@@ -237,11 +237,10 @@ def gradcheck_loss(
     gt,
     weights: LossWeights = LossWeights(),
     channels=STANDARD_CHANNELS,
-    step: float = GRADCHECK_STEP,
 ) -> float:
     """gradcheck() for a named loss on a (pred, gt) pair."""
     if name not in LOSS_FUNCTIONS:
         raise ValueError(f"unknown loss {name!r}")
     value_fn, grad_fn = LOSS_FUNCTIONS[name]
     extra = {"overlap": (channels,), "combined": (weights, channels)}.get(name, ())
-    return gradcheck(value_fn, grad_fn, pred, gt, *extra, step=step)
+    return gradcheck(value_fn, grad_fn, pred, gt, *extra)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .involvement import DpcgCategory, dilate, dpcg_classify
-from .uncertainty import DEFAULT_KS
+from .uncertainty import DEFAULT_KS, DEFAULT_THRESHOLD
 from .volume import ChannelId, MaskVolume, ProbVolume, Spacing, STANDARD_CHANNELS
 
 # Half-pixel angular allowance of the contact window, in tangential pixels
@@ -39,6 +39,8 @@ from .volume import ChannelId, MaskVolume, ProbVolume, Spacing, STANDARD_CHANNEL
 ANGULAR_ALLOWANCE_PX = 0.5
 
 DEFAULT_BAND_VALUES = (0.32, 0.40, 0.48)
+WRAP_THICKNESS_PX = 2.5  # radial depth of the tumor rim
+CONFUSION_CASES_PER_CELL = 5
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class PhantomSpec:
     vessel_radius_px: float = 8.0
     wrap_center_deg: float = 90.0
     wrap_span_deg: float = 180.0
-    wrap_thickness_px: float = 2.5
     slice_range: tuple[int, int] = (1, 9)  # z0 inclusive, z1 exclusive
     vessel_channel: ChannelId = ChannelId.VEIN
     axis_jitter_px: float = 0.5
@@ -69,7 +70,7 @@ class PhantomSpec:
         z0, z1 = self.slice_range
         if not (0 <= z0 <= z1 <= self.dims[0]):
             raise ValueError("slice range outside the grid")
-        reach = self.vessel_radius_px + self.wrap_thickness_px + 2.0
+        reach = self.vessel_radius_px + WRAP_THICKNESS_PX + 2.0
         r, c = self.vessel_center
         if not (reach <= r <= self.dims[1] - 1 - reach and reach <= c <= self.dims[2] - 1 - reach):
             raise ValueError("tube (plus tumor rim) must sit fully inside the grid")
@@ -108,7 +109,7 @@ def _sector_tumor(spec: PhantomSpec, vessel, radius, dist, span_deg: float) -> n
     """Annulus pixels that can only ever touch the allowed contact window."""
     if span_deg <= 0.0:
         return np.zeros_like(vessel)
-    annulus = (~vessel) & (radius <= spec.vessel_radius_px + spec.wrap_thickness_px)
+    annulus = (~vessel) & (radius <= spec.vessel_radius_px + WRAP_THICKNESS_PX)
     if span_deg >= 360.0:
         return annulus
     half = span_deg / 2.0 + allowance_deg(spec.vessel_radius_px)
@@ -183,17 +184,15 @@ def gen_wrap_scene(spec: PhantomSpec) -> tuple[MaskVolume, PhantomTruth]:
 
 
 def gen_uncertainty_scene(
-    spec: PhantomSpec,
-    ks: tuple[float, ...] = DEFAULT_KS,
-    threshold: float = 0.5,
+    spec: PhantomSpec, ks: tuple[float, ...] = DEFAULT_KS
 ) -> tuple[list[ProbVolume], dict[float, PhantomTruth]]:
     """Fold probabilities differing only in a rim band, plus per-k truths.
 
     Certain voxels carry probability 1 in every fold; band voxels carry the
     per-fold band values. The expected span at each sigma step follows from
     whether clamp(mean + k*std, 0, 1) of the band values clears the
-    threshold: below it the scene involves the base span, above it the band
-    widens the arc by band_extra_deg per side.
+    sweep's DEFAULT_THRESHOLD: below it the scene involves the base span,
+    above it the band widens the arc by band_extra_deg per side.
     """
     grids, pancreas = _scene_grids(spec)
     vi = STANDARD_CHANNELS.index(spec.vessel_channel)
@@ -217,7 +216,7 @@ def gen_uncertainty_scene(
     truths = {}
     for k in ks:
         band_on = spec.band_extra_deg > 0.0 and (
-            min(max(mean + k * std, 0.0), 1.0) >= threshold
+            min(max(mean + k * std, 0.0), 1.0) >= DEFAULT_THRESHOLD
         )
         span = spec.wrap_span_deg + (2.0 * spec.band_extra_deg if band_on else 0.0)
         truths[float(k)] = _truth(spec, span)
@@ -235,7 +234,7 @@ class ConfusionCase:
     expected: str  # tp | fp | tn | fn
 
 
-def gen_confusion_suite(seed: int = 0, cases_per_cell: int = 5) -> list[ConfusionCase]:
+def gen_confusion_suite(seed: int = 0) -> list[ConfusionCase]:
     """Balanced seeded scene pairs inducing each confusion cell.
 
     TP pairs place the predicted contact at a different wrap angle than the
@@ -244,7 +243,7 @@ def gen_confusion_suite(seed: int = 0, cases_per_cell: int = 5) -> list[Confusio
     rng = np.random.default_rng(seed)
     base = PhantomSpec(dims=(6, 64, 64), vessel_center=(32.0, 32.0), slice_range=(1, 5))
     cases = []
-    for i in range(cases_per_cell):
+    for i in range(CONFUSION_CASES_PER_CELL):
         vessel = ChannelId.VEIN if i % 2 == 0 else ChannelId.ARTERY
         radius = float(rng.integers(8, 13))
         span = float(rng.integers(60, 200))

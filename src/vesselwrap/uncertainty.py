@@ -11,7 +11,7 @@ choice only rescales, and it is pinned by the unit tests.
 * total: mean aleatoric + epistemic (the displayed sum for probabilistic
   ensembles)
 
-Sigma-level masks threshold clamp(mean + k * std, 0, 1) at 0.5 by default.
+Sigma-level masks threshold clamp(mean + k * std, 0, 1) at DEFAULT_THRESHOLD (0.5).
 
 Every mean, every std and every sigma mask is streamed over the flattened
 volumes in blocks of ``_BLOCK`` voxels, so no float64 copy of a fold stack
@@ -68,6 +68,7 @@ from .involvement import GRADED_CHANNELS, DpcgCategory, InvolvementReport, asses
 from .volume import ChannelId, MaskVolume, ProbVolume
 
 DEFAULT_KS = (-1.0, 0.0, 1.0, 2.0)
+DEFAULT_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ def _level_grid(
             out[hits] += _adjusted(s, m, k, inner) >= threshold
 
 
-def sigma_level_mask(f: UncertaintyField, k: float, threshold: float = 0.5) -> MaskVolume:
+def sigma_level_mask(f: UncertaintyField, k: float, threshold: float = DEFAULT_THRESHOLD) -> MaskVolume:
     """Binarize mean + k * std (clamped into [0, 1]) at the threshold."""
     mask = np.zeros(f.mean.data.shape, np.uint8)
     _level_grid(f.mean.data, f.std.data, [float(k)], threshold, mask.reshape(-1))
@@ -238,7 +239,7 @@ class SweepEntry:
 def uncertainty_sweep(
     f: UncertaintyField,
     ks: Sequence[float] = DEFAULT_KS,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_THRESHOLD,
     connectivity: int = 8,
     span_method: str = "largest-gap",
 ) -> list[SweepEntry]:

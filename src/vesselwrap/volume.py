@@ -374,9 +374,9 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
         raise VolumeFormatError(
             f"payload size mismatch: expected {n_voxels * itemsize} bytes, got {size}"
         )
-    if dtype == "u8" and names is not None and channels is not None:
-        stack, kept = _read_mask_channels(raw, dims, names, set(map(ChannelId, channels)))
-        return MaskVolume(stack, kept, spacing)
+    if dtype == "u8" and names is not None:
+        wanted = names if channels is None else set(map(ChannelId, channels))
+        return MaskVolume(*_read_mask_channels(raw, dims, names, wanted), spacing)
     arr = np.fromfile(raw, dtype=_FILE_DTYPES[dtype], count=n_voxels)
     arr = arr.reshape((n_grids,) + dims)
 
@@ -389,9 +389,7 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
             )
         np.clip(arr, 0.0, 1.0, out=arr)
         return ProbVolume(arr, names, spacing)
-    if names is None:
-        return LayeredLabelVolume(arr[0], spacing)
-    return MaskVolume(arr, names, spacing)
+    return LayeredLabelVolume(arr[0], spacing)
 
 
 def write_volume(v: Volume, path) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -198,6 +199,23 @@ class TestAssess:
         assert cats == ["resectable", "resectable", "resectable", "borderline_resectable"]
         assert doc["config"]["ks"] == [-1.0, 0.0, 1.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "dims, spacing",
+        [((6, 64, 64), Spacing(2.0, 0.5, 0.5)), ((10, 128, 128), Spacing(1.0, 0.5, 0.5))],
+        ids=["other-grid", "other-spacing"],
+    )
+    def test_folds_off_the_input_grid_exit_2(self, tmp_path, capsys, dims, spacing):
+        write_scene(tmp_path)  # 10x128x128 at 1 mm
+        center = dims[1] / 2.0
+        spec = PhantomSpec(dims=dims, spacing=spacing, vessel_center=(center, center),
+                           slice_range=(1, 5), band_extra_deg=25.0)
+        fold_args = []
+        for i, fold in enumerate(gen_uncertainty_scene(spec)[0][:2]):
+            write_volume(fold, tmp_path / f"f{i}.json")
+            fold_args += ["--fold", tmp_path / f"f{i}.json"]
+        assert run("assess", tmp_path / "scene.json", *fold_args) == 2
+        assert capsys.readouterr().err == "error: folds must share the input's dims and spacing\n"
+
 
 def read_ppm(path) -> np.ndarray:
     magic, size, depth, data = path.read_bytes().split(b"\n", 3)
@@ -286,19 +304,37 @@ class TestInputBoundary:
         "argv, error",
         [
             (["assess", "{scene}", "--threshold", "nan"], "--threshold must be finite, got nan"),
-            (["evaluate", "{manifest}", "--threshold", "inf"], "--threshold must be finite, got inf"),
             (["loss", "{pred}", "{gt}", "--beta=-inf"], "--beta must be finite, got -inf"),
             (["phantom", "wrap", "--out", "{out}", "--center-deg", "nan"],
              "--center-deg must be finite, got nan"),
             (["phantom", "uncertainty", "--out", "{out}", "--ks", "0", "inf"],
              "--ks must be finite, got inf"),
         ],
-        ids=["assess-threshold", "evaluate-threshold", "loss-beta", "phantom-center", "phantom-ks"],
+        ids=["assess-threshold", "loss-beta", "phantom-center", "phantom-ks"],
     )
     def test_non_finite_flag_exit_2(self, tmp_path, capsys, argv, error):
         paths = write_cli_inputs(tmp_path)
         assert run(*(a.format(**paths) for a in argv)) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "{manifest}", "--threshold", "inf"],
+            ["uncertainty", "--fold", "{pred}", "--out", "{out}", "--filter-mode", "component"],
+            ["phantom", "confusion", "--out", "{out}", "--radius", "12"],
+            ["phantom", "wrap", "--out", "{out}", "--ks", "3"],
+        ],
+        ids=["evaluate-threshold", "uncertainty-filter-mode", "phantom-confusion-radius", "phantom-wrap-ks"],
+    )
+    def test_undeclared_flag_exit_2(self, tmp_path, capsys, argv):
+        # A flag the command would not read is a usage error, not a config echo.
+        paths = write_cli_inputs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(*(a.format(**paths) for a in argv))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -616,6 +652,22 @@ class TestEvaluate:
         )
         assert run("evaluate", manifest) == 2
 
+    @pytest.mark.parametrize(
+        "scan_ids, error",
+        [
+            ([1, "1"], "line 2: duplicate scan id '1'"),
+            ([True], "line 1: scan_id must be a string or integer"),
+        ],
+        ids=["int-and-string", "bool"],
+    )
+    def test_scan_ids_that_print_alike_exit_2(self, tmp_path, capsys, scan_ids, error):
+        write_scene(tmp_path, name="s", span=90.0)
+        manifest = write_manifest(
+            tmp_path, [{"scan_id": i, "prediction": "s.json", "ground_truth": "s.json"} for i in scan_ids]
+        )
+        assert run("evaluate", manifest) == 2
+        assert capsys.readouterr().err == f"error: manifest {error}\n"
+
     def test_deterministic_reports(self, tmp_path):
         write_scene(tmp_path, name="s0", span=120.0, seed=5)
         manifest = write_manifest(
@@ -812,6 +864,93 @@ class TestPhantomCmd:
         with pytest.raises(SystemExit) as exc:
             run("--version")
         assert exc.value.code == 0
+
+
+class ReadRecorder(argparse.Namespace):
+    """Parsed flags that record which of them a command reads."""
+
+    def __init__(self, **flags):
+        super().__init__(**flags)
+        self.__dict__["_read"] = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def command_paths(parser, path=()) -> list[tuple[str, ...]]:
+    """The command words of every parser that runs a command, e.g. ("phantom", "wrap")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [path]
+    return [leaf for name, sub in subs[0].choices.items() for leaf in command_paths(sub, path + (name,))]
+
+
+class TestEveryFlagActs:
+    def test_every_declared_flag_is_read(self, tmp_path, capsys, monkeypatch):
+        # Each command runs once with inputs under which all its flags apply;
+        # a declared flag it never reads could only change the config echo.
+        spec = PhantomSpec(wrap_span_deg=70.0, band_extra_deg=25.0)
+        write_volume(gen_wrap_scene(spec)[0], tmp_path / "scene.json")
+        folds = []
+        for i, fold in enumerate(gen_uncertainty_scene(spec)[0]):
+            write_volume(fold, tmp_path / f"f{i}.json")
+            folds += ["--fold", tmp_path / f"f{i}.json"]
+        manifest = write_manifest(tmp_path, [{
+            "scan_id": "s", "prediction": "scene.json", "ground_truth": "scene.json",
+            "critical_ground_truth": "scene.json",
+        }])
+        TestLossCmd._write_pair(tmp_path)
+        grading = ["--connectivity", "4", "--span-method", "minmax"]
+        sweep = [*folds, "--ks", "0", "2", "--threshold", "0.4"]
+        scene = ["--radius", "9", "--span", "120", "--center-deg", "10", "--channel", "artery", "--seed", "1"]
+        cases = {
+            ("assess",): [tmp_path / "scene.json", "--scan-id", "s", "--critical",
+                          "--filter-mode", "component", *sweep, "--overlay", tmp_path / "ov",
+                          *grading, "-o", tmp_path / "a.json"],
+            ("evaluate",): [manifest, "--critical", "--filter-mode", "component", "--table", *grading,
+                            "-o", tmp_path / "m.json"],
+            ("uncertainty",): [*sweep, "--out", tmp_path / "u", "--scan-id", "u",
+                               "--overlay", tmp_path / "heat", *grading],
+            ("loss",): [tmp_path / "pred.json", tmp_path / "gt.json", "--beta", "0.3", "--alpha-w", "0.6",
+                        "--gradcheck", "-o", tmp_path / "l.json"],
+            ("phantom", "wrap"): ["--out", tmp_path / "w", *scene],
+            ("phantom", "confusion"): ["--out", tmp_path / "c", "--seed", "1"],
+            ("phantom", "uncertainty"): ["--out", tmp_path / "pu", *scene, "--band-extra-deg", "20",
+                                         "--ks", "0", "2"],
+        }
+        echo = cli._config_echo
+        monkeypatch.setattr(cli, "_config_echo",
+                            lambda args, sweep: echo(argparse.Namespace(**vars(args)), sweep))
+        unread = {}
+        for path, flags in cases.items():
+            parsed = vars(cli.build_parser().parse_args([*path, *map(str, flags)]))
+            del parsed["command"]
+            args = ReadRecorder(**parsed)
+            assert parsed.pop("func")(args) == 0, path
+            missing = sorted(set(parsed) - args._read)
+            if missing:
+                unread[" ".join(path)] = missing
+        assert unread == {}
+        assert sorted(command_paths(cli.build_parser())) == sorted(cases)
+
+    def test_config_echoes_the_declared_flags(self, tmp_path, capsys):
+        paths = write_cli_inputs(tmp_path)
+        folds = []
+        for i, fold in enumerate(gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))[0][:2]):
+            write_volume(fold, tmp_path / f"f{i}.json")
+            folds += ["--fold", tmp_path / f"f{i}.json"]
+        assert run("assess", paths["scene"], *folds, "-o", tmp_path / "a.json") == 0
+        assert run("evaluate", paths["manifest"], "-o", tmp_path / "m.json") == 0
+        assert run("uncertainty", *folds, "--out", tmp_path / "u") == 0
+        documents = (tmp_path / "a.json", tmp_path / "m.json", tmp_path / "u" / "uncertainty.json")
+        configs = [json.loads(path.read_text())["config"] for path in documents]
+        assert [list(config) for config in configs] == [
+            ["connectivity", "span_method", "threshold", "filter_mode", "critical", "units", "ks"],
+            ["connectivity", "span_method", "filter_mode", "critical", "units"],
+            ["connectivity", "span_method", "threshold", "units", "ks"],
+        ]
 
 
 # Runs in a fresh interpreter in which importing scipy fails, so any scipy

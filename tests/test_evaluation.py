@@ -246,7 +246,7 @@ def _tube_volume(artery_cols, pancreas_cols, tumor_cols, dims=(3, 8, 8)):
 
 def critical_cells(pred, gt_critical) -> dict[ChannelId, str]:
     """Per-vessel confusion cells of evaluate_scan in critical mode."""
-    ev = evaluate_scan(pred, pred, gt_critical=gt_critical, critical=True)
+    ev = evaluate_scan(pred, pred, gt_critical=gt_critical)
     return {
         v: involvement_confusion(ev.pred[v][0], ev.gt[v][0])
         for v in (ChannelId.ARTERY, ChannelId.VEIN)

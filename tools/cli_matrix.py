@@ -24,13 +24,16 @@ writes the same tree. Groups:
 ``phantom``
     Small scenes from ``vesselwrap.phantom`` (a few seconds): every
     ``phantom`` scene, ``assess`` with overlays, the critical filter, a
-    layered input and fold or sample sweeps, overlays of the hand-built
+    layered input and fold or sample sweeps, the critical filter with
+    folds (the filter acts on the input masks, the sweep's sigma masks are
+    graded unfiltered), overlays of the hand-built
     ``adversarial_scene`` with and without its pancreas channel and as
     layered labels under the component filter,
     ``uncertainty`` on folds and on sample directories, twelve
     ``evaluate`` manifests and flag sets, ``loss`` with and without
     ``--gradcheck`` and the error paths, among them a voxel outside {0, 1}
-    in a channel ``assess`` does not keep.
+    in a channel ``assess`` does not keep and flags that a command or
+    phantom scene does not declare (argparse exits 2).
 ``sweep``
     The seed-1 ``sigma-sweep`` benchmark folds (3 x 6x64x128x128 f32):
     ``uncertainty`` with heat maps and changed flags, two folds at
@@ -214,6 +217,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("assess-layered-c4-minmax",
          "assess ph/layered.json --connectivity 4 --span-method minmax --scan-id lay"),
         ("assess-folds", f"assess ph/scene.json {folds}"),
+        ("assess-critical-folds", f"assess ph/pancreas.json --critical {folds}"),
         ("assess-two-sample-folds", "assess ph/scene.json --fold ph/samples0 --fold ph/samples1"),
         ("uncertainty-folds", f"uncertainty {folds} --out o/u --overlay o/heat"),
         ("uncertainty-three-sample-folds",
@@ -247,6 +251,10 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-nan-threshold", "assess ph/scene.json --threshold nan"),
         ("error-output-under-file", "assess ph/scene.json -o ph/scene.json/x.json"),
         ("error-phantom-radius", "phantom wrap --out o --radius 1"),
+        ("error-evaluate-threshold", f"evaluate {suite_m} --threshold 0.5"),
+        ("error-uncertainty-filter-mode", f"uncertainty {folds} --out o/u --filter-mode component"),
+        ("error-phantom-confusion-radius", "phantom confusion --out o --radius 12"),
+        ("error-phantom-wrap-ks", "phantom wrap --out o --ks 3"),
         ("error-missing-manifest", "evaluate ph/none.jsonl"),
         ("error-garbled-manifest", "evaluate ph/garbled.jsonl"),
     ]
