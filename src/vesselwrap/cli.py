@@ -12,7 +12,10 @@ manifest entry and go on with the rest.
 
 Each command and phantom scene declares only the flags it reads. A
 document's ``config`` echoes the ``CONFIG_KEYS`` its command declares, in
-that order, then the units and, with a sweep, the ks.
+that order, then the units, then the ks if the command declares them.
+``assess`` grades its one input; ``uncertainty`` alone loads folds and
+writes a sigma sweep. ``--filter-mode`` without ``--critical`` is rejected
+before the command runs, and the echo shows ``voxel`` when neither is given.
 """
 
 from __future__ import annotations
@@ -112,12 +115,12 @@ def _report_dict(report: InvolvementReport) -> dict:
     }
 
 
-def _config_echo(args, sweep: bool) -> dict:
+def _config_echo(args) -> dict:
     parsed = vars(args)
     cfg = {key: parsed[key] for key in CONFIG_KEYS if key in parsed}
     cfg["units"] = {"angles": "deg"}
-    if sweep:
-        cfg["ks"] = [float(k) for k in args.ks]
+    if "ks" in parsed:
+        cfg["ks"] = [float(k) for k in parsed["ks"]]
     return cfg
 
 
@@ -128,18 +131,15 @@ def _grading_dict(reports: dict[ChannelId, InvolvementReport], category: DpcgCat
     }
 
 
-def _assessment_doc(scan_id: str, args, body: dict, sweep: list[unc.SweepEntry] | None = None) -> dict:
-    """The assessment document: header, config echo, ``body`` keys, then the sweep if any."""
-    doc = {
+def _assessment_doc(scan_id: str, args, body: dict) -> dict:
+    """The assessment document: header, config echo, then the ``body`` keys."""
+    return {
         "schema": SCHEMA_ASSESSMENT,
         "tool_version": __version__,
         "scan_id": scan_id,
-        "config": _config_echo(args, sweep is not None),
+        "config": _config_echo(args),
         **body,
     }
-    if sweep is not None:
-        doc["sweep"] = [{"k": float(e.k), **_grading_dict(e.reports, e.category)} for e in sweep]
-    return doc
 
 
 def _load_fold_field(paths) -> unc.UncertaintyField:
@@ -171,24 +171,15 @@ def _load_fold_field(paths) -> unc.UncertaintyField:
     return unc.fold_mean_std(prob_folds)
 
 
-def _fold_sweep(args, masks=None) -> tuple[unc.UncertaintyField, list[unc.SweepEntry]]:
-    """The ``--fold`` field, on the grid of ``masks`` if given, graded at every ``--ks`` level."""
-    field = _load_fold_field(args.fold)
-    if masks is not None and (field.mean.dims, field.mean.spacing) != (masks.dims, masks.spacing):
-        raise CliError("folds must share the input's dims and spacing")
-    return field, unc.uncertainty_sweep(field, args.ks, args.threshold, args.connectivity, args.span_method)
-
-
 def cmd_assess(args) -> int:
     masks = _load_mask(args.input, ASSESS_CHANNELS)
     scan_id = args.scan_id or Path(args.input).stem
     if args.critical:
         masks = filter_critical_volume(masks, args.filter_mode)
     reports, category = assess_scan(masks, args.connectivity, args.span_method)
-    sweep = _fold_sweep(args, masks)[1] if args.fold else None
     if args.overlay:
         overlay.contact_overlay(masks, reports, args.overlay, scan_id)
-    _emit(_assessment_doc(scan_id, args, _grading_dict(reports, category), sweep), args.output)
+    _emit(_assessment_doc(scan_id, args, _grading_dict(reports, category)), args.output)
     return EXIT_OK
 
 
@@ -295,7 +286,7 @@ def cmd_evaluate(args) -> int:
     evals.sort(key=lambda ev: ev.scan_id)
     body = evaluation.build_metrics_report(evals, failures)
     header = {"schema": SCHEMA_METRICS, "tool_version": __version__,
-              "config": _config_echo(args, sweep=False)}
+              "config": _config_echo(args)}
     _emit({**header, **body}, args.output)
     if args.table or (args.output not in (None, "-")):
         sys.stdout.write(_metrics_table(body))
@@ -305,12 +296,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
-    field, entries = _fold_sweep(args)
+    field = _load_fold_field(args.fold)
+    entries = unc.uncertainty_sweep(field, args.ks, args.threshold, args.connectivity, args.span_method)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_volume(field.mean, out / "mean.json")
     write_volume(field.std, out / "std.json")
-    doc = _assessment_doc(args.scan_id, args, {"uncertainty_kind": field.kind}, entries)
+    sweep = [{"k": float(e.k), **_grading_dict(e.reports, e.category)} for e in entries]
+    doc = _assessment_doc(args.scan_id, args, {"uncertainty_kind": field.kind, "sweep": sweep})
     _emit(doc, str(out / "uncertainty.json"))
     if args.overlay:
         heat_dir = Path(args.overlay)
@@ -418,14 +411,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_critical_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--critical", action="store_true", help="drop vessels overlapping the pancreas")
-    p.add_argument("--filter-mode", choices=("voxel", "component"), default="voxel")
-
-
-def _add_sweep_flags(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument("--fold", action="append", required=required, default=None if required else [],
-                   help="probability fold volume or sample directory (repeatable)")
-    p.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
-    p.add_argument("--threshold", type=float, default=unc.DEFAULT_THRESHOLD)
+    # None until main() has checked it against --critical and filled in "voxel"
+    p.add_argument("--filter-mode", choices=("voxel", "component"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="mask or layered-label volume header")
     p.add_argument("--scan-id", default=None)
     _add_critical_flags(p)
-    _add_sweep_flags(p, required=False)
     p.add_argument("--overlay", default=None, help="write per-slice contact overlays here")
     _add_common_flags(p)
     p.add_argument("--output", "-o", default=None, help="write JSON here instead of stdout")
@@ -455,7 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("uncertainty", help="mean/std volumes and a sigma sweep")
-    _add_sweep_flags(p, required=True)
+    p.add_argument("--fold", action="append", required=True,
+                   help="probability fold volume or sample directory (repeatable)")
+    p.add_argument("--ks", type=float, nargs="+", default=list(unc.DEFAULT_KS))
+    p.add_argument("--threshold", type=float, default=unc.DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scan-id", default="scan")
     p.add_argument("--overlay", default=None, help="write heat maps here")
@@ -498,6 +487,7 @@ def main(argv=None) -> int:
     or OSError (an unreadable path, or one of the wrong kind) with 2. A
     non-finite float flag is rejected with 2 before the command runs: it
     would be echoed into the document as NaN or Infinity, which is not JSON.
+    So is ``--filter-mode`` without ``--critical``, which would filter nothing.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -505,6 +495,10 @@ def main(argv=None) -> int:
             for v in value if isinstance(value, list) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
                     raise CliError(f"--{dest.replace('_', '-')} must be finite, got {v}")
+        if "filter_mode" in vars(args):
+            if args.filter_mode is not None and not args.critical:
+                raise CliError("--filter-mode acts only with --critical")
+            args.filter_mode = args.filter_mode or "voxel"
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

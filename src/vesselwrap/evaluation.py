@@ -75,20 +75,13 @@ def r_squared(gt_degrees: Sequence[float], pred_degrees: Sequence[float]) -> flo
     return 1.0 - ss_res / ss_tot
 
 
-# DPCG involvement buckets, mirroring the reporting table rows.
-BUCKETS = (
-    ("0", lambda d: d == 0.0),
-    ("0 < deg <= 90", lambda d: 0.0 < d <= 90.0),
-    ("90 < deg <= 270", lambda d: 90.0 < d <= 270.0),
-    ("270 < deg", lambda d: d > 270.0),
-)
+# DPCG involvement bucket labels by ``involvement.dpcg_bucket`` index,
+# mirroring the reporting table rows.
+BUCKETS = ("0", "0 < deg <= 90", "90 < deg <= 270", "270 < deg")
 
 
 def bucket_of(deg: float) -> str:
-    for label, test in BUCKETS:
-        if test(deg):
-            return label
-    raise ValueError(f"degrees out of range: {deg}")
+    return BUCKETS[inv.dpcg_bucket(deg)]
 
 
 def dpcg_bucket_table(pairs: Sequence[tuple[float, float]]) -> list[dict]:
@@ -96,7 +89,7 @@ def dpcg_bucket_table(pairs: Sequence[tuple[float, float]]) -> list[dict]:
 
     One ``{"bucket", "matched", "total"}`` row per bucket, in BUCKETS order.
     """
-    rows = {label: {"bucket": label, "matched": 0, "total": 0} for label, _ in BUCKETS}
+    rows = {label: {"bucket": label, "matched": 0, "total": 0} for label in BUCKETS}
     for gt_deg, pred_deg in pairs:
         row = rows[bucket_of(gt_deg)]
         row["total"] += 1

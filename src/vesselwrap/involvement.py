@@ -44,6 +44,7 @@ of a scan at once:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -386,26 +387,26 @@ def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume
     return MaskVolume(grids, masks.channels, masks.spacing)
 
 
+# DPCG cut points in degrees. Bucket 0 is exactly 0 degrees and bucket i
+# holds the spans in (cut i-1, cut i]; bucket 3 holds those above 270.
+DPCG_CUTS_DEG = (0.0, 90.0, 270.0)
+# Grade per bucket: venous <=90 resectable, (90, 270] borderline, >270
+# irresectable; arterial 0 resectable, (0, 90] borderline, >90 irresectable.
+_R, _B, _I = DpcgCategory
+_VENOUS_GRADES = (_R, _R, _B, _I)
+_ARTERIAL_GRADES = (_R, _B, _I, _I)
+
+
+def dpcg_bucket(deg: float) -> int:
+    """The index of the DPCG bucket holding a contact angle in [0, 360]."""
+    if not (0.0 <= deg <= 360.0):
+        raise ValueError(f"degrees out of range [0, 360]: {deg}")
+    return bisect_left(DPCG_CUTS_DEG, deg)
+
+
 def dpcg_classify(vein_deg: float, artery_deg: float) -> DpcgCategory:
     """Grade resectability from maximum venous and arterial contact angles.
 
-    Venous: <=90 resectable, (90, 270] borderline, >270 irresectable.
-    Arterial: 0 resectable, (0, 90] borderline, >90 irresectable.
-    The final grade is the worse of the two.
+    The final grade is the worse of the venous and the arterial grade.
     """
-    for name, deg in (("vein", vein_deg), ("artery", artery_deg)):
-        if not (0.0 <= deg <= 360.0):
-            raise ValueError(f"{name} degrees out of range [0, 360]: {deg}")
-    if vein_deg <= 90.0:
-        venous = DpcgCategory.RESECTABLE
-    elif vein_deg <= 270.0:
-        venous = DpcgCategory.BORDERLINE_RESECTABLE
-    else:
-        venous = DpcgCategory.IRRESECTABLE
-    if artery_deg == 0.0:
-        arterial = DpcgCategory.RESECTABLE
-    elif artery_deg <= 90.0:
-        arterial = DpcgCategory.BORDERLINE_RESECTABLE
-    else:
-        arterial = DpcgCategory.IRRESECTABLE
-    return max(venous, arterial)
+    return max(_VENOUS_GRADES[dpcg_bucket(vein_deg)], _ARTERIAL_GRADES[dpcg_bucket(artery_deg)])

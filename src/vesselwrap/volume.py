@@ -33,6 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import reduce
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -101,7 +102,7 @@ LAYERED_DECODE = {
     7: (ChannelId.ARTERY, ChannelId.TUMOR),
     8: (ChannelId.VEIN, ChannelId.TUMOR),
 }
-MAX_LAYERED_LABEL = 8
+MAX_LAYERED_LABEL = max(LAYERED_DECODE)
 # Channel -> the labels that set it.
 _DECODE_LABELS = {
     cid: tuple(label for label, targets in LAYERED_DECODE.items() if cid in targets)
@@ -442,15 +443,10 @@ def encode_layered(mv: MaskVolume) -> LayeredLabelVolume:
     importance (tumor > vein > artery > ducts > pancreas).
     """
     labels = np.zeros(mv.dims, dtype=np.uint8)
-    # Re-layering priority, most important last so it wins the single-label
-    # slot: STANDARD_CHANNELS runs least to most important, label k is entry k.
-    for label, cid in enumerate(STANDARD_CHANNELS, start=1):
-        if mv.has_channel(cid):
-            labels[mv.channel(cid) > 0] = label
-    if mv.has_channel(ChannelId.TUMOR):
-        tumor = mv.channel(ChannelId.TUMOR) > 0
-        if mv.has_channel(ChannelId.ARTERY):
-            labels[tumor & (mv.channel(ChannelId.ARTERY) > 0)] = 7
-        if mv.has_channel(ChannelId.VEIN):
-            labels[tumor & (mv.channel(ChannelId.VEIN) > 0)] = 8
+    # Each label of LAYERED_DECODE, in ascending order so that the most
+    # important wins the single-label slot, where every channel it sets is
+    # set; a label whose channels the volume lacks is skipped.
+    for label, targets in sorted(LAYERED_DECODE.items()):
+        if all(mv.has_channel(cid) for cid in targets):
+            labels[reduce(np.logical_and, [mv.channel(cid).view(bool) for cid in targets])] = label
     return LayeredLabelVolume(labels, mv.spacing)

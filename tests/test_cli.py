@@ -185,36 +185,17 @@ class TestAssess:
         assert literal["vessels"]["vein"]["max_involvement_deg"] > 300.0
 
     def test_sweep_via_fold_flags(self, tmp_path, capsys):
-        spec = PhantomSpec(wrap_span_deg=70.0, band_extra_deg=25.0)
-        folds, _ = gen_uncertainty_scene(spec)
-        scene, _ = gen_wrap_scene(spec)
-        write_volume(scene, tmp_path / "scene.json")
+        # assess grades one segmentation; the sweep of the same folds comes from uncertainty
+        folds, _ = gen_uncertainty_scene(PhantomSpec(wrap_span_deg=70.0, band_extra_deg=25.0))
         fold_args = []
         for i, fold in enumerate(folds):
             write_volume(fold, tmp_path / f"f{i}.json")
             fold_args += ["--fold", str(tmp_path / f"f{i}.json")]
-        assert run("assess", tmp_path / "scene.json", *fold_args) == 0
-        doc = json.loads(capsys.readouterr().out)
+        assert run("uncertainty", *fold_args, "--out", tmp_path / "u") == 0
+        doc = json.loads((tmp_path / "u" / "uncertainty.json").read_text())
         cats = [e["dpcg_category"] for e in doc["sweep"]]
         assert cats == ["resectable", "resectable", "resectable", "borderline_resectable"]
         assert doc["config"]["ks"] == [-1.0, 0.0, 1.0, 2.0]
-
-    @pytest.mark.parametrize(
-        "dims, spacing",
-        [((6, 64, 64), Spacing(2.0, 0.5, 0.5)), ((10, 128, 128), Spacing(1.0, 0.5, 0.5))],
-        ids=["other-grid", "other-spacing"],
-    )
-    def test_folds_off_the_input_grid_exit_2(self, tmp_path, capsys, dims, spacing):
-        write_scene(tmp_path)  # 10x128x128 at 1 mm
-        center = dims[1] / 2.0
-        spec = PhantomSpec(dims=dims, spacing=spacing, vessel_center=(center, center),
-                           slice_range=(1, 5), band_extra_deg=25.0)
-        fold_args = []
-        for i, fold in enumerate(gen_uncertainty_scene(spec)[0][:2]):
-            write_volume(fold, tmp_path / f"f{i}.json")
-            fold_args += ["--fold", tmp_path / f"f{i}.json"]
-        assert run("assess", tmp_path / "scene.json", *fold_args) == 2
-        assert capsys.readouterr().err == "error: folds must share the input's dims and spacing\n"
 
 
 def read_ppm(path) -> np.ndarray:
@@ -285,10 +266,7 @@ class TestInputBoundary:
         ids=["ks-nan", "ks-inf", "ks-minus-inf", "threshold-nan"],
     )
     def test_non_finite_sweep_params_exit_2(self, tmp_path, capsys, flags):
-        spec = PhantomSpec(wrap_span_deg=70.0, band_extra_deg=25.0)
-        folds, _ = gen_uncertainty_scene(spec)
-        scene, _ = gen_wrap_scene(spec)
-        write_volume(scene, tmp_path / "scene.json")
+        folds, _ = gen_uncertainty_scene(PhantomSpec(wrap_span_deg=70.0, band_extra_deg=25.0))
         fold_args = []
         for i, fold in enumerate(folds[:2]):
             write_volume(fold, tmp_path / f"f{i}.json")
@@ -297,20 +275,19 @@ class TestInputBoundary:
         assert run("uncertainty", *fold_args, "--out", out, *flags) == 2
         assert_one_line_error(capsys)
         assert not out.exists()
-        assert run("assess", tmp_path / "scene.json", *fold_args, *flags) == 2
-        assert_one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "argv, error",
         [
-            (["assess", "{scene}", "--threshold", "nan"], "--threshold must be finite, got nan"),
+            (["uncertainty", "--fold", "{pred}", "--fold", "{pred}", "--out", "{out}",
+              "--threshold", "nan"], "--threshold must be finite, got nan"),
             (["loss", "{pred}", "{gt}", "--beta=-inf"], "--beta must be finite, got -inf"),
             (["phantom", "wrap", "--out", "{out}", "--center-deg", "nan"],
              "--center-deg must be finite, got nan"),
             (["phantom", "uncertainty", "--out", "{out}", "--ks", "0", "inf"],
              "--ks must be finite, got inf"),
         ],
-        ids=["assess-threshold", "loss-beta", "phantom-center", "phantom-ks"],
+        ids=["uncertainty-threshold", "loss-beta", "phantom-center", "phantom-ks"],
     )
     def test_non_finite_flag_exit_2(self, tmp_path, capsys, argv, error):
         paths = write_cli_inputs(tmp_path)
@@ -321,12 +298,16 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["assess", "{scene}", "-o", "{out}", "--fold", "fold.json"],
+            ["assess", "{scene}", "-o", "{out}", "--ks", "3"],
+            ["assess", "{scene}", "-o", "{out}", "--threshold", "0.4"],
             ["evaluate", "{manifest}", "--threshold", "inf"],
             ["uncertainty", "--fold", "{pred}", "--out", "{out}", "--filter-mode", "component"],
             ["phantom", "confusion", "--out", "{out}", "--radius", "12"],
             ["phantom", "wrap", "--out", "{out}", "--ks", "3"],
         ],
-        ids=["evaluate-threshold", "uncertainty-filter-mode", "phantom-confusion-radius", "phantom-wrap-ks"],
+        ids=["assess-fold", "assess-ks", "assess-threshold", "evaluate-threshold", "uncertainty-filter-mode",
+             "phantom-confusion-radius", "phantom-wrap-ks"],
     )
     def test_undeclared_flag_exit_2(self, tmp_path, capsys, argv):
         # A flag the command would not read is a usage error, not a config echo.
@@ -336,6 +317,17 @@ class TestInputBoundary:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["assess", "evaluate"])
+    def test_filter_mode_without_critical_exit_2(self, tmp_path, capsys, command):
+        # --filter-mode only picks how --critical filters; alone it would filter nothing
+        paths = write_cli_inputs(tmp_path)
+        source = paths["scene" if command == "assess" else "manifest"]
+        assert run(command, source, "--filter-mode", "component", "-o", paths["out"]) == 2
+        assert capsys.readouterr().err == "error: --filter-mode acts only with --critical\n"
+        assert not (tmp_path / "out").exists()
+        assert run(command, source, "-o", paths["out"]) == 0
+        assert json.loads(Path(paths["out"]).read_text())["config"]["filter_mode"] == "voxel"
 
     @pytest.mark.parametrize(
         "argv",
@@ -903,16 +895,15 @@ class TestEveryFlagActs:
         }])
         TestLossCmd._write_pair(tmp_path)
         grading = ["--connectivity", "4", "--span-method", "minmax"]
-        sweep = [*folds, "--ks", "0", "2", "--threshold", "0.4"]
         scene = ["--radius", "9", "--span", "120", "--center-deg", "10", "--channel", "artery", "--seed", "1"]
         cases = {
             ("assess",): [tmp_path / "scene.json", "--scan-id", "s", "--critical",
-                          "--filter-mode", "component", *sweep, "--overlay", tmp_path / "ov",
+                          "--filter-mode", "component", "--overlay", tmp_path / "ov",
                           *grading, "-o", tmp_path / "a.json"],
             ("evaluate",): [manifest, "--critical", "--filter-mode", "component", "--table", *grading,
                             "-o", tmp_path / "m.json"],
-            ("uncertainty",): [*sweep, "--out", tmp_path / "u", "--scan-id", "u",
-                               "--overlay", tmp_path / "heat", *grading],
+            ("uncertainty",): [*folds, "--ks", "0", "2", "--threshold", "0.4", "--out", tmp_path / "u",
+                               "--scan-id", "u", "--overlay", tmp_path / "heat", *grading],
             ("loss",): [tmp_path / "pred.json", tmp_path / "gt.json", "--beta", "0.3", "--alpha-w", "0.6",
                         "--gradcheck", "-o", tmp_path / "l.json"],
             ("phantom", "wrap"): ["--out", tmp_path / "w", *scene],
@@ -922,7 +913,7 @@ class TestEveryFlagActs:
         }
         echo = cli._config_echo
         monkeypatch.setattr(cli, "_config_echo",
-                            lambda args, sweep: echo(argparse.Namespace(**vars(args)), sweep))
+                            lambda args: echo(argparse.Namespace(**vars(args))))
         unread = {}
         for path, flags in cases.items():
             parsed = vars(cli.build_parser().parse_args([*path, *map(str, flags)]))
@@ -941,13 +932,13 @@ class TestEveryFlagActs:
         for i, fold in enumerate(gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))[0][:2]):
             write_volume(fold, tmp_path / f"f{i}.json")
             folds += ["--fold", tmp_path / f"f{i}.json"]
-        assert run("assess", paths["scene"], *folds, "-o", tmp_path / "a.json") == 0
+        assert run("assess", paths["scene"], "-o", tmp_path / "a.json") == 0
         assert run("evaluate", paths["manifest"], "-o", tmp_path / "m.json") == 0
         assert run("uncertainty", *folds, "--out", tmp_path / "u") == 0
         documents = (tmp_path / "a.json", tmp_path / "m.json", tmp_path / "u" / "uncertainty.json")
         configs = [json.loads(path.read_text())["config"] for path in documents]
         assert [list(config) for config in configs] == [
-            ["connectivity", "span_method", "threshold", "filter_mode", "critical", "units", "ks"],
+            ["connectivity", "span_method", "filter_mode", "critical", "units"],
             ["connectivity", "span_method", "filter_mode", "critical", "units"],
             ["connectivity", "span_method", "threshold", "units", "ks"],
         ]

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
+from vesselwrap.evaluation import BUCKETS, bucket_of
 from vesselwrap.involvement import (
+    DPCG_CUTS_DEG,
     SPAN_METHODS,
     DpcgCategory,
     component_table,
     dilate,
+    dpcg_bucket,
     dpcg_classify,
     filter_critical,
     filter_critical_volume,
@@ -720,6 +723,27 @@ class TestDpcgClassify:
             dpcg_classify(-1.0, 0.0)
         with pytest.raises(ValueError):
             dpcg_classify(0.0, 360.5)
+        with pytest.raises(ValueError):
+            bucket_of(360.5)
+
+    @pytest.mark.parametrize("cut", [*DPCG_CUTS_DEG, 360.0])
+    def test_bucket_and_grade_agree_at_cuts(self, cut):
+        # the rule spelled out per vessel: venous <=90 R, <=270 B, else I;
+        # arterial 0 R, <=90 B, else I; the bucket counts the cuts below
+        R, B, I = DpcgCategory
+        for deg in (np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)):
+            deg = float(deg)
+            if not 0.0 <= deg <= 360.0:
+                with pytest.raises(ValueError):
+                    dpcg_bucket(deg)
+                with pytest.raises(ValueError):
+                    bucket_of(deg)
+                continue
+            bucket = sum(c < deg for c in DPCG_CUTS_DEG)
+            assert dpcg_bucket(deg) == bucket
+            assert bucket_of(deg) == BUCKETS[bucket]
+            assert dpcg_classify(deg, 0.0) is (R if deg <= 90.0 else B if deg <= 270.0 else I)
+            assert dpcg_classify(0.0, deg) is (R if deg == 0.0 else B if deg <= 90.0 else I)
 
     @settings(max_examples=50, deadline=None)
     @given(

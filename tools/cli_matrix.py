@@ -23,23 +23,22 @@ writes the same tree. Groups:
 
 ``phantom``
     Small scenes from ``vesselwrap.phantom`` (a few seconds): every
-    ``phantom`` scene, ``assess`` with overlays, the critical filter, a
-    layered input and fold or sample sweeps, the critical filter with
-    folds (the filter acts on the input masks, the sweep's sigma masks are
-    graded unfiltered), overlays of the hand-built
-    ``adversarial_scene`` with and without its pancreas channel and as
-    layered labels under the component filter,
-    ``uncertainty`` on folds and on sample directories, twelve
-    ``evaluate`` manifests and flag sets, ``loss`` with and without
+    ``phantom`` scene, ``assess`` with overlays, the critical filter and a
+    layered input, overlays of the hand-built ``adversarial_scene`` with
+    and without its pancreas channel and as layered labels under the
+    component filter, ``uncertainty`` on folds and on sample directories,
+    twelve ``evaluate`` manifests and flag sets, ``loss`` with and without
     ``--gradcheck`` and the error paths, among them a voxel outside {0, 1}
-    in a channel ``assess`` does not keep and flags that a command or
-    phantom scene does not declare (argparse exits 2).
+    in a channel ``assess`` does not keep, ``--filter-mode`` without
+    ``--critical`` and flags that a command or phantom scene does not
+    declare (argparse exits 2).
 ``sweep``
     The seed-1 ``sigma-sweep`` benchmark folds (3 x 6x64x128x128 f32):
     ``uncertainty`` with heat maps and changed flags, two folds at
     threshold 0 and 1, unsorted ks with a duplicate, a single k, threshold
-    1.5 (every mask empty), ``assess --fold`` with default and unsorted
-    ks, and the folds without their vein channel (exit 3).
+    1.5 (every mask empty), the folds without their vein channel (exit 3),
+    and ``assess`` of a thresholded fold given the folds, which only
+    ``uncertainty`` takes (argparse exits 2).
 ``ct``
     The seed-1 ``ct-assess`` benchmark scans (100x512x512, layered and
     six-channel): ``assess`` with overlays in 4/8 connectivity x both span
@@ -216,9 +215,6 @@ def _phantom_inputs() -> list[tuple[str, str]]:
          "--overlay o/overlay -o o/assess.json"),
         ("assess-layered-c4-minmax",
          "assess ph/layered.json --connectivity 4 --span-method minmax --scan-id lay"),
-        ("assess-folds", f"assess ph/scene.json {folds}"),
-        ("assess-critical-folds", f"assess ph/pancreas.json --critical {folds}"),
-        ("assess-two-sample-folds", "assess ph/scene.json --fold ph/samples0 --fold ph/samples1"),
         ("uncertainty-folds", f"uncertainty {folds} --out o/u --overlay o/heat"),
         ("uncertainty-three-sample-folds",
          "uncertainty --fold ph/samples0 --fold ph/samples1 --fold ph/samples2 "
@@ -248,10 +244,12 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-critical-without-pancreas", "assess ph/adversarial_no_pancreas.json --critical"),
         ("error-bad-voxel-in-unread-channel", "assess ph/bad_duct.json"),
         ("error-loss-geometry", "loss ph/loss_pred.json ph/scene.json"),
-        ("error-nan-threshold", "assess ph/scene.json --threshold nan"),
+        ("error-nan-threshold", f"uncertainty {folds} --out o/u --threshold nan"),
         ("error-output-under-file", "assess ph/scene.json -o ph/scene.json/x.json"),
         ("error-phantom-radius", "phantom wrap --out o --radius 1"),
         ("error-evaluate-threshold", f"evaluate {suite_m} --threshold 0.5"),
+        ("error-assess-filter-mode", "assess ph/scene.json --filter-mode component"),
+        ("error-evaluate-filter-mode", f"evaluate {suite_m} --filter-mode component"),
         ("error-uncertainty-filter-mode", f"uncertainty {folds} --out o/u --filter-mode component"),
         ("error-phantom-confusion-radius", "phantom confusion --out o --radius 12"),
         ("error-phantom-wrap-ks", "phantom wrap --out o --ks 3"),
@@ -290,14 +288,11 @@ def _sweep_inputs() -> list[tuple[str, str]]:
                                     "--connectivity 4 --span-method minmax"),
         ("sweep-uncertainty-two-folds-t0", f"uncertainty {two_folds} --out o/u --threshold 0"),
         ("sweep-uncertainty-two-folds-t1", f"uncertainty {two_folds} --out o/u --threshold 1"),
-        ("sweep-assess-folds", f"assess sw/mask.json {folds}"),
-        ("sweep-assess-folds-flags", f"assess sw/mask.json {folds} --ks 0 1 --threshold 0.3 "
-                                     "--connectivity 4 --span-method minmax"),
         ("sweep-uncertainty-ks-unsorted", f"uncertainty {folds} --out o/u --ks 2 -1 0.5 0.5"),
         ("sweep-uncertainty-one-k", f"uncertainty {folds} --out o/u --ks 1"),
         ("sweep-uncertainty-t1.5", f"uncertainty {folds} --out o/u --threshold 1.5"),
-        ("sweep-assess-folds-ks-unsorted", f"assess sw/mask.json {folds} --ks 1 -2 0 2"),
         ("sweep-uncertainty-no-vein", f"uncertainty {' '.join(no_vein)} --out o/u"),
+        ("error-assess-fold", f"assess sw/mask.json {folds}"),
     ]
 
 
