@@ -20,11 +20,13 @@ One whole-scan kernel, ``component_table``, measures every vessel component
 of a scan at once:
 
 1. gather both grids on the slices, rows and columns that hold a vessel
-   pixel, the rows and columns widened by one on each side. Every in-slice
-   neighbour of a vessel pixel is kept and stays its neighbour, and two
-   vessel pixels are neighbours in the gathered grid only if they are in
-   the scan, so the work follows the vessels' extent, not the distance
-   between them;
+   pixel, the rows and columns widened by one on each side. These lines
+   come from the vessel's voxel index (``MaskVolume.voxels``, or
+   ``set_voxels`` for bare arrays), not from passes over the grid. Every
+   in-slice neighbour of a vessel pixel is kept and stays its neighbour,
+   and two vessel pixels are neighbours in the gathered grid only if they
+   are in the scan, so the work follows the vessels' extent, not the
+   distance between them;
 2. label the gathered grid once with the run-length labeller
    ``label_components``: one ``np.diff`` finds the runs of vessel pixels
    in every row, two ``searchsorted`` calls pair the runs that touch in
@@ -50,7 +52,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .volume import ChannelId, MaskVolume
+from .volume import ChannelId, MaskVolume, set_voxels
 
 SPAN_METHODS = ("largest-gap", "minmax")
 # The graded vessels, in report order.
@@ -196,19 +198,22 @@ def label_components(grid: np.ndarray, connectivity: int) -> tuple[np.ndarray, i
     return labels, int(np.count_nonzero(first))
 
 
-def _occupied_lines(grid: np.ndarray, margin: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
-    """Indices along each axis of a 3-D grid of the planes holding a nonzero voxel.
+def _occupied_lines(voxels: np.ndarray, shape: tuple[int, int, int],
+                    margin: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """Indices along each axis of a 3-D grid of the planes holding a set voxel.
 
-    Each axis keeps the planes within ``margin`` of a nonzero one. Where an
-    axis has a margin of one, the gathered grid ``grid[np.ix_(*lines)]``
-    keeps every neighbour of a nonzero voxel along it next to that voxel,
-    and nonzero voxels meet only where they meet in ``grid``. An all-zero
-    grid gives three empty index arrays.
+    ``voxels`` are the flat indices of the grid's set voxels. Each axis
+    keeps the planes within ``margin`` of a set one. Where an axis has a
+    margin of one, the gathered grid ``grid[np.ix_(*lines)]`` keeps every
+    neighbour of a set voxel along it next to that voxel, and set voxels
+    meet only where they meet in ``grid``. A grid with no set voxel gives
+    three empty index arrays.
     """
-    plane = np.any(grid, axis=0)
-    occupied = (np.any(grid, axis=(1, 2)), plane.any(axis=1), plane.any(axis=0))
+    z, rest = np.divmod(voxels, shape[1] * shape[2])
     lines = []
-    for keep, m in zip(occupied, margin):
+    for coords, size, m in zip((z, *np.divmod(rest, shape[2])), shape, margin):
+        keep = np.zeros(size, dtype=bool)
+        keep[coords] = True
         for _ in range(m):
             keep = dilate(keep, (0,))
         lines.append(np.flatnonzero(keep))
@@ -250,8 +255,13 @@ def component_table(
     vessel3d: np.ndarray,
     connectivity: int = 8,
     span_method: str = "largest-gap",
+    vessel_voxels: np.ndarray | None = None,
 ) -> ComponentTable:
-    """Centroid, contact pixels and contact span of every in-slice vessel component."""
+    """Centroid, contact pixels and contact span of every in-slice vessel component.
+
+    ``vessel_voxels`` is the vessel's voxel index (``set_voxels`` of its
+    grid); without it, the vessel voxels above zero are indexed here.
+    """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     if span_method not in SPAN_METHODS:
@@ -263,7 +273,9 @@ def component_table(
     if vessel.ndim != 3:
         raise ValueError("expected 3-D grids")
 
-    lines = _occupied_lines(vessel, (0, 1, 1))
+    if vessel_voxels is None:
+        vessel_voxels = set_voxels(vessel > 0)
+    lines = _occupied_lines(vessel_voxels, vessel.shape, (0, 1, 1))
     index = _gather_index(lines)
     labels, n = label_components(vessel[index] > 0, connectivity)
     near = dilate(tumor[index] > 0, (-2, -1))
@@ -303,7 +315,8 @@ def scan_involvement(
 ) -> InvolvementReport:
     """Aggregate slice involvement over a whole scan for one vessel class."""
     tumor = masks.channel(ChannelId.TUMOR)
-    table = component_table(tumor, masks.channel(vessel), connectivity, span_method)
+    table = component_table(tumor, masks.channel(vessel), connectivity, span_method,
+                            masks.voxels(vessel))
     bounds = np.searchsorted(table.z, np.arange(masks.dims[0] + 1)).tolist()
     spans = table.span_deg.tolist()
     contacted = table.present.tolist()
@@ -339,13 +352,17 @@ def filter_critical(
     vessel3d: np.ndarray,
     pancreas3d: np.ndarray,
     mode: str = "voxel",
+    vessel_voxels: np.ndarray | None = None,
 ) -> np.ndarray:
     """Drop vessel voxels (or whole 3D components) overlapping the pancreas.
 
     voxel mode removes exactly the overlapping voxels; component mode removes
     every 26-connected vessel component that touches the pancreas anywhere.
-    Only the planes holding a vessel voxel, widened by one on every axis,
-    are gathered and labelled; a keep/drop lookup indexed by label paints
+    ``vessel_voxels`` is the vessel's voxel index (``set_voxels`` of its
+    grid); without it, the vessel voxels above zero are indexed here. voxel
+    mode paints the survivors of the index into a zeroed grid. component
+    mode gathers and labels only the planes holding a vessel voxel, widened
+    by one on every axis, and a keep/drop lookup indexed by label paints
     the survivors back.
     """
     vessel = np.asarray(vessel3d)
@@ -354,18 +371,22 @@ def filter_critical(
         raise ValueError(f"geometry mismatch: {vessel.shape} vs {pancreas.shape}")
     if vessel.ndim != 3:
         raise ValueError("expected 3-D grids")
+    if mode not in ("voxel", "component"):
+        raise ValueError(f"unknown filter mode {mode!r}")
+    if vessel_voxels is None:
+        vessel_voxels = set_voxels(vessel > 0)
+    out = np.zeros(vessel.shape, dtype=np.uint8)
     if mode == "voxel":
-        return ((vessel > 0) & ~(pancreas > 0)).astype(np.uint8)
-    if mode == "component":
-        out = np.zeros(vessel.shape, dtype=np.uint8)
-        index = _gather_index(_occupied_lines(vessel, (1, 1, 1)))
-        labeled, n = label_components(vessel[index] > 0, 26)
-        keep = np.ones(n + 1, dtype=np.uint8)
-        keep[0] = 0
-        keep[labeled[pancreas[index] > 0]] = 0
-        out[index] = keep[labeled]
+        kept = vessel_voxels[~(pancreas.reshape(-1)[vessel_voxels] > 0)]
+        out.reshape(-1)[kept] = 1
         return out
-    raise ValueError(f"unknown filter mode {mode!r}")
+    index = _gather_index(_occupied_lines(vessel_voxels, vessel.shape, (1, 1, 1)))
+    labeled, n = label_components(vessel[index] > 0, 26)
+    keep = np.ones(n + 1, dtype=np.uint8)
+    keep[0] = 0
+    keep[labeled[pancreas[index] > 0]] = 0
+    out[index] = keep[labeled]
+    return out
 
 
 def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume:
@@ -373,18 +394,21 @@ def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume
 
     Both modes drop something from a vessel exactly when it shares a voxel
     with the pancreas, so only such a vessel is filtered. Nothing is
-    copied: the result shares every other grid, and is ``masks`` itself
-    when no vessel touches the pancreas.
+    copied: the result shares every other grid and its voxel index, and is
+    ``masks`` itself when no vessel touches the pancreas. Filtering only
+    removes voxels, so a filtered vessel's index is the part of the old
+    one that survives.
     """
     pancreas = masks.channel(ChannelId.PANCREAS)
-    grids = list(masks.grids)
-    for i, cid in enumerate(masks.channels):
-        # MaskVolume holds uint8 in {0, 1}, so a grid views as bool
-        if cid in VESSELS and pancreas.reshape(-1)[np.flatnonzero(grids[i].view(bool))].any():
-            grids[i] = filter_critical(grids[i], pancreas, mode)
-    if all(new is old for new, old in zip(grids, masks.grids)):
-        return masks
-    return MaskVolume(grids, masks.channels, masks.spacing)
+    replaced = {}
+    for cid in masks.channels:
+        if cid not in VESSELS:
+            continue
+        voxels = masks.voxels(cid)
+        if pancreas.reshape(-1)[voxels].any():
+            grid = filter_critical(masks.channel(cid), pancreas, mode, voxels)
+            replaced[cid] = grid, voxels[grid.reshape(-1)[voxels] != 0]
+    return masks.with_grids(replaced) if replaced else masks
 
 
 # DPCG cut points in degrees. Bucket 0 is exactly 0 degrees and bucket i

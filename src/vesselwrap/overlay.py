@@ -5,10 +5,11 @@ pixels and the vessel centroid, and uncertainty heat maps on the fixed
 0-0.5 scale with standard deviations below 0.01 rendered as background.
 
 Contact views cost what they draw, not the slice area. ``contact_overlay``
-takes the flat indices of the set voxels of the tumor, the pancreas and each
-vessel once per scan, with each slice's range found by ``searchsorted``, and
-paints every image of a vessel on one reused canvas: before an image, only
-the pixels the previous image painted are set back to zero.
+reads the voxel index of the tumor, the pancreas and each vessel from the
+volume (``MaskVolume.voxels``), finds each slice's range in it with
+``searchsorted``, and paints every image of a vessel on one reused canvas:
+before an image, only the pixels the previous image painted are set back
+to zero.
 """
 
 from __future__ import annotations
@@ -58,14 +59,13 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 
 class _SliceIndex:
-    """Flat in-slice indices of the set voxels of a (Z, H, W) {0, 1} grid, by slice."""
+    """Flat in-slice indices of a channel's set voxels, by slice."""
 
-    def __init__(self, grid: np.ndarray):
-        depth, h, w = grid.shape
-        flat = np.flatnonzero(grid.view(bool))  # MaskVolume holds uint8 in {0, 1}
-        self._bounds = np.searchsorted(flat, np.arange(depth + 1) * (h * w)).tolist()
-        flat %= h * w
-        self._flat = flat
+    def __init__(self, masks: MaskVolume, cid: ChannelId):
+        depth, h, w = masks.dims
+        voxels = masks.voxels(cid)
+        self._bounds = np.searchsorted(voxels, np.arange(depth + 1) * (h * w)).tolist()
+        self._flat = voxels % (h * w)  # a new array: the volume's index is read-only
 
     def __getitem__(self, z: int) -> np.ndarray:
         return self._flat[self._bounds[z]:self._bounds[z + 1]]
@@ -89,12 +89,12 @@ def contact_overlay(masks: MaskVolume, reports, directory, scan_id: str) -> None
         return
     out = Path(directory)
     _, h, w = masks.dims
-    tumor = _SliceIndex(masks.channel(ChannelId.TUMOR))
+    tumor = _SliceIndex(masks, ChannelId.TUMOR)
     pancreas = None
     if masks.has_channel(ChannelId.PANCREAS):
-        pancreas = _SliceIndex(masks.channel(ChannelId.PANCREAS))
+        pancreas = _SliceIndex(masks, ChannelId.PANCREAS)
     for report in contacted:
-        vessel = _SliceIndex(masks.channel(report.vessel))
+        vessel = _SliceIndex(masks, report.vessel)
         table = report.table
         rgb = np.zeros((h, w, 3), dtype=np.uint8)
         flat = rgb.reshape(h * w, 3)

@@ -24,6 +24,13 @@ Mask and probability volumes hold one read-only grid per channel.
 ``read_volume(path, channels)`` keeps only the listed channels of a mask
 payload, yet still rejects a voxel outside {0, 1} in any channel, and
 ``decode_layered(lv, channels)`` decodes only the listed ones.
+
+Segmented structures fill a small share of a CT grid, so the stages after
+the read work from a voxel index rather than from the grids:
+``MaskVolume.voxels(cid)`` is the sorted flat indices of a channel's set
+voxels, found once by ``set_voxels`` on first use and then cached,
+read-only. ``decode_layered`` scans the label grid once, decodes each
+channel from the labels at the set voxels and fills the cache as it goes.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import reduce
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -133,6 +140,29 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def set_voxels(grid: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the nonzero voxels of a uint8 or bool grid.
+
+    Equal to ``np.flatnonzero(grid != 0)``, but faster on a sparse grid:
+    the grid is scanned as uint64 words, one eighth as many entries, and
+    only the nonzero words are split into their eight bytes. A size that
+    is not a multiple of eight leaves a tail of at most seven bytes,
+    compared one by one.
+    """
+    flat = np.ascontiguousarray(grid).reshape(-1)
+    if flat.dtype == bool:
+        flat = flat.view(np.uint8)
+    if flat.dtype != np.uint8:
+        raise TypeError(f"set_voxels needs a uint8 or bool grid, got {flat.dtype}")
+    n = flat.size - flat.size % 8
+    # numpy finds the nonzero entries of a bool array far faster than of
+    # an integer one, so each stage compares first
+    words = np.flatnonzero(flat[:n].view(np.uint64) != 0)
+    row, byte = np.nonzero(flat[:n].reshape(-1, 8)[words] != 0)
+    tail = np.flatnonzero(flat[n:] != 0)
+    return np.concatenate((words[row] * 8 + byte, tail + n))
+
+
 def _check_channels(channels: Sequence[ChannelId]) -> tuple[ChannelId, ...]:
     channels = tuple(ChannelId(c) for c in channels)
     if len(set(channels)) != len(channels):
@@ -214,10 +244,38 @@ class _ChannelVolume:
 class MaskVolume(_ChannelVolume):
     """Multi-channel binary volume; channels may overlap voxel-wise.
 
-    Each grid is (Z, H, W), dtype uint8, values in {0, 1}.
+    Each grid is (Z, H, W), dtype uint8, values in {0, 1}. ``voxels(cid)``
+    indexes a channel's set voxels on first use and keeps the index.
     """
 
     _kind = "mask"
+
+    def __init__(self, data, channels: Sequence[ChannelId], spacing: Spacing):
+        super().__init__(data, channels, spacing)
+        object.__setattr__(self, "_voxels", {})
+
+    def voxels(self, cid: ChannelId) -> np.ndarray:
+        """Sorted flat indices of the set voxels of a channel, read-only and cached."""
+        cid = ChannelId(cid)
+        if cid not in self._voxels:
+            self._voxels[cid] = _freeze(set_voxels(self.channel(cid)))
+        return self._voxels[cid]
+
+    def with_grids(self, replaced: Mapping[ChannelId, tuple[np.ndarray, np.ndarray]]) -> MaskVolume:
+        """This volume with some channels' grids replaced.
+
+        ``replaced`` maps a channel to its new grid and that grid's
+        ``set_voxels`` index, which is kept as given. Every other grid is
+        shared, with its cached index.
+        """
+        grids = [replaced[c][0] if c in replaced else g for c, g in zip(self.channels, self.grids)]
+        out = MaskVolume(grids, self.channels, self.spacing)
+        return out._indexed({**self._voxels, **{c: v for c, (_, v) in replaced.items()}})
+
+    def _indexed(self, voxels: Mapping[ChannelId, np.ndarray]) -> MaskVolume:
+        """This volume, with ``voxels`` taken as the index of those channels."""
+        self._voxels.update((c, _freeze(v)) for c, v in voxels.items())
+        return self
 
     def _checked_values(self, arr):
         if arr.dtype != np.uint8:
@@ -246,7 +304,11 @@ class ProbVolume(_ChannelVolume):
 
 @dataclass(frozen=True)
 class LayeredLabelVolume:
-    """Single-grid volume with layered labels 0..8 (0 = background)."""
+    """Single-grid volume with layered labels 0..8 (0 = background).
+
+    A C-contiguous uint8 array is kept as it is, not copied, and is made
+    read-only, as MaskVolume does with its input.
+    """
 
     data: np.ndarray
     spacing: Spacing
@@ -257,7 +319,7 @@ class LayeredLabelVolume:
             raise ValueError(f"layered label data must be 3-D (Z,H,W), got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() > MAX_LAYERED_LABEL):
             raise VolumeFormatError(f"layered labels must lie in 0..{MAX_LAYERED_LABEL}")
-        object.__setattr__(self, "data", _freeze(arr.astype(np.uint8)))
+        object.__setattr__(self, "data", _freeze(arr.astype(np.uint8, copy=False)))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -422,17 +484,22 @@ def decode_layered(
 
     Labels 1..6 set their own channel; 7 sets artery+tumor, 8 sets
     vein+tumor, reconstructing the overlaps the layering collapsed. Each
-    requested channel of STANDARD_CHANNELS is decoded, in that order, as
-    the OR of the labels that set it. The constructor of ``lv`` already
-    confined its labels to 0..8.
+    requested channel of STANDARD_CHANNELS is decoded, in that order, from
+    one scan of the labels: its set voxels are the labelled voxels whose
+    label sets it, painted into a zeroed grid and kept as the channel's
+    voxel index. The constructor of ``lv`` already confined its labels to
+    0..8.
     """
     wanted = set(map(ChannelId, channels))
     kept = tuple(c for c in STANDARD_CHANNELS if c in wanted)
-    out = np.zeros((len(kept),) + lv.dims, dtype=bool)
+    labelled = set_voxels(lv.data)
+    labels = lv.data.reshape(-1)[labelled]
+    out = np.zeros((len(kept),) + lv.dims, dtype=np.uint8)
+    voxels = {}
     for grid, cid in zip(out, kept):
-        for label in _DECODE_LABELS[cid]:
-            grid |= lv.data == label
-    return MaskVolume(out.view(np.uint8), kept, lv.spacing)
+        voxels[cid] = labelled[np.isin(labels, _DECODE_LABELS[cid])]
+        grid.reshape(-1)[voxels[cid]] = 1
+    return MaskVolume(out, kept, lv.spacing)._indexed(voxels)
 
 
 def encode_layered(mv: MaskVolume) -> LayeredLabelVolume:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vesselwrap import cli
+from vesselwrap import cli, involvement, volume
+from vesselwrap.involvement import filter_critical_volume
 from vesselwrap.overlay import COLOR_CENTROID, COLOR_CONTACT
 from vesselwrap.loss import bce, combined_loss, overlap_loss, soft_dice_loss
 from vesselwrap.phantom import PhantomSpec, gen_uncertainty_scene, gen_wrap_scene
@@ -28,6 +29,7 @@ from vesselwrap.volume import (
     VolumeFormatError,
     encode_layered,
     read_volume,
+    set_voxels,
     write_volume,
 )
 from conftest import bfs_components, brute_force_contact
@@ -513,13 +515,16 @@ class TestAssessMemory:
     tracemalloc sees numpy buffers; the peak is measured in grids of the
     sparse 20x256x256 scene. Reading all six channels and copying the stack
     in the filter peaked at 13.2 grids (six channels) and 9.0 (layered).
+    Decoding layered labels with whole-grid compares peaked at 6.05 grids,
+    and decoding from the voxel index at 5.15.
     """
 
-    @pytest.mark.parametrize("layered, bound", [(False, 7.0), (True, 8.0)])
+    SPEC = PhantomSpec(dims=(20, 256, 256), slice_range=(1, 19), vessel_center=(128.0, 128.0),
+                       pancreas_center=(128.0, 138.0), pancreas_radius_px=4.0, jitter_seed=3)
+
+    @pytest.mark.parametrize("layered, bound", [(False, 7.0), (True, 5.6)])
     def test_peak_in_grids(self, tmp_path, capsys, layered, bound):
-        spec = PhantomSpec(dims=(20, 256, 256), slice_range=(1, 19), vessel_center=(128.0, 128.0),
-                           pancreas_center=(128.0, 138.0), pancreas_radius_px=4.0, jitter_seed=3)
-        scene, _ = gen_wrap_scene(spec)
+        scene, _ = gen_wrap_scene(self.SPEC)
         write_volume(encode_layered(scene) if layered else scene, tmp_path / "v.json")
         tracemalloc.start()
         try:
@@ -530,6 +535,37 @@ class TestAssessMemory:
             tracemalloc.stop()
         assert code == 0
         assert peak / scene.channel(ChannelId.VEIN).nbytes <= bound
+
+    @pytest.mark.parametrize("layered", [False, True])
+    def test_each_kept_channel_scanned_once(self, tmp_path, capsys, monkeypatch, layered):
+        """Reading, decoding, filtering, grading and overlays share one voxel scan per grid.
+
+        The six-channel file has each of the four kept channels scanned
+        once; the layered file has only its label grid scanned, and the
+        decode indexes every channel. The vein is cut in two at slice 10 and
+        the pancreas touches only its lower part, so the filter drops that
+        part and contact is left to draw; the filtered vein is not scanned.
+        """
+        scene, _ = gen_wrap_scene(self.SPEC)
+        data = scene.data.copy()
+        data[scene.channel_index(ChannelId.VEIN), 10] = 0
+        data[scene.channel_index(ChannelId.PANCREAS), 10:] = 0
+        scene = MaskVolume(data, scene.channels, scene.spacing)
+        filtered = filter_critical_volume(scene, "component").channel(ChannelId.VEIN)
+        assert 0 < filtered.sum() < scene.channel(ChannelId.VEIN).sum()
+        write_volume(encode_layered(scene) if layered else scene, tmp_path / "v.json")
+        scanned = []
+
+        def spy(grid):
+            scanned.append(np.asarray(grid).__array_interface__["data"][0])
+            return set_voxels(grid)
+
+        monkeypatch.setattr(volume, "set_voxels", spy)
+        monkeypatch.setattr(involvement, "set_voxels", spy)
+        assert run("assess", tmp_path / "v.json", "--critical", "--filter-mode", "component",
+                   "--overlay", tmp_path / "ov") == 0
+        assert any((tmp_path / "ov").iterdir())
+        assert len(set(scanned)) == len(scanned) == (1 if layered else len(cli.ASSESS_CHANNELS))
 
 
 def write_manifest(tmp_path, entries, name="manifest.jsonl"):

@@ -674,6 +674,29 @@ class TestFilterCritical:
             assert np.array_equal(out.channel(cid), want)
             assert (out.channel(cid) is masks.channel(cid)) == np.array_equal(want, masks.channel(cid))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 10), st.integers(1, 11)),
+        mode=st.sampled_from(["voxel", "component"]),
+        primed=st.sets(st.sampled_from([ChannelId.TUMOR, ChannelId.VEIN, ChannelId.PANCREAS,
+                                        ChannelId.ARTERY])),
+    )
+    def test_volume_voxel_index_matches_grids(self, seed, dims, mode, primed):
+        """The index the result carries over, or finds anew, is that of its grids."""
+        gen = np.random.default_rng(seed)
+        channels = (ChannelId.TUMOR, ChannelId.VEIN, ChannelId.PANCREAS, ChannelId.ARTERY)
+        density = np.array([0.3, 0.3, 0.1, 0.3])[:, None, None, None]
+        masks = MaskVolume((gen.random((4,) + dims) < density).astype(np.uint8), channels,
+                           Spacing(1.0, 1.0, 1.0))
+        for cid in primed:
+            masks.voxels(cid)
+        out = filter_critical_volume(masks, mode)
+        for cid in channels:
+            voxels = out.voxels(cid)
+            assert np.array_equal(voxels, np.flatnonzero(out.channel(cid)))
+            assert not voxels.flags.writeable
+
     @pytest.mark.parametrize("mode", ["voxel", "component"])
     def test_volume_returned_when_nothing_dropped(self, mode):
         scene, _ = gen_wrap_scene(PhantomSpec(jitter_seed=3))

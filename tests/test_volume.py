@@ -17,6 +17,7 @@ from vesselwrap.volume import (
     decode_layered,
     encode_layered,
     read_volume,
+    set_voxels,
     write_volume,
 )
 from conftest import make_mask, make_prob
@@ -209,6 +210,86 @@ class TestLayered:
         assert part.data.dtype == np.uint8
         for cid in part.channels:
             assert np.array_equal(part.channel(cid), full.channel(cid))
+
+    def test_labels_kept_without_copy_and_frozen(self):
+        labels = np.zeros((2, 3, 4), dtype=np.uint8)
+        lv = LayeredLabelVolume(labels, SP1)
+        assert lv.data is labels
+        assert not labels.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 5), st.integers(1, 7), st.integers(1, 9)),
+        density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        subset=st.sets(st.sampled_from(list(ChannelId))),
+    )
+    def test_sparse_decode_matches_dense_reference(self, seed, dims, density, subset):
+        gen = np.random.default_rng(seed)
+        labels = np.where(gen.random(dims) < density, gen.integers(1, 9, size=dims), 0).astype(np.uint8)
+        mv = decode_layered(LayeredLabelVolume(labels, SP1), subset)
+        # the dense decode: OR over whole-grid compares, one per label
+        kept = tuple(c for c in STANDARD_CHANNELS if c in subset)
+        assert mv.channels == kept
+        for cid in kept:
+            want = np.zeros(dims, dtype=bool)
+            for label, targets in volume.LAYERED_DECODE.items():
+                if cid in targets:
+                    want |= labels == label
+            assert np.array_equal(mv.channel(cid), want.view(np.uint8))
+            assert np.array_equal(mv.voxels(cid), np.flatnonzero(want))
+
+
+class TestSetVoxels:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.lists(st.integers(0, 13), min_size=1, max_size=3),
+        fill=st.sampled_from(["zeros", "ones", "sparse", "labels"]),
+        strided=st.booleans(),
+        dtype=st.sampled_from([np.uint8, bool]),
+    )
+    def test_equals_flatnonzero(self, seed, shape, fill, strided, dtype):
+        gen = np.random.default_rng(seed)
+        if strided:
+            shape = [2 * n for n in shape]
+        grid = {
+            "zeros": np.zeros(shape, dtype=np.uint8),
+            "ones": np.ones(shape, dtype=np.uint8),
+            "sparse": (gen.random(shape) < 0.1).astype(np.uint8),
+            "labels": gen.integers(0, 9, size=shape, dtype=np.uint8),
+        }[fill].astype(dtype)
+        if strided:
+            grid = grid[(slice(None, None, 2),) * grid.ndim]
+            assert not grid.flags.c_contiguous or grid.size <= 1
+        got = set_voxels(grid)
+        assert np.array_equal(got, np.flatnonzero(grid != 0))
+        assert got.dtype == np.intp
+
+    def test_rejects_wider_dtypes(self):
+        with pytest.raises(TypeError):
+            set_voxels(np.ones((2, 2), dtype=np.int16))
+
+
+class TestVoxelIndex:
+    def test_cached_read_only_and_equal_to_flatnonzero(self, rng):
+        mv = make_mask(rng.integers(0, 2, size=(6, 3, 5, 7)))
+        for cid in mv.channels:
+            voxels = mv.voxels(cid)
+            assert mv.voxels(cid) is voxels
+            assert np.array_equal(voxels, np.flatnonzero(mv.channel(cid)))
+            with pytest.raises(ValueError, match="read-only"):
+                voxels[:1] = 0
+
+    def test_decoded_index_is_read_only(self):
+        mv = decode_layered(LayeredLabelVolume(np.full((1, 2, 3), 8, dtype=np.uint8), SP1))
+        with pytest.raises(ValueError, match="read-only"):
+            mv.voxels(ChannelId.VEIN)[0] = 1
+
+    def test_missing_channel(self):
+        mv = make_mask(np.zeros((1, 1, 2, 2)), channels=(ChannelId.VEIN,))
+        with pytest.raises(volume.MissingChannelError):
+            mv.voxels(ChannelId.ARTERY)
 
 
 class TestChannelVolume:

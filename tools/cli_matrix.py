@@ -26,8 +26,10 @@ writes the same tree. Groups:
     ``phantom`` scene, ``assess`` with overlays, the critical filter and a
     layered input, overlays of the hand-built ``adversarial_scene`` with
     and without its pancreas channel and as layered labels under the
-    component filter, ``uncertainty`` on folds and on sample directories,
-    twelve ``evaluate`` manifests and flag sets, ``loss`` with and without
+    component filter, a 5x27x29 crop of it (cut to 27 rows, one empty
+    column added, so the voxel count is not a multiple of 8) as a mask
+    volume and as layered labels under the component filter,
+    ``uncertainty`` on folds and on sample directories, twelve ``evaluate`` manifests and flag sets, ``loss`` with and without
     ``--gradcheck`` and the error paths, among them a voxel outside {0, 1}
     in a channel ``assess`` does not keep, ``--filter-mode`` without
     ``--critical`` and flags that a command or phantom scene does not
@@ -142,6 +144,12 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     write_volume(MaskVolume(adversarial.data[1:], adversarial.channels[1:], adversarial.spacing),
                  "ph/adversarial_no_pancreas.json")
     write_volume(encode_layered(adversarial), "ph/adversarial_layered.json")
+    # 5x27x29 = 3915 voxels, not a multiple of 8: voxel scans end on a
+    # partial word, and the channel grids of a stack start off word bounds
+    odd = np.pad(adversarial.data[:, :, :27], ((0, 0), (0, 0), (0, 0), (0, 1)))
+    odd = MaskVolume(odd, adversarial.channels, adversarial.spacing)
+    write_volume(odd, "ph/adversarial_odd.json")
+    write_volume(encode_layered(odd), "ph/adversarial_odd_layered.json")
     # A six-channel scene whose only voxel outside {0, 1} sits in a channel
     # assess does not keep (MaskVolume rejects it, so the payload is patched).
     write_volume(scene, "ph/bad_duct.json")
@@ -212,6 +220,12 @@ def _phantom_inputs() -> list[tuple[str, str]]:
          "assess ph/adversarial_no_pancreas.json --overlay o/overlay -o o/assess.json"),
         ("assess-adversarial-layered-critical-component-overlay",
          "assess ph/adversarial_layered.json --critical --filter-mode component "
+         "--overlay o/overlay -o o/assess.json"),
+        ("assess-adversarial-odd-critical-component-overlay",
+         "assess ph/adversarial_odd.json --critical --filter-mode component "
+         "--overlay o/overlay -o o/assess.json"),
+        ("assess-adversarial-odd-layered-critical-component-overlay",
+         "assess ph/adversarial_odd_layered.json --critical --filter-mode component "
          "--overlay o/overlay -o o/assess.json"),
         ("assess-layered-c4-minmax",
          "assess ph/layered.json --connectivity 4 --span-method minmax --scan-id lay"),
