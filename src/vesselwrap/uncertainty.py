@@ -205,8 +205,8 @@ def _level_grid(
     ``ks`` are distinct and descending, so the mask of ``ks[i]`` is
     ``level > i``. One dense pass tests the largest k; the others are
     tested only at the voxels of each block that pass it, since the masks
-    are nested. ``level`` is a flat zeroed unsigned grid that can hold
-    ``len(ks)``.
+    are nested. ``level`` is a flat zeroed grid that can hold ``len(ks)``:
+    unsigned, or bool for a single k.
     """
     mean, std = mean.reshape(-1), std.reshape(-1)
     buf = np.empty(min(mean.size, _BLOCK))
@@ -224,7 +224,7 @@ def _level_grid(
 
 def sigma_level_mask(f: UncertaintyField, k: float, threshold: float = DEFAULT_THRESHOLD) -> MaskVolume:
     """Binarize mean + k * std (clamped into [0, 1]) at the threshold."""
-    mask = np.zeros(f.mean.data.shape, np.uint8)
+    mask = np.zeros(f.mean.data.shape, bool)
     _level_grid(f.mean.data, f.std.data, [float(k)], threshold, mask.reshape(-1))
     return MaskVolume(mask, f.mean.channels, f.mean.spacing)
 
@@ -265,7 +265,7 @@ def uncertainty_sweep(
         _level_grid(f.mean.channel(c), f.std.channel(c), distinct, threshold, level.reshape(-1))
 
     def masks(k):
-        return MaskVolume((levels > rank[k]).view(np.uint8), graded, f.mean.spacing)
+        return MaskVolume(levels > rank[k], graded, f.mean.spacing)
 
     # one k's masks alive at a time
     return [SweepEntry(k, *assess_scan(masks(k), connectivity, span_method)) for k in ks]

@@ -18,7 +18,10 @@ at ``<stem>.json`` describes geometry and dtype, the voxel data sits in
     omitted or ``null`` for a single-grid layered label volume.
 
 Probability payloads are clamped into [0, 1] at ingest with a 0.001
-tolerance; values further out, and NaN, are rejected as corrupt.
+tolerance; values further out, and NaN, are rejected as corrupt. Mask
+voxels and layered labels are checked once, where they enter, by one rule
+(``_small_ints``); the mask grids built on the way to a grade are bool, 0
+and 1 by type, and are not scanned again.
 
 Mask and probability volumes hold one read-only grid per channel.
 ``read_volume(path, channels)`` keeps only the listed channels of a mask
@@ -35,6 +38,7 @@ channel from the labels at the set voxels and fills the cache as it goes.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
@@ -48,6 +52,7 @@ import numpy as np
 
 HEADER_ORDER = "channel-major,z,y,x"
 PROB_INGEST_TOL = 1e-3
+_MASK_VALUES = "mask voxels must be 0 or 1"
 
 # Header dtype -> little-endian payload dtype.
 _FILE_DTYPES = {"u8": "<u1", "f32": "<f4"}
@@ -140,6 +145,23 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _small_ints(arr: np.ndarray, top: int, message: str) -> np.ndarray:
+    """``arr`` as uint8 with values in 0..top (top >= 1), else VolumeFormatError(message).
+
+    A bool array is made read-only and viewed, not scanned; uint8 is kept
+    after one ``max`` pass; any other dtype is checked with ``isin`` and cast.
+    """
+    if arr.dtype == bool:
+        return _freeze(arr).view(np.uint8)
+    if arr.dtype != np.uint8:
+        if not np.isin(arr, np.arange(top + 1)).all():
+            raise VolumeFormatError(message)
+        return arr.astype(np.uint8)
+    if arr.size and arr.max() > top:
+        raise VolumeFormatError(message)
+    return arr
+
+
 def set_voxels(grid: np.ndarray) -> np.ndarray:
     """Sorted flat indices of the nonzero voxels of a uint8 or bool grid.
 
@@ -173,11 +195,10 @@ def _check_channels(channels: Sequence[ChannelId]) -> tuple[ChannelId, ...]:
 class _ChannelVolume:
     """One read-only (Z, H, W) grid per channel: shape checks and channel lookup.
 
-    Built from a (C, Z, H, W) array, the volume keeps that stack (read-only)
-    and ``grids`` are its channel views; ``data`` returns the stack itself.
-    Built from a sequence of (Z, H, W) grids, as the critical filter does to
-    share the grids it leaves alone, nothing is stacked and ``data`` stacks
-    a new read-only copy on every access. Volumes are immutable.
+    Built from a (C, Z, H, W) array, the volume keeps that stack (checked by
+    ``_checked_values``, read-only); ``grids`` are its channel views and
+    ``data`` is the stack. A ``MaskVolume.with_grids`` result has no stack:
+    its ``data`` stacks a new read-only copy on each access. Immutable.
     """
 
     _kind = "channel"
@@ -185,31 +206,16 @@ class _ChannelVolume:
 
     def __init__(self, data, channels: Sequence[ChannelId], spacing: Spacing):
         channels = _check_channels(channels)
-        stack = None
-        if isinstance(data, np.ndarray):
-            stack = np.ascontiguousarray(data, dtype=self._dtype)
-            if stack.ndim != 4:
-                raise ValueError(f"{self._kind} data must be 4-D (C,Z,H,W), got shape {stack.shape}")
-            count, dims = stack.shape[0], stack.shape[1:]
-        else:
-            data = [np.ascontiguousarray(g, dtype=self._dtype) for g in data]
-            shapes = {g.shape for g in data}
-            if len(shapes) != 1 or data[0].ndim != 3:
-                raise ValueError(
-                    f"{self._kind} grids must be 3-D (Z,H,W) of one shape, got {sorted(shapes)}"
-                )
-            count, dims = len(data), data[0].shape
-        if count != len(channels):
+        stack = np.ascontiguousarray(data, dtype=self._dtype)
+        if stack.ndim != 4:
+            raise ValueError(f"{self._kind} data must be 4-D (C,Z,H,W), got shape {stack.shape}")
+        if stack.shape[0] != len(channels):
             raise ValueError(
-                f"channel count mismatch: data has {count}, channel list has {len(channels)}"
+                f"channel count mismatch: data has {stack.shape[0]}, channel list has {len(channels)}"
             )
-        if stack is not None:
-            stack = _freeze(self._checked_values(stack))
-            grids = tuple(stack)
-        else:
-            grids = tuple(_freeze(self._checked_values(g)) for g in data)
-        for name, value in (("grids", grids), ("channels", channels), ("spacing", spacing),
-                            ("dims", tuple(dims)), ("_stack", stack)):
+        stack = _freeze(self._checked_values(stack))
+        for name, value in (("grids", tuple(stack)), ("channels", channels), ("spacing", spacing),
+                            ("dims", stack.shape[1:]), ("_stack", stack)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -221,7 +227,7 @@ class _ChannelVolume:
 
     @property
     def data(self) -> np.ndarray:
-        """The (C, Z, H, W) stack; a copy only for a volume built from grids."""
+        """The (C, Z, H, W) stack; a copy only for a volume made by ``with_grids``."""
         if self._stack is not None:
             return self._stack
         return _freeze(np.stack(self.grids))
@@ -244,8 +250,8 @@ class _ChannelVolume:
 class MaskVolume(_ChannelVolume):
     """Multi-channel binary volume; channels may overlap voxel-wise.
 
-    Each grid is (Z, H, W), dtype uint8, values in {0, 1}. ``voxels(cid)``
-    indexes a channel's set voxels on first use and keeps the index.
+    Each grid is (Z, H, W), dtype uint8 (a bool stack is viewed), values in
+    {0, 1}. ``voxels(cid)`` indexes a channel's set voxels on first use.
     """
 
     _kind = "mask"
@@ -264,27 +270,21 @@ class MaskVolume(_ChannelVolume):
     def with_grids(self, replaced: Mapping[ChannelId, tuple[np.ndarray, np.ndarray]]) -> MaskVolume:
         """This volume with some channels' grids replaced.
 
-        ``replaced`` maps a channel to its new grid and that grid's
-        ``set_voxels`` index, which is kept as given. Every other grid is
-        shared, with its cached index.
+        ``replaced`` maps a channel to its new uint8 0/1 grid and that
+        grid's ``set_voxels`` index, taken as given (not checked again) and
+        made read-only. Every other grid is shared, with its cached index.
+        The result has no stack, so its ``data`` stacks on request.
         """
-        grids = [replaced[c][0] if c in replaced else g for c, g in zip(self.channels, self.grids)]
-        out = MaskVolume(grids, self.channels, self.spacing)
-        return out._indexed({**self._voxels, **{c: v for c, (_, v) in replaced.items()}})
-
-    def _indexed(self, voxels: Mapping[ChannelId, np.ndarray]) -> MaskVolume:
-        """This volume, with ``voxels`` taken as the index of those channels."""
-        self._voxels.update((c, _freeze(v)) for c, v in voxels.items())
-        return self
+        out = copy.copy(self)
+        grids = tuple(_freeze(replaced[c][0]) if c in replaced else g
+                      for c, g in zip(self.channels, self.grids))
+        voxels = {**self._voxels, **{c: _freeze(v) for c, (_, v) in replaced.items()}}
+        for name, value in (("grids", grids), ("_stack", None), ("_voxels", voxels)):
+            object.__setattr__(out, name, value)
+        return out
 
     def _checked_values(self, arr):
-        if arr.dtype != np.uint8:
-            if not np.isin(arr, (0, 1)).all():
-                raise VolumeFormatError("mask voxels must be 0 or 1")
-            return arr.astype(np.uint8)
-        if arr.size and arr.max() > 1:
-            raise VolumeFormatError("mask voxels must be 0 or 1")
-        return arr
+        return _small_ints(arr, 1, _MASK_VALUES)
 
 
 class ProbVolume(_ChannelVolume):
@@ -307,7 +307,7 @@ class LayeredLabelVolume:
     """Single-grid volume with layered labels 0..8 (0 = background).
 
     A C-contiguous uint8 array is kept as it is, not copied, and is made
-    read-only, as MaskVolume does with its input.
+    read-only, as MaskVolume does with its input. Any other value is rejected.
     """
 
     data: np.ndarray
@@ -317,9 +317,8 @@ class LayeredLabelVolume:
         arr = np.ascontiguousarray(self.data)
         if arr.ndim != 3:
             raise ValueError(f"layered label data must be 3-D (Z,H,W), got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() > MAX_LAYERED_LABEL):
-            raise VolumeFormatError(f"layered labels must lie in 0..{MAX_LAYERED_LABEL}")
-        object.__setattr__(self, "data", _freeze(arr.astype(np.uint8, copy=False)))
+        message = f"layered labels must lie in 0..{MAX_LAYERED_LABEL}"
+        object.__setattr__(self, "data", _freeze(_small_ints(arr, MAX_LAYERED_LABEL, message)))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -386,8 +385,8 @@ def _parse_header(header, path: Path):
 def _read_mask_channels(raw: Path, dims, names, wanted) -> tuple[np.ndarray, tuple]:
     """The (C', Z, H, W) stack of the ``wanted`` channels of a mask payload, in file order.
 
-    Every other channel streams through one reused buffer and is checked
-    there; MaskVolume checks the kept grids.
+    Every other channel streams through one reused buffer. Each channel is
+    checked as it is read, and the stack is returned as a bool view.
     """
     kept = tuple(c for c in names if c in wanted)
     stack = np.empty((len(kept),) + dims, dtype=np.uint8)
@@ -403,9 +402,8 @@ def _read_mask_channels(raw: Path, dims, names, wanted) -> tuple[np.ndarray, tup
             for part in parts:
                 if f.readinto(part) != part.size:
                     raise VolumeFormatError(f"payload {raw} shrank while being read")
-                if streamed and part.max() > 1:
-                    raise VolumeFormatError("mask voxels must be 0 or 1")
-    return stack, kept
+                _small_ints(part, 1, _MASK_VALUES)
+    return stack.view(bool), kept
 
 
 def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
@@ -486,20 +484,22 @@ def decode_layered(
     vein+tumor, reconstructing the overlaps the layering collapsed. Each
     requested channel of STANDARD_CHANNELS is decoded, in that order, from
     one scan of the labels: its set voxels are the labelled voxels whose
-    label sets it, painted into a zeroed grid and kept as the channel's
-    voxel index. The constructor of ``lv`` already confined its labels to
-    0..8.
+    label sets it, painted into a zeroed bool grid and kept as the
+    channel's voxel index. The constructor of ``lv`` already confined its
+    labels to 0..8.
     """
     wanted = set(map(ChannelId, channels))
     kept = tuple(c for c in STANDARD_CHANNELS if c in wanted)
     labelled = set_voxels(lv.data)
     labels = lv.data.reshape(-1)[labelled]
-    out = np.zeros((len(kept),) + lv.dims, dtype=np.uint8)
+    out = np.zeros((len(kept),) + lv.dims, dtype=bool)
     voxels = {}
     for grid, cid in zip(out, kept):
-        voxels[cid] = labelled[np.isin(labels, _DECODE_LABELS[cid])]
-        grid.reshape(-1)[voxels[cid]] = 1
-    return MaskVolume(out, kept, lv.spacing)._indexed(voxels)
+        voxels[cid] = _freeze(labelled[np.isin(labels, _DECODE_LABELS[cid])])
+        grid.reshape(-1)[voxels[cid]] = True
+    masks = MaskVolume(out, kept, lv.spacing)
+    masks._voxels.update(voxels)
+    return masks
 
 
 def encode_layered(mv: MaskVolume) -> LayeredLabelVolume:

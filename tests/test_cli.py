@@ -536,15 +536,10 @@ class TestAssessMemory:
         assert code == 0
         assert peak / scene.channel(ChannelId.VEIN).nbytes <= bound
 
-    @pytest.mark.parametrize("layered", [False, True])
-    def test_each_kept_channel_scanned_once(self, tmp_path, capsys, monkeypatch, layered):
-        """Reading, decoding, filtering, grading and overlays share one voxel scan per grid.
+    def cut_scene(self):
+        """The scene with its vein cut in two at slice 10 and the pancreas on the lower part.
 
-        The six-channel file has each of the four kept channels scanned
-        once; the layered file has only its label grid scanned, and the
-        decode indexes every channel. The vein is cut in two at slice 10 and
-        the pancreas touches only its lower part, so the filter drops that
-        part and contact is left to draw; the filtered vein is not scanned.
+        The component filter drops that part, and contact is left to draw.
         """
         scene, _ = gen_wrap_scene(self.SPEC)
         data = scene.data.copy()
@@ -553,6 +548,17 @@ class TestAssessMemory:
         scene = MaskVolume(data, scene.channels, scene.spacing)
         filtered = filter_critical_volume(scene, "component").channel(ChannelId.VEIN)
         assert 0 < filtered.sum() < scene.channel(ChannelId.VEIN).sum()
+        return scene
+
+    @pytest.mark.parametrize("layered", [False, True])
+    def test_each_kept_channel_scanned_once(self, tmp_path, capsys, monkeypatch, layered):
+        """Reading, decoding, filtering, grading and overlays share one voxel scan per grid.
+
+        The six-channel file has each of the four kept channels scanned
+        once; the layered file has only its label grid scanned, and the
+        decode indexes every channel. The filtered vein is not scanned.
+        """
+        scene = self.cut_scene()
         write_volume(encode_layered(scene) if layered else scene, tmp_path / "v.json")
         scanned = []
 
@@ -566,6 +572,31 @@ class TestAssessMemory:
                    "--overlay", tmp_path / "ov") == 0
         assert any((tmp_path / "ov").iterdir())
         assert len(set(scanned)) == len(scanned) == (1 if layered else len(cli.ASSESS_CHANNELS))
+
+    @pytest.mark.parametrize("layered", [False, True])
+    def test_each_voxel_value_checked_once(self, tmp_path, capsys, monkeypatch, layered):
+        """Each payload voxel is value-checked once, at the read.
+
+        The grids the program builds (the read stack, the decoded channels,
+        the filtered vein) reach the value rule as bool or not at all, so
+        the voxels it scans add up to the payload's voxel count.
+        """
+        scene = self.cut_scene()
+        write_volume(encode_layered(scene) if layered else scene, tmp_path / "v.json")
+        checked = []
+        small_ints = volume._small_ints
+
+        def spy(arr, top, message):
+            if arr.dtype != bool:
+                checked.append(arr.size)
+            return small_ints(arr, top, message)
+
+        monkeypatch.setattr(volume, "_small_ints", spy)
+        assert run("assess", tmp_path / "v.json", "--critical", "--filter-mode", "component",
+                   "--overlay", tmp_path / "ov") == 0
+        assert any((tmp_path / "ov").iterdir())
+        grids = 1 if layered else len(scene.channels)
+        assert sum(checked) == grids * scene.channel(ChannelId.VEIN).size
 
 
 def write_manifest(tmp_path, entries, name="manifest.jsonl"):

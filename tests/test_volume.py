@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vesselwrap import volume
+from vesselwrap.involvement import filter_critical_volume
 from vesselwrap.volume import (
     ChannelId,
     LayeredLabelVolume,
@@ -189,6 +190,15 @@ class TestLayered:
         with pytest.raises(VolumeFormatError):
             LayeredLabelVolume(np.array([[[9]]], dtype=np.uint8), SP1)
 
+    @pytest.mark.parametrize("value, dtype", [
+        (7.9, np.float64), (2.5, np.float64), (-1, np.float64), (9, np.float64),
+        (-1, np.int64), (9, np.int64),
+    ])
+    def test_non_label_values_rejected(self, value, dtype):
+        """A value that is not an integer in 0..8 is rejected, not truncated to a label."""
+        with pytest.raises(VolumeFormatError, match=r"layered labels must lie in 0\.\.8"):
+            LayeredLabelVolume(np.array([[[0, value]]], dtype=dtype), SP1)
+
     def test_decode_then_encode_recovers_labels(self, rng):
         labels = rng.integers(0, 9, size=(3, 6, 6)).astype(np.uint8)
         lv = LayeredLabelVolume(labels, SP1)
@@ -301,21 +311,29 @@ class TestChannelVolume:
         assert vol.dims == (3, 4, 5)
 
     def test_grids_are_shared_and_stacked_on_request(self):
-        artery, tumor = np.zeros((3, 4, 5), np.uint8), np.ones((3, 4, 5), np.uint8)
-        vol = MaskVolume([artery, tumor], (ChannelId.ARTERY, ChannelId.TUMOR), SP1)
-        assert vol.grids[0] is artery and vol.channel(ChannelId.TUMOR) is tumor
-        assert not artery.flags.writeable
-        assert vol.data.shape == (2, 3, 4, 5) and not vol.data.flags.writeable
-        assert np.array_equal(vol.data[1], tumor)
+        """A filtered volume keeps no stack: ``data`` stacks a read-only copy of its grids."""
+        stack = np.zeros((3, 2, 3, 4), np.uint8)
+        stack[0, 0, 0, 0] = 1  # the pancreas touches the vein
+        stack[1, :, 1] = stack[1, 0, 0, 0] = 1
+        stack[2, 1] = 1
+        vol = MaskVolume(stack, (ChannelId.PANCREAS, ChannelId.VEIN, ChannelId.TUMOR), SP1)
+        out = filter_critical_volume(vol)
+        assert out.channel(ChannelId.TUMOR) is vol.channel(ChannelId.TUMOR)
+        assert out.channel(ChannelId.VEIN) is not vol.channel(ChannelId.VEIN)
+        assert not out.channel(ChannelId.VEIN).flags.writeable
+        data = out.data
+        assert data.shape == (3, 2, 3, 4) and not data.flags.writeable
+        assert np.array_equal(data, np.stack(out.grids)) and data is not out.data
+        assert vol.data is stack
 
     def test_zero_channels_keep_dims(self):
         vol = MaskVolume(np.zeros((0, 3, 4, 5), np.uint8), (), SP1)
         assert vol.grids == () and vol.dims == (3, 4, 5)
 
     @pytest.mark.parametrize("grids, match", [
-        ([], "3-D"),
-        ([np.zeros((2, 2, 2)), np.zeros((2, 2, 3))], "one shape"),
-        ([np.zeros((2, 2))], "3-D"),
+        (np.zeros(0), "4-D"),
+        (np.zeros((1, 1, 2, 2, 2)), "4-D"),
+        (np.zeros((1, 2, 2)), "4-D"),
         ([np.zeros((2, 2, 2))] * 2, "channel count mismatch"),
         ([np.full((2, 2, 2), 2)], "0 or 1"),
     ])
@@ -362,17 +380,17 @@ class TestChannelRead:
     @given(
         seed=st.integers(0, 2**32 - 1),
         dims=st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)),
-        subset=st.sets(st.sampled_from(STANDARD_CHANNELS), max_size=5),
+        subset=st.sets(st.sampled_from(STANDARD_CHANNELS)),
         bad=st.data(),
         stream_bytes=st.integers(1, 80),
     )
-    def test_bad_voxel_in_unkept_channel(self, tmp_path_factory, seed, dims, subset, bad,
-                                         stream_bytes):
+    def test_bad_voxel_in_any_channel(self, tmp_path_factory, seed, dims, subset, bad,
+                                      stream_bytes):
+        """A 2 in any channel, kept or streamed, gives the text of the whole read."""
         tmp = tmp_path_factory.mktemp("lazy")
         gen = np.random.default_rng(seed)
         payload = _six_channel_payload(gen, dims)
-        unkept = [i for i, c in enumerate(STANDARD_CHANNELS) if c not in subset]
-        channel = bad.draw(st.sampled_from(unkept))
+        channel = bad.draw(st.integers(0, len(STANDARD_CHANNELS) - 1))
         payload[channel].reshape(-1)[bad.draw(st.integers(0, payload[0].size - 1))] = 2
         names = [volume.CHANNEL_NAMES[c] for c in STANDARD_CHANNELS]
         path = _write_raw_pair(tmp, _header(list(dims), names, "u8"), payload.tobytes())

@@ -31,7 +31,8 @@ writes the same tree. Groups:
     volume and as layered labels under the component filter,
     ``uncertainty`` on folds and on sample directories, twelve ``evaluate`` manifests and flag sets, ``loss`` with and without
     ``--gradcheck`` and the error paths, among them a voxel outside {0, 1}
-    in a channel ``assess`` does not keep, ``--filter-mode`` without
+    in a channel ``assess`` does not keep and in one it keeps, a layered
+    label 9, ``--filter-mode`` without
     ``--critical`` and flags that a command or phantom scene does not
     declare (argparse exits 2).
 ``sweep``
@@ -150,12 +151,19 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     odd = MaskVolume(odd, adversarial.channels, adversarial.spacing)
     write_volume(odd, "ph/adversarial_odd.json")
     write_volume(encode_layered(odd), "ph/adversarial_odd_layered.json")
-    # A six-channel scene whose only voxel outside {0, 1} sits in a channel
-    # assess does not keep (MaskVolume rejects it, so the payload is patched).
-    write_volume(scene, "ph/bad_duct.json")
-    payload = np.fromfile("ph/bad_duct.raw", dtype=np.uint8).reshape(scene.data.shape)
-    payload[scene.channel_index(ChannelId.COMMON_BILE_DUCT), 0, 0, 0] = 2
-    payload.tofile("ph/bad_duct.raw")
+    # One bad value at the first voxel of a channel: a 2 in a channel assess
+    # does not keep and in one it keeps, a 9 in layered labels. The volume
+    # constructors reject these values, so the payloads are patched.
+    grid = scene.channel(ChannelId.TUMOR).size
+    for name, vol, offset, value in (
+        ("bad_duct", scene, scene.channel_index(ChannelId.COMMON_BILE_DUCT) * grid, 2),
+        ("bad_tumor", scene, scene.channel_index(ChannelId.TUMOR) * grid, 2),
+        ("bad_layered", encode_layered(scene), 0, 9),
+    ):
+        write_volume(vol, f"ph/{name}.json")
+        payload = np.fromfile(f"ph/{name}.raw", dtype=np.uint8)
+        payload[offset] = value
+        payload.tofile(f"ph/{name}.raw")
     Path("ph/garbled.json").write_text("{oops")
     Path("ph/garbled.jsonl").write_text("{oops\n")
 
@@ -257,6 +265,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-missing-channel", "assess ph/vein_only.json"),
         ("error-critical-without-pancreas", "assess ph/adversarial_no_pancreas.json --critical"),
         ("error-bad-voxel-in-unread-channel", "assess ph/bad_duct.json"),
+        ("error-bad-voxel-in-kept-channel", "assess ph/bad_tumor.json"),
+        ("error-bad-layered-label", "assess ph/bad_layered.json"),
         ("error-loss-geometry", "loss ph/loss_pred.json ph/scene.json"),
         ("error-nan-threshold", f"uncertainty {folds} --out o/u --threshold nan"),
         ("error-output-under-file", "assess ph/scene.json -o ph/scene.json/x.json"),
