@@ -38,9 +38,10 @@ from .volume import (
     LayeredLabelVolume,
     MaskVolume,
     MissingChannelError,
-    ProbVolume,
+    Payload,
     STANDARD_CHANNELS,
     decode_layered,
+    open_payload,
     read_volume,
     write_volume,
 )
@@ -142,9 +143,22 @@ def _assessment_doc(scan_id: str, args, body: dict) -> dict:
     }
 
 
+def _prob_payload(path: Path, kind: str) -> Payload:
+    """The checked header of a probability payload; ``kind`` names the members in the error."""
+    payload = open_payload(path)
+    if payload.dtype != "f32":
+        raise CliError(f"{path}: {kind} must be probability volumes", EXIT_INPUT)
+    return payload
+
+
 def _load_fold_field(paths) -> unc.UncertaintyField:
-    """Folds are probability volume headers, or directories of sample headers."""
-    prob_folds: list[ProbVolume] = []
+    """Folds are probability volume headers, or directories of sample headers.
+
+    Every member's header is parsed, its payload size and dtype checked,
+    and the folds' geometry and sample counts compared before any voxel
+    is read; the statistics then stream each payload once.
+    """
+    prob_folds: list[Payload] = []
     sample_folds: list[unc.SampleSet] = []
     for raw in paths:
         p = Path(raw)
@@ -152,18 +166,9 @@ def _load_fold_field(paths) -> unc.UncertaintyField:
             headers = sorted(p.glob("*.json"))
             if not headers:
                 raise CliError(f"sample directory {p} holds no volume headers", EXIT_INPUT)
-            samples = []
-            for h in headers:
-                vol = read_volume(h)
-                if not isinstance(vol, ProbVolume):
-                    raise CliError(f"{h}: samples must be probability volumes", EXIT_INPUT)
-                samples.append(vol)
-            sample_folds.append(unc.SampleSet(tuple(samples)))
+            sample_folds.append(unc.SampleSet(tuple(_prob_payload(h, "samples") for h in headers)))
         else:
-            vol = read_volume(p)
-            if not isinstance(vol, ProbVolume):
-                raise CliError(f"{p}: folds must be probability volumes", EXIT_INPUT)
-            prob_folds.append(vol)
+            prob_folds.append(_prob_payload(p, "folds"))
     if prob_folds and sample_folds:
         raise CliError("mix of deterministic folds and sample directories", EXIT_INPUT)
     if sample_folds:

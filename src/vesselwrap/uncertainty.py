@@ -40,6 +40,25 @@ whole-volume computation, and the outputs are byte-identical to it. The
 masks likewise compute ``k * std + mean`` in float64 per block, then clip
 and compare.
 
+A fold or sample is an in-memory ``ProbVolume`` or a probability payload
+on disk (``volume.Payload``). A payload is read straight into the
+statistics, one ``PROB_CHUNK`` of voxels at a time (``prob_chunks``), and
+its file is open only during its own pass, so no fold is held whole. An
+in-memory volume is cut into the same chunks, and the blocks run inside
+each chunk, so both kinds feed one loop. The chunked read keeps the
+outputs byte-identical to reading each payload whole and then streaming:
+
+* the clip into [0, 1] is elementwise, so clipping a chunk gives the
+  same bits as clipping the whole payload;
+* the running min and max, started at 0.0 and taken chunk after chunk,
+  equal the whole payload's ``min(initial=0.0)`` and ``max(initial=0.0)``,
+  since min and max are associative and a NaN propagates through both;
+  so a payload is rejected exactly when a whole read rejects it, after
+  its last chunk, with the same min and max in the message (a zero
+  bound prints as 0.0, whichever zero the reduction kept). A member
+  raises at the end of its pass, before a result exists, so nothing has
+  been written.
+
 A sweep masks only tumor, artery and vein, the channels the grade reads,
 and builds every k's mask from one level grid per channel. The masks are
 nested in k: for finite k and std >= 0, ``k * std`` and each later step
@@ -58,6 +77,7 @@ sum (53 >= 2 * 24 + 2), so it matches a float64 sum bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,17 +85,20 @@ from typing import Sequence
 import numpy as np
 
 from .involvement import GRADED_CHANNELS, DpcgCategory, InvolvementReport, assess_scan
-from .volume import ChannelId, MaskVolume, ProbVolume
+from .volume import PROB_CHUNK, ChannelId, MaskVolume, Payload, ProbVolume, prob_chunks
 
 DEFAULT_KS = (-1.0, 0.0, 1.0, 2.0)
 DEFAULT_THRESHOLD = 0.5
 
+# A fold or sample: an in-memory volume, or an f32 payload streamed from its file.
+Member = ProbVolume | Payload
+
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Probability volumes sampled from one probabilistic model fold."""
+    """Probability volumes, or their payloads, sampled from one probabilistic model fold."""
 
-    samples: tuple[ProbVolume, ...]
+    samples: tuple[Member, ...]
 
     def __post_init__(self):
         if len(self.samples) < 1:
@@ -100,7 +123,7 @@ class UncertaintyField:
             raise ValueError("mean/std geometry mismatch")
 
 
-def _check_same_geometry(volumes: Sequence[ProbVolume]):
+def _check_same_geometry(volumes: Sequence[Member]):
     if len(volumes) == 0:
         raise ValueError("need at least one volume, got an empty sequence")
     first = volumes[0]
@@ -120,44 +143,67 @@ def _blocks(size: int):
         yield slice(lo, min(lo + _BLOCK, size))
 
 
-def _mean_std(volumes: Sequence[ProbVolume]) -> tuple[ProbVolume, ProbVolume]:
+def _chunks(member: Member):
+    """A member's voxels in order, ``PROB_CHUNK`` at a time.
+
+    Views of an in-memory volume, or a payload read chunk by chunk (``prob_chunks``).
+    """
+    if isinstance(member, ProbVolume):
+        flat = member.data.reshape(-1)
+        return (flat[lo:lo + PROB_CHUNK] for lo in range(0, flat.size, PROB_CHUNK))
+    return prob_chunks(member)
+
+
+def _mean_std(volumes: Sequence[Member]) -> tuple[ProbVolume, ProbVolume]:
     """Float32 mean and population std across volumes, streamed.
+
+    Each member is an in-memory volume or a probability payload; a
+    payload is read once, a chunk at a time, and its file is open only
+    during this pass. A payload's range check runs after its last chunk,
+    in member order, before anything is returned.
 
     Neither result is clipped: both already lie in [0, 1] or are NaN (see
     the module docstring). Both sums start at +0.0, because a clip keeps
     -0.0, and a voxel that is -0.0 in every fold must still give +0.0.
     """
     _check_same_geometry(volumes)
-    flats = [v.data.reshape(-1) for v in volumes]
-    n, size = len(flats), flats[0].size
+    like, n = volumes[0], len(volumes)
+    shape = (len(like.channels), *like.dims)
+    size = math.prod(shape)
     mean, std = np.empty(size, np.float32), np.empty(size, np.float32)
     width = min(size, _BLOCK)
-    up, acc, sq = [np.empty(width) for _ in flats], np.empty(width), np.empty(width)
-    for b in _blocks(size):
-        k = b.stop - b.start
-        xs, m, s = [x[:k] for x in up], acc[:k], sq[:k]
-        for x, f in zip(xs, flats):
-            x[...] = f[b]  # exact float32 -> float64 upcast
-        m.fill(0.0)
-        for x in xs:
-            m += x
-        m /= n
-        s.fill(0.0)
-        for x in xs:
-            x -= m
-            x *= x
-            s += x
-        s /= n
-        mean[b] = m
-        np.sqrt(s, out=std[b], casting="same_kind")
-    like = volumes[0]
+    up, acc, sq = [np.empty(width) for _ in volumes], np.empty(width), np.empty(width)
+    with contextlib.ExitStack() as opened:
+        readers = [opened.enter_context(contextlib.closing(_chunks(v))) for v in volumes]
+        for start in range(0, size, PROB_CHUNK):
+            parts = [next(r) for r in readers]
+            for b in _blocks(parts[0].size):
+                k = b.stop - b.start
+                xs, m, s = [x[:k] for x in up], acc[:k], sq[:k]
+                for x, part in zip(xs, parts):
+                    x[...] = part[b]  # exact float32 -> float64 upcast
+                m.fill(0.0)
+                for x in xs:
+                    m += x
+                m /= n
+                s.fill(0.0)
+                for x in xs:
+                    x -= m
+                    x *= x
+                    s += x
+                s /= n
+                out = slice(start + b.start, start + b.stop)
+                mean[out] = m
+                np.sqrt(s, out=std[out], casting="same_kind")
+        for r in readers:
+            next(r, None)  # runs a payload's range check
     return (
-        ProbVolume(mean.reshape(like.data.shape), like.channels, like.spacing),
-        ProbVolume(std.reshape(like.data.shape), like.channels, like.spacing),
+        ProbVolume(mean.reshape(shape), like.channels, like.spacing),
+        ProbVolume(std.reshape(shape), like.channels, like.spacing),
     )
 
 
-def fold_mean_std(folds: Sequence[ProbVolume]) -> UncertaintyField:
+def fold_mean_std(folds: Sequence[Member]) -> UncertaintyField:
     """Mean prediction and epistemic std across deterministic model folds."""
     folds = list(folds)
     if len(folds) < 2:
@@ -172,7 +218,8 @@ def sample_mean_std(folds: Sequence[SampleSet]) -> UncertaintyField:
     aleatoric std. The mean prediction and the epistemic std come from the
     fold means; the aleatoric part is the fold mean of the aleatoric stds,
     which for a single fold is that fold's std alone. The folds' geometry
-    and sample counts are checked before any statistic is computed.
+    and sample counts are checked before any statistic is computed, and a
+    fold's sample payloads are open only during that fold's pass.
     """
     folds = list(folds)
     _check_same_geometry([f.samples[0] for f in folds])

@@ -17,11 +17,18 @@ at ``<stem>.json`` describes geometry and dtype, the voxel data sits in
     ordered list of distinct channel names for mask/probability volumes;
     omitted or ``null`` for a single-grid layered label volume.
 
-Probability payloads are clamped into [0, 1] at ingest with a 0.001
-tolerance; values further out, and NaN, are rejected as corrupt. Mask
-voxels and layered labels are checked once, where they enter, by one rule
-(``_small_ints``); the mask grids built on the way to a grade are bool, 0
-and 1 by type, and are not scanned again.
+``open_payload`` parses and checks a header and checks its payload's size
+without reading a voxel. Probability payloads have one reader,
+``prob_chunks``: it reads 1 MiB at a time and clamps each chunk into
+[0, 1] with a 0.001 tolerance. After the last chunk, a value further out,
+or a NaN, anywhere in the payload is rejected as corrupt; the error names
+the header and the whole payload's min and max. ``read_volume`` reads
+through it into one array, and ``uncertainty`` streams fold payloads
+through it, so it never holds a fold whole.
+
+Mask voxels and layered labels are checked once, where they enter, by one
+rule (``_small_ints``); the mask grids built on the way to a grade are
+bool, 0 and 1 by type, and are not scanned again.
 
 Mask and probability volumes hold one read-only grid per channel.
 ``read_volume(path, channels)`` keeps only the listed channels of a mask
@@ -56,8 +63,11 @@ _MASK_VALUES = "mask voxels must be 0 or 1"
 
 # Header dtype -> little-endian payload dtype.
 _FILE_DTYPES = {"u8": "<u1", "f32": "<f4"}
-# Buffer size for mask channels read_volume checks but does not keep.
+# Buffer size for mask channels read_volume checks but does not keep, and
+# for each streamed probability chunk.
 _STREAM_BYTES = 1 << 20
+# float32 voxels per probability chunk.
+PROB_CHUNK = _STREAM_BYTES // 4
 
 
 class VolumeFormatError(ValueError):
@@ -406,14 +416,32 @@ def _read_mask_channels(raw: Path, dims, names, wanted) -> tuple[np.ndarray, tup
     return stack.view(bool), kept
 
 
-def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
-    """Load a volume from its JSON header; the raw payload sits next to it.
+@dataclass(frozen=True)
+class Payload:
+    """A checked header and its raw payload, whose size matches it; no voxel read yet.
 
-    With ``channels``, a mask volume keeps only those of the listed
-    channels that the file has, in file order; the others are still read
-    and checked, but not kept. Probability and layered payloads are
-    always read whole.
+    ``path`` is the header, ``raw`` the payload next to it. No file stays
+    open: readers open ``raw`` for one pass. ``shape`` is (C, Z, H, W),
+    with C = 1 for a layered label grid.
     """
+
+    path: Path
+    dims: tuple[int, int, int]
+    spacing: Spacing
+    dtype: str
+    channels: tuple[ChannelId, ...] | None
+
+    @property
+    def raw(self) -> Path:
+        return _raw_path(self.path)
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        return (1 if self.channels is None else len(self.channels),) + self.dims
+
+
+def open_payload(path) -> Payload:
+    """Parse and check a volume header, and check its payload's size, without reading voxels."""
     path = Path(path)
     try:
         header = json.loads(path.read_text())
@@ -421,36 +449,75 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
         raise VolumeFormatError(f"header not found: {path}") from None
     except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
         raise VolumeFormatError(f"garbled header {path}: {exc}") from None
-    dims, spacing, dtype, names = _parse_header(header, path)
-
-    raw = _raw_path(path)
+    payload = Payload(path, *_parse_header(header, path))
     try:
-        size = raw.stat().st_size
+        size = payload.raw.stat().st_size
     except FileNotFoundError:
-        raise VolumeFormatError(f"raw payload not found: {raw}") from None
-    n_grids = 1 if names is None else len(names)
-    n_voxels = n_grids * math.prod(dims)
-    itemsize = np.dtype(_FILE_DTYPES[dtype]).itemsize
-    if size != n_voxels * itemsize:
+        raise VolumeFormatError(f"raw payload not found: {payload.raw}") from None
+    expected = math.prod(payload.shape) * np.dtype(_FILE_DTYPES[payload.dtype]).itemsize
+    if size != expected:
         raise VolumeFormatError(
-            f"payload size mismatch: expected {n_voxels * itemsize} bytes, got {size}"
+            f"{path}: payload size mismatch: expected {expected} bytes, got {size}"
         )
-    if dtype == "u8" and names is not None:
-        wanted = names if channels is None else set(map(ChannelId, channels))
-        return MaskVolume(*_read_mask_channels(raw, dims, names, wanted), spacing)
-    arr = np.fromfile(raw, dtype=_FILE_DTYPES[dtype], count=n_voxels)
-    arr = arr.reshape((n_grids,) + dims)
+    return payload
 
-    if dtype == "f32":
-        lo, hi = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
-        # NaN propagates through min/max and fails both comparisons
-        if not (lo >= -PROB_INGEST_TOL and hi <= 1.0 + PROB_INGEST_TOL):
-            raise VolumeFormatError(
-                f"probability values non-finite or outside tolerated range: min={lo}, max={hi}"
-            )
-        np.clip(arr, 0.0, 1.0, out=arr)
-        return ProbVolume(arr, names, spacing)
-    return LayeredLabelVolume(arr[0], spacing)
+
+def prob_chunks(payload: Payload, out: np.ndarray | None = None):
+    """Yield an f32 payload's voxels in order, clamped into [0, 1], ``PROB_CHUNK`` at a time.
+
+    Each chunk is read with ``readinto`` into one reused float32 buffer, or,
+    given ``out`` (a float32 array of the payload's shape), into its next
+    slice, so that ``out`` ends up holding the whole payload. The running
+    min and max of the raw chunks, started at 0.0, are the whole payload's
+    (a NaN propagates through both); after the last chunk a value below
+    -0.001 or above 1.001, or a NaN, raises VolumeFormatError naming them.
+    Each chunk is clamped before it is yielded. The file is open from the
+    first chunk until the generator finishes or is closed.
+    """
+    if payload.dtype != "f32":
+        raise VolumeFormatError(f"{payload.path}: not a probability payload")
+    n = math.prod(payload.shape)
+    flat = np.empty(min(n, PROB_CHUNK), _FILE_DTYPES["f32"]) if out is None else out.reshape(-1)
+    lo = hi = np.float32(0.0)
+    with open(payload.raw, "rb") as f:
+        for start in range(0, n, PROB_CHUNK):
+            stop = min(start + PROB_CHUNK, n)
+            part = flat[: stop - start] if out is None else flat[start:stop]
+            if f.readinto(part) != part.nbytes:
+                raise VolumeFormatError(f"payload {payload.raw} shrank while being read")
+            lo, hi = part.min(initial=lo), part.max(initial=hi)
+            np.clip(part, 0.0, 1.0, out=part)
+            yield part
+    # + 0.0 prints a zero bound as 0.0 whichever zero the reduction order kept
+    lo, hi = float(lo) + 0.0, float(hi) + 0.0
+    # NaN fails both comparisons
+    if not (lo >= -PROB_INGEST_TOL and hi <= 1.0 + PROB_INGEST_TOL):
+        raise VolumeFormatError(
+            f"{payload.path}: probability values non-finite or outside tolerated range: "
+            f"min={lo}, max={hi}"
+        )
+
+
+def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
+    """Load a volume from its JSON header; the raw payload sits next to it.
+
+    With ``channels``, a mask volume keeps only those of the listed
+    channels that the file has, in file order; the others are still read
+    and checked, but not kept. Probability and layered payloads are
+    always read whole, probabilities through ``prob_chunks``.
+    """
+    payload = open_payload(path)
+    names, dims = payload.channels, payload.dims
+    if payload.dtype == "f32":
+        arr = np.empty(payload.shape, np.float32)
+        for _ in prob_chunks(payload, arr):
+            pass
+        return ProbVolume(arr, names, payload.spacing)
+    if names is not None:
+        wanted = names if channels is None else set(map(ChannelId, channels))
+        return MaskVolume(*_read_mask_channels(payload.raw, dims, names, wanted), payload.spacing)
+    arr = np.fromfile(payload.raw, dtype=_FILE_DTYPES["u8"], count=math.prod(dims))
+    return LayeredLabelVolume(arr.reshape(dims), payload.spacing)
 
 
 def write_volume(v: Volume, path) -> None:

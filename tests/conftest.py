@@ -17,7 +17,9 @@ whole mean and std. The streamed code must reproduce its bytes exactly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -321,3 +323,16 @@ def sigma_level_mask_reference(f: UncertaintyField, k: float, threshold: float =
     )
     mask = (adjusted >= threshold).astype(np.uint8)
     return MaskVolume(mask, f.mean.channels, f.mean.spacing)
+
+
+def open_payloads(root) -> list[str]:
+    """The volume payload files under ``root`` that this process holds open (Linux)."""
+    held = []
+    for fd in Path("/proc/self/fd").iterdir():
+        try:
+            target = os.readlink(fd)
+        except OSError:  # the descriptor of the listing itself, closed by now
+            continue
+        if target.startswith(str(root)) and target.endswith(".raw"):
+            held.append(target)
+    return sorted(held)

@@ -32,7 +32,7 @@ from vesselwrap.volume import (
     set_voxels,
     write_volume,
 )
-from conftest import bfs_components, brute_force_contact
+from conftest import bfs_components, brute_force_contact, open_payloads
 
 
 def run(*argv):
@@ -838,6 +838,25 @@ class TestUncertaintyCmd:
         write_volume(prob, tmp_path / "f0.json")
         assert run("uncertainty", "--fold", tmp_path / "f0.json", "--out", tmp_path / "o") == 2
 
+    def test_headers_checked_before_values(self, tmp_path, capsys):
+        """Every fold header is parsed and size-checked before any value is read.
+
+        So a garbled header is reported although an earlier fold holds a
+        value out of range, and that fold's own error names its header.
+        """
+        header = _tav_header(dims=[1, 2, 2], dtype="f32", channels=["tumor"])
+        (tmp_path / "f.json").write_text(json.dumps(header))
+        (tmp_path / "f.raw").write_bytes(np.array([0.0, 1.5, 0.5, 1.0], "<f4").tobytes())
+        (tmp_path / "g.json").write_text("{oops")
+        fold, garbled = tmp_path / "f.json", tmp_path / "g.json"
+        assert run("uncertainty", "--fold", fold, "--fold", garbled, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"error: garbled header {garbled}: ")
+        assert run("uncertainty", "--fold", fold, "--fold", fold, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"error: {fold}: probability values non-finite or outside tolerated range: "
+            "min=0.0, max=1.5\n"
+        )
+
     def test_sample_directories(self, tmp_path, capsys):
         spec = PhantomSpec(wrap_span_deg=70.0, band_extra_deg=25.0)
         folds, _ = gen_uncertainty_scene(spec)
@@ -856,6 +875,98 @@ class TestUncertaintyCmd:
         assert cats[-1] == "borderline_resectable"
         heat = sorted((tmp_path / "heat").glob("*.ppm"))
         assert heat and heat[0].read_bytes()[:2] == b"P6"
+
+
+class TestUncertaintyStreaming:
+    """uncertainty streams each fold payload once, in chunks, and holds no fold whole."""
+
+    SPEC = PhantomSpec(dims=(16, 128, 128), slice_range=(1, 15), jitter_seed=3)
+
+    def write_folds(self, tmp_path) -> tuple[int, list[str]]:
+        """Three 6x16x128x128 phantom folds; returns one fold's bytes and the --fold arguments."""
+        folds, _ = gen_uncertainty_scene(self.SPEC)
+        args = []
+        for i, fold in enumerate(folds):
+            write_volume(fold, tmp_path / f"fold{i}.json")
+            args += ["--fold", tmp_path / f"fold{i}.json"]
+        return folds[0].data.nbytes, args
+
+    def test_peak_in_fold_grids(self, tmp_path, capsys):
+        """tracemalloc peak, in grids the size of one fold.
+
+        The mean and std are two grids. Each fold adds one 1 MiB chunk
+        buffer, 0.5 grid for three folds of this size, and the float64
+        block buffers add 0.2 grid; the level grids come after those are
+        freed. Reading every fold whole peaked at 5.26 grids; streaming
+        peaks at 2.76.
+        """
+        grid, folds = self.write_folds(tmp_path)
+        tracemalloc.start()
+        try:
+            code = run("uncertainty", *folds, "--out", tmp_path / "o")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / grid < 2.8
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("fault", ["late-nan", "shrank"])
+    def test_failed_fold_run_leaves_no_payload_open(self, tmp_path, capsys, monkeypatch, fault):
+        _, folds = self.write_folds(tmp_path)
+        bad = tmp_path / "fold1.raw"
+        if fault == "late-nan":
+            payload = np.fromfile(bad, dtype="<f4")
+            payload[-3] = np.nan
+            payload.tofile(bad)
+            message = f"{tmp_path / 'fold1.json'}: probability values non-finite"
+        else:
+            real = cli.open_payload
+
+            def truncating(path):
+                # the size check passes, then the payload loses its last voxel
+                payload = real(path)
+                if payload.raw == bad:
+                    os.truncate(bad, bad.stat().st_size - 4)
+                return payload
+
+            monkeypatch.setattr(cli, "open_payload", truncating)
+            message = f"payload {bad} shrank while being read"
+        assert run("uncertainty", *folds, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert open_payloads(tmp_path) == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_samples_of_one_fold_open_at_a_time(self, tmp_path, capsys, monkeypatch):
+        """Each sample directory's payloads are open during its own pass only.
+
+        The second fold's last sample holds a NaN, so the run stops after
+        that fold's pass, with nothing left open and the third fold unread.
+        """
+        folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))
+        for i, fold in enumerate(folds):
+            for j in range(3):
+                write_volume(fold, tmp_path / f"fold{i}" / f"s{j}.json")
+        bad = tmp_path / "fold1" / "s2.raw"
+        payload = np.fromfile(bad, dtype="<f4")
+        payload[-1] = np.nan
+        payload.tofile(bad)
+        opened = []
+
+        def spy(file, *args, **kwargs):
+            if str(file).endswith(".raw"):
+                held = {Path(p).parent for p in open_payloads(tmp_path)}
+                assert held <= {Path(file).parent}, (file, held)
+                opened.append(Path(file).parent.name)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(volume, "open", spy, raising=False)
+        assert run("uncertainty", *(f"--fold={tmp_path / f'fold{i}'}" for i in range(3)),
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'fold1' / 's2.json'}: ")
+        assert opened == ["fold0"] * 3 + ["fold1"] * 3
+        assert open_payloads(tmp_path) == []
 
 
 class TestLossCmd:

@@ -1,6 +1,8 @@
 import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,21 @@ from vesselwrap.uncertainty import (
     sigma_level_mask,
     uncertainty_sweep,
 )
-from vesselwrap.volume import STANDARD_CHANNELS, ChannelId, MissingChannelError
+from vesselwrap.volume import (
+    PROB_CHUNK,
+    STANDARD_CHANNELS,
+    ChannelId,
+    MissingChannelError,
+    VolumeFormatError,
+    open_payload,
+    write_volume,
+)
 from conftest import (
     epistemic_from_samples_reference,
     fold_mean_std_reference,
     make_prob,
     mean_aleatoric_reference,
+    open_payloads,
     sample_mean_std_reference,
     sigma_level_mask_reference,
 )
@@ -382,6 +393,126 @@ class TestStreamedEquivalence:
             tracemalloc.stop()
         outputs = field.mean.data.nbytes + field.std.data.nbytes
         assert peak < 1.5 * outputs, (peak, outputs)
+
+
+# Raw payload values the reader accepts: in [0, 1], -0.0, and values within
+# the 0.001 tolerance outside it, which it clamps.
+READ_SPECIALS = np.array([-0.0, 0.0, 1.0, 0.5, -0.0005, 1.0005, -2.0**-10, 1 + 2.0**-10],
+                         dtype=np.float32)
+# Voxel counts on both sides of a block and of a streamed chunk, some not a multiple of 8.
+READ_SIZES = st.one_of(
+    st.integers(1, 300),
+    st.sampled_from([_BLOCK - 1, _BLOCK + 1, PROB_CHUNK - 1, PROB_CHUNK, PROB_CHUNK + 1,
+                     PROB_CHUNK + _BLOCK + 3, 2 * PROB_CHUNK + 37]),
+)
+
+
+def _raw_values(gen, size, special_share):
+    data = gen.random(size, dtype=np.float32)
+    pick = gen.random(size) < special_share
+    data[pick] = gen.choice(READ_SPECIALS, int(pick.sum()))
+    return data
+
+
+def _write_raw(path: Path, data: np.ndarray):
+    """Write ``data`` as a one-channel f32 volume, out-of-range values kept; its payload."""
+    write_volume(make_prob(np.clip(data, 0.0, 1.0).reshape(1, 1, 1, -1), channels=CH), path)
+    path.with_suffix(".raw").write_bytes(data.astype("<f4").tobytes())
+    return open_payload(path)
+
+
+class TestStreamedRead:
+    """Statistics streamed from payload files equal the in-memory ones bit for bit.
+
+    Each member is drawn as a payload or as the in-memory volume of its
+    clamped values, so both kinds also meet in one pass.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        sample_counts=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        size=READ_SIZES,
+        special_share=st.sampled_from([0.0, 0.3, 1.0]),
+        folds_of_samples=st.booleans(),
+        streamed=st.lists(st.booleans(), min_size=9, max_size=9),
+    )
+    def test_equal_to_in_memory(self, seed, sample_counts, size, special_share, folds_of_samples,
+                                streamed):
+        gen = np.random.default_rng(seed)
+        raw = [[_raw_values(gen, size, special_share) for _ in range(n)] for n in sample_counts]
+        statistic = sample_mean_std if folds_of_samples else fold_mean_std
+
+        def outcome(folds):
+            """The field of ``folds`` (lists of members), or the ValueError text."""
+            if folds_of_samples:
+                args = [SampleSet(tuple(f)) for f in folds]
+            else:
+                args = [m for f in folds for m in f]
+            try:
+                return statistic(args)
+            except ValueError as exc:
+                return str(exc)
+
+        in_memory = [[make_prob(np.clip(d, 0.0, 1.0).reshape(1, 1, 1, -1), channels=CH)
+                      for d in fold] for fold in raw]
+        want = outcome(in_memory)
+        with tempfile.TemporaryDirectory() as tmp:
+            got = outcome([
+                [_write_raw(Path(tmp) / f"f{i}s{j}.json", d) if streamed[3 * i + j] else v
+                 for j, (d, v) in enumerate(zip(fold, vols))]
+                for i, (fold, vols) in enumerate(zip(raw, in_memory))
+            ])
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.kind == want.kind
+            assert_same_bytes(got.mean, want.mean)
+            assert_same_bytes(got.std, want.std)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_folds=st.integers(2, 4),
+        # mostly several chunks, so that the bad voxel often sits before the last one
+        size=st.sampled_from([7, _BLOCK + 1, PROB_CHUNK + 1, PROB_CHUNK + _BLOCK + 3,
+                              2 * PROB_CHUNK + 37]),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf, 1.0011, -0.0011, 2.0, -7.5]),
+        where=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+        which=st.integers(0, 3),
+    )
+    def test_bad_voxel_raises_whole_payload_message(self, seed, n_folds, size, bad, where, which):
+        gen = np.random.default_rng(seed)
+        raw = [_raw_values(gen, size, 0.3) for _ in range(n_folds)]
+        which %= n_folds
+        raw[which][int(where * size)] = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            payloads = [_write_raw(Path(tmp) / f"f{i}.json", d) for i, d in enumerate(raw)]
+            with pytest.raises(VolumeFormatError) as exc:
+                fold_mean_std(payloads)
+        data = raw[which]
+        lo, hi = float(data.min(initial=0.0)) + 0.0, float(data.max(initial=0.0)) + 0.0
+        assert str(exc.value) == (
+            f"{payloads[which].path}: probability values non-finite or outside tolerated range: "
+            f"min={lo}, max={hi}"
+        )
+
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_failed_pass_closes_every_payload(self, tmp_path):
+        """A payload that shrinks mid-pass stops it, and every payload is closed at once.
+
+        The exception still references the pass's frame, so closing cannot
+        wait for the garbage collector.
+        """
+        gen = np.random.default_rng(2)
+        payloads = [_write_raw(tmp_path / f"f{i}.json", gen.random(PROB_CHUNK + 9, np.float32))
+                    for i in range(3)]
+        (tmp_path / "f1.raw").write_bytes(bytes(4 * PROB_CHUNK))
+        with pytest.raises(VolumeFormatError, match="shrank while being read") as exc:
+            fold_mean_std(payloads)
+        assert exc.value.__traceback__ is not None
+        assert open_payloads(tmp_path) == []
 
 
 def assert_sweep_matches_reference(field, ks, threshold):

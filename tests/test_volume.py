@@ -428,3 +428,53 @@ class TestOversizeDims:
         path = _write_raw_pair(tmp_path, _header(dims, [], "u8"), b"")
         with pytest.raises(VolumeFormatError, match=r"bad dims \[.*addressable"):
             read_volume(path, channels)
+
+
+class TestProbChunks:
+    """The one probability reader: chunked, clamped, checked over the whole payload."""
+
+    def write(self, tmp_path, values) -> volume.Payload:
+        payload = np.asarray(values, dtype="<f4")
+        _write_raw_pair(tmp_path, _header([1, 1, payload.size], ["tumor"], "f32"), payload.tobytes())
+        return volume.open_payload(tmp_path / "vol.json")
+
+    def test_chunks_clamped_and_whole_read_agrees(self, tmp_path):
+        gen = np.random.default_rng(4)
+        values = gen.random(2 * volume.PROB_CHUNK + 5, dtype=np.float32)
+        values[[3, volume.PROB_CHUNK + 1, -1]] = (-0.0005, 1.0009, -0.0)
+        payload = self.write(tmp_path, values)
+        chunks = [c.copy() for c in volume.prob_chunks(payload)]
+        assert [c.size for c in chunks] == [volume.PROB_CHUNK, volume.PROB_CHUNK, 5]
+        clamped = np.clip(values, 0.0, 1.0)
+        assert np.concatenate(chunks).tobytes() == clamped.tobytes()
+        assert read_volume(payload.path).data.tobytes() == clamped.tobytes()
+
+    def test_size_mismatch_names_header(self, tmp_path):
+        _write_raw_pair(tmp_path, _header([1, 2, 2], ["tumor"], "f32"), bytes(12))
+        with pytest.raises(VolumeFormatError) as exc:
+            volume.open_payload(tmp_path / "vol.json")
+        assert str(exc.value) == (
+            f"{tmp_path / 'vol.json'}: payload size mismatch: expected 16 bytes, got 12"
+        )
+
+    def test_shrunk_payload(self, tmp_path):
+        payload = self.write(tmp_path, np.full(volume.PROB_CHUNK + 3, 0.5))
+        (tmp_path / "vol.raw").write_bytes(bytes(4 * volume.PROB_CHUNK))
+        with pytest.raises(VolumeFormatError, match=r"^payload .*vol\.raw shrank while being read$"):
+            list(volume.prob_chunks(payload))
+
+    def test_range_checked_after_last_chunk(self, tmp_path):
+        values = np.full(volume.PROB_CHUNK + 3, 0.5, dtype=np.float32)
+        values[[0, -1]] = (1.5, -0.25)
+        chunks = volume.prob_chunks(self.write(tmp_path, values))
+        assert next(chunks)[0] == 1.0  # clamped; the whole range is not known yet
+        with pytest.raises(VolumeFormatError) as exc:
+            next(chunks)
+            next(chunks)
+        assert str(exc.value) == (f"{tmp_path / 'vol.json'}: probability values non-finite or "
+                                  "outside tolerated range: min=-0.25, max=1.5")
+
+    def test_mask_payload_rejected(self, tmp_path):
+        _write_raw_pair(tmp_path, _header([1, 2, 2], ["tumor"], "u8"), bytes(4))
+        with pytest.raises(VolumeFormatError, match="not a probability payload"):
+            list(volume.prob_chunks(volume.open_payload(tmp_path / "vol.json")))

@@ -29,10 +29,14 @@ writes the same tree. Groups:
     component filter, a 5x27x29 crop of it (cut to 27 rows, one empty
     column added, so the voxel count is not a multiple of 8) as a mask
     volume and as layered labels under the component filter,
-    ``uncertainty`` on folds and on sample directories, twelve ``evaluate`` manifests and flag sets, ``loss`` with and without
-    ``--gradcheck`` and the error paths, among them a voxel outside {0, 1}
-    in a channel ``assess`` does not keep and in one it keeps, a layered
-    label 9, ``--filter-mode`` without
+    ``uncertainty`` on folds and on sample directories, and on folds with
+    an in-tolerance -0.0005 in a late chunk, twelve ``evaluate`` manifests
+    and flag sets, ``loss`` with and without ``--gradcheck`` and the error
+    paths, among them a voxel outside {0, 1} in a channel ``assess`` does
+    not keep and in one it keeps, a layered label 9, a fold with a NaN in
+    a late chunk, that fold followed by a garbled header (the header is
+    reported), a fold payload 4 bytes short, a mask given as a fold,
+    ``--filter-mode`` without
     ``--critical`` and flags that a command or phantom scene does not
     declare (argparse exits 2).
 ``sweep``
@@ -171,6 +175,18 @@ def _phantom_inputs() -> list[tuple[str, str]]:
                  ["phantom", "uncertainty", "--out", "ph/unc", "--seed", "2"]):
         if cli.main(argv) != 0:
             raise RuntimeError(f"input command failed: {argv}")
+    # Fold copies patched past the first MiB of float32 voxels (1 << 18), so
+    # a chunked read meets the value in a later chunk: a NaN and an
+    # in-tolerance -0.0005 (clamped to 0), and a payload 4 bytes short.
+    for name, fold, offset, value in (("late_nan", 2, (1 << 18) + 1000, np.nan),
+                                      ("late_negative", 1, 3 * (1 << 18) + 17, -0.0005)):
+        shutil.copytree("ph/unc", f"ph/{name}", ignore=shutil.ignore_patterns("truth.json"))
+        payload = np.fromfile(f"ph/{name}/fold{fold}.raw", dtype="<f4")
+        payload[offset] = value
+        payload.tofile(f"ph/{name}/fold{fold}.raw")
+    shutil.copytree("ph/unc", "ph/short", ignore=shutil.ignore_patterns("truth.json"))
+    with open("ph/short/fold1.raw", "r+b") as fh:
+        fh.truncate(fh.seek(0, 2) - 4)
     suite = [json.loads(line) for line in Path("ph/suite/manifest.jsonl").read_text().splitlines()]
     _write_manifest("ph/suite/folds.jsonl", [{**e, "fold": "ab"[i % 2]} for i, e in enumerate(suite)])
     _write_manifest("ph/suite/critical.jsonl",
@@ -244,6 +260,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("uncertainty-two-sample-folds", "uncertainty --fold ph/samples0 --fold ph/samples2 --out o/u"),
         ("uncertainty-one-sample", "uncertainty --fold ph/one_sample --fold ph/samples0 --out o/u"),
         ("uncertainty-output-flag", f"uncertainty {folds} --out o/u -o o/x.json"),
+        ("uncertainty-late-negative",
+         "uncertainty --fold ph/unc/fold0.json --fold ph/late_negative/fold1.json "
+         "--fold ph/unc/fold2.json --out o/u --overlay o/heat"),
         ("evaluate-plain", f"evaluate {suite_m}"),
         ("evaluate-table", f"evaluate {suite_m} --table"),
         ("evaluate-output", f"evaluate {suite_m} -o o/metrics.json"),
@@ -269,6 +288,16 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-bad-layered-label", "assess ph/bad_layered.json"),
         ("error-loss-geometry", "loss ph/loss_pred.json ph/scene.json"),
         ("error-nan-threshold", f"uncertainty {folds} --out o/u --threshold nan"),
+        ("error-uncertainty-late-nan",
+         "uncertainty --fold ph/unc/fold0.json --fold ph/unc/fold1.json "
+         "--fold ph/late_nan/fold2.json --out o/u"),
+        ("error-uncertainty-values-then-garbled-header",
+         "uncertainty --fold ph/late_nan/fold2.json --fold ph/garbled.json --out o/u"),
+        ("error-uncertainty-wrong-size-fold",
+         "uncertainty --fold ph/unc/fold0.json --fold ph/short/fold1.json "
+         "--fold ph/unc/fold2.json --out o/u"),
+        ("error-uncertainty-mask-fold",
+         "uncertainty --fold ph/unc/fold0.json --fold ph/scene.json --out o/u"),
         ("error-output-under-file", "assess ph/scene.json -o ph/scene.json/x.json"),
         ("error-phantom-radius", "phantom wrap --out o --radius 1"),
         ("error-evaluate-threshold", f"evaluate {suite_m} --threshold 0.5"),
