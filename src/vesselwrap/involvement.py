@@ -21,12 +21,11 @@ of a scan at once:
 
 1. gather both grids on the slices, rows and columns that hold a vessel
    pixel, the rows and columns widened by one on each side. These lines
-   come from the vessel's voxel index (``MaskVolume.voxels``, or
-   ``set_voxels`` for bare arrays), not from passes over the grid. Every
-   in-slice neighbour of a vessel pixel is kept and stays its neighbour,
-   and two vessel pixels are neighbours in the gathered grid only if they
-   are in the scan, so the work follows the vessels' extent, not the
-   distance between them;
+   come from the vessel's voxel index (``MaskVolume.voxels``), not from
+   passes over the grid. Every in-slice neighbour of a vessel pixel is
+   kept and stays its neighbour, and two vessel pixels are neighbours in
+   the gathered grid only if they are in the scan, so the work follows
+   the vessels' extent, not the distance between them;
 2. label the gathered grid once with the run-length labeller
    ``label_components``: one ``np.diff`` finds the runs of vessel pixels
    in every row, two ``searchsorted`` calls pair the runs that touch in
@@ -52,7 +51,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .volume import ChannelId, MaskVolume, set_voxels
+from .volume import ChannelId, MaskVolume
 
 SPAN_METHODS = ("largest-gap", "minmax")
 # The graded vessels, in report order.
@@ -251,34 +250,26 @@ def _segment_spans(labels: np.ndarray, angles: np.ndarray, n: int, method: str) 
 
 
 def component_table(
-    tumor3d: np.ndarray,
-    vessel3d: np.ndarray,
+    masks: MaskVolume,
+    vessel: ChannelId,
     connectivity: int = 8,
     span_method: str = "largest-gap",
-    vessel_voxels: np.ndarray | None = None,
 ) -> ComponentTable:
     """Centroid, contact pixels and contact span of every in-slice vessel component.
 
-    ``vessel_voxels`` is the vessel's voxel index (``set_voxels`` of its
-    grid); without it, the vessel voxels above zero are indexed here.
+    The tumor grid, the vessel grid and the vessel's voxel index come from
+    ``masks``; the tumor is read first, so a volume lacking both names it.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     if span_method not in SPAN_METHODS:
         raise ValueError(f"unknown span method {span_method!r}")
-    tumor = np.asarray(tumor3d)
-    vessel = np.asarray(vessel3d)
-    if tumor.shape != vessel.shape:
-        raise ValueError(f"geometry mismatch: {tumor.shape} vs {vessel.shape}")
-    if vessel.ndim != 3:
-        raise ValueError("expected 3-D grids")
-
-    if vessel_voxels is None:
-        vessel_voxels = set_voxels(vessel > 0)
-    lines = _occupied_lines(vessel_voxels, vessel.shape, (0, 1, 1))
+    tumor = masks.channel(ChannelId.TUMOR)
+    grid = masks.channel(vessel)
+    lines = _occupied_lines(masks.voxels(vessel), masks.dims, (0, 1, 1))
     index = _gather_index(lines)
-    labels, n = label_components(vessel[index] > 0, connectivity)
-    near = dilate(tumor[index] > 0, (-2, -1))
+    labels, n = label_components(grid[index].view(bool), connectivity)
+    near = dilate(tumor[index].view(bool), (-2, -1))
     pixels = np.argwhere(labels)  # raster order, gathered coordinates
     hit = near[tuple(pixels.T)]
     label = labels[tuple(pixels.T)] - 1
@@ -314,9 +305,7 @@ def scan_involvement(
     span_method: str = "largest-gap",
 ) -> InvolvementReport:
     """Aggregate slice involvement over a whole scan for one vessel class."""
-    tumor = masks.channel(ChannelId.TUMOR)
-    table = component_table(tumor, masks.channel(vessel), connectivity, span_method,
-                            masks.voxels(vessel))
+    table = component_table(masks, vessel, connectivity, span_method)
     bounds = np.searchsorted(table.z, np.arange(masks.dims[0] + 1)).tolist()
     spans = table.span_deg.tolist()
     contacted = table.present.tolist()
@@ -348,66 +337,42 @@ def assess_scan(
     return reports, grade
 
 
-def filter_critical(
-    vessel3d: np.ndarray,
-    pancreas3d: np.ndarray,
-    mode: str = "voxel",
-    vessel_voxels: np.ndarray | None = None,
-) -> np.ndarray:
-    """Drop vessel voxels (or whole 3D components) overlapping the pancreas.
+def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume:
+    """Drop the artery and vein voxels, or whole 3-D components, overlapping the pancreas.
 
-    voxel mode removes exactly the overlapping voxels; component mode removes
-    every 26-connected vessel component that touches the pancreas anywhere.
-    ``vessel_voxels`` is the vessel's voxel index (``set_voxels`` of its
-    grid); without it, the vessel voxels above zero are indexed here. voxel
-    mode paints the survivors of the index into a zeroed grid. component
-    mode gathers and labels only the planes holding a vessel voxel, widened
-    by one on every axis, and a keep/drop lookup indexed by label paints
-    the survivors back.
+    voxel mode removes exactly the overlapping voxels; component mode
+    removes every 26-connected vessel component that touches the pancreas.
+    The pancreas is read first, and one gather of it at a vessel's voxel
+    index decides whether that vessel loses anything and, in voxel mode,
+    which voxels survive. component mode labels only the planes holding a
+    vessel voxel, widened by one on every axis, paints the survivors into
+    the zeroed grid and indexes them from it. The result shares every
+    other grid and its index, and is ``masks`` itself if nothing is dropped.
     """
-    vessel = np.asarray(vessel3d)
-    pancreas = np.asarray(pancreas3d)
-    if vessel.shape != pancreas.shape:
-        raise ValueError(f"geometry mismatch: {vessel.shape} vs {pancreas.shape}")
-    if vessel.ndim != 3:
-        raise ValueError("expected 3-D grids")
     if mode not in ("voxel", "component"):
         raise ValueError(f"unknown filter mode {mode!r}")
-    if vessel_voxels is None:
-        vessel_voxels = set_voxels(vessel > 0)
-    out = np.zeros(vessel.shape, dtype=np.uint8)
-    if mode == "voxel":
-        kept = vessel_voxels[~(pancreas.reshape(-1)[vessel_voxels] > 0)]
-        out.reshape(-1)[kept] = 1
-        return out
-    index = _gather_index(_occupied_lines(vessel_voxels, vessel.shape, (1, 1, 1)))
-    labeled, n = label_components(vessel[index] > 0, 26)
-    keep = np.ones(n + 1, dtype=np.uint8)
-    keep[0] = 0
-    keep[labeled[pancreas[index] > 0]] = 0
-    out[index] = keep[labeled]
-    return out
-
-
-def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume:
-    """Apply filter_critical to the artery and vein channels of a volume.
-
-    Both modes drop something from a vessel exactly when it shares a voxel
-    with the pancreas, so only such a vessel is filtered. Nothing is
-    copied: the result shares every other grid and its voxel index, and is
-    ``masks`` itself when no vessel touches the pancreas. Filtering only
-    removes voxels, so a filtered vessel's index is the part of the old
-    one that survives.
-    """
     pancreas = masks.channel(ChannelId.PANCREAS)
     replaced = {}
     for cid in masks.channels:
         if cid not in VESSELS:
             continue
         voxels = masks.voxels(cid)
-        if pancreas.reshape(-1)[voxels].any():
-            grid = filter_critical(masks.channel(cid), pancreas, mode, voxels)
-            replaced[cid] = grid, voxels[grid.reshape(-1)[voxels] != 0]
+        inside = pancreas.reshape(-1)[voxels] != 0
+        if not inside.any():
+            continue
+        out = np.zeros(masks.dims, dtype=np.uint8)
+        if mode == "voxel":
+            kept = voxels[~inside]
+            out.reshape(-1)[kept] = 1
+        else:
+            index = _gather_index(_occupied_lines(voxels, masks.dims, (1, 1, 1)))
+            labeled, n = label_components(masks.channel(cid)[index].view(bool), 26)
+            keep = np.ones(n + 1, dtype=np.uint8)
+            keep[0] = 0
+            keep[labeled[pancreas[index].view(bool)]] = 0
+            out[index] = keep[labeled]
+            kept = voxels[out.reshape(-1)[voxels] != 0]
+        replaced[cid] = out, kept
     return masks.with_grids(replaced) if replaced else masks
 
 

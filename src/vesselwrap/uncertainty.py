@@ -29,10 +29,10 @@ sequence of ``np.stack(volumes).mean(axis=0)`` and ``.std(axis=0)``:
 5. both results are rounded to float32.
 
 The reference also clips both results into [0, 1], a provable no-op.
-Inputs lie in [0, 1] or are -0.0 or NaN, and rounding is monotone, so a
-sum of N inputs rounds to at most N, the mean to at most 1, each squared
+Inputs lie in [0, 1] or are -0.0, and rounding is monotone, so a sum of
+N inputs rounds to at most N, the mean to at most 1, each squared
 deviation to at most 1 and the std to at most sqrt(1) = 1; nothing is
-negative, and a clip passes NaN through.
+negative.
 
 A block is one voxel range of every fold at once and never spans folds, so
 each voxel meets the same operands in the same order as in the
@@ -62,12 +62,12 @@ outputs byte-identical to reading each payload whole and then streaming:
 A sweep masks only tumor, artery and vein, the channels the grade reads,
 and builds every k's mask from one level grid per channel. The masks are
 nested in k: for finite k and std >= 0, ``k * std`` and each later step
-round monotonically, so a voxel held at some k is held at every larger k,
-and a NaN voxel is held at none. So one dense pass tests the largest k,
-the smaller ks are tested only at the voxels of each block that pass it,
-and the grid records how many distinct ks, counted from the top, hold each
-voxel. The result is exactly ``sigma_level_mask`` per k; a non-finite k is
-rejected, because inf * 0 is NaN and would break the nesting.
+round monotonically, so a voxel held at some k is held at every larger k.
+So one dense pass tests the largest k, the smaller ks are tested only at
+the voxels of each block that pass it, and the grid records how many
+distinct ks, counted from the top, hold each voxel. The result is exactly
+``sigma_level_mask`` per k; a non-finite k is rejected, because inf * 0
+is NaN and would break the nesting.
 
 The summed std of ``sample_mean_std`` is the one whole-volume step: a
 float32 add capped at 1. Both operands are float32 in [0, 1], and a
@@ -162,9 +162,9 @@ def _mean_std(volumes: Sequence[Member]) -> tuple[ProbVolume, ProbVolume]:
     during this pass. A payload's range check runs after its last chunk,
     in member order, before anything is returned.
 
-    Neither result is clipped: both already lie in [0, 1] or are NaN (see
-    the module docstring). Both sums start at +0.0, because a clip keeps
-    -0.0, and a voxel that is -0.0 in every fold must still give +0.0.
+    Neither result is clipped: both already lie in [0, 1] (see the module
+    docstring). Both sums start at +0.0, because a clip keeps -0.0, and a
+    voxel that is -0.0 in every fold must still give +0.0.
     """
     _check_same_geometry(volumes)
     like, n = volumes[0], len(volumes)

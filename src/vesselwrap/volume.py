@@ -307,7 +307,8 @@ class ProbVolume(_ChannelVolume):
     _dtype = np.float32
 
     def _checked_values(self, arr):
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        # NaN fails both comparisons
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise VolumeFormatError("probabilities must lie in [0, 1]")
         return arr
 
@@ -516,8 +517,11 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
     if names is not None:
         wanted = names if channels is None else set(map(ChannelId, channels))
         return MaskVolume(*_read_mask_channels(payload.raw, dims, names, wanted), payload.spacing)
-    arr = np.fromfile(payload.raw, dtype=_FILE_DTYPES["u8"], count=math.prod(dims))
-    return LayeredLabelVolume(arr.reshape(dims), payload.spacing)
+    arr = np.empty(dims, np.uint8)
+    with open(payload.raw, "rb") as f:
+        if f.readinto(arr) != arr.size:
+            raise VolumeFormatError(f"payload {payload.raw} shrank while being read")
+    return LayeredLabelVolume(arr, payload.spacing)
 
 
 def write_volume(v: Volume, path) -> None:

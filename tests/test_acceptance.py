@@ -36,7 +36,7 @@ from vesselwrap.volume import (
     read_volume,
     write_volume,
 )
-from conftest import brute_force_contact, make_mask, make_prob
+from conftest import brute_force_contact, make_mask, make_prob, tav_volume
 
 SWEEP_SEED = 20240817
 KS = (-1.0, 0.0, 1.0, 2.0)
@@ -91,7 +91,8 @@ def test_contact_brute_force_oracle():
     for _ in range(500):
         tumor = rng.random((16, 16)) < rng.uniform(0.05, 0.3)
         vessel = rng.random((16, 16)) < rng.uniform(0.05, 0.3)
-        table = component_table(tumor[None], vessel[None], 8)
+        masks = tav_volume(tumor[None], np.zeros((1, 16, 16)), vessel[None])
+        table = component_table(masks, ChannelId.VEIN, 8)
         got = set(map(tuple, table.contact[:, 1:].tolist()))
         if got != brute_force_contact(tumor, vessel):
             mismatches += 1

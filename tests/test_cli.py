@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vesselwrap import cli, involvement, volume
+from vesselwrap import cli, volume
 from vesselwrap.involvement import filter_critical_volume
 from vesselwrap.overlay import COLOR_CENTROID, COLOR_CONTACT
 from vesselwrap.loss import bce, combined_loss, overlap_loss, soft_dice_loss
@@ -567,7 +567,6 @@ class TestAssessMemory:
             return set_voxels(grid)
 
         monkeypatch.setattr(volume, "set_voxels", spy)
-        monkeypatch.setattr(involvement, "set_voxels", spy)
         assert run("assess", tmp_path / "v.json", "--critical", "--filter-mode", "component",
                    "--overlay", tmp_path / "ov") == 0
         assert any((tmp_path / "ov").iterdir())

@@ -14,7 +14,6 @@ from vesselwrap.involvement import (
     dilate,
     dpcg_bucket,
     dpcg_classify,
-    filter_critical,
     filter_critical_volume,
     label_components,
     scan_involvement,
@@ -26,6 +25,7 @@ from conftest import (
     angular_span,
     bfs_components,
     brute_force_contact,
+    make_mask,
     scan_involvement_reference,
     slice_contact_sets,
     slice_involvement,
@@ -33,9 +33,15 @@ from conftest import (
 )
 
 
+def vein_table(tumor, vessel, connectivity=8, span_method="largest-gap"):
+    """component_table of the vein of a tumor and vein grid pair."""
+    masks = tav_volume(tumor, np.zeros_like(tumor), vessel)
+    return component_table(masks, ChannelId.VEIN, connectivity, span_method)
+
+
 def table_2d(tumor2d, vessel2d, connectivity=8, span_method="largest-gap"):
     """component_table of a one-slice grid pair."""
-    return component_table(
+    return vein_table(
         np.asarray(tumor2d)[None], np.asarray(vessel2d)[None], connectivity, span_method
     )
 
@@ -105,7 +111,7 @@ class TestConnectedComponents:
 
     def test_bad_connectivity(self):
         with pytest.raises(ValueError):
-            component_table(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), 6)
+            vein_table(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), 6)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), connectivity=st.sampled_from([4, 8]))
@@ -230,10 +236,6 @@ class TestContactPixels:
             got = set(map(tuple, table_2d(tumor, vessel).contact[:, 1:].tolist()))
             assert got == brute_force_contact(tumor, vessel)
 
-    def test_dims_mismatch(self):
-        with pytest.raises(ValueError):
-            component_table(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)))
-
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_monotone_under_tumor_growth(self, seed):
@@ -357,7 +359,7 @@ class TestKernelEquivalence:
                 vessel[0, dr::4, dc::4] = gen.random((64, 64)) < 0.5
         tumor = gen.random((1, 256, 256)) < 0.05
         t0 = time.perf_counter()
-        table = component_table(tumor, vessel)
+        table = vein_table(tumor, vessel)
         elapsed = time.perf_counter() - t0
         assert len(table.z) >= 3000
         assert elapsed < 1.0
@@ -424,8 +426,8 @@ class TestKernelInvariance:
             np.zeros(tuple(d + o + p for d, o, p in zip(dims, offset, pad)), bool) for _ in range(2)
         )
         big_tumor[at], big_vessel[at] = tumor, vessel
-        small = component_table(tumor, vessel, connectivity, span_method)
-        big = component_table(big_tumor, big_vessel, connectivity, span_method)
+        small = vein_table(tumor, vessel, connectivity, span_method)
+        big = vein_table(big_tumor, big_vessel, connectivity, span_method)
         assert np.array_equal(big.contact, small.contact + np.array(offset))
         assert np.array_equal(big.contact_start, small.contact_start)
         assert np.array_equal(big.z, small.z + offset[0])
@@ -443,7 +445,7 @@ class TestKernelInvariance:
         self, seed, dims, vessel_density, tumor_density
     ):
         tumor, vessel = random_grids(seed, dims, vessel_density, tumor_density)
-        four, eight = (component_table(tumor, vessel, c) for c in (4, 8))
+        four, eight = (vein_table(tumor, vessel, c) for c in (4, 8))
         assert set(map(tuple, eight.contact.tolist())) == set(map(tuple, four.contact.tolist()))
         assert [p for _, p in slice_facts(tumor, vessel, 8)] == [
             p for _, p in slice_facts(tumor, vessel, 4)
@@ -574,15 +576,34 @@ class TestScanInvolvement:
             scan_involvement(masks, ChannelId.PANCREAS)
 
 
+def filtered_vein(vessel, pancreas, mode="voxel"):
+    """The vein of a pancreas and vein volume after filter_critical_volume."""
+    masks = make_mask(np.stack([pancreas, vessel]), (ChannelId.PANCREAS, ChannelId.VEIN))
+    return filter_critical_volume(masks, mode).channel(ChannelId.VEIN)
+
+
+def critical_reference(vessel, pancreas, mode):
+    """The vessel voxels the filter keeps, from whole-grid operations.
+
+    voxel mode keeps the vessel outside the pancreas; component mode labels
+    the whole vessel with scipy and drops every label meeting the pancreas.
+    """
+    vessel, pancreas = np.asarray(vessel) > 0, np.asarray(pancreas) > 0
+    if mode == "voxel":
+        return vessel & ~pancreas
+    labels, _ = ndimage.label(vessel, structure=np.ones((3, 3, 3)))
+    return (labels > 0) & ~np.isin(labels, labels[pancreas & (labels > 0)])
+
+
 class TestFilterCritical:
     def test_empty_pancreas_identity(self, rng):
         vessel = (rng.random((3, 6, 6)) < 0.3).astype(np.uint8)
-        out = filter_critical(vessel, np.zeros_like(vessel))
+        out = filtered_vein(vessel, np.zeros_like(vessel))
         assert (out == vessel).all()
 
     def test_vessel_inside_pancreas_voxel_mode(self):
         vessel = np.ones((2, 4, 4), dtype=np.uint8)
-        out = filter_critical(vessel, np.ones_like(vessel), mode="voxel")
+        out = filtered_vein(vessel, np.ones_like(vessel), mode="voxel")
         assert out.sum() == 0
 
     def test_half_embedded_tube_voxel_mode(self):
@@ -590,7 +611,7 @@ class TestFilterCritical:
         vessel[:, 0:10, 1] = 1  # 20 voxels
         pancreas = np.zeros_like(vessel)
         pancreas[:, 0:5, :] = 1  # covers rows 0..4
-        out = filter_critical(vessel, pancreas, mode="voxel")
+        out = filtered_vein(vessel, pancreas, mode="voxel")
         assert out.sum() == 10
         assert (out[:, 5:10, 1] == 1).all()
 
@@ -599,10 +620,10 @@ class TestFilterCritical:
         vessel[:, 0:10, 1] = 1
         pancreas = np.zeros_like(vessel)
         pancreas[:, 0, 1] = 1  # touches one end only
-        assert filter_critical(vessel, pancreas, mode="component").sum() == 0
+        assert filtered_vein(vessel, pancreas, mode="component").sum() == 0
         # a second, untouched component survives
         vessel[:, 0:10, 3] = 1
-        out = filter_critical(vessel, pancreas, mode="component")
+        out = filtered_vein(vessel, pancreas, mode="component")
         assert out.sum() == 20
         assert (out[:, :, 3] == 1).all()
 
@@ -613,7 +634,7 @@ class TestFilterCritical:
         vessel[3, 6, 0] = vessel[3, 6, 11] = 1
         pancreas = np.zeros_like(vessel)
         pancreas[0, 0, 0] = pancreas[6, 11, 11] = pancreas[3, 6, 0] = 1
-        out = filter_critical(vessel, pancreas, mode="component")
+        out = filtered_vein(vessel, pancreas, mode="component")
         assert sorted(map(tuple, np.argwhere(out).tolist())) == [(2, 2, 2), (3, 6, 11)]
 
     @settings(max_examples=100, deadline=None)
@@ -629,14 +650,8 @@ class TestFilterCritical:
         gen = np.random.default_rng(seed)
         vessel = (gen.random(dims) < vessel_density).astype(np.uint8)
         pancreas = (gen.random(dims) < pancreas_density).astype(np.uint8)
-        labels, _ = ndimage.label(vessel, structure=np.ones((3, 3, 3)))
-        touched = np.unique(labels[(pancreas > 0) & (labels > 0)])
-        expected = ((labels > 0) & ~np.isin(labels, touched)).astype(np.uint8)
-        assert np.array_equal(filter_critical(vessel, pancreas, mode="component"), expected)
-
-    def test_geometry_mismatch(self):
-        with pytest.raises(ValueError):
-            filter_critical(np.zeros((2, 3, 3)), np.zeros((2, 4, 3)))
+        expected = critical_reference(vessel, pancreas, "component")
+        assert np.array_equal(filtered_vein(vessel, pancreas, mode="component"), expected)
 
     @pytest.mark.parametrize("mode", ["voxel", "component"])
     def test_volume_shares_unfiltered_grids(self, mode):
@@ -649,7 +664,7 @@ class TestFilterCritical:
         assert out.channel(ChannelId.VEIN).sum() < scene.channel(ChannelId.VEIN).sum()
         assert np.array_equal(
             out.channel(ChannelId.VEIN),
-            filter_critical(scene.channel(ChannelId.VEIN), scene.channel(ChannelId.PANCREAS), mode),
+            critical_reference(scene.channel(ChannelId.VEIN), scene.channel(ChannelId.PANCREAS), mode),
         )
 
     @settings(max_examples=60, deadline=None)
@@ -670,7 +685,7 @@ class TestFilterCritical:
         for cid in channels:
             want = masks.channel(cid)
             if cid in (ChannelId.ARTERY, ChannelId.VEIN):
-                want = filter_critical(want, pancreas, mode)
+                want = critical_reference(want, pancreas, mode)
             assert np.array_equal(out.channel(cid), want)
             assert (out.channel(cid) is masks.channel(cid)) == np.array_equal(want, masks.channel(cid))
 

@@ -416,7 +416,7 @@ def _raw_values(gen, size, special_share):
 
 def _write_raw(path: Path, data: np.ndarray):
     """Write ``data`` as a one-channel f32 volume, out-of-range values kept; its payload."""
-    write_volume(make_prob(np.clip(data, 0.0, 1.0).reshape(1, 1, 1, -1), channels=CH), path)
+    write_volume(make_prob(np.zeros((1, 1, 1, data.size)), channels=CH), path)
     path.with_suffix(".raw").write_bytes(data.astype("<f4").tobytes())
     return open_payload(path)
 
@@ -573,15 +573,6 @@ class TestSweepEquivalence:
             make_prob(np.concatenate([v.data for v in vols[i::2]]), channels=channels) for i in (0, 1)
         )
         assert_sweep_matches_reference(UncertaintyField(mean, std, "epistemic"), ks, threshold)
-
-    def test_nan_voxels_in_no_mask(self, rng):
-        shape = (3, 2, 6, 6)
-        mean, std = rng.random(shape, dtype=np.float32), rng.random(shape, dtype=np.float32) * 0.3
-        mean[rng.random(shape) < 0.2] = np.nan
-        std[rng.random(shape) < 0.2] = np.nan
-        channels = (ChannelId.VEIN, ChannelId.TUMOR, ChannelId.ARTERY)
-        field = UncertaintyField(make_prob(mean, channels), make_prob(std, channels), "epistemic")
-        assert_sweep_matches_reference(field, [1.0, -1.0, 2.0, 1.0], 0.0)
 
     def test_more_distinct_ks_than_uint8_counts(self, rng):
         # 300 distinct ks: a uint8 level would wrap at a voxel held at all of them

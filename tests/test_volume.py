@@ -66,6 +66,23 @@ class TestReadWrite:
         with pytest.raises(VolumeFormatError, match="payload size mismatch"):
             read_volume(path)
 
+    @pytest.mark.parametrize("channels", [None, ["tumor", "vein"]], ids=["layered", "mask"])
+    def test_payload_shrunk_after_size_check(self, tmp_path, channels):
+        """A payload cut after its size was checked is reported, not left to numpy."""
+        size = 32 * (len(channels) if channels else 1)
+        path = _write_raw_pair(tmp_path, _header([2, 4, 4], channels, "u8"), bytes(size))
+        checked = volume.open_payload
+
+        def cut(header):
+            payload = checked(header)
+            with open(payload.raw, "r+b") as fh:
+                fh.truncate(10)
+            return payload
+
+        with mock.patch.object(volume, "open_payload", cut), \
+                pytest.raises(VolumeFormatError, match=r"^payload .*vol\.raw shrank while being read$"):
+            read_volume(path)
+
     def test_prob_clamped_within_tolerance(self, tmp_path):
         payload = np.array([1.0005, 0.5, -0.0004, 0.0], dtype="<f4").tobytes()
         path = _write_raw_pair(tmp_path, _header([1, 2, 2], ["tumor"], "f32"), payload)
@@ -340,6 +357,15 @@ class TestChannelVolume:
     def test_bad_grids_rejected(self, grids, match):
         with pytest.raises(ValueError, match=match):
             MaskVolume(grids, (ChannelId.TUMOR,), SP1)
+
+    @pytest.mark.parametrize("value", [np.nan, -0.25, 1.5])
+    def test_probabilities_outside_unit_interval_rejected(self, value):
+        data = np.full((1, 2, 2, 2), 0.5, np.float32)
+        data[0, 1, 0, 1] = value
+        with pytest.raises(VolumeFormatError, match=r"probabilities must lie in \[0, 1\]"):
+            ProbVolume(data, (ChannelId.TUMOR,), SP1)
+        with pytest.raises(VolumeFormatError, match=r"probabilities must lie in \[0, 1\]"):
+            ProbVolume(np.full_like(data, value), (ChannelId.TUMOR,), SP1)
 
     def test_immutable(self):
         vol = make_mask(np.zeros((1, 1, 1, 1)), channels=(ChannelId.TUMOR,))

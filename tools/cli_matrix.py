@@ -36,7 +36,8 @@ writes the same tree. Groups:
     not keep and in one it keeps, a layered label 9, a fold with a NaN in
     a late chunk, that fold followed by a garbled header (the header is
     reported), a fold payload 4 bytes short, a mask given as a fold,
-    ``--filter-mode`` without
+    ``--critical`` on a volume holding only the tumor (the filter names the
+    missing pancreas before any vessel), ``--filter-mode`` without
     ``--critical`` and flags that a command or phantom scene does not
     declare (argparse exits 2).
 ``sweep``
@@ -144,6 +145,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     write_volume(phantom.gen_wrap_scene(phantom.PhantomSpec(wrap_span_deg=0.0))[0], "ph/empty.json")
     vein = scene.channel(ChannelId.VEIN)[None]
     write_volume(MaskVolume(vein, (ChannelId.VEIN,), scene.spacing), "ph/vein_only.json")
+    tumor = scene.channel(ChannelId.TUMOR)[None]
+    write_volume(MaskVolume(tumor, (ChannelId.TUMOR,), scene.spacing), "ph/tumor_only.json")
     adversarial = adversarial_scene()
     write_volume(adversarial, "ph/adversarial.json")
     write_volume(MaskVolume(adversarial.data[1:], adversarial.channels[1:], adversarial.spacing),
@@ -282,6 +285,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-garbled-header", "assess ph/garbled.json"),
         ("error-probabilities-as-mask", "assess ph/unc/fold0.json"),
         ("error-missing-channel", "assess ph/vein_only.json"),
+        ("error-missing-channel-critical", "assess ph/tumor_only.json --critical"),
         ("error-critical-without-pancreas", "assess ph/adversarial_no_pancreas.json --critical"),
         ("error-bad-voxel-in-unread-channel", "assess ph/bad_duct.json"),
         ("error-bad-voxel-in-kept-channel", "assess ph/bad_tumor.json"),
