@@ -21,6 +21,8 @@ before the command runs, and the echo shows ``voxel`` when neither is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -43,6 +45,7 @@ from .volume import (
     decode_layered,
     open_payload,
     read_volume,
+    write_header,
     write_volume,
 )
 
@@ -77,8 +80,12 @@ def _loss_value(x: float) -> float:
     return round(float(x), 6)
 
 
+def _document(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _document(doc)
     if output is None or output == "-":
         sys.stdout.write(text)
         return
@@ -151,12 +158,12 @@ def _prob_payload(path: Path, kind: str) -> Payload:
     return payload
 
 
-def _load_fold_field(paths) -> unc.UncertaintyField:
+def _load_fold_stream(paths) -> unc.FieldStream:
     """Folds are probability volume headers, or directories of sample headers.
 
     Every member's header is parsed, its payload size and dtype checked,
     and the folds' geometry and sample counts compared before any voxel
-    is read; the statistics then stream each payload once.
+    is read; the stream's pass then reads each payload once.
     """
     prob_folds: list[Payload] = []
     sample_folds: list[unc.SampleSet] = []
@@ -172,8 +179,8 @@ def _load_fold_field(paths) -> unc.UncertaintyField:
     if prob_folds and sample_folds:
         raise CliError("mix of deterministic folds and sample directories", EXIT_INPUT)
     if sample_folds:
-        return unc.sample_mean_std(sample_folds)
-    return unc.fold_mean_std(prob_folds)
+        return unc.sample_stream(sample_folds)
+    return unc.fold_stream(prob_folds)
 
 
 def cmd_assess(args) -> int:
@@ -300,29 +307,101 @@ def cmd_evaluate(args) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def cmd_uncertainty(args) -> int:
-    field = _load_fold_field(args.fold)
-    entries = unc.uncertainty_sweep(field, args.ks, args.threshold, args.connectivity, args.span_method)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_volume(field.mean, out / "mean.json")
-    write_volume(field.std, out / "std.json")
+# What uncertainty writes into --out, in the order it puts them in place.
+UNCERTAINTY_FILES = ("mean.raw", "mean.json", "std.raw", "std.json", "uncertainty.json")
+
+
+def _missing_dirs(path: Path) -> list[Path]:
+    """``path`` and those of its parents that do not exist yet, innermost first."""
+    missing = []
+    while not path.exists() and path != path.parent:
+        missing.append(path)
+        path = path.parent
+    return missing
+
+
+def _written(blocks, payloads):
+    """``blocks`` passed on unchanged, each block's mean and std appended to ``payloads``."""
+    with contextlib.closing(blocks):
+        for block in blocks:
+            for f, values in zip(payloads, block):
+                f.write(np.asarray(values, "<f4"))
+            yield block
+
+
+def _staged_uncertainty(args, stream: unc.FieldStream, staged: dict[str, Path]) -> None:
+    """Write every uncertainty output to its ``staged`` temporary path, in one pass.
+
+    The mean and std payloads are written block by block as the sweep's
+    pass streams them. If ``--out`` cannot be made, or a payload not be
+    opened, the pass still runs without writing, so that an error in the
+    inputs is reported first; that OSError is raised after the sweep.
+    """
+    with contextlib.ExitStack() as files:
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+            payloads = [files.enter_context(open(staged[f"{name}.raw"], "wb"))
+                        for name in ("mean", "std")]
+            unwritable = None
+        except OSError as exc:
+            payloads, unwritable = [], exc
+        stream = dataclasses.replace(stream, blocks=_written(stream.blocks, payloads))
+        entries = unc.uncertainty_sweep(stream, args.ks, args.threshold, args.connectivity,
+                                        args.span_method)
+    if unwritable is not None:
+        raise unwritable
+    for name in ("mean", "std"):
+        write_header(staged[f"{name}.json"], stream.dims, stream.spacing, "f32", stream.channels)
     sweep = [{"k": float(e.k), **_grading_dict(e.reports, e.category)} for e in entries]
-    doc = _assessment_doc(args.scan_id, args, {"uncertainty_kind": field.kind, "sweep": sweep})
-    _emit(doc, str(out / "uncertainty.json"))
-    if args.overlay:
-        heat_dir = Path(args.overlay)
-        for cid in (ChannelId.TUMOR, ChannelId.ARTERY, ChannelId.VEIN):
-            if not field.mean.has_channel(cid):
+    doc = _assessment_doc(args.scan_id, args, {"uncertainty_kind": stream.kind, "sweep": sweep})
+    staged["uncertainty.json"].write_text(_document(doc))
+
+
+def _heat_maps(out: Path, stream: unc.FieldStream, directory: Path, scan_id: str) -> None:
+    """Heat maps of the graded channels, read back from the written payloads a channel at a time.
+
+    A slice whose std stays below ``overlay.HEAT_CLIP`` gets no map. A
+    successful sweep has graded tumor, artery and vein, so all three are there.
+    """
+    grid = math.prod(stream.dims)
+    for cid in (ChannelId.TUMOR, ChannelId.ARTERY, ChannelId.VEIN):
+        offset = stream.channels.index(cid) * grid * 4
+        mean, std = (np.fromfile(out / f"{n}.raw", "<f4", grid, offset=offset).reshape(stream.dims)
+                     for n in ("mean", "std"))
+        name = cid.name.lower()
+        for z in range(stream.dims[0]):
+            if float(std[z].max()) < overlay.HEAT_CLIP:
                 continue
-            mean = field.mean.channel(cid)
-            std = field.std.channel(cid)
-            name = cid.name.lower()
-            for z in range(field.mean.dims[0]):
-                if float(std[z].max()) < overlay.HEAT_CLIP:
-                    continue
-                rgb = overlay.heatmap_overlay(mean[z], std[z])
-                overlay.write_ppm(heat_dir / f"{args.scan_id}_{name}_z{z:03d}.ppm", rgb)
+            rgb = overlay.heatmap_overlay(mean[z], std[z])
+            overlay.write_ppm(directory / f"{scan_id}_{name}_z{z:03d}.ppm", rgb)
+
+
+def cmd_uncertainty(args) -> int:
+    """Stream the folds' mean and std into --out and grade the sweep, in one pass.
+
+    Every output is written under a temporary name and put in place only
+    after the last payload's range check and after every k is graded. On
+    any failure the temporary files and the directories this run made
+    are removed, so a previous run's outputs stay as they were.
+    """
+    stream = _load_fold_stream(args.fold)
+    out = Path(args.out)
+    made = _missing_dirs(out)
+    staged = {name: out / f"{name}.tmp" for name in UNCERTAINTY_FILES}
+    try:
+        _staged_uncertainty(args, stream, staged)
+        for name, path in staged.items():
+            os.replace(path, out / name)
+    except BaseException:
+        for path in staged.values():
+            with contextlib.suppress(OSError):
+                path.unlink()
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
+    if args.overlay:
+        _heat_maps(out, stream, Path(args.overlay), args.scan_id)
     return EXIT_OK
 
 

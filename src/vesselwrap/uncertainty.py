@@ -26,7 +26,8 @@ sequence of ``np.stack(volumes).mean(axis=0)`` and ``.std(axis=0)``:
 3. the squared deviations from that mean are added in fold order, again
    from +0.0;
 4. that sum is divided by N and square-rooted;
-5. both results are rounded to float32.
+5. both results are rounded to float32 (``np.copyto`` and ``np.sqrt``
+   into float32 blocks, ``casting="same_kind"``).
 
 The reference also clips both results into [0, 1], a provable no-op.
 Inputs lie in [0, 1] or are -0.0, and rounding is monotone, so a sum of
@@ -56,8 +57,10 @@ outputs byte-identical to reading each payload whole and then streaming:
   so a payload is rejected exactly when a whole read rejects it, after
   its last chunk, with the same min and max in the message (a zero
   bound prints as 0.0, whichever zero the reduction kept). A member
-  raises at the end of its pass, before a result exists, so nothing has
-  been written.
+  raises at the end of its pass, after its last block has been handed
+  on: a consumer that writes blocks out keeps them out of sight until
+  the pass has ended (the CLI writes temporary files and renames them
+  only after the sweep has graded every k).
 
 A sweep masks only tumor, artery and vein, the channels the grade reads,
 and builds every k's mask from one level grid per channel. The masks are
@@ -69,8 +72,19 @@ distinct ks, counted from the top, hold each voxel. The result is exactly
 ``sigma_level_mask`` per k; a non-finite k is rejected, because inf * 0
 is NaN and would break the nesting.
 
-The summed std of ``sample_mean_std`` is the one whole-volume step: a
-float32 add capped at 1. Both operands are float32 in [0, 1], and a
+A field is one pass (``FieldStream``): its float32 mean and std come out
+block by block, in voxel order, and each consumer takes a block before
+the next is computed. ``uncertainty_sweep`` fills the level grids from
+the blocks, splitting a block where it crosses a channel boundary;
+``fold_mean_std`` and ``sample_mean_std`` collect them into two arrays;
+the CLI also appends them to its payload files. So the sweep of a
+stream never holds a whole mean or std. A sweep of an in-memory
+``UncertaintyField`` runs the same update over views of its blocks.
+
+Sample sets keep each fold's mean and aleatoric std in memory, as plain
+float32 arrays. The last stage streams: per block, the mean and std of
+the fold means and the mean of the aleatoric stds, and their sum capped
+at 1 as a float32 add. Both operands are float32 in [0, 1], and a
 float64 sum rounded to float32 equals one float32 rounding of the exact
 sum (53 >= 2 * 24 + 2), so it matches a float64 sum bit for bit.
 """
@@ -80,18 +94,21 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
 from .involvement import GRADED_CHANNELS, DpcgCategory, InvolvementReport, assess_scan
-from .volume import PROB_CHUNK, ChannelId, MaskVolume, Payload, ProbVolume, prob_chunks
+from .volume import PROB_CHUNK, ChannelId, MaskVolume, Payload, ProbVolume, Spacing, prob_chunks
 
 DEFAULT_KS = (-1.0, 0.0, 1.0, 2.0)
 DEFAULT_THRESHOLD = 0.5
 
 # A fold or sample: an in-memory volume, or an f32 payload streamed from its file.
 Member = ProbVolume | Payload
+# A float32 mean block and std block, each a run of voxels in flat (C, Z, H, W) order.
+Block = tuple[np.ndarray, np.ndarray]
+Blocks = Generator[Block, None, None]
 
 
 @dataclass(frozen=True)
@@ -111,6 +128,25 @@ class SampleSet:
 
 
 @dataclass(frozen=True)
+class FieldStream:
+    """A mean and std field that exists only as one pass over its blocks.
+
+    Iterating the generator ``blocks`` runs the statistics: it yields
+    the float32 mean and std of consecutive runs of at most ``_BLOCK``
+    voxels, in flat (C, Z, H, W) order, in arrays that the next block
+    overwrites. It can be iterated once, and raises for a rejected
+    member after its last block. The geometry and ``kind`` are known
+    before the pass.
+    """
+
+    channels: tuple[ChannelId, ...]
+    dims: tuple[int, int, int]
+    spacing: Spacing
+    kind: str  # epistemic | total
+    blocks: Blocks
+
+
+@dataclass(frozen=True)
 class UncertaintyField:
     """Per-voxel mean prediction and standard deviation of one kind."""
 
@@ -121,6 +157,12 @@ class UncertaintyField:
     def __post_init__(self):
         if self.mean.dims != self.std.dims or self.mean.channels != self.std.channels:
             raise ValueError("mean/std geometry mismatch")
+
+    def stream(self) -> FieldStream:
+        """This field as a stream of views of its blocks."""
+        mean, std = self.mean.data.reshape(-1), self.std.data.reshape(-1)
+        blocks = ((mean[b], std[b]) for b in _blocks(mean.size))
+        return FieldStream(self.mean.channels, self.mean.dims, self.mean.spacing, self.kind, blocks)
 
 
 def _check_same_geometry(volumes: Sequence[Member]):
@@ -143,40 +185,43 @@ def _blocks(size: int):
         yield slice(lo, min(lo + _BLOCK, size))
 
 
-def _chunks(member: Member):
+def _chunks(member: Member | np.ndarray):
     """A member's voxels in order, ``PROB_CHUNK`` at a time.
 
-    Views of an in-memory volume, or a payload read chunk by chunk (``prob_chunks``).
+    Views of an in-memory volume or array, or a payload read chunk by
+    chunk (``prob_chunks``).
     """
-    if isinstance(member, ProbVolume):
-        flat = member.data.reshape(-1)
-        return (flat[lo:lo + PROB_CHUNK] for lo in range(0, flat.size, PROB_CHUNK))
-    return prob_chunks(member)
+    if isinstance(member, Payload):
+        return prob_chunks(member)
+    flat = (member.data if isinstance(member, ProbVolume) else member).reshape(-1)
+    return (flat[lo:lo + PROB_CHUNK] for lo in range(0, flat.size, PROB_CHUNK))
 
 
-def _mean_std(volumes: Sequence[Member]) -> tuple[ProbVolume, ProbVolume]:
-    """Float32 mean and population std across volumes, streamed.
+def _mean_std(volumes: Sequence[Member | np.ndarray]) -> Blocks:
+    """Float32 mean and population std across volumes, block by block.
 
-    Each member is an in-memory volume or a probability payload; a
+    Each volume is an in-memory volume, a float32 array or a probability
+    payload, all of one voxel count (the callers check geometry). A
     payload is read once, a chunk at a time, and its file is open only
     during this pass. A payload's range check runs after its last chunk,
-    in member order, before anything is returned.
+    in member order, before the pass ends.
 
     Neither result is clipped: both already lie in [0, 1] (see the module
     docstring). Both sums start at +0.0, because a clip keeps -0.0, and a
     voxel that is -0.0 in every fold must still give +0.0.
     """
-    _check_same_geometry(volumes)
-    like, n = volumes[0], len(volumes)
-    shape = (len(like.channels), *like.dims)
-    size = math.prod(shape)
-    mean, std = np.empty(size, np.float32), np.empty(size, np.float32)
-    width = min(size, _BLOCK)
-    up, acc, sq = [np.empty(width) for _ in volumes], np.empty(width), np.empty(width)
+    if len(volumes) == 0:
+        raise ValueError("need at least one volume, got an empty sequence")
+    return _mean_std_blocks(volumes)
+
+
+def _mean_std_blocks(volumes) -> Blocks:
+    n = len(volumes)
+    up, acc, sq = [np.empty(_BLOCK) for _ in volumes], np.empty(_BLOCK), np.empty(_BLOCK)
+    mean, std = np.empty(_BLOCK, np.float32), np.empty(_BLOCK, np.float32)
     with contextlib.ExitStack() as opened:
         readers = [opened.enter_context(contextlib.closing(_chunks(v))) for v in volumes]
-        for start in range(0, size, PROB_CHUNK):
-            parts = [next(r) for r in readers]
+        for parts in zip(*readers):
             for b in _blocks(parts[0].size):
                 k = b.stop - b.start
                 xs, m, s = [x[:k] for x in up], acc[:k], sq[:k]
@@ -192,48 +237,91 @@ def _mean_std(volumes: Sequence[Member]) -> tuple[ProbVolume, ProbVolume]:
                     x *= x
                     s += x
                 s /= n
-                out = slice(start + b.start, start + b.stop)
-                mean[out] = m
-                np.sqrt(s, out=std[out], casting="same_kind")
+                np.copyto(mean[:k], m, casting="same_kind")
+                np.sqrt(s, out=std[:k], casting="same_kind")
+                yield mean[:k], std[:k]
         for r in readers:
             next(r, None)  # runs a payload's range check
-    return (
-        ProbVolume(mean.reshape(shape), like.channels, like.spacing),
-        ProbVolume(std.reshape(shape), like.channels, like.spacing),
-    )
 
 
-def fold_mean_std(folds: Sequence[Member]) -> UncertaintyField:
-    """Mean prediction and epistemic std across deterministic model folds."""
+def _collect(blocks: Blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of a pass, copied into a flat float32 mean and std of ``size`` voxels."""
+    mean, std = np.empty(size, np.float32), np.empty(size, np.float32)
+    pos = 0
+    for m, s in blocks:
+        mean[pos:pos + m.size], std[pos:pos + s.size] = m, s
+        pos += m.size
+    return mean, std
+
+
+def _stream(like: Member, kind: str, blocks: Blocks) -> FieldStream:
+    return FieldStream(like.channels, like.dims, like.spacing, kind, blocks)
+
+
+def fold_stream(folds: Sequence[Member]) -> FieldStream:
+    """The mean prediction and epistemic std across deterministic model folds, as a pass.
+
+    The fold count and geometry are checked here; no voxel is read until
+    the blocks are.
+    """
     folds = list(folds)
     if len(folds) < 2:
         raise ValueError(f"need at least 2 folds for a std, got {len(folds)}")
-    return UncertaintyField(*_mean_std(folds), "epistemic")
+    _check_same_geometry(folds)
+    return _stream(folds[0], "epistemic", _mean_std(folds))
 
 
-def sample_mean_std(folds: Sequence[SampleSet]) -> UncertaintyField:
-    """Mean prediction with the summed (aleatoric + epistemic) std.
+def sample_stream(folds: Sequence[SampleSet]) -> FieldStream:
+    """The mean prediction with the summed (aleatoric + epistemic) std, as a pass.
 
-    Each fold's samples are streamed once, for that fold's mean and its
-    aleatoric std. The mean prediction and the epistemic std come from the
-    fold means; the aleatoric part is the fold mean of the aleatoric stds,
-    which for a single fold is that fold's std alone. The folds' geometry
-    and sample counts are checked before any statistic is computed, and a
-    fold's sample payloads are open only during that fold's pass.
+    The folds' geometry and sample counts are checked here. When the
+    blocks are read, each fold's samples are first streamed once, for
+    that fold's mean and its aleatoric std, kept as float32 arrays; a
+    fold's sample payloads are open only during that fold's pass. The
+    blocks then stream the mean prediction and the epistemic std from the
+    fold means, and the aleatoric part, the fold mean of the aleatoric
+    stds, which for a single fold is that fold's std alone.
     """
     folds = list(folds)
     _check_same_geometry([f.samples[0] for f in folds])
     for f in folds:
         if len(f) < 2:
             raise ValueError(f"need at least 2 samples for a std, got {len(f)}")
-    per_fold = [_mean_std(f.samples) for f in folds]
-    mean, epistemic = _mean_std([m for m, _ in per_fold])
-    total = _mean_std([s for _, s in per_fold])[0]
-    if len(folds) >= 2:
-        summed = np.add(total.data, epistemic.data)
-        np.minimum(summed, 1.0, out=summed)
-        total = ProbVolume(summed, total.channels, total.spacing)
-    return UncertaintyField(mean, total, "total")
+    return _stream(folds[0].samples[0], "total", _total_blocks(folds))
+
+
+def _total_blocks(folds: list[SampleSet]) -> Blocks:
+    like = folds[0].samples[0]
+    size = len(like.channels) * math.prod(like.dims)
+    per_fold = [_collect(_mean_std(f.samples), size) for f in folds]
+    means = _mean_std([m for m, _ in per_fold])
+    aleatoric = _mean_std([s for _, s in per_fold])
+    for (mean, epistemic), (total, _) in zip(means, aleatoric, strict=True):
+        if len(folds) >= 2:  # in place: the pass overwrites its block next anyway
+            np.add(total, epistemic, out=total)
+            np.minimum(total, 1.0, out=total)
+        yield mean, total
+
+
+def _field(stream: FieldStream) -> UncertaintyField:
+    """The whole field of a stream, collected into two volumes."""
+    shape = (len(stream.channels), *stream.dims)
+    mean, std = _collect(stream.blocks, math.prod(shape))
+    return UncertaintyField(
+        ProbVolume(mean.reshape(shape), stream.channels, stream.spacing),
+        ProbVolume(std.reshape(shape), stream.channels, stream.spacing),
+        stream.kind,
+    )
+
+
+def fold_mean_std(folds: Sequence[Member]) -> UncertaintyField:
+    """Mean prediction and epistemic std across deterministic model folds."""
+    return _field(fold_stream(folds))
+
+
+def sample_mean_std(folds: Sequence[SampleSet]) -> UncertaintyField:
+    """Mean prediction with the summed (aleatoric + epistemic) std (see ``sample_stream``)."""
+    return _field(sample_stream(folds))
 
 
 def _adjusted(std: np.ndarray, mean: np.ndarray, k: float, out: np.ndarray) -> np.ndarray:
@@ -276,6 +364,30 @@ def sigma_level_mask(f: UncertaintyField, k: float, threshold: float = DEFAULT_T
     return MaskVolume(mask, f.mean.channels, f.mean.spacing)
 
 
+def _fill_levels(
+    stream: FieldStream, graded, levels: np.ndarray, ks: Sequence[float], threshold: float
+):
+    """Run the pass of ``stream``, writing each graded channel's level grid from its blocks.
+
+    A block that crosses a channel boundary is split there. The blocks
+    are closed when the pass ends or fails, so a payload it reads is too.
+    """
+    grid = math.prod(stream.dims)
+    # each graded channel's first voxel in the flat field, and its flat level grid
+    targets = [(stream.channels.index(c) * grid, level.reshape(-1))
+               for c, level in zip(graded, levels)]
+    pos = 0
+    with contextlib.closing(stream.blocks) as blocks:
+        for mean, std in blocks:
+            end = pos + mean.size
+            for start, level in targets:
+                lo, hi = max(pos, start), min(end, start + grid)
+                if lo < hi:
+                    _level_grid(mean[lo - pos:hi - pos], std[lo - pos:hi - pos], ks, threshold,
+                                level[lo - start:hi - start])
+            pos = end
+
+
 @dataclass(frozen=True)
 class SweepEntry:
     k: float
@@ -284,7 +396,7 @@ class SweepEntry:
 
 
 def uncertainty_sweep(
-    f: UncertaintyField,
+    f: UncertaintyField | FieldStream,
     ks: Sequence[float] = DEFAULT_KS,
     threshold: float = DEFAULT_THRESHOLD,
     connectivity: int = 8,
@@ -293,26 +405,27 @@ def uncertainty_sweep(
     """Involvement and DPCG grade at every sigma step, in the order of ``ks``.
 
     Only the graded channels (tumor, artery and vein) are masked, each from
-    one level grid (see ``_level_grid``). Raises ValueError for a
-    non-finite k, and MissingChannelError (via the involvement module) when
-    the field lacks the tumor, artery or vein channel.
+    one level grid (see ``_level_grid``) that the field's blocks fill as
+    they pass; a stream's pass runs to its end, whatever the ks. Raises
+    ValueError for a non-finite k, before the pass, and MissingChannelError
+    (via the involvement module) when the field lacks the tumor, artery or
+    vein channel, after it.
     """
     ks = [float(k) for k in ks]
     for k in ks:
         if not math.isfinite(k):
             raise ValueError(f"sigma level k must be finite, got {k}")
-    if not ks:
-        return []
+    if isinstance(f, UncertaintyField):
+        f = f.stream()
     distinct = sorted(set(ks), reverse=True)
     rank = {k: i for i, k in enumerate(distinct)}
-    graded = [c for c in f.mean.channels if c in GRADED_CHANNELS]
+    graded = [c for c in f.channels if c in GRADED_CHANNELS] if ks else []
     # uint8 up to 255 distinct ks; wider beyond, so a level never wraps
-    levels = np.zeros((len(graded), *f.mean.dims), np.min_scalar_type(len(distinct)))
-    for c, level in zip(graded, levels):
-        _level_grid(f.mean.channel(c), f.std.channel(c), distinct, threshold, level.reshape(-1))
+    levels = np.zeros((len(graded), *f.dims), np.min_scalar_type(len(distinct)))
+    _fill_levels(f, graded, levels, distinct, threshold)
 
     def masks(k):
-        return MaskVolume(levels > rank[k], graded, f.mean.spacing)
+        return MaskVolume(levels > rank[k], graded, f.spacing)
 
     # one k's masks alive at a time
     return [SweepEntry(k, *assess_scan(masks(k), connectivity, span_method)) for k in ks]

@@ -24,7 +24,9 @@ without reading a voxel. Probability payloads have one reader,
 or a NaN, anywhere in the payload is rejected as corrupt; the error names
 the header and the whole payload's min and max. ``read_volume`` reads
 through it into one array, and ``uncertainty`` streams fold payloads
-through it, so it never holds a fold whole.
+through it, so it never holds a fold whole. ``write_header`` is the one
+writer of a header: ``write_volume`` writes one and its payload, and the
+``uncertainty`` command writes one for each payload it streams out.
 
 Mask voxels and layered labels are checked once, where they enter, by one
 rule (``_small_ints``); the mask grids built on the way to a grade are
@@ -524,25 +526,34 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
     return LayeredLabelVolume(arr, payload.spacing)
 
 
+def write_header(path, dims, spacing: Spacing, dtype: str, channels) -> None:
+    """Write a volume header at ``path``; ``channels`` is None for layered labels.
+
+    The payload is written separately, by ``write_volume`` or by a caller
+    that streams it.
+    """
+    header = {
+        "dims": list(dims),
+        "spacing_mm": list(spacing.as_tuple()),
+        "dtype": dtype,
+        "order": HEADER_ORDER,
+        "channels": None if channels is None else [CHANNEL_NAMES[c] for c in channels],
+    }
+    Path(path).write_text(json.dumps(header, indent=2) + "\n")
+
+
 def write_volume(v: Volume, path) -> None:
     """Write header + raw payload; read_volume inverts this bit-exactly."""
     path = Path(path)
     if isinstance(v, LayeredLabelVolume):
-        names = None
+        channels = None
     elif isinstance(v, _ChannelVolume):
-        names = [CHANNEL_NAMES[c] for c in v.channels]
+        channels = v.channels
     else:
         raise TypeError(f"not a volume: {type(v).__name__}")
     dtype = "f32" if isinstance(v, ProbVolume) else "u8"
-    header = {
-        "dims": list(v.dims),
-        "spacing_mm": list(v.spacing.as_tuple()),
-        "dtype": dtype,
-        "order": HEADER_ORDER,
-        "channels": names,
-    }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(header, indent=2) + "\n")
+    write_header(path, v.dims, v.spacing, dtype, channels)
     _raw_path(path).write_bytes(np.ascontiguousarray(v.data, dtype=_FILE_DTYPES[dtype]))
 
 

@@ -325,14 +325,19 @@ def sigma_level_mask_reference(f: UncertaintyField, k: float, threshold: float =
     return MaskVolume(mask, f.mean.channels, f.mean.spacing)
 
 
-def open_payloads(root) -> list[str]:
-    """The volume payload files under ``root`` that this process holds open (Linux)."""
+def open_files(root) -> list[str]:
+    """The files under ``root`` that this process holds open, deleted ones too (Linux)."""
     held = []
     for fd in Path("/proc/self/fd").iterdir():
         try:
             target = os.readlink(fd)
         except OSError:  # the descriptor of the listing itself, closed by now
             continue
-        if target.startswith(str(root)) and target.endswith(".raw"):
+        if target.startswith(str(root)):
             held.append(target)
     return sorted(held)
+
+
+def open_payloads(root) -> list[str]:
+    """The volume payload files under ``root`` that this process holds open (Linux)."""
+    return [target for target in open_files(root) if target.endswith(".raw")]

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tempfile
@@ -632,3 +633,91 @@ class TestSweepMemory:
             tracemalloc.stop()
         assert len(calls) == len(unc.DEFAULT_KS)
         assert peak / (16 * 128 * 128) <= bound
+
+
+class TestStreamedCli:
+    """The ``uncertainty`` command's one pass writes and grades what the library computes.
+
+    Its payloads equal ``write_volume`` of ``fold_mean_std`` or
+    ``sample_mean_std``, and the masks it grades, and so its level grids,
+    equal those of the in-memory sweep and the reference sigma masks.
+
+    The channel sizes (4551, 14 and 43165 voxels) are not multiples of
+    ``_BLOCK``, so blocks cross channel boundaries, and the level grids
+    are filled from the pieces of a block on either side.
+    """
+
+    @staticmethod
+    def graded_masks(monkeypatch) -> list[bytes]:
+        """Spy on ``assess_scan``: the bytes of each mask volume it grades, in order."""
+        seen = []
+        real = unc.assess_scan
+
+        def spy(masks, *args):
+            seen.append(b"".join(masks.channel(c).tobytes() for c in masks.channels))
+            return real(masks, *args)
+
+        monkeypatch.setattr(unc, "assess_scan", spy)
+        return seen
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        dims=st.sampled_from([(3, 37, 41), (2, 1, 7), (5, 97, 89)]),
+        channels=st.permutations(STANDARD_CHANNELS),
+        folds_of_samples=st.booleans(),
+        counts=st.lists(st.integers(2, 3), min_size=1, max_size=3),
+        special_share=st.sampled_from([0.0, 0.3]),
+        ks=st.lists(KS, min_size=1, max_size=3),
+        threshold=THRESHOLDS,
+    )
+    def test_outputs_equal_library(
+        self, seed, dims, channels, folds_of_samples, counts, special_share, ks, threshold
+    ):
+        from vesselwrap import cli
+
+        gen = np.random.default_rng(seed)
+        depth, h, w = dims
+        coarse = (len(channels), depth, -(-h // 8), -(-w // 8))
+
+        def member():
+            # values drawn per 8x8 patch, so each sigma mask has few components
+            data = _random_volumes(gen, 1, math.prod(coarse), special_share)[0].data
+            data = data.reshape(coarse).repeat(8, axis=2).repeat(8, axis=3)[:, :, :h, :w]
+            return make_prob(data, channels=channels)
+
+        if folds_of_samples:
+            members = [[member() for _ in range(n)] for n in counts]
+            field = sample_mean_std([SampleSet(tuple(f)) for f in members])
+        else:
+            members = [[member()] for _ in range(counts[0])]
+            field = fold_mean_std([f[0] for f in members])
+        with pytest.MonkeyPatch.context() as patch:
+            want_masks = self.graded_masks(patch)
+            entries = uncertainty_sweep(field, ks, threshold)
+        want_sweep = [{"k": float(e.k), **cli._grading_dict(e.reports, e.category)} for e in entries]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_volume(field.mean, tmp / "want" / "mean.json")
+            write_volume(field.std, tmp / "want" / "std.json")
+            argv = ["uncertainty"]
+            for i, fold in enumerate(members):
+                for j, vol in enumerate(fold):
+                    name = f"f{i}/s{j}.json" if folds_of_samples else f"f{i}.json"
+                    write_volume(vol, tmp / name)
+                argv += ["--fold", str(tmp / (f"f{i}" if folds_of_samples else f"f{i}.json"))]
+            # positional notation, exact, so that argparse takes a negative k for a number
+            argv += ["--out", str(tmp / "out"), "--threshold", str(threshold), "--ks",
+                     *(np.format_float_positional(k, trim="0") for k in ks)]
+            with pytest.MonkeyPatch.context() as patch:
+                got_masks = self.graded_masks(patch)
+                assert cli.main(argv) == 0
+            for name in ("mean.json", "mean.raw", "std.json", "std.raw"):
+                assert (tmp / "out" / name).read_bytes() == (tmp / "want" / name).read_bytes()
+            doc = json.loads((tmp / "out" / "uncertainty.json").read_text())
+        graded = [c for c in channels if c in (ChannelId.TUMOR, ChannelId.ARTERY, ChannelId.VEIN)]
+        references = [sigma_level_mask_reference(field, k, threshold) for k in ks]
+        assert want_masks == [b"".join(r.channel(c).tobytes() for c in graded) for r in references]
+        assert got_masks == want_masks
+        assert doc["uncertainty_kind"] == field.kind
+        assert doc["sweep"] == want_sweep

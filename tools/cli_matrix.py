@@ -29,13 +29,16 @@ writes the same tree. Groups:
     component filter, a 5x27x29 crop of it (cut to 27 rows, one empty
     column added, so the voxel count is not a multiple of 8) as a mask
     volume and as layered labels under the component filter,
-    ``uncertainty`` on folds and on sample directories, and on folds with
-    an in-tolerance -0.0005 in a late chunk, twelve ``evaluate`` manifests
-    and flag sets, ``loss`` with and without ``--gradcheck`` and the error
-    paths, among them a voxel outside {0, 1} in a channel ``assess`` does
-    not keep and in one it keeps, a layered label 9, a fold with a NaN in
-    a late chunk, that fold followed by a garbled header (the header is
-    reported), a fold payload 4 bytes short, a mask given as a fold,
+    ``uncertainty`` on folds and on sample directories, on folds with an
+    in-tolerance -0.0005 in a late chunk, and with heat maps on a 10x70x73
+    crop of the folds, whose channels are not a whole number of statistics
+    blocks, twelve ``evaluate`` manifests and flag sets, ``loss`` with and
+    without ``--gradcheck`` and the error paths, among them a voxel
+    outside {0, 1} in a channel ``assess`` does not keep and in one it
+    keeps, a layered label 9, a fold with a NaN in a late chunk and one
+    with a NaN in its last voxel, the late NaN followed by a garbled
+    header (the header is reported), a fold payload 4 bytes short, a mask
+    given as a fold,
     ``--critical`` on a volume holding only the tumor (the filter names the
     missing pancreas before any vessel), ``--filter-mode`` without
     ``--critical`` and flags that a command or phantom scene does not
@@ -134,7 +137,9 @@ def adversarial_scene():
 
 def _phantom_inputs() -> list[tuple[str, str]]:
     from vesselwrap import cli, phantom
-    from vesselwrap.volume import ChannelId, MaskVolume, ProbVolume, encode_layered, write_volume
+    from vesselwrap.volume import (
+        ChannelId, MaskVolume, ProbVolume, encode_layered, read_volume, write_volume,
+    )
 
     spec = phantom.PhantomSpec(jitter_seed=3)
     scene = phantom.gen_wrap_scene(spec)[0]
@@ -181,12 +186,21 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     # Fold copies patched past the first MiB of float32 voxels (1 << 18), so
     # a chunked read meets the value in a later chunk: a NaN and an
     # in-tolerance -0.0005 (clamped to 0), and a payload 4 bytes short.
+    # The last fold's last voxel, in its last chunk, is a NaN too: the range
+    # check that rejects it runs only after every chunk has been read.
     for name, fold, offset, value in (("late_nan", 2, (1 << 18) + 1000, np.nan),
-                                      ("late_negative", 1, 3 * (1 << 18) + 17, -0.0005)):
+                                      ("late_negative", 1, 3 * (1 << 18) + 17, -0.0005),
+                                      ("last_nan", 2, -1, np.nan)):
         shutil.copytree("ph/unc", f"ph/{name}", ignore=shutil.ignore_patterns("truth.json"))
         payload = np.fromfile(f"ph/{name}/fold{fold}.raw", dtype="<f4")
         payload[offset] = value
         payload.tofile(f"ph/{name}/fold{fold}.raw")
+    # The folds cropped to 10x70x73: a channel holds 51100 voxels, not a
+    # multiple of the 32768-voxel statistics block, so blocks cross channels.
+    for i in range(3):
+        fold = read_volume(f"ph/unc/fold{i}.json")
+        write_volume(ProbVolume(fold.data[:, :, 30:100, 27:100], fold.channels, fold.spacing),
+                     f"ph/odd/fold{i}.json")
     shutil.copytree("ph/unc", "ph/short", ignore=shutil.ignore_patterns("truth.json"))
     with open("ph/short/fold1.raw", "r+b") as fh:
         fh.truncate(fh.seek(0, 2) - 4)
@@ -263,6 +277,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("uncertainty-two-sample-folds", "uncertainty --fold ph/samples0 --fold ph/samples2 --out o/u"),
         ("uncertainty-one-sample", "uncertainty --fold ph/one_sample --fold ph/samples0 --out o/u"),
         ("uncertainty-output-flag", f"uncertainty {folds} --out o/u -o o/x.json"),
+        ("uncertainty-odd-dims",
+         "uncertainty --fold ph/odd/fold0.json --fold ph/odd/fold1.json --fold ph/odd/fold2.json "
+         "--out o/u --overlay o/heat"),
         ("uncertainty-late-negative",
          "uncertainty --fold ph/unc/fold0.json --fold ph/late_negative/fold1.json "
          "--fold ph/unc/fold2.json --out o/u --overlay o/heat"),
@@ -295,6 +312,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-uncertainty-late-nan",
          "uncertainty --fold ph/unc/fold0.json --fold ph/unc/fold1.json "
          "--fold ph/late_nan/fold2.json --out o/u"),
+        ("error-uncertainty-last-voxel-nan",
+         "uncertainty --fold ph/unc/fold0.json --fold ph/unc/fold1.json "
+         "--fold ph/last_nan/fold2.json --out o/u --overlay o/heat"),
         ("error-uncertainty-values-then-garbled-header",
          "uncertainty --fold ph/late_nan/fold2.json --fold ph/garbled.json --out o/u"),
         ("error-uncertainty-wrong-size-fold",
