@@ -25,7 +25,6 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -44,6 +43,7 @@ from .volume import (
     STANDARD_CHANNELS,
     decode_layered,
     open_payload,
+    put_in_place,
     read_volume,
     write_header,
     write_volume,
@@ -84,16 +84,20 @@ def _document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a staged ``.tmp`` file, put in place when whole."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    put_in_place(tmp, path)
+
+
 def _emit(doc: dict, output: str | None) -> None:
     text = _document(doc)
     if output is None or output == "-":
         sys.stdout.write(text)
         return
-    path = Path(output)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    _write_text(Path(output), text)
 
 
 def _load_mask(path, channels=None) -> MaskVolume:
@@ -379,10 +383,13 @@ def _heat_maps(out: Path, stream: unc.FieldStream, directory: Path, scan_id: str
 def cmd_uncertainty(args) -> int:
     """Stream the folds' mean and std into --out and grade the sweep, in one pass.
 
-    Every output is written under a temporary name and put in place only
-    after the last payload's range check and after every k is graded. On
-    any failure the temporary files and the directories this run made
-    are removed, so a previous run's outputs stay as they were.
+    Every output is written under a temporary name and put in place with
+    ``put_in_place`` only after the last payload's range check and after
+    every k is graded: a previous run's file is removed, then the new one
+    renamed onto the free name. On any failure the temporary files and
+    the directories this run made are removed, so a previous run's
+    outputs stay as they were unless the failure came while putting them
+    in place.
     """
     stream = _load_fold_stream(args.fold)
     out = Path(args.out)
@@ -391,7 +398,7 @@ def cmd_uncertainty(args) -> int:
     try:
         _staged_uncertainty(args, stream, staged)
         for name, path in staged.items():
-            os.replace(path, out / name)
+            put_in_place(path, out / name)
     except BaseException:
         for path in staged.values():
             with contextlib.suppress(OSError):
@@ -455,7 +462,7 @@ def cmd_phantom(args) -> int:
                 )
             )
             expected[case.name] = {"vessel": case.vessel.name.lower(), "cell": case.expected}
-        (out / "manifest.jsonl").write_text("\n".join(manifest_lines) + "\n")
+        _write_text(out / "manifest.jsonl", "\n".join(manifest_lines) + "\n")
         _emit({"expected": expected}, str(out / "expected.json"))
         return EXIT_OK
     spec = phantom_mod.PhantomSpec(

@@ -24,9 +24,18 @@ without reading a voxel. Probability payloads have one reader,
 or a NaN, anywhere in the payload is rejected as corrupt; the error names
 the header and the whole payload's min and max. ``read_volume`` reads
 through it into one array, and ``uncertainty`` streams fold payloads
-through it, so it never holds a fold whole. ``write_header`` is the one
-writer of a header: ``write_volume`` writes one and its payload, and the
-``uncertainty`` command writes one for each payload it streams out.
+through it, so it never holds a fold whole. The values it checked are
+wrapped in a ``ProbVolume`` without a second scan. ``write_header`` is the
+one writer of a header: ``write_volume`` writes one and its payload, and
+the ``uncertainty`` command writes one for each payload it streams out.
+
+Every output is written in full under a fresh ``.tmp`` name first, and
+``put_in_place`` is the one way a staged file replaces an output: volume
+headers and payloads, documents and ``uncertainty``'s outputs. It removes
+the old file before renaming, because ext4 forces the new file to disk
+on the spot when a rename replaces a file, or when a file truncated to
+zero is closed. Overlay images are written in place instead
+(``overlay._overwrite``), which meets neither pattern.
 
 Mask voxels and layered labels are checked once, where they enter, by one
 rule (``_small_ints``); the mask grids built on the way to a grade are
@@ -47,9 +56,11 @@ channel from the labels at the set voxels and fills the cache as it goes.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
@@ -209,8 +220,10 @@ class _ChannelVolume:
 
     Built from a (C, Z, H, W) array, the volume keeps that stack (checked by
     ``_checked_values``, read-only); ``grids`` are its channel views and
-    ``data`` is the stack. A ``MaskVolume.with_grids`` result has no stack:
-    its ``data`` stacks a new read-only copy on each access. Immutable.
+    ``data`` is the stack. ``ProbVolume._of_read`` keeps a stack that
+    ``read_volume`` checked as it read it, without that check. A
+    ``MaskVolume.with_grids`` result has no stack: its ``data`` stacks a
+    new read-only copy on each access. Immutable.
     """
 
     _kind = "channel"
@@ -225,7 +238,10 @@ class _ChannelVolume:
             raise ValueError(
                 f"channel count mismatch: data has {stack.shape[0]}, channel list has {len(channels)}"
             )
-        stack = _freeze(self._checked_values(stack))
+        self._hold(self._checked_values(stack), channels, spacing)
+
+    def _hold(self, stack: np.ndarray, channels: tuple[ChannelId, ...], spacing: Spacing) -> None:
+        stack = _freeze(stack)
         for name, value in (("grids", tuple(stack)), ("channels", channels), ("spacing", spacing),
                             ("dims", stack.shape[1:]), ("_stack", stack)):
             object.__setattr__(self, name, value)
@@ -313,6 +329,19 @@ class ProbVolume(_ChannelVolume):
         if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise VolumeFormatError("probabilities must lie in [0, 1]")
         return arr
+
+    @classmethod
+    def _of_read(cls, stack: np.ndarray, channels: tuple[ChannelId, ...],
+                 spacing: Spacing) -> ProbVolume:
+        """The volume over a float32 stack that ``prob_chunks`` filled, checked and clamped.
+
+        The stack and the parsed header's channels are taken as given, as
+        ``MaskVolume.with_grids`` takes grids the program built:
+        ``_checked_values`` does not scan the values again.
+        """
+        vol = cls.__new__(cls)
+        vol._hold(stack, channels, spacing)
+        return vol
 
 
 @dataclass(frozen=True)
@@ -515,7 +544,7 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
         arr = np.empty(payload.shape, np.float32)
         for _ in prob_chunks(payload, arr):
             pass
-        return ProbVolume(arr, names, payload.spacing)
+        return ProbVolume._of_read(arr, names, payload.spacing)
     if names is not None:
         wanted = names if channels is None else set(map(ChannelId, channels))
         return MaskVolume(*_read_mask_channels(payload.raw, dims, names, wanted), payload.spacing)
@@ -530,7 +559,8 @@ def write_header(path, dims, spacing: Spacing, dtype: str, channels) -> None:
     """Write a volume header at ``path``; ``channels`` is None for layered labels.
 
     The payload is written separately, by ``write_volume`` or by a caller
-    that streams it.
+    that streams it. Both callers write the header under a ``.tmp`` name
+    and then ``put_in_place`` it.
     """
     header = {
         "dims": list(dims),
@@ -542,8 +572,41 @@ def write_header(path, dims, spacing: Spacing, dtype: str, channels) -> None:
     Path(path).write_text(json.dumps(header, indent=2) + "\n")
 
 
+def put_in_place(staged, path) -> None:
+    """Move the fully written file ``staged`` to ``path``, removing a file already there first.
+
+    Renaming onto a free name keeps ext4's ``auto_da_alloc`` from forcing
+    the new file's allocation and writeback on the spot, as it does when a
+    rename replaces a file. If the removal or the rename fails, ``staged``
+    is removed and the error is raised; a directory at ``path`` is never
+    removed, since unlinking it fails.
+
+    What this gives up: between the removal and the rename ``path`` is
+    briefly absent, so a process killed there leaves that output missing,
+    with its new content under the ``staged`` name. ext4's crash-ordering
+    heuristic no longer covers the file either; nothing here calls fsync,
+    so an output was never durable against a crash of the machine.
+    """
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        os.rename(staged, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(staged)
+        raise
+
+
 def write_volume(v: Volume, path) -> None:
-    """Write header + raw payload; read_volume inverts this bit-exactly."""
+    """Write header + raw payload; read_volume inverts this bit-exactly.
+
+    Both files are written in full under ``.tmp`` names beside their final
+    ones, then put in place with ``put_in_place``, the header first, so
+    that a header name held by a directory changes nothing; no existing
+    file is truncated. If any step fails, the ``.tmp`` files are
+    removed, and the previous header and payload stay as they were unless
+    the failure came while putting them in place.
+    """
     path = Path(path)
     if isinstance(v, LayeredLabelVolume):
         channels = None
@@ -553,8 +616,19 @@ def write_volume(v: Volume, path) -> None:
         raise TypeError(f"not a volume: {type(v).__name__}")
     dtype = "f32" if isinstance(v, ProbVolume) else "u8"
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_header(path, v.dims, v.spacing, dtype, channels)
-    _raw_path(path).write_bytes(np.ascontiguousarray(v.data, dtype=_FILE_DTYPES[dtype]))
+    raw = _raw_path(path)
+    staged = {final: final.with_name(final.name + ".tmp") for final in (path, raw)}
+    try:
+        write_header(staged[path], v.dims, v.spacing, dtype, channels)
+        with open(staged[raw], "wb") as f:
+            f.write(np.ascontiguousarray(v.data, dtype=_FILE_DTYPES[dtype]))
+        for final, tmp in staged.items():
+            put_in_place(tmp, final)
+    except BaseException:
+        for tmp in staged.values():
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        raise
 
 
 def decode_layered(

@@ -101,6 +101,16 @@ class TestAssess:
         assert run("assess", tmp_path / "scene.json", "--scan-id", "s", "-o", out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_output_directory_leaves_no_temporary(self, tmp_path, capsys):
+        """``-o`` naming a directory exits 2 naming it, and its staged document is removed."""
+        write_scene(tmp_path)
+        target = tmp_path / "d"
+        target.mkdir()
+        assert run("assess", tmp_path / "scene.json", "-o", target) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "scene.json", "scene.raw"]
+        assert list(target.iterdir()) == []
+
     def test_overlay_written(self, tmp_path, capsys):
         write_scene(tmp_path, span=90.0)
         overlay_dir = tmp_path / "ppm"
@@ -1043,6 +1053,50 @@ class TestUncertaintyStreaming:
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'fold1' / 's2.json'}: ")
         assert opened == ["fold0"] * 3 + ["fold1"] * 3
         assert open_payloads(tmp_path) == []
+
+
+class TestPutInPlace:
+    """A rerun removes each earlier output before renaming the new one onto its name.
+
+    ext4 forces writeback of a file renamed over another, so no rename may
+    find its destination taken: not ``uncertainty``'s five outputs, not a
+    ``-o`` document, not a volume header or payload.
+    """
+
+    @staticmethod
+    def spy_renames(monkeypatch) -> list[tuple[Path, bool]]:
+        calls = []
+        for name in ("rename", "replace"):
+            def spy(src, dst, *args, _real=getattr(os, name), **kwargs):
+                calls.append((Path(dst), os.path.lexists(dst)))
+                return _real(src, dst, *args, **kwargs)
+
+            monkeypatch.setattr(os, name, spy)
+        return calls
+
+    def test_reruns_rename_onto_free_names(self, tmp_path, capsys, monkeypatch):
+        _, folds = TestUncertaintyStreaming().write_folds(tmp_path)
+        fresh, out, doc = tmp_path / "fresh", tmp_path / "o", tmp_path / "doc.json"
+        assert run("uncertainty", *folds, "--out", fresh) == 0
+        assert run("uncertainty", *folds, "--out", out, "--ks", "0") == 0
+        write_scene(tmp_path, span=90.0)
+        assert run("assess", tmp_path / "scene.json", "-o", doc) == 0
+        scene, _ = gen_wrap_scene(PhantomSpec(wrap_span_deg=200.0, jitter_seed=1))
+
+        calls = self.spy_renames(monkeypatch)
+        assert run("uncertainty", *folds, "--out", out) == 0
+        assert run("assess", tmp_path / "scene.json", "-o", doc) == 0
+        write_volume(scene, tmp_path / "scene.json")
+        monkeypatch.undo()
+
+        expected = {out / name for name in cli.UNCERTAINTY_FILES}
+        expected |= {doc, tmp_path / "scene.json", tmp_path / "scene.raw"}
+        assert {dst for dst, _ in calls} == expected
+        assert [dst for dst, taken in calls if taken] == []
+        snapshot = TestUncertaintyStreaming.snapshot
+        assert snapshot(out) == snapshot(fresh)
+        assert read_volume(tmp_path / "scene.json").data.tobytes() == scene.data.tobytes()
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestLossCmd:

@@ -166,6 +166,32 @@ class TestReadWrite:
         with pytest.raises(OSError):
             write_volume(vol, target)
 
+    def test_failed_payload_write_keeps_previous_volume(self, tmp_path, monkeypatch):
+        """A payload write that fails after the header is staged changes no final file."""
+        path = tmp_path / "m.json"
+        old = make_mask(np.ones((2, 2, 3, 3), dtype=np.uint8),
+                        channels=(ChannelId.ARTERY, ChannelId.TUMOR))
+        write_volume(old, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_open = open
+
+        def failing(file, mode="r", *args, **kwargs):
+            if str(file).endswith(".raw.tmp"):
+                assert (tmp_path / "m.json.tmp").exists()  # the header is staged
+                with real_open(file, mode, *args, **kwargs) as f:
+                    f.write(b"\x01" * 5)
+                raise OSError(28, "No space left on device")
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(volume, "open", failing, raising=False)
+        new = make_mask(np.zeros((1, 4, 4, 4), dtype=np.uint8), channels=(ChannelId.VEIN,))
+        with pytest.raises(OSError, match="No space left on device"):
+            write_volume(new, path)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        back = read_volume(path)
+        assert back.channels == old.channels and (back.data == old.data).all()
+
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_roundtrip_property(self, tmp_path_factory, data):
@@ -499,6 +525,33 @@ class TestProbChunks:
             next(chunks)
         assert str(exc.value) == (f"{tmp_path / 'vol.json'}: probability values non-finite or "
                                   "outside tolerated range: min=-0.25, max=1.5")
+
+    def test_read_volume_scans_values_once(self, tmp_path, monkeypatch):
+        """``read_volume`` wraps the values ``prob_chunks`` checked without a second scan."""
+        values = np.linspace(0.0, 1.0, volume.PROB_CHUNK + 3, dtype=np.float32)
+        payload = self.write(tmp_path, values)
+        scanned = []
+        real = ProbVolume._checked_values
+
+        def spy(self, arr):
+            scanned.append(arr.shape)
+            return real(self, arr)
+
+        monkeypatch.setattr(ProbVolume, "_checked_values", spy)
+        vol = read_volume(payload.path)
+        assert scanned == []
+        assert isinstance(vol, ProbVolume) and vol.channels == (ChannelId.TUMOR,)
+        assert vol.data.tobytes() == values.tobytes() and not vol.data.flags.writeable
+
+    @pytest.mark.parametrize("bad, shown", [(1.5, "min=0.0, max=1.5"), (np.nan, "min=nan, max=nan")])
+    def test_read_volume_rejects_bad_values(self, tmp_path, bad, shown):
+        values = np.full(volume.PROB_CHUNK + 3, 0.5, dtype=np.float32)
+        values[-2] = bad
+        payload = self.write(tmp_path, values)
+        with pytest.raises(VolumeFormatError) as exc:
+            read_volume(payload.path)
+        assert str(exc.value) == (f"{payload.path}: probability values non-finite or "
+                                  f"outside tolerated range: {shown}")
 
     def test_mask_payload_rejected(self, tmp_path):
         _write_raw_pair(tmp_path, _header([1, 2, 2], ["tumor"], "u8"), bytes(4))

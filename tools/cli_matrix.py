@@ -38,7 +38,8 @@ writes the same tree. Groups:
     keeps, a layered label 9, a fold with a NaN in a late chunk and one
     with a NaN in its last voxel, the late NaN followed by a garbled
     header (the header is reported), a fold payload 4 bytes short, a mask
-    given as a fold,
+    given as a fold, ``-o`` naming an existing directory (no staged
+    document may be left beside it),
     ``--critical`` on a volume holding only the tumor (the filter names the
     missing pancreas before any vessel), ``--filter-mode`` without
     ``--critical`` and flags that a command or phantom scene does not
@@ -323,6 +324,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-uncertainty-mask-fold",
          "uncertainty --fold ph/unc/fold0.json --fold ph/scene.json --out o/u"),
         ("error-output-under-file", "assess ph/scene.json -o ph/scene.json/x.json"),
+        ("error-output-is-directory", "assess ph/scene.json -o ph"),
         ("error-phantom-radius", "phantom wrap --out o --radius 1"),
         ("error-evaluate-threshold", f"evaluate {suite_m} --threshold 0.5"),
         ("error-assess-filter-mode", "assess ph/scene.json --filter-mode component"),
