@@ -41,6 +41,14 @@ def dice(pred, gt) -> float:
     return 2.0 * np.count_nonzero(np.logical_and(p, g)) / denom
 
 
+def voxel_dice(pred_voxels: np.ndarray, gt_voxels: np.ndarray) -> float:
+    """``dice`` of two grids given as the sorted flat indices of their set voxels."""
+    denom = pred_voxels.size + gt_voxels.size
+    if denom == 0:
+        return 1.0
+    return 2.0 * np.intersect1d(pred_voxels, gt_voxels, assume_unique=True).size / denom
+
+
 def involvement_confusion(pred_presence: bool, gt_presence: bool) -> str:
     """Presence-vs-presence cell key: "tp", "fp", "tn" or "fn".
 
@@ -121,6 +129,10 @@ def evaluate_scan(
 ) -> ScanEval:
     """Per-scan Dice and involvement facts for the aggregate metrics.
 
+    Dice is taken on the channels' voxel indices (``voxel_dice``), the
+    overlap Dice on the intersections of the tumor and vessel indices, so
+    no grid is built.
+
     With ``gt_critical`` (critical mode) the predicted vessels are stripped
     of their pancreas overlap first and the ground-truth side switches to
     that critical-vessel aggregate volume (same tumor channel rules apply).
@@ -128,7 +140,9 @@ def evaluate_scan(
     dice_by_channel: dict[str, float] = {}
     for cid in pred.channels:
         if gt.has_channel(cid):
-            dice_by_channel[cid.name.lower()] = dice(pred.channel(cid), gt.channel(cid))
+            if pred.dims != gt.dims:
+                raise ValueError(f"geometry mismatch: {pred.dims} vs {gt.dims}")
+            dice_by_channel[cid.name.lower()] = voxel_dice(pred.voxels(cid), gt.voxels(cid))
     for cid, key in ((ChannelId.ARTERY, "artery_overlap"), (ChannelId.VEIN, "vein_overlap")):
         if (
             pred.has_channel(ChannelId.TUMOR)
@@ -136,9 +150,9 @@ def evaluate_scan(
             and gt.has_channel(ChannelId.TUMOR)
             and gt.has_channel(cid)
         ):
-            dice_by_channel[key] = dice(
-                pred.channel(ChannelId.TUMOR) & pred.channel(cid),
-                gt.channel(ChannelId.TUMOR) & gt.channel(cid),
+            dice_by_channel[key] = voxel_dice(
+                *(np.intersect1d(side.voxels(ChannelId.TUMOR), side.voxels(cid), assume_unique=True)
+                  for side in (pred, gt))
             )
 
     pred_masks, gt_masks = pred, gt

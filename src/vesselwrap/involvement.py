@@ -4,7 +4,8 @@ Geometry conventions (shared with the phantom generator so measured and
 analytic angles agree):
 
 * slices are axial (fixed z); pixel coordinates are (row, col);
-* angles use the four-quadrant arctangent of (-(row - c_row), col - c_col),
+* angles use the four-quadrant arctangent of
+  (-(row - c_row) * y_mm, (col - c_col) * x_mm), offsets in millimetres,
   i.e. 0 deg points to +col and 90 deg points to -row ("image up"),
   normalized to [0, 360);
 * adjacency is 8-connectivity in-slice, both for vessel components and for
@@ -19,13 +20,15 @@ analytic angles agree):
 One whole-scan kernel, ``component_table``, measures every vessel component
 of a scan at once:
 
-1. gather both grids on the slices, rows and columns that hold a vessel
-   pixel, the rows and columns widened by one on each side. These lines
-   come from the vessel's voxel index (``MaskVolume.voxels``), not from
-   passes over the grid. Every in-slice neighbour of a vessel pixel is
-   kept and stays its neighbour, and two vessel pixels are neighbours in
-   the gathered grid only if they are in the scan, so the work follows
-   the vessels' extent, not the distance between them;
+1. gather the vessel and the tumor (``MaskVolume.gather``) on the slices,
+   rows and columns that hold a vessel pixel, the rows and columns
+   widened by one on each side. These lines come from the vessel's voxel
+   index (``MaskVolume.voxels``), and a volume that holds indices builds
+   both sub-grids from its indices, never a whole grid. Every in-slice
+   neighbour of a vessel pixel is kept and stays its neighbour, and two
+   vessel pixels are neighbours in the gathered grid only if they are in
+   the scan, so the work follows the vessels' extent, not the distance
+   between them;
 2. label the gathered grid once with the run-length labeller
    ``label_components``: one ``np.diff`` finds the runs of vessel pixels
    in every row, two ``searchsorted`` calls pair the runs that touch in
@@ -37,7 +40,8 @@ of a scan at once:
    of shifted copies); a vessel pixel is in contact where the dilation is
    set;
 4. take centroids from ``np.bincount`` sums of grid coordinates and the
-   angle of every contact pixel at nonzero radius around its centroid;
+   angle of every contact pixel at nonzero radius around its centroid,
+   in millimetres (row offsets scaled by ``y_mm / x_mm``);
 5. sort the angles by (component, angle) and reduce each component's
    segment: the largest gap comes from a segmented ``np.maximum.reduceat``
    over the differences, max-min from the segment ends.
@@ -219,13 +223,6 @@ def _occupied_lines(voxels: np.ndarray, shape: tuple[int, int, int],
     return tuple(lines)
 
 
-def _gather_index(lines: tuple[np.ndarray, ...]) -> tuple:
-    """Index for the grid cells at ``lines``: plain slices when every axis is one run."""
-    if all(i.size == 0 or i[-1] - i[0] + 1 == i.size for i in lines):
-        return tuple(slice(i[0], i[-1] + 1) if i.size else slice(0, 0) for i in lines)
-    return np.ix_(*lines)
-
-
 def _segment_spans(labels: np.ndarray, angles: np.ndarray, n: int, method: str) -> np.ndarray:
     """The span of each label's angles, for labels 0..n-1 at once."""
     spans = np.zeros(n)
@@ -257,19 +254,18 @@ def component_table(
 ) -> ComponentTable:
     """Centroid, contact pixels and contact span of every in-slice vessel component.
 
-    The tumor grid, the vessel grid and the vessel's voxel index come from
-    ``masks``; the tumor is read first, so a volume lacking both names it.
+    The vessel's voxel index and both sub-grids come from ``masks``. Angles
+    are taken in millimetres: the row offsets are scaled by the in-plane
+    spacing ratio ``y_mm / x_mm``, which is exactly 1.0 on a square grid.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     if span_method not in SPAN_METHODS:
         raise ValueError(f"unknown span method {span_method!r}")
-    tumor = masks.channel(ChannelId.TUMOR)
-    grid = masks.channel(vessel)
+    masks.channel_index(ChannelId.TUMOR)  # a volume lacking both names the tumor
     lines = _occupied_lines(masks.voxels(vessel), masks.dims, (0, 1, 1))
-    index = _gather_index(lines)
-    labels, n = label_components(grid[index].view(bool), connectivity)
-    near = dilate(tumor[index].view(bool), (-2, -1))
+    labels, n = label_components(masks.gather(vessel, lines), connectivity)
+    near = dilate(masks.gather(ChannelId.TUMOR, lines), (-2, -1))
     pixels = np.argwhere(labels)  # raster order, gathered coordinates
     hit = near[tuple(pixels.T)]
     label = labels[tuple(pixels.T)] - 1
@@ -290,7 +286,8 @@ def component_table(
     contact_label = contact_label[order]
     contact_start = np.concatenate(([0], np.cumsum(np.bincount(contact_label, minlength=n))))
 
-    d_row = contact[:, 1] - centroid[contact_label, 0]
+    row_mm = masks.spacing.y_mm / masks.spacing.x_mm  # in units of x_mm, as d_col is
+    d_row = (contact[:, 1] - centroid[contact_label, 0]) * row_mm
     d_col = contact[:, 2] - centroid[contact_label, 1]
     nonzero = (d_row != 0.0) | (d_col != 0.0)
     angles = np.degrees(np.arctan2(-d_row[nonzero], d_col[nonzero])) % 360.0
@@ -342,38 +339,43 @@ def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume
 
     voxel mode removes exactly the overlapping voxels; component mode
     removes every 26-connected vessel component that touches the pancreas.
-    The pancreas is read first, and one gather of it at a vessel's voxel
-    index decides whether that vessel loses anything and, in voxel mode,
-    which voxels survive. component mode labels only the planes holding a
-    vessel voxel, widened by one on every axis, paints the survivors into
-    the zeroed grid and indexes them from it. The result shares every
-    other grid and its index, and is ``masks`` itself if nothing is dropped.
+    Everything is done on voxel indices: the pancreas is read first, and a
+    ``searchsorted`` of each vessel's index in the pancreas index finds
+    the overlap, which decides whether that vessel loses anything and, in
+    voxel mode, which voxels survive. component mode labels the vessel
+    gathered on the planes holding a vessel voxel, widened by one on every
+    axis; the gathered grid keeps the raster order, so its labelled cells
+    are the vessel's voxels in index order, and the survivors are those
+    whose component holds no overlapping voxel. The result holds indices
+    only: the surviving ones, and every other channel's index shared with
+    ``masks``. It is ``masks`` itself if nothing is dropped.
     """
     if mode not in ("voxel", "component"):
         raise ValueError(f"unknown filter mode {mode!r}")
-    pancreas = masks.channel(ChannelId.PANCREAS)
+    pancreas = masks.voxels(ChannelId.PANCREAS)
     replaced = {}
     for cid in masks.channels:
         if cid not in VESSELS:
             continue
         voxels = masks.voxels(cid)
-        inside = pancreas.reshape(-1)[voxels] != 0
+        inside = np.searchsorted(pancreas, voxels, "right") > np.searchsorted(pancreas, voxels)
         if not inside.any():
             continue
-        out = np.zeros(masks.dims, dtype=np.uint8)
         if mode == "voxel":
-            kept = voxels[~inside]
-            out.reshape(-1)[kept] = 1
-        else:
-            index = _gather_index(_occupied_lines(voxels, masks.dims, (1, 1, 1)))
-            labeled, n = label_components(masks.channel(cid)[index].view(bool), 26)
-            keep = np.ones(n + 1, dtype=np.uint8)
-            keep[0] = 0
-            keep[labeled[pancreas[index].view(bool)]] = 0
-            out[index] = keep[labeled]
-            kept = voxels[out.reshape(-1)[voxels] != 0]
-        replaced[cid] = out, kept
-    return masks.with_grids(replaced) if replaced else masks
+            replaced[cid] = voxels[~inside]
+            continue
+        lines = _occupied_lines(voxels, masks.dims, (1, 1, 1))
+        labeled, n = label_components(masks.gather(cid, lines), 26)
+        component = labeled[labeled != 0]
+        keep = np.ones(n + 1, dtype=bool)
+        keep[component[inside]] = False
+        replaced[cid] = voxels[keep[component]]
+    if not replaced:
+        return masks
+    return MaskVolume.from_voxels(
+        {cid: replaced[cid] if cid in replaced else masks.voxels(cid) for cid in masks.channels},
+        masks.dims, masks.spacing,
+    )
 
 
 # DPCG cut points in degrees. Bucket 0 is exactly 0 degrees and bucket i

@@ -6,7 +6,9 @@ pixels and the vessel centroid, and uncertainty heat maps on the fixed
 
 Contact views cost what they draw, not the slice area. ``contact_overlay``
 reads the voxel index of the tumor, the pancreas and each vessel from the
-volume (``MaskVolume.voxels``), finds each slice's range in it with
+volume (``MaskVolume.voxels``), never a grid, so a volume read from a file,
+which holds only those indices, is painted without building one. It
+finds each slice's range in the index with
 ``searchsorted``, and paints every image of a vessel on one reused canvas:
 before an image, only the pixels the previous image painted are set back
 to zero.

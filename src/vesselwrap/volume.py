@@ -41,23 +41,25 @@ Mask voxels and layered labels are checked once, where they enter, by one
 rule (``_small_ints``); the mask grids built on the way to a grade are
 bool, 0 and 1 by type, and are not scanned again.
 
-Mask and probability volumes hold one read-only grid per channel.
-``read_volume(path, channels)`` keeps only the listed channels of a mask
-payload, yet still rejects a voxel outside {0, 1} in any channel, and
-``decode_layered(lv, channels)`` decodes only the listed ones.
-
-Segmented structures fill a small share of a CT grid, so the stages after
-the read work from a voxel index rather than from the grids:
-``MaskVolume.voxels(cid)`` is the sorted flat indices of a channel's set
-voxels, found once by ``set_voxels`` on first use and then cached,
-read-only. ``decode_layered`` scans the label grid once, decodes each
-channel from the labels at the set voxels and fills the cache as it goes.
+Segmented structures fill a small share of a CT grid, so a mask volume is
+held as a voxel index: ``MaskVolume.voxels(cid)`` is the sorted flat
+indices of a channel's set voxels, read-only. One streamed reader,
+``_read_set_voxels``, serves both mask payload kinds: every channel, or
+the layered label grid, passes through one reused 1 MiB buffer, is
+value-checked there, and is indexed buffer by buffer (``set_voxels`` of
+the buffer plus its offset). ``read_volume(path, channels)`` indexes only
+the listed channels of a mask payload, yet still rejects a voxel outside
+{0, 1} in any channel. A layered volume read from a file holds its
+labelled voxels and their labels, and ``decode_layered(lv, channels)``
+decodes the listed channels from those pairs. So a read never holds a
+grid: a volume read or decoded this way builds one only on request,
+through ``channel`` or ``data``. A volume built from an array keeps that
+array and indexes a channel on first use, then caches the index.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import math
 import os
@@ -76,8 +78,8 @@ _MASK_VALUES = "mask voxels must be 0 or 1"
 
 # Header dtype -> little-endian payload dtype.
 _FILE_DTYPES = {"u8": "<u1", "f32": "<f4"}
-# Buffer size for mask channels read_volume checks but does not keep, and
-# for each streamed probability chunk.
+# Buffer size for every streamed mask or layered grid, and for each
+# streamed probability chunk.
 _STREAM_BYTES = 1 << 20
 # float32 voxels per probability chunk.
 PROB_CHUNK = _STREAM_BYTES // 4
@@ -138,6 +140,7 @@ LAYERED_DECODE = {
     8: (ChannelId.VEIN, ChannelId.TUMOR),
 }
 MAX_LAYERED_LABEL = max(LAYERED_DECODE)
+_LABEL_VALUES = f"layered labels must lie in 0..{MAX_LAYERED_LABEL}"
 # Channel -> the labels that set it.
 _DECODE_LABELS = {
     cid: tuple(label for label, targets in LAYERED_DECODE.items() if cid in targets)
@@ -215,15 +218,25 @@ def _check_channels(channels: Sequence[ChannelId]) -> tuple[ChannelId, ...]:
     return channels
 
 
-class _ChannelVolume:
-    """One read-only (Z, H, W) grid per channel: shape checks and channel lookup.
+class _Immutable:
+    """Attributes are set once, by ``_set``, while the object is built."""
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _ChannelVolume(_Immutable):
+    """Channels of one (Z, H, W) geometry: shape checks and channel lookup.
 
     Built from a (C, Z, H, W) array, the volume keeps that stack (checked by
-    ``_checked_values``, read-only); ``grids`` are its channel views and
-    ``data`` is the stack. ``ProbVolume._of_read`` keeps a stack that
+    ``_checked_values``, read-only): ``data`` is the stack and ``channel``
+    gives its views. ``ProbVolume._of_read`` keeps a stack that
     ``read_volume`` checked as it read it, without that check. A
-    ``MaskVolume.with_grids`` result has no stack: its ``data`` stacks a
-    new read-only copy on each access. Immutable.
+    ``MaskVolume`` may hold voxel indices instead of a stack. Immutable.
     """
 
     _kind = "channel"
@@ -242,12 +255,7 @@ class _ChannelVolume:
 
     def _hold(self, stack: np.ndarray, channels: tuple[ChannelId, ...], spacing: Spacing) -> None:
         stack = _freeze(stack)
-        for name, value in (("grids", tuple(stack)), ("channels", channels), ("spacing", spacing),
-                            ("dims", stack.shape[1:]), ("_stack", stack)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        self._set(channels=channels, spacing=spacing, dims=stack.shape[1:], _stack=stack)
 
     def _checked_values(self, arr: np.ndarray) -> np.ndarray:
         """The voxel data to store; subclasses reject values outside their range."""
@@ -255,10 +263,8 @@ class _ChannelVolume:
 
     @property
     def data(self) -> np.ndarray:
-        """The (C, Z, H, W) stack; a copy only for a volume made by ``with_grids``."""
-        if self._stack is not None:
-            return self._stack
-        return _freeze(np.stack(self.grids))
+        """The (C, Z, H, W) stack."""
+        return self._stack
 
     def channel_index(self, cid: ChannelId) -> int:
         try:
@@ -269,24 +275,72 @@ class _ChannelVolume:
             ) from None
 
     def channel(self, cid: ChannelId) -> np.ndarray:
-        return self.grids[self.channel_index(cid)]
+        return self._stack[self.channel_index(cid)]
 
     def has_channel(self, cid: ChannelId) -> bool:
         return ChannelId(cid) in self.channels
 
 
+def _grid_of(dims: tuple[int, ...], voxels: np.ndarray, values=1) -> np.ndarray:
+    """A read-only uint8 grid holding ``values`` at the flat indices ``voxels``, 0 elsewhere."""
+    grid = np.zeros(dims, dtype=np.uint8)
+    grid.reshape(-1)[voxels] = values
+    return _freeze(grid)
+
+
+def _gather_index(lines: tuple[np.ndarray, ...]) -> tuple:
+    """Index for the grid cells at ``lines``: plain slices when every axis is one run."""
+    if all(i.size == 0 or i[-1] - i[0] + 1 == i.size for i in lines):
+        return tuple(slice(i[0], i[-1] + 1) if i.size else slice(0, 0) for i in lines)
+    return np.ix_(*lines)
+
+
 class MaskVolume(_ChannelVolume):
     """Multi-channel binary volume; channels may overlap voxel-wise.
 
-    Each grid is (Z, H, W), dtype uint8 (a bool stack is viewed), values in
-    {0, 1}. ``voxels(cid)`` indexes a channel's set voxels on first use.
+    Each channel is a (Z, H, W) grid of 0 and 1, dtype uint8, and
+    ``voxels(cid)`` is its voxel index. A volume built from an array keeps
+    it (a bool stack is viewed) and indexes a channel on first use. A volume
+    built by ``from_voxels`` (a read, ``decode_layered``, the critical
+    filter) holds only the indices; its ``channel`` and ``data`` build
+    read-only grids on each request.
     """
 
     _kind = "mask"
 
     def __init__(self, data, channels: Sequence[ChannelId], spacing: Spacing):
         super().__init__(data, channels, spacing)
-        object.__setattr__(self, "_voxels", {})
+        self._set(_voxels={})
+
+    @classmethod
+    def from_voxels(cls, voxels: Mapping[ChannelId, np.ndarray], dims: tuple[int, int, int],
+                    spacing: Spacing) -> MaskVolume:
+        """The volume of ``dims`` whose channels, in ``voxels`` order, set those flat indices.
+
+        Each index must be sorted, unique and inside the grid; it is taken
+        as given (not checked) and made read-only, so an index already
+        read-only is shared, not copied.
+        """
+        vol = cls.__new__(cls)
+        vol._set(channels=_check_channels(voxels), spacing=spacing, dims=tuple(dims), _stack=None,
+                 _voxels={ChannelId(c): _freeze(v) for c, v in voxels.items()})
+        return vol
+
+    @property
+    def data(self) -> np.ndarray:
+        """The (C, Z, H, W) stack; built, read-only, on each access if the volume holds indices."""
+        if self._stack is not None:
+            return self._stack
+        stack = np.zeros((len(self.channels),) + self.dims, dtype=np.uint8)
+        for grid, cid in zip(stack, self.channels):
+            grid.reshape(-1)[self._voxels[cid]] = 1
+        return _freeze(stack)
+
+    def channel(self, cid: ChannelId) -> np.ndarray:
+        i = self.channel_index(cid)
+        if self._stack is not None:
+            return self._stack[i]
+        return _grid_of(self.dims, self._voxels[self.channels[i]])
 
     def voxels(self, cid: ChannelId) -> np.ndarray:
         """Sorted flat indices of the set voxels of a channel, read-only and cached."""
@@ -295,20 +349,31 @@ class MaskVolume(_ChannelVolume):
             self._voxels[cid] = _freeze(set_voxels(self.channel(cid)))
         return self._voxels[cid]
 
-    def with_grids(self, replaced: Mapping[ChannelId, tuple[np.ndarray, np.ndarray]]) -> MaskVolume:
-        """This volume with some channels' grids replaced.
+    def gather(self, cid: ChannelId, lines: tuple[np.ndarray, ...]) -> np.ndarray:
+        """A channel's bool sub-grid on ``lines``, sorted plane indices along z, y and x.
 
-        ``replaced`` maps a channel to its new uint8 0/1 grid and that
-        grid's ``set_voxels`` index, taken as given (not checked again) and
-        made read-only. Every other grid is shared, with its cached index.
-        The result has no stack, so its ``data`` stacks on request.
+        Cell (i, j, k) is voxel (lines[0][i], lines[1][j], lines[2][k]). A
+        volume that keeps an array slices it, with plain slices when every
+        axis is one run. Otherwise the set voxels on the slices of
+        ``lines[0]`` are placed by a lookup of each coordinate's position
+        in its lines, so no whole grid is built.
         """
-        out = copy.copy(self)
-        grids = tuple(_freeze(replaced[c][0]) if c in replaced else g
-                      for c, g in zip(self.channels, self.grids))
-        voxels = {**self._voxels, **{c: _freeze(v) for c, (_, v) in replaced.items()}}
-        for name, value in (("grids", grids), ("_stack", None), ("_voxels", voxels)):
-            object.__setattr__(out, name, value)
+        if self._stack is not None:
+            return self.channel(cid)[_gather_index(lines)].view(bool)
+        out = np.zeros(tuple(i.size for i in lines), dtype=bool)
+        voxels = self.voxels(cid)
+        if not out.size:
+            return out
+        plane = self.dims[1] * self.dims[2]
+        lo, hi = np.searchsorted(voxels, (lines[0][0] * plane, (lines[0][-1] + 1) * plane))
+        z, rest = np.divmod(voxels[lo:hi], plane)
+        at = []
+        for coords, kept, size in zip((z, *np.divmod(rest, self.dims[2])), lines, self.dims):
+            position = np.full(size, -1, dtype=np.intp)
+            position[kept] = np.arange(kept.size)
+            at.append(position[coords])
+        on = (at[0] >= 0) & (at[1] >= 0) & (at[2] >= 0)
+        out[tuple(a[on] for a in at)] = True
         return out
 
     def _checked_values(self, arr):
@@ -336,7 +401,7 @@ class ProbVolume(_ChannelVolume):
         """The volume over a float32 stack that ``prob_chunks`` filled, checked and clamped.
 
         The stack and the parsed header's channels are taken as given, as
-        ``MaskVolume.with_grids`` takes grids the program built:
+        ``MaskVolume.from_voxels`` takes indices the program found:
         ``_checked_values`` does not scan the values again.
         """
         vol = cls.__new__(cls)
@@ -344,27 +409,45 @@ class ProbVolume(_ChannelVolume):
         return vol
 
 
-@dataclass(frozen=True)
-class LayeredLabelVolume:
+class LayeredLabelVolume(_Immutable):
     """Single-grid volume with layered labels 0..8 (0 = background).
 
-    A C-contiguous uint8 array is kept as it is, not copied, and is made
-    read-only, as MaskVolume does with its input. Any other value is rejected.
+    Built from an array, the volume keeps a C-contiguous uint8 array as it
+    is, not copied, and makes it read-only, as MaskVolume does with its
+    input; any other value is rejected. ``read_volume`` builds one from the
+    labelled voxels instead (``_of_labelled``), whose ``data`` builds the
+    grid, read-only, on each access. Immutable.
     """
 
-    data: np.ndarray
-    spacing: Spacing
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data)
+    def __init__(self, data, spacing: Spacing):
+        arr = np.ascontiguousarray(data)
         if arr.ndim != 3:
             raise ValueError(f"layered label data must be 3-D (Z,H,W), got shape {arr.shape}")
-        message = f"layered labels must lie in 0..{MAX_LAYERED_LABEL}"
-        object.__setattr__(self, "data", _freeze(_small_ints(arr, MAX_LAYERED_LABEL, message)))
+        arr = _freeze(_small_ints(arr, MAX_LAYERED_LABEL, _LABEL_VALUES))
+        self._set(_data=arr, _labelled=None, dims=arr.shape, spacing=spacing)
+
+    @classmethod
+    def _of_labelled(cls, voxels: np.ndarray, labels: np.ndarray, dims: tuple[int, int, int],
+                     spacing: Spacing) -> LayeredLabelVolume:
+        """The volume whose labelled voxels are the sorted flat ``voxels``, labelled 1..8 by ``labels``."""
+        vol = cls.__new__(cls)
+        vol._set(_data=None, _labelled=(_freeze(voxels), _freeze(labels)), dims=tuple(dims),
+                 spacing=spacing)
+        return vol
 
     @property
-    def dims(self) -> tuple[int, int, int]:
-        return tuple(self.data.shape)
+    def data(self) -> np.ndarray:
+        """The (Z, H, W) label grid."""
+        if self._data is not None:
+            return self._data
+        return _grid_of(self.dims, *self._labelled)
+
+    def labelled(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted flat indices of the labelled (nonzero) voxels, and their labels."""
+        if self._labelled is not None:
+            return self._labelled
+        voxels = set_voxels(self._data)
+        return voxels, self._data.reshape(-1)[voxels]
 
 
 Volume = Union[MaskVolume, ProbVolume, LayeredLabelVolume]
@@ -424,28 +507,33 @@ def _parse_header(header, path: Path):
     return tuple(dims), Spacing(*map(float, spacing)), dtype, channels
 
 
-def _read_mask_channels(raw: Path, dims, names, wanted) -> tuple[np.ndarray, tuple]:
-    """The (C', Z, H, W) stack of the ``wanted`` channels of a mask payload, in file order.
+def _read_set_voxels(raw: Path, n: int, kept: Sequence[bool], top: int,
+                     message: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stream the uint8 grids of a payload, ``n`` voxels each, through one reused buffer.
 
-    Every other channel streams through one reused buffer. Each channel is
-    checked as it is read, and the stack is returned as a bool view.
+    Every buffer's values must lie in 0..top (``_small_ints``), else
+    VolumeFormatError(message). For each grid whose flag in ``kept`` is
+    set, the result holds, in file order, the sorted flat indices of its
+    nonzero voxels, found buffer by buffer (``set_voxels`` of the buffer
+    plus its offset), and their values.
     """
-    kept = tuple(c for c in names if c in wanted)
-    stack = np.empty((len(kept),) + dims, dtype=np.uint8)
-    n = math.prod(dims)
     buffer = np.empty(min(n, _STREAM_BYTES), dtype=np.uint8)
+    found = []
     with open(raw, "rb") as f:
-        for cid in names:
-            streamed = cid not in kept
-            if streamed:
-                parts = (buffer[:min(buffer.size, n - lo)] for lo in range(0, n, buffer.size))
-            else:
-                parts = (stack[kept.index(cid)],)
-            for part in parts:
+        for keep in kept:
+            voxels, values = [], []
+            for lo in range(0, n, buffer.size):
+                part = buffer[:min(buffer.size, n - lo)]
                 if f.readinto(part) != part.size:
                     raise VolumeFormatError(f"payload {raw} shrank while being read")
-                _small_ints(part, 1, _MASK_VALUES)
-    return stack.view(bool), kept
+                _small_ints(part, top, message)
+                if keep:
+                    at = set_voxels(part)
+                    voxels.append(at + lo)
+                    values.append(part[at])
+            if keep:
+                found.append((np.concatenate(voxels), np.concatenate(values)))
+    return found
 
 
 @dataclass(frozen=True)
@@ -535,8 +623,9 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
 
     With ``channels``, a mask volume keeps only those of the listed
     channels that the file has, in file order; the others are still read
-    and checked, but not kept. Probability and layered payloads are
-    always read whole, probabilities through ``prob_chunks``.
+    and checked, but not kept. Mask and layered payloads are streamed by
+    ``_read_set_voxels``, so the volume holds voxel indices, not grids.
+    Probability payloads are always read whole, through ``prob_chunks``.
     """
     payload = open_payload(path)
     names, dims = payload.channels, payload.dims
@@ -545,14 +634,14 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
         for _ in prob_chunks(payload, arr):
             pass
         return ProbVolume._of_read(arr, names, payload.spacing)
-    if names is not None:
-        wanted = names if channels is None else set(map(ChannelId, channels))
-        return MaskVolume(*_read_mask_channels(payload.raw, dims, names, wanted), payload.spacing)
-    arr = np.empty(dims, np.uint8)
-    with open(payload.raw, "rb") as f:
-        if f.readinto(arr) != arr.size:
-            raise VolumeFormatError(f"payload {payload.raw} shrank while being read")
-    return LayeredLabelVolume(arr, payload.spacing)
+    n = math.prod(dims)
+    if names is None:
+        [(voxels, labels)] = _read_set_voxels(payload.raw, n, (True,), MAX_LAYERED_LABEL, _LABEL_VALUES)
+        return LayeredLabelVolume._of_labelled(voxels, labels, dims, payload.spacing)
+    wanted = names if channels is None else set(map(ChannelId, channels))
+    found = _read_set_voxels(payload.raw, n, [c in wanted for c in names], 1, _MASK_VALUES)
+    kept = [c for c in names if c in wanted]
+    return MaskVolume.from_voxels({c: v for c, (v, _) in zip(kept, found)}, dims, payload.spacing)
 
 
 def write_header(path, dims, spacing: Spacing, dtype: str, channels) -> None:
@@ -639,23 +728,16 @@ def decode_layered(
     Labels 1..6 set their own channel; 7 sets artery+tumor, 8 sets
     vein+tumor, reconstructing the overlaps the layering collapsed. Each
     requested channel of STANDARD_CHANNELS is decoded, in that order, from
-    one scan of the labels: its set voxels are the labelled voxels whose
-    label sets it, painted into a zeroed bool grid and kept as the
-    channel's voxel index. The constructor of ``lv`` already confined its
+    the labelled voxels and their labels (``lv.labelled()``): its voxel
+    index is the labelled voxels whose label sets it. The result holds
+    only those indices. The constructor of ``lv`` already confined its
     labels to 0..8.
     """
     wanted = set(map(ChannelId, channels))
-    kept = tuple(c for c in STANDARD_CHANNELS if c in wanted)
-    labelled = set_voxels(lv.data)
-    labels = lv.data.reshape(-1)[labelled]
-    out = np.zeros((len(kept),) + lv.dims, dtype=bool)
-    voxels = {}
-    for grid, cid in zip(out, kept):
-        voxels[cid] = _freeze(labelled[np.isin(labels, _DECODE_LABELS[cid])])
-        grid.reshape(-1)[voxels[cid]] = True
-    masks = MaskVolume(out, kept, lv.spacing)
-    masks._voxels.update(voxels)
-    return masks
+    labelled, labels = lv.labelled()
+    decoded = {cid: labelled[np.isin(labels, _DECODE_LABELS[cid])]
+               for cid in STANDARD_CHANNELS if cid in wanted}
+    return MaskVolume.from_voxels(decoded, lv.dims, lv.spacing)
 
 
 def encode_layered(mv: MaskVolume) -> LayeredLabelVolume:

@@ -520,19 +520,20 @@ class TestOversizeDims:
 
 
 class TestAssessMemory:
-    """assess keeps the four channels it grades and the filter copies no stack.
+    """assess holds voxel indices, never a grid, and the filter allocates none.
 
     tracemalloc sees numpy buffers; the peak is measured in grids of the
     sparse 20x256x256 scene. Reading all six channels and copying the stack
     in the filter peaked at 13.2 grids (six channels) and 9.0 (layered).
-    Decoding layered labels with whole-grid compares peaked at 6.05 grids,
-    and decoding from the voxel index at 5.15.
+    Keeping the four graded grids peaked at 5.29 and 5.15 grids. Streaming
+    every payload into voxel indices peaks at about 1.1 and 0.95 grids:
+    the 1 MiB read buffer (0.8 grids) and the gathered sub-grids.
     """
 
     SPEC = PhantomSpec(dims=(20, 256, 256), slice_range=(1, 19), vessel_center=(128.0, 128.0),
                        pancreas_center=(128.0, 138.0), pancreas_radius_px=4.0, jitter_seed=3)
 
-    @pytest.mark.parametrize("layered, bound", [(False, 7.0), (True, 5.6)])
+    @pytest.mark.parametrize("layered, bound", [(False, 1.5), (True, 1.5)])
     def test_peak_in_grids(self, tmp_path, capsys, layered, bound):
         scene, _ = gen_wrap_scene(self.SPEC)
         write_volume(encode_layered(scene) if layered else scene, tmp_path / "v.json")
@@ -562,25 +563,30 @@ class TestAssessMemory:
 
     @pytest.mark.parametrize("layered", [False, True])
     def test_each_kept_channel_scanned_once(self, tmp_path, capsys, monkeypatch, layered):
-        """Reading, decoding, filtering, grading and overlays share one voxel scan per grid.
+        """Reading, decoding, filtering, grading and overlays share one indexing per grid.
 
-        The six-channel file has each of the four kept channels scanned
-        once; the layered file has only its label grid scanned, and the
-        decode indexes every channel. The filtered vein is not scanned.
+        The six-channel file has each of the four kept channels indexed
+        once, in full, buffer by buffer; the layered file has only its
+        label grid indexed, and the decode works from its labelled voxels.
+        Nothing is indexed after the read: not the filtered vein, not a
+        decoded channel.
         """
         scene = self.cut_scene()
         write_volume(encode_layered(scene) if layered else scene, tmp_path / "v.json")
-        scanned = []
+        indexed = []
 
         def spy(grid):
-            scanned.append(np.asarray(grid).__array_interface__["data"][0])
+            indexed.append(np.asarray(grid).size)
             return set_voxels(grid)
 
         monkeypatch.setattr(volume, "set_voxels", spy)
         assert run("assess", tmp_path / "v.json", "--critical", "--filter-mode", "component",
                    "--overlay", tmp_path / "ov") == 0
         assert any((tmp_path / "ov").iterdir())
-        assert len(set(scanned)) == len(scanned) == (1 if layered else len(cli.ASSESS_CHANNELS))
+        grid = scene.channel(ChannelId.VEIN).size
+        assert grid > volume._STREAM_BYTES
+        per_grid = [volume._STREAM_BYTES, grid - volume._STREAM_BYTES]
+        assert indexed == per_grid * (1 if layered else len(cli.ASSESS_CHANNELS))
 
     @pytest.mark.parametrize("layered", [False, True])
     def test_each_voxel_value_checked_once(self, tmp_path, capsys, monkeypatch, layered):
@@ -606,6 +612,63 @@ class TestAssessMemory:
         assert any((tmp_path / "ov").iterdir())
         grids = 1 if layered else len(scene.channels)
         assert sum(checked) == grids * scene.channel(ChannelId.VEIN).size
+
+
+class TestStreamedReadErrors:
+    """A bad value or a cut payload in the last of many small buffers: the same error and exit 2."""
+
+    DIMS = (3, 5, 7)  # 105 voxels: not a multiple of the buffer or of 8
+
+    def six_channels(self, tmp_path):
+        payload = np.zeros((len(STANDARD_CHANNELS),) + self.DIMS, dtype=np.uint8)
+        payload[:, 1, 2, 3] = 1
+        write_volume(MaskVolume(payload, STANDARD_CHANNELS, Spacing(1, 1, 1)), tmp_path / "v.json")
+        return payload.copy()  # the volume froze its input
+
+    @pytest.mark.parametrize("stream_bytes", [1, 8, 13])
+    def test_bad_voxel_in_channel_not_kept(self, tmp_path, capsys, monkeypatch, stream_bytes):
+        payload = self.six_channels(tmp_path)
+        channel = STANDARD_CHANNELS.index(ChannelId.COMMON_BILE_DUCT)
+        assert ChannelId.COMMON_BILE_DUCT not in cli.ASSESS_CHANNELS
+        payload[channel, -1, -1, -1] = 2
+        (tmp_path / "v.raw").write_bytes(payload.tobytes())
+        monkeypatch.setattr(volume, "_STREAM_BYTES", stream_bytes)
+        assert run("assess", tmp_path / "v.json") == 2
+        assert capsys.readouterr().err == "error: mask voxels must be 0 or 1\n"
+
+    @pytest.mark.parametrize("stream_bytes", [1, 8, 13])
+    def test_label_9_in_last_buffer(self, tmp_path, capsys, monkeypatch, stream_bytes):
+        labels = np.zeros(self.DIMS, dtype=np.uint8)
+        labels[0, 0, :3] = (4, 8, 6)
+        write_volume(volume.LayeredLabelVolume(labels, Spacing(1, 1, 1)), tmp_path / "l.json")
+        labels = labels.copy()  # the volume froze its input
+        labels[-1, -1, -1] = 9
+        (tmp_path / "l.raw").write_bytes(labels.tobytes())
+        monkeypatch.setattr(volume, "_STREAM_BYTES", stream_bytes)
+        assert run("assess", tmp_path / "l.json") == 2
+        assert capsys.readouterr().err == "error: layered labels must lie in 0..8\n"
+
+    @pytest.mark.parametrize("layered", [False, True])
+    @pytest.mark.parametrize("stream_bytes", [1, 8, 13])
+    def test_payload_shrinks_mid_read(self, tmp_path, capsys, monkeypatch, layered, stream_bytes):
+        if layered:
+            write_volume(volume.LayeredLabelVolume(np.ones(self.DIMS, np.uint8), Spacing(1, 1, 1)),
+                         tmp_path / "v.json")
+        else:
+            self.six_channels(tmp_path)
+        size = (tmp_path / "v.raw").stat().st_size
+        checked = volume.open_payload
+
+        def cut(header):
+            payload = checked(header)
+            with open(payload.raw, "r+b") as fh:
+                fh.truncate(size - 1)
+            return payload
+
+        monkeypatch.setattr(volume, "open_payload", cut)
+        monkeypatch.setattr(volume, "_STREAM_BYTES", stream_bytes)
+        assert run("assess", tmp_path / "v.json") == 2
+        assert capsys.readouterr().err == f"error: payload {tmp_path / 'v.raw'} shrank while being read\n"
 
 
 def write_manifest(tmp_path, entries, name="manifest.jsonl"):

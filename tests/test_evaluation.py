@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,13 @@ from vesselwrap.evaluation import (
     involvement_confusion,
     r_squared,
     sensitivity_specificity,
+    voxel_dice,
 )
 from vesselwrap.phantom import PhantomSpec, gen_confusion_suite, gen_wrap_scene
 from vesselwrap.volume import ChannelId, MaskVolume, Spacing, STANDARD_CHANNELS
+
+
+SP = Spacing(1.0, 1.0, 1.0)
 
 
 class TestDice:
@@ -110,6 +116,56 @@ def scan_cell_counts(pairs) -> dict[str, int]:
 
 def counts(tp=0, fp=0, tn=0, fn=0) -> dict[str, int]:
     return {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
+
+
+class TestVoxelDice:
+    """Dice from voxel indices equals the dense formula exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)),
+        pred_density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        gt_density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    )
+    def test_equals_dense_dice(self, seed, dims, pred_density, gt_density):
+        gen = np.random.default_rng(seed)
+        p, g = gen.random(dims) < pred_density, gen.random(dims) < gt_density
+        assert voxel_dice(np.flatnonzero(p), np.flatnonzero(g)) == dice(p, g)
+
+    def test_both_and_one_empty(self):
+        empty, some = np.zeros(0, dtype=np.intp), np.array([3, 5])
+        assert voxel_dice(empty, empty) == 1.0
+        assert voxel_dice(empty, some) == voxel_dice(some, empty) == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.1, 0.6]))
+    def test_scan_dice_equals_dense_and_builds_no_grid(self, seed, density):
+        """evaluate_scan on volumes of indices gives the dense Dice and never asks for a grid."""
+        gen = np.random.default_rng(seed)
+        dims = (3, 8, 9)
+
+        def volume(d):
+            return MaskVolume.from_voxels(
+                {c: np.flatnonzero(gen.random(dims) < d) for c in STANDARD_CHANNELS}, dims, SP
+            )
+
+        pred, gt = volume(density), volume(0.3)
+        dense = {c: (pred.channel(c), gt.channel(c)) for c in STANDARD_CHANNELS}
+        with mock.patch.object(MaskVolume, "channel", None), mock.patch.object(MaskVolume, "data", None):
+            ev = evaluate_scan(pred, gt)
+        for cid, (p, g) in dense.items():
+            assert ev.dice_by_channel[cid.name.lower()] == dice(p, g)
+        tumor_p, tumor_g = dense[ChannelId.TUMOR]
+        for cid, key in ((ChannelId.ARTERY, "artery_overlap"), (ChannelId.VEIN, "vein_overlap")):
+            p, g = dense[cid]
+            assert ev.dice_by_channel[key] == dice(tumor_p & p, tumor_g & g)
+
+    def test_scan_geometry_mismatch(self):
+        a = MaskVolume(np.zeros((1, 1, 2, 2), np.uint8), (ChannelId.TUMOR,), SP)
+        b = MaskVolume(np.zeros((1, 1, 2, 3), np.uint8), (ChannelId.TUMOR,), SP)
+        with pytest.raises(ValueError, match=r"^geometry mismatch: \(1, 2, 2\) vs \(1, 2, 3\)$"):
+            evaluate_scan(a, b)
 
 
 class TestConfusion:

@@ -454,6 +454,98 @@ class TestKernelInvariance:
         assert np.all(eight_count <= four_count)
 
 
+def index_twin(masks):
+    """The same volume held as voxel indices, as a read or the critical filter holds it."""
+    return MaskVolume.from_voxels({c: masks.voxels(c) for c in masks.channels}, masks.dims, masks.spacing)
+
+
+class TestIndexHeldVolumes:
+    """The kernels give the same results on a volume of indices as on its grids."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 14), st.integers(1, 14)),
+        vessel_density=st.sampled_from([0.0, 0.03, 0.2, 0.7]),
+        tumor_density=st.sampled_from([0.0, 0.1, 0.5]),
+        connectivity=st.sampled_from([4, 8]),
+        span_method=st.sampled_from(SPAN_METHODS),
+    )
+    def test_component_table_matches_grids(
+        self, seed, dims, vessel_density, tumor_density, connectivity, span_method
+    ):
+        gen = np.random.default_rng(seed)
+        masks = tav_volume(gen.random(dims) < tumor_density, gen.random(dims) < vessel_density,
+                           gen.random(dims) < vessel_density, Spacing(1.0, 0.6, 0.8))
+        twin = index_twin(masks)
+        for vessel in (ChannelId.ARTERY, ChannelId.VEIN):
+            want = component_table(masks, vessel, connectivity, span_method)
+            got = component_table(twin, vessel, connectivity, span_method)
+            for name in ("z", "centroid", "span_deg", "contact", "contact_start"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12)),
+        pancreas_density=st.sampled_from([0.0, 0.02, 0.2]),
+        mode=st.sampled_from(["voxel", "component"]),
+    )
+    def test_filter_matches_grids(self, seed, dims, pancreas_density, mode):
+        gen = np.random.default_rng(seed)
+        channels = (ChannelId.PANCREAS, ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR)
+        density = np.array([pancreas_density, 0.2, 0.3, 0.3])[:, None, None, None]
+        masks = MaskVolume((gen.random((4,) + dims) < density).astype(np.uint8), channels,
+                           Spacing(1.0, 1.0, 1.0))
+        want = filter_critical_volume(masks, mode)
+        got = filter_critical_volume(index_twin(masks), mode)
+        assert got.channels == want.channels
+        for cid in channels:
+            assert np.array_equal(got.voxels(cid), want.voxels(cid))
+            assert np.array_equal(got.channel(cid), want.channel(cid))
+
+
+def mm_scene(spacing_yx, span_deg, center_deg, field_mm=60.0, radius_mm=10.0, shell_mm=4.0):
+    """One slice rasterised in millimetres at pixel centres: a round vein and a tumor shell sector.
+
+    The vein is the disc of ``radius_mm``; the tumor covers the ring from
+    its rim out to ``shell_mm`` beyond it, over the sector of ``span_deg``
+    centred on ``center_deg``.
+    """
+    sy, sx = spacing_yx
+    y = (np.arange(round(field_mm / sy)) + 0.5) * sy - field_mm / 2
+    x = (np.arange(round(field_mm / sx)) + 0.5) * sx - field_mm / 2
+    y, x = np.meshgrid(y, x, indexing="ij")
+    rho = np.hypot(y, x)
+    theta = np.degrees(np.arctan2(-y, x)) % 360.0
+    in_sector = np.abs((theta - center_deg + 180.0) % 360.0 - 180.0) <= span_deg / 2
+    tumor = (rho > radius_mm) & (rho <= radius_mm + shell_mm) & in_sector
+    vessel = rho <= radius_mm
+    return tav_volume(tumor[None], np.zeros_like(vessel)[None], vessel[None], Spacing(1.0, sy, sx))
+
+
+class TestAnisotropicSpacing:
+    """Spans are measured in millimetres when the in-plane spacing differs."""
+
+    # The tolerance the phantom oracle allows a measured span (PhantomSpec scenes).
+    TOLERANCE_DEG = 10.0
+
+    @pytest.mark.parametrize("spacing_yx", [(0.5, 1.0), (1.0, 0.5), (0.7, 0.9)])
+    @pytest.mark.parametrize("span_deg", [90.0, 270.0])
+    @pytest.mark.parametrize("center_deg", [0.0, 45.0, 90.0, 133.0])
+    def test_span_within_phantom_tolerance(self, spacing_yx, span_deg, center_deg):
+        table = component_table(mm_scene(spacing_yx, span_deg, center_deg), ChannelId.VEIN)
+        assert table.span_deg.size == 1
+        assert abs(float(table.span_deg[0]) - span_deg) <= self.TOLERANCE_DEG
+
+    def test_square_pixels_unchanged(self):
+        """On square pixels the spacing ratio is exactly 1.0: spans equal the unit-spacing ones."""
+        masks = mm_scene((0.67, 0.67), 90.0, 0.0)
+        unit = MaskVolume(masks.data, masks.channels, Spacing(1.0, 1.0, 1.0))
+        assert np.array_equal(component_table(masks, ChannelId.VEIN).span_deg,
+                              component_table(unit, ChannelId.VEIN).span_deg)
+
+
 class TestPixelAngle:
     """The reference's angle convention, which the kernel must reproduce."""
 
@@ -659,7 +751,7 @@ class TestFilterCritical:
                                               pancreas_radius_px=4.0))
         out = filter_critical_volume(scene, mode)
         assert out.channels == scene.channels
-        changed = [cid for cid in scene.channels if out.channel(cid) is not scene.channel(cid)]
+        changed = [cid for cid in scene.channels if out.voxels(cid) is not scene.voxels(cid)]
         assert changed == [ChannelId.VEIN]
         assert out.channel(ChannelId.VEIN).sum() < scene.channel(ChannelId.VEIN).sum()
         assert np.array_equal(
@@ -687,7 +779,7 @@ class TestFilterCritical:
             if cid in (ChannelId.ARTERY, ChannelId.VEIN):
                 want = critical_reference(want, pancreas, mode)
             assert np.array_equal(out.channel(cid), want)
-            assert (out.channel(cid) is masks.channel(cid)) == np.array_equal(want, masks.channel(cid))
+            assert (out.voxels(cid) is masks.voxels(cid)) == np.array_equal(want, masks.channel(cid))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -350,28 +351,30 @@ class TestChannelVolume:
         stack = np.zeros((2, 3, 4, 5), dtype=np.uint8)
         vol = MaskVolume(stack, (ChannelId.ARTERY, ChannelId.TUMOR), SP1)
         assert vol.data is stack
-        assert all(g.base is stack and not g.flags.writeable for g in vol.grids)
+        assert all(vol.channel(c).base is stack and not vol.channel(c).flags.writeable
+                   for c in vol.channels)
         assert vol.dims == (3, 4, 5)
 
     def test_grids_are_shared_and_stacked_on_request(self):
-        """A filtered volume keeps no stack: ``data`` stacks a read-only copy of its grids."""
+        """A filtered volume holds indices and shares the unfiltered ones; ``data`` builds a stack."""
         stack = np.zeros((3, 2, 3, 4), np.uint8)
         stack[0, 0, 0, 0] = 1  # the pancreas touches the vein
         stack[1, :, 1] = stack[1, 0, 0, 0] = 1
         stack[2, 1] = 1
         vol = MaskVolume(stack, (ChannelId.PANCREAS, ChannelId.VEIN, ChannelId.TUMOR), SP1)
         out = filter_critical_volume(vol)
-        assert out.channel(ChannelId.TUMOR) is vol.channel(ChannelId.TUMOR)
-        assert out.channel(ChannelId.VEIN) is not vol.channel(ChannelId.VEIN)
+        assert out.voxels(ChannelId.TUMOR) is vol.voxels(ChannelId.TUMOR)
+        assert out.voxels(ChannelId.VEIN) is not vol.voxels(ChannelId.VEIN)
         assert not out.channel(ChannelId.VEIN).flags.writeable
         data = out.data
         assert data.shape == (3, 2, 3, 4) and not data.flags.writeable
-        assert np.array_equal(data, np.stack(out.grids)) and data is not out.data
+        assert np.array_equal(data, np.stack([out.channel(c) for c in out.channels]))
+        assert data is not out.data
         assert vol.data is stack
 
     def test_zero_channels_keep_dims(self):
         vol = MaskVolume(np.zeros((0, 3, 4, 5), np.uint8), (), SP1)
-        assert vol.grids == () and vol.dims == (3, 4, 5)
+        assert vol.data.shape == (0, 3, 4, 5) and vol.dims == (3, 4, 5)
 
     @pytest.mark.parametrize("grids, match", [
         (np.zeros(0), "4-D"),
@@ -418,7 +421,8 @@ class TestChannelRead:
                                          stream_bytes):
         tmp = tmp_path_factory.mktemp("lazy")
         gen = np.random.default_rng(seed)
-        write_volume(MaskVolume(_six_channel_payload(gen, dims), order, SP1), tmp / "v.json")
+        dense = _six_channel_payload(gen, dims)
+        write_volume(MaskVolume(dense, order, SP1), tmp / "v.json")
         whole = read_volume(tmp / "v.json")
         with mock.patch.object(volume, "_STREAM_BYTES", stream_bytes):
             part = read_volume(tmp / "v.json", subset)
@@ -427,6 +431,7 @@ class TestChannelRead:
         assert part.dims == dims and part.spacing == whole.spacing
         for cid in part.channels:
             assert np.array_equal(part.channel(cid), whole.channel(cid))
+            assert np.array_equal(part.voxels(cid), set_voxels(dense[order.index(cid)]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -466,6 +471,60 @@ class TestChannelRead:
         path = _write_raw_pair(tmp_path, _header([2, 2, 2], ["tumor", "vein"], "u8"), b"\x01" * 15)
         with pytest.raises(VolumeFormatError, match="payload size mismatch: expected 16 bytes, got 15"):
             read_volume(path, (ChannelId.TUMOR,))
+
+
+class TestStreamedReader:
+    """Layered payloads through a buffer of a few bytes: the labelled voxels are exact.
+
+    Six-channel payloads are covered by ``TestChannelRead``.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 7), st.integers(1, 7)),
+        density=st.sampled_from([0.0, 0.1, 0.6, 1.0]),
+        subset=st.sets(st.sampled_from(STANDARD_CHANNELS)),
+        stream_bytes=st.sampled_from([1, 3, 5, 8, 13, 24]),
+    )
+    def test_layered_indices_equal_set_voxels(self, tmp_path_factory, seed, dims, density, subset,
+                                              stream_bytes):
+        tmp = tmp_path_factory.mktemp("stream")
+        gen = np.random.default_rng(seed)
+        labels = np.where(gen.random(dims) < density, gen.integers(1, 9, size=dims), 0).astype(np.uint8)
+        write_volume(LayeredLabelVolume(labels, SP1), tmp / "l.json")
+        with mock.patch.object(volume, "_STREAM_BYTES", stream_bytes):
+            lv = read_volume(tmp / "l.json")
+        voxels, values = lv.labelled()
+        assert np.array_equal(voxels, set_voxels(labels))
+        assert np.array_equal(values, labels.reshape(-1)[voxels])
+        assert np.array_equal(lv.data, labels) and not lv.data.flags.writeable
+        dense = decode_layered(LayeredLabelVolume(labels, SP1), subset)
+        decoded = decode_layered(lv, subset)
+        for cid in dense.channels:
+            assert np.array_equal(decoded.channel(cid), dense.channel(cid))
+
+    @pytest.mark.parametrize("layered", [False, True])
+    def test_read_holds_no_grid(self, tmp_path, monkeypatch, layered):
+        """A read allocates well under one grid; ``data`` and ``channel`` build one on each request."""
+        dense = np.zeros((2, 16, 256, 256), np.uint8)
+        dense[1, 2, 3, 4:9] = dense[0, 0, 0, 0] = 1
+        vol = MaskVolume(dense, (ChannelId.VEIN, ChannelId.TUMOR), SP1)
+        write_volume(encode_layered(vol) if layered else vol, tmp_path / "v.json")
+        monkeypatch.setattr(volume, "_STREAM_BYTES", 1 << 16)
+        tracemalloc.start()
+        try:
+            back = read_volume(tmp_path / "v.json")
+            if layered:
+                back = decode_layered(back, vol.channels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense[0].nbytes / 4
+        assert back.voxels(ChannelId.TUMOR).tolist() == [2 * 256 * 256 + 3 * 256 + c for c in range(4, 9)]
+        assert np.array_equal(back.data, dense) and back.data is not back.data
+        assert back.channel(ChannelId.VEIN) is not back.channel(ChannelId.VEIN)
+        assert not back.channel(ChannelId.VEIN).flags.writeable
 
 
 # Headers with no channels pass the size check with an empty payload; their
