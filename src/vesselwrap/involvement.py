@@ -8,14 +8,22 @@ analytic angles agree):
   (-(row - c_row) * y_mm, (col - c_col) * x_mm), offsets in millimetres,
   i.e. 0 deg points to +col and 90 deg points to -row ("image up"),
   normalized to [0, 360);
-* adjacency is 8-connectivity in-slice, both for vessel components and for
-  the tumor neighbourhood that defines contact;
-* a vessel pixel is a contact pixel when it is itself a tumor voxel
-  (structures may overlap) or any of its 8 neighbours is;
+* vessel components are labelled in-slice with the chosen connectivity,
+  8 by default; ``connectivity=4`` (``--connectivity 4``) changes only
+  how vessel pixels join into components;
+* contact always uses the in-slice 8-neighbourhood, whatever the
+  connectivity: a vessel pixel is a contact pixel when it is itself a
+  tumor voxel (structures may overlap) or any of its 8 neighbours is;
 * the span of a contact arc is 360 minus the largest angular gap between
   contact pixel angles, which equals max-min whenever the arc does not
   cross the 0 deg branch cut. The literal max-min variant stays available
   as ``span_method="minmax"`` for comparison.
+
+Out of scope: the contact neighbourhood is counted in pixels, not
+millimetres, so on an anisotropic grid it reaches further along the
+coarser axis; only the angles are scaled by the spacing. A vessel that
+runs obliquely to the axial plane is measured in its axial cross-section,
+not in its own (ROADMAP item 9).
 
 One whole-scan kernel, ``component_table``, measures every vessel component
 of a scan at once:

@@ -41,6 +41,20 @@ whole-volume computation, and the outputs are byte-identical to it. The
 masks likewise compute ``k * std + mean`` in float64 per block, then clip
 and compare.
 
+A consensus block, where every member's block equals the first's under
+``==``, skips the float64 stage: its mean is the first member's block plus
+``np.float32(0.0)`` and its std is +0.0, the same bits. Every partial sum
+``j * x`` of N equal float32 values is exact in float64 (it needs at most
+24 + log2 N bits), so the sum is N * x, the mean is x, and every deviation
+and the std are +0.0. ``==`` also pairs +0.0 with -0.0, but such a voxel is
+zero in every member, and the sum from +0.0 is +0.0; adding +0.0 to the
+first block gives the same. The check compares the first voxels alone
+before the whole blocks, so a block where the members already differ
+there costs no block comparison; one whose first voxels agree but whose
+rest does not costs up to one float32 comparison per further member on
+top of the float64 stage. So the shortcut pays only where members agree
+exactly over whole blocks (``tools/fold_agreement.py`` counts them).
+
 A fold or sample is an in-memory ``ProbVolume`` or a probability payload
 on disk (``volume.Payload``). A payload is read straight into the
 statistics, one ``PROB_CHUNK`` of voxels at a time (``prob_chunks``), and
@@ -70,7 +84,15 @@ So one dense pass tests the largest k, the smaller ks are tested only at
 the voxels of each block that pass it, and the grid records how many
 distinct ks, counted from the top, hold each voxel. The result is exactly
 ``sigma_level_mask`` per k; a non-finite k is rejected, because inf * 0
-is NaN and would break the nesting.
+is NaN and would break the nesting. A block whose std is all zero (+0.0
+or -0.0) takes no float64 step: for finite k, ``k * std`` is a zero and
+adding it to the mean leaves float64(mean), up to the sign of a zero
+mean, which no comparison sees; the mean lies in [0, 1], so the clip
+leaves it too. Every k therefore holds exactly where ``mean >=
+threshold`` in float64, and the level there is the count of ks. The
+threshold is passed as ``np.float64``: a float32 array compared with a
+Python float is compared in float32 (NEP 50), which would hold a mean of
+float32(0.7), just below 0.7, at threshold 0.7.
 
 A field is one pass (``FieldStream``): its float32 mean and std come out
 block by block, in voxel order, and each consumer takes a block before
@@ -215,18 +237,37 @@ def _mean_std(volumes: Sequence[Member | np.ndarray]) -> Blocks:
     return _mean_std_blocks(volumes)
 
 
+def _agree(blocks: list[np.ndarray], equal: np.ndarray) -> bool:
+    """Whether every block equals the first under ``==`` (+0.0 equals -0.0).
+
+    The first voxels are compared before any whole block. ``equal`` is a
+    bool buffer of the blocks' size.
+    """
+    first = blocks[0]
+    return (all(x[0] == first[0] for x in blocks[1:])
+            and all(np.equal(x, first, out=equal).all() for x in blocks[1:]))
+
+
 def _mean_std_blocks(volumes) -> Blocks:
     n = len(volumes)
     up, acc, sq = [np.empty(_BLOCK) for _ in volumes], np.empty(_BLOCK), np.empty(_BLOCK)
     mean, std = np.empty(_BLOCK, np.float32), np.empty(_BLOCK, np.float32)
+    equal = np.empty(_BLOCK, bool)
     with contextlib.ExitStack() as opened:
         readers = [opened.enter_context(contextlib.closing(_chunks(v))) for v in volumes]
         for parts in zip(*readers):
             for b in _blocks(parts[0].size):
                 k = b.stop - b.start
+                blocks = [part[b] for part in parts]
+                if _agree(blocks, equal[:k]):
+                    # the shared value, -0.0 made +0.0 as a sum from +0.0 makes it
+                    np.add(blocks[0], np.float32(0.0), out=mean[:k])
+                    std[:k].fill(0.0)
+                    yield mean[:k], std[:k]
+                    continue
                 xs, m, s = [x[:k] for x in up], acc[:k], sq[:k]
-                for x, part in zip(xs, parts):
-                    x[...] = part[b]  # exact float32 -> float64 upcast
+                for x, block in zip(xs, blocks):
+                    x[...] = block  # exact float32 -> float64 upcast
                 m.fill(0.0)
                 for x in xs:
                     m += x
@@ -340,12 +381,18 @@ def _level_grid(
     ``ks`` are distinct and descending, so the mask of ``ks[i]`` is
     ``level > i``. One dense pass tests the largest k; the others are
     tested only at the voxels of each block that pass it, since the masks
-    are nested. ``level`` is a flat zeroed grid that can hold ``len(ks)``:
-    unsigned, or bool for a single k.
+    are nested. A block whose std is all zero is held at every k exactly
+    where its mean reaches the threshold in float64, so it is set with that
+    one comparison. ``level`` is a flat zeroed grid that can hold
+    ``len(ks)``: unsigned, or bool for a single k.
     """
     mean, std = mean.reshape(-1), std.reshape(-1)
     buf = np.empty(min(mean.size, _BLOCK))
     for b in _blocks(mean.size):
+        if std[b.start] == 0.0 and not std[b].any():
+            # float64 named: a float32 array against a Python float compares in float32 (NEP 50)
+            level[b][mean[b] >= np.float64(threshold)] = len(ks)
+            continue
         adjusted = _adjusted(std[b], mean[b], ks[0], buf[: b.stop - b.start])
         hits = np.flatnonzero(adjusted >= threshold)
         if hits.size == 0:

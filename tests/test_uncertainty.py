@@ -516,6 +516,99 @@ class TestStreamedRead:
         assert open_payloads(tmp_path) == []
 
 
+def _agreeing_values(gen, count, size, changed_share, special_share):
+    """``count`` float32 members copied from one base, some statistics blocks changed.
+
+    Each block is changed with probability ``changed_share``, in one of
+    three ways: one voxel of one member, every voxel of one member, or
+    the sign of the zeros the block is given in every member, drawn per
+    member, so the members still agree there under ``==``.
+    """
+    base = gen.random(size, dtype=np.float32)
+    pick = gen.random(size) < special_share
+    base[pick] = gen.choice(SPECIAL_VALUES, int(pick.sum()))
+    members = [base.copy() for _ in range(count)]
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        if gen.random() >= changed_share:
+            continue
+        x = members[gen.integers(count)]
+        way = gen.integers(3)
+        if way == 0:
+            i = gen.choice([lo, hi - 1, gen.integers(lo, hi)])
+            x[i] = (x[i] + np.float32(0.5)) % np.float32(1.0)  # differs from x[i]
+        elif way == 1:
+            x[lo:hi] = gen.random(hi - lo, dtype=np.float32)
+        else:
+            zeros = gen.random(hi - lo) < 0.5
+            for m in members:
+                m[lo:hi][zeros] = np.copysign(np.float32(0.0), gen.random(int(zeros.sum())) - 0.5)
+    return members
+
+
+class TestConsensusBlocks:
+    """Blocks where every member agrees skip the float64 statistics, bit-equal to the reference.
+
+    Each member is drawn as a payload or as an in-memory volume.
+    """
+
+    @staticmethod
+    def _members(tmp, raw, streamed):
+        return [_write_raw(Path(tmp) / f"m{i}.json", d) if s else make_prob(d[None, None, None], CH)
+                for i, (d, s) in enumerate(zip(raw, streamed))]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_folds=st.integers(2, 5),
+        size=READ_SIZES,
+        changed_share=st.sampled_from([0.0, 0.3, 1.0]),
+        special_share=st.sampled_from([0.0, 0.3, 1.0]),
+        streamed=st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    def test_fold_statistics(self, seed, n_folds, size, changed_share, special_share, streamed):
+        raw = _agreeing_values(np.random.default_rng(seed), n_folds, size, changed_share,
+                               special_share)
+        want = fold_mean_std_reference([make_prob(d[None, None, None], CH) for d in raw])
+        with tempfile.TemporaryDirectory() as tmp:
+            got = fold_mean_std(self._members(tmp, raw, streamed))
+        assert_same_bytes(got.mean, want.mean)
+        assert_same_bytes(got.std, want.std)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        sample_counts=st.lists(st.integers(2, 3), min_size=1, max_size=3),
+        size=READ_SIZES,
+        changed_share=st.sampled_from([0.0, 0.3, 1.0]),
+        special_share=st.sampled_from([0.0, 0.3, 1.0]),
+        streamed=st.lists(st.booleans(), min_size=9, max_size=9),
+    )
+    def test_sample_statistics(self, seed, sample_counts, size, changed_share, special_share,
+                               streamed):
+        raw = _agreeing_values(np.random.default_rng(seed), sum(sample_counts), size,
+                               changed_share, special_share)
+        cuts = np.cumsum([0, *sample_counts])
+
+        def sample_sets(members):
+            return [SampleSet(tuple(members[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+
+        want = sample_mean_std_reference(sample_sets([make_prob(d[None, None, None], CH)
+                                                      for d in raw]))
+        with tempfile.TemporaryDirectory() as tmp:
+            got = sample_mean_std(sample_sets(self._members(tmp, raw, streamed)))
+        assert_same_bytes(got.mean, want.mean)
+        assert_same_bytes(got.std, want.std)
+
+    def test_sign_of_zero_block(self):
+        """Folds that differ only in the sign of zero give +0.0, as a float64 sum from +0.0 does."""
+        folds = [prob_of(0.0, (1, 1, 1, _BLOCK + 3)) for _ in range(3)]
+        folds[1] = prob_of(-0.0, (1, 1, 1, _BLOCK + 3))
+        for field in (fold_mean_std(folds), fold_mean_std(folds[1:2] * 2)):
+            assert not np.signbit(field.mean.data).any()
+            assert not np.signbit(field.std.data).any()
+
+
 def assert_sweep_matches_reference(field, ks, threshold):
     """Spy on ``assess_scan``: each graded mask is the reference mask, each entry grades it."""
     references = [sigma_level_mask_reference(field, k, threshold) for k in ks]
@@ -585,6 +678,31 @@ class TestSweepEquivalence:
         channels = (ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR)
         field = UncertaintyField(make_prob(mean, channels), make_prob(std, channels), "epistemic")
         assert_sweep_matches_reference(field, ks, 0.5)
+
+
+class TestZeroStdLevels:
+    """A zero-std block is held where its mean reaches the threshold, compared in float64.
+
+    float32(0.7) and float32(0.9) lie below 0.7 and 0.9, so a comparison
+    done in float32 (a float32 array against a Python float, NEP 50)
+    would hold them.
+    """
+
+    @pytest.mark.parametrize("threshold", [0.7, 0.9])
+    def test_float32_neighbours_of_threshold(self, threshold):
+        t = np.float32(threshold)
+        near = np.array([np.nextafter(t, np.float32(0)), t, np.nextafter(t, np.float32(1))])
+        size = _BLOCK + 40  # a second, partial block in every channel
+        mean = np.resize(near, (6, 1, 1, size))
+        std = np.zeros_like(mean)
+        std[:, :, :, :_BLOCK:2] = -0.0
+        std[1, :, :, _BLOCK + 1] = 0.25  # one channel's second block takes the float64 path
+        field = UncertaintyField(make_prob(mean), make_prob(std), "epistemic")
+        for k in (-2.0, 0.0, 1.5):
+            assert_same_bytes(sigma_level_mask(field, k, threshold),
+                              sigma_level_mask_reference(field, k, threshold))
+        assert not sigma_level_mask(field, 0.0, threshold).data[..., 1].any()
+        assert_sweep_matches_reference(field, [2.0, -1.0, 0.0, 1.0, 2.0], threshold)
 
 
 class TestSweepValidation:

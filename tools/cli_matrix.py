@@ -30,9 +30,12 @@ writes the same tree. Groups:
     column added, so the voxel count is not a multiple of 8) as a mask
     volume and as layered labels under the component filter,
     ``uncertainty`` on folds and on sample directories, on folds with an
-    in-tolerance -0.0005 in a late chunk, and with heat maps on a 10x70x73
+    in-tolerance -0.0005 in a late chunk, with heat maps on a 10x70x73
     crop of the folds, whose channels are not a whole number of statistics
-    blocks, twelve ``evaluate`` manifests and flag sets, ``loss`` with and
+    blocks, and at threshold 0.7 with heat maps on folds that agree except
+    at scattered voxels and in one block where they differ only in the
+    sign of zero, with tumor voxels at float32(0.7) and the float32 above
+    it, twelve ``evaluate`` manifests and flag sets, ``loss`` with and
     without ``--gradcheck`` and the error paths, among them a voxel
     outside {0, 1} in a channel ``assess`` does not keep and in one it
     keeps, a layered label 9, a fold with a NaN in a late chunk and one
@@ -139,7 +142,8 @@ def adversarial_scene():
 def _phantom_inputs() -> list[tuple[str, str]]:
     from vesselwrap import cli, phantom
     from vesselwrap.volume import (
-        ChannelId, MaskVolume, ProbVolume, encode_layered, read_volume, write_volume,
+        STANDARD_CHANNELS, ChannelId, MaskVolume, ProbVolume, encode_layered, read_volume,
+        write_volume,
     )
 
     spec = phantom.PhantomSpec(jitter_seed=3)
@@ -205,6 +209,30 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     shutil.copytree("ph/unc", "ph/short", ignore=shutil.ignore_patterns("truth.json"))
     with open("ph/short/fold1.raw", "r+b") as fh:
         fh.truncate(fh.seek(0, 2) - 4)
+    # Folds that agree except at a dozen scattered voxels: copies of one fold
+    # whose certain tumor voxels are float32(0.7) on even slices and the next
+    # float32 above it on odd ones, for a run at threshold 0.7. In one
+    # 32768-voxel statistics block of the vein channel (1 << 15 voxels from
+    # 21 << 15), the second fold's zeros are -0.0: there the folds differ
+    # only in the sign of zero.
+    base = read_volume("ph/unc/fold0.json").data.copy()
+    tumor, t = base[STANDARD_CHANNELS.index(ChannelId.TUMOR)], np.float32(0.7)
+    tumor[0::2][tumor[0::2] == 1] = t
+    tumor[1::2][tumor[1::2] == 1] = np.nextafter(t, np.float32(1))
+    base = base.reshape(-1)
+    sign_block = slice(21 << 15, 22 << 15)
+    scatter = np.random.default_rng(7)
+    shutil.copytree("ph/unc", "ph/agree", ignore=shutil.ignore_patterns("truth.json"))
+    for i in range(3):
+        fold = base.copy()
+        if i:
+            at = scatter.integers(0, base.size - (1 << 15), 6)
+            at[at >= sign_block.start] += 1 << 15  # never inside the sign block
+            fold[at] = scatter.random(6, dtype=np.float32)
+        if i == 1:
+            block = fold[sign_block]
+            block[block == 0] = -0.0
+        fold.tofile(f"ph/agree/fold{i}.raw")
     suite = [json.loads(line) for line in Path("ph/suite/manifest.jsonl").read_text().splitlines()]
     _write_manifest("ph/suite/folds.jsonl", [{**e, "fold": "ab"[i % 2]} for i, e in enumerate(suite)])
     _write_manifest("ph/suite/critical.jsonl",
@@ -281,6 +309,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("uncertainty-odd-dims",
          "uncertainty --fold ph/odd/fold0.json --fold ph/odd/fold1.json --fold ph/odd/fold2.json "
          "--out o/u --overlay o/heat"),
+        ("uncertainty-agreeing-folds",
+         "uncertainty --fold ph/agree/fold0.json --fold ph/agree/fold1.json "
+         "--fold ph/agree/fold2.json --out o/u --threshold 0.7 --overlay o/heat"),
         ("uncertainty-late-negative",
          "uncertainty --fold ph/unc/fold0.json --fold ph/late_negative/fold1.json "
          "--fold ph/unc/fold2.json --out o/u --overlay o/heat"),
