@@ -43,8 +43,8 @@ from .volume import (
     STANDARD_CHANNELS,
     decode_layered,
     open_payload,
-    put_in_place,
     read_volume,
+    staged,
     write_header,
     write_volume,
 )
@@ -85,11 +85,10 @@ def _document(doc: dict) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a staged ``.tmp`` file, put in place when whole."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    put_in_place(tmp, path)
+    """Write ``text`` to ``path`` through ``staged``, put in place when whole."""
+    with staged(path) as (tmp,):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -315,15 +314,6 @@ def cmd_evaluate(args) -> int:
 UNCERTAINTY_FILES = ("mean.raw", "mean.json", "std.raw", "std.json", "uncertainty.json")
 
 
-def _missing_dirs(path: Path) -> list[Path]:
-    """``path`` and those of its parents that do not exist yet, innermost first."""
-    missing = []
-    while not path.exists() and path != path.parent:
-        missing.append(path)
-        path = path.parent
-    return missing
-
-
 def _written(blocks, payloads):
     """``blocks`` passed on unchanged, each block's mean and std appended to ``payloads``."""
     with contextlib.closing(blocks):
@@ -333,8 +323,8 @@ def _written(blocks, payloads):
             yield block
 
 
-def _staged_uncertainty(args, stream: unc.FieldStream, staged: dict[str, Path]) -> None:
-    """Write every uncertainty output to its ``staged`` temporary path, in one pass.
+def _staged_uncertainty(args, stream: unc.FieldStream, tmps: dict[str, Path]) -> None:
+    """Write every uncertainty output to its temporary path in ``tmps``, in one pass.
 
     The mean and std payloads are written block by block as the sweep's
     pass streams them. If ``--out`` cannot be made, or a payload not be
@@ -344,7 +334,7 @@ def _staged_uncertainty(args, stream: unc.FieldStream, staged: dict[str, Path]) 
     with contextlib.ExitStack() as files:
         try:
             Path(args.out).mkdir(parents=True, exist_ok=True)
-            payloads = [files.enter_context(open(staged[f"{name}.raw"], "wb"))
+            payloads = [files.enter_context(open(tmps[f"{name}.raw"], "wb"))
                         for name in ("mean", "std")]
             unwritable = None
         except OSError as exc:
@@ -355,10 +345,10 @@ def _staged_uncertainty(args, stream: unc.FieldStream, staged: dict[str, Path]) 
     if unwritable is not None:
         raise unwritable
     for name in ("mean", "std"):
-        write_header(staged[f"{name}.json"], stream.dims, stream.spacing, "f32", stream.channels)
+        write_header(tmps[f"{name}.json"], stream.dims, stream.spacing, "f32", stream.channels)
     sweep = [{"k": float(e.k), **_grading_dict(e.reports, e.category)} for e in entries]
     doc = _assessment_doc(args.scan_id, args, {"uncertainty_kind": stream.kind, "sweep": sweep})
-    staged["uncertainty.json"].write_text(_document(doc))
+    tmps["uncertainty.json"].write_text(_document(doc))
 
 
 def _heat_maps(out: Path, stream: unc.FieldStream, directory: Path, scan_id: str) -> None:
@@ -383,30 +373,17 @@ def _heat_maps(out: Path, stream: unc.FieldStream, directory: Path, scan_id: str
 def cmd_uncertainty(args) -> int:
     """Stream the folds' mean and std into --out and grade the sweep, in one pass.
 
-    Every output is written under a temporary name and put in place with
-    ``put_in_place`` only after the last payload's range check and after
-    every k is graded: a previous run's file is removed, then the new one
-    renamed onto the free name. On any failure the temporary files and
-    the directories this run made are removed, so a previous run's
-    outputs stay as they were unless the failure came while putting them
-    in place.
+    Every output is written through ``staged`` and put in place only after
+    the last payload's range check and after every k is graded: a previous
+    run's file is removed, then the new one renamed onto the free name. On
+    any failure the temporary files and the directories this run made are
+    removed, so a previous run's outputs stay as they were unless the
+    failure came while putting them in place.
     """
     stream = _load_fold_stream(args.fold)
     out = Path(args.out)
-    made = _missing_dirs(out)
-    staged = {name: out / f"{name}.tmp" for name in UNCERTAINTY_FILES}
-    try:
-        _staged_uncertainty(args, stream, staged)
-        for name, path in staged.items():
-            put_in_place(path, out / name)
-    except BaseException:
-        for path in staged.values():
-            with contextlib.suppress(OSError):
-                path.unlink()
-        for path in made:
-            with contextlib.suppress(OSError):
-                path.rmdir()
-        raise
+    with staged(*(out / name for name in UNCERTAINTY_FILES)) as tmps:
+        _staged_uncertainty(args, stream, dict(zip(UNCERTAINTY_FILES, tmps)))
     if args.overlay:
         _heat_maps(out, stream, Path(args.overlay), args.scan_id)
     return EXIT_OK
@@ -444,7 +421,6 @@ def cmd_loss(args) -> int:
 
 def cmd_phantom(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.scene == "confusion":
         cases = phantom_mod.gen_confusion_suite(args.seed)
         manifest_lines = []

@@ -29,13 +29,14 @@ wrapped in a ``ProbVolume`` without a second scan. ``write_header`` is the
 one writer of a header: ``write_volume`` writes one and its payload, and
 the ``uncertainty`` command writes one for each payload it streams out.
 
-Every output is written in full under a fresh ``.tmp`` name first, and
-``put_in_place`` is the one way a staged file replaces an output: volume
-headers and payloads, documents and ``uncertainty``'s outputs. It removes
-the old file before renaming, because ext4 forces the new file to disk
-on the spot when a rename replaces a file, or when a file truncated to
-zero is closed. Overlay images are written in place instead
-(``overlay._overwrite``), which meets neither pattern.
+Every output goes through ``staged``, the one commit path: volume headers
+and payloads, documents, ``phantom`` scenes and ``uncertainty``'s outputs
+are written in full under ``.tmp`` names beside their final ones, then put
+in place, each old file removed before the rename, because ext4 forces
+the new file to disk on the spot when a rename replaces a file, or when a
+file truncated to zero is closed. A failure removes the ``.tmp`` files and
+the directories the write made. Overlay images are written in place
+instead (``overlay._overwrite``), which meets neither pattern.
 
 Mask voxels and layered labels are checked once, where they enter, by one
 rule (``_small_ints``); the mask grids built on the way to a grade are
@@ -53,8 +54,8 @@ the listed channels of a mask payload, yet still rejects a voxel outside
 labelled voxels and their labels, and ``decode_layered(lv, channels)``
 decodes the listed channels from those pairs. So a read never holds a
 grid: a volume read or decoded this way builds one only on request,
-through ``channel`` or ``data``. A volume built from an array keeps that
-array and indexes a channel on first use, then caches the index.
+through ``channel`` or ``data``. A mask volume built from an array keeps
+it and indexes a channel on first use, then caches the index.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import os
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -412,42 +413,39 @@ class ProbVolume(_ChannelVolume):
 class LayeredLabelVolume(_Immutable):
     """Single-grid volume with layered labels 0..8 (0 = background).
 
-    Built from an array, the volume keeps a C-contiguous uint8 array as it
-    is, not copied, and makes it read-only, as MaskVolume does with its
-    input; any other value is rejected. ``read_volume`` builds one from the
-    labelled voxels instead (``_of_labelled``), whose ``data`` builds the
-    grid, read-only, on each access. Immutable.
+    The volume holds only its labelled voxels: their sorted flat indices
+    and their labels. Built from an array, it checks the values (any other
+    value is rejected) and indexes them at once; the array is neither kept
+    nor made read-only. ``data`` builds the grid, read-only, on each
+    access. Immutable.
     """
 
     def __init__(self, data, spacing: Spacing):
         arr = np.ascontiguousarray(data)
         if arr.ndim != 3:
             raise ValueError(f"layered label data must be 3-D (Z,H,W), got shape {arr.shape}")
-        arr = _freeze(_small_ints(arr, MAX_LAYERED_LABEL, _LABEL_VALUES))
-        self._set(_data=arr, _labelled=None, dims=arr.shape, spacing=spacing)
+        # a view, so that _small_ints freezes no array of the caller's
+        arr = _small_ints(arr.view(), MAX_LAYERED_LABEL, _LABEL_VALUES)
+        voxels = set_voxels(arr)
+        self._set(_labelled=(_freeze(voxels), _freeze(arr.reshape(-1)[voxels])), dims=arr.shape,
+                  spacing=spacing)
 
     @classmethod
     def _of_labelled(cls, voxels: np.ndarray, labels: np.ndarray, dims: tuple[int, int, int],
                      spacing: Spacing) -> LayeredLabelVolume:
         """The volume whose labelled voxels are the sorted flat ``voxels``, labelled 1..8 by ``labels``."""
         vol = cls.__new__(cls)
-        vol._set(_data=None, _labelled=(_freeze(voxels), _freeze(labels)), dims=tuple(dims),
-                 spacing=spacing)
+        vol._set(_labelled=(_freeze(voxels), _freeze(labels)), dims=tuple(dims), spacing=spacing)
         return vol
 
     @property
     def data(self) -> np.ndarray:
-        """The (Z, H, W) label grid."""
-        if self._data is not None:
-            return self._data
+        """The (Z, H, W) label grid, built read-only on each access."""
         return _grid_of(self.dims, *self._labelled)
 
     def labelled(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted flat indices of the labelled (nonzero) voxels, and their labels."""
-        if self._labelled is not None:
-            return self._labelled
-        voxels = set_voxels(self._data)
-        return voxels, self._data.reshape(-1)[voxels]
+        return self._labelled
 
 
 Volume = Union[MaskVolume, ProbVolume, LayeredLabelVolume]
@@ -648,8 +646,7 @@ def write_header(path, dims, spacing: Spacing, dtype: str, channels) -> None:
     """Write a volume header at ``path``; ``channels`` is None for layered labels.
 
     The payload is written separately, by ``write_volume`` or by a caller
-    that streams it. Both callers write the header under a ``.tmp`` name
-    and then ``put_in_place`` it.
+    that streams it. Both callers write the header to a ``staged`` path.
     """
     header = {
         "dims": list(dims),
@@ -661,40 +658,59 @@ def write_header(path, dims, spacing: Spacing, dtype: str, channels) -> None:
     Path(path).write_text(json.dumps(header, indent=2) + "\n")
 
 
-def put_in_place(staged, path) -> None:
-    """Move the fully written file ``staged`` to ``path``, removing a file already there first.
+@contextlib.contextmanager
+def staged(*finals):
+    """Yield a ``.tmp`` path beside each of ``finals``; put them in place when the block returns.
 
-    Renaming onto a free name keeps ext4's ``auto_da_alloc`` from forcing
-    the new file's allocation and writeback on the spot, as it does when a
-    rename replaces a file. If the removal or the rename fails, ``staged``
-    is removed and the error is raised; a directory at ``path`` is never
-    removed, since unlinking it fails.
+    They are put in place in the given order: a file at the final path is
+    removed, then the ``.tmp`` file renamed onto the free name, which keeps
+    ext4's ``auto_da_alloc`` from forcing its writeback on the spot, as a
+    rename over a file does. A directory at a final path is never removed.
+    The directories above the finals missing when the block begins are
+    recorded, not made. If the block or a put fails, every ``.tmp`` path
+    and every recorded directory then empty is removed and the error is
+    raised; the outputs not yet put in place keep their previous content.
 
-    What this gives up: between the removal and the rename ``path`` is
+    What this gives up: between a removal and its rename the final path is
     briefly absent, so a process killed there leaves that output missing,
-    with its new content under the ``staged`` name. ext4's crash-ordering
+    with its new content under the ``.tmp`` name. ext4's crash-ordering
     heuristic no longer covers the file either; nothing here calls fsync,
     so an output was never durable against a crash of the machine.
     """
+    finals = [Path(f) for f in finals]
+    tmps = [f.with_name(f.name + ".tmp") for f in finals]
+    made = set()
+    for final in finals:
+        d = final.parent
+        while not d.exists() and d != d.parent:
+            made.add(d)
+            d = d.parent
     try:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(path)
-        os.rename(staged, path)
+        yield tmps
+        for tmp, final in zip(tmps, finals):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(final)
+            os.rename(tmp, final)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(staged)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        # innermost first, so that each directory is empty when its turn comes
+        for d in sorted(made, key=lambda d: len(d.parts), reverse=True):
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise
 
 
 def write_volume(v: Volume, path) -> None:
     """Write header + raw payload; read_volume inverts this bit-exactly.
 
-    Both files are written in full under ``.tmp`` names beside their final
-    ones, then put in place with ``put_in_place``, the header first, so
-    that a header name held by a directory changes nothing; no existing
-    file is truncated. If any step fails, the ``.tmp`` files are
-    removed, and the previous header and payload stay as they were unless
-    the failure came while putting them in place.
+    Both files are written through ``staged``, which puts the header in
+    place first, so that a header name held by a directory changes
+    nothing; no existing file is truncated. If any step fails, the
+    ``.tmp`` files and the directories this call made are removed, and the
+    previous header and payload stay as they were unless the failure came
+    while putting them in place.
     """
     path = Path(path)
     if isinstance(v, LayeredLabelVolume):
@@ -704,20 +720,11 @@ def write_volume(v: Volume, path) -> None:
     else:
         raise TypeError(f"not a volume: {type(v).__name__}")
     dtype = "f32" if isinstance(v, ProbVolume) else "u8"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    raw = _raw_path(path)
-    staged = {final: final.with_name(final.name + ".tmp") for final in (path, raw)}
-    try:
-        write_header(staged[path], v.dims, v.spacing, dtype, channels)
-        with open(staged[raw], "wb") as f:
+    with staged(path, _raw_path(path)) as (header, raw):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_header(header, v.dims, v.spacing, dtype, channels)
+        with open(raw, "wb") as f:
             f.write(np.ascontiguousarray(v.data, dtype=_FILE_DTYPES[dtype]))
-        for final, tmp in staged.items():
-            put_in_place(tmp, final)
-    except BaseException:
-        for tmp in staged.values():
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-        raise
 
 
 def decode_layered(
@@ -746,12 +753,21 @@ def encode_layered(mv: MaskVolume) -> LayeredLabelVolume:
     Inverse of decode_layered on volumes whose only overlaps are
     tumor-artery (-> 7) and tumor-vein (-> 8); other overlaps resolve by
     importance (tumor > vein > artery > ducts > pancreas).
+
+    Built from the voxel indices, never a grid: each label whose channels
+    the volume has sets the voxels where all of them are set, and where
+    labels meet the highest wins.
     """
-    labels = np.zeros(mv.dims, dtype=np.uint8)
-    # Each label of LAYERED_DECODE, in ascending order so that the most
-    # important wins the single-label slot, where every channel it sets is
-    # set; a label whose channels the volume lacks is skipped.
-    for label, targets in sorted(LAYERED_DECODE.items()):
+    voxels, labels = [np.empty(0, np.intp)], [np.empty(0, np.uint8)]
+    for label, targets in LAYERED_DECODE.items():
         if all(mv.has_channel(cid) for cid in targets):
-            labels[reduce(np.logical_and, [mv.channel(cid).view(bool) for cid in targets])] = label
-    return LayeredLabelVolume(labels, mv.spacing)
+            at = reduce(partial(np.intersect1d, assume_unique=True), [mv.voxels(c) for c in targets])
+            voxels.append(at)
+            labels.append(np.full(at.size, label, np.uint8))
+    voxels, labels = np.concatenate(voxels), np.concatenate(labels)
+    # by voxel, and within a voxel by ascending label: the last of each run wins
+    order = np.lexsort((labels, voxels))
+    voxels, labels = voxels[order], labels[order]
+    last = np.ones(voxels.size, bool)
+    last[:-1] = voxels[1:] != voxels[:-1]
+    return LayeredLabelVolume._of_labelled(voxels[last], labels[last], mv.dims, mv.spacing)

@@ -13,12 +13,17 @@ The second is the whole-volume uncertainty code the library used before it
 streamed its statistics in blocks: every statistic stacks its volumes as one
 float64 array and calls numpy's mean/std, and every sigma mask upcasts the
 whole mean and std. The streamed code must reproduce its bytes exactly.
+
+The last is the grid loop ``encode_layered`` used before it worked from the
+voxel indices: each label, in ascending order, overwrites the grid where
+every channel it sets is set. The index code must give the same labels.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +33,15 @@ from scipy import ndimage
 
 from vesselwrap.involvement import SPAN_METHODS, SliceInvolvement
 from vesselwrap.uncertainty import SampleSet, UncertaintyField, _check_same_geometry
-from vesselwrap.volume import MaskVolume, ProbVolume, Spacing, STANDARD_CHANNELS, ChannelId
+from vesselwrap.volume import (
+    LAYERED_DECODE,
+    ChannelId,
+    LayeredLabelVolume,
+    MaskVolume,
+    ProbVolume,
+    Spacing,
+    STANDARD_CHANNELS,
+)
 
 _STRUCT_4 = ndimage.generate_binary_structure(2, 1)
 _STRUCT_8 = ndimage.generate_binary_structure(2, 2)
@@ -323,6 +336,14 @@ def sigma_level_mask_reference(f: UncertaintyField, k: float, threshold: float =
     )
     mask = (adjusted >= threshold).astype(np.uint8)
     return MaskVolume(mask, f.mean.channels, f.mean.spacing)
+
+
+def encode_layered_reference(mv: MaskVolume) -> LayeredLabelVolume:
+    labels = np.zeros(mv.dims, dtype=np.uint8)
+    for label, targets in sorted(LAYERED_DECODE.items()):
+        if all(mv.has_channel(cid) for cid in targets):
+            labels[reduce(np.logical_and, [mv.channel(cid).view(bool) for cid in targets])] = label
+    return LayeredLabelVolume(labels, mv.spacing)
 
 
 def open_files(root) -> list[str]:

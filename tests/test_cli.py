@@ -1,5 +1,7 @@
 import argparse
+import builtins
 import contextlib
+import errno
 import io
 import json
 import os
@@ -1160,6 +1162,88 @@ class TestPutInPlace:
         assert snapshot(out) == snapshot(fresh)
         assert read_volume(tmp_path / "scene.json").data.tobytes() == scene.data.tobytes()
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+class _FullDisk:
+    """A file open for writing that takes half of its first write, then fails with ENOSPC."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        view = data if isinstance(data, str) else memoryview(data).cast("B")
+        self._f.write(view[: len(view) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+class TestFailedWriteLeavesNothing:
+    """A write that fails on a full disk leaves the tree under its outputs as it was.
+
+    Every file opened for writing under a ``.tmp`` name takes half of its
+    first write and then fails with ENOSPC. No ``.tmp`` file may be left,
+    every directory the call made is removed, and an earlier output under
+    the same name stays byte-identical.
+    """
+
+    WRITERS = ("write_volume", "assess-o", "phantom-wrap", "uncertainty")
+
+    @staticmethod
+    def tree(root: Path) -> dict[str, bytes | None]:
+        return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+                for p in sorted(root.rglob("*"))}
+
+    @staticmethod
+    def fill_disk(monkeypatch) -> None:
+        real = io.open
+
+        def opener(file, mode="r", *args, **kwargs):
+            f = real(file, mode, *args, **kwargs)
+            return _FullDisk(f) if "w" in mode and str(file).endswith(".tmp") else f
+
+        monkeypatch.setattr(builtins, "open", opener)
+        monkeypatch.setattr(io, "open", opener)
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "rerun"])
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_enospc(self, tmp_path, capsys, monkeypatch, writer, earlier):
+        inputs, root = tmp_path / "in", tmp_path / "root"
+        root.mkdir()
+        scene, _ = write_scene(inputs)
+        folds = []
+        if writer == "uncertainty":
+            for i, fold in enumerate(gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))[0]):
+                write_volume(fold, inputs / f"fold{i}.json")
+                folds += ["--fold", inputs / f"fold{i}.json"]
+
+        def write():
+            if writer == "write_volume":
+                write_volume(scene, root / "new" / "deeper" / "v.json")
+                return 0
+            return run(*{
+                "assess-o": ("assess", inputs / "scene.json", "-o", root / "new" / "deeper" / "a.json"),
+                "phantom-wrap": ("phantom", "wrap", "--out", root / "new"),
+                "uncertainty": ("uncertainty", *folds, "--out", root / "new" / "deeper"),
+            }[writer])
+
+        if earlier:
+            assert write() == 0
+        before = self.tree(root)
+        self.fill_disk(monkeypatch)
+        if writer == "write_volume":
+            with pytest.raises(OSError) as exc:
+                write()
+            assert exc.value.errno == errno.ENOSPC
+        else:
+            assert write() == 2
+            assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+        monkeypatch.undo()
+        assert self.tree(root) == before
 
 
 class TestLossCmd:

@@ -22,7 +22,7 @@ from vesselwrap.volume import (
     set_voxels,
     write_volume,
 )
-from conftest import make_mask, make_prob
+from conftest import encode_layered_reference, make_mask, make_prob
 
 SP1 = Spacing(1.0, 1.0, 1.0)
 
@@ -265,11 +265,38 @@ class TestLayered:
         for cid in part.channels:
             assert np.array_equal(part.channel(cid), full.channel(cid))
 
-    def test_labels_kept_without_copy_and_frozen(self):
-        labels = np.zeros((2, 3, 4), dtype=np.uint8)
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_data_built_read_only_input_left_writable(self, dtype):
+        """The volume keeps only the labelled voxels: ``data`` is a fresh read-only grid each time."""
+        labels = (np.arange(24).reshape(2, 3, 4) % 3 == 1).astype(dtype)
         lv = LayeredLabelVolume(labels, SP1)
-        assert lv.data is labels
-        assert not labels.flags.writeable
+        first, second = lv.data, lv.data
+        assert first is not second and first is not labels
+        assert first.dtype == np.uint8 and np.array_equal(first, labels)
+        assert not first.flags.writeable and not second.flags.writeable
+        assert labels.flags.writeable
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 7), st.integers(1, 9)),
+        density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        subset=st.sets(st.sampled_from(STANDARD_CHANNELS)),
+        from_voxels=st.booleans(),
+    )
+    def test_encode_equals_grid_loop(self, seed, dims, density, subset, from_voxels):
+        """Random overlapping channels, any subset of them (none included): labels as the grid loop."""
+        gen = np.random.default_rng(seed)
+        channels = tuple(c for c in STANDARD_CHANNELS if c in subset)
+        data = (gen.random((len(channels),) + dims) < density).astype(np.uint8)
+        mv = make_mask(data, channels=channels)
+        if from_voxels:
+            mv = MaskVolume.from_voxels({c: mv.voxels(c) for c in channels}, dims, SP1)
+        got, want = encode_layered(mv), encode_layered_reference(mv)
+        assert got.dims == want.dims == dims
+        assert np.array_equal(got.data, want.data)
+        for a, b in zip(got.labelled(), want.labelled()):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
 
     @settings(max_examples=100, deadline=None)
     @given(

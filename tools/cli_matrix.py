@@ -24,7 +24,9 @@ writes the same tree. Groups:
 ``phantom``
     Small scenes from ``vesselwrap.phantom`` (a few seconds): every
     ``phantom`` scene, ``assess`` with overlays, the critical filter and a
-    layered input, overlays of the hand-built ``adversarial_scene`` with
+    layered input, overlays of wrap scenes whose in-plane spacing differs
+    ((1.0, 0.5, 1.0) and (1.0, 1.0, 0.5) mm), each as six channels and as
+    layered labels, overlays of the hand-built ``adversarial_scene`` with
     and without its pancreas channel and as layered labels under the
     component filter, a 5x27x29 crop of it (cut to 27 rows, one empty
     column added, so the voxel count is not a multiple of 8) as a mask
@@ -142,7 +144,7 @@ def adversarial_scene():
 def _phantom_inputs() -> list[tuple[str, str]]:
     from vesselwrap import cli, phantom
     from vesselwrap.volume import (
-        STANDARD_CHANNELS, ChannelId, MaskVolume, ProbVolume, encode_layered, read_volume,
+        STANDARD_CHANNELS, ChannelId, MaskVolume, ProbVolume, Spacing, encode_layered, read_volume,
         write_volume,
     )
 
@@ -150,6 +152,11 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     scene = phantom.gen_wrap_scene(spec)[0]
     write_volume(scene, "ph/scene.json")
     write_volume(encode_layered(scene), "ph/layered.json")
+    # y_mm != x_mm: the kernel scales row offsets by y_mm / x_mm
+    for name, spacing in (("aniso_y", Spacing(1.0, 0.5, 1.0)), ("aniso_x", Spacing(1.0, 1.0, 0.5))):
+        aniso = phantom.gen_wrap_scene(phantom.PhantomSpec(jitter_seed=3, spacing=spacing))[0]
+        write_volume(aniso, f"ph/{name}.json")
+        write_volume(encode_layered(aniso), f"ph/{name}_layered.json")
     touched = phantom.PhantomSpec(jitter_seed=3, pancreas_center=(64.0, 74.0), pancreas_radius_px=4.0)
     write_volume(phantom.gen_wrap_scene(touched)[0], "ph/pancreas.json")
     write_volume(phantom.gen_wrap_scene(phantom.PhantomSpec(wrap_span_deg=0.0))[0], "ph/empty.json")
@@ -297,6 +304,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("assess-adversarial-odd-layered-critical-component-overlay",
          "assess ph/adversarial_odd_layered.json --critical --filter-mode component "
          "--overlay o/overlay -o o/assess.json"),
+        *((f"assess-{name}-overlay", f"assess ph/{name}.json --overlay o/overlay -o o/assess.json")
+          for name in ("aniso_y", "aniso_y_layered", "aniso_x", "aniso_x_layered")),
         ("assess-layered-c4-minmax",
          "assess ph/layered.json --connectivity 4 --span-method minmax --scan-id lay"),
         ("uncertainty-folds", f"uncertainty {folds} --out o/u --overlay o/heat"),
