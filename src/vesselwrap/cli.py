@@ -46,7 +46,7 @@ from .volume import (
     read_volume,
     staged,
     write_header,
-    write_volume,
+    write_outputs,
 )
 
 EXIT_OK = 0
@@ -84,19 +84,12 @@ def _document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through ``staged``, put in place when whole."""
-    with staged(path) as (tmp,):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text)
-
-
 def _emit(doc: dict, output: str | None) -> None:
     text = _document(doc)
     if output is None or output == "-":
         sys.stdout.write(text)
         return
-    _write_text(Path(output), text)
+    write_outputs({}, {output: text})
 
 
 def _load_mask(path, channels=None) -> MaskVolume:
@@ -161,7 +154,7 @@ def _prob_payload(path: Path, kind: str) -> Payload:
     return payload
 
 
-def _load_fold_stream(paths) -> unc.FieldStream:
+def _load_folds(paths) -> unc.FieldStream:
     """Folds are probability volume headers, or directories of sample headers.
 
     Every member's header is parsed, its payload size and dtype checked,
@@ -182,8 +175,8 @@ def _load_fold_stream(paths) -> unc.FieldStream:
     if prob_folds and sample_folds:
         raise CliError("mix of deterministic folds and sample directories", EXIT_INPUT)
     if sample_folds:
-        return unc.sample_stream(sample_folds)
-    return unc.fold_stream(prob_folds)
+        return unc.sample_mean_std(sample_folds)
+    return unc.fold_mean_std(prob_folds)
 
 
 def cmd_assess(args) -> int:
@@ -380,7 +373,7 @@ def cmd_uncertainty(args) -> int:
     removed, so a previous run's outputs stay as they were unless the
     failure came while putting them in place.
     """
-    stream = _load_fold_stream(args.fold)
+    stream = _load_folds(args.fold)
     out = Path(args.out)
     with staged(*(out / name for name in UNCERTAINTY_FILES)) as tmps:
         _staged_uncertainty(args, stream, dict(zip(UNCERTAINTY_FILES, tmps)))
@@ -420,14 +413,16 @@ def cmd_loss(args) -> int:
 
 
 def cmd_phantom(args) -> int:
+    """Write the scene's volumes and documents into --out in one ``write_outputs``."""
     out = Path(args.out)
     if args.scene == "confusion":
         cases = phantom_mod.gen_confusion_suite(args.seed)
         manifest_lines = []
         expected = {}
+        volumes = {}
         for case in cases:
-            write_volume(case.pred, out / f"{case.name}_pred.json")
-            write_volume(case.gt, out / f"{case.name}_gt.json")
+            volumes[out / f"{case.name}_pred.json"] = case.pred
+            volumes[out / f"{case.name}_gt.json"] = case.gt
             manifest_lines.append(
                 json.dumps(
                     {
@@ -438,8 +433,8 @@ def cmd_phantom(args) -> int:
                 )
             )
             expected[case.name] = {"vessel": case.vessel.name.lower(), "cell": case.expected}
-        _write_text(out / "manifest.jsonl", "\n".join(manifest_lines) + "\n")
-        _emit({"expected": expected}, str(out / "expected.json"))
+        write_outputs(volumes, {out / "manifest.jsonl": "\n".join(manifest_lines) + "\n",
+                                out / "expected.json": _document({"expected": expected})})
         return EXIT_OK
     spec = phantom_mod.PhantomSpec(
         vessel_radius_px=args.radius,
@@ -451,14 +446,12 @@ def cmd_phantom(args) -> int:
     )
     if args.scene == "wrap":
         scene, truth = phantom_mod.gen_wrap_scene(spec)
-        write_volume(scene, out / "scene.json")
-        _emit(_truth_doc(truth), str(out / "truth.json"))
+        volumes, doc = {out / "scene.json": scene}, _truth_doc(truth)
     else:
         folds, truths = phantom_mod.gen_uncertainty_scene(spec, tuple(float(k) for k in args.ks))
-        for i, fold in enumerate(folds):
-            write_volume(fold, out / f"fold{i}.json")
+        volumes = {out / f"fold{i}.json": fold for i, fold in enumerate(folds)}
         doc = {"per_k": {f"{k:g}": _truth_doc(t) for k, t in sorted(truths.items())}}
-        _emit(doc, str(out / "truth.json"))
+    write_outputs(volumes, {out / "truth.json": _document(doc)})
     return EXIT_OK
 
 

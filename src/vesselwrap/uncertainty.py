@@ -83,8 +83,9 @@ round monotonically, so a voxel held at some k is held at every larger k.
 So one dense pass tests the largest k, the smaller ks are tested only at
 the voxels of each block that pass it, and the grid records how many
 distinct ks, counted from the top, hold each voxel. The result is exactly
-``sigma_level_mask`` per k; a non-finite k is rejected, because inf * 0
-is NaN and would break the nesting. A block whose std is all zero (+0.0
+``sigma_level_mask`` per k. Both reject a non-finite k before the pass:
+inf * 0 is NaN, which holds nowhere, so it would break the nesting and
+the zero-std shortcut below. A block whose std is all zero (+0.0
 or -0.0) takes no float64 step: for finite k, ``k * std`` is a zero and
 adding it to the mean leaves float64(mean), up to the sign of a zero
 mean, which no comparison sees; the mean lies in [0, 1], so the clip
@@ -94,14 +95,13 @@ threshold is passed as ``np.float64``: a float32 array compared with a
 Python float is compared in float32 (NEP 50), which would hold a mean of
 float32(0.7), just below 0.7, at threshold 0.7.
 
-A field is one pass (``FieldStream``): its float32 mean and std come out
-block by block, in voxel order, and each consumer takes a block before
-the next is computed. ``uncertainty_sweep`` fills the level grids from
-the blocks, splitting a block where it crosses a channel boundary;
-``fold_mean_std`` and ``sample_mean_std`` collect them into two arrays;
-the CLI also appends them to its payload files. So the sweep of a
-stream never holds a whole mean or std. A sweep of an in-memory
-``UncertaintyField`` runs the same update over views of its blocks.
+A field is one pass (``FieldStream``), built by ``fold_mean_std`` or
+``sample_mean_std``: its float32 mean and std come out block by block, in
+voxel order, and each consumer takes a block before the next is
+computed. ``uncertainty_sweep`` and ``sigma_level_mask`` fill level grids
+from the blocks, splitting a block where it crosses a channel boundary;
+the CLI also appends them to its payload files. So no consumer holds a
+whole mean or std.
 
 Sample sets keep each fold's mean and aleatoric std in memory, as plain
 float32 arrays. The last stage streams: per block, the mean and std of
@@ -166,25 +166,6 @@ class FieldStream:
     spacing: Spacing
     kind: str  # epistemic | total
     blocks: Blocks
-
-
-@dataclass(frozen=True)
-class UncertaintyField:
-    """Per-voxel mean prediction and standard deviation of one kind."""
-
-    mean: ProbVolume
-    std: ProbVolume
-    kind: str  # epistemic | total
-
-    def __post_init__(self):
-        if self.mean.dims != self.std.dims or self.mean.channels != self.std.channels:
-            raise ValueError("mean/std geometry mismatch")
-
-    def stream(self) -> FieldStream:
-        """This field as a stream of views of its blocks."""
-        mean, std = self.mean.data.reshape(-1), self.std.data.reshape(-1)
-        blocks = ((mean[b], std[b]) for b in _blocks(mean.size))
-        return FieldStream(self.mean.channels, self.mean.dims, self.mean.spacing, self.kind, blocks)
 
 
 def _check_same_geometry(volumes: Sequence[Member]):
@@ -295,25 +276,22 @@ def _collect(blocks: Blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _stream(like: Member, kind: str, blocks: Blocks) -> FieldStream:
-    return FieldStream(like.channels, like.dims, like.spacing, kind, blocks)
-
-
-def fold_stream(folds: Sequence[Member]) -> FieldStream:
-    """The mean prediction and epistemic std across deterministic model folds, as a pass.
+def fold_mean_std(folds: Sequence[Member]) -> FieldStream:
+    """The mean prediction and epistemic std across deterministic model folds, as one pass.
 
     The fold count and geometry are checked here; no voxel is read until
-    the blocks are.
+    the blocks are, and a payload's range error is raised by the pass.
     """
     folds = list(folds)
     if len(folds) < 2:
         raise ValueError(f"need at least 2 folds for a std, got {len(folds)}")
     _check_same_geometry(folds)
-    return _stream(folds[0], "epistemic", _mean_std(folds))
+    like = folds[0]
+    return FieldStream(like.channels, like.dims, like.spacing, "epistemic", _mean_std(folds))
 
 
-def sample_stream(folds: Sequence[SampleSet]) -> FieldStream:
-    """The mean prediction with the summed (aleatoric + epistemic) std, as a pass.
+def sample_mean_std(folds: Sequence[SampleSet]) -> FieldStream:
+    """The mean prediction with the summed (aleatoric + epistemic) std, as one pass.
 
     The folds' geometry and sample counts are checked here. When the
     blocks are read, each fold's samples are first streamed once, for
@@ -328,7 +306,8 @@ def sample_stream(folds: Sequence[SampleSet]) -> FieldStream:
     for f in folds:
         if len(f) < 2:
             raise ValueError(f"need at least 2 samples for a std, got {len(f)}")
-    return _stream(folds[0].samples[0], "total", _total_blocks(folds))
+    like = folds[0].samples[0]
+    return FieldStream(like.channels, like.dims, like.spacing, "total", _total_blocks(folds))
 
 
 def _total_blocks(folds: list[SampleSet]) -> Blocks:
@@ -342,27 +321,6 @@ def _total_blocks(folds: list[SampleSet]) -> Blocks:
             np.add(total, epistemic, out=total)
             np.minimum(total, 1.0, out=total)
         yield mean, total
-
-
-def _field(stream: FieldStream) -> UncertaintyField:
-    """The whole field of a stream, collected into two volumes."""
-    shape = (len(stream.channels), *stream.dims)
-    mean, std = _collect(stream.blocks, math.prod(shape))
-    return UncertaintyField(
-        ProbVolume(mean.reshape(shape), stream.channels, stream.spacing),
-        ProbVolume(std.reshape(shape), stream.channels, stream.spacing),
-        stream.kind,
-    )
-
-
-def fold_mean_std(folds: Sequence[Member]) -> UncertaintyField:
-    """Mean prediction and epistemic std across deterministic model folds."""
-    return _field(fold_stream(folds))
-
-
-def sample_mean_std(folds: Sequence[SampleSet]) -> UncertaintyField:
-    """Mean prediction with the summed (aleatoric + epistemic) std (see ``sample_stream``)."""
-    return _field(sample_stream(folds))
 
 
 def _adjusted(std: np.ndarray, mean: np.ndarray, k: float, out: np.ndarray) -> np.ndarray:
@@ -404,11 +362,13 @@ def _level_grid(
             out[hits] += _adjusted(s, m, k, inner) >= threshold
 
 
-def sigma_level_mask(f: UncertaintyField, k: float, threshold: float = DEFAULT_THRESHOLD) -> MaskVolume:
-    """Binarize mean + k * std (clamped into [0, 1]) at the threshold."""
-    mask = np.zeros(f.mean.data.shape, bool)
-    _level_grid(f.mean.data, f.std.data, [float(k)], threshold, mask.reshape(-1))
-    return MaskVolume(mask, f.mean.channels, f.mean.spacing)
+def _finite(ks: Sequence[float]) -> list[float]:
+    """``ks`` as floats; a non-finite one raises ValueError."""
+    ks = [float(k) for k in ks]
+    for k in ks:
+        if not math.isfinite(k):
+            raise ValueError(f"sigma level k must be finite, got {k}")
+    return ks
 
 
 def _fill_levels(
@@ -435,6 +395,17 @@ def _fill_levels(
             pos = end
 
 
+def sigma_level_mask(stream: FieldStream, k: float, threshold: float = DEFAULT_THRESHOLD) -> MaskVolume:
+    """Binarize clamp(mean + k * std, 0, 1) at the threshold, every channel, in the stream's pass.
+
+    Raises ValueError for a non-finite k, before the pass.
+    """
+    (k,) = _finite([k])
+    mask = np.zeros((len(stream.channels), *stream.dims), bool)
+    _fill_levels(stream, stream.channels, mask, [k], threshold)
+    return MaskVolume(mask, stream.channels, stream.spacing)
+
+
 @dataclass(frozen=True)
 class SweepEntry:
     k: float
@@ -443,7 +414,7 @@ class SweepEntry:
 
 
 def uncertainty_sweep(
-    f: UncertaintyField | FieldStream,
+    f: FieldStream,
     ks: Sequence[float] = DEFAULT_KS,
     threshold: float = DEFAULT_THRESHOLD,
     connectivity: int = 8,
@@ -452,18 +423,13 @@ def uncertainty_sweep(
     """Involvement and DPCG grade at every sigma step, in the order of ``ks``.
 
     Only the graded channels (tumor, artery and vein) are masked, each from
-    one level grid (see ``_level_grid``) that the field's blocks fill as
-    they pass; a stream's pass runs to its end, whatever the ks. Raises
+    one level grid (see ``_level_grid``) that the stream's blocks fill as
+    they pass; the pass runs to its end, whatever the ks. Raises
     ValueError for a non-finite k, before the pass, and MissingChannelError
     (via the involvement module) when the field lacks the tumor, artery or
     vein channel, after it.
     """
-    ks = [float(k) for k in ks]
-    for k in ks:
-        if not math.isfinite(k):
-            raise ValueError(f"sigma level k must be finite, got {k}")
-    if isinstance(f, UncertaintyField):
-        f = f.stream()
+    ks = _finite(ks)
     distinct = sorted(set(ks), reverse=True)
     rank = {k: i for i, k in enumerate(distinct)}
     graded = [c for c in f.channels if c in GRADED_CHANNELS] if ks else []

@@ -26,8 +26,9 @@ the header and the whole payload's min and max. ``read_volume`` reads
 through it into one array, and ``uncertainty`` streams fold payloads
 through it, so it never holds a fold whole. The values it checked are
 wrapped in a ``ProbVolume`` without a second scan. ``write_header`` is the
-one writer of a header: ``write_volume`` writes one and its payload, and
-the ``uncertainty`` command writes one for each payload it streams out.
+one writer of a header: ``write_outputs`` (and ``write_volume`` through
+it) writes one and its payload, and the ``uncertainty`` command writes one
+for each payload it streams out.
 
 Every output goes through ``staged``, the one commit path: volume headers
 and payloads, documents, ``phantom`` scenes and ``uncertainty``'s outputs
@@ -645,7 +646,7 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
 def write_header(path, dims, spacing: Spacing, dtype: str, channels) -> None:
     """Write a volume header at ``path``; ``channels`` is None for layered labels.
 
-    The payload is written separately, by ``write_volume`` or by a caller
+    The payload is written separately, by ``write_outputs`` or by a caller
     that streams it. Both callers write the header to a ``staged`` path.
     """
     header = {
@@ -703,28 +704,37 @@ def staged(*finals):
 
 
 def write_volume(v: Volume, path) -> None:
-    """Write header + raw payload; read_volume inverts this bit-exactly.
+    """Write header + raw payload; read_volume inverts this bit-exactly (see ``write_outputs``)."""
+    write_outputs({path: v}, {})
 
-    Both files are written through ``staged``, which puts the header in
-    place first, so that a header name held by a directory changes
-    nothing; no existing file is truncated. If any step fails, the
-    ``.tmp`` files and the directories this call made are removed, and the
-    previous header and payload stay as they were unless the failure came
-    while putting them in place.
+
+def write_outputs(volumes: Mapping[str | Path, Volume], texts: Mapping[str | Path, str]) -> None:
+    """Write each volume's header and raw payload, then each text file, in one ``staged`` block.
+
+    They are put in place together, in that order, each header before its
+    payload, so that a header name held by a directory changes nothing; no
+    existing file is truncated. If any step fails, the ``.tmp`` files and
+    the directories this call made are removed, and every previous file
+    stays as it was unless the failure came while putting them in place.
     """
-    path = Path(path)
-    if isinstance(v, LayeredLabelVolume):
-        channels = None
-    elif isinstance(v, _ChannelVolume):
-        channels = v.channels
-    else:
-        raise TypeError(f"not a volume: {type(v).__name__}")
-    dtype = "f32" if isinstance(v, ProbVolume) else "u8"
-    with staged(path, _raw_path(path)) as (header, raw):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_header(header, v.dims, v.spacing, dtype, channels)
-        with open(raw, "wb") as f:
-            f.write(np.ascontiguousarray(v.data, dtype=_FILE_DTYPES[dtype]))
+    volumes = {Path(p): v for p, v in volumes.items()}
+    for v in volumes.values():
+        if not isinstance(v, (LayeredLabelVolume, _ChannelVolume)):
+            raise TypeError(f"not a volume: {type(v).__name__}")
+    texts = {Path(p): text for p, text in texts.items()}
+    finals = [f for p in volumes for f in (p, _raw_path(p))] + list(texts)
+    with staged(*finals) as tmps:
+        tmp = dict(zip(finals, tmps))
+        for d in dict.fromkeys(f.parent for f in finals):
+            d.mkdir(parents=True, exist_ok=True)
+        for p, v in volumes.items():
+            dtype = "f32" if isinstance(v, ProbVolume) else "u8"
+            channels = None if isinstance(v, LayeredLabelVolume) else v.channels
+            write_header(tmp[p], v.dims, v.spacing, dtype, channels)
+            with open(tmp[_raw_path(p)], "wb") as f:
+                f.write(np.ascontiguousarray(v.data, dtype=_FILE_DTYPES[dtype]))
+        for p, text in texts.items():
+            tmp[p].write_text(text)
 
 
 def decode_layered(

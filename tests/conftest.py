@@ -12,7 +12,10 @@ but plain, and the kernel must reproduce its spans float-for-float.
 The second is the whole-volume uncertainty code the library used before it
 streamed its statistics in blocks: every statistic stacks its volumes as one
 float64 array and calls numpy's mean/std, and every sigma mask upcasts the
-whole mean and std. The streamed code must reproduce its bytes exactly.
+whole mean and std. The streamed code must reproduce its bytes exactly. The
+library gives a field only as one pass (``FieldStream``); ``collect`` copies
+a pass into a ``Field``, the plain pair of volumes the oracles return, and
+``field_stream`` makes a pass over a hand-made mean and std.
 
 The last is the grid loop ``encode_layered`` used before it worked from the
 voxel indices: each label, in ascending order, overwrites the grid where
@@ -21,18 +24,19 @@ every channel it sets is set. The index code must give the same labels.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from vesselwrap.involvement import SPAN_METHODS, SliceInvolvement
-from vesselwrap.uncertainty import SampleSet, UncertaintyField, _check_same_geometry
+from vesselwrap.uncertainty import _BLOCK, FieldStream, SampleSet, _check_same_geometry
 from vesselwrap.volume import (
     LAYERED_DECODE,
     ChannelId,
@@ -269,6 +273,36 @@ def scan_involvement_reference(
     return tuple(slices), max_span, argmax, present
 
 
+class Field(NamedTuple):
+    """A whole mean and std field of one kind (epistemic | total)."""
+
+    mean: ProbVolume
+    std: ProbVolume
+    kind: str
+
+
+def collect(stream: FieldStream) -> Field:
+    """The pass of ``stream`` copied into float32 mean and std volumes; raises as the pass raises."""
+    shape = (len(stream.channels), *stream.dims)
+    mean, std = np.empty(math.prod(shape), np.float32), np.empty(math.prod(shape), np.float32)
+    pos = 0
+    for m, s in stream.blocks:
+        assert m.dtype == s.dtype == np.float32 and m.size == s.size <= _BLOCK
+        mean[pos:pos + m.size], std[pos:pos + s.size] = m, s
+        pos += m.size
+    assert pos == mean.size
+    return Field(ProbVolume(mean.reshape(shape), stream.channels, stream.spacing),
+                 ProbVolume(std.reshape(shape), stream.channels, stream.spacing), stream.kind)
+
+
+def field_stream(mean: ProbVolume, std: ProbVolume, kind: str = "epistemic") -> FieldStream:
+    """A pass over views of ``mean`` and ``std``, ``_BLOCK`` voxels at a time."""
+    assert mean.dims == std.dims and mean.channels == std.channels
+    m, s = mean.data.reshape(-1), std.data.reshape(-1)
+    blocks = ((m[lo:lo + _BLOCK], s[lo:lo + _BLOCK]) for lo in range(0, m.size, _BLOCK))
+    return FieldStream(mean.channels, mean.dims, mean.spacing, kind, blocks)
+
+
 def _stack(volumes: Sequence[ProbVolume]) -> np.ndarray:
     _check_same_geometry(volumes)
     return np.stack([v.data.astype(np.float64) for v in volumes])
@@ -280,14 +314,14 @@ def _as_prob(arr: np.ndarray, like: ProbVolume) -> ProbVolume:
     )
 
 
-def fold_mean_std_reference(folds: Sequence[ProbVolume]) -> UncertaintyField:
+def fold_mean_std_reference(folds: Sequence[ProbVolume]) -> Field:
     folds = list(folds)
     if len(folds) < 2:
         raise ValueError(f"need at least 2 folds for a std, got {len(folds)}")
     stack = _stack(folds)
     mean = stack.mean(axis=0)
     std = stack.std(axis=0)  # population
-    return UncertaintyField(_as_prob(mean, folds[0]), _as_prob(std, folds[0]), "epistemic")
+    return Field(_as_prob(mean, folds[0]), _as_prob(std, folds[0]), "epistemic")
 
 
 def aleatoric_reference(samples: SampleSet | Sequence[ProbVolume]) -> ProbVolume:
@@ -318,19 +352,17 @@ def epistemic_from_samples_reference(folds: Sequence[SampleSet]) -> ProbVolume:
     return _as_prob(stack.std(axis=0), means[0])
 
 
-def sample_mean_std_reference(folds: Sequence[SampleSet]) -> UncertaintyField:
+def sample_mean_std_reference(folds: Sequence[SampleSet]) -> Field:
     folds = list(folds)
     means = fold_means_reference(folds)
     mean = _stack(means).mean(axis=0)
     total = mean_aleatoric_reference(folds).data.astype(np.float64)
     if len(folds) >= 2:
         total = total + epistemic_from_samples_reference(folds).data.astype(np.float64)
-    return UncertaintyField(
-        _as_prob(mean, folds[0].samples[0]), _as_prob(total, folds[0].samples[0]), "total"
-    )
+    return Field(_as_prob(mean, folds[0].samples[0]), _as_prob(total, folds[0].samples[0]), "total")
 
 
-def sigma_level_mask_reference(f: UncertaintyField, k: float, threshold: float = 0.5) -> MaskVolume:
+def sigma_level_mask_reference(f: Field, k: float, threshold: float = 0.5) -> MaskVolume:
     adjusted = np.clip(
         f.mean.data.astype(np.float64) + float(k) * f.std.data.astype(np.float64), 0.0, 1.0
     )

@@ -27,16 +27,17 @@ from vesselwrap.loss import (
     soft_dice_loss,
 )
 from vesselwrap.phantom import PhantomSpec, gen_uncertainty_scene, gen_wrap_scene
-from vesselwrap.uncertainty import UncertaintyField, fold_mean_std, sigma_level_mask, uncertainty_sweep
+from vesselwrap.uncertainty import fold_mean_std, sigma_level_mask, uncertainty_sweep
 from vesselwrap.volume import (
     ChannelId,
     MaskVolume,
+    ProbVolume,
     STANDARD_CHANNELS,
     encode_layered,
     read_volume,
     write_volume,
 )
-from conftest import brute_force_contact, make_mask, make_prob, tav_volume
+from conftest import brute_force_contact, field_stream, make_mask, make_prob, tav_volume
 
 SWEEP_SEED = 20240817
 KS = (-1.0, 0.0, 1.0, 2.0)
@@ -120,7 +121,7 @@ def test_loss_kernels():
     )
 
 
-def _random_tav_field(seed: int) -> UncertaintyField:
+def _random_tav_field(seed: int) -> tuple[ProbVolume, ProbVolume]:
     gen = np.random.default_rng(seed)
     channels = (ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR)
     mean = make_prob(gen.random((3, 2, 12, 12), dtype=np.float32), channels=channels)
@@ -128,7 +129,7 @@ def _random_tav_field(seed: int) -> UncertaintyField:
         (gen.random((3, 2, 12, 12), dtype=np.float32) * 0.5).astype(np.float32),
         channels=channels,
     )
-    return UncertaintyField(mean, std, "epistemic")
+    return mean, std
 
 
 def test_uncertainty_nesting_and_borderline_flip():
@@ -136,11 +137,11 @@ def test_uncertainty_nesting_and_borderline_flip():
     monotone = True
     for seed in range(100):
         field = _random_tav_field(seed)
-        masks = [sigma_level_mask(field, k).data for k in KS]
+        masks = [sigma_level_mask(field_stream(*field), k).data for k in KS]
         for lo, hi in zip(masks, masks[1:]):
             if not (lo <= hi).all():
                 nested = False
-        entries = uncertainty_sweep(field, KS)
+        entries = uncertainty_sweep(field_stream(*field), KS)
         for vessel in (ChannelId.ARTERY, ChannelId.VEIN):
             flags = [e.reports[vessel].present for e in entries]
             if flags != sorted(flags):

@@ -1199,12 +1199,14 @@ class TestFailedWriteLeavesNothing:
                 for p in sorted(root.rglob("*"))}
 
     @staticmethod
-    def fill_disk(monkeypatch) -> None:
+    def fill_disk(monkeypatch, name: str | None = None) -> None:
+        """Fail the writes to every ``.tmp`` file, or only to the one called ``name``."""
         real = io.open
 
         def opener(file, mode="r", *args, **kwargs):
             f = real(file, mode, *args, **kwargs)
-            return _FullDisk(f) if "w" in mode and str(file).endswith(".tmp") else f
+            full = str(file).endswith(".tmp") and name in (None, os.path.basename(file))
+            return _FullDisk(f) if "w" in mode and full else f
 
         monkeypatch.setattr(builtins, "open", opener)
         monkeypatch.setattr(io, "open", opener)
@@ -1244,6 +1246,24 @@ class TestFailedWriteLeavesNothing:
             assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
         monkeypatch.undo()
         assert self.tree(root) == before
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "rerun"])
+    @pytest.mark.parametrize("scene, last", [("wrap", "truth.json"), ("uncertainty", "truth.json"),
+                                             ("confusion", "expected.json")])
+    def test_phantom_last_document_fails(self, tmp_path, capsys, monkeypatch, scene, last, earlier):
+        """The scene's volumes, written before its last document, are not put in place either.
+
+        A rerun over another seed's scene must leave that scene as it was.
+        """
+        out = tmp_path / "new"
+        if earlier:
+            assert run("phantom", scene, "--out", out, "--seed", "1") == 0
+        before = self.tree(tmp_path)
+        self.fill_disk(monkeypatch, f"{last}.tmp")
+        assert run("phantom", scene, "--out", out, "--seed", "2") == 2
+        assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+        monkeypatch.undo()
+        assert self.tree(tmp_path) == before
 
 
 class TestLossCmd:

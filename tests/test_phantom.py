@@ -8,8 +8,9 @@ from vesselwrap.phantom import (
     gen_uncertainty_scene,
     gen_wrap_scene,
 )
-from vesselwrap.uncertainty import fold_mean_std
+from vesselwrap.uncertainty import fold_mean_std, sigma_level_mask
 from vesselwrap.volume import ChannelId
+from conftest import collect
 
 
 class TestSpecValidation:
@@ -124,7 +125,7 @@ class TestUncertaintyScene:
             wrap_span_deg=90.0, band_extra_deg=20.0, band_values=(0.4, 0.4, 0.4)
         )
         folds, _ = gen_uncertainty_scene(spec)
-        field = fold_mean_std(folds)
+        field = collect(fold_mean_std(folds))
         assert (field.std.data == 0).all()
 
     def test_band_widens_span_at_high_sigma(self):
@@ -134,8 +135,6 @@ class TestUncertaintyScene:
         assert truths[1.0].max_span_deg == 70.0
         assert truths[2.0].max_span_deg == 120.0
         # the widened sector measures like an ordinary wrap scene of that span
-        field = fold_mean_std(folds)
-        from vesselwrap.uncertainty import sigma_level_mask
-        wide = sigma_level_mask(field, 2.0)
+        wide = sigma_level_mask(fold_mean_std(folds), 2.0)
         rep = scan_involvement(wide, ChannelId.VEIN)
         assert rep.max_span_deg == pytest.approx(120.0, abs=10.0)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -14,8 +15,8 @@ from vesselwrap.phantom import PhantomSpec, gen_uncertainty_scene
 from vesselwrap import uncertainty as unc
 from vesselwrap.uncertainty import (
     _BLOCK,
+    FieldStream,
     SampleSet,
-    UncertaintyField,
     fold_mean_std,
     sample_mean_std,
     sigma_level_mask,
@@ -31,7 +32,10 @@ from vesselwrap.volume import (
     write_volume,
 )
 from conftest import (
+    Field,
+    collect,
     epistemic_from_samples_reference,
+    field_stream,
     fold_mean_std_reference,
     make_prob,
     mean_aleatoric_reference,
@@ -54,13 +58,13 @@ def tav_prob(tumor, artery, vein):
 
 class TestFoldMeanStd:
     def test_identical_folds_zero_std(self):
-        field = fold_mean_std([prob_of(0.7)] * 3)
+        field = collect(fold_mean_std([prob_of(0.7)] * 3))
         assert (field.std.data == 0).all()
         assert np.allclose(field.mean.data, np.float32(0.7))
         assert field.kind == "epistemic"
 
     def test_three_fold_arithmetic(self):
-        field = fold_mean_std([prob_of(0.4), prob_of(0.6), prob_of(0.5)])
+        field = collect(fold_mean_std([prob_of(0.4), prob_of(0.6), prob_of(0.5)]))
         # population std of {0.4, 0.6, 0.5}
         expected = math.sqrt(((0.4 - 0.5) ** 2 + (0.6 - 0.5) ** 2 + 0.0) / 3.0)
         assert field.mean.data[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-6)
@@ -68,7 +72,7 @@ class TestFoldMeanStd:
         assert expected == pytest.approx(0.08165, abs=5e-6)
 
     def test_two_point_symmetric(self):
-        field = fold_mean_std([prob_of(0.0), prob_of(1.0)])
+        field = collect(fold_mean_std([prob_of(0.0), prob_of(1.0)]))
         assert field.mean.data[0, 0, 0, 0] == pytest.approx(0.5)
         assert field.std.data[0, 0, 0, 0] == pytest.approx(0.5)
 
@@ -87,14 +91,14 @@ class TestFoldMeanStd:
         def scramble(v):
             flat = v.data.reshape(-1)[perm].reshape(v.data.shape)
             return make_prob(flat, channels=CH)
-        direct = fold_mean_std([scramble(f) for f in folds])
-        indirect = fold_mean_std(folds)
+        direct = collect(fold_mean_std([scramble(f) for f in folds]))
+        indirect = collect(fold_mean_std(folds))
         assert np.allclose(direct.std.data.reshape(-1), indirect.std.data.reshape(-1)[perm])
 
 
 def std_of(folds):
     """The summed std volume of sample folds, for scalar checks."""
-    return sample_mean_std(folds).std
+    return collect(sample_mean_std(folds)).std
 
 
 class TestAleatoric:
@@ -147,7 +151,7 @@ class TestEpistemicFromSamples:
             SampleSet((prob_of(0.6), prob_of(0.6))),
             SampleSet((prob_of(0.5), prob_of(0.5))),
         ]
-        field = sample_mean_std(folds)
+        field = collect(sample_mean_std(folds))
         assert field.std.data[0, 0, 0, 0] == pytest.approx(0.08165, abs=5e-6)
         assert field.mean.data[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-6)
 
@@ -157,7 +161,7 @@ class TestEpistemicFromSamples:
             SampleSet((prob_of(0.3), prob_of(0.7))),
             SampleSet((prob_of(0.4), prob_of(0.6))),
         ]
-        total = sample_mean_std(folds)
+        total = collect(sample_mean_std(folds))
         expected = mean_aleatoric_reference(folds).data + epistemic_from_samples_reference(folds).data
         assert np.allclose(total.std.data, expected, atol=1e-6)
         assert total.kind == "total"
@@ -175,7 +179,7 @@ class TestSampleMeanStdPasses:
 
         monkeypatch.setattr(unc, "_mean_std", counting)
         folds = [SampleSet((prob_of(0.1 * i), prob_of(0.2), prob_of(0.9))) for i in range(n_folds)]
-        sample_mean_std(folds)
+        collect(sample_mean_std(folds))
         # one pass per fold, one over the fold means, one over the aleatoric stds
         assert len(calls) == n_folds + 2
 
@@ -201,23 +205,30 @@ class TestSampleMeanStdPasses:
 
 class TestSigmaLevelMask:
     def test_one_sigma_crosses_threshold(self):
-        field = UncertaintyField(prob_of(0.45), prob_of(0.1), "epistemic")
-        assert sigma_level_mask(field, 1.0).data.all()
-        assert not sigma_level_mask(field, 0.0).data.any()
+        field = Field(prob_of(0.45), prob_of(0.1), "epistemic")
+        assert sigma_level_mask(field_stream(*field), 1.0).data.all()
+        assert not sigma_level_mask(field_stream(*field), 0.0).data.any()
 
     def test_k_zero_is_plain_threshold(self, rng):
         mean = make_prob(rng.random((1, 2, 3, 3), dtype=np.float32), channels=CH)
         std = make_prob(rng.random((1, 2, 3, 3), dtype=np.float32) * 0.3, channels=CH)
-        field = UncertaintyField(mean, std, "epistemic")
-        mask = sigma_level_mask(field, 0.0)
+        mask = sigma_level_mask(field_stream(mean, std), 0.0)
         assert (mask.data == (mean.data >= 0.5)).all()
 
     def test_zero_std_k_independent(self, rng):
         mean = make_prob(rng.random((1, 1, 4, 4), dtype=np.float32), channels=CH)
-        field = UncertaintyField(mean, prob_of(0.0, shape=mean.data.shape), "epistemic")
-        base = sigma_level_mask(field, 0.0).data
+        field = Field(mean, prob_of(0.0, shape=mean.data.shape), "epistemic")
+        base = sigma_level_mask(field_stream(*field), 0.0).data
         for k in (-1.0, 1.0, 2.0):
-            assert (sigma_level_mask(field, k).data == base).all()
+            assert (sigma_level_mask(field_stream(*field), k).data == base).all()
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+    def test_non_finite_k_rejected_before_the_pass(self, k):
+        # clamp(0.7 + k * 0, 0, 1) is NaN, which holds nowhere; a zero std must not hold it
+        field = field_stream(prob_of(0.7), prob_of(0.0))
+        with pytest.raises(ValueError, match=f"sigma level k must be finite, got {k}"):
+            sigma_level_mask(field, k)
+        assert inspect.getgeneratorstate(field.blocks) == inspect.GEN_CREATED
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -225,9 +236,8 @@ class TestSigmaLevelMask:
         gen = np.random.default_rng(seed)
         mean = make_prob(gen.random((1, 2, 4, 4), dtype=np.float32), channels=CH)
         std = make_prob(gen.random((1, 2, 4, 4), dtype=np.float32) * 0.5, channels=CH)
-        field = UncertaintyField(mean, std, "epistemic")
         ks = (-1.0, 0.0, 1.0, 2.0)
-        masks = [sigma_level_mask(field, k).data for k in ks]
+        masks = [sigma_level_mask(field_stream(mean, std), k).data for k in ks]
         for lo, hi in zip(masks, masks[1:]):
             assert (lo <= hi).all()
 
@@ -302,15 +312,23 @@ def assert_same_bytes(got, want):
 
 
 def assert_same_outcome(fn, reference, *args):
-    """Both raise ValueError, or both return volumes with identical bytes."""
+    """Both raise ValueError, or both return volumes with identical bytes.
+
+    A ``FieldStream`` that ``fn`` returns is collected, so the errors its
+    pass raises count.
+    """
+    def outcome():
+        got = fn(*args)
+        return collect(got) if isinstance(got, FieldStream) else got
+
     try:
         want = reference(*args)
     except ValueError:
         with pytest.raises(ValueError):
-            fn(*args)
+            outcome()
         return None
-    got = fn(*args)
-    if isinstance(want, UncertaintyField):
+    got = outcome()
+    if isinstance(want, Field):
         assert got.kind == want.kind
         assert_same_bytes(got.mean, want.mean)
         assert_same_bytes(got.std, want.std)
@@ -340,7 +358,7 @@ class TestStreamedEquivalence:
         field = assert_same_outcome(fold_mean_std, fold_mean_std_reference, folds)
         for k in ks:
             assert_same_bytes(
-                sigma_level_mask(field, k, threshold),
+                sigma_level_mask(field_stream(*field), k, threshold),
                 sigma_level_mask_reference(field, k, threshold),
             )
 
@@ -363,9 +381,10 @@ class TestStreamedEquivalence:
             # the comparison depends on every rounding step of the float64 sum
             near = np.clip(threshold - k * std.data.astype(np.float64), 0.0, 1.0)
             mean = make_prob(near.astype(np.float32), channels=CH)
-        field = UncertaintyField(mean, std, "epistemic")
+        field = Field(mean, std, "epistemic")
         assert_same_bytes(
-            sigma_level_mask(field, k, threshold), sigma_level_mask_reference(field, k, threshold)
+            sigma_level_mask(field_stream(*field), k, threshold),
+            sigma_level_mask_reference(field, k, threshold),
         )
 
     @settings(max_examples=40, deadline=None)
@@ -388,7 +407,7 @@ class TestStreamedEquivalence:
         folds = [make_prob(gen.random((6, 16, 128, 128), dtype=np.float32)) for _ in range(3)]
         tracemalloc.start()
         try:
-            field = fold_mean_std(folds)
+            field = collect(fold_mean_std(folds))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -451,7 +470,7 @@ class TestStreamedRead:
             else:
                 args = [m for f in folds for m in f]
             try:
-                return statistic(args)
+                return collect(statistic(args))
             except ValueError as exc:
                 return str(exc)
 
@@ -490,7 +509,7 @@ class TestStreamedRead:
         with tempfile.TemporaryDirectory() as tmp:
             payloads = [_write_raw(Path(tmp) / f"f{i}.json", d) for i, d in enumerate(raw)]
             with pytest.raises(VolumeFormatError) as exc:
-                fold_mean_std(payloads)
+                collect(fold_mean_std(payloads))
         data = raw[which]
         lo, hi = float(data.min(initial=0.0)) + 0.0, float(data.max(initial=0.0)) + 0.0
         assert str(exc.value) == (
@@ -511,7 +530,7 @@ class TestStreamedRead:
                     for i in range(3)]
         (tmp_path / "f1.raw").write_bytes(bytes(4 * PROB_CHUNK))
         with pytest.raises(VolumeFormatError, match="shrank while being read") as exc:
-            fold_mean_std(payloads)
+            collect(fold_mean_std(payloads))
         assert exc.value.__traceback__ is not None
         assert open_payloads(tmp_path) == []
 
@@ -571,7 +590,7 @@ class TestConsensusBlocks:
                                special_share)
         want = fold_mean_std_reference([make_prob(d[None, None, None], CH) for d in raw])
         with tempfile.TemporaryDirectory() as tmp:
-            got = fold_mean_std(self._members(tmp, raw, streamed))
+            got = collect(fold_mean_std(self._members(tmp, raw, streamed)))
         assert_same_bytes(got.mean, want.mean)
         assert_same_bytes(got.std, want.std)
 
@@ -596,7 +615,7 @@ class TestConsensusBlocks:
         want = sample_mean_std_reference(sample_sets([make_prob(d[None, None, None], CH)
                                                       for d in raw]))
         with tempfile.TemporaryDirectory() as tmp:
-            got = sample_mean_std(sample_sets(self._members(tmp, raw, streamed)))
+            got = collect(sample_mean_std(sample_sets(self._members(tmp, raw, streamed))))
         assert_same_bytes(got.mean, want.mean)
         assert_same_bytes(got.std, want.std)
 
@@ -604,7 +623,7 @@ class TestConsensusBlocks:
         """Folds that differ only in the sign of zero give +0.0, as a float64 sum from +0.0 does."""
         folds = [prob_of(0.0, (1, 1, 1, _BLOCK + 3)) for _ in range(3)]
         folds[1] = prob_of(-0.0, (1, 1, 1, _BLOCK + 3))
-        for field in (fold_mean_std(folds), fold_mean_std(folds[1:2] * 2)):
+        for field in (collect(fold_mean_std(folds)), collect(fold_mean_std(folds[1:2] * 2))):
             assert not np.signbit(field.mean.data).any()
             assert not np.signbit(field.std.data).any()
 
@@ -634,9 +653,9 @@ def assert_sweep_matches_reference(field, ks, threshold):
         patch.setattr(unc, "assess_scan", spy)
         if isinstance(expected, MissingChannelError):
             with pytest.raises(MissingChannelError, match=f"^{re.escape(str(expected))}$"):
-                uncertainty_sweep(field, ks, threshold)
+                uncertainty_sweep(field_stream(*field), ks, threshold)
             return
-        entries = uncertainty_sweep(field, ks, threshold)
+        entries = uncertainty_sweep(field_stream(*field), ks, threshold)
     assert len(received) == len(ks)
     assert [e.k for e in entries] == [float(k) for k in ks]
     for entry, (reports, category) in zip(entries, expected):
@@ -666,7 +685,7 @@ class TestSweepEquivalence:
         mean, std = (
             make_prob(np.concatenate([v.data for v in vols[i::2]]), channels=channels) for i in (0, 1)
         )
-        assert_sweep_matches_reference(UncertaintyField(mean, std, "epistemic"), ks, threshold)
+        assert_sweep_matches_reference(Field(mean, std, "epistemic"), ks, threshold)
 
     def test_more_distinct_ks_than_uint8_counts(self, rng):
         # 300 distinct ks: a uint8 level would wrap at a voxel held at all of them
@@ -676,7 +695,7 @@ class TestSweepEquivalence:
         ks = np.linspace(-3.0, 3.0, 300)
         ks = list(rng.permutation(np.concatenate([ks, ks[:7]])))
         channels = (ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR)
-        field = UncertaintyField(make_prob(mean, channels), make_prob(std, channels), "epistemic")
+        field = Field(make_prob(mean, channels), make_prob(std, channels), "epistemic")
         assert_sweep_matches_reference(field, ks, 0.5)
 
 
@@ -697,24 +716,25 @@ class TestZeroStdLevels:
         std = np.zeros_like(mean)
         std[:, :, :, :_BLOCK:2] = -0.0
         std[1, :, :, _BLOCK + 1] = 0.25  # one channel's second block takes the float64 path
-        field = UncertaintyField(make_prob(mean), make_prob(std), "epistemic")
+        field = Field(make_prob(mean), make_prob(std), "epistemic")
         for k in (-2.0, 0.0, 1.5):
-            assert_same_bytes(sigma_level_mask(field, k, threshold),
+            assert_same_bytes(sigma_level_mask(field_stream(*field), k, threshold),
                               sigma_level_mask_reference(field, k, threshold))
-        assert not sigma_level_mask(field, 0.0, threshold).data[..., 1].any()
+        assert not sigma_level_mask(field_stream(*field), 0.0, threshold).data[..., 1].any()
         assert_sweep_matches_reference(field, [2.0, -1.0, 0.0, 1.0, 2.0], threshold)
 
 
 class TestSweepValidation:
     def test_empty_ks_reads_no_channel(self):
-        field = UncertaintyField(prob_of(0.5), prob_of(0.1), "epistemic")  # tumor only
+        field = field_stream(prob_of(0.5), prob_of(0.1))  # tumor only
         assert uncertainty_sweep(field, []) == []
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_non_finite_k_rejected(self, k):
-        field = UncertaintyField(prob_of(0.5), prob_of(0.1), "epistemic")
+        field = field_stream(prob_of(0.5), prob_of(0.1))
         with pytest.raises(ValueError, match=f"sigma level k must be finite, got {k}"):
             uncertainty_sweep(field, [0.0, k])
+        assert inspect.getgeneratorstate(field.blocks) == inspect.GEN_CREATED
 
 
 class TestSweepMemory:
@@ -735,7 +755,7 @@ class TestSweepMemory:
         mean = np.zeros(shape, np.float32)
         mean[:, 4:12, 40:88, 40:88] = gen.random((6, 8, 48, 48), dtype=np.float32)
         std = gen.random(shape, dtype=np.float32) * np.float32(0.2)
-        field = UncertaintyField(make_prob(mean), make_prob(std), "epistemic")
+        field = field_stream(make_prob(mean), make_prob(std))
         calls = []
 
         def ungraded(masks, *args):
@@ -756,9 +776,10 @@ class TestSweepMemory:
 class TestStreamedCli:
     """The ``uncertainty`` command's one pass writes and grades what the library computes.
 
-    Its payloads equal ``write_volume`` of ``fold_mean_std`` or
-    ``sample_mean_std``, and the masks it grades, and so its level grids,
-    equal those of the in-memory sweep and the reference sigma masks.
+    Its payloads equal ``write_volume`` of the collected ``fold_mean_std``
+    or ``sample_mean_std``, and the masks it grades, and so its level
+    grids, equal those of a sweep over the collected field and the
+    reference sigma masks.
 
     The channel sizes (4551, 14 and 43165 voxels) are not multiples of
     ``_BLOCK``, so blocks cross channel boundaries, and the level grids
@@ -806,13 +827,13 @@ class TestStreamedCli:
 
         if folds_of_samples:
             members = [[member() for _ in range(n)] for n in counts]
-            field = sample_mean_std([SampleSet(tuple(f)) for f in members])
+            field = collect(sample_mean_std([SampleSet(tuple(f)) for f in members]))
         else:
             members = [[member()] for _ in range(counts[0])]
-            field = fold_mean_std([f[0] for f in members])
+            field = collect(fold_mean_std([f[0] for f in members]))
         with pytest.MonkeyPatch.context() as patch:
             want_masks = self.graded_masks(patch)
-            entries = uncertainty_sweep(field, ks, threshold)
+            entries = uncertainty_sweep(field_stream(*field), ks, threshold)
         want_sweep = [{"k": float(e.k), **cli._grading_dict(e.reports, e.category)} for e in entries]
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
