@@ -185,9 +185,10 @@ def cmd_assess(args) -> int:
     if args.critical:
         masks = filter_critical_volume(masks, args.filter_mode)
     reports, category = assess_scan(masks, args.connectivity, args.span_method)
+    # the document first: a failed document write leaves no overlay behind
+    _emit(_assessment_doc(scan_id, args, _grading_dict(reports, category)), args.output)
     if args.overlay:
         overlay.contact_overlay(masks, reports, args.overlay, scan_id)
-    _emit(_assessment_doc(scan_id, args, _grading_dict(reports, category)), args.output)
     return EXIT_OK
 
 

@@ -26,28 +26,26 @@ runs obliquely to the axial plane is measured in its axial cross-section,
 not in its own (ROADMAP item 9).
 
 One whole-scan kernel, ``component_table``, measures every vessel component
-of a scan at once:
+of a scan at once. It works on the voxel indices of the vessel and the
+tumor (``MaskVolume.voxels``), never on a grid, so its work follows the
+runs of set voxels, not the distance between them:
 
-1. gather the vessel and the tumor (``MaskVolume.gather``) on the slices,
-   rows and columns that hold a vessel pixel, the rows and columns
-   widened by one on each side. These lines come from the vessel's voxel
-   index (``MaskVolume.voxels``), and a volume that holds indices builds
-   both sub-grids from its indices, never a whole grid. Every in-slice
-   neighbour of a vessel pixel is kept and stays its neighbour, and two
-   vessel pixels are neighbours in the gathered grid only if they are in
-   the scan, so the work follows the vessels' extent, not the distance
-   between them;
-2. label the gathered grid once with the run-length labeller
-   ``label_components``: one ``np.diff`` finds the runs of vessel pixels
-   in every row, two ``searchsorted`` calls pair the runs that touch in
-   the next row of the same slice, and a union-find merges the pairs.
-   Components never join across slices, and they are numbered by their
-   first run, so the label order is (slice, first pixel in raster order),
-   the order reports list them in;
-3. dilate the gathered tumor once by a 3x3 box in-plane (``dilate``, an OR
-   of shifted copies); a vessel pixel is in contact where the dilation is
-   set;
-4. take centroids from ``np.bincount`` sums of grid coordinates and the
+1. move both indices into the grid padded with a zero column after each
+   row and a zero row after each slice; every run of consecutive indices
+   then lies inside one row, and one ``np.diff`` finds the runs;
+2. label the vessel's runs once with the run labeller
+   ``label_components``: two ``searchsorted`` calls pair the runs that
+   touch in the next row of the same slice, and a union-find merges the
+   pairs. Components never join across slices, and they are numbered by
+   their first run, so the label order is (slice, first pixel in raster
+   order), the order reports list them in;
+3. find contact from the tumor's runs (``in_contact``): each is widened by
+   one column and copied onto the row above and the row below, which
+   covers the tumor's 3x3 in-plane dilation, and the padding keeps them
+   off the next row and the next slice. Sorted by start, with a running
+   maximum of their ends, one ``searchsorted`` of the vessel's padded
+   index tells which vessel voxels they cover;
+4. take centroids from ``np.bincount`` sums of voxel coordinates and the
    angle of every contact pixel at nonzero radius around its centroid,
    in millimetres (row offsets scaled by ``y_mm / x_mm``);
 5. sort the angles by (component, angle) and reduce each component's
@@ -144,33 +142,53 @@ def dilate(grid: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def label_components(grid: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
-    """Connected components of a 3-D boolean grid, as ``(labels, n)``.
+def _padded(voxels: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """Flat indices into a ``dims`` grid, moved into that grid padded with zeros.
 
-    ``connectivity`` 4 or 8 joins pixels within a slice only, through their
-    edges or also their corners; 26 joins every voxel of the 3x3x3
-    neighbourhood. Labels are int32, 0 off the grid and 1..n numbered in the
-    raster order of each component's first voxel.
+    The padding is a zero column after each row and a zero row after each
+    slice.
+    """
+    height, width = dims[1:]
+    rows = voxels // width  # z * height + row
+    padded = rows // height
+    padded *= width + 1
+    padded += rows
+    padded += voxels
+    return padded
 
-    The grid is padded with a zero column on each side and a zero row after
-    each slice, and flattened. Every run of set cells then starts and ends
-    inside one row, so one ``np.diff`` finds them all. A run touches runs of
-    a later row where the column intervals overlap, widened by one column
-    for corner contact; shifted by that row's flat offset, the candidates
-    are one contiguous range of runs found with two ``searchsorted`` calls.
-    The zero row after each slice means a shift past a slice's last row
-    lands on an empty row, never on the next slice.
+
+def _runs(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends (one past the last value) of the runs of consecutive values in ``padded``."""
+    bound = np.flatnonzero(np.diff(padded, prepend=-2, append=-2) != 1)
+    return padded[bound[:-1]], padded[bound[1:] - 1] + 1
+
+
+def label_components(voxels: np.ndarray, dims: tuple[int, int, int],
+                     connectivity: int) -> tuple[np.ndarray, int]:
+    """Connected components of the set voxels of a 3-D grid, as ``(labels, n)``.
+
+    ``voxels`` are the sorted flat indices of the set voxels of a grid of
+    shape ``dims``, and ``labels`` holds the int32 label of each, in index
+    order. ``connectivity`` 4 or 8 joins voxels within a slice only,
+    through their edges or also their corners; 26 joins every voxel of the
+    3x3x3 neighbourhood. Labels 1..n are numbered in the raster order of
+    each component's first voxel.
+
+    The indices are moved into the grid padded with a zero column after
+    each row and a zero row after each slice (``_padded``). Every run of
+    consecutive indices then starts and ends inside one row, so one
+    ``np.diff`` finds them all. A run touches runs of a later row where the
+    column intervals overlap, widened by one column for corner contact;
+    shifted by that row's flat offset, the candidates are one contiguous
+    range of runs found with two ``searchsorted`` calls. The zero row
+    after each slice means a shift past a slice's last row lands on an
+    empty row, never on the next slice.
     """
     if connectivity not in (4, 8, 26):
         raise ValueError(f"connectivity must be 4, 8 or 26, got {connectivity}")
-    grid = np.asarray(grid, dtype=bool)
-    depth, height, width = grid.shape
-    row = width + 2
-    plane = (height + 1) * row
-    padded = np.zeros((depth, height + 1, row), dtype=bool)
-    padded[:, :height, 1:-1] = grid
-    edges = np.flatnonzero(np.diff(padded.reshape(-1).view(np.int8))) + 1
-    start, end = edges[0::2], edges[1::2]
+    start, end = _runs(_padded(voxels, dims))
+    row = dims[2] + 1
+    plane = (dims[1] + 1) * row
     slack = int(connectivity != 4)
     shifts = (row,) if connectivity != 26 else (row, plane - row, plane, plane + row)
 
@@ -204,31 +222,36 @@ def label_components(grid: np.ndarray, connectivity: int) -> tuple[np.ndarray, i
 
     first = root == runs
     number = np.cumsum(first, dtype=np.int32)
-    labels = np.zeros(grid.shape, dtype=np.int32)
-    labels[grid] = np.repeat(number[root], end - start)
-    return labels, int(np.count_nonzero(first))
+    return np.repeat(number[root], end - start), int(np.count_nonzero(first))
 
 
-def _occupied_lines(voxels: np.ndarray, shape: tuple[int, int, int],
-                    margin: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
-    """Indices along each axis of a 3-D grid of the planes holding a set voxel.
+def in_contact(vessel: np.ndarray, tumor: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """Per vessel voxel: is it a tumor voxel, or an in-slice 8-neighbour of one.
 
-    ``voxels`` are the flat indices of the grid's set voxels. Each axis
-    keeps the planes within ``margin`` of a set one. Where an axis has a
-    margin of one, the gathered grid ``grid[np.ix_(*lines)]`` keeps every
-    neighbour of a set voxel along it next to that voxel, and set voxels
-    meet only where they meet in ``grid``. A grid with no set voxel gives
-    three empty index arrays.
+    Both are sorted flat indices into ``dims``. Each run of the padded
+    tumor index (see ``label_components``) is widened by one column and
+    copied onto the row above and the row below; these runs cover exactly
+    the 3x3 in-plane dilation of the tumor, and the zero column and zero
+    row of the padding keep them off the next row and the next slice.
+    Sorted by start, the runs cover a voxel where the running maximum of
+    the ends of the runs starting at or before it lies beyond it, so one
+    ``searchsorted`` of the padded vessel index finds the covered voxels.
     """
-    z, rest = np.divmod(voxels, shape[1] * shape[2])
-    lines = []
-    for coords, size, m in zip((z, *np.divmod(rest, shape[2])), shape, margin):
-        keep = np.zeros(size, dtype=bool)
-        keep[coords] = True
-        for _ in range(m):
-            keep = dilate(keep, (0,))
-        lines.append(np.flatnonzero(keep))
-    return tuple(lines)
+    start, end = _runs(_padded(tumor, dims))
+    row = dims[2] + 1
+    start = np.concatenate([start - 1 + shift for shift in (-row, 0, row)])
+    end = np.concatenate([end + 1 + shift for shift in (-row, 0, row)])
+    order = np.argsort(start, kind="stable")
+    # reach[i]: the furthest end of the first i runs by start
+    reach = np.concatenate(([-1], np.maximum.accumulate(end[order])))
+    vessel = _padded(vessel, dims)
+    return reach[np.searchsorted(start[order], vessel, side="right")] > vessel
+
+
+def _coordinates(voxels: np.ndarray, dims: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """The (z, row, col) of flat indices into ``dims``, one array per axis."""
+    rows, col = np.divmod(voxels, dims[2])
+    return (*np.divmod(rows, dims[1]), col)
 
 
 def _segment_spans(labels: np.ndarray, angles: np.ndarray, n: int, method: str) -> np.ndarray:
@@ -254,6 +277,20 @@ def _segment_spans(labels: np.ndarray, angles: np.ndarray, n: int, method: str) 
     return spans
 
 
+def _components(voxels: np.ndarray, label: np.ndarray, n: int,
+                dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The slice and the mean (row, col) of each of ``n`` in-slice components.
+
+    ``label`` holds the component, 0..n-1, of each voxel of the flat index ``voxels``.
+    """
+    z_of, row, col = _coordinates(voxels, dims)
+    size = np.bincount(label, minlength=n)
+    centroid = np.stack([np.bincount(label, row, n) / size, np.bincount(label, col, n) / size], axis=1)
+    z = np.empty(n, np.intp)
+    z[label] = z_of  # every voxel of a component lies on its slice
+    return z, centroid
+
+
 def component_table(
     masks: MaskVolume,
     vessel: ChannelId,
@@ -262,7 +299,7 @@ def component_table(
 ) -> ComponentTable:
     """Centroid, contact pixels and contact span of every in-slice vessel component.
 
-    The vessel's voxel index and both sub-grids come from ``masks``. Angles
+    The vessel's and the tumor's voxel indices come from ``masks``. Angles
     are taken in millimetres: the row offsets are scaled by the in-plane
     spacing ratio ``y_mm / x_mm``, which is exactly 1.0 on a square grid.
     """
@@ -270,27 +307,16 @@ def component_table(
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     if span_method not in SPAN_METHODS:
         raise ValueError(f"unknown span method {span_method!r}")
-    masks.channel_index(ChannelId.TUMOR)  # a volume lacking both names the tumor
-    lines = _occupied_lines(masks.voxels(vessel), masks.dims, (0, 1, 1))
-    labels, n = label_components(masks.gather(vessel, lines), connectivity)
-    near = dilate(masks.gather(ChannelId.TUMOR, lines), (-2, -1))
-    pixels = np.argwhere(labels)  # raster order, gathered coordinates
-    hit = near[tuple(pixels.T)]
-    label = labels[tuple(pixels.T)] - 1
-    for axis, kept in enumerate(lines):
-        pixels[:, axis] = kept[pixels[:, axis]]
-
-    size = np.bincount(label, minlength=n)
-    centroid = np.stack(
-        [np.bincount(label, pixels[:, 1], n) / size, np.bincount(label, pixels[:, 2], n) / size],
-        axis=1,
-    )
-    z = np.empty(n, np.intp)
-    z[label] = pixels[:, 0]  # every pixel of a component lies on its slice
+    tumor = masks.voxels(ChannelId.TUMOR)  # a volume lacking both names the tumor
+    voxels = masks.voxels(vessel)
+    label, n = label_components(voxels, masks.dims, connectivity)
+    label -= 1
+    hit = in_contact(voxels, tumor, masks.dims)
+    z, centroid = _components(voxels, label, n, masks.dims)
 
     contact_label = label[hit]
     order = np.argsort(contact_label, kind="stable")
-    contact = pixels[hit][order]
+    contact = np.stack(_coordinates(voxels[hit][order], masks.dims), axis=1)
     contact_label = contact_label[order]
     contact_start = np.concatenate(([0], np.cumsum(np.bincount(contact_label, minlength=n))))
 
@@ -350,13 +376,12 @@ def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume
     Everything is done on voxel indices: the pancreas is read first, and a
     ``searchsorted`` of each vessel's index in the pancreas index finds
     the overlap, which decides whether that vessel loses anything and, in
-    voxel mode, which voxels survive. component mode labels the vessel
-    gathered on the planes holding a vessel voxel, widened by one on every
-    axis; the gathered grid keeps the raster order, so its labelled cells
-    are the vessel's voxels in index order, and the survivors are those
-    whose component holds no overlapping voxel. The result holds indices
-    only: the surviving ones, and every other channel's index shared with
-    ``masks``. It is ``masks`` itself if nothing is dropped.
+    voxel mode, which voxels survive. component mode labels the vessel's
+    index with 26-connectivity (``label_components``), and the survivors
+    are the voxels whose component holds no overlapping voxel. The result
+    holds indices only: the surviving ones, and every other channel's
+    index shared with ``masks``. It is ``masks`` itself if nothing is
+    dropped.
     """
     if mode not in ("voxel", "component"):
         raise ValueError(f"unknown filter mode {mode!r}")
@@ -372,9 +397,7 @@ def filter_critical_volume(masks: MaskVolume, mode: str = "voxel") -> MaskVolume
         if mode == "voxel":
             replaced[cid] = voxels[~inside]
             continue
-        lines = _occupied_lines(voxels, masks.dims, (1, 1, 1))
-        labeled, n = label_components(masks.gather(cid, lines), 26)
-        component = labeled[labeled != 0]
+        component, n = label_components(voxels, masks.dims, 26)
         keep = np.ones(n + 1, dtype=bool)
         keep[component[inside]] = False
         replaced[cid] = voxels[keep[component]]

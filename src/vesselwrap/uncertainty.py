@@ -90,10 +90,12 @@ or -0.0) takes no float64 step: for finite k, ``k * std`` is a zero and
 adding it to the mean leaves float64(mean), up to the sign of a zero
 mean, which no comparison sees; the mean lies in [0, 1], so the clip
 leaves it too. Every k therefore holds exactly where ``mean >=
-threshold`` in float64, and the level there is the count of ks. The
-threshold is passed as ``np.float64``: a float32 array compared with a
-Python float is compared in float32 (NEP 50), which would hold a mean of
-float32(0.7), just below 0.7, at threshold 0.7.
+threshold`` in float64, and the level there is the count of ks. That
+test is made in float32, against the smallest float32 not below the
+threshold, which a float32 mean reaches exactly where it reaches the
+threshold. The threshold itself cannot be used: a float32 array compared
+with a Python float is compared in float32 (NEP 50), which would hold a
+mean of float32(0.7), just below 0.7, at threshold 0.7.
 
 A field is one pass (``FieldStream``), built by ``fold_mean_std`` or
 ``sample_mean_std``: its float32 mean and std come out block by block, in
@@ -181,6 +183,7 @@ def _check_same_geometry(volumes: Sequence[Member]):
 
 # Voxels per block: 256 KB per float64 buffer, so a handful of them stay in cache.
 _BLOCK = 1 << 15
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _blocks(size: int):
@@ -340,16 +343,20 @@ def _level_grid(
     ``level > i``. One dense pass tests the largest k; the others are
     tested only at the voxels of each block that pass it, since the masks
     are nested. A block whose std is all zero is held at every k exactly
-    where its mean reaches the threshold in float64, so it is set with that
-    one comparison. ``level`` is a flat zeroed grid that can hold
-    ``len(ks)``: unsigned, or bool for a single k.
+    where its mean reaches the threshold in float64, so it is set with one
+    comparison: a float32 mean reaches the threshold exactly where it
+    reaches the smallest float32 not below it. ``level`` is a flat zeroed
+    grid that can hold ``len(ks)``: unsigned, or bool for a single k.
     """
     mean, std = mean.reshape(-1), std.reshape(-1)
     buf = np.empty(min(mean.size, _BLOCK))
+    # clamped into float32's range first, so the cast never overflows
+    at_least = np.float32(min(max(threshold, -_F32_MAX), _F32_MAX))
+    if float(at_least) < threshold:
+        at_least = np.nextafter(at_least, np.float32(np.inf))
     for b in _blocks(mean.size):
         if std[b.start] == 0.0 and not std[b].any():
-            # float64 named: a float32 array against a Python float compares in float32 (NEP 50)
-            level[b][mean[b] >= np.float64(threshold)] = len(ks)
+            level[b][mean[b] >= at_least] = len(ks)
             continue
         adjusted = _adjusted(std[b], mean[b], ks[0], buf[: b.stop - b.start])
         hits = np.flatnonzero(adjusted >= threshold)

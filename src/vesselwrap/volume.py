@@ -290,13 +290,6 @@ def _grid_of(dims: tuple[int, ...], voxels: np.ndarray, values=1) -> np.ndarray:
     return _freeze(grid)
 
 
-def _gather_index(lines: tuple[np.ndarray, ...]) -> tuple:
-    """Index for the grid cells at ``lines``: plain slices when every axis is one run."""
-    if all(i.size == 0 or i[-1] - i[0] + 1 == i.size for i in lines):
-        return tuple(slice(i[0], i[-1] + 1) if i.size else slice(0, 0) for i in lines)
-    return np.ix_(*lines)
-
-
 class MaskVolume(_ChannelVolume):
     """Multi-channel binary volume; channels may overlap voxel-wise.
 
@@ -305,7 +298,8 @@ class MaskVolume(_ChannelVolume):
     it (a bool stack is viewed) and indexes a channel on first use. A volume
     built by ``from_voxels`` (a read, ``decode_layered``, the critical
     filter) holds only the indices; its ``channel`` and ``data`` build
-    read-only grids on each request.
+    read-only grids on each request. The kernels that filter, grade, paint
+    and score a volume read its indices alone, never a grid.
     """
 
     _kind = "mask"
@@ -350,33 +344,6 @@ class MaskVolume(_ChannelVolume):
         if cid not in self._voxels:
             self._voxels[cid] = _freeze(set_voxels(self.channel(cid)))
         return self._voxels[cid]
-
-    def gather(self, cid: ChannelId, lines: tuple[np.ndarray, ...]) -> np.ndarray:
-        """A channel's bool sub-grid on ``lines``, sorted plane indices along z, y and x.
-
-        Cell (i, j, k) is voxel (lines[0][i], lines[1][j], lines[2][k]). A
-        volume that keeps an array slices it, with plain slices when every
-        axis is one run. Otherwise the set voxels on the slices of
-        ``lines[0]`` are placed by a lookup of each coordinate's position
-        in its lines, so no whole grid is built.
-        """
-        if self._stack is not None:
-            return self.channel(cid)[_gather_index(lines)].view(bool)
-        out = np.zeros(tuple(i.size for i in lines), dtype=bool)
-        voxels = self.voxels(cid)
-        if not out.size:
-            return out
-        plane = self.dims[1] * self.dims[2]
-        lo, hi = np.searchsorted(voxels, (lines[0][0] * plane, (lines[0][-1] + 1) * plane))
-        z, rest = np.divmod(voxels[lo:hi], plane)
-        at = []
-        for coords, kept, size in zip((z, *np.divmod(rest, self.dims[2])), lines, self.dims):
-            position = np.full(size, -1, dtype=np.intp)
-            position[kept] = np.arange(kept.size)
-            at.append(position[coords])
-        on = (at[0] >= 0) & (at[1] >= 0) & (at[2] >= 0)
-        out[tuple(a[on] for a in at)] = True
-        return out
 
     def _checked_values(self, arr):
         return _small_ints(arr, 1, _MASK_VALUES)

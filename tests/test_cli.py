@@ -528,8 +528,9 @@ class TestAssessMemory:
     sparse 20x256x256 scene. Reading all six channels and copying the stack
     in the filter peaked at 13.2 grids (six channels) and 9.0 (layered).
     Keeping the four graded grids peaked at 5.29 and 5.15 grids. Streaming
-    every payload into voxel indices peaks at about 1.1 and 0.95 grids:
-    the 1 MiB read buffer (0.8 grids) and the gathered sub-grids.
+    every payload into voxel indices peaks at about 1.1 and 0.95 grids,
+    mostly the 1 MiB read buffer (0.8 grids); the kernels add arrays per
+    set voxel, not grids.
     """
 
     SPEC = PhantomSpec(dims=(20, 256, 256), slice_range=(1, 19), vessel_center=(128.0, 128.0),
@@ -1191,7 +1192,7 @@ class TestFailedWriteLeavesNothing:
     the same name stays byte-identical.
     """
 
-    WRITERS = ("write_volume", "assess-o", "phantom-wrap", "uncertainty")
+    WRITERS = ("write_volume", "assess-o", "assess-overlay-o", "phantom-wrap", "uncertainty")
 
     @staticmethod
     def tree(root: Path) -> dict[str, bytes | None]:
@@ -1229,6 +1230,9 @@ class TestFailedWriteLeavesNothing:
                 return 0
             return run(*{
                 "assess-o": ("assess", inputs / "scene.json", "-o", root / "new" / "deeper" / "a.json"),
+                # the document is written before the overlays, so none is left
+                "assess-overlay-o": ("assess", inputs / "scene.json", "--overlay", root / "ov",
+                                     "-o", root / "new" / "a.json"),
                 "phantom-wrap": ("phantom", "wrap", "--out", root / "new"),
                 "uncertainty": ("uncertainty", *folds, "--out", root / "new" / "deeper"),
             }[writer])
@@ -1246,6 +1250,19 @@ class TestFailedWriteLeavesNothing:
             assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
         monkeypatch.undo()
         assert self.tree(root) == before
+
+    @pytest.mark.parametrize("output", ["a.json", "-"])
+    def test_failed_overlay_keeps_document(self, tmp_path, capsys, output):
+        """The reverse case: the document is written before the overlays, and stays."""
+        write_scene(tmp_path)
+        assert run("assess", tmp_path / "scene.json", "--scan-id", "s") == 0
+        want = capsys.readouterr().out
+        (tmp_path / "ov").write_text("")  # the overlay directory cannot be made
+        target = "-" if output == "-" else tmp_path / output
+        assert run("assess", tmp_path / "scene.json", "--scan-id", "s", "--overlay", tmp_path / "ov",
+                   "-o", target) == 2
+        out = capsys.readouterr().out
+        assert (out if output == "-" else (tmp_path / output).read_text()) == want
 
     @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "rerun"])
     @pytest.mark.parametrize("scene, last", [("wrap", "truth.json"), ("uncertainty", "truth.json"),

@@ -1,4 +1,6 @@
+import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,16 +12,18 @@ from vesselwrap.involvement import (
     DPCG_CUTS_DEG,
     SPAN_METHODS,
     DpcgCategory,
+    assess_scan,
     component_table,
     dilate,
     dpcg_bucket,
     dpcg_classify,
     filter_critical_volume,
+    in_contact,
     label_components,
     scan_involvement,
 )
 from vesselwrap.phantom import PhantomSpec, gen_wrap_scene
-from vesselwrap.volume import ChannelId, MaskVolume, MissingChannelError, Spacing
+from vesselwrap.volume import ChannelId, MaskVolume, MissingChannelError, Spacing, set_voxels
 from conftest import (
     _pixel_angles,
     angular_span,
@@ -132,9 +136,19 @@ _ORACLE_STRUCTURES = {
 }
 
 
+def labelled_grid(grid, connectivity):
+    """label_components of a bool grid's voxel index, scattered back into an int32 grid."""
+    voxels = set_voxels(grid)
+    labels, n = label_components(voxels, grid.shape, connectivity)
+    out = np.zeros(grid.shape, dtype=np.int32)
+    out.reshape(-1)[voxels] = labels
+    assert labels.dtype == np.int32 and labels.shape == voxels.shape
+    return out, n
+
+
 def assert_labels_match_ndimage(grid):
     for connectivity, structure in _ORACLE_STRUCTURES.items():
-        labels, n = label_components(grid, connectivity)
+        labels, n = labelled_grid(grid, connectivity)
         want, want_n = ndimage.label(grid, structure=structure)
         assert n == want_n, connectivity
         assert labels.dtype == want.dtype and np.array_equal(labels, want), connectivity
@@ -182,12 +196,12 @@ class TestRunLabeller:
     def test_slices_join_only_under_26(self):
         grid = _stacked_runs()
         for connectivity in (4, 8):
-            assert label_components(grid, connectivity)[1] == 2
-        assert label_components(grid, 26)[1] == 1
+            assert labelled_grid(grid, connectivity)[1] == 2
+        assert labelled_grid(grid, 26)[1] == 1
 
     def test_bad_connectivity(self):
         with pytest.raises(ValueError):
-            label_components(np.zeros((1, 2, 2), dtype=bool), 6)
+            label_components(np.empty(0, np.intp), (1, 2, 2), 6)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -200,6 +214,37 @@ class TestRunLabeller:
     @example(seed=0, dims=(6, 24, 24), density=1.0)
     def test_random_grids_match_ndimage(self, seed, dims, density):
         assert_labels_match_ndimage(np.random.default_rng(seed).random(dims) < density)
+
+
+class TestContactSearch:
+    """in_contact equals a 1x3x3 dilation of the tumor at the vessel voxels.
+
+    A tumor only on a row's last column or a slice's last row is where
+    contact would wrap onto the next row or slice without the padding.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+        density=st.floats(0.0, 1.0),
+        vessel_density=st.floats(0.0, 1.0),
+        edge=st.sampled_from(["anywhere", "last-column", "last-row"]),
+    )
+    @example(seed=0, dims=(2, 3, 4), density=1.0, vessel_density=1.0, edge="last-column")
+    @example(seed=0, dims=(2, 3, 4), density=1.0, vessel_density=1.0, edge="last-row")
+    @example(seed=0, dims=(3, 1, 1), density=0.5, vessel_density=1.0, edge="anywhere")
+    def test_matches_binary_dilation(self, seed, dims, density, vessel_density, edge):
+        gen = np.random.default_rng(seed)
+        tumor = gen.random(dims) < density
+        if edge == "last-column":
+            tumor[:, :, :-1] = False
+        elif edge == "last-row":
+            tumor[:, :-1] = False
+        vessel = set_voxels(gen.random(dims) < vessel_density)
+        want = ndimage.binary_dilation(tumor, structure=np.ones((1, 3, 3), dtype=bool))
+        got = in_contact(vessel, set_voxels(tumor), dims)
+        assert got.dtype == bool and np.array_equal(got, want.reshape(-1)[vessel])
 
 
 class TestContactPixels:
@@ -503,6 +548,37 @@ class TestIndexHeldVolumes:
         for cid in channels:
             assert np.array_equal(got.voxels(cid), want.voxels(cid))
             assert np.array_equal(got.channel(cid), want.channel(cid))
+
+
+class TestDenseMemory:
+    """The kernel's worst case: every voxel of the tumor, the artery and the vein set.
+
+    tracemalloc sees numpy buffers; the peak of ``assess_scan`` is counted
+    in bytes per voxel of one 16x128x128 channel. Gathering bool sub-grids
+    from the index peaked at 147 B per voxel on a volume held as indices,
+    and at 163 on one built from an array, which also indexes each channel
+    on first use. Labelling the runs of the index peaks at 118 and 142.
+    """
+
+    DIMS = (16, 128, 128)
+    CHANNELS = (ChannelId.TUMOR, ChannelId.ARTERY, ChannelId.VEIN)
+
+    @pytest.mark.parametrize("held, bound", [("index", 130), ("array", 150)])
+    def test_peak_per_voxel(self, held, bound):
+        n = math.prod(self.DIMS)
+        if held == "index":
+            masks = MaskVolume.from_voxels({c: np.arange(n) for c in self.CHANNELS}, self.DIMS,
+                                           Spacing(1.0, 1.0, 1.0))
+        else:
+            masks = MaskVolume(np.ones((3, *self.DIMS), np.uint8), self.CHANNELS, Spacing(1.0, 1.0, 1.0))
+        tracemalloc.start()
+        try:
+            _, grade = assess_scan(masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grade == DpcgCategory.IRRESECTABLE
+        assert peak / n <= bound
 
 
 def mm_scene(spacing_yx, span_deg, center_deg, field_mm=60.0, radius_mm=10.0, shell_mm=4.0):

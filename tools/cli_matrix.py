@@ -30,7 +30,9 @@ writes the same tree. Groups:
     and without its pancreas channel and as layered labels under the
     component filter, a 5x27x29 crop of it (cut to 27 rows, one empty
     column added, so the voxel count is not a multiple of 8) as a mask
-    volume and as layered labels under the component filter,
+    volume and as layered labels under the component filter, the
+    ``wrap_edges_scene``, whose structures meet only across a row end or
+    a slice boundary, plain and under the component filter,
     ``uncertainty`` on folds and on sample directories, on folds with an
     in-tolerance -0.0005 in a late chunk, with heat maps on a 10x70x73
     crop of the folds, whose channels are not a whole number of statistics
@@ -141,6 +143,33 @@ def adversarial_scene():
     return MaskVolume(data, channels, Spacing(1.0, 0.7, 0.7))
 
 
+def wrap_edges_scene():
+    """A 4x8x9 scene whose structures meet only across a row end or a slice boundary.
+
+    Read as one flat run of voxels, with no gap between rows or slices,
+    tumor voxels sit next to vessel voxels: after the vein's last-column
+    voxels (slice 0) and before the artery's first-column ones; one row
+    above the vein's first row of slice 1 (on slice 0's last row), and one
+    row below the artery's last row of slice 1 (on slice 2's first row).
+    No vessel touches the tumor in the grid, so no contact is expected.
+    On slice 3 two vein pieces hold the pancreas, one on the first row,
+    one at the start of a row; the vein pieces just before them, on slice
+    2's last row and at the end of the row above, must survive the
+    component filter.
+    """
+    from vesselwrap.volume import ChannelId, MaskVolume, Spacing
+
+    p, a, v, t = np.zeros((4, 4, 8, 9), dtype=np.uint8)
+    v[0, 0:2, 8] = t[0, 1:3, 0] = 1
+    t[0, 4:6, 8] = a[0, 5:7, 0] = 1
+    t[0, 7, 2:5] = v[1, 0, 2:5] = 1
+    a[1, 7, 5:8] = t[2, 0, 5:8] = 1
+    v[2, 7, 6:9] = v[3, 0, 6:9] = p[3, 0, 7] = 1
+    v[3, 3, 8] = v[3, 4, 0] = p[3, 4, 0] = 1
+    channels = (ChannelId.PANCREAS, ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR)
+    return MaskVolume(np.stack([p, a, v, t]), channels, Spacing(1.0, 1.0, 1.0))
+
+
 def _phantom_inputs() -> list[tuple[str, str]]:
     from vesselwrap import cli, phantom
     from vesselwrap.volume import (
@@ -169,6 +198,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     write_volume(MaskVolume(adversarial.data[1:], adversarial.channels[1:], adversarial.spacing),
                  "ph/adversarial_no_pancreas.json")
     write_volume(encode_layered(adversarial), "ph/adversarial_layered.json")
+    write_volume(wrap_edges_scene(), "ph/wrap_edges.json")
     # 5x27x29 = 3915 voxels, not a multiple of 8: voxel scans end on a
     # partial word, and the channel grids of a stack start off word bounds
     odd = np.pad(adversarial.data[:, :, :27], ((0, 0), (0, 0), (0, 0), (0, 1)))
@@ -304,6 +334,10 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("assess-adversarial-odd-layered-critical-component-overlay",
          "assess ph/adversarial_odd_layered.json --critical --filter-mode component "
          "--overlay o/overlay -o o/assess.json"),
+        ("assess-wrap-edges-overlay", "assess ph/wrap_edges.json --overlay o/overlay -o o/assess.json"),
+        ("assess-wrap-edges-critical-component-overlay",
+         "assess ph/wrap_edges.json --critical --filter-mode component --overlay o/overlay "
+         "-o o/assess.json"),
         *((f"assess-{name}-overlay", f"assess ph/{name}.json --overlay o/overlay -o o/assess.json")
           for name in ("aniso_y", "aniso_y_layered", "aniso_x", "aniso_x_layered")),
         ("assess-layered-c4-minmax",
