@@ -122,24 +122,7 @@ class InvolvementReport:
     max_span_deg: float
     argmax_slice: int | None
     present: bool
-    table: ComponentTable = field(compare=False, repr=False)
-
-
-def dilate(grid: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Binary dilation of ``grid`` by a 3-long box along each of ``axes``.
-
-    Along every listed axis a cell is set when it or a neighbour is set;
-    cells beyond the edges count as unset. Axes ``(-2, -1)`` give the
-    in-plane 3x3 neighbourhood.
-    """
-    out = np.asarray(grid, dtype=bool)
-    for axis in axes:
-        src = np.moveaxis(out, axis, 0)
-        grown = src.copy()
-        grown[1:] |= src[:-1]
-        grown[:-1] |= src[1:]
-        out = np.moveaxis(grown, 0, axis)
-    return out
+    table: ComponentTable | None = field(compare=False, repr=False)  # None in a sweep
 
 
 def _padded(voxels: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:

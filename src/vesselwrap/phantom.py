@@ -20,6 +20,16 @@ Construction notes, because pixels are coarse at radius 8:
 
 Angles use the same atan2 convention as the involvement module, so oracle
 and measurement share one coordinate system.
+
+One slice loop and one channel fill build every scene: ``_scene_grids``
+fills (slices, H, W) bool grids of the vessel, the tumor and the rim band
+over ``slice_range``, drawing each slice's jitter in turn, and ``_stack``
+writes them and the pancreas disk into the six channels (uint8 for a wrap
+scene, float32 per fold with ``tumor + value * band``). ``_has_band``
+alone decides whether a band exists (``band_extra_deg > 0`` and
+``0 < wrap_span_deg < 360``), for the rasteriser and the truth alike; the
+widened arc stops at 360 deg. The confusion suite draws each case's three
+distinct scenes once, and its four cases share those immutable volumes.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .involvement import DpcgCategory, dilate, dpcg_classify
+from .involvement import DpcgCategory, dpcg_classify
 from .uncertainty import DEFAULT_KS, DEFAULT_THRESHOLD
 from .volume import ChannelId, MaskVolume, ProbVolume, Spacing, STANDARD_CHANNELS
 
@@ -105,6 +115,22 @@ def allowance_deg(radius_px: float) -> float:
     return math.degrees(math.asin(min(1.0, ANGULAR_ALLOWANCE_PX / radius_px)))
 
 
+def dilate(grid: np.ndarray) -> np.ndarray:
+    """In-plane 3x3 binary dilation of ``grid`` over its last two axes.
+
+    A cell is set when it or one of its 8 in-plane neighbours is set;
+    cells beyond the edges count as unset.
+    """
+    out = np.asarray(grid, dtype=bool)
+    for axis in (-2, -1):
+        src = np.moveaxis(out, axis, 0)
+        grown = src.copy()
+        grown[1:] |= src[:-1]
+        grown[:-1] |= src[1:]
+        out = np.moveaxis(grown, 0, axis)
+    return out
+
+
 def _sector_tumor(spec: PhantomSpec, vessel, radius, dist, span_deg: float) -> np.ndarray:
     """Annulus pixels that can only ever touch the allowed contact window."""
     if span_deg <= 0.0:
@@ -115,44 +141,52 @@ def _sector_tumor(spec: PhantomSpec, vessel, radius, dist, span_deg: float) -> n
     half = span_deg / 2.0 + allowance_deg(spec.vessel_radius_px)
     target = vessel & (dist <= half)
     forbidden = vessel & (dist > half)
-    return (
-        annulus
-        & dilate(target, (-2, -1))
-        & ~dilate(forbidden, (-2, -1))
-    )
+    return annulus & dilate(target) & ~dilate(forbidden)
 
 
-def _slice_center(spec: PhantomSpec, rng: np.random.Generator) -> tuple[float, float]:
-    if spec.axis_jitter_px <= 0.0:
-        return spec.vessel_center
-    j = rng.uniform(-spec.axis_jitter_px, spec.axis_jitter_px, size=2)
-    return (spec.vessel_center[0] + float(j[0]), spec.vessel_center[1] + float(j[1]))
+def _has_band(spec: PhantomSpec) -> bool:
+    """Whether the scene has a rim band: a widening of a wrap that is neither empty nor whole."""
+    return spec.band_extra_deg > 0.0 and 0.0 < spec.wrap_span_deg < 360.0
+
+
+def _widened_span(spec: PhantomSpec) -> float:
+    """The span of the tumor plus its rim band, capped at the whole rim."""
+    return min(spec.wrap_span_deg + 2.0 * spec.band_extra_deg, 360.0)
 
 
 def _scene_grids(spec: PhantomSpec):
-    """Per-slice boolean grids: lists of (vessel, tumor, band) plus pancreas."""
+    """Bool (slices, H, W) grids of the vessel, tumor and band over ``slice_range``,
+    plus the (H, W) pancreas disk; each slice draws its two jitter uniforms in turn."""
     z0, z1 = spec.slice_range
+    vessel, tumor, band = np.zeros((3, z1 - z0) + spec.dims[1:], dtype=bool)
     rng = np.random.default_rng(spec.jitter_seed)
-    slices = []
-    for _ in range(z0, z1):
-        center = _slice_center(spec, rng)
+    for i in range(z1 - z0):
+        center = spec.vessel_center
+        if spec.axis_jitter_px > 0.0:
+            j = rng.uniform(-spec.axis_jitter_px, spec.axis_jitter_px, size=2)
+            center = (center[0] + float(j[0]), center[1] + float(j[1]))
         radius, theta = _polar(spec.dims[1:], center)
-        vessel = radius <= spec.vessel_radius_px
+        vessel[i] = radius <= spec.vessel_radius_px
         dist = _wrap_distance(theta, spec.wrap_center_deg)
-        tumor = _sector_tumor(spec, vessel, radius, dist, spec.wrap_span_deg)
-        if spec.band_extra_deg > 0.0 and 0.0 < spec.wrap_span_deg < 360.0:
-            extended = _sector_tumor(
-                spec, vessel, radius, dist, spec.wrap_span_deg + 2.0 * spec.band_extra_deg
-            )
-            band = extended & ~tumor
-        else:
-            band = np.zeros_like(tumor)
-        slices.append((vessel, tumor, band))
+        tumor[i] = _sector_tumor(spec, vessel[i], radius, dist, spec.wrap_span_deg)
+        if _has_band(spec):
+            band[i] = _sector_tumor(spec, vessel[i], radius, dist, _widened_span(spec)) & ~tumor[i]
     pancreas = np.zeros(spec.dims[1:], dtype=bool)
     if spec.pancreas_center is not None and spec.pancreas_radius_px > 0:
         p_radius, _ = _polar(spec.dims[1:], spec.pancreas_center)
         pancreas = p_radius <= spec.pancreas_radius_px
-    return slices, pancreas
+    return vessel, tumor, band, pancreas
+
+
+def _stack(spec: PhantomSpec, dtype, vessel, tumor, pancreas) -> np.ndarray:
+    """The six-channel (C, Z, H, W) grid of ``dtype`` holding the scene's grids
+    on ``slice_range`` and zeros elsewhere."""
+    data = np.zeros((len(STANDARD_CHANNELS),) + spec.dims, dtype=dtype)
+    z = slice(*spec.slice_range)
+    for cid, grid in ((spec.vessel_channel, vessel), (ChannelId.TUMOR, tumor),
+                      (ChannelId.PANCREAS, pancreas)):
+        data[STANDARD_CHANNELS.index(cid), z] = grid
+    return data
 
 
 def _truth(spec: PhantomSpec, span: float) -> PhantomTruth:
@@ -169,17 +203,8 @@ def _truth(spec: PhantomSpec, span: float) -> PhantomTruth:
 
 def gen_wrap_scene(spec: PhantomSpec) -> tuple[MaskVolume, PhantomTruth]:
     """Rasterize a wrap scene; truth carries the analytic span."""
-    grids, pancreas = _scene_grids(spec)
-    data = np.zeros((len(STANDARD_CHANNELS),) + spec.dims, dtype=np.uint8)
-    vi = STANDARD_CHANNELS.index(spec.vessel_channel)
-    ti = STANDARD_CHANNELS.index(ChannelId.TUMOR)
-    pi = STANDARD_CHANNELS.index(ChannelId.PANCREAS)
-    z0, _ = spec.slice_range
-    for offset, (vessel, tumor, _) in enumerate(grids):
-        z = z0 + offset
-        data[vi, z] = vessel
-        data[ti, z] = tumor
-        data[pi, z] = pancreas
+    vessel, tumor, _, pancreas = _scene_grids(spec)
+    data = _stack(spec, np.uint8, vessel, tumor, pancreas)
     return MaskVolume(data, STANDARD_CHANNELS, spec.spacing), _truth(spec, spec.wrap_span_deg)
 
 
@@ -192,34 +217,23 @@ def gen_uncertainty_scene(
     per-fold band values. The expected span at each sigma step follows from
     whether clamp(mean + k*std, 0, 1) of the band values clears the
     sweep's DEFAULT_THRESHOLD: below it the scene involves the base span,
-    above it the band widens the arc by band_extra_deg per side.
+    above it the band widens the arc by band_extra_deg per side, up to the
+    whole rim. A scene without a band (see ``_has_band``) keeps its base
+    span at every k.
     """
-    grids, pancreas = _scene_grids(spec)
-    vi = STANDARD_CHANNELS.index(spec.vessel_channel)
-    ti = STANDARD_CHANNELS.index(ChannelId.TUMOR)
-    pi = STANDARD_CHANNELS.index(ChannelId.PANCREAS)
-    z0, _ = spec.slice_range
-
-    folds = []
-    for value in spec.band_values:
-        data = np.zeros((len(STANDARD_CHANNELS),) + spec.dims, dtype=np.float32)
-        for offset, (vessel, tumor, band) in enumerate(grids):
-            z = z0 + offset
-            data[vi, z] = vessel
-            data[ti, z] = tumor + float(value) * band
-            data[pi, z] = pancreas
-        folds.append(ProbVolume(data, STANDARD_CHANNELS, spec.spacing))
-
+    vessel, tumor, band, pancreas = _scene_grids(spec)
+    folds = [
+        ProbVolume(_stack(spec, np.float32, vessel, tumor + float(value) * band, pancreas),
+                   STANDARD_CHANNELS, spec.spacing)
+        for value in spec.band_values
+    ]
     values = np.asarray(spec.band_values, dtype=np.float64)
     mean = float(values.mean())
     std = float(values.std())
     truths = {}
     for k in ks:
-        band_on = spec.band_extra_deg > 0.0 and (
-            min(max(mean + k * std, 0.0), 1.0) >= DEFAULT_THRESHOLD
-        )
-        span = spec.wrap_span_deg + (2.0 * spec.band_extra_deg if band_on else 0.0)
-        truths[float(k)] = _truth(spec, span)
+        band_on = _has_band(spec) and min(max(mean + k * std, 0.0), 1.0) >= DEFAULT_THRESHOLD
+        truths[float(k)] = _truth(spec, _widened_span(spec) if band_on else spec.wrap_span_deg)
     return folds, truths
 
 
@@ -253,28 +267,11 @@ def gen_confusion_suite(seed: int = 0) -> list[ConfusionCase]:
             base, vessel_channel=vessel, vessel_radius_px=radius,
             wrap_span_deg=span, wrap_center_deg=angle, jitter_seed=seed + i,
         )
-        touching_elsewhere = replace(touching, wrap_center_deg=shifted)
-        empty = replace(touching, wrap_span_deg=0.0)
-
-        cases.append(
-            ConfusionCase(
-                f"tp_{i}", vessel,
-                gen_wrap_scene(touching_elsewhere)[0], gen_wrap_scene(touching)[0], "tp",
-            )
-        )
-        cases.append(
-            ConfusionCase(
-                f"fp_{i}", vessel, gen_wrap_scene(touching)[0], gen_wrap_scene(empty)[0], "fp"
-            )
-        )
-        cases.append(
-            ConfusionCase(
-                f"tn_{i}", vessel, gen_wrap_scene(empty)[0], gen_wrap_scene(empty)[0], "tn"
-            )
-        )
-        cases.append(
-            ConfusionCase(
-                f"fn_{i}", vessel, gen_wrap_scene(empty)[0], gen_wrap_scene(touching)[0], "fn"
-            )
-        )
+        # each distinct scene is drawn once; the cases share its immutable volume
+        scene = gen_wrap_scene(touching)[0]
+        elsewhere = gen_wrap_scene(replace(touching, wrap_center_deg=shifted))[0]
+        empty = gen_wrap_scene(replace(touching, wrap_span_deg=0.0))[0]
+        for cell, pred, gt in (("tp", elsewhere, scene), ("fp", scene, empty),
+                               ("tn", empty, empty), ("fn", empty, scene)):
+            cases.append(ConfusionCase(f"{cell}_{i}", vessel, pred, gt, cell))
     return cases

@@ -117,7 +117,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Generator, Sequence
 
 import numpy as np
@@ -339,34 +339,31 @@ def _level_grid(
 ):
     """Write into ``level`` how many of ``ks`` have a sigma mask holding each voxel.
 
+    The arrays are flat: one piece of one block, 1 to ``_BLOCK`` voxels.
     ``ks`` are distinct and descending, so the mask of ``ks[i]`` is
     ``level > i``. One dense pass tests the largest k; the others are
-    tested only at the voxels of each block that pass it, since the masks
-    are nested. A block whose std is all zero is held at every k exactly
-    where its mean reaches the threshold in float64, so it is set with one
-    comparison: a float32 mean reaches the threshold exactly where it
-    reaches the smallest float32 not below it. ``level`` is a flat zeroed
-    grid that can hold ``len(ks)``: unsigned, or bool for a single k.
+    tested only at the voxels that pass it, since the masks are nested. A
+    block whose std is all zero is held at every k exactly where its mean
+    reaches the threshold in float64, so it is set with one comparison: a
+    float32 mean reaches the threshold exactly where it reaches the
+    smallest float32 not below it. ``level`` is zeroed and can hold
+    ``len(ks)``: unsigned, or bool for a single k.
     """
-    mean, std = mean.reshape(-1), std.reshape(-1)
-    buf = np.empty(min(mean.size, _BLOCK))
-    # clamped into float32's range first, so the cast never overflows
-    at_least = np.float32(min(max(threshold, -_F32_MAX), _F32_MAX))
-    if float(at_least) < threshold:
-        at_least = np.nextafter(at_least, np.float32(np.inf))
-    for b in _blocks(mean.size):
-        if std[b.start] == 0.0 and not std[b].any():
-            level[b][mean[b] >= at_least] = len(ks)
-            continue
-        adjusted = _adjusted(std[b], mean[b], ks[0], buf[: b.stop - b.start])
-        hits = np.flatnonzero(adjusted >= threshold)
-        if hits.size == 0:
-            continue
-        out = level[b]
-        out[hits] = 1
-        s, m, inner = std[b][hits], mean[b][hits], buf[: hits.size]
-        for k in ks[1:]:
-            out[hits] += _adjusted(s, m, k, inner) >= threshold
+    if std[0] == 0.0 and not std.any():
+        # clamped into float32's range first, so the cast never overflows
+        at_least = np.float32(min(max(threshold, -_F32_MAX), _F32_MAX))
+        if float(at_least) < threshold:
+            at_least = np.nextafter(at_least, np.float32(np.inf))
+        level[mean >= at_least] = len(ks)
+        return
+    adjusted = _adjusted(std, mean, ks[0], np.empty(mean.size))
+    hits = np.flatnonzero(adjusted >= threshold)
+    if hits.size == 0:
+        return
+    level[hits] = 1
+    s, m, inner = std[hits], mean[hits], adjusted[: hits.size]
+    for k in ks[1:]:
+        level[hits] += _adjusted(s, m, k, inner) >= threshold
 
 
 def _finite(ks: Sequence[float]) -> list[float]:
@@ -431,10 +428,12 @@ def uncertainty_sweep(
 
     Only the graded channels (tumor, artery and vein) are masked, each from
     one level grid (see ``_level_grid``) that the stream's blocks fill as
-    they pass; the pass runs to its end, whatever the ks. Raises
-    ValueError for a non-finite k, before the pass, and MissingChannelError
-    (via the involvement module) when the field lacks the tumor, artery or
-    vein channel, after it.
+    they pass; the pass runs to its end, whatever the ks. The reports carry
+    no component table (``table`` is None): nothing paints a sweep, and the
+    tables would hold every k's contact voxels at once. Raises ValueError
+    for a non-finite k, before the pass, and MissingChannelError (via the
+    involvement module) when the field lacks the tumor, artery or vein
+    channel, after it.
     """
     ks = _finite(ks)
     distinct = sorted(set(ks), reverse=True)
@@ -444,8 +443,9 @@ def uncertainty_sweep(
     levels = np.zeros((len(graded), *f.dims), np.min_scalar_type(len(distinct)))
     _fill_levels(f, graded, levels, distinct, threshold)
 
-    def masks(k):
-        return MaskVolume(levels > rank[k], graded, f.spacing)
+    def entry(k):  # one k's masks and component tables alive at a time
+        masks = MaskVolume(levels > rank[k], graded, f.spacing)
+        reports, category = assess_scan(masks, connectivity, span_method)
+        return SweepEntry(k, {c: replace(r, table=None) for c, r in reports.items()}, category)
 
-    # one k's masks alive at a time
-    return [SweepEntry(k, *assess_scan(masks(k), connectivity, span_method)) for k in ks]
+    return [entry(k) for k in ks]

@@ -1344,6 +1344,24 @@ class TestPhantomCmd:
         assert truth["per_k"]["2"]["max_span_deg"] == 120.0
         assert (out / "fold2.json").exists()
 
+    @pytest.mark.parametrize("span, spans_by_k", [
+        ("0", [0.0, 0.0, 0.0, 0.0]),
+        ("350", [350.0, 350.0, 350.0, 360.0]),
+        ("360", [360.0, 360.0, 360.0, 360.0]),
+    ])
+    def test_uncertainty_scene_truth_matches_sweep(self, tmp_path, span, spans_by_k):
+        # a band exists only for 0 < span < 360, and the widened arc stops at the whole rim
+        out = tmp_path / "u"
+        assert run("phantom", "uncertainty", "--out", out, "--span", span) == 0
+        truth = json.loads((out / "truth.json").read_text())["per_k"]
+        assert [truth[k]["max_span_deg"] for k in ("-1", "0", "1", "2")] == spans_by_k
+        folds = [a for i in range(3) for a in ("--fold", out / f"fold{i}.json")]
+        assert run("uncertainty", *folds, "--out", tmp_path / "s") == 0
+        sweep = json.loads((tmp_path / "s" / "uncertainty.json").read_text())["sweep"]
+        assert [e["dpcg_category"] for e in sweep] == [
+            truth[f"{e['k']:g}"]["dpcg_category"] for e in sweep
+        ]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("--version")

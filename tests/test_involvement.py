@@ -14,7 +14,6 @@ from vesselwrap.involvement import (
     DpcgCategory,
     assess_scan,
     component_table,
-    dilate,
     dpcg_bucket,
     dpcg_classify,
     filter_critical_volume,
@@ -22,7 +21,7 @@ from vesselwrap.involvement import (
     label_components,
     scan_involvement,
 )
-from vesselwrap.phantom import PhantomSpec, gen_wrap_scene
+from vesselwrap.phantom import PhantomSpec, dilate, gen_wrap_scene
 from vesselwrap.volume import ChannelId, MaskVolume, MissingChannelError, Spacing, set_voxels
 from conftest import (
     _pixel_angles,
@@ -152,9 +151,8 @@ def assert_labels_match_ndimage(grid):
         want, want_n = ndimage.label(grid, structure=structure)
         assert n == want_n, connectivity
         assert labels.dtype == want.dtype and np.array_equal(labels, want), connectivity
-    for axes, box in (((-2, -1), (1, 3, 3)), ((0, 1, 2), (3, 3, 3))):
-        structure = np.ones(box, dtype=bool)
-        assert np.array_equal(dilate(grid, axes), ndimage.binary_dilation(grid, structure=structure))
+    structure = np.ones((1, 3, 3), dtype=bool)
+    assert np.array_equal(dilate(grid), ndimage.binary_dilation(grid, structure=structure))
 
 
 def _stacked_runs():

@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from vesselwrap.involvement import DpcgCategory, scan_involvement
@@ -138,3 +141,49 @@ class TestUncertaintyScene:
         wide = sigma_level_mask(fold_mean_std(folds), 2.0)
         rep = scan_involvement(wide, ChannelId.VEIN)
         assert rep.max_span_deg == pytest.approx(120.0, abs=10.0)
+
+
+def digest(*volumes) -> str:
+    h = hashlib.sha256()
+    for vol in volumes:
+        h.update(vol.data.tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenBytes:
+    """The phantom's volumes are pinned to the bytes of one recorded version.
+
+    A change to any scene's geometry, jitter draws or channel fill changes
+    these digests; one that does so on purpose must update them and say so.
+    """
+
+    @pytest.mark.parametrize("spec, want", [
+        (PhantomSpec(), "b87289efaca525e5f5081aff5805c6e6c23eeac310abbd1964d6d991dd088d77"),
+        (PhantomSpec(vessel_channel=ChannelId.ARTERY, wrap_span_deg=300.0, wrap_center_deg=10.0,
+                     vessel_radius_px=12.0, pancreas_center=(64.0, 74.0), pancreas_radius_px=4.0,
+                     axis_jitter_px=0.0),
+         "89b3b2408fe8184bb964d46da43c748824f6f9e880c8e8235040d6a362b36d8c"),
+        (PhantomSpec(slice_range=(4, 4)),
+         "ca02793076b8845454d3cc4d949bda5bc49fe16d063e310331f86318ed644ba7"),
+    ], ids=["default", "artery-pancreas-no-jitter", "empty-slice-range"])
+    def test_wrap_scene(self, spec, want):
+        scene, _ = gen_wrap_scene(spec)
+        assert scene.data.dtype == np.uint8 and scene.data.shape == (6, 10, 128, 128)
+        assert digest(scene) == want
+
+    def test_uncertainty_folds(self):
+        folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0, jitter_seed=2))
+        assert [f.data.dtype for f in folds] == [np.float32] * 3
+        assert [digest(f) for f in folds] == [
+            "c7e545b6c6ce750fbb751ad058d8fd6b9bbe09c6b225d2a578743988fcd4bb2b",
+            "fab7a3d7cd0afe5e64883133f4ec786845dc77697e1d078948c7cfd81652bebb",
+            "51f42fef114394559ac61d90518d1863f025ea4e9967e1ec3a54a83a5168b974",
+        ]
+
+    def test_confusion_suite(self):
+        # every pred, then its gt, case by case
+        suite = gen_confusion_suite(3)
+        assert [(c.name, c.expected) for c in suite[:4]] == [
+            ("tp_0", "tp"), ("fp_0", "fp"), ("tn_0", "tn"), ("fn_0", "fn")]
+        assert digest(*(v for c in suite for v in (c.pred, c.gt))) == (
+            "5c342e1b2adcd8868128c6256511928fa9a7f7a8e103101c3264f496cd342c2c")

@@ -39,8 +39,11 @@ writes the same tree. Groups:
     blocks, and at threshold 0.7 with heat maps on folds that agree except
     at scattered voxels and in one block where they differ only in the
     sign of zero, with tumor voxels at float32(0.7) and the float32 above
-    it, twelve ``evaluate`` manifests and flag sets, ``loss`` with and
-    without ``--gradcheck`` and the error paths, among them a voxel
+    it, ``phantom uncertainty`` at ``--span 0`` (no tumor, so no band)
+    and ``--span 350`` (the widened arc capped at 360 deg), each followed
+    by ``uncertainty`` over the three folds it writes, twelve
+    ``evaluate`` manifests and flag sets, ``loss`` with and without
+    ``--gradcheck`` and the error paths, among them a voxel
     outside {0, 1} in a channel ``assess`` does not keep and in one it
     keeps, a layered label 9, a fold with a NaN in a late chunk and one
     with a NaN in its last voxel, the late NaN followed by a garbled
@@ -295,6 +298,12 @@ def _phantom_inputs() -> list[tuple[str, str]]:
             write_volume(ProbVolume(noisy.astype(np.float32), fold.channels, fold.spacing),
                          f"ph/samples{i}/s{j}.json")
     write_volume(folds[0], "ph/one_sample/s0.json")
+    # the folds of `phantom uncertainty --span S` (empty, and a wrap whose band
+    # reaches the whole rim); no ks, so no truth is drawn up
+    for span in (0, 350):
+        spec = phantom.PhantomSpec(wrap_span_deg=float(span), band_extra_deg=25.0)
+        for i, fold in enumerate(phantom.gen_uncertainty_scene(spec, ())[0]):
+            write_volume(fold, f"ph/span{span}/fold{i}.json")
 
     gen = np.random.default_rng(6)
     loss_gt = gen.integers(0, 2, size=(6, 2, 8, 8)).astype(np.uint8)
@@ -303,6 +312,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     write_volume(ProbVolume(loss_pred, scene.channels, scene.spacing), "ph/loss_pred.json")
 
     folds = "--fold ph/unc/fold0.json --fold ph/unc/fold1.json --fold ph/unc/fold2.json"
+    span_folds = {span: " ".join(f"--fold ph/span{span}/fold{i}.json" for i in range(3))
+                  for span in (0, 350)}
     suite_m = "ph/suite/manifest.jsonl"
     return [
         ("version", "--version"),
@@ -311,6 +322,10 @@ def _phantom_inputs() -> list[tuple[str, str]]:
          "phantom wrap --out o --channel artery --span 300 --center-deg 10 --radius 12 --seed 2"),
         ("phantom-wrap-narrow", "phantom wrap --out o --span 45 --seed 5"),
         ("phantom-uncertainty", "phantom uncertainty --out o --seed 1"),
+        ("phantom-uncertainty-span0", "phantom uncertainty --out o --span 0"),
+        ("uncertainty-phantom-span0", f"uncertainty {span_folds[0]} --out o/u"),
+        ("phantom-uncertainty-span350", "phantom uncertainty --out o --span 350"),
+        ("uncertainty-phantom-span350", f"uncertainty {span_folds[350]} --out o/u"),
         ("phantom-confusion", "phantom confusion --out o --seed 4"),
         ("assess-plain", "assess ph/scene.json"),
         ("assess-overlay", "assess ph/scene.json --overlay o/overlay -o o/assess.json"),
