@@ -93,13 +93,16 @@ def _emit(doc: dict, output: str | None) -> None:
 
 
 def _load_mask(path, channels=None) -> MaskVolume:
-    """A mask volume, decoded from layered labels if need be; ``channels`` as in read_volume."""
+    """A mask volume, decoded from layered labels if need be; ``channels`` as in read_volume.
+
+    A probability volume is rejected from its header, before any voxel is read.
+    """
+    if open_payload(path).dtype == "f32":
+        raise CliError(f"{path}: expected a mask or layered-label volume, got probabilities", EXIT_INPUT)
     vol = read_volume(path, channels)
     if isinstance(vol, LayeredLabelVolume):
         return decode_layered(vol, STANDARD_CHANNELS if channels is None else channels)
-    if isinstance(vol, MaskVolume):
-        return vol
-    raise CliError(f"{path}: expected a mask or layered-label volume, got probabilities", EXIT_INPUT)
+    return vol
 
 
 def _report_dict(report: InvolvementReport) -> dict:
@@ -352,16 +355,15 @@ def _heat_maps(out: Path, stream: unc.FieldStream, directory: Path, scan_id: str
     successful sweep has graded tumor, artery and vein, so all three are there.
     """
     grid = math.prod(stream.dims)
-    for cid in (ChannelId.TUMOR, ChannelId.ARTERY, ChannelId.VEIN):
+    for cid in GRADED_CHANNELS:
         offset = stream.channels.index(cid) * grid * 4
         mean, std = (np.fromfile(out / f"{n}.raw", "<f4", grid, offset=offset).reshape(stream.dims)
                      for n in ("mean", "std"))
-        name = cid.name.lower()
         for z in range(stream.dims[0]):
             if float(std[z].max()) < overlay.HEAT_CLIP:
                 continue
             rgb = overlay.heatmap_overlay(mean[z], std[z])
-            overlay.write_ppm(directory / f"{scan_id}_{name}_z{z:03d}.ppm", rgb)
+            overlay.write_ppm(directory / f"{scan_id}_{CHANNEL_NAMES[cid]}_z{z:03d}.ppm", rgb)
 
 
 def cmd_uncertainty(args) -> int:
@@ -433,7 +435,7 @@ def cmd_phantom(args) -> int:
                     }
                 )
             )
-            expected[case.name] = {"vessel": case.vessel.name.lower(), "cell": case.expected}
+            expected[case.name] = {"vessel": CHANNEL_NAMES[case.vessel], "cell": case.expected}
         write_outputs(volumes, {out / "manifest.jsonl": "\n".join(manifest_lines) + "\n",
                                 out / "expected.json": _document({"expected": expected})})
         return EXIT_OK

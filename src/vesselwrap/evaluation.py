@@ -142,7 +142,7 @@ def evaluate_scan(
         if gt.has_channel(cid):
             if pred.dims != gt.dims:
                 raise ValueError(f"geometry mismatch: {pred.dims} vs {gt.dims}")
-            dice_by_channel[cid.name.lower()] = voxel_dice(pred.voxels(cid), gt.voxels(cid))
+            dice_by_channel[CHANNEL_NAMES[cid]] = voxel_dice(pred.voxels(cid), gt.voxels(cid))
     for cid, key in ((ChannelId.ARTERY, "artery_overlap"), (ChannelId.VEIN, "vein_overlap")):
         if (
             pred.has_channel(ChannelId.TUMOR)

@@ -79,11 +79,7 @@ class DpcgCategory(IntEnum):
 
     @property
     def label(self) -> str:
-        return {
-            DpcgCategory.RESECTABLE: "resectable",
-            DpcgCategory.BORDERLINE_RESECTABLE: "borderline_resectable",
-            DpcgCategory.IRRESECTABLE: "irresectable",
-        }[self]
+        return self.name.lower()
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import ChannelId, MissingChannelError, STANDARD_CHANNELS
+from .volume import CHANNEL_NAMES, ChannelId, MissingChannelError, STANDARD_CHANNELS
 
 CLAMP_EPS = 1e-7
 DICE_SMOOTH = 1e-5
@@ -124,7 +124,7 @@ def _tav_indices(channels) -> tuple[int, int, int]:
     idx = []
     for cid in (ChannelId.TUMOR, ChannelId.ARTERY, ChannelId.VEIN):
         if cid not in channels:
-            raise MissingChannelError(f"loss needs the {cid.name.lower()} channel")
+            raise MissingChannelError(f"loss needs the {CHANNEL_NAMES[cid]} channel")
         idx.append(channels.index(cid))
     return tuple(idx)
 

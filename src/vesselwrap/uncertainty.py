@@ -56,11 +56,13 @@ top of the float64 stage. So the shortcut pays only where members agree
 exactly over whole blocks (``tools/fold_agreement.py`` counts them).
 
 A fold or sample is an in-memory ``ProbVolume`` or a probability payload
-on disk (``volume.Payload``). A payload is read straight into the
-statistics, one ``PROB_CHUNK`` of voxels at a time (``prob_chunks``), and
-its file is open only during its own pass, so no fold is held whole. An
-in-memory volume is cut into the same chunks, and the blocks run inside
-each chunk, so both kinds feed one loop. The chunked read keeps the
+on disk (``volume.Payload``). Every member of a field is read in one
+lockstep pass (``_member_blocks``): a payload straight into the
+statistics, one ``PROB_CHUNK`` of voxels at a time (``prob_chunks``),
+and an in-memory volume cut into the same chunks, so both kinds feed one
+loop and no member is held whole. Every payload of the field is open
+for the whole pass, with one 1 MiB read buffer each: F files for F
+folds, and F x S for F folds of S samples. The chunked read keeps the
 outputs byte-identical to reading each payload whole and then streaming:
 
 * the clip into [0, 1] is elementwise, so clipping a chunk gives the
@@ -70,11 +72,12 @@ outputs byte-identical to reading each payload whole and then streaming:
   since min and max are associative and a NaN propagates through both;
   so a payload is rejected exactly when a whole read rejects it, after
   its last chunk, with the same min and max in the message (a zero
-  bound prints as 0.0, whichever zero the reduction kept). A member
-  raises at the end of its pass, after its last block has been handed
-  on: a consumer that writes blocks out keeps them out of sight until
-  the pass has ended (the CLI writes temporary files and renames them
-  only after the sweep has graded every k).
+  bound prints as 0.0, whichever zero the reduction kept). The pass
+  raises for the first rejected member, in member order, only after
+  its last block has been handed on: a consumer that writes blocks out
+  keeps them out of sight until the pass has ended (the CLI writes
+  temporary files and renames them only after the sweep has graded
+  every k).
 
 A sweep masks only tumor, artery and vein, the channels the grade reads,
 and builds every k's mask from one level grid per channel. The masks are
@@ -105,17 +108,21 @@ from the blocks, splitting a block where it crosses a channel boundary;
 the CLI also appends them to its payload files. So no consumer holds a
 whole mean or std.
 
-Sample sets keep each fold's mean and aleatoric std in memory, as plain
-float32 arrays. The last stage streams: per block, the mean and std of
-the fold means and the mean of the aleatoric stds, and their sum capped
-at 1 as a float32 add. Both operands are float32 in [0, 1], and a
-float64 sum rounded to float32 equals one float32 rounding of the exact
-sum (53 >= 2 * 24 + 2), so it matches a float64 sum bit for bit.
+Sample sets take that one pass over every sample of every fold. Per
+block, each fold's mean and aleatoric std are taken over its samples,
+then the mean and std of the fold means and the mean of the aleatoric
+stds, and their sum capped at 1 as a float32 add. These are the
+operations of three whole-volume statistics, block by block, so no
+fold's mean or std is held whole. Both operands of the sum are float32
+in [0, 1], and a float64 sum rounded to float32 equals one float32
+rounding of the exact sum (53 >= 2 * 24 + 2), so it matches a float64
+sum bit for bit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Generator, Sequence
@@ -186,39 +193,33 @@ _BLOCK = 1 << 15
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-def _blocks(size: int):
-    for lo in range(0, size, _BLOCK):
-        yield slice(lo, min(lo + _BLOCK, size))
-
-
-def _chunks(member: Member | np.ndarray):
+def _chunks(member: Member):
     """A member's voxels in order, ``PROB_CHUNK`` at a time.
 
-    Views of an in-memory volume or array, or a payload read chunk by
-    chunk (``prob_chunks``).
+    Views of an in-memory volume, or a payload read chunk by chunk
+    (``prob_chunks``).
     """
     if isinstance(member, Payload):
         return prob_chunks(member)
-    flat = (member.data if isinstance(member, ProbVolume) else member).reshape(-1)
+    flat = member.data.reshape(-1)
     return (flat[lo:lo + PROB_CHUNK] for lo in range(0, flat.size, PROB_CHUNK))
 
 
-def _mean_std(volumes: Sequence[Member | np.ndarray]) -> Blocks:
-    """Float32 mean and population std across volumes, block by block.
+def _member_blocks(members: Sequence[Member]) -> Generator[list[np.ndarray], None, None]:
+    """Every member's block of each run of at most ``_BLOCK`` voxels, in lockstep.
 
-    Each volume is an in-memory volume, a float32 array or a probability
-    payload, all of one voxel count (the callers check geometry). A
-    payload is read once, a chunk at a time, and its file is open only
-    during this pass. A payload's range check runs after its last chunk,
-    in member order, before the pass ends.
-
-    Neither result is clipped: both already lie in [0, 1] (see the module
-    docstring). Both sums start at +0.0, because a clip keeps -0.0, and a
-    voxel that is -0.0 in every fold must still give +0.0.
+    The members share one voxel count (the callers check geometry). Each
+    is read once, through ``_chunks``; a block is a view that the next
+    chunk may overwrite. Every payload is open for the whole pass, and
+    each one's range check runs after the last block, in member order.
     """
-    if len(volumes) == 0:
-        raise ValueError("need at least one volume, got an empty sequence")
-    return _mean_std_blocks(volumes)
+    with contextlib.ExitStack() as opened:
+        readers = [opened.enter_context(contextlib.closing(_chunks(m))) for m in members]
+        for parts in zip(*readers):
+            for lo in range(0, parts[0].size, _BLOCK):
+                yield [part[lo:lo + _BLOCK] for part in parts]
+        for r in readers:
+            next(r, None)  # runs a payload's range check
 
 
 def _agree(blocks: list[np.ndarray], equal: np.ndarray) -> bool:
@@ -232,51 +233,45 @@ def _agree(blocks: list[np.ndarray], equal: np.ndarray) -> bool:
             and all(np.equal(x, first, out=equal).all() for x in blocks[1:]))
 
 
-def _mean_std_blocks(volumes) -> Blocks:
-    n = len(volumes)
-    up, acc, sq = [np.empty(_BLOCK) for _ in volumes], np.empty(_BLOCK), np.empty(_BLOCK)
+def _statistic(n: int):
+    """The float32 mean and population std of ``n`` members' blocks, as a function of them.
+
+    The function takes one block of each member, all of one size, and
+    returns the mean and std in its own buffers, which its next call
+    overwrites. Neither result is clipped: both already lie in [0, 1]
+    (see the module docstring). Both sums start at +0.0, because a clip
+    keeps -0.0, and a voxel that is -0.0 in every member must still give
+    +0.0.
+    """
+    up, acc, sq = [np.empty(_BLOCK) for _ in range(n)], np.empty(_BLOCK), np.empty(_BLOCK)
     mean, std = np.empty(_BLOCK, np.float32), np.empty(_BLOCK, np.float32)
     equal = np.empty(_BLOCK, bool)
-    with contextlib.ExitStack() as opened:
-        readers = [opened.enter_context(contextlib.closing(_chunks(v))) for v in volumes]
-        for parts in zip(*readers):
-            for b in _blocks(parts[0].size):
-                k = b.stop - b.start
-                blocks = [part[b] for part in parts]
-                if _agree(blocks, equal[:k]):
-                    # the shared value, -0.0 made +0.0 as a sum from +0.0 makes it
-                    np.add(blocks[0], np.float32(0.0), out=mean[:k])
-                    std[:k].fill(0.0)
-                    yield mean[:k], std[:k]
-                    continue
-                xs, m, s = [x[:k] for x in up], acc[:k], sq[:k]
-                for x, block in zip(xs, blocks):
-                    x[...] = block  # exact float32 -> float64 upcast
-                m.fill(0.0)
-                for x in xs:
-                    m += x
-                m /= n
-                s.fill(0.0)
-                for x in xs:
-                    x -= m
-                    x *= x
-                    s += x
-                s /= n
-                np.copyto(mean[:k], m, casting="same_kind")
-                np.sqrt(s, out=std[:k], casting="same_kind")
-                yield mean[:k], std[:k]
-        for r in readers:
-            next(r, None)  # runs a payload's range check
 
+    def statistic(blocks: list[np.ndarray]) -> Block:
+        k = blocks[0].size
+        if _agree(blocks, equal[:k]):
+            # the shared value, -0.0 made +0.0 as a sum from +0.0 makes it
+            np.add(blocks[0], np.float32(0.0), out=mean[:k])
+            std[:k].fill(0.0)
+            return mean[:k], std[:k]
+        xs, m, s = [x[:k] for x in up], acc[:k], sq[:k]
+        for x, block in zip(xs, blocks):
+            x[...] = block  # exact float32 -> float64 upcast
+        m.fill(0.0)
+        for x in xs:
+            m += x
+        m /= n
+        s.fill(0.0)
+        for x in xs:
+            x -= m
+            x *= x
+            s += x
+        s /= n
+        np.copyto(mean[:k], m, casting="same_kind")
+        np.sqrt(s, out=std[:k], casting="same_kind")
+        return mean[:k], std[:k]
 
-def _collect(blocks: Blocks, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of a pass, copied into a flat float32 mean and std of ``size`` voxels."""
-    mean, std = np.empty(size, np.float32), np.empty(size, np.float32)
-    pos = 0
-    for m, s in blocks:
-        mean[pos:pos + m.size], std[pos:pos + s.size] = m, s
-        pos += m.size
-    return mean, std
+    return statistic
 
 
 def fold_mean_std(folds: Sequence[Member]) -> FieldStream:
@@ -290,19 +285,26 @@ def fold_mean_std(folds: Sequence[Member]) -> FieldStream:
         raise ValueError(f"need at least 2 folds for a std, got {len(folds)}")
     _check_same_geometry(folds)
     like = folds[0]
-    return FieldStream(like.channels, like.dims, like.spacing, "epistemic", _mean_std(folds))
+    return FieldStream(like.channels, like.dims, like.spacing, "epistemic", _fold_blocks(folds))
+
+
+def _fold_blocks(folds: list[Member]) -> Blocks:
+    statistic = _statistic(len(folds))
+    with contextlib.closing(_member_blocks(folds)) as blocks:
+        for block in blocks:
+            yield statistic(block)
 
 
 def sample_mean_std(folds: Sequence[SampleSet]) -> FieldStream:
     """The mean prediction with the summed (aleatoric + epistemic) std, as one pass.
 
     The folds' geometry and sample counts are checked here. When the
-    blocks are read, each fold's samples are first streamed once, for
-    that fold's mean and its aleatoric std, kept as float32 arrays; a
-    fold's sample payloads are open only during that fold's pass. The
-    blocks then stream the mean prediction and the epistemic std from the
-    fold means, and the aleatoric part, the fold mean of the aleatoric
-    stds, which for a single fold is that fold's std alone.
+    blocks are read, every sample of every fold is streamed once, in one
+    pass, so every sample payload is open for it. Per block, each fold's
+    mean and aleatoric std come from its samples; the block then holds
+    the mean prediction and the epistemic std from the fold means, and
+    the aleatoric part, the fold mean of the aleatoric stds, which for a
+    single fold is that fold's std alone.
     """
     folds = list(folds)
     _check_same_geometry([f.samples[0] for f in folds])
@@ -314,16 +316,18 @@ def sample_mean_std(folds: Sequence[SampleSet]) -> FieldStream:
 
 
 def _total_blocks(folds: list[SampleSet]) -> Blocks:
-    like = folds[0].samples[0]
-    size = len(like.channels) * math.prod(like.dims)
-    per_fold = [_collect(_mean_std(f.samples), size) for f in folds]
-    means = _mean_std([m for m, _ in per_fold])
-    aleatoric = _mean_std([s for _, s in per_fold])
-    for (mean, epistemic), (total, _) in zip(means, aleatoric, strict=True):
-        if len(folds) >= 2:  # in place: the pass overwrites its block next anyway
-            np.add(total, epistemic, out=total)
-            np.minimum(total, 1.0, out=total)
-        yield mean, total
+    starts = itertools.accumulate((len(f) for f in folds), initial=0)
+    per_fold = [(_statistic(len(f)), slice(lo, lo + len(f))) for f, lo in zip(folds, starts)]
+    means, aleatoric = _statistic(len(folds)), _statistic(len(folds))
+    with contextlib.closing(_member_blocks([s for f in folds for s in f.samples])) as blocks:
+        for block in blocks:
+            fold_stats = [statistic(block[samples]) for statistic, samples in per_fold]
+            mean, epistemic = means([m for m, _ in fold_stats])
+            total, _ = aleatoric([s for _, s in fold_stats])
+            if len(folds) >= 2:  # in place: the next call overwrites the block anyway
+                np.add(total, epistemic, out=total)
+                np.minimum(total, 1.0, out=total)
+            yield mean, total
 
 
 def _adjusted(std: np.ndarray, mean: np.ndarray, k: float, out: np.ndarray) -> np.ndarray:

@@ -108,16 +108,8 @@ class ChannelId(IntEnum):
     TUMOR_VEIN = 7
 
 
-CHANNEL_NAMES = {
-    ChannelId.PANCREAS: "pancreas",
-    ChannelId.COMMON_BILE_DUCT: "common_bile_duct",
-    ChannelId.PANCREATIC_DUCT: "pancreatic_duct",
-    ChannelId.ARTERY: "artery",
-    ChannelId.VEIN: "vein",
-    ChannelId.TUMOR: "tumor",
-    ChannelId.TUMOR_ARTERY: "tumor_artery",
-    ChannelId.TUMOR_VEIN: "tumor_vein",
-}
+# The names headers and documents use: renaming a member renames its channel in every file.
+CHANNEL_NAMES = {cid: cid.name.lower() for cid in ChannelId}
 NAME_TO_CHANNEL = {name: cid for cid, name in CHANNEL_NAMES.items()}
 
 STANDARD_CHANNELS = (

@@ -391,6 +391,32 @@ class TestInputBoundary:
         assert [f.split(":")[0] for f in doc["failures"]] == ["dir"]
         assert captured.err.startswith("error: dir: ") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("nan", [False, True], ids=["clean", "nan"])
+    def test_probabilities_rejected_before_any_voxel(self, tmp_path, capsys, monkeypatch, nan):
+        """assess and evaluate reject a fold from its header and read no payload of it."""
+        folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))
+        fold = tmp_path / "fold.json"
+        write_volume(folds[0], fold)
+        if nan:
+            payload = np.fromfile(tmp_path / "fold.raw", dtype="<f4")
+            payload[-1] = np.nan
+            payload.tofile(tmp_path / "fold.raw")
+        write_scene(tmp_path)
+        reads = []
+        monkeypatch.setattr(volume, "prob_chunks", lambda *a: reads.append(a) or iter(()))
+        message = f"{fold}: expected a mask or layered-label volume, got probabilities"
+        assert run("assess", fold) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = write_manifest(tmp_path, [
+            {"scan_id": "fold", "prediction": "fold.json", "ground_truth": "scene.json"},
+            {"scan_id": "ok", "prediction": "scene.json", "ground_truth": "scene.json"},
+        ])
+        assert run("evaluate", manifest) == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failures"] == [f"fold: {message}"]
+        assert captured.err == f"error: fold: {message}\n"
+        assert reads == []
+
     def test_nan_probability_exit_2(self, tmp_path, capsys):
         header = _tav_header(dims=[1, 2, 2], dtype="f32", channels=["tumor"])
         (tmp_path / "f.json").write_text(json.dumps(header))
@@ -1090,11 +1116,13 @@ class TestUncertaintyStreaming:
         assert sorted(p.name for p in tmp_path.iterdir() if not p.name.startswith("fold")) == ["file"]
 
     @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
-    def test_samples_of_one_fold_open_at_a_time(self, tmp_path, capsys, monkeypatch):
-        """Each sample directory's payloads are open during its own pass only.
+    def test_every_sample_open_for_one_pass(self, tmp_path, capsys, monkeypatch):
+        """Every sample payload of every fold is opened once, all for one pass.
 
-        The second fold's last sample holds a NaN, so the run stops after
-        that fold's pass, with nothing left open and the third fold unread.
+        The second fold's last sample holds a NaN in its last voxel, so the
+        range check that rejects it runs after the pass has read every
+        sample. The run names that sample's header, leaves nothing open and
+        writes no --out.
         """
         folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))
         for i, fold in enumerate(folds):
@@ -1108,17 +1136,19 @@ class TestUncertaintyStreaming:
 
         def spy(file, *args, **kwargs):
             if str(file).endswith(".raw"):
-                held = {Path(p).parent for p in open_payloads(tmp_path)}
-                assert held <= {Path(file).parent}, (file, held)
-                opened.append(Path(file).parent.name)
+                # every payload opened before this one is still open
+                assert len(open_payloads(tmp_path)) == len(opened), (file, opened)
+                opened.append(Path(file).relative_to(tmp_path))
             return open(file, *args, **kwargs)
 
         monkeypatch.setattr(volume, "open", spy, raising=False)
         assert run("uncertainty", *(f"--fold={tmp_path / f'fold{i}'}" for i in range(3)),
                    "--out", tmp_path / "o") == 2
-        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'fold1' / 's2.json'}: ")
-        assert opened == ["fold0"] * 3 + ["fold1"] * 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'fold1' / 's2.json'}: ") and len(err.splitlines()) == 1
+        assert opened == [Path(f"fold{i}") / f"s{j}.raw" for i in range(3) for j in range(3)]
         assert open_payloads(tmp_path) == []
+        assert not (tmp_path / "o").exists()
 
 
 class TestPutInPlace:

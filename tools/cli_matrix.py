@@ -31,29 +31,31 @@ writes the same tree. Groups:
     component filter, a 5x27x29 crop of it (cut to 27 rows, one empty
     column added, so the voxel count is not a multiple of 8) as a mask
     volume and as layered labels under the component filter, the
-    ``wrap_edges_scene``, whose structures meet only across a row end or
-    a slice boundary, plain and under the component filter,
-    ``uncertainty`` on folds and on sample directories, on folds with an
+    ``wrap_edges_scene``, whose structures meet only across a row end or a
+    slice boundary, plain and under the component filter, ``uncertainty``
+    on folds and on sample directories, among them two directories of 2
+    and 3 samples, each sample several read chunks long, plain and with a
+    NaN in the last voxel of the last sample, on folds with an
     in-tolerance -0.0005 in a late chunk, with heat maps on a 10x70x73
     crop of the folds, whose channels are not a whole number of statistics
     blocks, and at threshold 0.7 with heat maps on folds that agree except
     at scattered voxels and in one block where they differ only in the
     sign of zero, with tumor voxels at float32(0.7) and the float32 above
-    it, ``phantom uncertainty`` at ``--span 0`` (no tumor, so no band)
-    and ``--span 350`` (the widened arc capped at 360 deg), each followed
-    by ``uncertainty`` over the three folds it writes, twelve
-    ``evaluate`` manifests and flag sets, ``loss`` with and without
-    ``--gradcheck`` and the error paths, among them a voxel
-    outside {0, 1} in a channel ``assess`` does not keep and in one it
-    keeps, a layered label 9, a fold with a NaN in a late chunk and one
-    with a NaN in its last voxel, the late NaN followed by a garbled
-    header (the header is reported), a fold payload 4 bytes short, a mask
-    given as a fold, ``-o`` naming an existing directory (no staged
-    document may be left beside it),
-    ``--critical`` on a volume holding only the tumor (the filter names the
-    missing pancreas before any vessel), ``--filter-mode`` without
-    ``--critical`` and flags that a command or phantom scene does not
-    declare (argparse exits 2).
+    it, ``phantom uncertainty`` at ``--span 0`` (no tumor, so no band) and
+    ``--span 350`` (the widened arc capped at 360 deg), each followed by
+    ``uncertainty`` over the three folds it writes, twelve ``evaluate``
+    manifests and flag sets, ``loss`` with and without ``--gradcheck`` and
+    the error paths, among them a voxel outside {0, 1} in a channel
+    ``assess`` does not keep and in one it keeps, a layered label 9, a
+    fold with a NaN in a late chunk and one with a NaN in its last voxel,
+    the late NaN followed by a garbled header (the header is reported), a
+    fold payload 4 bytes short, a mask given as a fold, the fold with a
+    late NaN given to ``assess`` (its header rejects it before any voxel
+    is read), ``-o`` naming an existing directory (no staged document may
+    be left beside it), ``--critical`` on a volume holding only the tumor
+    (the filter names the missing pancreas before any vessel),
+    ``--filter-mode`` without ``--critical`` and flags that a command or
+    phantom scene does not declare (argparse exits 2).
 ``sweep``
     The seed-1 ``sigma-sweep`` benchmark folds (3 x 6x64x128x128 f32):
     ``uncertainty`` with heat maps and changed flags, two folds at
@@ -298,6 +300,14 @@ def _phantom_inputs() -> list[tuple[str, str]]:
             write_volume(ProbVolume(noisy.astype(np.float32), fold.channels, fold.spacing),
                          f"ph/samples{i}/s{j}.json")
     write_volume(folds[0], "ph/one_sample/s0.json")
+    # Unequal sample counts: the first two samples of the first fold beside
+    # the second fold's three, and those three with a NaN in the last voxel
+    # of the last sample, which the range check meets after the whole pass.
+    shutil.copytree("ph/samples0", "ph/pair0", ignore=shutil.ignore_patterns("s2.*"))
+    shutil.copytree("ph/samples1", "ph/nan_samples1")
+    payload = np.fromfile("ph/nan_samples1/s2.raw", dtype="<f4")
+    payload[-1] = np.nan
+    payload.tofile("ph/nan_samples1/s2.raw")
     # the folds of `phantom uncertainty --span S` (empty, and a wrap whose band
     # reaches the whole rim); no ks, so no truth is drawn up
     for span in (0, 350):
@@ -363,6 +373,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
          "--out o/u --overlay o/heat"),
         ("uncertainty-two-sample-folds", "uncertainty --fold ph/samples0 --fold ph/samples2 --out o/u"),
         ("uncertainty-one-sample", "uncertainty --fold ph/one_sample --fold ph/samples0 --out o/u"),
+        ("uncertainty-unequal-sample-counts",
+         "uncertainty --fold ph/pair0 --fold ph/samples1 --out o/u --overlay o/heat"),
         ("uncertainty-output-flag", f"uncertainty {folds} --out o/u -o o/x.json"),
         ("uncertainty-odd-dims",
          "uncertainty --fold ph/odd/fold0.json --fold ph/odd/fold1.json --fold ph/odd/fold2.json "
@@ -391,6 +403,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-missing-header", "assess ph/gone.json"),
         ("error-garbled-header", "assess ph/garbled.json"),
         ("error-probabilities-as-mask", "assess ph/unc/fold0.json"),
+        ("error-probabilities-with-nan-as-mask", "assess ph/late_nan/fold2.json"),
         ("error-missing-channel", "assess ph/vein_only.json"),
         ("error-missing-channel-critical", "assess ph/tumor_only.json --critical"),
         ("error-critical-without-pancreas", "assess ph/adversarial_no_pancreas.json --critical"),
@@ -405,6 +418,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-uncertainty-last-voxel-nan",
          "uncertainty --fold ph/unc/fold0.json --fold ph/unc/fold1.json "
          "--fold ph/last_nan/fold2.json --out o/u --overlay o/heat"),
+        ("error-uncertainty-last-sample-nan",
+         "uncertainty --fold ph/pair0 --fold ph/nan_samples1 --out o/u --overlay o/heat"),
         ("error-uncertainty-values-then-garbled-header",
          "uncertainty --fold ph/late_nan/fold2.json --fold ph/garbled.json --out o/u"),
         ("error-uncertainty-wrong-size-fold",

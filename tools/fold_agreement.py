@@ -20,12 +20,12 @@ own outputs before relying on the gain::
 (the seed-1 ``sigma-sweep`` folds of ``perfbench``, whose generator copies
 one fold's values into every fold outside a rim band).
 
-The folds are read as ``uncertainty`` reads them, a chunk at a time and
-clamped into [0, 1]; the headers must share a geometry.
+The folds are read as ``uncertainty`` reads them (``_member_blocks``), a
+chunk at a time, clamped into [0, 1] and range-checked; the headers must
+share a geometry.
 """
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 
@@ -41,17 +41,14 @@ def agreement(members) -> tuple[int, int, int, int, int]:
     """Blocks that agree, differ past their first voxel, differ at it; equal voxels, voxels."""
     equal = np.empty(uncertainty._BLOCK, bool)
     counts, same, total = [0, 0, 0], 0, 0
-    with contextlib.ExitStack() as opened:
-        readers = [opened.enter_context(contextlib.closing(uncertainty._chunks(m))) for m in members]
-        for parts in zip(*readers):
-            for b in uncertainty._blocks(parts[0].size):
-                blocks = [part[b] for part in parts]
-                if uncertainty._agree(blocks, equal[: b.stop - b.start]):
-                    counts[0] += 1
-                else:
-                    counts[1 if all(x[0] == blocks[0][0] for x in blocks[1:]) else 2] += 1
-                same += int(np.logical_and.reduce([x == blocks[0] for x in blocks[1:]]).sum())
-                total += b.stop - b.start
+    for blocks in uncertainty._member_blocks(members):
+        first = blocks[0]
+        if uncertainty._agree(blocks, equal[:first.size]):
+            counts[0] += 1
+        else:
+            counts[1 if all(x[0] == first[0] for x in blocks[1:]) else 2] += 1
+        same += int(np.logical_and.reduce([x == first for x in blocks[1:]]).sum())
+        total += first.size
     return (*counts, same, total)
 
 
@@ -61,9 +58,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.folds) < 2:
         parser.error("need at least 2 folds")
-    members = [open_payload(p) for p in args.folds]
-    uncertainty._check_same_geometry(members)
-    agree, late, early, same, total = agreement(members)
+    try:
+        members = [open_payload(p) for p in args.folds]
+        uncertainty._check_same_geometry(members)
+        agree, late, early, same, total = agreement(members)
+    except (ValueError, OSError) as exc:  # a bad header or payload: one line, no traceback
+        parser.exit(2, f"error: {exc}\n")
     print(f"blocks {agree + late + early}: agree {agree}, "
           f"differ past the first voxel {late}, differ at it {early}")
     print(f"voxels equal in every fold: {100 * same / total:.3f}%")
