@@ -22,10 +22,9 @@ without reading a voxel. Probability payloads have one reader,
 ``prob_chunks``: it reads 1 MiB at a time and clamps each chunk into
 [0, 1] with a 0.001 tolerance. After the last chunk, a value further out,
 or a NaN, anywhere in the payload is rejected as corrupt; the error names
-the header and the whole payload's min and max. ``read_volume`` reads
-through it into one array, and ``uncertainty`` streams fold payloads
-through it, so it never holds a fold whole. The values it checked are
-wrapped in a ``ProbVolume`` without a second scan. ``write_header`` is the
+the header and the whole payload's min and max. ``read_volume`` copies
+its chunks into one array, and ``uncertainty`` streams fold payloads
+through it, so it never holds a fold whole. ``write_header`` is the
 one writer of a header: ``write_outputs`` (and ``write_volume`` through
 it) writes one and its payload, and the ``uncertainty`` command writes one
 for each payload it streams out.
@@ -39,9 +38,14 @@ file truncated to zero is closed. A failure removes the ``.tmp`` files and
 the directories the write made. Overlay images are written in place
 instead (``overlay._overwrite``), which meets neither pattern.
 
-Mask voxels and layered labels are checked once, where they enter, by one
-rule (``_small_ints``); the mask grids built on the way to a grade are
-bool, 0 and 1 by type, and are not scanned again.
+Every volume is checked once, where it enters. A public constructor checks
+what its caller hands in: the shape, then its value rule (``_small_ints``
+for mask voxels and layered labels, [0, 1] for probabilities). What the
+program has already read or derived (a read, ``from_voxels``,
+``decode_layered``, ``encode_layered``) is set as given by the one trusted
+constructor, ``_Immutable._of``. Either way a volume is immutable and its
+arrays read-only; the mask grids built on the way to a grade are bool, 0
+and 1 by type.
 
 Segmented structures fill a small share of a CT grid, so a mask volume is
 held as a voxel index: ``MaskVolume.voxels(cid)`` is the sorted flat
@@ -213,52 +217,40 @@ def _check_channels(channels: Sequence[ChannelId]) -> tuple[ChannelId, ...]:
 
 
 class _Immutable:
-    """Attributes are set once, by ``_set``, while the object is built."""
+    """Attributes are set once, while the object is built.
 
-    def _set(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+    A public constructor sets them through ``__init__`` after its checks.
+    ``_of``, the one constructor for values the program has already read or
+    derived, sets them as given.
+    """
+
+    def __init__(self, **values):
+        vars(self).update(values)
+
+    @classmethod
+    def _of(cls, **values):
+        obj = cls.__new__(cls)
+        _Immutable.__init__(obj, **values)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+def _checked_stack(data, channels: tuple[ChannelId, ...], kind: str, dtype=None) -> np.ndarray:
+    """``data`` as a contiguous (C, Z, H, W) array with one grid per channel."""
+    stack = np.ascontiguousarray(data, dtype=dtype)
+    if stack.ndim != 4:
+        raise ValueError(f"{kind} data must be 4-D (C,Z,H,W), got shape {stack.shape}")
+    if stack.shape[0] != len(channels):
+        raise ValueError(
+            f"channel count mismatch: data has {stack.shape[0]}, channel list has {len(channels)}"
+        )
+    return stack
+
+
 class _ChannelVolume(_Immutable):
-    """Channels of one (Z, H, W) geometry: shape checks and channel lookup.
-
-    Built from a (C, Z, H, W) array, the volume keeps that stack (checked by
-    ``_checked_values``, read-only): ``data`` is the stack and ``channel``
-    gives its views. ``ProbVolume._of_read`` keeps a stack that
-    ``read_volume`` checked as it read it, without that check. A
-    ``MaskVolume`` may hold voxel indices instead of a stack. Immutable.
-    """
-
-    _kind = "channel"
-    _dtype = None  # None keeps the input dtype
-
-    def __init__(self, data, channels: Sequence[ChannelId], spacing: Spacing):
-        channels = _check_channels(channels)
-        stack = np.ascontiguousarray(data, dtype=self._dtype)
-        if stack.ndim != 4:
-            raise ValueError(f"{self._kind} data must be 4-D (C,Z,H,W), got shape {stack.shape}")
-        if stack.shape[0] != len(channels):
-            raise ValueError(
-                f"channel count mismatch: data has {stack.shape[0]}, channel list has {len(channels)}"
-            )
-        self._hold(self._checked_values(stack), channels, spacing)
-
-    def _hold(self, stack: np.ndarray, channels: tuple[ChannelId, ...], spacing: Spacing) -> None:
-        stack = _freeze(stack)
-        self._set(channels=channels, spacing=spacing, dims=stack.shape[1:], _stack=stack)
-
-    def _checked_values(self, arr: np.ndarray) -> np.ndarray:
-        """The voxel data to store; subclasses reject values outside their range."""
-        return arr
-
-    @property
-    def data(self) -> np.ndarray:
-        """The (C, Z, H, W) stack."""
-        return self._stack
+    """Channels of one (Z, H, W) geometry: channel lookup."""
 
     def channel_index(self, cid: ChannelId) -> int:
         try:
@@ -267,9 +259,6 @@ class _ChannelVolume(_Immutable):
             raise MissingChannelError(
                 f"volume has no {CHANNEL_NAMES[ChannelId(cid)]!r} channel"
             ) from None
-
-    def channel(self, cid: ChannelId) -> np.ndarray:
-        return self._stack[self.channel_index(cid)]
 
     def has_channel(self, cid: ChannelId) -> bool:
         return ChannelId(cid) in self.channels
@@ -287,18 +276,18 @@ class MaskVolume(_ChannelVolume):
 
     Each channel is a (Z, H, W) grid of 0 and 1, dtype uint8, and
     ``voxels(cid)`` is its voxel index. A volume built from an array keeps
-    it (a bool stack is viewed) and indexes a channel on first use. A volume
-    built by ``from_voxels`` (a read, ``decode_layered``, the critical
-    filter) holds only the indices; its ``channel`` and ``data`` build
-    read-only grids on each request. The kernels that filter, grade, paint
-    and score a volume read its indices alone, never a grid.
+    it, read-only (a bool stack is viewed), and indexes a channel on first
+    use. A volume built by ``from_voxels`` (a read, ``decode_layered``, the
+    critical filter) holds only the indices; its ``channel`` and ``data``
+    build read-only grids on each request. The kernels that filter, grade,
+    paint and score a volume read its indices alone, never a grid.
     """
 
-    _kind = "mask"
-
     def __init__(self, data, channels: Sequence[ChannelId], spacing: Spacing):
-        super().__init__(data, channels, spacing)
-        self._set(_voxels={})
+        channels = _check_channels(channels)
+        stack = _small_ints(_checked_stack(data, channels, "mask"), 1, _MASK_VALUES)
+        super().__init__(channels=channels, spacing=spacing, dims=stack.shape[1:],
+                         _stack=_freeze(stack), _voxels={})
 
     @classmethod
     def from_voxels(cls, voxels: Mapping[ChannelId, np.ndarray], dims: tuple[int, int, int],
@@ -309,10 +298,8 @@ class MaskVolume(_ChannelVolume):
         as given (not checked) and made read-only, so an index already
         read-only is shared, not copied.
         """
-        vol = cls.__new__(cls)
-        vol._set(channels=_check_channels(voxels), spacing=spacing, dims=tuple(dims), _stack=None,
-                 _voxels={ChannelId(c): _freeze(v) for c, v in voxels.items()})
-        return vol
+        return cls._of(channels=_check_channels(voxels), spacing=spacing, dims=tuple(dims),
+                       _stack=None, _voxels={ChannelId(c): _freeze(v) for c, v in voxels.items()})
 
     @property
     def data(self) -> np.ndarray:
@@ -337,37 +324,24 @@ class MaskVolume(_ChannelVolume):
             self._voxels[cid] = _freeze(set_voxels(self.channel(cid)))
         return self._voxels[cid]
 
-    def _checked_values(self, arr):
-        return _small_ints(arr, 1, _MASK_VALUES)
-
 
 class ProbVolume(_ChannelVolume):
     """Multi-channel probability volume, same geometry rules as MaskVolume.
 
-    Each grid is (Z, H, W), dtype float32, values in [0, 1].
+    ``data`` is the (C, Z, H, W) float32 stack, read-only, values in [0, 1].
     """
 
-    _kind = "probability"
-    _dtype = np.float32
-
-    def _checked_values(self, arr):
+    def __init__(self, data, channels: Sequence[ChannelId], spacing: Spacing):
+        channels = _check_channels(channels)
+        stack = _checked_stack(data, channels, "probability", np.float32)
         # NaN fails both comparisons
-        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        if stack.size and not (stack.min() >= 0.0 and stack.max() <= 1.0):
             raise VolumeFormatError("probabilities must lie in [0, 1]")
-        return arr
+        super().__init__(channels=channels, spacing=spacing, dims=stack.shape[1:],
+                         data=_freeze(stack))
 
-    @classmethod
-    def _of_read(cls, stack: np.ndarray, channels: tuple[ChannelId, ...],
-                 spacing: Spacing) -> ProbVolume:
-        """The volume over a float32 stack that ``prob_chunks`` filled, checked and clamped.
-
-        The stack and the parsed header's channels are taken as given, as
-        ``MaskVolume.from_voxels`` takes indices the program found:
-        ``_checked_values`` does not scan the values again.
-        """
-        vol = cls.__new__(cls)
-        vol._hold(stack, channels, spacing)
-        return vol
+    def channel(self, cid: ChannelId) -> np.ndarray:
+        return self.data[self.channel_index(cid)]
 
 
 class LayeredLabelVolume(_Immutable):
@@ -387,16 +361,8 @@ class LayeredLabelVolume(_Immutable):
         # a view, so that _small_ints freezes no array of the caller's
         arr = _small_ints(arr.view(), MAX_LAYERED_LABEL, _LABEL_VALUES)
         voxels = set_voxels(arr)
-        self._set(_labelled=(_freeze(voxels), _freeze(arr.reshape(-1)[voxels])), dims=arr.shape,
-                  spacing=spacing)
-
-    @classmethod
-    def _of_labelled(cls, voxels: np.ndarray, labels: np.ndarray, dims: tuple[int, int, int],
-                     spacing: Spacing) -> LayeredLabelVolume:
-        """The volume whose labelled voxels are the sorted flat ``voxels``, labelled 1..8 by ``labels``."""
-        vol = cls.__new__(cls)
-        vol._set(_labelled=(_freeze(voxels), _freeze(labels)), dims=tuple(dims), spacing=spacing)
-        return vol
+        super().__init__(_labelled=(_freeze(voxels), _freeze(arr.reshape(-1)[voxels])),
+                         dims=arr.shape, spacing=spacing)
 
     @property
     def data(self) -> np.ndarray:
@@ -540,13 +506,12 @@ def open_payload(path) -> Payload:
     return payload
 
 
-def prob_chunks(payload: Payload, out: np.ndarray | None = None):
+def prob_chunks(payload: Payload):
     """Yield an f32 payload's voxels in order, clamped into [0, 1], ``PROB_CHUNK`` at a time.
 
-    Each chunk is read with ``readinto`` into one reused float32 buffer, or,
-    given ``out`` (a float32 array of the payload's shape), into its next
-    slice, so that ``out`` ends up holding the whole payload. The running
-    min and max of the raw chunks, started at 0.0, are the whole payload's
+    Each chunk is read with ``readinto`` into one reused float32 buffer, so
+    a chunk holds its values only until the next is read. The running min
+    and max of the raw chunks, started at 0.0, are the whole payload's
     (a NaN propagates through both); after the last chunk a value below
     -0.001 or above 1.001, or a NaN, raises VolumeFormatError naming them.
     Each chunk is clamped before it is yielded. The file is open from the
@@ -555,12 +520,11 @@ def prob_chunks(payload: Payload, out: np.ndarray | None = None):
     if payload.dtype != "f32":
         raise VolumeFormatError(f"{payload.path}: not a probability payload")
     n = math.prod(payload.shape)
-    flat = np.empty(min(n, PROB_CHUNK), _FILE_DTYPES["f32"]) if out is None else out.reshape(-1)
+    buffer = np.empty(min(n, PROB_CHUNK), _FILE_DTYPES["f32"])
     lo = hi = np.float32(0.0)
     with open(payload.raw, "rb") as f:
         for start in range(0, n, PROB_CHUNK):
-            stop = min(start + PROB_CHUNK, n)
-            part = flat[: stop - start] if out is None else flat[start:stop]
+            part = buffer[: min(PROB_CHUNK, n - start)]
             if f.readinto(part) != part.nbytes:
                 raise VolumeFormatError(f"payload {payload.raw} shrank while being read")
             lo, hi = part.min(initial=lo), part.max(initial=hi)
@@ -583,23 +547,26 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
     channels that the file has, in file order; the others are still read
     and checked, but not kept. Mask and layered payloads are streamed by
     ``_read_set_voxels``, so the volume holds voxel indices, not grids.
-    Probability payloads are always read whole, through ``prob_chunks``.
+    Probability payloads are read whole, each ``prob_chunks`` chunk copied
+    into one array.
     """
     payload = open_payload(path)
-    names, dims = payload.channels, payload.dims
+    names, dims, spacing = payload.channels, payload.dims, payload.spacing
     if payload.dtype == "f32":
-        arr = np.empty(payload.shape, np.float32)
-        for _ in prob_chunks(payload, arr):
-            pass
-        return ProbVolume._of_read(arr, names, payload.spacing)
+        stack = np.empty(payload.shape, np.float32)
+        flat = stack.reshape(-1)
+        for i, part in enumerate(prob_chunks(payload)):
+            flat[i * PROB_CHUNK:][:part.size] = part
+        return ProbVolume._of(channels=names, spacing=spacing, dims=dims, data=_freeze(stack))
     n = math.prod(dims)
     if names is None:
-        [(voxels, labels)] = _read_set_voxels(payload.raw, n, (True,), MAX_LAYERED_LABEL, _LABEL_VALUES)
-        return LayeredLabelVolume._of_labelled(voxels, labels, dims, payload.spacing)
+        [labelled] = _read_set_voxels(payload.raw, n, (True,), MAX_LAYERED_LABEL, _LABEL_VALUES)
+        return LayeredLabelVolume._of(_labelled=tuple(map(_freeze, labelled)), dims=dims,
+                                      spacing=spacing)
     wanted = names if channels is None else set(map(ChannelId, channels))
     found = _read_set_voxels(payload.raw, n, [c in wanted for c in names], 1, _MASK_VALUES)
     kept = [c for c in names if c in wanted]
-    return MaskVolume.from_voxels({c: v for c, (v, _) in zip(kept, found)}, dims, payload.spacing)
+    return MaskVolume.from_voxels({c: v for c, (v, _) in zip(kept, found)}, dims, spacing)
 
 
 def write_header(path, dims, spacing: Spacing, dtype: str, channels) -> None:
@@ -678,7 +645,7 @@ def write_outputs(volumes: Mapping[str | Path, Volume], texts: Mapping[str | Pat
     """
     volumes = {Path(p): v for p, v in volumes.items()}
     for v in volumes.values():
-        if not isinstance(v, (LayeredLabelVolume, _ChannelVolume)):
+        if not isinstance(v, Volume):
             raise TypeError(f"not a volume: {type(v).__name__}")
     texts = {Path(p): text for p, text in texts.items()}
     finals = [f for p in volumes for f in (p, _raw_path(p))] + list(texts)
@@ -739,4 +706,5 @@ def encode_layered(mv: MaskVolume) -> LayeredLabelVolume:
     voxels, labels = voxels[order], labels[order]
     last = np.ones(voxels.size, bool)
     last[:-1] = voxels[1:] != voxels[:-1]
-    return LayeredLabelVolume._of_labelled(voxels[last], labels[last], mv.dims, mv.spacing)
+    return LayeredLabelVolume._of(_labelled=(_freeze(voxels[last]), _freeze(labels[last])),
+                                  dims=mv.dims, spacing=mv.spacing)

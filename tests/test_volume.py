@@ -373,6 +373,47 @@ class TestVoxelIndex:
             mv.voxels(ChannelId.ARTERY)
 
 
+def _mask_array(_):
+    return MaskVolume(np.eye(2, 3, dtype=np.uint8)[None, None], (ChannelId.TUMOR,), SP1)
+
+
+def _prob_array(_):
+    return ProbVolume(np.full((1, 1, 2, 3), 0.25, np.float32), (ChannelId.TUMOR,), SP1)
+
+
+def _layered_array(_):
+    return LayeredLabelVolume(np.arange(6, dtype=np.uint8).reshape(1, 2, 3), SP1)
+
+
+def _read_back(build):
+    def read(tmp_path):
+        write_volume(build(tmp_path), tmp_path / "vol.json")
+        return read_volume(tmp_path / "vol.json")
+    return read
+
+
+def _filtered(_):
+    stack = np.zeros((2, 1, 2, 3), np.uint8)
+    stack[0, 0, 0, 0] = stack[1, 0, 0, :2] = 1  # the vein touches the pancreas
+    return filter_critical_volume(MaskVolume(stack, (ChannelId.PANCREAS, ChannelId.VEIN), SP1))
+
+
+# Every kind of volume, by every path that builds one.
+_EVERY_VOLUME = {
+    "mask-array": _mask_array,
+    "mask-from_voxels": lambda _: MaskVolume.from_voxels({ChannelId.VEIN: np.array([1, 4])},
+                                                         (1, 2, 3), SP1),
+    "mask-read": _read_back(_mask_array),
+    "mask-decode_layered": lambda t: decode_layered(_layered_array(t)),
+    "mask-filter_critical_volume": _filtered,
+    "prob-array": _prob_array,
+    "prob-read": _read_back(_prob_array),
+    "layered-array": _layered_array,
+    "layered-read": _read_back(_layered_array),
+    "layered-encode_layered": lambda t: encode_layered(decode_layered(_layered_array(t))),
+}
+
+
 class TestChannelVolume:
     def test_stack_is_kept_and_grids_view_it(self):
         stack = np.zeros((2, 3, 4, 5), dtype=np.uint8)
@@ -423,10 +464,30 @@ class TestChannelVolume:
         with pytest.raises(VolumeFormatError, match=r"probabilities must lie in \[0, 1\]"):
             ProbVolume(np.full_like(data, value), (ChannelId.TUMOR,), SP1)
 
-    def test_immutable(self):
-        vol = make_mask(np.zeros((1, 1, 1, 1)), channels=(ChannelId.TUMOR,))
-        with pytest.raises(AttributeError):
-            vol.spacing = SP1
+    @pytest.mark.parametrize("build", list(_EVERY_VOLUME.values()), ids=list(_EVERY_VOLUME))
+    def test_immutable(self, tmp_path, build):
+        vol = build(tmp_path)
+        for name in ("spacing", "dims", "data"):
+            with pytest.raises(AttributeError):
+                setattr(vol, name, None)
+        arrays = [vol.data]
+        if isinstance(vol, LayeredLabelVolume):
+            arrays += vol.labelled()
+        else:
+            arrays += [vol.channel(c) for c in vol.channels]
+        if isinstance(vol, MaskVolume):
+            arrays += [vol.voxels(c) for c in vol.channels]
+        assert not any(a.flags.writeable for a in arrays)
+        assert vol.spacing == SP1 and vol.data.shape[-3:] == vol.dims == (1, 2, 3)
+
+    @pytest.mark.parametrize("second", [np.zeros((1, 1, 2, 3)), "vol", None])
+    def test_write_outputs_rejects_non_volume(self, tmp_path, second):
+        """The type is checked before anything is staged: no ``.tmp`` file, no new directory."""
+        out = tmp_path / "new" / "deeper"
+        with pytest.raises(TypeError, match="not a volume"):
+            volume.write_outputs({out / "a.json": _mask_array(tmp_path), out / "b.json": second},
+                                 {out / "doc.txt": "text"})
+        assert list(tmp_path.rglob("*")) == []
 
 
 def _six_channel_payload(gen, dims):
@@ -613,17 +674,17 @@ class TestProbChunks:
                                   "outside tolerated range: min=-0.25, max=1.5")
 
     def test_read_volume_scans_values_once(self, tmp_path, monkeypatch):
-        """``read_volume`` wraps the values ``prob_chunks`` checked without a second scan."""
+        """``read_volume`` wraps the values ``prob_chunks`` checked; ``ProbVolume(...)`` never runs."""
         values = np.linspace(0.0, 1.0, volume.PROB_CHUNK + 3, dtype=np.float32)
         payload = self.write(tmp_path, values)
         scanned = []
-        real = ProbVolume._checked_values
+        real = ProbVolume.__init__
 
-        def spy(self, arr):
-            scanned.append(arr.shape)
-            return real(self, arr)
+        def spy(self, data, *rest):
+            scanned.append(np.shape(data))
+            real(self, data, *rest)
 
-        monkeypatch.setattr(ProbVolume, "_checked_values", spy)
+        monkeypatch.setattr(ProbVolume, "__init__", spy)
         vol = read_volume(payload.path)
         assert scanned == []
         assert isinstance(vol, ProbVolume) and vol.channels == (ChannelId.TUMOR,)
