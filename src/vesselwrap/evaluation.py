@@ -106,6 +106,11 @@ def dpcg_bucket_table(pairs: Sequence[tuple[float, float]]) -> list[dict]:
     return list(rows.values())
 
 
+def _geometry(v: MaskVolume) -> str:
+    """A volume's dims and spacing; two are equal exactly when the geometries are."""
+    return f"{v.dims} at {v.spacing.as_tuple()} mm"
+
+
 @dataclass
 class ScanEval:
     """Everything one scan contributes to the aggregate report."""
@@ -136,12 +141,17 @@ def evaluate_scan(
     With ``gt_critical`` (critical mode) the predicted vessels are stripped
     of their pancreas overlap first and the ground-truth side switches to
     that critical-vessel aggregate volume (same tumor channel rules apply).
+
+    ``gt`` and ``gt_critical`` must have the prediction's dims and
+    spacing; before any score, ValueError names both geometries.
     """
+    for name, other in (("ground truth", gt), ("critical ground truth", gt_critical)):
+        if other is not None and _geometry(other) != _geometry(pred):
+            raise ValueError(
+                f"geometry mismatch: prediction {_geometry(pred)}, {name} {_geometry(other)}")
     dice_by_channel: dict[str, float] = {}
     for cid in pred.channels:
         if gt.has_channel(cid):
-            if pred.dims != gt.dims:
-                raise ValueError(f"geometry mismatch: {pred.dims} vs {gt.dims}")
             dice_by_channel[CHANNEL_NAMES[cid]] = voxel_dice(pred.voxels(cid), gt.voxels(cid))
     for cid, key in ((ChannelId.ARTERY, "artery_overlap"), (ChannelId.VEIN, "vein_overlap")):
         if (

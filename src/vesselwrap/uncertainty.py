@@ -58,12 +58,14 @@ exactly over whole blocks (``tools/fold_agreement.py`` counts them).
 A fold or sample is an in-memory ``ProbVolume`` or a probability payload
 on disk (``volume.Payload``). Every member of a field is read in one
 lockstep pass (``_member_blocks``): a payload straight into the
-statistics, one ``PROB_CHUNK`` of voxels at a time (``prob_chunks``),
-and an in-memory volume cut into the same chunks, so both kinds feed one
-loop and no member is held whole. Every payload of the field is open
-for the whole pass, with one 1 MiB read buffer each: F files for F
-folds, and F x S for F folds of S samples. The chunked read keeps the
-outputs byte-identical to reading each payload whole and then streaming:
+statistics, at most one ``PROB_CHUNK`` of one channel grid at a time
+(``prob_chunks``), and an in-memory volume cut into the same chunks,
+grid by grid, so both kinds feed one loop and no member is held whole.
+A block is cut from one chunk, so it never spans two channels. Every
+payload of the field is open for the whole pass, with one read buffer
+of at most 1 MiB each: F files for F folds, and F x S for F folds of S
+samples. The chunked read keeps the outputs byte-identical to reading
+each payload whole and then streaming:
 
 * the clip into [0, 1] is elementwise, so clipping a chunk gives the
   same bits as clipping the whole payload;
@@ -104,9 +106,9 @@ A field is one pass (``FieldStream``), built by ``fold_mean_std`` or
 ``sample_mean_std``: its float32 mean and std come out block by block, in
 voxel order, and each consumer takes a block before the next is
 computed. ``uncertainty_sweep`` and ``sigma_level_mask`` fill level grids
-from the blocks, splitting a block where it crosses a channel boundary;
-the CLI also appends them to its payload files. So no consumer holds a
-whole mean or std.
+from the blocks, each block into its one channel's grid; the CLI also
+appends them to its payload files. So no consumer holds a whole mean or
+std.
 
 Sample sets take that one pass over every sample of every fold. Per
 block, each fold's mean and aleatoric std are taken over its samples,
@@ -165,9 +167,9 @@ class FieldStream:
     Iterating the generator ``blocks`` runs the statistics: it yields
     the float32 mean and std of consecutive runs of at most ``_BLOCK``
     voxels, in flat (C, Z, H, W) order, in arrays that the next block
-    overwrites. It can be iterated once, and raises for a rejected
-    member after its last block. The geometry and ``kind`` are known
-    before the pass.
+    overwrites. A block lies inside one channel grid, never across two.
+    It can be iterated once, and raises for a rejected member after its
+    last block. The geometry and ``kind`` are known before the pass.
     """
 
     channels: tuple[ChannelId, ...]
@@ -194,15 +196,15 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _chunks(member: Member):
-    """A member's voxels in order, ``PROB_CHUNK`` at a time.
+    """A member's voxels in order, at most ``PROB_CHUNK`` of one channel grid at a time.
 
-    Views of an in-memory volume, or a payload read chunk by chunk
-    (``prob_chunks``).
+    Views of an in-memory volume cut grid by grid, or a payload read part
+    by part (``prob_chunks``), so both kinds give chunks of equal sizes.
     """
     if isinstance(member, Payload):
         return prob_chunks(member)
-    flat = member.data.reshape(-1)
-    return (flat[lo:lo + PROB_CHUNK] for lo in range(0, flat.size, PROB_CHUNK))
+    return (grid[lo:lo + PROB_CHUNK]
+            for grid in map(np.ravel, member.data) for lo in range(0, grid.size, PROB_CHUNK))
 
 
 def _member_blocks(members: Sequence[Member]) -> Generator[list[np.ndarray], None, None]:
@@ -384,23 +386,20 @@ def _fill_levels(
 ):
     """Run the pass of ``stream``, writing each graded channel's level grid from its blocks.
 
-    A block that crosses a channel boundary is split there. The blocks
-    are closed when the pass ends or fails, so a payload it reads is too.
+    A block lies inside one channel grid, found by its first voxel. The
+    blocks are closed when the pass ends or fails, so a payload it reads
+    is too.
     """
     grid = math.prod(stream.dims)
-    # each graded channel's first voxel in the flat field, and its flat level grid
-    targets = [(stream.channels.index(c) * grid, level.reshape(-1))
-               for c, level in zip(graded, levels)]
+    # each graded channel's flat level grid, by the channel's place in the field
+    targets = {stream.channels.index(c): level.reshape(-1) for c, level in zip(graded, levels)}
     pos = 0
     with contextlib.closing(stream.blocks) as blocks:
         for mean, std in blocks:
-            end = pos + mean.size
-            for start, level in targets:
-                lo, hi = max(pos, start), min(end, start + grid)
-                if lo < hi:
-                    _level_grid(mean[lo - pos:hi - pos], std[lo - pos:hi - pos], ks, threshold,
-                                level[lo - start:hi - start])
-            pos = end
+            channel, lo = divmod(pos, grid)
+            if channel in targets:
+                _level_grid(mean, std, ks, threshold, targets[channel][lo:lo + mean.size])
+            pos += mean.size
 
 
 def sigma_level_mask(stream: FieldStream, k: float, threshold: float = DEFAULT_THRESHOLD) -> MaskVolume:

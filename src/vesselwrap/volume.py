@@ -18,13 +18,16 @@ at ``<stem>.json`` describes geometry and dtype, the voxel data sits in
     omitted or ``null`` for a single-grid layered label volume.
 
 ``open_payload`` parses and checks a header and checks its payload's size
-without reading a voxel. Probability payloads have one reader,
-``prob_chunks``: it reads 1 MiB at a time and clamps each chunk into
-[0, 1] with a 0.001 tolerance. After the last chunk, a value further out,
-or a NaN, anywhere in the payload is rejected as corrupt; the error names
-the header and the whole payload's min and max. ``read_volume`` copies
-its chunks into one array, and ``uncertainty`` streams fold payloads
-through it, so it never holds a fold whole. ``write_header`` is the
+without reading a voxel. Every payload has one reader, ``_parts``: it
+reads at most 1 MiB of one grid at a time into one reused buffer, so a
+part never spans two grids. ``prob_chunks`` and ``_read_set_voxels``
+(below) apply the value rules to its parts: the first clamps each
+probability part into [0, 1] with a 0.001 tolerance; after the last
+part, a value further out, or a NaN, anywhere in the payload is rejected
+as corrupt, and the error names the header and the whole payload's min
+and max. ``read_volume`` copies those parts into one array, and
+``uncertainty`` streams fold payloads through ``prob_chunks``, so it
+never holds a fold whole. ``write_header`` is the
 one writer of a header: ``write_outputs`` (and ``write_volume`` through
 it) writes one and its payload, and the ``uncertainty`` command writes one
 for each payload it streams out.
@@ -49,11 +52,10 @@ and 1 by type.
 
 Segmented structures fill a small share of a CT grid, so a mask volume is
 held as a voxel index: ``MaskVolume.voxels(cid)`` is the sorted flat
-indices of a channel's set voxels, read-only. One streamed reader,
-``_read_set_voxels``, serves both mask payload kinds: every channel, or
-the layered label grid, passes through one reused 1 MiB buffer, is
-value-checked there, and is indexed buffer by buffer (``set_voxels`` of
-the buffer plus its offset). ``read_volume(path, channels)`` indexes only
+indices of a channel's set voxels, read-only. ``_read_set_voxels`` serves
+both mask payload kinds: each ``_parts`` part of every channel, or of the
+layered label grid, is value-checked and indexed (``set_voxels`` of the
+part plus its offset). ``read_volume(path, channels)`` indexes only
 the listed channels of a mask payload, yet still rejects a voxel outside
 {0, 1} in any channel. A layered volume read from a file holds its
 labelled voxels and their labels, and ``decode_layered(lv, channels)``
@@ -84,10 +86,9 @@ _MASK_VALUES = "mask voxels must be 0 or 1"
 
 # Header dtype -> little-endian payload dtype.
 _FILE_DTYPES = {"u8": "<u1", "f32": "<f4"}
-# Buffer size for every streamed mask or layered grid, and for each
-# streamed probability chunk.
+# The most bytes of one grid that ``_parts`` reads at a time.
 _STREAM_BYTES = 1 << 20
-# float32 voxels per probability chunk.
+# float32 voxels per probability part.
 PROB_CHUNK = _STREAM_BYTES // 4
 
 
@@ -234,6 +235,9 @@ class _Immutable:
         return obj
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
@@ -431,35 +435,6 @@ def _parse_header(header, path: Path):
     return tuple(dims), Spacing(*map(float, spacing)), dtype, channels
 
 
-def _read_set_voxels(raw: Path, n: int, kept: Sequence[bool], top: int,
-                     message: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stream the uint8 grids of a payload, ``n`` voxels each, through one reused buffer.
-
-    Every buffer's values must lie in 0..top (``_small_ints``), else
-    VolumeFormatError(message). For each grid whose flag in ``kept`` is
-    set, the result holds, in file order, the sorted flat indices of its
-    nonzero voxels, found buffer by buffer (``set_voxels`` of the buffer
-    plus its offset), and their values.
-    """
-    buffer = np.empty(min(n, _STREAM_BYTES), dtype=np.uint8)
-    found = []
-    with open(raw, "rb") as f:
-        for keep in kept:
-            voxels, values = [], []
-            for lo in range(0, n, buffer.size):
-                part = buffer[:min(buffer.size, n - lo)]
-                if f.readinto(part) != part.size:
-                    raise VolumeFormatError(f"payload {raw} shrank while being read")
-                _small_ints(part, top, message)
-                if keep:
-                    at = set_voxels(part)
-                    voxels.append(at + lo)
-                    values.append(part[at])
-            if keep:
-                found.append((np.concatenate(voxels), np.concatenate(values)))
-    return found
-
-
 @dataclass(frozen=True)
 class Payload:
     """A checked header and its raw payload, whose size matches it; no voxel read yet.
@@ -506,30 +481,65 @@ def open_payload(path) -> Payload:
     return payload
 
 
-def prob_chunks(payload: Payload):
-    """Yield an f32 payload's voxels in order, clamped into [0, 1], ``PROB_CHUNK`` at a time.
+def _parts(payload: Payload):
+    """Yield ``(grid, offset, part)`` over a payload's voxels, in file order.
 
-    Each chunk is read with ``readinto`` into one reused float32 buffer, so
-    a chunk holds its values only until the next is read. The running min
-    and max of the raw chunks, started at 0.0, are the whole payload's
-    (a NaN propagates through both); after the last chunk a value below
-    -0.001 or above 1.001, or a NaN, raises VolumeFormatError naming them.
-    Each chunk is clamped before it is yielded. The file is open from the
-    first chunk until the generator finishes or is closed.
+    A part is a run of at most ``_STREAM_BYTES`` of one grid, never of two,
+    read straight into one reused buffer of the file dtype, so it holds
+    its values only until the next is read; ``offset`` is its first
+    voxel's flat index in grid number ``grid``. A short read raises
+    VolumeFormatError. The file is open from the first part until the
+    generator finishes or is closed.
+    """
+    n = math.prod(payload.dims)
+    dtype = np.dtype(_FILE_DTYPES[payload.dtype])
+    buffer = np.empty(min(n, _STREAM_BYTES // dtype.itemsize), dtype)
+    with open(payload.raw, "rb") as f:
+        for grid in range(payload.shape[0]):
+            for lo in range(0, n, buffer.size):
+                part = buffer[:min(buffer.size, n - lo)]
+                if f.readinto(part) != part.nbytes:
+                    raise VolumeFormatError(f"payload {payload.raw} shrank while being read")
+                yield grid, lo, part
+
+
+def _read_set_voxels(payload: Payload, kept: Sequence[bool], top: int,
+                     message: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The set voxels of a u8 payload's kept grids, read part by part (``_parts``).
+
+    Every part's values must lie in 0..top (``_small_ints``), else
+    VolumeFormatError(message). For each grid whose flag in ``kept`` is
+    set, the result holds, in file order, the sorted flat indices of its
+    nonzero voxels, found part by part (``set_voxels`` of the part plus
+    its offset), and their values.
+    """
+    found = {grid: [] for grid, keep in enumerate(kept) if keep}
+    for grid, lo, part in _parts(payload):
+        _small_ints(part, top, message)
+        if grid in found:
+            at = set_voxels(part)
+            found[grid].append((at + lo, part[at]))
+    return [tuple(map(np.concatenate, zip(*pairs))) for pairs in found.values()]
+
+
+def prob_chunks(payload: Payload):
+    """Yield an f32 payload's voxels in order, clamped into [0, 1], one ``_parts`` part at a time.
+
+    A part holds at most ``PROB_CHUNK`` voxels of one channel grid and
+    only until the next is read. The running min and max of the raw parts,
+    started at 0.0, are the whole payload's (a NaN propagates through
+    both); after the last part a value below -0.001 or above 1.001, or a
+    NaN, raises VolumeFormatError naming them. Each part is clamped before
+    it is yielded. The payload is open from the first part until the
+    generator finishes or is closed.
     """
     if payload.dtype != "f32":
         raise VolumeFormatError(f"{payload.path}: not a probability payload")
-    n = math.prod(payload.shape)
-    buffer = np.empty(min(n, PROB_CHUNK), _FILE_DTYPES["f32"])
     lo = hi = np.float32(0.0)
-    with open(payload.raw, "rb") as f:
-        for start in range(0, n, PROB_CHUNK):
-            part = buffer[: min(PROB_CHUNK, n - start)]
-            if f.readinto(part) != part.nbytes:
-                raise VolumeFormatError(f"payload {payload.raw} shrank while being read")
-            lo, hi = part.min(initial=lo), part.max(initial=hi)
-            np.clip(part, 0.0, 1.0, out=part)
-            yield part
+    for _, _, part in _parts(payload):
+        lo, hi = part.min(initial=lo), part.max(initial=hi)
+        np.clip(part, 0.0, 1.0, out=part)
+        yield part
     # + 0.0 prints a zero bound as 0.0 whichever zero the reduction order kept
     lo, hi = float(lo) + 0.0, float(hi) + 0.0
     # NaN fails both comparisons
@@ -547,24 +557,24 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
     channels that the file has, in file order; the others are still read
     and checked, but not kept. Mask and layered payloads are streamed by
     ``_read_set_voxels``, so the volume holds voxel indices, not grids.
-    Probability payloads are read whole, each ``prob_chunks`` chunk copied
-    into one array.
+    Probability payloads are read whole, each ``prob_chunks`` part copied
+    into one array at a running offset.
     """
     payload = open_payload(path)
     names, dims, spacing = payload.channels, payload.dims, payload.spacing
     if payload.dtype == "f32":
-        stack = np.empty(payload.shape, np.float32)
-        flat = stack.reshape(-1)
-        for i, part in enumerate(prob_chunks(payload)):
-            flat[i * PROB_CHUNK:][:part.size] = part
-        return ProbVolume._of(channels=names, spacing=spacing, dims=dims, data=_freeze(stack))
-    n = math.prod(dims)
+        flat, pos = np.empty(math.prod(payload.shape), np.float32), 0
+        for part in prob_chunks(payload):
+            flat[pos:pos + part.size] = part
+            pos += part.size
+        return ProbVolume._of(channels=names, spacing=spacing, dims=dims,
+                              data=_freeze(flat.reshape(payload.shape)))
     if names is None:
-        [labelled] = _read_set_voxels(payload.raw, n, (True,), MAX_LAYERED_LABEL, _LABEL_VALUES)
+        [labelled] = _read_set_voxels(payload, (True,), MAX_LAYERED_LABEL, _LABEL_VALUES)
         return LayeredLabelVolume._of(_labelled=tuple(map(_freeze, labelled)), dims=dims,
                                       spacing=spacing)
     wanted = names if channels is None else set(map(ChannelId, channels))
-    found = _read_set_voxels(payload.raw, n, [c in wanted for c in names], 1, _MASK_VALUES)
+    found = _read_set_voxels(payload, [c in wanted for c in names], 1, _MASK_VALUES)
     kept = [c for c in names if c in wanted]
     return MaskVolume.from_voxels({c: v for c, (v, _) in zip(kept, found)}, dims, spacing)
 

@@ -282,12 +282,16 @@ class Field(NamedTuple):
 
 
 def collect(stream: FieldStream) -> Field:
-    """The pass of ``stream`` copied into float32 mean and std volumes; raises as the pass raises."""
+    """The pass of ``stream`` copied into float32 mean and std volumes; raises as the pass raises.
+
+    Every block must lie inside one channel grid.
+    """
     shape = (len(stream.channels), *stream.dims)
     mean, std = np.empty(math.prod(shape), np.float32), np.empty(math.prod(shape), np.float32)
-    pos = 0
+    pos, grid = 0, math.prod(stream.dims)
     for m, s in stream.blocks:
         assert m.dtype == s.dtype == np.float32 and m.size == s.size <= _BLOCK
+        assert pos // grid == (pos + m.size - 1) // grid, "a block spans two channels"
         mean[pos:pos + m.size], std[pos:pos + s.size] = m, s
         pos += m.size
     assert pos == mean.size
@@ -296,10 +300,11 @@ def collect(stream: FieldStream) -> Field:
 
 
 def field_stream(mean: ProbVolume, std: ProbVolume, kind: str = "epistemic") -> FieldStream:
-    """A pass over views of ``mean`` and ``std``, ``_BLOCK`` voxels at a time."""
+    """A pass over views of ``mean`` and ``std``, ``_BLOCK`` voxels of one channel at a time."""
     assert mean.dims == std.dims and mean.channels == std.channels
-    m, s = mean.data.reshape(-1), std.data.reshape(-1)
-    blocks = ((m[lo:lo + _BLOCK], s[lo:lo + _BLOCK]) for lo in range(0, m.size, _BLOCK))
+    grids = zip(map(np.ravel, mean.data), map(np.ravel, std.data))
+    blocks = ((m[lo:lo + _BLOCK], s[lo:lo + _BLOCK])
+              for m, s in grids for lo in range(0, m.size, _BLOCK))
     return FieldStream(mean.channels, mean.dims, mean.spacing, kind, blocks)
 
 

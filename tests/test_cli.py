@@ -770,6 +770,33 @@ class TestEvaluate:
         assert doc["failures"] == ["bad: prediction must be a path string, got 5"]
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("critical", [False, True], ids=["spacing", "critical-dims"])
+    def test_mixed_geometry_is_a_failure(self, tmp_path, capsys, critical):
+        """A ground truth of other spacing, or a critical one of other dims, fails its entry."""
+        scene, _ = write_scene(tmp_path, name="ok", span=90.0)
+        if critical:
+            crop = MaskVolume(scene.data[:, :, 32:96, 32:96], scene.channels, scene.spacing)
+            write_volume(crop, tmp_path / "other.json")
+            bad = {"ground_truth": "ok.json", "critical_ground_truth": "other.json"}
+            shown = "critical ground truth (10, 64, 64) at (1.0, 1.0, 1.0) mm"
+        else:
+            spec = PhantomSpec(wrap_span_deg=90.0, spacing=Spacing(1.0, 0.5, 1.0))
+            write_volume(gen_wrap_scene(spec)[0], tmp_path / "other.json")
+            bad = {"ground_truth": "other.json"}
+            shown = "ground truth (10, 128, 128) at (1.0, 0.5, 1.0) mm"
+        manifest = write_manifest(tmp_path, [
+            {"scan_id": "ok", "prediction": "ok.json", "ground_truth": "ok.json",
+             "critical_ground_truth": "ok.json"},
+            {"scan_id": "mixed", "prediction": "ok.json", **bad},
+        ])
+        assert run("evaluate", manifest, *(["--critical"] if critical else [])) == 4
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["n_scans"] == 1
+        assert doc["failures"] == [
+            f"mixed: geometry mismatch: prediction (10, 128, 128) at (1.0, 1.0, 1.0) mm, {shown}"]
+        assert captured.err == f"error: {doc['failures'][0]}\n"
+
     def test_unhashable_scan_id_exit_2(self, tmp_path, capsys):
         manifest = write_manifest(
             tmp_path, [{"scan_id": ["a"], "prediction": "s.json", "ground_truth": "s.json"}]

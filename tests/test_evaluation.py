@@ -164,8 +164,30 @@ class TestVoxelDice:
     def test_scan_geometry_mismatch(self):
         a = MaskVolume(np.zeros((1, 1, 2, 2), np.uint8), (ChannelId.TUMOR,), SP)
         b = MaskVolume(np.zeros((1, 1, 2, 3), np.uint8), (ChannelId.TUMOR,), SP)
-        with pytest.raises(ValueError, match=r"^geometry mismatch: \(1, 2, 2\) vs \(1, 2, 3\)$"):
+        with pytest.raises(ValueError) as exc:
             evaluate_scan(a, b)
+        assert str(exc.value) == ("geometry mismatch: prediction (1, 2, 2) at (1.0, 1.0, 1.0) mm, "
+                                  "ground truth (1, 2, 3) at (1.0, 1.0, 1.0) mm")
+
+    @pytest.mark.parametrize("side", ["gt", "gt_critical"])
+    @pytest.mark.parametrize("dims, spacing, shown", [
+        ((10, 128, 128), Spacing(1.0, 0.5, 1.0), "(10, 128, 128) at (1.0, 0.5, 1.0) mm"),
+        ((10, 64, 64), SP, "(10, 64, 64) at (1.0, 1.0, 1.0) mm"),
+        ((10, 128, 128), Spacing(2.0, 1.0, 1.0), "(10, 128, 128) at (2.0, 1.0, 1.0) mm"),
+    ], ids=["spacing-y", "dims", "spacing-z"])
+    def test_ground_truth_geometry_checked_before_any_score(self, side, dims, spacing, shown):
+        """A ground truth of other dims or spacing is never scored, whatever channels it holds."""
+        pred = gen_wrap_scene(PhantomSpec())[0]
+        other = gen_wrap_scene(PhantomSpec(dims=dims, spacing=spacing,
+                                           vessel_center=(dims[1] / 2, dims[2] / 2)))[0]
+        kwargs = {"gt": pred, "gt_critical": None, side: other}
+        name = "ground truth" if side == "gt" else "critical ground truth"
+        with mock.patch("vesselwrap.evaluation.voxel_dice", side_effect=AssertionError("scored")), \
+                mock.patch("vesselwrap.evaluation.inv.assess_scan", side_effect=AssertionError("graded")):
+            with pytest.raises(ValueError) as exc:
+                evaluate_scan(pred, **kwargs)
+        assert str(exc.value) == (f"geometry mismatch: prediction (10, 128, 128) at (1.0, 1.0, 1.0) mm, "
+                                  f"{name} {shown}")
 
 
 class TestConfusion:

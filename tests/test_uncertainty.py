@@ -544,6 +544,27 @@ class TestStreamedRead:
         )
 
 
+    @pytest.mark.parametrize("grid", [4551, 43165, PROB_CHUNK + 37])
+    @pytest.mark.parametrize("statistic", [fold_mean_std, sample_mean_std])
+    def test_no_block_spans_two_channels(self, tmp_path, statistic, grid):
+        """Payloads and in-memory members, in one pass, cut their blocks channel by channel."""
+        gen = np.random.default_rng(grid)
+        channels = (ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR)
+        members = []
+        for i in range(4):
+            vol = make_prob(gen.random((3, 1, 1, grid), dtype=np.float32), channels=channels)
+            if i % 2:
+                write_volume(vol, tmp_path / f"m{i}.json")
+                vol = open_payload(tmp_path / f"m{i}.json")
+            members.append(vol)
+        if statistic is sample_mean_std:
+            members = [SampleSet(tuple(members[:2])), SampleSet(tuple(members[2:]))]
+        ends = [0]
+        for mean, _ in statistic(members).blocks:
+            ends.append(ends[-1] + mean.size)
+        assert ends[-1] == 3 * grid
+        assert all(lo // grid == (hi - 1) // grid for lo, hi in zip(ends, ends[1:]))
+
     @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
     def test_failed_pass_closes_every_payload(self, tmp_path):
         """A payload that shrinks mid-pass stops it, and every payload is closed at once.
@@ -830,8 +851,9 @@ class TestStreamedCli:
     reference sigma masks.
 
     The channel sizes (4551, 14 and 43165 voxels) are not multiples of
-    ``_BLOCK``, so blocks cross channel boundaries, and the level grids
-    are filled from the pieces of a block on either side.
+    ``_BLOCK``, so each channel ends on a short block, and the next
+    channel's first block starts at its first voxel: each level grid is
+    filled from whole blocks of its own channel.
     """
 
     @staticmethod

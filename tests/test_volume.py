@@ -470,6 +470,8 @@ class TestChannelVolume:
         for name in ("spacing", "dims", "data"):
             with pytest.raises(AttributeError):
                 setattr(vol, name, None)
+            with pytest.raises(AttributeError):
+                delattr(vol, name)
         arrays = [vol.data]
         if isinstance(vol, LayeredLabelVolume):
             arrays += vol.labelled()
@@ -647,6 +649,16 @@ class TestProbChunks:
         clamped = np.clip(values, 0.0, 1.0)
         assert np.concatenate(chunks).tobytes() == clamped.tobytes()
         assert read_volume(payload.path).data.tobytes() == clamped.tobytes()
+
+    def test_parts_stay_inside_one_channel(self, tmp_path):
+        """Every channel grid is read on its own: a part never takes voxels of the next channel."""
+        grid = volume.PROB_CHUNK + 37
+        values = np.random.default_rng(5).random(3 * grid, dtype=np.float32)
+        _write_raw_pair(tmp_path, _header([1, 1, grid], ["artery", "vein", "tumor"], "f32"),
+                        values.astype("<f4").tobytes())
+        chunks = [c.copy() for c in volume.prob_chunks(volume.open_payload(tmp_path / "vol.json"))]
+        assert [c.size for c in chunks] == [volume.PROB_CHUNK, 37] * 3
+        assert np.concatenate(chunks).tobytes() == values.tobytes()
 
     def test_size_mismatch_names_header(self, tmp_path):
         _write_raw_pair(tmp_path, _header([1, 2, 2], ["tumor"], "f32"), bytes(12))

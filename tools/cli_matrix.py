@@ -38,13 +38,17 @@ writes the same tree. Groups:
     NaN in the last voxel of the last sample, on folds with an
     in-tolerance -0.0005 in a late chunk, with heat maps on a 10x70x73
     crop of the folds, whose channels are not a whole number of statistics
-    blocks, and at threshold 0.7 with heat maps on folds that agree except
-    at scattered voxels and in one block where they differ only in the
+    blocks, with heat maps on three 17x128x128 folds, whose channels are
+    longer than one read chunk but not a whole number of chunks, and at
+    threshold 0.7 with heat maps on folds that agree except at scattered
+    voxels and in one block where they differ only in the
     sign of zero, with tumor voxels at float32(0.7) and the float32 above
     it, ``phantom uncertainty`` at ``--span 0`` (no tumor, so no band) and
     ``--span 350`` (the widened arc capped at 360 deg), each followed by
-    ``uncertainty`` over the three folds it writes, twelve ``evaluate``
-    manifests and flag sets, ``loss`` with and without ``--gradcheck`` and
+    ``uncertainty`` over the three folds it writes, fourteen ``evaluate``
+    manifests and flag sets, among them a ground truth whose spacing is
+    not the prediction's and a critical ground truth whose dims are not
+    (the entry fails, exit 4), ``loss`` with and without ``--gradcheck`` and
     the error paths, among them a voxel outside {0, 1} in a channel
     ``assess`` does not keep and in one it keeps, a layered label 9, a
     fold with a NaN in a late chunk and one with a NaN in its last voxel,
@@ -243,7 +247,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         payload[offset] = value
         payload.tofile(f"ph/{name}/fold{fold}.raw")
     # The folds cropped to 10x70x73: a channel holds 51100 voxels, not a
-    # multiple of the 32768-voxel statistics block, so blocks cross channels.
+    # multiple of the 32768-voxel statistics block, so it ends on a short block.
     for i in range(3):
         fold = read_volume(f"ph/unc/fold{i}.json")
         write_volume(ProbVolume(fold.data[:, :, 30:100, 27:100], fold.channels, fold.spacing),
@@ -289,6 +293,16 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     _write_manifest("ph/one.jsonl",
                     [{"scan_id": 7, "prediction": "scene.json", "ground_truth": "scene.json"}])
     _write_manifest("ph/empty.jsonl", [])
+    # Mixed geometry: a ground truth of other spacing, and a critical ground
+    # truth of other dims (the scene's central 64x64 rows and columns).
+    write_volume(MaskVolume(scene.data[:, :, 32:96, 32:96], scene.channels, scene.spacing),
+                 "ph/crop64.json")
+    ok = {"scan_id": "ok", "prediction": "scene.json", "ground_truth": "scene.json",
+          "critical_ground_truth": "scene.json"}
+    _write_manifest("ph/mixed_spacing.jsonl",
+                    [ok, {"scan_id": "aniso", "prediction": "aniso_y.json", "ground_truth": "scene.json"}])
+    _write_manifest("ph/mixed_critical_dims.jsonl", [ok, {**ok, "scan_id": "crop",
+                                                         "critical_ground_truth": "crop64.json"}])
 
     # Sample sets: each fold plus seeded noise, so both the aleatoric and
     # the epistemic std are nonzero.
@@ -308,6 +322,12 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     payload = np.fromfile("ph/nan_samples1/s2.raw", dtype="<f4")
     payload[-1] = np.nan
     payload.tofile("ph/nan_samples1/s2.raw")
+    # Folds of 17x128x128: a channel holds 278528 voxels, one read chunk
+    # of 262144 and half a chunk more, so it ends inside a chunk.
+    spec = phantom.PhantomSpec(dims=(17, 128, 128), slice_range=(2, 15), band_extra_deg=25.0,
+                               jitter_seed=2)
+    for i, fold in enumerate(phantom.gen_uncertainty_scene(spec, ())[0]):
+        write_volume(fold, f"ph/tall/fold{i}.json")
     # the folds of `phantom uncertainty --span S` (empty, and a wrap whose band
     # reaches the whole rim); no ks, so no truth is drawn up
     for span in (0, 350):
@@ -382,6 +402,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("uncertainty-agreeing-folds",
          "uncertainty --fold ph/agree/fold0.json --fold ph/agree/fold1.json "
          "--fold ph/agree/fold2.json --out o/u --threshold 0.7 --overlay o/heat"),
+        ("uncertainty-17-slices",
+         "uncertainty --fold ph/tall/fold0.json --fold ph/tall/fold1.json "
+         "--fold ph/tall/fold2.json --out o/u --overlay o/heat"),
         ("uncertainty-late-negative",
          "uncertainty --fold ph/unc/fold0.json --fold ph/late_negative/fold1.json "
          "--fold ph/unc/fold2.json --out o/u --overlay o/heat"),
@@ -398,6 +421,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("evaluate-all-tn", "evaluate ph/all_tn.jsonl --table"),
         ("evaluate-one-scan", "evaluate ph/one.jsonl"),
         ("evaluate-empty", "evaluate ph/empty.jsonl -o o/metrics.json"),
+        ("evaluate-mixed-spacing", "evaluate ph/mixed_spacing.jsonl"),
+        ("evaluate-critical-mixed-dims", "evaluate ph/mixed_critical_dims.jsonl --critical"),
         ("loss", "loss ph/loss_pred.json ph/loss_gt.json --beta 0.3"),
         ("loss-gradcheck", "loss ph/loss_pred.json ph/loss_gt.json --gradcheck -o o/loss.json"),
         ("error-missing-header", "assess ph/gone.json"),

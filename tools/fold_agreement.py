@@ -4,8 +4,9 @@ Usage::
 
     python3 tools/fold_agreement.py FOLD.json FOLD.json [FOLD.json ...]
 
-``uncertainty`` computes its statistics in blocks of 32768 voxels. A
-block where every fold equals the first under ``==`` skips the float64
+``uncertainty`` computes its statistics in blocks of up to 32768
+voxels, cut per channel: a block never spans two channels, so a channel
+whose size is not a multiple of 32768 ends on a short block. A block where every fold equals the first under ``==`` skips the float64
 stage (see ``vesselwrap.uncertainty``), and its gain depends on how many
 blocks do. A block whose first voxels already differ costs one scalar
 test per fold. A block whose first voxels agree but whose rest does not
@@ -21,8 +22,8 @@ own outputs before relying on the gain::
 one fold's values into every fold outside a rim band).
 
 The folds are read as ``uncertainty`` reads them (``_member_blocks``), a
-chunk at a time, clamped into [0, 1] and range-checked; the headers must
-share a geometry.
+chunk of one channel at a time, clamped into [0, 1] and range-checked;
+the headers must share a geometry.
 """
 
 import argparse
