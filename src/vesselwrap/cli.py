@@ -16,6 +16,10 @@ that order, then the units, then the ks if the command declares them.
 ``assess`` grades its one input; ``uncertainty`` alone loads folds and
 writes a sigma sweep. ``--filter-mode`` without ``--critical`` is rejected
 before the command runs, and the echo shows ``voxel`` when neither is given.
+
+Every input volume is judged once, from its header, by ``_open_kind``;
+the ``Payload`` it returns is what the command reads, so no header is
+parsed twice and no refused input has a voxel read.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .volume import (
     CHANNEL_NAMES,
     NAME_TO_CHANNEL,
     ChannelId,
-    LayeredLabelVolume,
     MaskVolume,
     MissingChannelError,
     Payload,
@@ -92,15 +95,36 @@ def _emit(doc: dict, output: str | None) -> None:
     write_outputs({}, {output: text})
 
 
-def _load_mask(path, channels=None) -> MaskVolume:
-    """A mask volume, decoded from layered labels if need be; ``channels`` as in read_volume.
+# A volume kind as ``_open_kind`` names it -> its name in a refusal.
+_KIND_NAMES = {"mask": "masks", "layered-label": "layered labels", "probability": "probabilities"}
+MASK_KINDS = ("mask", "layered-label")
 
-    A probability volume is rejected from its header, before any voxel is read.
+
+def _open_kind(path, *kinds: str) -> Payload:
+    """The checked header at ``path``, refused unless its kind is one of ``kinds``.
+
+    The kind is derived as ``read_volume`` derives it: ``f32`` is
+    probabilities, no channel list is layered labels, and any other header
+    (an empty channel list too) is masks. No voxel is read, so a refused
+    input costs one header parse.
     """
-    if open_payload(path).dtype == "f32":
-        raise CliError(f"{path}: expected a mask or layered-label volume, got probabilities", EXIT_INPUT)
-    vol = read_volume(path, channels)
-    if isinstance(vol, LayeredLabelVolume):
+    payload = open_payload(path)
+    kind = ("probability" if payload.dtype == "f32"
+            else "layered-label" if payload.channels is None else "mask")
+    if kind not in kinds:
+        raise CliError(f"{path}: expected a {' or '.join(kinds)} volume, got {_KIND_NAMES[kind]}",
+                       EXIT_INPUT)
+    return payload
+
+
+def _load_mask(payload: Payload, channels=None) -> MaskVolume:
+    """The mask volume of a ``MASK_KINDS`` header, decoded if layered; ``channels`` as in read_volume.
+
+    Every caller judges the header with ``_open_kind`` first, so a refused
+    input has no voxel read.
+    """
+    vol = read_volume(payload, channels)
+    if payload.channels is None:
         return decode_layered(vol, STANDARD_CHANNELS if channels is None else channels)
     return vol
 
@@ -149,14 +173,6 @@ def _assessment_doc(scan_id: str, args, body: dict) -> dict:
     }
 
 
-def _prob_payload(path: Path, kind: str) -> Payload:
-    """The checked header of a probability payload; ``kind`` names the members in the error."""
-    payload = open_payload(path)
-    if payload.dtype != "f32":
-        raise CliError(f"{path}: {kind} must be probability volumes", EXIT_INPUT)
-    return payload
-
-
 def _load_folds(paths) -> unc.FieldStream:
     """Folds are probability volume headers, or directories of sample headers.
 
@@ -172,9 +188,9 @@ def _load_folds(paths) -> unc.FieldStream:
             headers = sorted(p.glob("*.json"))
             if not headers:
                 raise CliError(f"sample directory {p} holds no volume headers", EXIT_INPUT)
-            sample_folds.append(unc.SampleSet(tuple(_prob_payload(h, "samples") for h in headers)))
+            sample_folds.append(unc.SampleSet(tuple(_open_kind(h, "probability") for h in headers)))
         else:
-            prob_folds.append(_prob_payload(p, "folds"))
+            prob_folds.append(_open_kind(p, "probability"))
     if prob_folds and sample_folds:
         raise CliError("mix of deterministic folds and sample directories", EXIT_INPUT)
     if sample_folds:
@@ -183,7 +199,7 @@ def _load_folds(paths) -> unc.FieldStream:
 
 
 def cmd_assess(args) -> int:
-    masks = _load_mask(args.input, ASSESS_CHANNELS)
+    masks = _load_mask(_open_kind(args.input, *MASK_KINDS), ASSESS_CHANNELS)
     scan_id = args.scan_id or Path(args.input).stem
     if args.critical:
         masks = filter_critical_volume(masks, args.filter_mode)
@@ -280,18 +296,18 @@ def cmd_evaluate(args) -> int:
     for entry in entries:
         scan_id = str(entry["scan_id"])
         try:
-            pred = _load_mask(_entry_path(base, entry, "prediction"))
             if "ground_truth" not in entry:
                 raise CliError("entry lacks ground_truth", EXIT_INPUT)
-            gt = _load_mask(_entry_path(base, entry, "ground_truth"))
-            gt_critical = None
-            if args.critical:
-                if "critical_ground_truth" not in entry:
-                    raise CliError("critical evaluation needs critical_ground_truth", EXIT_INPUT)
-                gt_critical = _load_mask(_entry_path(base, entry, "critical_ground_truth"))
+            if args.critical and "critical_ground_truth" not in entry:
+                raise CliError("critical evaluation needs critical_ground_truth", EXIT_INPUT)
+            keys = ("prediction", "ground_truth", "critical_ground_truth")[:3 if args.critical else 2]
+            # every header is judged before any of the entry's payloads is read
+            headers = {key: _open_kind(_entry_path(base, entry, key), *MASK_KINDS) for key in keys}
+            masks = {key: _load_mask(header) for key, header in headers.items()}
             evals.append(evaluation.evaluate_scan(
-                pred, gt, scan_id=scan_id, fold=entry.get("fold"), gt_critical=gt_critical,
-                filter_mode=args.filter_mode, connectivity=args.connectivity, span_method=args.span_method,
+                masks["prediction"], masks["ground_truth"], scan_id=scan_id, fold=entry.get("fold"),
+                gt_critical=masks.get("critical_ground_truth"), filter_mode=args.filter_mode,
+                connectivity=args.connectivity, span_method=args.span_method,
             ))
         except (CliError, ValueError, OSError) as exc:
             failures.append(f"{scan_id}: {exc}")
@@ -308,7 +324,7 @@ def cmd_evaluate(args) -> int:
 
 
 # What uncertainty writes into --out, in the order it puts them in place.
-UNCERTAINTY_FILES = ("mean.raw", "mean.json", "std.raw", "std.json", "uncertainty.json")
+UNCERTAINTY_FILES = ("mean.json", "mean.raw", "std.json", "std.raw", "uncertainty.json")
 
 
 def _written(blocks, payloads):
@@ -351,6 +367,10 @@ def _staged_uncertainty(args, stream: unc.FieldStream, tmps: dict[str, Path]) ->
 def _heat_maps(out: Path, stream: unc.FieldStream, directory: Path, scan_id: str) -> None:
     """Heat maps of the graded channels, read back from the written payloads a channel at a time.
 
+    The one payload read outside ``volume._parts``: it reads only this
+    command's own output, one grid per graded channel at an offset it
+    computes, where ``_parts`` would read every channel.
+
     A slice whose std stays below ``overlay.HEAT_CLIP`` gets no map. A
     successful sweep has graded tumor, artery and vein, so all three are there.
     """
@@ -386,24 +406,21 @@ def cmd_uncertainty(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    pred_vol = read_volume(args.prediction)
-    gt_vol = read_volume(args.ground_truth)
-    if isinstance(pred_vol, LayeredLabelVolume) or isinstance(gt_vol, LayeredLabelVolume):
-        raise CliError("loss expects multi-channel volumes", EXIT_INPUT)
-    if pred_vol.channels != gt_vol.channels or pred_vol.dims != gt_vol.dims:
+    pred_p, gt_p = (_open_kind(p, "probability", "mask") for p in (args.prediction, args.ground_truth))
+    if pred_p.channels != gt_p.channels or pred_p.dims != gt_p.dims:
         raise CliError("prediction and ground truth geometry differ", EXIT_SCHEMA)
-
-    pred = pred_vol.data.astype(np.float64)
-    gt = gt_vol.data.astype(np.float64)
+    pred, gt = (read_volume(p).data.astype(np.float64) for p in (pred_p, gt_p))
     weights = loss_mod.LossWeights(args.beta, args.alpha_w)
-    channels = pred_vol.channels
+    channels = pred_p.channels
+    # first, so that a missing tumor, artery or vein is refused before any term is averaged
+    overlap = loss_mod.overlap_loss(pred, gt, channels)
     doc = {
         "schema": "vesselwrap.loss/1",
         "tool_version": __version__,
         "weights": {"beta": args.beta, "alpha_w": args.alpha_w},
         "bce": _loss_value(loss_mod.bce(pred, gt)),
         "dice": _loss_value(loss_mod.soft_dice_loss(pred, gt)),
-        "overlap": _loss_value(loss_mod.overlap_loss(pred, gt, channels)),
+        "overlap": _loss_value(overlap),
         "combined": _loss_value(loss_mod.combined_loss(pred, gt, weights, channels)),
     }
     if args.gradcheck:

@@ -18,9 +18,16 @@ at ``<stem>.json`` describes geometry and dtype, the voxel data sits in
     omitted or ``null`` for a single-grid layered label volume.
 
 ``open_payload`` parses and checks a header and checks its payload's size
-without reading a voxel. Every payload has one reader, ``_parts``: it
+without reading a voxel; ``read_volume`` and the fold streams take the
+``Payload`` it returns, so a caller that judges a header first parses it
+once. Every input payload has one reader, ``_parts``: it
 reads at most 1 MiB of one grid at a time into one reused buffer, so a
-part never spans two grids. ``prob_chunks`` and ``_read_set_voxels``
+part never spans two grids. The one other read of a payload is
+``cli._heat_maps``: it reads back the ``mean.raw`` and ``std.raw`` that
+``uncertainty`` has just committed, with ``np.fromfile`` at a channel
+offset it computes, one grid per graded channel. It is kept because it
+reads only the command's own output, and ``_parts`` would read every
+channel. ``prob_chunks`` and ``_read_set_voxels``
 (below) apply the value rules to its parts: the first clamps each
 probability part into [0, 1] with a 0.001 tolerance; after the last
 part, a value further out, or a NaN, anywhere in the payload is rejected
@@ -553,6 +560,11 @@ def prob_chunks(payload: Payload):
 def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
     """Load a volume from its JSON header; the raw payload sits next to it.
 
+    ``path`` may also be the ``Payload`` that ``open_payload`` returned, so
+    a caller that has judged the header does not parse it again. The kind
+    follows from the header: ``f32`` is probabilities, no channel list is
+    layered labels, any other header (an empty list too) is masks.
+
     With ``channels``, a mask volume keeps only those of the listed
     channels that the file has, in file order; the others are still read
     and checked, but not kept. Mask and layered payloads are streamed by
@@ -560,7 +572,7 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
     Probability payloads are read whole, each ``prob_chunks`` part copied
     into one array at a running offset.
     """
-    payload = open_payload(path)
+    payload = path if isinstance(path, Payload) else open_payload(path)
     names, dims, spacing = payload.channels, payload.dims, payload.spacing
     if payload.dtype == "f32":
         flat, pos = np.empty(math.prod(payload.shape), np.float32), 0

@@ -1,6 +1,8 @@
 import argparse
 import builtins
+import collections
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -686,7 +688,7 @@ class TestStreamedReadErrors:
         else:
             self.six_channels(tmp_path)
         size = (tmp_path / "v.raw").stat().st_size
-        checked = volume.open_payload
+        checked = cli.open_payload
 
         def cut(header):
             payload = checked(header)
@@ -694,7 +696,8 @@ class TestStreamedReadErrors:
                 fh.truncate(size - 1)
             return payload
 
-        monkeypatch.setattr(volume, "open_payload", cut)
+        # the command's one header parse, whose Payload read_volume then reads
+        monkeypatch.setattr(cli, "open_payload", cut)
         monkeypatch.setattr(volume, "_STREAM_BYTES", stream_bytes)
         assert run("assess", tmp_path / "v.json") == 2
         assert capsys.readouterr().err == f"error: payload {tmp_path / 'v.raw'} shrank while being read\n"
@@ -855,6 +858,24 @@ class TestEvaluate:
         assert run("evaluate", manifest) == 2
         assert capsys.readouterr().err == f"error: manifest {error}\n"
 
+    def test_manifest_line_without_prediction_exit_2(self, tmp_path, capsys):
+        write_scene(tmp_path)
+        manifest = write_manifest(tmp_path, [{"scan_id": "s", "ground_truth": "scene.json"}])
+        assert run("evaluate", manifest) == 2
+        assert capsys.readouterr().err == "error: manifest line 1: needs scan_id and prediction\n"
+
+    def test_blank_manifest_lines_skipped(self, tmp_path, capsys):
+        write_scene(tmp_path)
+        lines = [json.dumps({"scan_id": f"s{i}", "prediction": "scene.json", "ground_truth": "scene.json"})
+                 for i in range(2)]
+        (tmp_path / "plain.jsonl").write_text("\n".join(lines) + "\n")
+        (tmp_path / "blank.jsonl").write_text("\n \t\n" + lines[0] + "\n\n   \n" + lines[1] + "\n\n")
+        docs = []
+        for name in ("plain.jsonl", "blank.jsonl"):
+            assert run("evaluate", tmp_path / name) == 0
+            docs.append(capsys.readouterr().out)
+        assert docs[0] == docs[1] and json.loads(docs[0])["n_scans"] == 2
+
     def test_deterministic_reports(self, tmp_path):
         write_scene(tmp_path, name="s0", span=120.0, seed=5)
         manifest = write_manifest(
@@ -984,6 +1005,44 @@ class TestUncertaintyCmd:
             f"error: {fold}: probability values non-finite or outside tolerated range: "
             "min=0.0, max=1.5\n"
         )
+
+    def test_empty_sample_directory_exit_2(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / "notes.txt").write_text("no header here")
+        assert run("uncertainty", "--fold", tmp_path / "empty", "--fold", tmp_path / "empty",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"error: sample directory {tmp_path / 'empty'} holds no volume headers\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_fold_beside_sample_directory_exit_2(self, tmp_path, capsys):
+        folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))
+        write_volume(folds[0], tmp_path / "fold0.json")
+        write_volume(folds[1], tmp_path / "samples" / "s0.json")
+        assert run("uncertainty", "--fold", tmp_path / "fold0.json", "--fold", tmp_path / "samples",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: mix of deterministic folds and sample directories\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("layered", [False, True], ids=["mask", "layered"])
+    @pytest.mark.parametrize("in_directory", [False, True], ids=["fold", "sample"])
+    def test_non_probability_member_refused_from_its_header(self, tmp_path, capsys, monkeypatch,
+                                                            layered, in_directory):
+        """A mask or layered file given as a fold or a sample is refused before any voxel is read."""
+        folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))
+        scene, _ = gen_wrap_scene(PhantomSpec())
+        members = [tmp_path / "m0.json", tmp_path / "m1.json"]
+        if in_directory:
+            members = [tmp_path / "d0" / "s0.json", tmp_path / "d1" / "s0.json"]
+        write_volume(folds[0], members[0])
+        write_volume(encode_layered(scene) if layered else scene, members[1])
+        reads = TestOneWayIn.count_reads(monkeypatch)
+        argv = [str(m.parent if in_directory else m) for m in members]
+        assert run("uncertainty", "--fold", argv[0], "--fold", argv[1], "--out", tmp_path / "o") == 2
+        got = "layered labels" if layered else "masks"
+        assert capsys.readouterr().err == (
+            f"error: {members[1]}: expected a probability volume, got {got}\n")
+        assert reads == []
 
     def test_sample_directories(self, tmp_path, capsys):
         spec = PhantomSpec(wrap_span_deg=70.0, band_extra_deg=25.0)
@@ -1119,6 +1178,34 @@ class TestUncertaintyStreaming:
         assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1, err
         assert self.snapshot(out) == previous
         assert open_files(tmp_path) == []
+
+    def test_header_name_taken_by_directory_keeps_other_outputs(self, tmp_path, capsys):
+        """A rerun that cannot put ``mean.json`` in place puts no output in place.
+
+        Each header is put in place before its payload, so the failed
+        rerun leaves the earlier run's payloads beside the earlier headers.
+        """
+        _, folds = self.write_folds(tmp_path)
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        assert run("uncertainty", *folds, "--out", out, "--ks", "0", "1") == 0
+        # other folds, which differ in a rim band: every payload and the sweep differ
+        other = []
+        banded, _ = gen_uncertainty_scene(dataclasses.replace(self.SPEC, band_extra_deg=25.0))
+        for i, fold in enumerate(banded):
+            write_volume(fold, tmp_path / f"other{i}.json")
+            other += ["--fold", tmp_path / f"other{i}.json"]
+        assert run("uncertainty", *other, "--out", fresh) == 0
+        (out / "mean.json").unlink()
+        (out / "mean.json").mkdir()
+        others = [name for name in cli.UNCERTAINTY_FILES if name != "mean.json"]
+        previous = {name: (out / name).read_bytes() for name in others}
+        assert all(previous[name] != (fresh / name).read_bytes()
+                   for name in ("mean.raw", "std.raw", "uncertainty.json"))
+        assert run("uncertainty", *other, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory") and len(err.splitlines()) == 1, err
+        assert {name: (out / name).read_bytes() for name in others} == previous
+        assert sorted(p.name for p in out.iterdir()) == sorted(cli.UNCERTAINTY_FILES)
 
     @pytest.mark.parametrize("fault", [None, "nan"])
     def test_unmakeable_out_reported_after_the_inputs(self, tmp_path, capsys, fault):
@@ -1383,6 +1470,144 @@ class TestLossCmd:
         )
         write_volume(small, tmp_path / "small.json")
         assert run("loss", tmp_path / "small.json", tmp_path / "gt.json") == 3
+
+    def test_no_channels_one_error_line(self, tmp_path):
+        """Two headers of no channel: the one error line, no numpy warning before it."""
+        for name in ("p", "g"):
+            (tmp_path / f"{name}.json").write_text(json.dumps(_tav_header(channels=[])))
+            (tmp_path / f"{name}.raw").write_bytes(b"")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vesselwrap.cli", "loss", tmp_path / "p.json", tmp_path / "g.json"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: loss needs the tumor channel\n"
+
+
+class TestOneWayIn:
+    """Each input header is parsed once, judged by one kind check, and a refused input is never read."""
+
+    @staticmethod
+    def count_parses(monkeypatch) -> collections.Counter:
+        """Header parses by path, under both names the program binds ``open_payload`` to."""
+        parses = collections.Counter()
+        real = volume.open_payload
+
+        def counting(path):
+            parses[Path(path)] += 1
+            return real(path)
+
+        monkeypatch.setattr(volume, "open_payload", counting)
+        monkeypatch.setattr(cli, "open_payload", counting)
+        return parses
+
+    @staticmethod
+    def count_reads(monkeypatch) -> list[Path]:
+        """The header of each payload that ``volume._parts``, the one payload reader, starts to read."""
+        reads = []
+        real = volume._parts
+
+        def counting(payload):
+            reads.append(payload.path)
+            return real(payload)
+
+        monkeypatch.setattr(volume, "_parts", counting)
+        return reads
+
+    @pytest.mark.parametrize("layered", [False, True], ids=["six-channel", "layered"])
+    def test_assess_parses_its_header_once(self, tmp_path, capsys, monkeypatch, layered):
+        scene, _ = gen_wrap_scene(PhantomSpec())
+        write_volume(encode_layered(scene) if layered else scene, tmp_path / "v.json")
+        parses = self.count_parses(monkeypatch)
+        assert run("assess", tmp_path / "v.json") == 0
+        assert parses == {tmp_path / "v.json": 1}
+
+    @pytest.mark.parametrize("critical", [False, True])
+    def test_evaluate_parses_each_header_once(self, tmp_path, capsys, monkeypatch, critical):
+        scene, _ = write_scene(tmp_path, name="pred")
+        write_volume(scene, tmp_path / "gt.json")
+        write_volume(encode_layered(scene), tmp_path / "crit.json")
+        manifest = write_manifest(tmp_path, [{"scan_id": "s", "prediction": "pred.json",
+                                              "ground_truth": "gt.json", "critical_ground_truth": "crit.json"}])
+        parses = self.count_parses(monkeypatch)
+        assert run("evaluate", manifest, *["--critical"] * critical) == 0
+        names = ("pred.json", "gt.json", "crit.json")[:3 if critical else 2]
+        assert parses == {tmp_path / name: 1 for name in names}
+
+    @pytest.mark.parametrize("samples", [False, True], ids=["folds", "sample-directories"])
+    def test_uncertainty_parses_each_header_once(self, tmp_path, capsys, monkeypatch, samples):
+        folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))
+        headers = []
+        for i, fold in enumerate(folds):
+            for j in range(2 if samples else 1):
+                headers.append(tmp_path / f"f{i}" / f"s{j}.json")
+                write_volume(fold, headers[-1])
+        fold_args = [f"--fold={h.parent if samples else h}" for h in headers[::2 if samples else 1]]
+        parses = self.count_parses(monkeypatch)
+        assert run("uncertainty", *fold_args, "--out", tmp_path / "o") == 0
+        assert parses == {h: 1 for h in headers}
+
+    def test_loss_parses_each_header_once(self, tmp_path, capsys, monkeypatch):
+        paths = write_cli_inputs(tmp_path)
+        parses = self.count_parses(monkeypatch)
+        assert run("loss", paths["pred"], paths["gt"]) == 0
+        assert parses == {Path(paths["pred"]): 1, Path(paths["gt"]): 1}
+
+    @pytest.mark.parametrize("which", ["prediction", "ground_truth"])
+    def test_loss_refuses_layered_labels_unread(self, tmp_path, capsys, monkeypatch, which):
+        paths = write_cli_inputs(tmp_path)
+        layered = tmp_path / "layered.json"
+        write_volume(encode_layered(read_volume(paths["scene"])), layered)
+        pair = {"prediction": paths["pred"], "ground_truth": paths["gt"], which: layered}
+        reads = self.count_reads(monkeypatch)
+        assert run("loss", pair["prediction"], pair["ground_truth"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {layered}: expected a probability or mask volume, got layered labels\n")
+        assert reads == []
+
+    @pytest.mark.parametrize("differ", ["dims", "channels"])
+    def test_loss_geometry_compared_unread(self, tmp_path, capsys, monkeypatch, differ):
+        paths = write_cli_inputs(tmp_path)
+        gt = read_volume(paths["gt"])
+        if differ == "dims":
+            other = MaskVolume(gt.data[:, :, :-1], gt.channels, gt.spacing)
+        else:
+            other = MaskVolume(gt.data[::-1], gt.channels[::-1], gt.spacing)
+        write_volume(other, tmp_path / "other.json")
+        reads = self.count_reads(monkeypatch)
+        assert run("loss", paths["pred"], tmp_path / "other.json") == 3
+        assert capsys.readouterr().err == "error: prediction and ground truth geometry differ\n"
+        assert reads == []
+
+    @pytest.mark.parametrize("fault", ["no-ground-truth", "no-critical", "probability-ground-truth"])
+    def test_evaluate_refused_entry_unread(self, tmp_path, capsys, monkeypatch, fault):
+        """An entry refused from its keys or its headers has none of its payloads read."""
+        write_scene(tmp_path)
+        folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))
+        write_volume(folds[0], tmp_path / "fold.json")
+        entry = {"scan_id": "s", "prediction": "scene.json"}
+        if fault != "no-ground-truth":
+            entry["ground_truth"] = "fold.json" if fault == "probability-ground-truth" else "scene.json"
+        manifest = write_manifest(tmp_path, [entry])
+        reads = self.count_reads(monkeypatch)
+        assert run("evaluate", manifest, *["--critical"] * (fault == "no-critical")) == 4
+        message = {
+            "no-ground-truth": "entry lacks ground_truth",
+            "no-critical": "critical evaluation needs critical_ground_truth",
+            "probability-ground-truth": f"{tmp_path / 'fold.json'}: expected a mask or layered-label volume, "
+                                        "got probabilities",
+        }[fault]
+        assert capsys.readouterr().err == f"error: s: {message}\n"
+        assert reads == []
+
+    def test_empty_channel_list_is_a_mask_volume(self, tmp_path, capsys):
+        """``"channels": []`` is a mask volume of no channel, not layered labels: assess lacks the tumor."""
+        (tmp_path / "v.json").write_text(json.dumps(_tav_header(channels=[])))
+        (tmp_path / "v.raw").write_bytes(b"")
+        assert run("assess", tmp_path / "v.json") == 3
+        assert capsys.readouterr().err == "error: volume has no 'tumor' channel\n"
 
 
 class TestPhantomCmd:

@@ -557,6 +557,35 @@ class TestChannelRead:
         back = read_volume(tmp_path / "p.json", (ChannelId.TUMOR,))
         assert back.channels == prob.channels
 
+    @pytest.mark.parametrize("channels", [None, (ChannelId.TUMOR, ChannelId.ARTERY)])
+    @pytest.mark.parametrize("kind", ["mask", "empty-mask", "layered", "probability"])
+    def test_payload_read_equals_path_read(self, tmp_path, monkeypatch, kind, channels):
+        """read_volume(open_payload(p), channels) is read_volume(p, channels), and parses no header."""
+        gen = np.random.default_rng(4)
+        dims = (2, 3, 5)
+        if kind == "empty-mask":  # "channels": [] is a mask volume of no channel, not layered labels
+            path = _write_raw_pair(tmp_path, _header(list(dims), [], "u8"), b"")
+        else:
+            vol = {
+                "mask": lambda: MaskVolume(_six_channel_payload(gen, dims), STANDARD_CHANNELS, SP1),
+                "layered": lambda: LayeredLabelVolume(gen.integers(0, 9, dims, dtype=np.uint8), SP1),
+                "probability": lambda: make_prob(gen.random((3,) + dims),
+                                                 channels=(ChannelId.VEIN, ChannelId.TUMOR,
+                                                           ChannelId.ARTERY)),
+            }[kind]()
+            path = tmp_path / "v.json"
+            write_volume(vol, path)
+        by_path = read_volume(path, channels)
+        payload = volume.open_payload(path)
+        monkeypatch.setattr(volume, "open_payload", None)
+        by_payload = read_volume(payload, channels)
+        assert type(by_payload) is type(by_path)
+        assert (by_payload.dims, by_payload.spacing) == (by_path.dims, by_path.spacing)
+        assert getattr(by_payload, "channels", None) == getattr(by_path, "channels", None)
+        assert by_payload.data.tobytes() == by_path.data.tobytes()
+        if kind == "empty-mask":
+            assert isinstance(by_path, MaskVolume) and by_path.channels == ()
+
     def test_header_errors_unchanged(self, tmp_path):
         path = _write_raw_pair(tmp_path, _header([2, 2, 2], ["tumor", "vein"], "u8"), b"\x01" * 15)
         with pytest.raises(VolumeFormatError, match="payload size mismatch: expected 16 bytes, got 15"):

@@ -48,14 +48,20 @@ writes the same tree. Groups:
     ``uncertainty`` over the three folds it writes, fourteen ``evaluate``
     manifests and flag sets, among them a ground truth whose spacing is
     not the prediction's and a critical ground truth whose dims are not
-    (the entry fails, exit 4), ``loss`` with and without ``--gradcheck`` and
+    (the entry fails, exit 4), a manifest with blank and whitespace-only
+    lines between its entries, ``--critical`` on a manifest one of whose
+    entries lacks ``critical_ground_truth`` (that entry fails, exit 4),
+    ``loss`` with and without ``--gradcheck`` and
     the error paths, among them a voxel outside {0, 1} in a channel
     ``assess`` does not keep and in one it keeps, a layered label 9, a
     fold with a NaN in a late chunk and one with a NaN in its last voxel,
     the late NaN followed by a garbled header (the header is reported), a
     fold payload 4 bytes short, a mask given as a fold, the fold with a
     late NaN given to ``assess`` (its header rejects it before any voxel
-    is read), ``-o`` naming an existing directory (no staged document may
+    is read), a sample directory that holds no header, a fold header
+    beside a sample directory, a manifest line without ``prediction``, a
+    layered file given to ``loss`` (its header rejects it before any
+    voxel is read), ``-o`` naming an existing directory (no staged document may
     be left beside it), ``--critical`` on a volume holding only the tumor
     (the filter names the missing pancreas before any vessel),
     ``--filter-mode`` without ``--critical`` and flags that a command or
@@ -293,6 +299,10 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     _write_manifest("ph/one.jsonl",
                     [{"scan_id": 7, "prediction": "scene.json", "ground_truth": "scene.json"}])
     _write_manifest("ph/empty.jsonl", [])
+    _write_manifest("ph/no_prediction.jsonl", [{"scan_id": "s", "ground_truth": "scene.json"}])
+    Path("ph/suite/blank_lines.jsonl").write_text(
+        "\n \t\n".join(Path("ph/suite/manifest.jsonl").read_text().splitlines()[:4]) + "\n\n  \n")
+    Path("ph/no_samples").mkdir()
     # Mixed geometry: a ground truth of other spacing, and a critical ground
     # truth of other dims (the scene's central 64x64 rows and columns).
     write_volume(MaskVolume(scene.data[:, :, 32:96, 32:96], scene.channels, scene.spacing),
@@ -303,6 +313,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
                     [ok, {"scan_id": "aniso", "prediction": "aniso_y.json", "ground_truth": "scene.json"}])
     _write_manifest("ph/mixed_critical_dims.jsonl", [ok, {**ok, "scan_id": "crop",
                                                          "critical_ground_truth": "crop64.json"}])
+    _write_manifest("ph/critical_missing.jsonl",
+                    [ok, {"scan_id": "bare", "prediction": "scene.json", "ground_truth": "scene.json"}])
 
     # Sample sets: each fold plus seeded noise, so both the aleatoric and
     # the epistemic std are nonzero.
@@ -423,6 +435,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("evaluate-empty", "evaluate ph/empty.jsonl -o o/metrics.json"),
         ("evaluate-mixed-spacing", "evaluate ph/mixed_spacing.jsonl"),
         ("evaluate-critical-mixed-dims", "evaluate ph/mixed_critical_dims.jsonl --critical"),
+        ("evaluate-blank-lines", "evaluate ph/suite/blank_lines.jsonl --table"),
         ("loss", "loss ph/loss_pred.json ph/loss_gt.json --beta 0.3"),
         ("loss-gradcheck", "loss ph/loss_pred.json ph/loss_gt.json --gradcheck -o o/loss.json"),
         ("error-missing-header", "assess ph/gone.json"),
@@ -436,6 +449,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-bad-voxel-in-kept-channel", "assess ph/bad_tumor.json"),
         ("error-bad-layered-label", "assess ph/bad_layered.json"),
         ("error-loss-geometry", "loss ph/loss_pred.json ph/scene.json"),
+        ("error-loss-layered", "loss ph/layered.json ph/loss_gt.json"),
         ("error-nan-threshold", f"uncertainty {folds} --out o/u --threshold nan"),
         ("error-uncertainty-late-nan",
          "uncertainty --fold ph/unc/fold0.json --fold ph/unc/fold1.json "
@@ -452,6 +466,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
          "--fold ph/unc/fold2.json --out o/u"),
         ("error-uncertainty-mask-fold",
          "uncertainty --fold ph/unc/fold0.json --fold ph/scene.json --out o/u"),
+        ("error-empty-sample-dir", "uncertainty --fold ph/no_samples --fold ph/samples0 --out o/u"),
+        ("error-fold-and-sample-dir", "uncertainty --fold ph/unc/fold0.json --fold ph/samples0 --out o/u"),
         ("error-output-under-file", "assess ph/scene.json -o ph/scene.json/x.json"),
         ("error-output-is-directory", "assess ph/scene.json -o ph"),
         ("error-phantom-radius", "phantom wrap --out o --radius 1"),
@@ -463,6 +479,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-phantom-wrap-ks", "phantom wrap --out o --ks 3"),
         ("error-missing-manifest", "evaluate ph/none.jsonl"),
         ("error-garbled-manifest", "evaluate ph/garbled.jsonl"),
+        ("error-manifest-no-prediction", "evaluate ph/no_prediction.jsonl"),
+        ("error-evaluate-critical-missing", "evaluate ph/critical_missing.jsonl --critical"),
     ]
 
 
