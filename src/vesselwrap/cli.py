@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evaluation, loss as loss_mod, overlay, phantom as phantom_mod, uncertainty as unc
+from . import __version__, evaluation, loss as loss_mod, overlay, uncertainty as unc
 from .involvement import GRADED_CHANNELS, VESSELS, DpcgCategory, InvolvementReport, assess_scan, filter_critical_volume
 from .volume import (
     CHANNEL_NAMES,
@@ -434,6 +434,9 @@ def cmd_loss(args) -> int:
 
 def cmd_phantom(args) -> int:
     """Write the scene's volumes and documents into --out in one ``write_outputs``."""
+    # the one command that draws scenes; no other command pays this import
+    from . import phantom as phantom_mod
+
     out = Path(args.out)
     if args.scene == "confusion":
         cases = phantom_mod.gen_confusion_suite(args.seed)

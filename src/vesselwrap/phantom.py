@@ -21,15 +21,20 @@ Construction notes, because pixels are coarse at radius 8:
 Angles use the same atan2 convention as the involvement module, so oracle
 and measurement share one coordinate system.
 
-One slice loop and one channel fill build every scene: ``_scene_grids``
+One rasteriser and one channel fill build every scene. ``_scene_grids``
 fills (slices, H, W) bool grids of the vessel, the tumor and the rim band
-over ``slice_range``, drawing each slice's jitter in turn, and ``_stack``
-writes them and the pancreas disk into the six channels (uint8 for a wrap
-scene, float32 per fold with ``tumor + value * band``). ``_has_band``
-alone decides whether a band exists (``band_extra_deg > 0`` and
-``0 < wrap_span_deg < 360``), for the rasteriser and the truth alike; the
-widened arc stops at 360 deg. The confusion suite draws each case's three
-distinct scenes once, and its four cases share those immutable volumes.
+over ``slice_range``. It draws every slice's jitter in one call into an
+(n, 2) array of tube centres, then draws slabs of whole slices at once,
+only on the box of rows and columns within the tumor's reach of any
+centre. A slab holds at most ``_SLAB_VOXELS`` box pixels, so no float64
+temporary exceeds 1 MiB, and the cost follows the tube's box, not the
+plane. ``_stack`` writes the grids and the pancreas disk into the six
+channels (uint8 for a wrap scene; float32 per fold, with the fold's band
+value written into the tumor grid). ``_has_band`` alone decides whether a
+band exists (``band_extra_deg > 0`` and ``0 < wrap_span_deg < 360``), for
+the rasteriser and the truth alike; the widened arc stops at 360 deg. The
+confusion suite draws each case's three distinct scenes once, and its
+four cases share those immutable volumes.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ ANGULAR_ALLOWANCE_PX = 0.5
 DEFAULT_BAND_VALUES = (0.32, 0.40, 0.48)
 WRAP_THICKNESS_PX = 2.5  # radial depth of the tumor rim
 CONFUSION_CASES_PER_CELL = 5
+# Box pixels per slab of ``_scene_grids``: 1 MiB per float64 temporary.
+_SLAB_VOXELS = (1 << 20) // 8
 
 
 @dataclass(frozen=True)
@@ -80,12 +87,18 @@ class PhantomSpec:
         z0, z1 = self.slice_range
         if not (0 <= z0 <= z1 <= self.dims[0]):
             raise ValueError("slice range outside the grid")
-        reach = self.vessel_radius_px + WRAP_THICKNESS_PX + 2.0
+        reach = _reach(self)
         r, c = self.vessel_center
         if not (reach <= r <= self.dims[1] - 1 - reach and reach <= c <= self.dims[2] - 1 - reach):
             raise ValueError("tube (plus tumor rim) must sit fully inside the grid")
         if self.vessel_channel not in (ChannelId.ARTERY, ChannelId.VEIN):
             raise ValueError("vessel channel must be artery or vein")
+
+
+def _reach(spec: PhantomSpec) -> float:
+    """Distance from the tube axis beyond which a slice holds no vessel, tumor
+    or band pixel and no pixel the contact dilation reads."""
+    return spec.vessel_radius_px + WRAP_THICKNESS_PX + 2.0
 
 
 @dataclass(frozen=True)
@@ -98,11 +111,15 @@ class PhantomTruth:
     span_by_slice: dict[int, float] = field(default_factory=dict)
 
 
-def _polar(dims_hw: tuple[int, int], center: tuple[float, float]):
-    rows = np.arange(dims_hw[0], dtype=np.float64)[:, None] - center[0]
-    cols = np.arange(dims_hw[1], dtype=np.float64)[None, :] - center[1]
-    radius = np.hypot(rows, cols)
-    theta = np.degrees(np.arctan2(-rows, np.broadcast_to(cols, radius.shape))) % 360.0
+def _polar(rows: np.ndarray, cols: np.ndarray, centers: np.ndarray):
+    """Radius (px) and atan2 angle (deg, in [0, 360)) of every pixel of the
+    ``rows`` x ``cols`` grid about each of the (n, 2) row-col ``centers``:
+    two (n, len(rows), len(cols)) float64 arrays, pixel for pixel the values
+    a whole-plane grid holds at those rows and columns."""
+    dr = rows[None, :, None] - centers[:, 0, None, None]
+    dc = cols[None, None, :] - centers[:, 1, None, None]
+    radius = np.hypot(dr, dc)
+    theta = np.degrees(np.arctan2(-dr, np.broadcast_to(dc, radius.shape))) % 360.0
     return radius, theta
 
 
@@ -154,27 +171,50 @@ def _widened_span(spec: PhantomSpec) -> float:
     return min(spec.wrap_span_deg + 2.0 * spec.band_extra_deg, 360.0)
 
 
+def _box(centers: np.ndarray, reach: float, size: int, axis: int) -> slice:
+    """The grid indices on ``axis`` within ``reach`` of any centre, clipped to ``size``."""
+    lo = math.floor(float(centers[:, axis].min()) - reach)
+    hi = math.ceil(float(centers[:, axis].max()) + reach) + 1
+    return slice(max(lo, 0), min(hi, size))
+
+
 def _scene_grids(spec: PhantomSpec):
     """Bool (slices, H, W) grids of the vessel, tumor and band over ``slice_range``,
-    plus the (H, W) pancreas disk; each slice draws its two jitter uniforms in turn."""
+    plus the (H, W) pancreas disk.
+
+    Every slice's tube centre is drawn up front, in one jitter draw that
+    yields the stream of two uniforms per slice in turn. The grids are drawn
+    only on the box that holds every pixel within the tumor's reach of any
+    slice's centre, and stay False outside it. The box is drawn in slabs of
+    whole slices, each at most ``_SLAB_VOXELS`` box pixels (and at least one
+    slice), so no float64 temporary exceeds 1 MiB however large the tube.
+    """
     z0, z1 = spec.slice_range
-    vessel, tumor, band = np.zeros((3, z1 - z0) + spec.dims[1:], dtype=bool)
-    rng = np.random.default_rng(spec.jitter_seed)
-    for i in range(z1 - z0):
-        center = spec.vessel_center
-        if spec.axis_jitter_px > 0.0:
-            j = rng.uniform(-spec.axis_jitter_px, spec.axis_jitter_px, size=2)
-            center = (center[0] + float(j[0]), center[1] + float(j[1]))
-        radius, theta = _polar(spec.dims[1:], center)
-        vessel[i] = radius <= spec.vessel_radius_px
-        dist = _wrap_distance(theta, spec.wrap_center_deg)
-        tumor[i] = _sector_tumor(spec, vessel[i], radius, dist, spec.wrap_span_deg)
-        if _has_band(spec):
-            band[i] = _sector_tumor(spec, vessel[i], radius, dist, _widened_span(spec)) & ~tumor[i]
+    n = z1 - z0
+    vessel, tumor, band = np.zeros((3, n) + spec.dims[1:], dtype=bool)
+    centers = np.broadcast_to(np.asarray(spec.vessel_center, dtype=np.float64), (n, 2))
+    if spec.axis_jitter_px > 0.0:
+        rng = np.random.default_rng(spec.jitter_seed)
+        centers = centers + rng.uniform(-spec.axis_jitter_px, spec.axis_jitter_px, size=(n, 2))
+    if n:
+        reach = _reach(spec)
+        box = tuple(_box(centers, reach, spec.dims[1 + axis], axis) for axis in (0, 1))
+        rows, cols = (np.arange(b.start, b.stop, dtype=np.float64) for b in box)
+        step = max(1, _SLAB_VOXELS // (rows.size * cols.size))
+        for lo in range(0, n, step):
+            slab = (slice(lo, lo + step),) + box
+            radius, theta = _polar(rows, cols, centers[lo:lo + step])
+            vessel[slab] = radius <= spec.vessel_radius_px
+            dist = _wrap_distance(theta, spec.wrap_center_deg)
+            tumor[slab] = _sector_tumor(spec, vessel[slab], radius, dist, spec.wrap_span_deg)
+            if _has_band(spec):
+                widened = _sector_tumor(spec, vessel[slab], radius, dist, _widened_span(spec))
+                band[slab] = widened & ~tumor[slab]
     pancreas = np.zeros(spec.dims[1:], dtype=bool)
     if spec.pancreas_center is not None and spec.pancreas_radius_px > 0:
-        p_radius, _ = _polar(spec.dims[1:], spec.pancreas_center)
-        pancreas = p_radius <= spec.pancreas_radius_px
+        plane = (np.arange(d, dtype=np.float64) for d in spec.dims[1:])
+        p_radius, _ = _polar(*plane, np.asarray([spec.pancreas_center], dtype=np.float64))
+        pancreas = p_radius[0] <= spec.pancreas_radius_px
     return vessel, tumor, band, pancreas
 
 
@@ -222,11 +262,11 @@ def gen_uncertainty_scene(
     span at every k.
     """
     vessel, tumor, band, pancreas = _scene_grids(spec)
-    folds = [
-        ProbVolume(_stack(spec, np.float32, vessel, tumor + float(value) * band, pancreas),
-                   STANDARD_CHANNELS, spec.spacing)
-        for value in spec.band_values
-    ]
+    folds = []
+    for value in spec.band_values:
+        data = _stack(spec, np.float32, vessel, tumor, pancreas)
+        data[STANDARD_CHANNELS.index(ChannelId.TUMOR), slice(*spec.slice_range)][band] = value
+        folds.append(ProbVolume(data, STANDARD_CHANNELS, spec.spacing))
     values = np.asarray(spec.band_values, dtype=np.float64)
     mean = float(values.mean())
     std = float(values.std())

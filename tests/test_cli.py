@@ -1816,3 +1816,35 @@ class TestRuntimeWithoutNumpyRandom:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result == {"codes": [0, 0, 0], "unneeded": []}
+
+
+# Runs --version and assess in a fresh interpreter and reports whether the
+# phantom module was loaded. Only the phantom command draws scenes, so no
+# other command should pay its import.
+_WITHOUT_PHANTOM = """
+import json, sys
+from vesselwrap import cli
+
+out = sys.argv[1]
+try:
+    cli.main(["--version"])
+except SystemExit as exc:
+    codes = [exc.code]
+codes.append(cli.main(["assess", f"{out}/scene.json", "-o", f"{out}/assess.json"]))
+print(json.dumps({"codes": codes, "phantom": "vesselwrap.phantom" in sys.modules}))
+"""
+
+
+class TestRuntimeWithoutPhantom:
+    def test_version_and_assess_do_not_load_phantom(self, tmp_path):
+        write_scene(tmp_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_PHANTOM, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0], "phantom": False}

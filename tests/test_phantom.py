@@ -1,11 +1,22 @@
 import hashlib
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from vesselwrap import phantom
 from vesselwrap.involvement import DpcgCategory, scan_involvement
 from vesselwrap.phantom import (
+    WRAP_THICKNESS_PX,
     PhantomSpec,
+    _has_band,
+    _scene_grids,
+    _sector_tumor,
+    _widened_span,
+    _wrap_distance,
     allowance_deg,
     gen_confusion_suite,
     gen_uncertainty_scene,
@@ -187,3 +198,116 @@ class TestGoldenBytes:
             ("tp_0", "tp"), ("fp_0", "fp"), ("tn_0", "tn"), ("fn_0", "fn")]
         assert digest(*(v for c in suite for v in (c.pred, c.gt))) == (
             "5c342e1b2adcd8868128c6256511928fa9a7f7a8e103101c3264f496cd342c2c")
+
+
+def _plane_polar(dims_hw, center):
+    rows = np.arange(dims_hw[0], dtype=np.float64)[:, None] - center[0]
+    cols = np.arange(dims_hw[1], dtype=np.float64)[None, :] - center[1]
+    radius = np.hypot(rows, cols)
+    theta = np.degrees(np.arctan2(-rows, np.broadcast_to(cols, radius.shape))) % 360.0
+    return radius, theta
+
+
+def reference_grids(spec: PhantomSpec):
+    """The rasteriser before slabs: each slice in turn, on the whole plane,
+    drawing its own two jitter uniforms."""
+    z0, z1 = spec.slice_range
+    vessel, tumor, band = np.zeros((3, z1 - z0) + spec.dims[1:], dtype=bool)
+    rng = np.random.default_rng(spec.jitter_seed)
+    for i in range(z1 - z0):
+        center = spec.vessel_center
+        if spec.axis_jitter_px > 0.0:
+            j = rng.uniform(-spec.axis_jitter_px, spec.axis_jitter_px, size=2)
+            center = (center[0] + float(j[0]), center[1] + float(j[1]))
+        radius, theta = _plane_polar(spec.dims[1:], center)
+        vessel[i] = radius <= spec.vessel_radius_px
+        dist = _wrap_distance(theta, spec.wrap_center_deg)
+        tumor[i] = _sector_tumor(spec, vessel[i], radius, dist, spec.wrap_span_deg)
+        if _has_band(spec):
+            band[i] = _sector_tumor(spec, vessel[i], radius, dist, _widened_span(spec)) & ~tumor[i]
+    pancreas = np.zeros(spec.dims[1:], dtype=bool)
+    if spec.pancreas_center is not None and spec.pancreas_radius_px > 0:
+        p_radius, _ = _plane_polar(spec.dims[1:], spec.pancreas_center)
+        pancreas = p_radius <= spec.pancreas_radius_px
+    return vessel, tumor, band, pancreas
+
+
+@st.composite
+def scene_specs(draw):
+    radius = draw(st.floats(2.0, 20.0))
+    reach = radius + WRAP_THICKNESS_PX + 2.0
+    plane = [draw(st.integers(math.ceil(2 * reach) + 1, math.ceil(2 * reach) + 12)) for _ in range(2)]
+    depth = draw(st.integers(0, 6))
+    z0 = draw(st.integers(0, depth))
+    z1 = draw(st.one_of(st.just(depth), st.integers(z0, depth)))
+    pancreas = draw(st.booleans())
+    return PhantomSpec(
+        dims=(depth, *plane),
+        vessel_center=tuple(draw(st.floats(reach, size - 1 - reach)) for size in plane),
+        vessel_radius_px=radius,
+        wrap_center_deg=draw(st.floats(0.0, 360.0)),
+        wrap_span_deg=draw(st.one_of(st.sampled_from([0.0, 360.0]), st.floats(0.0, 360.0))),
+        slice_range=(0, depth) if draw(st.booleans()) else (z0, z1),
+        axis_jitter_px=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+        jitter_seed=draw(st.integers(0, 2**31)),
+        pancreas_center=(draw(st.floats(0.0, plane[0] - 1.0)), draw(st.floats(0.0, plane[1] - 1.0)))
+        if pancreas else None,
+        pancreas_radius_px=draw(st.floats(0.0, 10.0)) if pancreas else 0.0,
+        band_extra_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 60.0))),
+    )
+
+
+class TestSlabRasteriser:
+    """``_scene_grids`` draws slabs of slices on the tube's box; it must give
+    the per-slice whole-plane rasteriser's grids exactly."""
+
+    @staticmethod
+    def assert_matches_reference(spec, slab_voxels):
+        with mock.patch.object(phantom, "_SLAB_VOXELS", slab_voxels):
+            got = _scene_grids(spec)
+        for name, a, b in zip(("vessel", "tumor", "band", "pancreas"), got, reference_grids(spec)):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=scene_specs(), slab_voxels=st.one_of(st.just(phantom._SLAB_VOXELS), st.integers(1, 8000)))
+    @example(spec=PhantomSpec(dims=(3, 22, 22), vessel_center=(6.5, 14.5), vessel_radius_px=2.0,
+                              slice_range=(0, 3), axis_jitter_px=2.0),
+             slab_voxels=1)
+    @example(spec=PhantomSpec(slice_range=(0, 0), pancreas_center=(64.0, 80.0), pancreas_radius_px=5.0),
+             slab_voxels=phantom._SLAB_VOXELS)
+    def test_equals_per_slice_reference(self, spec, slab_voxels):
+        # small slab sizes split even these small boxes into many slabs; the
+        # first example's jitter pushes its box past both grid edges
+        self.assert_matches_reference(spec, slab_voxels)
+
+    def test_box_edge_between_slice_centres(self):
+        # reach 12: jitter moves the slice centres across 30.0, so the box's
+        # first row and column (centre - reach) fall on both sides of 18. The
+        # centres also spread over more than the box's 2 px margin beyond the
+        # rim band, so a box about any one slice's centre loses band pixels.
+        spec = PhantomSpec(dims=(12, 61, 61), vessel_center=(30.0, 30.0), vessel_radius_px=7.5,
+                           slice_range=(0, 12), axis_jitter_px=4.0, wrap_span_deg=300.0,
+                           band_extra_deg=30.0, jitter_seed=0)
+        j = np.random.default_rng(spec.jitter_seed).uniform(-4.0, 4.0, size=(12, 2))
+        assert (j < 0).any(axis=0).all() and (j > 0).any(axis=0).all()
+        assert (j.max(axis=0) - j.min(axis=0) > 6.0).all()
+        for slab_voxels in (1, phantom._SLAB_VOXELS):
+            self.assert_matches_reference(spec, slab_voxels)
+
+    def test_peak_memory_of_a_plane_filling_tube(self):
+        """A tube whose box fills most of the plane is drawn in slabs.
+
+        tracemalloc counts bytes per grid voxel. The three bool grids take 3;
+        drawing the whole box as one slab of float64 temporaries peaked at
+        about 30, and per-slice drawing on the whole plane at about 4.
+        """
+        spec = PhantomSpec(dims=(64, 256, 256), vessel_center=(128.0, 128.0), vessel_radius_px=110.0,
+                           slice_range=(0, 64), wrap_span_deg=200.0, band_extra_deg=25.0)
+        tracemalloc.start()
+        try:
+            grids = _scene_grids(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grids[2].any()
+        assert peak / math.prod(spec.dims) <= 5.0
