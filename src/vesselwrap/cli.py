@@ -17,9 +17,13 @@ that order, then the units, then the ks if the command declares them.
 writes a sigma sweep. ``--filter-mode`` without ``--critical`` is rejected
 before the command runs, and the echo shows ``voxel`` when neither is given.
 
-Every input volume is judged once, from its header, by ``_open_kind``;
-the ``Payload`` it returns is what the command reads, so no header is
-parsed twice and no refused input has a voxel read.
+Every input volume is judged once, from its header, by ``_open_kind``,
+which reads ``Payload.kind``; the ``Payload`` it returns is what the
+command reads, so no header is parsed twice and no refused input has a
+voxel read. Mixed geometry is refused from the headers too: ``loss``
+compares channels, dims and spacing, ``evaluate`` an entry's dims and
+spacing (``evaluation.check_geometry``), and ``uncertainty`` every
+member's, in ``fold_mean_std`` or ``sample_mean_std``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .volume import (
     MaskVolume,
     MissingChannelError,
     Payload,
-    STANDARD_CHANNELS,
     decode_layered,
     open_payload,
     read_volume,
@@ -101,19 +104,14 @@ MASK_KINDS = ("mask", "layered-label")
 
 
 def _open_kind(path, *kinds: str) -> Payload:
-    """The checked header at ``path``, refused unless its kind is one of ``kinds``.
+    """The checked header at ``path``, refused unless its ``Payload.kind`` is one of ``kinds``.
 
-    The kind is derived as ``read_volume`` derives it: ``f32`` is
-    probabilities, no channel list is layered labels, and any other header
-    (an empty channel list too) is masks. No voxel is read, so a refused
-    input costs one header parse.
+    No voxel is read, so a refused input costs one header parse.
     """
     payload = open_payload(path)
-    kind = ("probability" if payload.dtype == "f32"
-            else "layered-label" if payload.channels is None else "mask")
-    if kind not in kinds:
-        raise CliError(f"{path}: expected a {' or '.join(kinds)} volume, got {_KIND_NAMES[kind]}",
-                       EXIT_INPUT)
+    if payload.kind not in kinds:
+        raise CliError(f"{path}: expected a {' or '.join(kinds)} volume, "
+                       f"got {_KIND_NAMES[payload.kind]}", EXIT_INPUT)
     return payload
 
 
@@ -121,12 +119,10 @@ def _load_mask(payload: Payload, channels=None) -> MaskVolume:
     """The mask volume of a ``MASK_KINDS`` header, decoded if layered; ``channels`` as in read_volume.
 
     Every caller judges the header with ``_open_kind`` first, so a refused
-    input has no voxel read.
+    input has no voxel read. A layered volume decodes all six channels.
     """
     vol = read_volume(payload, channels)
-    if payload.channels is None:
-        return decode_layered(vol, STANDARD_CHANNELS if channels is None else channels)
-    return vol
+    return decode_layered(vol) if payload.kind == "layered-label" else vol
 
 
 def _report_dict(report: InvolvementReport) -> dict:
@@ -181,14 +177,14 @@ def _load_folds(paths) -> unc.FieldStream:
     is read; the stream's pass then reads each payload once.
     """
     prob_folds: list[Payload] = []
-    sample_folds: list[unc.SampleSet] = []
+    sample_folds: list[tuple[Payload, ...]] = []
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
             headers = sorted(p.glob("*.json"))
             if not headers:
                 raise CliError(f"sample directory {p} holds no volume headers", EXIT_INPUT)
-            sample_folds.append(unc.SampleSet(tuple(_open_kind(h, "probability") for h in headers)))
+            sample_folds.append(tuple(_open_kind(h, "probability") for h in headers))
         else:
             prob_folds.append(_open_kind(p, "probability"))
     if prob_folds and sample_folds:
@@ -303,6 +299,7 @@ def cmd_evaluate(args) -> int:
             keys = ("prediction", "ground_truth", "critical_ground_truth")[:3 if args.critical else 2]
             # every header is judged before any of the entry's payloads is read
             headers = {key: _open_kind(_entry_path(base, entry, key), *MASK_KINDS) for key in keys}
+            evaluation.check_geometry(*headers.values())
             masks = {key: _load_mask(header) for key, header in headers.items()}
             evals.append(evaluation.evaluate_scan(
                 masks["prediction"], masks["ground_truth"], scan_id=scan_id, fold=entry.get("fold"),
@@ -407,7 +404,7 @@ def cmd_uncertainty(args) -> int:
 
 def cmd_loss(args) -> int:
     pred_p, gt_p = (_open_kind(p, "probability", "mask") for p in (args.prediction, args.ground_truth))
-    if pred_p.channels != gt_p.channels or pred_p.dims != gt_p.dims:
+    if (pred_p.channels, pred_p.dims, pred_p.spacing) != (gt_p.channels, gt_p.dims, gt_p.spacing):
         raise CliError("prediction and ground truth geometry differ", EXIT_SCHEMA)
     pred, gt = (read_volume(p).data.astype(np.float64) for p in (pred_p, gt_p))
     weights = loss_mod.LossWeights(args.beta, args.alpha_w)

@@ -23,26 +23,12 @@ from . import involvement as inv
 from .volume import CHANNEL_NAMES, ChannelId, MaskVolume
 
 
-def _foreground(grid) -> np.ndarray:
-    """The grid itself when nonzero already means > 0 (bool, unsigned), else grid > 0."""
-    grid = np.asarray(grid)
-    return grid if grid.dtype.kind in "bu" else grid > 0
-
-
-def dice(pred, gt) -> float:
-    """Counts-based Dice of the > 0 voxels; both-empty is a perfect 1.0."""
-    p = _foreground(pred)
-    g = _foreground(gt)
-    if p.shape != g.shape:
-        raise ValueError(f"geometry mismatch: {p.shape} vs {g.shape}")
-    denom = np.count_nonzero(p) + np.count_nonzero(g)
-    if denom == 0:
-        return 1.0
-    return 2.0 * np.count_nonzero(np.logical_and(p, g)) / denom
-
-
 def voxel_dice(pred_voxels: np.ndarray, gt_voxels: np.ndarray) -> float:
-    """``dice`` of two grids given as the sorted flat indices of their set voxels."""
+    """Counts-based Dice of two grids given as the sorted flat indices of their set voxels.
+
+    2 |P & G| / (|P| + |G|), the intersection found by ``np.intersect1d``;
+    both-empty is a perfect 1.0.
+    """
     denom = pred_voxels.size + gt_voxels.size
     if denom == 0:
         return 1.0
@@ -106,9 +92,22 @@ def dpcg_bucket_table(pairs: Sequence[tuple[float, float]]) -> list[dict]:
     return list(rows.values())
 
 
-def _geometry(v: MaskVolume) -> str:
-    """A volume's dims and spacing; two are equal exactly when the geometries are."""
+def _geometry(v) -> str:
+    """The dims and spacing of a volume or header; two are equal exactly when the geometries are."""
     return f"{v.dims} at {v.spacing.as_tuple()} mm"
+
+
+def check_geometry(pred, gt, gt_critical=None) -> None:
+    """Raise ValueError naming both geometries unless ``gt`` and ``gt_critical`` have ``pred``'s.
+
+    Each argument is anything with ``dims`` and ``spacing``: a volume, or
+    the ``volume.Payload`` of its header, so a caller can refuse an entry
+    before reading a voxel. ``gt_critical`` may be None.
+    """
+    for name, other in (("ground truth", gt), ("critical ground truth", gt_critical)):
+        if other is not None and _geometry(other) != _geometry(pred):
+            raise ValueError(
+                f"geometry mismatch: prediction {_geometry(pred)}, {name} {_geometry(other)}")
 
 
 @dataclass
@@ -143,12 +142,9 @@ def evaluate_scan(
     that critical-vessel aggregate volume (same tumor channel rules apply).
 
     ``gt`` and ``gt_critical`` must have the prediction's dims and
-    spacing; before any score, ValueError names both geometries.
+    spacing; before any score, ``check_geometry`` names both geometries.
     """
-    for name, other in (("ground truth", gt), ("critical ground truth", gt_critical)):
-        if other is not None and _geometry(other) != _geometry(pred):
-            raise ValueError(
-                f"geometry mismatch: prediction {_geometry(pred)}, {name} {_geometry(other)}")
+    check_geometry(pred, gt, gt_critical)
     dice_by_channel: dict[str, float] = {}
     for cid in pred.channels:
         if gt.has_channel(cid):

@@ -110,15 +110,15 @@ from the blocks, each block into its one channel's grid; the CLI also
 appends them to its payload files. So no consumer holds a whole mean or
 std.
 
-Sample sets take that one pass over every sample of every fold. Per
-block, each fold's mean and aleatoric std are taken over its samples,
-then the mean and std of the fold means and the mean of the aleatoric
-stds, and their sum capped at 1 as a float32 add. These are the
-operations of three whole-volume statistics, block by block, so no
-fold's mean or std is held whole. Both operands of the sum are float32
-in [0, 1], and a float64 sum rounded to float32 equals one float32
-rounding of the exact sum (53 >= 2 * 24 + 2), so it matches a float64
-sum bit for bit.
+Sample folds, each a sequence of its samples, take that one pass over
+every sample of every fold. Per block, each fold's mean and aleatoric
+std are taken over its samples, then the mean and std of the fold means
+and the mean of the aleatoric stds, and their sum capped at 1 as a
+float32 add. These are the operations of three whole-volume statistics,
+block by block, so no fold's mean or std is held whole. Both operands of
+the sum are float32 in [0, 1], and a float64 sum rounded to float32
+equals one float32 rounding of the exact sum (53 >= 2 * 24 + 2), so it
+matches a float64 sum bit for bit.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ from typing import Generator, Sequence
 
 import numpy as np
 
-from .involvement import GRADED_CHANNELS, DpcgCategory, InvolvementReport, assess_scan
-from .volume import PROB_CHUNK, ChannelId, MaskVolume, Payload, ProbVolume, Spacing, prob_chunks
+from .involvement import GRADED_CHANNELS, VESSELS, DpcgCategory, InvolvementReport, assess_scan
+from .volume import PROB_CHUNK, ChannelId, MaskVolume, Payload, ProbVolume, Spacing, find_channel, prob_chunks
 
 DEFAULT_KS = (-1.0, 0.0, 1.0, 2.0)
 DEFAULT_THRESHOLD = 0.5
@@ -142,22 +142,6 @@ Member = ProbVolume | Payload
 # A float32 mean block and std block, each a run of voxels in flat (C, Z, H, W) order.
 Block = tuple[np.ndarray, np.ndarray]
 Blocks = Generator[Block, None, None]
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Probability volumes, or their payloads, sampled from one probabilistic model fold."""
-
-    samples: tuple[Member, ...]
-
-    def __post_init__(self):
-        if len(self.samples) < 1:
-            raise ValueError("sample set needs at least one sample")
-        _check_same_geometry(self.samples)
-        object.__setattr__(self, "samples", tuple(self.samples))
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -297,31 +281,34 @@ def _fold_blocks(folds: list[Member]) -> Blocks:
             yield statistic(block)
 
 
-def sample_mean_std(folds: Sequence[SampleSet]) -> FieldStream:
+def sample_mean_std(folds: Sequence[Sequence[Member]]) -> FieldStream:
     """The mean prediction with the summed (aleatoric + epistemic) std, as one pass.
 
-    The folds' geometry and sample counts are checked here. When the
-    blocks are read, every sample of every fold is streamed once, in one
-    pass, so every sample payload is open for it. Per block, each fold's
-    mean and aleatoric std come from its samples; the block then holds
-    the mean prediction and the epistemic std from the fold means, and
-    the aleatoric part, the fold mean of the aleatoric stds, which for a
-    single fold is that fold's std alone.
+    Each fold is a sequence of its samples. The geometry of every sample of
+    every fold is checked here, once over all of them, then the sample
+    counts; no voxel is read until the blocks are. When the blocks are read,
+    every sample of every fold is streamed once, in one pass, so every
+    sample payload is open for it. Per block, each fold's mean and aleatoric
+    std come from its samples; the block then holds the mean prediction and
+    the epistemic std from the fold means, and the aleatoric part, the fold
+    mean of the aleatoric stds, which for a single fold is that fold's std
+    alone.
     """
-    folds = list(folds)
-    _check_same_geometry([f.samples[0] for f in folds])
+    folds = [tuple(f) for f in folds]
+    members = [s for f in folds for s in f]
+    _check_same_geometry(members)
     for f in folds:
         if len(f) < 2:
             raise ValueError(f"need at least 2 samples for a std, got {len(f)}")
-    like = folds[0].samples[0]
-    return FieldStream(like.channels, like.dims, like.spacing, "total", _total_blocks(folds))
+    like = members[0]
+    return FieldStream(like.channels, like.dims, like.spacing, "total", _total_blocks(folds, members))
 
 
-def _total_blocks(folds: list[SampleSet]) -> Blocks:
+def _total_blocks(folds: list[tuple[Member, ...]], members: list[Member]) -> Blocks:
     starts = itertools.accumulate((len(f) for f in folds), initial=0)
     per_fold = [(_statistic(len(f)), slice(lo, lo + len(f))) for f, lo in zip(folds, starts)]
     means, aleatoric = _statistic(len(folds)), _statistic(len(folds))
-    with contextlib.closing(_member_blocks([s for f in folds for s in f.samples])) as blocks:
+    with contextlib.closing(_member_blocks(members)) as blocks:
         for block in blocks:
             fold_stats = [statistic(block[samples]) for statistic, samples in per_fold]
             mean, epistemic = means([m for m, _ in fold_stats])
@@ -433,12 +420,15 @@ def uncertainty_sweep(
     one level grid (see ``_level_grid``) that the stream's blocks fill as
     they pass; the pass runs to its end, whatever the ks. The reports carry
     no component table (``table`` is None): nothing paints a sweep, and the
-    tables would hold every k's contact voxels at once. Raises ValueError
-    for a non-finite k, before the pass, and MissingChannelError (via the
-    involvement module) when the field lacks the tumor, artery or vein
-    channel, after it.
+    tables would hold every k's contact voxels at once. Before the pass,
+    raises ValueError for a non-finite k, then, if there is a k,
+    MissingChannelError when the field lacks the tumor, artery or vein
+    channel, checked in that order, the order in which the kernel reads
+    them, so the message is the kernel's.
     """
     ks = _finite(ks)
+    for c in (ChannelId.TUMOR, *VESSELS) if ks else ():
+        find_channel(f.channels, c)
     distinct = sorted(set(ks), reverse=True)
     rank = {k: i for i, k in enumerate(distinct)}
     graded = [c for c in f.channels if c in GRADED_CHANNELS] if ks else []

@@ -17,27 +17,29 @@ at ``<stem>.json`` describes geometry and dtype, the voxel data sits in
     ordered list of distinct channel names for mask/probability volumes;
     omitted or ``null`` for a single-grid layered label volume.
 
-``open_payload`` parses and checks a header and checks its payload's size
-without reading a voxel; ``read_volume`` and the fold streams take the
-``Payload`` it returns, so a caller that judges a header first parses it
-once. Every input payload has one reader, ``_parts``: it
-reads at most 1 MiB of one grid at a time into one reused buffer, so a
-part never spans two grids. The one other read of a payload is
-``cli._heat_maps``: it reads back the ``mean.raw`` and ``std.raw`` that
-``uncertainty`` has just committed, with ``np.fromfile`` at a channel
-offset it computes, one grid per graded channel. It is kept because it
-reads only the command's own output, and ``_parts`` would read every
-channel. ``prob_chunks`` and ``_read_set_voxels``
-(below) apply the value rules to its parts: the first clamps each
-probability part into [0, 1] with a 0.001 tolerance; after the last
-part, a value further out, or a NaN, anywhere in the payload is rejected
-as corrupt, and the error names the header and the whole payload's min
-and max. ``read_volume`` copies those parts into one array, and
-``uncertainty`` streams fold payloads through ``prob_chunks``, so it
-never holds a fold whole. ``write_header`` is the
+``open_payload`` parses and checks a header and checks its payload's
+size without reading a voxel; ``read_volume`` and the fold streams take
+the ``Payload`` it returns, so a caller that judges a header first
+parses it once. ``Payload.kind`` is the one rule that names a header's
+volume kind (``f32`` probabilities, no channel list layered labels,
+anything else masks); ``read_volume`` and the CLI's kind check both read
+it. Every input payload has one reader, ``_parts``: it reads at most 1
+MiB of one grid at a time into one reused buffer, so a part never spans
+two grids. The one other read of a payload is ``cli._heat_maps``: it
+reads back the ``mean.raw`` and ``std.raw`` that ``uncertainty`` has
+just committed, with ``np.fromfile`` at a channel offset it computes,
+one grid per graded channel. It is kept because it reads only the
+command's own output, and ``_parts`` would read every channel.
+``prob_chunks`` and ``_read_set_voxels`` (below) apply the value rules
+to its parts: the first clamps each probability part into [0, 1] with a
+0.001 tolerance; after the last part, a value further out, or a NaN,
+anywhere in the payload is rejected as corrupt, and the error names the
+header and the whole payload's min and max. ``read_volume`` copies those
+parts into one array, and ``uncertainty`` streams fold payloads through
+``prob_chunks``, so it never holds a fold whole. ``write_header`` is the
 one writer of a header: ``write_outputs`` (and ``write_volume`` through
-it) writes one and its payload, and the ``uncertainty`` command writes one
-for each payload it streams out.
+it) writes one and its payload, and the ``uncertainty`` command writes
+one for each payload it streams out.
 
 Every output goes through ``staged``, the one commit path: volume headers
 and payloads, documents, ``phantom`` scenes and ``uncertainty``'s outputs
@@ -57,19 +59,21 @@ constructor, ``_Immutable._of``. Either way a volume is immutable and its
 arrays read-only; the mask grids built on the way to a grade are bool, 0
 and 1 by type.
 
-Segmented structures fill a small share of a CT grid, so a mask volume is
-held as a voxel index: ``MaskVolume.voxels(cid)`` is the sorted flat
-indices of a channel's set voxels, read-only. ``_read_set_voxels`` serves
-both mask payload kinds: each ``_parts`` part of every channel, or of the
-layered label grid, is value-checked and indexed (``set_voxels`` of the
-part plus its offset). ``read_volume(path, channels)`` indexes only
-the listed channels of a mask payload, yet still rejects a voxel outside
-{0, 1} in any channel. A layered volume read from a file holds its
-labelled voxels and their labels, and ``decode_layered(lv, channels)``
-decodes the listed channels from those pairs. So a read never holds a
-grid: a volume read or decoded this way builds one only on request,
-through ``channel`` or ``data``. A mask volume built from an array keeps
-it and indexes a channel on first use, then caches the index.
+Segmented structures fill a small share of a CT grid, so a mask volume
+is held as a voxel index: ``MaskVolume.voxels(cid)`` is the sorted flat
+indices of a channel's set voxels, read-only. ``_read_set_voxels``
+serves both mask payload kinds: each ``_parts`` part of every channel,
+or of the layered label grid, is value-checked and indexed
+(``set_voxels`` of the part plus its offset). ``read_volume(path,
+channels)`` indexes only the listed channels of a mask payload, yet
+still rejects a voxel outside {0, 1} in any channel. A layered volume
+read from a file holds its labelled voxels and their labels, and
+``decode_layered(lv)`` decodes the six standard channels from those
+pairs; decoding fewer saved too little to keep a channel list (under 0.1
+ms of a CT-sized scan's 1.2 ms decode). So a read never holds a grid: a
+volume read or decoded this way builds one only on request, through
+``channel`` or ``data``. A mask volume built from an array keeps it and
+indexes a channel on first use, then caches the index.
 """
 
 from __future__ import annotations
@@ -260,16 +264,21 @@ def _checked_stack(data, channels: tuple[ChannelId, ...], kind: str, dtype=None)
     return stack
 
 
+def find_channel(channels: Sequence[ChannelId], cid: ChannelId) -> int:
+    """The place of ``cid`` in ``channels``; MissingChannelError names a missing channel."""
+    try:
+        return channels.index(ChannelId(cid))
+    except ValueError:
+        raise MissingChannelError(
+            f"volume has no {CHANNEL_NAMES[ChannelId(cid)]!r} channel"
+        ) from None
+
+
 class _ChannelVolume(_Immutable):
     """Channels of one (Z, H, W) geometry: channel lookup."""
 
     def channel_index(self, cid: ChannelId) -> int:
-        try:
-            return self.channels.index(ChannelId(cid))
-        except ValueError:
-            raise MissingChannelError(
-                f"volume has no {CHANNEL_NAMES[ChannelId(cid)]!r} channel"
-            ) from None
+        return find_channel(self.channels, cid)
 
     def has_channel(self, cid: ChannelId) -> bool:
         return ChannelId(cid) in self.channels
@@ -465,6 +474,16 @@ class Payload:
     def shape(self) -> tuple[int, int, int, int]:
         return (1 if self.channels is None else len(self.channels),) + self.dims
 
+    @property
+    def kind(self) -> str:
+        """The one kind rule: ``f32`` is probabilities, no channel list layered labels, else masks.
+
+        So a ``"channels": []`` header is a mask volume of no channel.
+        """
+        if self.dtype == "f32":
+            return "probability"
+        return "layered-label" if self.channels is None else "mask"
+
 
 def open_payload(path) -> Payload:
     """Parse and check a volume header, and check its payload's size, without reading voxels."""
@@ -562,8 +581,7 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
 
     ``path`` may also be the ``Payload`` that ``open_payload`` returned, so
     a caller that has judged the header does not parse it again. The kind
-    follows from the header: ``f32`` is probabilities, no channel list is
-    layered labels, any other header (an empty list too) is masks.
+    is the header's ``Payload.kind``.
 
     With ``channels``, a mask volume keeps only those of the listed
     channels that the file has, in file order; the others are still read
@@ -574,14 +592,14 @@ def read_volume(path, channels: Sequence[ChannelId] | None = None) -> Volume:
     """
     payload = path if isinstance(path, Payload) else open_payload(path)
     names, dims, spacing = payload.channels, payload.dims, payload.spacing
-    if payload.dtype == "f32":
+    if payload.kind == "probability":
         flat, pos = np.empty(math.prod(payload.shape), np.float32), 0
         for part in prob_chunks(payload):
             flat[pos:pos + part.size] = part
             pos += part.size
         return ProbVolume._of(channels=names, spacing=spacing, dims=dims,
                               data=_freeze(flat.reshape(payload.shape)))
-    if names is None:
+    if payload.kind == "layered-label":
         [labelled] = _read_set_voxels(payload, (True,), MAX_LAYERED_LABEL, _LABEL_VALUES)
         return LayeredLabelVolume._of(_labelled=tuple(map(_freeze, labelled)), dims=dims,
                                       spacing=spacing)
@@ -685,23 +703,19 @@ def write_outputs(volumes: Mapping[str | Path, Volume], texts: Mapping[str | Pat
             tmp[p].write_text(text)
 
 
-def decode_layered(
-    lv: LayeredLabelVolume, channels: Sequence[ChannelId] = STANDARD_CHANNELS
-) -> MaskVolume:
-    """Expand layered labels into the requested anatomical channels.
+def decode_layered(lv: LayeredLabelVolume) -> MaskVolume:
+    """Expand layered labels into the six standard anatomical channels.
 
     Labels 1..6 set their own channel; 7 sets artery+tumor, 8 sets
     vein+tumor, reconstructing the overlaps the layering collapsed. Each
-    requested channel of STANDARD_CHANNELS is decoded, in that order, from
-    the labelled voxels and their labels (``lv.labelled()``): its voxel
-    index is the labelled voxels whose label sets it. The result holds
-    only those indices. The constructor of ``lv`` already confined its
-    labels to 0..8.
+    channel of STANDARD_CHANNELS is decoded, in that order, from the
+    labelled voxels and their labels (``lv.labelled()``): its voxel index
+    is the labelled voxels whose label sets it. The result holds only
+    those indices. The constructor of ``lv`` already confined its labels
+    to 0..8.
     """
-    wanted = set(map(ChannelId, channels))
     labelled, labels = lv.labelled()
-    decoded = {cid: labelled[np.isin(labels, _DECODE_LABELS[cid])]
-               for cid in STANDARD_CHANNELS if cid in wanted}
+    decoded = {cid: labelled[np.isin(labels, _DECODE_LABELS[cid])] for cid in STANDARD_CHANNELS}
     return MaskVolume.from_voxels(decoded, lv.dims, lv.spacing)
 
 

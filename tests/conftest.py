@@ -17,9 +17,13 @@ library gives a field only as one pass (``FieldStream``); ``collect`` copies
 a pass into a ``Field``, the plain pair of volumes the oracles return, and
 ``field_stream`` makes a pass over a hand-made mean and std.
 
-The last is the grid loop ``encode_layered`` used before it worked from the
+The third is the grid loop ``encode_layered`` used before it worked from the
 voxel indices: each label, in ascending order, overwrites the grid where
 every channel it sets is set. The index code must give the same labels.
+
+The last is the grid Dice the library kept before it scored voxel
+indices alone: counts of the > 0 voxels of two grids. ``voxel_dice`` must
+give the same value on the grids' set-voxel indices.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import pytest
 from scipy import ndimage
 
 from vesselwrap.involvement import SPAN_METHODS, SliceInvolvement
-from vesselwrap.uncertainty import _BLOCK, FieldStream, SampleSet, _check_same_geometry
+from vesselwrap.uncertainty import _BLOCK, FieldStream, _check_same_geometry
 from vesselwrap.volume import (
     LAYERED_DECODE,
     ChannelId,
@@ -329,27 +333,27 @@ def fold_mean_std_reference(folds: Sequence[ProbVolume]) -> Field:
     return Field(_as_prob(mean, folds[0]), _as_prob(std, folds[0]), "epistemic")
 
 
-def aleatoric_reference(samples: SampleSet | Sequence[ProbVolume]) -> ProbVolume:
-    vols = samples.samples if isinstance(samples, SampleSet) else tuple(samples)
+def aleatoric_reference(samples: Sequence[ProbVolume]) -> ProbVolume:
+    vols = tuple(samples)
     if len(vols) < 2:
         raise ValueError(f"need at least 2 samples for a std, got {len(vols)}")
     stack = _stack(vols)
     return _as_prob(stack.std(axis=0), vols[0])
 
 
-def fold_means_reference(folds: Sequence[SampleSet]) -> list[ProbVolume]:
-    return [_as_prob(_stack(f.samples).mean(axis=0), f.samples[0]) for f in folds]
+def fold_means_reference(folds: Sequence[Sequence[ProbVolume]]) -> list[ProbVolume]:
+    return [_as_prob(_stack(f).mean(axis=0), f[0]) for f in folds]
 
 
-def mean_aleatoric_reference(folds: Sequence[SampleSet]) -> ProbVolume:
+def mean_aleatoric_reference(folds: Sequence[Sequence[ProbVolume]]) -> ProbVolume:
     folds = list(folds)
     if not folds:
         raise ValueError("need at least one fold")
     stds = [aleatoric_reference(f).data.astype(np.float64) for f in folds]
-    return _as_prob(np.mean(stds, axis=0), folds[0].samples[0])
+    return _as_prob(np.mean(stds, axis=0), folds[0][0])
 
 
-def epistemic_from_samples_reference(folds: Sequence[SampleSet]) -> ProbVolume:
+def epistemic_from_samples_reference(folds: Sequence[Sequence[ProbVolume]]) -> ProbVolume:
     means = fold_means_reference(folds)
     if len(means) < 2:
         raise ValueError(f"need at least 2 folds for a std, got {len(means)}")
@@ -357,14 +361,14 @@ def epistemic_from_samples_reference(folds: Sequence[SampleSet]) -> ProbVolume:
     return _as_prob(stack.std(axis=0), means[0])
 
 
-def sample_mean_std_reference(folds: Sequence[SampleSet]) -> Field:
+def sample_mean_std_reference(folds: Sequence[Sequence[ProbVolume]]) -> Field:
     folds = list(folds)
     means = fold_means_reference(folds)
     mean = _stack(means).mean(axis=0)
     total = mean_aleatoric_reference(folds).data.astype(np.float64)
     if len(folds) >= 2:
         total = total + epistemic_from_samples_reference(folds).data.astype(np.float64)
-    return Field(_as_prob(mean, folds[0].samples[0]), _as_prob(total, folds[0].samples[0]), "total")
+    return Field(_as_prob(mean, folds[0][0]), _as_prob(total, folds[0][0]), "total")
 
 
 def sigma_level_mask_reference(f: Field, k: float, threshold: float = 0.5) -> MaskVolume:
@@ -381,6 +385,24 @@ def encode_layered_reference(mv: MaskVolume) -> LayeredLabelVolume:
         if all(mv.has_channel(cid) for cid in targets):
             labels[reduce(np.logical_and, [mv.channel(cid).view(bool) for cid in targets])] = label
     return LayeredLabelVolume(labels, mv.spacing)
+
+
+def _foreground(grid) -> np.ndarray:
+    """The grid itself when nonzero already means > 0 (bool, unsigned), else grid > 0."""
+    grid = np.asarray(grid)
+    return grid if grid.dtype.kind in "bu" else grid > 0
+
+
+def dice_reference(pred, gt) -> float:
+    """Counts-based Dice of the > 0 voxels of two grids; both-empty is a perfect 1.0."""
+    p = _foreground(pred)
+    g = _foreground(gt)
+    if p.shape != g.shape:
+        raise ValueError(f"geometry mismatch: {p.shape} vs {g.shape}")
+    denom = np.count_nonzero(p) + np.count_nonzero(g)
+    if denom == 0:
+        return 1.0
+    return 2.0 * np.count_nonzero(np.logical_and(p, g)) / denom
 
 
 def open_files(root) -> list[str]:

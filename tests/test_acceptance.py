@@ -12,11 +12,11 @@ import pytest
 from vesselwrap import cli
 from vesselwrap.evaluation import (
     build_metrics_report,
-    dice,
     dpcg_bucket_table,
     evaluate_scan,
     r_squared,
     sensitivity_specificity,
+    voxel_dice,
 )
 from vesselwrap.involvement import DpcgCategory, component_table, dpcg_classify, scan_involvement
 from vesselwrap.loss import (
@@ -175,8 +175,8 @@ def test_metric_definitions():
     )
     a = np.zeros(8); a[:4] = 1
     b = np.zeros(8); b[2:6] = 1
-    checks.append(("dice half overlap", dice(a.reshape(2, 2, 2), b.reshape(2, 2, 2)) == 0.5))
-    checks.append(("dice empty-vs-empty", dice(np.zeros((1, 1, 1)), np.zeros((1, 1, 1))) == 1.0))
+    checks.append(("dice half overlap", voxel_dice(np.flatnonzero(a), np.flatnonzero(b)) == 0.5))
+    checks.append(("dice empty-vs-empty", voxel_dice(np.flatnonzero(a[:0]), np.flatnonzero(a[:0])) == 1.0))
     pairs = (
         [(0.0, 0.0)] * 19 + [(45.0, 60.0)] * 5
         + [(120.0, 80.0)] * 4 + [(200.0, 290.0)] * 3 + [(300.0, 320.0)]

@@ -420,9 +420,10 @@ class TestInputBoundary:
         assert reads == []
 
     def test_nan_probability_exit_2(self, tmp_path, capsys):
-        header = _tav_header(dims=[1, 2, 2], dtype="f32", channels=["tumor"])
+        # artery, vein and tumor: a field lacking one is refused before its values are read
+        header = _tav_header(dims=[1, 2, 2], dtype="f32")
         (tmp_path / "f.json").write_text(json.dumps(header))
-        (tmp_path / "f.raw").write_bytes(np.array([0.0, np.nan, 0.5, 1.0], "<f4").tobytes())
+        (tmp_path / "f.raw").write_bytes(np.tile(np.array([0.0, np.nan, 0.5, 1.0], "<f4"), 3).tobytes())
         fold = tmp_path / "f.json"
         assert run("uncertainty", "--fold", fold, "--fold", fold, "--out", tmp_path / "o") == 2
         assert_one_line_error(capsys)
@@ -993,9 +994,9 @@ class TestUncertaintyCmd:
         So a garbled header is reported although an earlier fold holds a
         value out of range, and that fold's own error names its header.
         """
-        header = _tav_header(dims=[1, 2, 2], dtype="f32", channels=["tumor"])
+        header = _tav_header(dims=[1, 2, 2], dtype="f32")
         (tmp_path / "f.json").write_text(json.dumps(header))
-        (tmp_path / "f.raw").write_bytes(np.array([0.0, 1.5, 0.5, 1.0], "<f4").tobytes())
+        (tmp_path / "f.raw").write_bytes(np.tile(np.array([0.0, 1.5, 0.5, 1.0], "<f4"), 3).tobytes())
         (tmp_path / "g.json").write_text("{oops")
         fold, garbled = tmp_path / "f.json", tmp_path / "g.json"
         assert run("uncertainty", "--fold", fold, "--fold", garbled, "--out", tmp_path / "o") == 2
@@ -1567,40 +1568,106 @@ class TestOneWayIn:
             f"error: {layered}: expected a probability or mask volume, got layered labels\n")
         assert reads == []
 
-    @pytest.mark.parametrize("differ", ["dims", "channels"])
+    @pytest.mark.parametrize("differ", ["dims", "channels", "spacing"])
     def test_loss_geometry_compared_unread(self, tmp_path, capsys, monkeypatch, differ):
         paths = write_cli_inputs(tmp_path)
         gt = read_volume(paths["gt"])
         if differ == "dims":
             other = MaskVolume(gt.data[:, :, :-1], gt.channels, gt.spacing)
-        else:
+        elif differ == "channels":
             other = MaskVolume(gt.data[::-1], gt.channels[::-1], gt.spacing)
+        else:
+            other = MaskVolume(gt.data, gt.channels, Spacing(2.0, 1.0, 1.0))
         write_volume(other, tmp_path / "other.json")
         reads = self.count_reads(monkeypatch)
         assert run("loss", paths["pred"], tmp_path / "other.json") == 3
         assert capsys.readouterr().err == "error: prediction and ground truth geometry differ\n"
         assert reads == []
 
-    @pytest.mark.parametrize("fault", ["no-ground-truth", "no-critical", "probability-ground-truth"])
+    @pytest.mark.parametrize("fault", ["no-ground-truth", "no-critical", "probability-ground-truth",
+                                       "ground-truth-spacing", "critical-spacing"])
     def test_evaluate_refused_entry_unread(self, tmp_path, capsys, monkeypatch, fault):
         """An entry refused from its keys or its headers has none of its payloads read."""
-        write_scene(tmp_path)
+        scene, _ = write_scene(tmp_path)
+        write_volume(MaskVolume(scene.data, scene.channels, Spacing(2.0, 1.0, 1.0)), tmp_path / "other.json")
         folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))
         write_volume(folds[0], tmp_path / "fold.json")
         entry = {"scan_id": "s", "prediction": "scene.json"}
         if fault != "no-ground-truth":
-            entry["ground_truth"] = "fold.json" if fault == "probability-ground-truth" else "scene.json"
+            entry["ground_truth"] = {"probability-ground-truth": "fold.json",
+                                     "ground-truth-spacing": "other.json"}.get(fault, "scene.json")
+        if fault == "critical-spacing":
+            entry["critical_ground_truth"] = "other.json"
         manifest = write_manifest(tmp_path, [entry])
         reads = self.count_reads(monkeypatch)
-        assert run("evaluate", manifest, *["--critical"] * (fault == "no-critical")) == 4
+        assert run("evaluate", manifest, *["--critical"] * (fault in ("no-critical", "critical-spacing"))) == 4
+        mismatch = (f"geometry mismatch: prediction {scene.dims} at (1.0, 1.0, 1.0) mm, "
+                    f"{{}} {scene.dims} at (2.0, 1.0, 1.0) mm")
         message = {
             "no-ground-truth": "entry lacks ground_truth",
             "no-critical": "critical evaluation needs critical_ground_truth",
             "probability-ground-truth": f"{tmp_path / 'fold.json'}: expected a mask or layered-label volume, "
                                         "got probabilities",
+            "ground-truth-spacing": mismatch.format("ground truth"),
+            "critical-spacing": mismatch.format("critical ground truth"),
         }[fault]
         assert capsys.readouterr().err == f"error: s: {message}\n"
         assert reads == []
+
+    @pytest.mark.parametrize("missing", ["tumor", "vein"])
+    def test_uncertainty_missing_graded_channel_refused_unread(self, tmp_path, capsys, monkeypatch,
+                                                               missing):
+        """Folds that lack a graded channel are refused before any payload is read or staged."""
+        folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))
+        args = []
+        for i, fold in enumerate(folds):
+            keep = [c for c in fold.channels if CHANNEL_NAMES[c] != missing]
+            data = np.stack([fold.channel(c) for c in keep])
+            write_volume(ProbVolume(data, keep, fold.spacing), tmp_path / f"f{i}.json")
+            args += ["--fold", tmp_path / f"f{i}.json"]
+        reads = self.count_reads(monkeypatch)
+        assert run("uncertainty", *args, "--out", tmp_path / "o") == 3
+        assert capsys.readouterr().err == f"error: volume has no {missing!r} channel\n"
+        assert reads == []
+        assert not (tmp_path / "o").exists()
+
+    def test_uncertainty_later_sample_spacing_refused_unread(self, tmp_path, capsys, monkeypatch):
+        """A sample of a later fold whose spacing differs is refused before any payload is read."""
+        folds, _ = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))
+        for i in range(2):
+            for j in range(2):
+                spacing = Spacing(2.0, 1.0, 1.0) if (i, j) == (1, 1) else folds[i].spacing
+                write_volume(ProbVolume(folds[i].data, folds[i].channels, spacing),
+                             tmp_path / f"d{i}" / f"s{j}.json")
+        reads = self.count_reads(monkeypatch)
+        assert run("uncertainty", "--fold", tmp_path / "d0", "--fold", tmp_path / "d1",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: volumes must share spacing\n"
+        assert reads == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("form, kind, volume_type", [
+        ({"dtype": "f32", "channels": ["tumor"]}, "probability", ProbVolume),
+        ({"channels": ["tumor"]}, "mask", MaskVolume),
+        ({"channels": []}, "mask", MaskVolume),
+        ({"channels": None}, "layered-label", volume.LayeredLabelVolume),
+        ({}, "layered-label", volume.LayeredLabelVolume),
+    ], ids=["f32", "u8-names", "empty-list", "null", "omitted"])
+    def test_payload_kind_is_the_one_kind_rule(self, tmp_path, form, kind, volume_type):
+        """``Payload.kind`` agrees with the type ``read_volume`` returns and with ``_open_kind``."""
+        header = {**_tav_header(dims=[1, 2, 2]), **form}
+        if not form:
+            del header["channels"]
+        grids = 1 if header.get("channels") is None else len(header["channels"])
+        (tmp_path / "v.json").write_text(json.dumps(header))
+        (tmp_path / "v.raw").write_bytes(bytes(grids * 4 * (4 if header["dtype"] == "f32" else 1)))
+        payload = volume.open_payload(tmp_path / "v.json")
+        assert payload.kind == kind
+        assert type(read_volume(payload)) is volume_type
+        assert cli._open_kind(payload.path, kind) == payload
+        others = [k for k in ("probability", "mask", "layered-label") if k != kind]
+        with pytest.raises(cli.CliError, match=f"got {cli._KIND_NAMES[kind]}$"):
+            cli._open_kind(payload.path, *others)
 
     def test_empty_channel_list_is_a_mask_volume(self, tmp_path, capsys):
         """``"channels": []`` is a mask volume of no channel, not layered labels: assess lacks the tumor."""

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from vesselwrap.evaluation import (
     build_metrics_report,
-    dice,
     dpcg_bucket_table,
     evaluate_scan,
     involvement_confusion,
@@ -16,12 +15,20 @@ from vesselwrap.evaluation import (
 )
 from vesselwrap.phantom import PhantomSpec, gen_confusion_suite, gen_wrap_scene
 from vesselwrap.volume import ChannelId, MaskVolume, Spacing, STANDARD_CHANNELS
+from conftest import dice_reference
 
 
 SP = Spacing(1.0, 1.0, 1.0)
 
 
+def dice(pred, gt) -> float:
+    """``voxel_dice`` of two grids, given the flat indices of their > 0 voxels."""
+    return voxel_dice(*(np.flatnonzero(np.asarray(grid) > 0) for grid in (pred, gt)))
+
+
 class TestDice:
+    """The properties of ``voxel_dice``; the grid oracle ``dice_reference`` keeps its own checks."""
+
     def test_identical(self, rng):
         m = rng.integers(0, 2, size=(3, 4, 4))
         m[0, 0, 0] = 1
@@ -48,7 +55,7 @@ class TestDice:
 
     def test_geometry_mismatch(self):
         with pytest.raises(ValueError):
-            dice(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
+            dice_reference(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -93,7 +100,7 @@ class TestDice:
         p, g = a > 0, b > 0
         denom = int(p.sum()) + int(g.sum())
         expected = 1.0 if denom == 0 else 2.0 * int((p & g).sum()) / denom
-        assert dice(a, b) == expected
+        assert dice_reference(a, b) == expected == dice(a, b)
 
 
 def _scene(span, vessel=ChannelId.VEIN, angle=90.0, seed=0):
@@ -131,7 +138,7 @@ class TestVoxelDice:
     def test_equals_dense_dice(self, seed, dims, pred_density, gt_density):
         gen = np.random.default_rng(seed)
         p, g = gen.random(dims) < pred_density, gen.random(dims) < gt_density
-        assert voxel_dice(np.flatnonzero(p), np.flatnonzero(g)) == dice(p, g)
+        assert voxel_dice(np.flatnonzero(p), np.flatnonzero(g)) == dice_reference(p, g)
 
     def test_both_and_one_empty(self):
         empty, some = np.zeros(0, dtype=np.intp), np.array([3, 5])
@@ -155,11 +162,11 @@ class TestVoxelDice:
         with mock.patch.object(MaskVolume, "channel", None), mock.patch.object(MaskVolume, "data", None):
             ev = evaluate_scan(pred, gt)
         for cid, (p, g) in dense.items():
-            assert ev.dice_by_channel[cid.name.lower()] == dice(p, g)
+            assert ev.dice_by_channel[cid.name.lower()] == dice_reference(p, g)
         tumor_p, tumor_g = dense[ChannelId.TUMOR]
         for cid, key in ((ChannelId.ARTERY, "artery_overlap"), (ChannelId.VEIN, "vein_overlap")):
             p, g = dense[cid]
-            assert ev.dice_by_channel[key] == dice(tumor_p & p, tumor_g & g)
+            assert ev.dice_by_channel[key] == dice_reference(tumor_p & p, tumor_g & g)
 
     def test_scan_geometry_mismatch(self):
         a = MaskVolume(np.zeros((1, 1, 2, 2), np.uint8), (ChannelId.TUMOR,), SP)

@@ -10,23 +10,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vesselwrap.involvement import DpcgCategory
+from vesselwrap.involvement import DpcgCategory, assess_scan
 from vesselwrap.phantom import PhantomSpec, gen_uncertainty_scene
 from vesselwrap import uncertainty as unc
 from vesselwrap.uncertainty import (
     _BLOCK,
     FieldStream,
-    SampleSet,
     fold_mean_std,
     sample_mean_std,
     sigma_level_mask,
     uncertainty_sweep,
 )
+from vesselwrap import volume
 from vesselwrap.volume import (
     PROB_CHUNK,
     STANDARD_CHANNELS,
     ChannelId,
     MissingChannelError,
+    Spacing,
     VolumeFormatError,
     open_payload,
     write_volume,
@@ -37,6 +38,7 @@ from conftest import (
     epistemic_from_samples_reference,
     field_stream,
     fold_mean_std_reference,
+    make_mask,
     make_prob,
     mean_aleatoric_reference,
     open_payloads,
@@ -105,33 +107,33 @@ class TestAleatoric:
     """A one-fold sample set's std is that fold's sample std."""
 
     def test_identical_samples(self):
-        assert (std_of([SampleSet((prob_of(0.3), prob_of(0.3)))]).data == 0).all()
+        assert (std_of([(prob_of(0.3), prob_of(0.3))]).data == 0).all()
 
     def test_two_samples(self):
-        std = std_of([SampleSet((prob_of(0.2), prob_of(0.8)))])
+        std = std_of([(prob_of(0.2), prob_of(0.8))])
         assert std.data[0, 0, 0, 0] == pytest.approx(0.3, abs=1e-6)
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError, match="at least 2 samples for a std, got 1"):
-            sample_mean_std([SampleSet((prob_of(0.5),))])
+            sample_mean_std([(prob_of(0.5),)])
 
 
 class TestMeanAleatoric:
     """Folds with one shared mean add no epistemic part: the std is the mean aleatoric std."""
 
     def test_all_identical(self):
-        fold = SampleSet((prob_of(0.4), prob_of(0.4)))
+        fold = (prob_of(0.4), prob_of(0.4))
         assert (std_of([fold, fold, fold]).data == 0).all()
 
     def test_one_spread_fold(self):
-        spread = SampleSet((prob_of(0.2), prob_of(0.8)))  # std 0.3
-        tight = SampleSet((prob_of(0.5), prob_of(0.5)))   # std 0
+        spread = (prob_of(0.2), prob_of(0.8))  # std 0.3
+        tight = (prob_of(0.5), prob_of(0.5))   # std 0
         out = std_of([spread, tight, tight])
         assert out.data[0, 0, 0, 0] == pytest.approx(0.1, abs=1e-6)
         assert_same_bytes(out, mean_aleatoric_reference([spread, tight, tight]))
 
     def test_single_fold_degenerates(self):
-        spread = SampleSet((prob_of(0.2), prob_of(0.8)))
+        spread = (prob_of(0.2), prob_of(0.8))
         out = std_of([spread])
         assert out.data[0, 0, 0, 0] == pytest.approx(0.3, abs=1e-6)
 
@@ -140,16 +142,16 @@ class TestEpistemicFromSamples:
     """Folds with zero sample spread leave only the epistemic std of the fold means."""
 
     def test_shared_mean_zero(self):
-        a = SampleSet((prob_of(0.2), prob_of(0.8)))
-        b = SampleSet((prob_of(0.5), prob_of(0.5)))
+        a = (prob_of(0.2), prob_of(0.8))
+        b = (prob_of(0.5), prob_of(0.5))
         assert (epistemic_from_samples_reference([a, b]).data == 0).all()
         assert_same_bytes(std_of([a, b]), mean_aleatoric_reference([a, b]))
 
     def test_fold_mean_arithmetic(self):
         folds = [
-            SampleSet((prob_of(0.4), prob_of(0.4))),
-            SampleSet((prob_of(0.6), prob_of(0.6))),
-            SampleSet((prob_of(0.5), prob_of(0.5))),
+            (prob_of(0.4), prob_of(0.4)),
+            (prob_of(0.6), prob_of(0.6)),
+            (prob_of(0.5), prob_of(0.5)),
         ]
         field = collect(sample_mean_std(folds))
         assert field.std.data[0, 0, 0, 0] == pytest.approx(0.08165, abs=5e-6)
@@ -157,9 +159,9 @@ class TestEpistemicFromSamples:
 
     def test_total_is_sum_of_parts(self):
         folds = [
-            SampleSet((prob_of(0.2), prob_of(0.8))),
-            SampleSet((prob_of(0.3), prob_of(0.7))),
-            SampleSet((prob_of(0.4), prob_of(0.6))),
+            (prob_of(0.2), prob_of(0.8)),
+            (prob_of(0.3), prob_of(0.7)),
+            (prob_of(0.4), prob_of(0.6)),
         ]
         total = collect(sample_mean_std(folds))
         expected = mean_aleatoric_reference(folds).data + epistemic_from_samples_reference(folds).data
@@ -183,24 +185,58 @@ class TestSampleMeanStdPasses:
 
         monkeypatch.setattr(unc, "_member_blocks", one_pass)
         monkeypatch.setattr(unc, "_chunks", chunks)
-        folds = [SampleSet((prob_of(0.1 * i), prob_of(0.2), prob_of(0.9))) for i in range(n_folds)]
+        folds = [(prob_of(0.1 * i), prob_of(0.2), prob_of(0.9)) for i in range(n_folds)]
         collect(sample_mean_std(folds))
         # one pass over every sample of every fold, in fold order, each chunked once
-        members = [id(s) for f in folds for s in f.samples]
+        members = [id(s) for f in folds for s in f]
         assert [[id(m) for m in p] for p in passes] == [members]
         assert [id(m) for m in chunked] == members
 
     def test_rejected_before_any_pass(self, monkeypatch):
         calls = []
         monkeypatch.setattr(unc, "_member_blocks", calls.append)
-        spread, single = SampleSet((prob_of(0.2), prob_of(0.8))), SampleSet((prob_of(0.5),))
+        spread, single = (prob_of(0.2), prob_of(0.8)), (prob_of(0.5),)
         with pytest.raises(ValueError, match="need at least 2 samples for a std, got 1"):
             sample_mean_std([spread, single])
-        # cross-fold geometry is checked before the sample counts
-        other = SampleSet((prob_of(0.5, shape=(1, 1, 2, 3)),))
+        # the geometry of every sample is checked before the sample counts
+        other = (prob_of(0.5, shape=(1, 1, 2, 3)),)
         with pytest.raises(ValueError, match="volumes must share dims and channels"):
             sample_mean_std([single, other])
         assert calls == []
+
+    def test_geometry_checked_once_per_field(self, monkeypatch):
+        """One ``_check_same_geometry`` call per field, over every member in pass order."""
+        calls = []
+        real = unc._check_same_geometry
+
+        def spy(members):
+            calls.append([id(m) for m in members])
+            return real(members)
+
+        monkeypatch.setattr(unc, "_check_same_geometry", spy)
+        folds = [(prob_of(0.1 * i), prob_of(0.2), prob_of(0.9)) for i in range(3)]
+        collect(sample_mean_std(folds))
+        assert calls == [[id(s) for f in folds for s in f]]
+        calls.clear()
+        collect(fold_mean_std([f[0] for f in folds]))
+        assert calls == [[id(f[0]) for f in folds]]
+
+    def test_later_sample_spacing_refused_unread(self, tmp_path, monkeypatch):
+        """A sample of a later fold at other spacing is refused before any payload is read."""
+        folds = []
+        for i in range(2):
+            fold = []
+            for j in range(2):
+                spacing = Spacing(2.0, 1.0, 1.0) if (i, j) == (1, 1) else Spacing(1.0, 1.0, 1.0)
+                write_volume(make_prob(np.full((1, 1, 2, 2), 0.5), CH, spacing), tmp_path / f"{i}{j}.json")
+                fold.append(open_payload(tmp_path / f"{i}{j}.json"))
+            folds.append(fold)
+        reads = []
+        real = volume._parts
+        monkeypatch.setattr(volume, "_parts", lambda payload: reads.append(payload) or real(payload))
+        with pytest.raises(ValueError, match="^volumes must share spacing$"):
+            sample_mean_std(folds)
+        assert reads == []
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="need at least one volume, got an empty sequence"):
@@ -216,8 +252,7 @@ class TestSampleMeanStdPasses:
         and std, about 14 grids for the five statistics.
         """
         gen = np.random.default_rng(4)
-        folds = [SampleSet(tuple(make_prob(gen.random((6, 32, 128, 128), dtype=np.float32))
-                                 for _ in range(2)))
+        folds = [tuple(make_prob(gen.random((6, 32, 128, 128), dtype=np.float32)) for _ in range(2))
                  for _ in range(3)]
         tracemalloc.start()
         try:
@@ -423,7 +458,7 @@ class TestStreamedEquivalence:
     def test_sample_statistics(self, seed, sample_counts, size, special_share):
         gen = np.random.default_rng(seed)
         folds = [
-            SampleSet(tuple(_random_volumes(gen, count, size, special_share)))
+            tuple(_random_volumes(gen, count, size, special_share))
             for count in sample_counts
         ]
         assert_same_outcome(sample_mean_std, sample_mean_std_reference, folds)
@@ -492,7 +527,7 @@ class TestStreamedRead:
         def outcome(folds):
             """The field of ``folds`` (lists of members), or the ValueError text."""
             if folds_of_samples:
-                args = [SampleSet(tuple(f)) for f in folds]
+                args = [tuple(f) for f in folds]
             else:
                 args = [m for f in folds for m in f]
             try:
@@ -558,7 +593,7 @@ class TestStreamedRead:
                 vol = open_payload(tmp_path / f"m{i}.json")
             members.append(vol)
         if statistic is sample_mean_std:
-            members = [SampleSet(tuple(members[:2])), SampleSet(tuple(members[2:]))]
+            members = [tuple(members[:2]), tuple(members[2:])]
         ends = [0]
         for mean, _ in statistic(members).blocks:
             ends.append(ends[-1] + mean.size)
@@ -656,13 +691,13 @@ class TestConsensusBlocks:
                                changed_share, special_share)
         cuts = np.cumsum([0, *sample_counts])
 
-        def sample_sets(members):
-            return [SampleSet(tuple(members[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
+        def sample_folds(members):
+            return [tuple(members[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
-        want = sample_mean_std_reference(sample_sets([make_prob(d[None, None, None], CH)
+        want = sample_mean_std_reference(sample_folds([make_prob(d[None, None, None], CH)
                                                       for d in raw]))
         with tempfile.TemporaryDirectory() as tmp:
-            got = collect(sample_mean_std(sample_sets(self._members(tmp, raw, streamed))))
+            got = collect(sample_mean_std(sample_folds(self._members(tmp, raw, streamed))))
         assert_same_bytes(got.mean, want.mean)
         assert_same_bytes(got.std, want.std)
 
@@ -775,6 +810,23 @@ class TestSweepValidation:
     def test_empty_ks_reads_no_channel(self):
         field = field_stream(prob_of(0.5), prob_of(0.1))  # tumor only
         assert uncertainty_sweep(field, []) == []
+
+    @pytest.mark.parametrize("channels", [
+        (ChannelId.ARTERY, ChannelId.VEIN),
+        (ChannelId.VEIN, ChannelId.TUMOR),
+        (ChannelId.ARTERY, ChannelId.TUMOR),
+        (ChannelId.VEIN,),
+        (ChannelId.PANCREAS,),
+    ], ids=["no-tumor", "no-artery", "no-vein", "vein-only", "pancreas-only"])
+    def test_missing_graded_channel_rejected_before_the_pass(self, channels):
+        """The kernel's message, for the first channel it would miss, and no block computed."""
+        shape = (len(channels), 1, 2, 2)
+        with pytest.raises(MissingChannelError) as kernel:
+            assess_scan(make_mask(np.zeros(shape), channels))
+        field = field_stream(*(make_prob(np.full(shape, v), channels) for v in (0.5, 0.1)))
+        with pytest.raises(MissingChannelError, match=f"^{re.escape(str(kernel.value))}$"):
+            uncertainty_sweep(field, [0.0])
+        assert inspect.getgeneratorstate(field.blocks) == inspect.GEN_CREATED
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_non_finite_k_rejected(self, k):
@@ -897,7 +949,7 @@ class TestStreamedCli:
 
         if folds_of_samples:
             members = [[member() for _ in range(n)] for n in counts]
-            field = collect(sample_mean_std([SampleSet(tuple(f)) for f in members]))
+            field = collect(sample_mean_std([tuple(f) for f in members]))
         else:
             members = [[member()] for _ in range(counts[0])]
             field = collect(fold_mean_std([f[0] for f in members]))

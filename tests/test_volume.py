@@ -249,22 +249,6 @@ class TestLayered:
         back = encode_layered(decode_layered(lv))
         assert (back.data == labels).all()
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        dims=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)),
-        subset=st.sets(st.sampled_from(list(ChannelId))),
-    )
-    def test_subset_decode_matches_full_decode(self, seed, dims, subset):
-        labels = np.random.default_rng(seed).integers(0, 9, size=dims, dtype=np.uint8)
-        lv = LayeredLabelVolume(labels, SP1)
-        full = decode_layered(lv)
-        part = decode_layered(lv, subset)
-        assert part.channels == tuple(c for c in STANDARD_CHANNELS if c in subset)
-        assert part.data.dtype == np.uint8
-        for cid in part.channels:
-            assert np.array_equal(part.channel(cid), full.channel(cid))
-
     @pytest.mark.parametrize("dtype", [np.uint8, bool])
     def test_data_built_read_only_input_left_writable(self, dtype):
         """The volume keeps only the labelled voxels: ``data`` is a fresh read-only grid each time."""
@@ -303,16 +287,14 @@ class TestLayered:
         seed=st.integers(0, 2**32 - 1),
         dims=st.tuples(st.integers(1, 5), st.integers(1, 7), st.integers(1, 9)),
         density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
-        subset=st.sets(st.sampled_from(list(ChannelId))),
     )
-    def test_sparse_decode_matches_dense_reference(self, seed, dims, density, subset):
+    def test_sparse_decode_matches_dense_reference(self, seed, dims, density):
         gen = np.random.default_rng(seed)
         labels = np.where(gen.random(dims) < density, gen.integers(1, 9, size=dims), 0).astype(np.uint8)
-        mv = decode_layered(LayeredLabelVolume(labels, SP1), subset)
+        mv = decode_layered(LayeredLabelVolume(labels, SP1))
         # the dense decode: OR over whole-grid compares, one per label
-        kept = tuple(c for c in STANDARD_CHANNELS if c in subset)
-        assert mv.channels == kept
-        for cid in kept:
+        assert mv.channels == STANDARD_CHANNELS
+        for cid in STANDARD_CHANNELS:
             want = np.zeros(dims, dtype=bool)
             for label, targets in volume.LAYERED_DECODE.items():
                 if cid in targets:
@@ -603,11 +585,9 @@ class TestStreamedReader:
         seed=st.integers(0, 2**32 - 1),
         dims=st.tuples(st.integers(1, 3), st.integers(1, 7), st.integers(1, 7)),
         density=st.sampled_from([0.0, 0.1, 0.6, 1.0]),
-        subset=st.sets(st.sampled_from(STANDARD_CHANNELS)),
         stream_bytes=st.sampled_from([1, 3, 5, 8, 13, 24]),
     )
-    def test_layered_indices_equal_set_voxels(self, tmp_path_factory, seed, dims, density, subset,
-                                              stream_bytes):
+    def test_layered_indices_equal_set_voxels(self, tmp_path_factory, seed, dims, density, stream_bytes):
         tmp = tmp_path_factory.mktemp("stream")
         gen = np.random.default_rng(seed)
         labels = np.where(gen.random(dims) < density, gen.integers(1, 9, size=dims), 0).astype(np.uint8)
@@ -618,8 +598,8 @@ class TestStreamedReader:
         assert np.array_equal(voxels, set_voxels(labels))
         assert np.array_equal(values, labels.reshape(-1)[voxels])
         assert np.array_equal(lv.data, labels) and not lv.data.flags.writeable
-        dense = decode_layered(LayeredLabelVolume(labels, SP1), subset)
-        decoded = decode_layered(lv, subset)
+        dense = decode_layered(LayeredLabelVolume(labels, SP1))
+        decoded = decode_layered(lv)
         for cid in dense.channels:
             assert np.array_equal(decoded.channel(cid), dense.channel(cid))
 
@@ -635,13 +615,14 @@ class TestStreamedReader:
         try:
             back = read_volume(tmp_path / "v.json")
             if layered:
-                back = decode_layered(back, vol.channels)
+                back = decode_layered(back)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < dense[0].nbytes / 4
         assert back.voxels(ChannelId.TUMOR).tolist() == [2 * 256 * 256 + 3 * 256 + c for c in range(4, 9)]
-        assert np.array_equal(back.data, dense) and back.data is not back.data
+        kept = [back.channels.index(c) for c in vol.channels]
+        assert np.array_equal(back.data[kept], dense) and back.data is not back.data
         assert back.channel(ChannelId.VEIN) is not back.channel(ChannelId.VEIN)
         assert not back.channel(ChannelId.VEIN).flags.writeable
 

@@ -61,7 +61,9 @@ writes the same tree. Groups:
     is read), a sample directory that holds no header, a fold header
     beside a sample directory, a manifest line without ``prediction``, a
     layered file given to ``loss`` (its header rejects it before any
-    voxel is read), ``-o`` naming an existing directory (no staged document may
+    voxel is read), a ``loss`` pair whose spacings differ (exit 3, from
+    the headers), folds without their tumor channel (exit 3, before the
+    pass), ``-o`` naming an existing directory (no staged document may
     be left beside it), ``--critical`` on a volume holding only the tumor
     (the filter names the missing pancreas before any vessel),
     ``--filter-mode`` without ``--critical`` and flags that a command or
@@ -254,10 +256,14 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         payload.tofile(f"ph/{name}/fold{fold}.raw")
     # The folds cropped to 10x70x73: a channel holds 51100 voxels, not a
     # multiple of the 32768-voxel statistics block, so it ends on a short block.
+    # And the folds without their tumor channel, which the sweep cannot grade.
     for i in range(3):
         fold = read_volume(f"ph/unc/fold{i}.json")
         write_volume(ProbVolume(fold.data[:, :, 30:100, 27:100], fold.channels, fold.spacing),
                      f"ph/odd/fold{i}.json")
+        keep = [c for c in fold.channels if c != ChannelId.TUMOR]
+        write_volume(ProbVolume(np.stack([fold.channel(c) for c in keep]), keep, fold.spacing),
+                     f"ph/no_tumor/fold{i}.json")
     shutil.copytree("ph/unc", "ph/short", ignore=shutil.ignore_patterns("truth.json"))
     with open("ph/short/fold1.raw", "r+b") as fh:
         fh.truncate(fh.seek(0, 2) - 4)
@@ -352,6 +358,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     loss_pred = gen.uniform(0.05, 0.95, size=(6, 2, 8, 8)).astype(np.float32)
     write_volume(MaskVolume(loss_gt, scene.channels, scene.spacing), "ph/loss_gt.json")
     write_volume(ProbVolume(loss_pred, scene.channels, scene.spacing), "ph/loss_pred.json")
+    write_volume(MaskVolume(loss_gt, scene.channels, Spacing(2.0, 1.0, 1.0)), "ph/loss_gt_aniso.json")
 
     folds = "--fold ph/unc/fold0.json --fold ph/unc/fold1.json --fold ph/unc/fold2.json"
     span_folds = {span: " ".join(f"--fold ph/span{span}/fold{i}.json" for i in range(3))
@@ -450,6 +457,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-bad-layered-label", "assess ph/bad_layered.json"),
         ("error-loss-geometry", "loss ph/loss_pred.json ph/scene.json"),
         ("error-loss-layered", "loss ph/layered.json ph/loss_gt.json"),
+        ("error-loss-mixed-spacing", "loss ph/loss_pred.json ph/loss_gt_aniso.json"),
         ("error-nan-threshold", f"uncertainty {folds} --out o/u --threshold nan"),
         ("error-uncertainty-late-nan",
          "uncertainty --fold ph/unc/fold0.json --fold ph/unc/fold1.json "
@@ -464,6 +472,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-uncertainty-wrong-size-fold",
          "uncertainty --fold ph/unc/fold0.json --fold ph/short/fold1.json "
          "--fold ph/unc/fold2.json --out o/u"),
+        ("error-uncertainty-no-tumor",
+         "uncertainty --fold ph/no_tumor/fold0.json --fold ph/no_tumor/fold1.json "
+         "--fold ph/no_tumor/fold2.json --out o/u"),
         ("error-uncertainty-mask-fold",
          "uncertainty --fold ph/unc/fold0.json --fold ph/scene.json --out o/u"),
         ("error-empty-sample-dir", "uncertainty --fold ph/no_samples --fold ph/samples0 --out o/u"),
