@@ -93,7 +93,7 @@ def dpcg_bucket_table(pairs: Sequence[tuple[float, float]]) -> list[dict]:
 
 
 def _geometry(v) -> str:
-    """The dims and spacing of a volume or header; two are equal exactly when the geometries are."""
+    """The dims and spacing of a volume or header, as an error message names them."""
     return f"{v.dims} at {v.spacing.as_tuple()} mm"
 
 
@@ -102,10 +102,12 @@ def check_geometry(pred, gt, gt_critical=None) -> None:
 
     Each argument is anything with ``dims`` and ``spacing``: a volume, or
     the ``volume.Payload`` of its header, so a caller can refuse an entry
-    before reading a voxel. ``gt_critical`` may be None.
+    before reading a voxel. ``gt_critical`` may be None. Geometries are
+    compared as values: dims are Python ints and a ``Spacing`` holds
+    floats, whichever side built them.
     """
     for name, other in (("ground truth", gt), ("critical ground truth", gt_critical)):
-        if other is not None and _geometry(other) != _geometry(pred):
+        if other is not None and (other.dims, other.spacing) != (pred.dims, pred.spacing):
             raise ValueError(
                 f"geometry mismatch: prediction {_geometry(pred)}, {name} {_geometry(other)}")
 

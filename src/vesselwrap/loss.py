@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import CHANNEL_NAMES, ChannelId, MissingChannelError, STANDARD_CHANNELS
+from .volume import STANDARD_CHANNELS, ChannelId, find_channel
 
 CLAMP_EPS = 1e-7
 DICE_SMOOTH = 1e-5
@@ -120,13 +120,9 @@ def pseudo_overlap(tumor, artery, vein):
 
 
 def _tav_indices(channels) -> tuple[int, int, int]:
-    channels = tuple(ChannelId(c) for c in channels)
-    idx = []
-    for cid in (ChannelId.TUMOR, ChannelId.ARTERY, ChannelId.VEIN):
-        if cid not in channels:
-            raise MissingChannelError(f"loss needs the {CHANNEL_NAMES[cid]} channel")
-        idx.append(channels.index(cid))
-    return tuple(idx)
+    """The places of the tumor, artery and vein in ``channels``; ``find_channel`` names a missing one."""
+    channels = tuple(map(ChannelId, channels))
+    return tuple(find_channel(channels, cid) for cid in (ChannelId.TUMOR, ChannelId.ARTERY, ChannelId.VEIN))
 
 
 def overlap_loss(pred, gt, channels=STANDARD_CHANNELS) -> float:

@@ -8,10 +8,10 @@ Contact views cost what they draw, not the slice area. ``contact_overlay``
 reads the voxel index of the tumor, the pancreas and each vessel from the
 volume (``MaskVolume.voxels``), never a grid, so a volume read from a file,
 which holds only those indices, is painted without building one. It
-finds each slice's range in the index with
-``searchsorted``, and paints every image of a vessel on one reused canvas:
-before an image, only the pixels the previous image painted are set back
-to zero.
+splits each index at the slice starts (``searchsorted``) into one view
+per slice of its in-slice indices, and paints every image of a vessel
+on one reused canvas: before an image, only the pixels the previous
+image painted are set back to zero.
 """
 
 from __future__ import annotations
@@ -60,17 +60,11 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     _overwrite(path, header, rgb)
 
 
-class _SliceIndex:
-    """Flat in-slice indices of a channel's set voxels, by slice."""
-
-    def __init__(self, masks: MaskVolume, cid: ChannelId):
-        depth, h, w = masks.dims
-        voxels = masks.voxels(cid)
-        self._bounds = np.searchsorted(voxels, np.arange(depth + 1) * (h * w)).tolist()
-        self._flat = voxels % (h * w)  # a new array: the volume's index is read-only
-
-    def __getitem__(self, z: int) -> np.ndarray:
-        return self._flat[self._bounds[z]:self._bounds[z + 1]]
+def _by_slice(masks: MaskVolume, cid: ChannelId) -> list[np.ndarray]:
+    """Flat in-slice indices of a channel's set voxels, one view per slice, indexed by z."""
+    depth, h, w = masks.dims
+    voxels = masks.voxels(cid)
+    return np.split(voxels % (h * w), np.searchsorted(voxels, np.arange(1, depth) * (h * w)))
 
 
 _CROSS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
@@ -91,12 +85,10 @@ def contact_overlay(masks: MaskVolume, reports, directory, scan_id: str) -> None
         return
     out = Path(directory)
     _, h, w = masks.dims
-    tumor = _SliceIndex(masks, ChannelId.TUMOR)
-    pancreas = None
-    if masks.has_channel(ChannelId.PANCREAS):
-        pancreas = _SliceIndex(masks, ChannelId.PANCREAS)
+    tumor = _by_slice(masks, ChannelId.TUMOR)
+    pancreas = _by_slice(masks, ChannelId.PANCREAS) if masks.has_channel(ChannelId.PANCREAS) else None
     for report in contacted:
-        vessel = _SliceIndex(masks, report.vessel)
+        vessel = _by_slice(masks, report.vessel)
         table = report.table
         rgb = np.zeros((h, w, 3), dtype=np.uint8)
         flat = rgb.reshape(h * w, 3)

@@ -170,7 +170,7 @@ def _check_same_geometry(volumes: Sequence[Member]):
     for v in volumes[1:]:
         if v.dims != first.dims or v.channels != first.channels:
             raise ValueError("volumes must share dims and channels")
-        if v.spacing.as_tuple() != first.spacing.as_tuple():
+        if v.spacing != first.spacing:
             raise ValueError("volumes must share spacing")
 
 

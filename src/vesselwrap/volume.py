@@ -7,7 +7,7 @@ at ``<stem>.json`` describes geometry and dtype, the voxel data sits in
 ``dims``
     ``[Z, H, W]`` voxel counts, positive integers.
 ``spacing_mm``
-    ``[z, y, x]`` voxel edge lengths in millimeters, all strictly positive.
+    ``[z, y, x]`` voxel edge lengths in millimeters, positive and finite.
 ``dtype``
     ``"u8"`` for binary masks and layered label grids, ``"f32"`` for
     probabilities.
@@ -50,14 +50,25 @@ file truncated to zero is closed. A failure removes the ``.tmp`` files and
 the directories the write made. Overlay images are written in place
 instead (``overlay._overwrite``), which meets neither pattern.
 
-Every volume is checked once, where it enters. A public constructor checks
-what its caller hands in: the shape, then its value rule (``_small_ints``
-for mask voxels and layered labels, [0, 1] for probabilities). What the
-program has already read or derived (a read, ``from_voxels``,
-``decode_layered``, ``encode_layered``) is set as given by the one trusted
-constructor, ``_Immutable._of``. Either way a volume is immutable and its
-arrays read-only; the mask grids built on the way to a grade are bool, 0
-and 1 by type.
+A header and a constructor judge a volume's geometry with the same code:
+``_check_dims`` (three positive integers, numpy integers taken as Python
+ints, bools refused, one grid addressable), ``Spacing`` (three positive
+finite reals, numpy scalars taken as their Python value, bools refused,
+each stored as a float) and ``_check_channels`` (no channel twice).
+``_parse_header`` runs all three, and ``_Immutable.__init__`` runs the
+first two, refusing a spacing that is not a ``Spacing``, for every volume
+whichever constructor builds it. So geometries compare as values, and a
+volume a constructor accepts is one a header can describe.
+
+Every volume's voxels are checked once, where they enter. A public
+constructor checks what its caller hands in: the shape, then its value
+rule (``_small_ints`` for mask voxels and layered labels, [0, 1] for
+probabilities). What the program has already read or derived (a read,
+``from_voxels``, ``decode_layered``, ``encode_layered``) is set as given
+by the one trusted constructor, ``_Immutable._of``. Either way a volume
+is immutable and its arrays read-only; the mask grids built on the way
+to a grade are bool, 0 and 1 by type. ``find_channel`` is the one channel
+lookup: it alone raises MissingChannelError.
 
 Segmented structures fill a small share of a CT grid, so a mask volume
 is held as a voxel index: ``MaskVolume.voxels(cid)`` is the sorted flat
@@ -167,13 +178,20 @@ class Spacing:
     x_mm: float
 
     def __post_init__(self):
+        """The one spacing rule: each value a positive finite real, stored as a float.
+
+        A numpy scalar is taken as its Python value (``.item()``, so a
+        float32 is compared without a cast), and a bool is refused.
+        """
         for name in ("z_mm", "y_mm", "x_mm"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            mm = v.item() if isinstance(v, np.generic) else v
+            if isinstance(mm, bool) or not (isinstance(mm, (int, float)) and 0 < mm <= sys.float_info.max):
                 raise ValueError(f"spacing {name} must be a positive finite number, got {v!r}")
+            object.__setattr__(self, name, float(mm))
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (float(self.z_mm), float(self.y_mm), float(self.x_mm))
+        return (self.z_mm, self.y_mm, self.x_mm)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -222,22 +240,43 @@ def set_voxels(grid: np.ndarray) -> np.ndarray:
 
 
 def _check_channels(channels: Sequence[ChannelId]) -> tuple[ChannelId, ...]:
+    """The one channel-list rule of headers and constructors: distinct channels."""
     channels = tuple(ChannelId(c) for c in channels)
     if len(set(channels)) != len(channels):
-        raise ValueError(f"duplicate channels: {channels}")
+        raise VolumeFormatError(f"duplicate channels in {[CHANNEL_NAMES[c] for c in channels]}")
     return channels
+
+
+def _check_dims(dims, itemsize: int = 1) -> tuple[int, int, int]:
+    """The one dims rule of headers and constructors: ``dims`` as three Python ints.
+
+    Each entry must be a positive integer; a numpy integer is taken as its
+    value and a bool is refused. One grid of ``itemsize``-byte voxels must
+    be addressable. Else VolumeFormatError names ``dims`` as given.
+    """
+    values = dims.tolist() if isinstance(dims, np.ndarray) else dims
+    if not (isinstance(values, (list, tuple)) and len(values) == 3 and all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0 for v in values)):
+        raise VolumeFormatError(f"bad dims {dims!r}: need three positive integers")
+    if math.prod(map(int, values)) * itemsize > np.iinfo(np.intp).max:
+        raise VolumeFormatError(f"bad dims {dims!r}: one grid exceeds the addressable size")
+    return tuple(map(int, values))
 
 
 class _Immutable:
     """Attributes are set once, while the object is built.
 
-    A public constructor sets them through ``__init__`` after its checks.
-    ``_of``, the one constructor for values the program has already read or
-    derived, sets them as given.
+    ``__init__`` checks ``dims`` (``_check_dims``) and that ``spacing`` is
+    a ``Spacing``, for every volume: a public constructor calls it after
+    its checks of the voxels, and ``_of``, the one constructor for values
+    the program has already read or derived, calls it too and sets the
+    other attributes as given.
     """
 
-    def __init__(self, **values):
-        vars(self).update(values)
+    def __init__(self, *, dims, spacing, **values):
+        if not isinstance(spacing, Spacing):
+            raise TypeError(f"spacing must be a Spacing, got {type(spacing).__name__}")
+        vars(self).update(values, dims=_check_dims(dims), spacing=spacing)
 
     @classmethod
     def _of(cls, **values):
@@ -314,11 +353,12 @@ class MaskVolume(_ChannelVolume):
                     spacing: Spacing) -> MaskVolume:
         """The volume of ``dims`` whose channels, in ``voxels`` order, set those flat indices.
 
-        Each index must be sorted, unique and inside the grid; it is taken
-        as given (not checked) and made read-only, so an index already
-        read-only is shared, not copied.
+        ``dims`` (a sequence or a 1-D integer array) and ``spacing`` pass
+        the rules a header passes. Each index must be sorted, unique and
+        inside the grid; it is taken as given (not checked) and made
+        read-only, so an index already read-only is shared, not copied.
         """
-        return cls._of(channels=_check_channels(voxels), spacing=spacing, dims=tuple(dims),
+        return cls._of(channels=_check_channels(voxels), spacing=spacing, dims=dims,
                        _stack=None, _voxels={ChannelId(c): _freeze(v) for c, v in voxels.items()})
 
     @property
@@ -401,18 +441,6 @@ def _raw_path(header_path: Path) -> Path:
     return header_path.with_suffix(".raw")
 
 
-def _positive_triple(value, kinds) -> bool:
-    """A list of three positive finite numbers of the given kinds, bools excluded."""
-    return (
-        isinstance(value, list)
-        and len(value) == 3
-        and all(
-            isinstance(v, kinds) and not isinstance(v, bool) and 0 < v <= sys.float_info.max
-            for v in value
-        )
-    )
-
-
 def _parse_header(header, path: Path):
     """Validate a parsed header; returns (dims, spacing, dtype, channels).
 
@@ -425,30 +453,26 @@ def _parse_header(header, path: Path):
             raise VolumeFormatError(f"header {path} missing key {key!r}")
     if header["order"] != HEADER_ORDER:
         raise VolumeFormatError(f"unsupported order {header['order']!r}")
-    dims, spacing = header["dims"], header["spacing_mm"]
-    if not _positive_triple(dims, int):
-        raise VolumeFormatError(f"bad dims {dims!r}: need three positive integers")
-    if not _positive_triple(spacing, (int, float)):
-        raise VolumeFormatError(f"bad spacing_mm {spacing!r}: need three positive finite numbers")
     dtype = header["dtype"]
     if dtype not in ("u8", "f32"):
         raise VolumeFormatError(f"unknown dtype {dtype!r}")
-    if math.prod(dims) * np.dtype(_FILE_DTYPES[dtype]).itemsize > np.iinfo(np.intp).max:
-        raise VolumeFormatError(f"bad dims {dims!r}: one grid exceeds the addressable size")
+    dims = _check_dims(header["dims"], np.dtype(_FILE_DTYPES[dtype]).itemsize)
+    try:  # TypeError: not a list of three
+        spacing = Spacing(*header["spacing_mm"])
+    except (TypeError, ValueError):
+        raise VolumeFormatError(
+            f"bad spacing_mm {header['spacing_mm']!r}: need three positive finite numbers") from None
     names = header.get("channels")
     if names is None:
         if dtype == "f32":
             raise VolumeFormatError("f32 volumes must declare channels")
-        return tuple(dims), Spacing(*map(float, spacing)), dtype, None
+        return dims, spacing, dtype, None
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise VolumeFormatError(f"bad channels {names!r}: need a list of channel names")
     unknown = [n for n in names if n not in NAME_TO_CHANNEL]
     if unknown:
         raise VolumeFormatError(f"unknown channel name {unknown[0]!r}")
-    if len(set(names)) != len(names):
-        raise VolumeFormatError(f"duplicate channel names in {names!r}")
-    channels = tuple(NAME_TO_CHANNEL[n] for n in names)
-    return tuple(dims), Spacing(*map(float, spacing)), dtype, channels
+    return dims, spacing, dtype, _check_channels([NAME_TO_CHANNEL[n] for n in names])
 
 
 @dataclass(frozen=True)

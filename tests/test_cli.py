@@ -1484,7 +1484,7 @@ class TestLossCmd:
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == "error: loss needs the tumor channel\n"
+        assert proc.stderr == "error: volume has no 'tumor' channel\n"
 
 
 class TestOneWayIn:

@@ -120,6 +120,17 @@ class TestOverlapLoss:
         pred = gt.astype(float).copy()
         assert overlap_loss(pred, gt) <= 1e-5
 
+    @pytest.mark.parametrize("channels, missing", [
+        ((ChannelId.ARTERY, ChannelId.VEIN), "tumor"),
+        ((ChannelId.PANCREAS, ChannelId.TUMOR), "artery"),
+        ((ChannelId.TUMOR, ChannelId.ARTERY), "vein"),
+    ])
+    def test_missing_channel_named_by_find_channel(self, channels, missing):
+        """The one lookup message, tumor first, then artery and vein."""
+        zeros = np.zeros((2, 1, 1, 1))
+        with pytest.raises(MissingChannelError, match=f"^volume has no '{missing}' channel$"):
+            overlap_loss(zeros, zeros, channels=channels)
+
     def test_missing_channels(self):
         with pytest.raises(MissingChannelError):
             overlap_loss(

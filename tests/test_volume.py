@@ -1,5 +1,8 @@
 import json
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vesselwrap import volume
+from vesselwrap.evaluation import check_geometry
 from vesselwrap.involvement import filter_critical_volume
 from vesselwrap.volume import (
     ChannelId,
@@ -51,6 +55,139 @@ class TestSpacing:
             Spacing(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             Spacing(1.0, 1.0, float("nan"))
+
+
+# Entries drawn for the parity property; the JSON form of a numpy scalar is its ``.item()``.
+DIMS_ENTRIES = (1, 2, 3, 4, 0, -1, True, 2.0, np.int64(2), 10**400)
+SPACING_ENTRIES = (0.5, 1, np.float32(0.67), np.int64(3), 0, -1, float("nan"), float("inf"), True,
+                   np.bool_(True), 10**400, "1")
+
+
+def _json_form(v):
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def _accepts(build, error) -> bool:
+    try:
+        build()
+    except error:
+        return False
+    return True
+
+
+class TestOneGeometryRule:
+    """A header and the constructors judge dims, spacing and channels with the same code."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dims=st.lists(st.sampled_from(DIMS_ENTRIES), min_size=3, max_size=3),
+           spacing=st.lists(st.sampled_from(SPACING_ENTRIES), min_size=3, max_size=3))
+    def test_header_accepted_exactly_when_constructors_accept(self, dims, spacing):
+        header = {"dims": [_json_form(v) for v in dims], "spacing_mm": [_json_form(v) for v in spacing],
+                  "dtype": "u8", "order": volume.HEADER_ORDER, "channels": []}
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = _write_raw_pair(Path(tmp), header, b"")
+            read_ok = _accepts(lambda: volume.open_payload(path), VolumeFormatError)
+            spacing_ok = _accepts(lambda: Spacing(*spacing), ValueError)
+            dims_ok = _accepts(lambda: MaskVolume.from_voxels({}, dims, SP1), VolumeFormatError)
+            assert read_ok == (spacing_ok and dims_ok)
+            if not read_ok:
+                return
+            vol = MaskVolume.from_voxels({}, dims, Spacing(*spacing))
+            assert vol.dims == tuple(int(d) for d in dims)
+            assert all(type(d) is int for d in vol.dims)
+            assert all(type(mm) is float for mm in vol.spacing.as_tuple())
+            payload = volume.open_payload(path)
+            assert (payload.dims, payload.spacing) == (vol.dims, vol.spacing)
+            write_volume(vol, Path(tmp) / "back.json")
+            back = read_volume(Path(tmp) / "back.json")
+            assert (back.dims, back.spacing) == (vol.dims, vol.spacing)
+            assert all(type(d) is int for d in back.dims)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True)])
+    def test_bool_spacing_refused(self, value):
+        with pytest.raises(ValueError, match="spacing z_mm must be a positive finite number"):
+            Spacing(value, 1, 1)
+
+    def test_numpy_spacing_taken_as_its_value(self):
+        sp = Spacing(np.float32(0.67), np.int64(3), 1)
+        assert sp.as_tuple() == (float(np.float32(0.67)), 3.0, 1.0)
+        assert all(type(mm) is float for mm in (sp.z_mm, sp.y_mm, sp.x_mm))
+        assert Spacing(1, 1, 1).z_mm == 1.0 and type(Spacing(1, 1, 1).z_mm) is float
+
+    @pytest.mark.parametrize("build", [
+        lambda: MaskVolume(np.zeros((1, 0, 4, 4), np.uint8), (ChannelId.TUMOR,), SP1),
+        lambda: ProbVolume(np.zeros((1, 2, 0, 4), np.float32), (ChannelId.TUMOR,), SP1),
+        lambda: LayeredLabelVolume(np.zeros((2, 4, 0), np.uint8), SP1),
+        lambda: MaskVolume.from_voxels({}, (2, 0, 4), SP1),
+    ], ids=["mask", "probability", "layered", "from_voxels"])
+    def test_empty_grid_refused(self, build):
+        with pytest.raises(VolumeFormatError, match=r"^bad dims \(.*\): need three positive integers$"):
+            build()
+
+    def test_numpy_dims_become_python_ints(self, tmp_path):
+        vol = MaskVolume.from_voxels({ChannelId.TUMOR: np.array([1, 5])}, np.array([2, 4, 4]), SP1)
+        assert vol.dims == (2, 4, 4) and all(type(d) is int for d in vol.dims)
+        write_volume(vol, tmp_path / "v.json")
+        assert json.loads((tmp_path / "v.json").read_text())["dims"] == [2, 4, 4]
+        dense = MaskVolume(vol.data, vol.channels, SP1)
+        check_geometry(vol, dense)
+        check_geometry(volume.open_payload(tmp_path / "v.json"), dense)
+
+    @pytest.mark.parametrize("build", [
+        lambda sp: MaskVolume(np.zeros((1, 2, 2, 2), np.uint8), (ChannelId.TUMOR,), sp),
+        lambda sp: ProbVolume(np.zeros((1, 2, 2, 2), np.float32), (ChannelId.TUMOR,), sp),
+        lambda sp: LayeredLabelVolume(np.zeros((2, 2, 2), np.uint8), sp),
+        lambda sp: MaskVolume.from_voxels({}, (2, 2, 2), sp),
+    ], ids=["mask", "probability", "layered", "from_voxels"])
+    def test_spacing_must_be_a_spacing(self, build):
+        with pytest.raises(TypeError, match="spacing must be a Spacing, got tuple"):
+            build((1.0, 1.0, 1.0))
+        assert build(SP1).spacing is SP1
+
+    def test_duplicate_channels_one_message(self, tmp_path):
+        message = r"^duplicate channels in \['artery', 'vein', 'vein'\]$"
+        path = _write_raw_pair(tmp_path, _header([1, 1, 1], ["artery", "vein", "vein"], "u8"), bytes(3))
+        with pytest.raises(VolumeFormatError, match=message):
+            volume.open_payload(path)
+        with pytest.raises(VolumeFormatError, match=message):
+            MaskVolume(np.zeros((3, 1, 1, 1), np.uint8),
+                       (ChannelId.ARTERY, ChannelId.VEIN, ChannelId.VEIN), SP1)
+
+
+# Every header field drawn from arbitrary JSON values, huge integers and non-finite floats among them.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6)
+    | st.integers(min_value=-10**400, max_value=10**400) | st.sampled_from([10**400, -(10**400)])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+_VALID_FIELDS = {"dims": [2, 2, 2], "spacing_mm": [1.0, 0.5, 0.5], "dtype": "u8",
+                 "order": volume.HEADER_ORDER, "channels": ["tumor"]}
+
+
+class TestHeaderFuzz:
+    """A header of any JSON content is a ``Payload`` or a VolumeFormatError, never another error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(broken=st.sets(st.sampled_from(sorted(_VALID_FIELDS))), size=st.sampled_from([0, 4, 8, 16]),
+           data=st.data())
+    def test_payload_or_volume_format_error(self, broken, size, data):
+        """The fields in ``broken`` are drawn, whole or as three entries; the others stay valid."""
+        fields = dict(_VALID_FIELDS)
+        for key in sorted(broken):
+            fields[key] = data.draw(_JSON_VALUES | st.lists(_JSON_VALUES, min_size=3, max_size=3), label=key)
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = _write_raw_pair(Path(tmp), fields, bytes(size))
+            try:
+                payload = volume.open_payload(path)
+            except VolumeFormatError:
+                return
+            assert isinstance(payload, volume.Payload)
+            assert all(type(d) is int and d > 0 for d in payload.dims)
+            assert isinstance(payload.spacing, Spacing)
 
 
 class TestReadWrite:

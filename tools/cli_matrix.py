@@ -62,9 +62,10 @@ writes the same tree. Groups:
     beside a sample directory, a manifest line without ``prediction``, a
     layered file given to ``loss`` (its header rejects it before any
     voxel is read), a ``loss`` pair whose spacings differ (exit 3, from
-    the headers), folds without their tumor channel (exit 3, before the
-    pass), ``-o`` naming an existing directory (no staged document may
-    be left beside it), ``--critical`` on a volume holding only the tumor
+    the headers), a ``loss`` pair without its tumor channel (exit 3),
+    folds without their tumor channel (exit 3, before the pass), ``-o``
+    naming an existing directory (no staged document may be left beside
+    it), ``--critical`` on a volume holding only the tumor
     (the filter names the missing pancreas before any vessel),
     ``--filter-mode`` without ``--critical`` and flags that a command or
     phantom scene does not declare (argparse exits 2).
@@ -359,6 +360,11 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     write_volume(MaskVolume(loss_gt, scene.channels, scene.spacing), "ph/loss_gt.json")
     write_volume(ProbVolume(loss_pred, scene.channels, scene.spacing), "ph/loss_pred.json")
     write_volume(MaskVolume(loss_gt, scene.channels, Spacing(2.0, 1.0, 1.0)), "ph/loss_gt_aniso.json")
+    # the same pair without its tumor channel: the overlap term cannot be formed
+    keep = [i for i, c in enumerate(scene.channels) if c != ChannelId.TUMOR]
+    no_tumor = [scene.channels[i] for i in keep]
+    write_volume(MaskVolume(loss_gt[keep], no_tumor, scene.spacing), "ph/loss_gt_no_tumor.json")
+    write_volume(ProbVolume(loss_pred[keep], no_tumor, scene.spacing), "ph/loss_pred_no_tumor.json")
 
     folds = "--fold ph/unc/fold0.json --fold ph/unc/fold1.json --fold ph/unc/fold2.json"
     span_folds = {span: " ".join(f"--fold ph/span{span}/fold{i}.json" for i in range(3))
@@ -458,6 +464,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-loss-geometry", "loss ph/loss_pred.json ph/scene.json"),
         ("error-loss-layered", "loss ph/layered.json ph/loss_gt.json"),
         ("error-loss-mixed-spacing", "loss ph/loss_pred.json ph/loss_gt_aniso.json"),
+        ("error-loss-no-tumor", "loss ph/loss_pred_no_tumor.json ph/loss_gt_no_tumor.json"),
         ("error-nan-threshold", f"uncertainty {folds} --out o/u --threshold nan"),
         ("error-uncertainty-late-nan",
          "uncertainty --fold ph/unc/fold0.json --fold ph/unc/fold1.json "
