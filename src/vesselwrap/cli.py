@@ -16,6 +16,8 @@ that order, then the units, then the ks if the command declares them.
 ``assess`` grades its one input; ``uncertainty`` alone loads folds and
 writes a sigma sweep. ``--filter-mode`` without ``--critical`` is rejected
 before the command runs, and the echo shows ``voxel`` when neither is given.
+A ``--scan-id`` holding ``/`` is rejected there too: it would put images
+outside ``--overlay``.
 
 Every input volume is judged once, from its header, by ``_open_kind``,
 which reads ``Payload.kind``; the ``Payload`` it returns is what the
@@ -372,6 +374,7 @@ def _heat_maps(out: Path, stream: unc.FieldStream, directory: Path, scan_id: str
     successful sweep has graded tumor, artery and vein, so all three are there.
     """
     grid = math.prod(stream.dims)
+    made = False  # the directory, before the first map
     for cid in GRADED_CHANNELS:
         offset = stream.channels.index(cid) * grid * 4
         mean, std = (np.fromfile(out / f"{n}.raw", "<f4", grid, offset=offset).reshape(stream.dims)
@@ -379,6 +382,9 @@ def _heat_maps(out: Path, stream: unc.FieldStream, directory: Path, scan_id: str
         for z in range(stream.dims[0]):
             if float(std[z].max()) < overlay.HEAT_CLIP:
                 continue
+            if not made:
+                directory.mkdir(parents=True, exist_ok=True)
+                made = True
             rgb = overlay.heatmap_overlay(mean[z], std[z])
             overlay.write_ppm(directory / f"{scan_id}_{CHANNEL_NAMES[cid]}_z{z:03d}.ppm", rgb)
 
@@ -567,7 +573,8 @@ def main(argv=None) -> int:
     or OSError (an unreadable path, or one of the wrong kind) with 2. A
     non-finite float flag is rejected with 2 before the command runs: it
     would be echoed into the document as NaN or Infinity, which is not JSON.
-    So is ``--filter-mode`` without ``--critical``, which would filter nothing.
+    So is ``--filter-mode`` without ``--critical``, which would filter nothing,
+    and a ``--scan-id`` holding ``/``: images go to ``{overlay}/{scan_id}_…``.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -579,6 +586,8 @@ def main(argv=None) -> int:
             if args.filter_mode is not None and not args.critical:
                 raise CliError("--filter-mode acts only with --critical")
             args.filter_mode = args.filter_mode or "voxel"
+        if "/" in (vars(args).get("scan_id") or ""):
+            raise CliError(f"--scan-id must not hold '/', got {args.scan_id!r}")
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

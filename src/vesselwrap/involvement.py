@@ -46,11 +46,14 @@ runs of set voxels, not the distance between them:
    maximum of their ends, one ``searchsorted`` of the vessel's padded
    index tells which vessel voxels they cover;
 4. take centroids from ``np.bincount`` sums of voxel coordinates and the
-   angle of every contact pixel at nonzero radius around its centroid,
-   in millimetres (row offsets scaled by ``y_mm / x_mm``);
-5. sort the angles by (component, angle) and reduce each component's
-   segment: the largest gap comes from a segmented ``np.maximum.reduceat``
-   over the differences, max-min from the segment ends.
+   angle of every contact pixel around its centroid, in millimetres (row
+   offsets scaled by ``y_mm / x_mm``); a pixel at its centroid has no
+   angle and gets -1;
+5. sort the contact pixels once, by (component, angle), keeping them as
+   flat voxel indices, and reduce each component's segment of angles,
+   past its -1: the largest gap comes from a segmented
+   ``np.maximum.reduceat`` over the differences, max-min from the segment
+   ends.
 """
 
 from __future__ import annotations
@@ -87,14 +90,16 @@ class ComponentTable:
     """Every in-slice vessel component of a scan, in grid coordinates.
 
     Row k describes component k. Components are ordered by slice, then by
-    their first pixel in raster order. Contact pixels are grouped by
-    component: component k owns ``contact[contact_start[k]:contact_start[k + 1]]``.
+    their first pixel in raster order. Contact pixels are flat voxel
+    indices grouped by component: component k owns
+    ``contact[contact_start[k]:contact_start[k + 1]]``, in ascending angle
+    about its centroid, a pixel at the centroid first.
     """
 
     z: np.ndarray  # (K,) slice index
     centroid: np.ndarray  # (K, 2) mean (row, col) over ALL component pixels
     span_deg: np.ndarray  # (K,) angular span of the contact pixels
-    contact: np.ndarray  # (M, 3) (z, row, col) contact pixels
+    contact: np.ndarray  # (M,) int64 flat voxel indices of the contact pixels
     contact_start: np.ndarray  # (K + 1,) offsets into ``contact``
 
     @property
@@ -233,23 +238,27 @@ def _coordinates(voxels: np.ndarray, dims: tuple[int, int, int]) -> tuple[np.nda
     return (*np.divmod(rows, dims[1]), col)
 
 
-def _segment_spans(labels: np.ndarray, angles: np.ndarray, n: int, method: str) -> np.ndarray:
-    """The span of each label's angles, for labels 0..n-1 at once."""
-    spans = np.zeros(n)
-    order = np.lexsort((angles, labels))
-    a = angles[order]
-    count = np.bincount(labels, minlength=n)
-    end = np.cumsum(count) - 1
-    start = end - count + 1
-    multi = count >= 2
+def _segment_spans(angles: np.ndarray, contact_start: np.ndarray, method: str) -> np.ndarray:
+    """The span of each component's contact angles, for every component at once.
+
+    Component k owns ``angles[contact_start[k]:contact_start[k + 1]]`` in
+    ascending order. A pixel at its centroid has no angle; it holds -1,
+    which sorts first, and is skipped.
+    """
+    spans = np.zeros(contact_start.size - 1)
+    start, end = contact_start[:-1].copy(), contact_start[1:] - 1  # first and last angle
+    held = start <= end
+    start[held] += angles[start[held]] < 0  # past a centroid pixel's -1
+    multi = start < end
     if not multi.any():
         return spans
-    first, last = a[start[multi]], a[end[multi]]
+    first, last = angles[start[multi]], angles[end[multi]]
     if method == "minmax":
         spans[multi] = last - first
         return spans
-    gaps = np.diff(a)
-    gaps[end[count > 0][:-1]] = -1.0  # differences across two components
+    gaps = np.diff(angles)
+    gaps[angles[:-1] < 0] = -1.0  # from a centroid pixel
+    gaps[end[held][:-1]] = -1.0  # across two components
     widest = np.maximum.reduceat(gaps, start[multi])
     wrap = 360.0 - last + first
     spans[multi] = 360.0 - np.maximum(widest, wrap)
@@ -293,18 +302,17 @@ def component_table(
     hit = in_contact(voxels, tumor, masks.dims)
     z, centroid = _components(voxels, label, n, masks.dims)
 
-    contact_label = label[hit]
-    order = np.argsort(contact_label, kind="stable")
-    contact = np.stack(_coordinates(voxels[hit][order], masks.dims), axis=1)
-    contact_label = contact_label[order]
+    contact, contact_label = voxels[hit], label[hit]
+    d_row, d_col = _coordinates(contact, masks.dims)[1:]
+    # row offsets in units of x_mm, as d_col is
+    d_row = (d_row - centroid[contact_label, 0]) * (masks.spacing.y_mm / masks.spacing.x_mm)
+    d_col = d_col - centroid[contact_label, 1]
+    angles = np.degrees(np.arctan2(-d_row, d_col)) % 360.0
+    angles[(d_row == 0.0) & (d_col == 0.0)] = -1.0  # at the centroid: no angle, first in its component
+    order = np.lexsort((angles, contact_label))
+    contact, angles = contact[order], angles[order]
     contact_start = np.concatenate(([0], np.cumsum(np.bincount(contact_label, minlength=n))))
-
-    row_mm = masks.spacing.y_mm / masks.spacing.x_mm  # in units of x_mm, as d_col is
-    d_row = (contact[:, 1] - centroid[contact_label, 0]) * row_mm
-    d_col = contact[:, 2] - centroid[contact_label, 1]
-    nonzero = (d_row != 0.0) | (d_col != 0.0)
-    angles = np.degrees(np.arctan2(-d_row[nonzero], d_col[nonzero])) % 360.0
-    spans = _segment_spans(contact_label[nonzero], angles, n, span_method)
+    spans = _segment_spans(angles, contact_start, span_method)
     return ComponentTable(z, centroid, spans, contact, contact_start)
 
 

@@ -11,7 +11,10 @@ which holds only those indices, is painted without building one. It
 splits each index at the slice starts (``searchsorted``) into one view
 per slice of its in-slice indices, and paints every image of a vessel
 on one reused canvas: before an image, only the pixels the previous
-image painted are set back to zero.
+image painted are set back to zero. The contact pixels come from the
+component table, flat voxel indices too, and are painted the same way,
+as their remainder modulo the slice size. The directory is made once,
+before the first image; ``write_ppm`` expects it to exist.
 """
 
 from __future__ import annotations
@@ -51,11 +54,10 @@ def _overwrite(path: Path, *chunks) -> None:
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
+    """Write an (H, W, 3) image as binary PPM into a directory that exists."""
     rgb = np.ascontiguousarray(rgb, dtype=np.uint8)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError("expected an (H, W, 3) uint8 image")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii")
     _overwrite(path, header, rgb)
 
@@ -84,6 +86,7 @@ def contact_overlay(masks: MaskVolume, reports, directory, scan_id: str) -> None
     if not contacted:
         return
     out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
     _, h, w = masks.dims
     tumor = _by_slice(masks, ChannelId.TUMOR)
     pancreas = _by_slice(masks, ChannelId.PANCREAS) if masks.has_channel(ChannelId.PANCREAS) else None
@@ -107,11 +110,9 @@ def contact_overlay(masks: MaskVolume, reports, directory, scan_id: str) -> None
             flat[t] = COLOR_TUMOR
             flat[np.intersect1d(t, v, assume_unique=True)] = COLOR_OVERLAP
             lo, hi = np.searchsorted(table.z, (s.z, s.z + 1))
-            for k in range(lo, hi):
+            for k in lo + np.flatnonzero(np.diff(table.contact_start[lo:hi + 1])):  # those with contact
                 contact = table.contact[table.contact_start[k]:table.contact_start[k + 1]]
-                if not len(contact):
-                    continue
-                flat[contact[:, 1] * w + contact[:, 2]] = COLOR_CONTACT
+                flat[contact % (h * w)] = COLOR_CONTACT
                 cr, cc = (int(round(x)) for x in table.centroid[k].tolist())
                 cross = [(cr + dr) * w + cc + dc for dr, dc in _CROSS
                          if 0 <= cr + dr < h and 0 <= cc + dc < w]

@@ -94,7 +94,7 @@ def test_contact_brute_force_oracle():
         vessel = rng.random((16, 16)) < rng.uniform(0.05, 0.3)
         masks = tav_volume(tumor[None], np.zeros((1, 16, 16)), vessel[None])
         table = component_table(masks, ChannelId.VEIN, 8)
-        got = set(map(tuple, table.contact[:, 1:].tolist()))
+        got = set(zip(*(axis.tolist() for axis in np.unravel_index(table.contact, (16, 16)))))
         if got != brute_force_contact(tumor, vessel):
             mismatches += 1
     report("contact-oracle", mismatches == 0,

@@ -345,6 +345,24 @@ class TestInputBoundary:
         assert run(command, source, "-o", paths["out"]) == 0
         assert json.loads(Path(paths["out"]).read_text())["config"]["filter_mode"] == "voxel"
 
+    @pytest.mark.parametrize("scan_id", ["a/b", "../x"])
+    @pytest.mark.parametrize("command", ["assess", "uncertainty"])
+    def test_scan_id_with_slash_exit_2(self, tmp_path, capsys, command, scan_id):
+        # images go to {overlay}/{scan_id}_...: a separator would put them elsewhere
+        paths = write_cli_inputs(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        if command == "assess":
+            argv = ["assess", paths["scene"], "-o", work / "doc.json"]
+        else:
+            argv = ["uncertainty", "--fold", paths["pred"], "--fold", paths["pred"], "--out", work / "out"]
+        assert run(*argv, "--scan-id", scan_id, "--overlay", work / "ov") == 2
+        assert capsys.readouterr().err == f"error: --scan-id must not hold '/', got {scan_id!r}\n"
+        assert list(work.iterdir()) == []
+        assert run(*argv, "--scan-id", "x", "--overlay", work / "ov") == 0
+        # equal folds have no std to map: a run that writes no image makes no directory
+        assert (work / "ov").is_dir() == (command == "assess")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -45,7 +45,7 @@ def reference_overlay(masks: MaskVolume, vessel: ChannelId, z: int, table) -> np
         contact = table.contact[table.contact_start[k]:table.contact_start[k + 1]]
         if not len(contact):
             continue
-        rgb[contact[:, 1], contact[:, 2]] = COLOR_CONTACT
+        rgb[np.unravel_index(contact, masks.dims)[1:]] = COLOR_CONTACT
         cr, cc = (int(round(v)) for v in table.centroid[k].tolist())
         for dr, dc in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)):
             r, c = cr + dr, cc + dc
@@ -120,8 +120,9 @@ class TestAgainstReference:
         scene = slices(adversarial_scene(), [3])
         reports, _ = assess_scan(scene)
         table = reports[ChannelId.VEIN].table
-        crescent, inner = (table.contact[table.contact_start[k]:table.contact_start[k + 1], 1:]
-                           for k in range(2))
+        crescent, inner = (  # (row, col) contact pixels of components 0 and 1
+            np.column_stack(np.unravel_index(table.contact[lo:hi], scene.dims)[1:])
+            for lo, hi in zip(table.contact_start[:2], table.contact_start[1:3]))
         crosses = [
             {(r + dr, c + dc) for dr, dc in ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))}
             for r, c in np.rint(table.centroid[:2]).astype(int).tolist()

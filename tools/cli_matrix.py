@@ -67,8 +67,10 @@ writes the same tree. Groups:
     naming an existing directory (no staged document may be left beside
     it), ``--critical`` on a volume holding only the tumor
     (the filter names the missing pancreas before any vessel),
-    ``--filter-mode`` without ``--critical`` and flags that a command or
-    phantom scene does not declare (argparse exits 2).
+    ``--filter-mode`` without ``--critical``, a ``--scan-id`` holding
+    ``/`` in ``assess`` and ``uncertainty`` (nothing is written), and
+    flags that a command or phantom scene does not declare (argparse
+    exits 2).
 ``sweep``
     The seed-1 ``sigma-sweep`` benchmark folds (3 x 6x64x128x128 f32):
     ``uncertainty`` with heat maps and changed flags, two folds at
@@ -493,6 +495,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-assess-filter-mode", "assess ph/scene.json --filter-mode component"),
         ("error-evaluate-filter-mode", f"evaluate {suite_m} --filter-mode component"),
         ("error-uncertainty-filter-mode", f"uncertainty {folds} --out o/u --filter-mode component"),
+        ("error-assess-scan-id-slash", "assess ph/scene.json --scan-id a/b --overlay o/overlay"),
+        ("error-uncertainty-scan-id-parent",
+         f"uncertainty {folds} --out o/u --scan-id ../x --overlay o/heat"),
         ("error-phantom-confusion-radius", "phantom confusion --out o --radius 12"),
         ("error-phantom-wrap-ks", "phantom wrap --out o --ks 3"),
         ("error-missing-manifest", "evaluate ph/none.jsonl"),
