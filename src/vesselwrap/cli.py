@@ -5,10 +5,10 @@ output is JSON with stable key order and fixed rounding (degrees to 2
 decimals, losses to 6), so identical inputs yield byte-identical
 documents. The metrics document body, with its key order and its
 rounding (4 decimals), comes from ``evaluation.build_metrics_report``.
-Exit codes: 0 ok, 2 input error, 3 schema/channel error, 4 partial batch
-failure. ``main()`` is the one place that maps exceptions to exit codes;
-the commands only raise. ``evaluate`` alone catches, to count a failed
-manifest entry and go on with the rest.
+Exit codes: 0 ok, 2 input error, 3 missing channel, 4 partial batch
+failure. ``main()`` is the one place that picks an exit code, from the
+exception's type alone; the commands only raise. ``evaluate`` alone
+catches, to count a failed manifest entry and go on with the rest.
 
 Each command and phantom scene declares only the flags it reads. A
 document's ``config`` echoes the ``CONFIG_KEYS`` its command declares, in
@@ -22,10 +22,11 @@ outside ``--overlay``.
 Every input volume is judged once, from its header, by ``_open_kind``,
 which reads ``Payload.kind``; the ``Payload`` it returns is what the
 command reads, so no header is parsed twice and no refused input has a
-voxel read. Mixed geometry is refused from the headers too: ``loss``
-compares channels, dims and spacing, ``evaluate`` an entry's dims and
-spacing (``evaluation.check_geometry``), and ``uncertainty`` every
-member's, in ``fold_mean_std`` or ``sample_mean_std``.
+voxel read. Mixed geometry is refused from the headers too, naming both
+inputs and both values: ``loss`` compares channels, then dims and spacing
+(``evaluation.check_geometry``), ``evaluate`` an entry's dims and
+spacing, and ``uncertainty`` every member's, in ``fold_mean_std`` or
+``sample_mean_std``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .volume import (
     MissingChannelError,
     Payload,
     decode_layered,
+    format_channels,
     open_payload,
     read_volume,
     staged,
@@ -72,12 +74,6 @@ ASSESS_CHANNELS = (ChannelId.PANCREAS, *GRADED_CHANNELS)
 
 # The parsed flags a document's config may echo, in document order.
 CONFIG_KEYS = ("connectivity", "span_method", "threshold", "filter_mode", "critical")
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
 
 
 def _deg(x: float) -> float:
@@ -112,8 +108,7 @@ def _open_kind(path, *kinds: str) -> Payload:
     """
     payload = open_payload(path)
     if payload.kind not in kinds:
-        raise CliError(f"{path}: expected a {' or '.join(kinds)} volume, "
-                       f"got {_KIND_NAMES[payload.kind]}", EXIT_INPUT)
+        raise ValueError(f"{path}: expected a {' or '.join(kinds)} volume, got {_KIND_NAMES[payload.kind]}")
     return payload
 
 
@@ -185,12 +180,12 @@ def _load_folds(paths) -> unc.FieldStream:
         if p.is_dir():
             headers = sorted(p.glob("*.json"))
             if not headers:
-                raise CliError(f"sample directory {p} holds no volume headers", EXIT_INPUT)
+                raise ValueError(f"sample directory {p} holds no volume headers")
             sample_folds.append(tuple(_open_kind(h, "probability") for h in headers))
         else:
             prob_folds.append(_open_kind(p, "probability"))
     if prob_folds and sample_folds:
-        raise CliError("mix of deterministic folds and sample directories", EXIT_INPUT)
+        raise ValueError("mix of deterministic folds and sample directories")
     if sample_folds:
         return unc.sample_mean_std(sample_folds)
     return unc.fold_mean_std(prob_folds)
@@ -210,38 +205,41 @@ def cmd_assess(args) -> int:
 
 
 def _read_manifest(path) -> list[dict]:
-    path = Path(path)
+    """The manifest's entries, refusing a line only for a fault that stops it naming its entry.
+
+    That is a line that is not a JSON object, a missing, bad or repeated
+    ``scan_id``, or a bad fold label. Paths are judged per entry, by
+    ``_entry_path``, so an entry that lacks one fails alone.
+    """
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read manifest: {exc}", EXIT_INPUT) from None
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise ValueError(f"cannot read manifest: {exc}") from None
     entries = []
     seen = set()
     fold_type = None
     for i, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
             entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"manifest line {i}: {exc}", EXIT_INPUT) from None
-        if not isinstance(entry, dict) or "scan_id" not in entry or "prediction" not in entry:
-            raise CliError(f"manifest line {i}: needs scan_id and prediction", EXIT_INPUT)
+        except ValueError as exc:  # bad JSON, or an int past the digit limit
+            raise ValueError(f"manifest line {i}: {exc}") from None
+        if not isinstance(entry, dict) or "scan_id" not in entry:
+            raise ValueError(f"manifest line {i}: needs scan_id")
         if not isinstance(entry["scan_id"], (str, int)) or isinstance(entry["scan_id"], bool):
-            raise CliError(f"manifest line {i}: scan_id must be a string or integer", EXIT_INPUT)
+            raise ValueError(f"manifest line {i}: scan_id must be a string or integer")
         scan_id = str(entry["scan_id"])  # as the report prints it
         if scan_id in seen:
-            raise CliError(f"manifest line {i}: duplicate scan id {scan_id!r}", EXIT_INPUT)
+            raise ValueError(f"manifest line {i}: duplicate scan id {scan_id!r}")
         seen.add(scan_id)
         fold = entry.get("fold")
         if fold is not None:
             if not isinstance(fold, (str, int)) or isinstance(fold, bool):
-                raise CliError(f"manifest line {i}: fold must be a string or integer", EXIT_INPUT)
+                raise ValueError(f"manifest line {i}: fold must be a string or integer")
             fold_type = fold_type or type(fold)
             if type(fold) is not fold_type:
-                raise CliError(f"manifest line {i}: fold labels must be all strings or all integers",
-                               EXIT_INPUT)
+                raise ValueError(f"manifest line {i}: fold labels must be all strings or all integers")
         entries.append(entry)
     return entries
 
@@ -280,10 +278,12 @@ def _metrics_table(body: dict) -> str:
 
 
 def _entry_path(base: Path, entry: dict, key: str) -> Path:
-    value = entry[key]
-    if not isinstance(value, str):
-        raise CliError(f"{key} must be a path string, got {value!r}", EXIT_INPUT)
-    return base / value
+    """The one rule for an entry's path keys: present, a string, relative to ``base``."""
+    if key not in entry:
+        raise ValueError(f"entry lacks {key}")
+    if not isinstance(entry[key], str):
+        raise ValueError(f"{key} must be a path string, got {entry[key]!r}")
+    return base / entry[key]
 
 
 def cmd_evaluate(args) -> int:
@@ -294,12 +294,8 @@ def cmd_evaluate(args) -> int:
     for entry in entries:
         scan_id = str(entry["scan_id"])
         try:
-            if "ground_truth" not in entry:
-                raise CliError("entry lacks ground_truth", EXIT_INPUT)
-            if args.critical and "critical_ground_truth" not in entry:
-                raise CliError("critical evaluation needs critical_ground_truth", EXIT_INPUT)
             keys = ("prediction", "ground_truth", "critical_ground_truth")[:3 if args.critical else 2]
-            # every header is judged before any of the entry's payloads is read
+            # every path and header is judged before any of the entry's payloads is read
             headers = {key: _open_kind(_entry_path(base, entry, key), *MASK_KINDS) for key in keys}
             evaluation.check_geometry(*headers.values())
             masks = {key: _load_mask(header) for key, header in headers.items()}
@@ -308,7 +304,7 @@ def cmd_evaluate(args) -> int:
                 gt_critical=masks.get("critical_ground_truth"), filter_mode=args.filter_mode,
                 connectivity=args.connectivity, span_method=args.span_method,
             ))
-        except (CliError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             failures.append(f"{scan_id}: {exc}")
     evals.sort(key=lambda ev: ev.scan_id)
     body = evaluation.build_metrics_report(evals, failures)
@@ -410,8 +406,10 @@ def cmd_uncertainty(args) -> int:
 
 def cmd_loss(args) -> int:
     pred_p, gt_p = (_open_kind(p, "probability", "mask") for p in (args.prediction, args.ground_truth))
-    if (pred_p.channels, pred_p.dims, pred_p.spacing) != (gt_p.channels, gt_p.dims, gt_p.spacing):
-        raise CliError("prediction and ground truth geometry differ", EXIT_SCHEMA)
+    if pred_p.channels != gt_p.channels:
+        raise ValueError(f"channel mismatch: prediction {format_channels(pred_p)}, "
+                         f"ground truth {format_channels(gt_p)}")
+    evaluation.check_geometry(pred_p, gt_p)
     pred, gt = (read_volume(p).data.astype(np.float64) for p in (pred_p, gt_p))
     weights = loss_mod.LossWeights(args.beta, args.alpha_w)
     channels = pred_p.channels
@@ -568,9 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and map its failure to an exit code and one ``error:`` line.
 
-    A CliError exits with its own code, a MissingChannelError with 3, and any
-    other ValueError (a malformed volume, loss weights or phantom parameters)
-    or OSError (an unreadable path, or one of the wrong kind) with 2. A
+    The exception's type alone sets the code: a MissingChannelError exits 3,
+    and any other ValueError (a malformed volume or manifest, an input of
+    the wrong kind or geometry, loss weights or phantom parameters) or
+    OSError (an unreadable path, or one of the wrong kind) exits 2. A
     non-finite float flag is rejected with 2 before the command runs: it
     would be echoed into the document as NaN or Infinity, which is not JSON.
     So is ``--filter-mode`` without ``--critical``, which would filter nothing,
@@ -581,18 +580,16 @@ def main(argv=None) -> int:
         for dest, value in vars(args).items():
             for v in value if isinstance(value, list) else (value,):
                 if isinstance(v, float) and not math.isfinite(v):
-                    raise CliError(f"--{dest.replace('_', '-')} must be finite, got {v}")
+                    raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {v}")
         if "filter_mode" in vars(args):
             if args.filter_mode is not None and not args.critical:
-                raise CliError("--filter-mode acts only with --critical")
+                raise ValueError("--filter-mode acts only with --critical")
             args.filter_mode = args.filter_mode or "voxel"
         if "/" in (vars(args).get("scan_id") or ""):
-            raise CliError(f"--scan-id must not hold '/', got {args.scan_id!r}")
+            raise ValueError(f"--scan-id must not hold '/', got {args.scan_id!r}")
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc, CliError):
-            return exc.code
         return EXIT_SCHEMA if isinstance(exc, MissingChannelError) else EXIT_INPUT
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import involvement as inv
-from .volume import CHANNEL_NAMES, ChannelId, MaskVolume
+from .volume import CHANNEL_NAMES, ChannelId, MaskVolume, format_geometry
 
 
 def voxel_dice(pred_voxels: np.ndarray, gt_voxels: np.ndarray) -> float:
@@ -92,11 +92,6 @@ def dpcg_bucket_table(pairs: Sequence[tuple[float, float]]) -> list[dict]:
     return list(rows.values())
 
 
-def _geometry(v) -> str:
-    """The dims and spacing of a volume or header, as an error message names them."""
-    return f"{v.dims} at {v.spacing.as_tuple()} mm"
-
-
 def check_geometry(pred, gt, gt_critical=None) -> None:
     """Raise ValueError naming both geometries unless ``gt`` and ``gt_critical`` have ``pred``'s.
 
@@ -109,7 +104,7 @@ def check_geometry(pred, gt, gt_critical=None) -> None:
     for name, other in (("ground truth", gt), ("critical ground truth", gt_critical)):
         if other is not None and (other.dims, other.spacing) != (pred.dims, pred.spacing):
             raise ValueError(
-                f"geometry mismatch: prediction {_geometry(pred)}, {name} {_geometry(other)}")
+                f"geometry mismatch: prediction {format_geometry(pred)}, {name} {format_geometry(other)}")
 
 
 @dataclass

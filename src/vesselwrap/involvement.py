@@ -333,11 +333,7 @@ def scan_involvement(
     )
     present = any(s.present for s in slices)
     max_span = max((s.max_span_deg for s in slices), default=0.0)
-    argmax = None
-    if present:
-        argmax = next(
-            s.z for s in slices if s.present and s.max_span_deg == max_span
-        )
+    argmax = next((s.z for s in slices if s.present and s.max_span_deg == max_span), None)
     return InvolvementReport(ChannelId(vessel), slices, max_span, argmax, present, table)
 
 

@@ -194,6 +194,16 @@ class Spacing:
         return (self.z_mm, self.y_mm, self.x_mm)
 
 
+def format_geometry(v) -> str:
+    """The dims and spacing of a volume or header, as every mismatch refusal names them."""
+    return f"{v.dims} at {v.spacing.as_tuple()} mm"
+
+
+def format_channels(v) -> str:
+    """The channel names of a volume or header, in its order, as a mismatch refusal names them."""
+    return str([CHANNEL_NAMES[c] for c in v.channels])
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

@@ -877,11 +877,52 @@ class TestEvaluate:
         assert run("evaluate", manifest) == 2
         assert capsys.readouterr().err == f"error: manifest {error}\n"
 
-    def test_manifest_line_without_prediction_exit_2(self, tmp_path, capsys):
+    def test_manifest_line_without_prediction_exit_4(self, tmp_path, capsys):
         write_scene(tmp_path)
         manifest = write_manifest(tmp_path, [{"scan_id": "s", "ground_truth": "scene.json"}])
+        assert run("evaluate", manifest) == 4
+        out, err = capsys.readouterr()
+        assert err == "error: s: entry lacks prediction\n"
+        doc = json.loads(out)
+        assert (doc["n_scans"], doc["failures"]) == (0, ["s: entry lacks prediction"])
+
+    def test_entry_without_prediction_fails_alone(self, tmp_path, capsys):
+        """Every path key is judged per entry: the entry that lacks one fails, the others are scored."""
+        write_scene(tmp_path)
+        good = {"scan_id": "ok", "prediction": "scene.json", "ground_truth": "scene.json"}
+        assert run("evaluate", write_manifest(tmp_path, [good], name="good.jsonl")) == 0
+        alone = json.loads(capsys.readouterr().out)
+        manifest = write_manifest(tmp_path, [good, {"scan_id": "bare", "ground_truth": "scene.json"}])
+        assert run("evaluate", manifest) == 4
+        out, err = capsys.readouterr()
+        assert err == "error: bare: entry lacks prediction\n"
+        assert json.loads(out) == {**alone, "failures": ["bare: entry lacks prediction"]}
+
+    def test_manifest_line_without_scan_id_exit_2(self, tmp_path, capsys):
+        write_scene(tmp_path)
+        manifest = write_manifest(tmp_path, [{"prediction": "scene.json", "ground_truth": "scene.json"}])
         assert run("evaluate", manifest) == 2
-        assert capsys.readouterr().err == "error: manifest line 1: needs scan_id and prediction\n"
+        assert capsys.readouterr().err == "error: manifest line 1: needs scan_id\n"
+
+    def test_manifest_integer_past_digit_limit_names_its_line(self, tmp_path, capsys):
+        """An integer too long to convert is a fault of its line, not a bare conversion error."""
+        (tmp_path / "long.jsonl").write_text('{"scan_id": ' + "1" * 5001 + "}\n")
+        assert run("evaluate", tmp_path / "long.jsonl") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: manifest line 1: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
+
+    def test_manifest_not_utf8_names_the_manifest(self, tmp_path, capsys):
+        write_scene(tmp_path)
+        entry = json.dumps({"scan_id": "caf\u00e9", "prediction": "scene.json", "ground_truth": "scene.json"},
+                           ensure_ascii=False)
+        (tmp_path / "latin1.jsonl").write_bytes(entry.encode("latin-1") + b"\n")
+        assert run("evaluate", tmp_path / "latin1.jsonl") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read manifest: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
 
     def test_blank_manifest_lines_skipped(self, tmp_path, capsys):
         write_scene(tmp_path)
@@ -1482,13 +1523,16 @@ class TestLossCmd:
         assert set(errs) == {"bce", "dice", "overlap", "combined"}
         assert all(v <= 1e-4 for v in errs.values())
 
-    def test_geometry_mismatch_exit_3(self, tmp_path, capsys):
+    def test_geometry_mismatch_exit_2(self, tmp_path, capsys):
         self._write_pair(tmp_path)
         small = ProbVolume(
             np.zeros((1, 1, 2, 2), dtype=np.float32), (ChannelId.TUMOR,), Spacing(1, 1, 1)
         )
         write_volume(small, tmp_path / "small.json")
-        assert run("loss", tmp_path / "small.json", tmp_path / "gt.json") == 3
+        assert run("loss", tmp_path / "small.json", tmp_path / "gt.json") == 2
+        names = [CHANNEL_NAMES[c] for c in STANDARD_CHANNELS]
+        assert capsys.readouterr().err == (
+            f"error: channel mismatch: prediction ['tumor'], ground truth {names}\n")
 
     def test_no_channels_one_error_line(self, tmp_path):
         """Two headers of no channel: the one error line, no numpy warning before it."""
@@ -1598,8 +1642,15 @@ class TestOneWayIn:
             other = MaskVolume(gt.data, gt.channels, Spacing(2.0, 1.0, 1.0))
         write_volume(other, tmp_path / "other.json")
         reads = self.count_reads(monkeypatch)
-        assert run("loss", paths["pred"], tmp_path / "other.json") == 3
-        assert capsys.readouterr().err == "error: prediction and ground truth geometry differ\n"
+        assert run("loss", paths["pred"], tmp_path / "other.json") == 2
+        names = [CHANNEL_NAMES[c] for c in gt.channels]
+        assert capsys.readouterr().err == "error: " + {
+            "dims": f"geometry mismatch: prediction {gt.dims} at (1.0, 1.0, 1.0) mm, "
+                    f"ground truth {(gt.dims[0], gt.dims[1] - 1, gt.dims[2])} at (1.0, 1.0, 1.0) mm",
+            "channels": f"channel mismatch: prediction {names}, ground truth {names[::-1]}",
+            "spacing": f"geometry mismatch: prediction {gt.dims} at (1.0, 1.0, 1.0) mm, "
+                       f"ground truth {gt.dims} at (2.0, 1.0, 1.0) mm",
+        }[differ] + "\n"
         assert reads == []
 
     @pytest.mark.parametrize("fault", ["no-ground-truth", "no-critical", "probability-ground-truth",
@@ -1623,7 +1674,7 @@ class TestOneWayIn:
                     f"{{}} {scene.dims} at (2.0, 1.0, 1.0) mm")
         message = {
             "no-ground-truth": "entry lacks ground_truth",
-            "no-critical": "critical evaluation needs critical_ground_truth",
+            "no-critical": "entry lacks critical_ground_truth",
             "probability-ground-truth": f"{tmp_path / 'fold.json'}: expected a mask or layered-label volume, "
                                         "got probabilities",
             "ground-truth-spacing": mismatch.format("ground truth"),
@@ -1660,7 +1711,26 @@ class TestOneWayIn:
         reads = self.count_reads(monkeypatch)
         assert run("uncertainty", "--fold", tmp_path / "d0", "--fold", tmp_path / "d1",
                    "--out", tmp_path / "o") == 2
-        assert capsys.readouterr().err == "error: volumes must share spacing\n"
+        dims = folds[0].dims
+        assert capsys.readouterr().err == (
+            f"error: geometry mismatch: {tmp_path / 'd0' / 's0.json'} {dims} at (1.0, 1.0, 1.0) mm, "
+            f"{tmp_path / 'd1' / 's1.json'} {dims} at (2.0, 1.0, 1.0) mm\n")
+        assert reads == []
+        assert not (tmp_path / "o").exists()
+
+    def test_uncertainty_mismatch_names_the_sample(self, tmp_path, capsys, monkeypatch):
+        """Two directories of three samples, the fifth at other spacing: its header and both geometries."""
+        fold = gen_uncertainty_scene(PhantomSpec(band_extra_deg=25.0))[0][0]
+        for i in range(2):
+            for j in range(3):
+                spacing = Spacing(1.0, 1.0, 2.0) if (i, j) == (1, 1) else fold.spacing
+                write_volume(ProbVolume(fold.data, fold.channels, spacing), tmp_path / f"d{i}" / f"{j}.json")
+        reads = self.count_reads(monkeypatch)
+        assert run("uncertainty", "--fold", tmp_path / "d0", "--fold", tmp_path / "d1",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"error: geometry mismatch: {tmp_path / 'd0' / '0.json'} {fold.dims} at (1.0, 1.0, 1.0) mm, "
+            f"{tmp_path / 'd1' / '1.json'} {fold.dims} at (1.0, 1.0, 2.0) mm\n")
         assert reads == []
         assert not (tmp_path / "o").exists()
 
@@ -1684,7 +1754,7 @@ class TestOneWayIn:
         assert type(read_volume(payload)) is volume_type
         assert cli._open_kind(payload.path, kind) == payload
         others = [k for k in ("probability", "mask", "layered-label") if k != kind]
-        with pytest.raises(cli.CliError, match=f"got {cli._KIND_NAMES[kind]}$"):
+        with pytest.raises(ValueError, match=f"got {cli._KIND_NAMES[kind]}$"):
             cli._open_kind(payload.path, *others)
 
     def test_empty_channel_list_is_a_mask_volume(self, tmp_path, capsys):

@@ -3,8 +3,12 @@
 Two runs of its phantom cases, from this checkout into two directories,
 must agree file by file: stdout, stderr, exit codes and written files.
 That is what lets two checkouts' trees be compared with ``diff -r``.
+The run also checks the one exit-code rule on every case: exit 3 means
+exactly a missing channel, and every other refusal exits 2 or 4.
 """
 
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +34,16 @@ def test_phantom_cases_rerun_identical(tmp_path):
     cases = [p for p in (tmp_path / "a").iterdir() if p.is_dir()]
     codes = {p.name: int((p / "code").read_text()) for p in cases}
     assert len(codes) > 40
-    assert all(code != 0 for name, code in codes.items() if name.startswith("error-"))
+    # the one exit-code rule: 3 exactly for a missing channel, every other refusal 2 or 4
+    missing_channel = re.compile(r"error: volume has no '[a-z_]+' channel\n")
+    for p in cases:
+        shown = missing_channel.fullmatch((p / "stderr").read_text()) is not None
+        assert (codes[p.name] == 3) == shown, p.name
+    assert all(code in (2, 3, 4) for name, code in codes.items() if name.startswith("error-"))
     assert codes["uncertainty-output-flag"] == 2
+    assert codes["error-uncertainty-mixed-spacing"] == 2
+    assert "ph/mixed_samples1/s1.json" in a["error-uncertainty-mixed-spacing/stderr"].decode()
+    assert codes["evaluate-entry-without-prediction"] == 4
+    scored = json.loads(a["evaluate-entry-without-prediction/stdout"])
+    assert (scored["n_scans"], scored["failures"]) == (1, ["bare: entry lacks prediction"])
     assert any(name.endswith(".ppm.sha256") for name in a)

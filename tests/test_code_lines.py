@@ -1,6 +1,9 @@
 """``tools/code_lines.py`` counts lines of code, not docstrings, comments or blank lines."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,3 +44,16 @@ def test_main_prints_each_file_and_total(tmp_path, capsys):
     b.write_text("x = 1\n\ny = 2\n")
     tool().main([str(a), str(b)])
     assert capsys.readouterr().out.split() == ["5", str(a), "2", str(b), "7", "total"]
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    """A reader that is gone before the tool writes (``| head -1``): no traceback on stderr."""
+    (tmp_path / "a.py").write_text(SNIPPET)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path / "a.py")],
+                              stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""

@@ -83,8 +83,17 @@ class TestFoldMeanStd:
             fold_mean_std([prob_of(0.5)])
 
     def test_geometry_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "geometry mismatch: member 0 (1, 2, 2) at (1.0, 1.0, 1.0) mm, "
+                "member 1 (1, 2, 3) at (1.0, 1.0, 1.0) mm")):
             fold_mean_std([prob_of(0.5), prob_of(0.5, shape=(1, 1, 2, 3))])
+
+    def test_channel_mismatch_names_the_member(self):
+        """The first member whose channels differ is named, with both lists, before dims are compared."""
+        vein = make_prob(np.full((1, 1, 2, 3), 0.5), channels=(ChannelId.VEIN,))
+        with pytest.raises(ValueError,
+                           match=re.escape("channel mismatch: member 0 ['tumor'], member 2 ['vein']") + "$"):
+            fold_mean_std([prob_of(0.5), prob_of(0.2), vein])
 
     def test_commutes_with_voxel_permutation(self, rng):
         folds = [make_prob(rng.random((1, 1, 4, 4), dtype=np.float32), channels=CH)
@@ -200,7 +209,9 @@ class TestSampleMeanStdPasses:
             sample_mean_std([spread, single])
         # the geometry of every sample is checked before the sample counts
         other = (prob_of(0.5, shape=(1, 1, 2, 3)),)
-        with pytest.raises(ValueError, match="volumes must share dims and channels"):
+        with pytest.raises(ValueError, match=re.escape(
+                "geometry mismatch: member 0 (1, 2, 2) at (1.0, 1.0, 1.0) mm, "
+                "member 1 (1, 2, 3) at (1.0, 1.0, 1.0) mm")):
             sample_mean_std([single, other])
         assert calls == []
 
@@ -234,7 +245,9 @@ class TestSampleMeanStdPasses:
         reads = []
         real = volume._parts
         monkeypatch.setattr(volume, "_parts", lambda payload: reads.append(payload) or real(payload))
-        with pytest.raises(ValueError, match="^volumes must share spacing$"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"geometry mismatch: {tmp_path / '00.json'} (1, 2, 2) at (1.0, 1.0, 1.0) mm, "
+                f"{tmp_path / '11.json'} (1, 2, 2) at (2.0, 1.0, 1.0) mm") + "$"):
             sample_mean_std(folds)
         assert reads == []
 

@@ -45,12 +45,14 @@ writes the same tree. Groups:
     sign of zero, with tumor voxels at float32(0.7) and the float32 above
     it, ``phantom uncertainty`` at ``--span 0`` (no tumor, so no band) and
     ``--span 350`` (the widened arc capped at 360 deg), each followed by
-    ``uncertainty`` over the three folds it writes, fourteen ``evaluate``
+    ``uncertainty`` over the three folds it writes, sixteen ``evaluate``
     manifests and flag sets, among them a ground truth whose spacing is
     not the prediction's and a critical ground truth whose dims are not
     (the entry fails, exit 4), a manifest with blank and whitespace-only
     lines between its entries, ``--critical`` on a manifest one of whose
-    entries lacks ``critical_ground_truth`` (that entry fails, exit 4),
+    entries lacks ``critical_ground_truth`` (that entry fails, exit 4), a
+    manifest one of whose entries lacks ``prediction`` (that entry fails,
+    exit 4, the other is scored),
     ``loss`` with and without ``--gradcheck`` and
     the error paths, among them a voxel outside {0, 1} in a channel
     ``assess`` does not keep and in one it keeps, a layered label 9, a
@@ -59,10 +61,12 @@ writes the same tree. Groups:
     fold payload 4 bytes short, a mask given as a fold, the fold with a
     late NaN given to ``assess`` (its header rejects it before any voxel
     is read), a sample directory that holds no header, a fold header
-    beside a sample directory, a manifest line without ``prediction``, a
-    layered file given to ``loss`` (its header rejects it before any
-    voxel is read), a ``loss`` pair whose spacings differ (exit 3, from
-    the headers), a ``loss`` pair without its tumor channel (exit 3),
+    beside a sample directory, two sample directories one of whose
+    samples has another spacing (its header is named), a manifest whose
+    only line lacks ``prediction`` (exit 4), a layered file given to
+    ``loss`` (its header rejects it before any voxel is read), a ``loss``
+    pair whose spacings differ (exit 2, from the headers), a ``loss`` pair
+    without its tumor channel (exit 3),
     folds without their tumor channel (exit 3, before the pass), ``-o``
     naming an existing directory (no staged document may be left beside
     it), ``--critical`` on a volume holding only the tumor
@@ -309,6 +313,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
                     [{"scan_id": 7, "prediction": "scene.json", "ground_truth": "scene.json"}])
     _write_manifest("ph/empty.jsonl", [])
     _write_manifest("ph/no_prediction.jsonl", [{"scan_id": "s", "ground_truth": "scene.json"}])
+    _write_manifest("ph/entry_without_prediction.jsonl",
+                    [{"scan_id": "ok", "prediction": "scene.json", "ground_truth": "scene.json"},
+                     {"scan_id": "bare", "ground_truth": "scene.json"}])
     Path("ph/suite/blank_lines.jsonl").write_text(
         "\n \t\n".join(Path("ph/suite/manifest.jsonl").read_text().splitlines()[:4]) + "\n\n  \n")
     Path("ph/no_samples").mkdir()
@@ -343,6 +350,11 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     payload = np.fromfile("ph/nan_samples1/s2.raw", dtype="<f4")
     payload[-1] = np.nan
     payload.tofile("ph/nan_samples1/s2.raw")
+    # the second fold's samples with the middle one at other spacing
+    shutil.copytree("ph/samples1", "ph/mixed_samples1")
+    middle = read_volume("ph/mixed_samples1/s1.json")
+    write_volume(ProbVolume(middle.data, middle.channels, Spacing(2.0, 1.0, 1.0)),
+                 "ph/mixed_samples1/s1.json")
     # Folds of 17x128x128: a channel holds 278528 voxels, one read chunk
     # of 262144 and half a chunk more, so it ends inside a chunk.
     spec = phantom.PhantomSpec(dims=(17, 128, 128), slice_range=(2, 15), band_extra_deg=25.0,
@@ -451,6 +463,7 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("evaluate-mixed-spacing", "evaluate ph/mixed_spacing.jsonl"),
         ("evaluate-critical-mixed-dims", "evaluate ph/mixed_critical_dims.jsonl --critical"),
         ("evaluate-blank-lines", "evaluate ph/suite/blank_lines.jsonl --table"),
+        ("evaluate-entry-without-prediction", "evaluate ph/entry_without_prediction.jsonl"),
         ("loss", "loss ph/loss_pred.json ph/loss_gt.json --beta 0.3"),
         ("loss-gradcheck", "loss ph/loss_pred.json ph/loss_gt.json --gradcheck -o o/loss.json"),
         ("error-missing-header", "assess ph/gone.json"),
@@ -486,6 +499,8 @@ def _phantom_inputs() -> list[tuple[str, str]]:
          "--fold ph/no_tumor/fold2.json --out o/u"),
         ("error-uncertainty-mask-fold",
          "uncertainty --fold ph/unc/fold0.json --fold ph/scene.json --out o/u"),
+        ("error-uncertainty-mixed-spacing",
+         "uncertainty --fold ph/samples0 --fold ph/mixed_samples1 --out o/u"),
         ("error-empty-sample-dir", "uncertainty --fold ph/no_samples --fold ph/samples0 --out o/u"),
         ("error-fold-and-sample-dir", "uncertainty --fold ph/unc/fold0.json --fold ph/samples0 --out o/u"),
         ("error-output-under-file", "assess ph/scene.json -o ph/scene.json/x.json"),

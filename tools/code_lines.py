@@ -4,7 +4,8 @@ Usage::
 
     python3 tools/code_lines.py FILE [FILE ...]
 
-Prints each file's count, then their total. A line counts if it holds a
+Prints each file's count, then their total, and stops quietly if the
+reader of its output goes away (``| head -1``). A line counts if it holds a
 token other than a comment, a line break or an indentation change, and
 the token is not part of a docstring (the first statement of a module,
 class or function, if it is a string). A string that spans lines counts
@@ -16,6 +17,8 @@ count as it was.
 import argparse
 import ast
 import io
+import os
+import sys
 import tokenize
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -52,12 +55,18 @@ def main(argv=None) -> None:
     parser.add_argument("files", nargs="+")
     args = parser.parse_args(argv)
     total = 0
-    for path in args.files:
-        with tokenize.open(path) as f:
-            n = code_lines(f.read())
-        total += n
-        print(f"{n:7d} {path}")
-    print(f"{total:7d} total")
+    try:
+        for path in args.files:
+            with tokenize.open(path) as f:
+                n = code_lines(f.read())
+            total += n
+            print(f"{n:7d} {path}")
+        print(f"{total:7d} total")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":
