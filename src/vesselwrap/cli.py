@@ -22,11 +22,12 @@ outside ``--overlay``.
 Every input volume is judged once, from its header, by ``_open_kind``,
 which reads ``Payload.kind``; the ``Payload`` it returns is what the
 command reads, so no header is parsed twice and no refused input has a
-voxel read. Mixed geometry is refused from the headers too, naming both
-inputs and both values: ``loss`` compares channels, then dims and spacing
-(``evaluation.check_geometry``), ``evaluate`` an entry's dims and
-spacing, and ``uncertainty`` every member's, in ``fold_mean_std`` or
-``sample_mean_std``.
+voxel read. A refusal about one input names its file. Inputs read
+together are judged from their headers too, by the one agreement rule,
+``volume.check_agree``, which names both inputs and both values: ``loss``
+compares channels, then dims and spacing, ``evaluate`` an entry's dims
+and spacing, and ``uncertainty`` every member's channels, dims and
+spacing, in ``fold_mean_std`` or ``sample_mean_std``.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .volume import (
     MaskVolume,
     MissingChannelError,
     Payload,
+    check_agree,
     decode_layered,
-    format_channels,
     open_payload,
     read_volume,
     staged,
@@ -223,7 +224,8 @@ def _read_manifest(path) -> list[dict]:
             continue
         try:
             entry = json.loads(line)
-        except ValueError as exc:  # bad JSON, or an int past the digit limit
+        # bad JSON, an int past the digit limit, or arrays or objects nested too deep
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"manifest line {i}: {exc}") from None
         if not isinstance(entry, dict) or "scan_id" not in entry:
             raise ValueError(f"manifest line {i}: needs scan_id")
@@ -297,7 +299,7 @@ def cmd_evaluate(args) -> int:
             keys = ("prediction", "ground_truth", "critical_ground_truth")[:3 if args.critical else 2]
             # every path and header is judged before any of the entry's payloads is read
             headers = {key: _open_kind(_entry_path(base, entry, key), *MASK_KINDS) for key in keys}
-            evaluation.check_geometry(*headers.values())
+            check_agree([(key.replace("_", " "), h) for key, h in headers.items()], channels=False)
             masks = {key: _load_mask(header) for key, header in headers.items()}
             evals.append(evaluation.evaluate_scan(
                 masks["prediction"], masks["ground_truth"], scan_id=scan_id, fold=entry.get("fold"),
@@ -406,10 +408,7 @@ def cmd_uncertainty(args) -> int:
 
 def cmd_loss(args) -> int:
     pred_p, gt_p = (_open_kind(p, "probability", "mask") for p in (args.prediction, args.ground_truth))
-    if pred_p.channels != gt_p.channels:
-        raise ValueError(f"channel mismatch: prediction {format_channels(pred_p)}, "
-                         f"ground truth {format_channels(gt_p)}")
-    evaluation.check_geometry(pred_p, gt_p)
+    check_agree([("prediction", pred_p), ("ground truth", gt_p)])
     pred, gt = (read_volume(p).data.astype(np.float64) for p in (pred_p, gt_p))
     weights = loss_mod.LossWeights(args.beta, args.alpha_w)
     channels = pred_p.channels

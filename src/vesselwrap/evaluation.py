@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import involvement as inv
-from .volume import CHANNEL_NAMES, ChannelId, MaskVolume, format_geometry
+from .volume import CHANNEL_NAMES, ChannelId, MaskVolume, check_agree
 
 
 def voxel_dice(pred_voxels: np.ndarray, gt_voxels: np.ndarray) -> float:
@@ -92,21 +92,6 @@ def dpcg_bucket_table(pairs: Sequence[tuple[float, float]]) -> list[dict]:
     return list(rows.values())
 
 
-def check_geometry(pred, gt, gt_critical=None) -> None:
-    """Raise ValueError naming both geometries unless ``gt`` and ``gt_critical`` have ``pred``'s.
-
-    Each argument is anything with ``dims`` and ``spacing``: a volume, or
-    the ``volume.Payload`` of its header, so a caller can refuse an entry
-    before reading a voxel. ``gt_critical`` may be None. Geometries are
-    compared as values: dims are Python ints and a ``Spacing`` holds
-    floats, whichever side built them.
-    """
-    for name, other in (("ground truth", gt), ("critical ground truth", gt_critical)):
-        if other is not None and (other.dims, other.spacing) != (pred.dims, pred.spacing):
-            raise ValueError(
-                f"geometry mismatch: prediction {format_geometry(pred)}, {name} {format_geometry(other)}")
-
-
 @dataclass
 class ScanEval:
     """Everything one scan contributes to the aggregate report."""
@@ -139,9 +124,10 @@ def evaluate_scan(
     that critical-vessel aggregate volume (same tumor channel rules apply).
 
     ``gt`` and ``gt_critical`` must have the prediction's dims and
-    spacing; before any score, ``check_geometry`` names both geometries.
+    spacing; before any score, ``volume.check_agree`` names both geometries.
     """
-    check_geometry(pred, gt, gt_critical)
+    named = [("prediction", pred), ("ground truth", gt), ("critical ground truth", gt_critical)]
+    check_agree([(name, v) for name, v in named if v is not None], channels=False)
     dice_by_channel: dict[str, float] = {}
     for cid in pred.channels:
         if gt.has_channel(cid):

@@ -133,8 +133,8 @@ import numpy as np
 
 from .involvement import GRADED_CHANNELS, VESSELS, DpcgCategory, InvolvementReport, assess_scan
 from .volume import (
-    PROB_CHUNK, ChannelId, MaskVolume, Payload, ProbVolume, Spacing, find_channel, format_channels,
-    format_geometry, prob_chunks,
+    PROB_CHUNK, ChannelId, MaskVolume, Payload, ProbVolume, Spacing, check_agree, find_channel,
+    prob_chunks,
 )
 
 DEFAULT_KS = (-1.0, 0.0, 1.0, 2.0)
@@ -167,20 +167,13 @@ class FieldStream:
 
 
 def _check_same_geometry(volumes: Sequence[Member]):
-    """Refuse the first member whose channels, or else dims and spacing, differ from the first's.
+    """``check_agree`` over the members, a ``Payload`` named by its header path, a volume as ``member i``.
 
-    The refusal names both members, a ``Payload`` by its header path and an
-    in-memory volume as ``member i``, and gives both values.
+    An empty sequence is refused.
     """
     if len(volumes) == 0:
         raise ValueError("need at least one volume, got an empty sequence")
-    names = [str(v.path) if isinstance(v, Payload) else f"member {i}" for i, v in enumerate(volumes)]
-    first = volumes[0]
-    for name, v in zip(names, volumes):
-        # a text differs exactly when its values do: the names, dims and floats print exactly
-        for what, fmt in (("channel", format_channels), ("geometry", format_geometry)):
-            if fmt(v) != fmt(first):
-                raise ValueError(f"{what} mismatch: {names[0]} {fmt(first)}, {name} {fmt(v)}")
+    check_agree([(str(v.path) if isinstance(v, Payload) else f"member {i}", v) for i, v in enumerate(volumes)])
 
 
 # Voxels per block: 256 KB per float64 buffer, so a handful of them stay in cache.

@@ -59,6 +59,15 @@ each stored as a float) and ``_check_channels`` (no channel twice).
 first two, refusing a spacing that is not a ``Spacing``, for every volume
 whichever constructor builds it. So geometries compare as values, and a
 volume a constructor accepts is one a header can describe.
+``check_agree`` is the one rule for inputs that a command reads
+together, volumes or headers: it compares their channels, dims and
+spacing as values and names both inputs of the first mismatch.
+
+A refusal about one file names that file once, where the fault is found,
+not inside each rule: ``_parse_header`` gives its reasons without a path
+and ``open_payload`` puts ``{header}: `` before them, and
+``_read_set_voxels`` puts it before its voxel-value refusal. A
+constructor's refusal has no file and names none.
 
 Every volume's voxels are checked once, where they enter. A public
 constructor checks what its caller hands in: the shape, then its value
@@ -192,16 +201,6 @@ class Spacing:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.z_mm, self.y_mm, self.x_mm)
-
-
-def format_geometry(v) -> str:
-    """The dims and spacing of a volume or header, as every mismatch refusal names them."""
-    return f"{v.dims} at {v.spacing.as_tuple()} mm"
-
-
-def format_channels(v) -> str:
-    """The channel names of a volume or header, in its order, as a mismatch refusal names them."""
-    return str([CHANNEL_NAMES[c] for c in v.channels])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -447,20 +446,42 @@ class LayeredLabelVolume(_Immutable):
 Volume = Union[MaskVolume, ProbVolume, LayeredLabelVolume]
 
 
+def check_agree(named: Sequence[tuple[str, object]], channels: bool = True) -> None:
+    """The one rule for inputs read together: each has the first one's channels, dims and spacing.
+
+    ``named`` holds (name, volume or ``Payload``) pairs, so headers can be
+    judged before a voxel is read; a name may repeat. Channels (only with
+    ``channels``), then dims and spacing, are compared as values: dims are
+    Python ints and a ``Spacing`` holds floats, whichever side built them.
+    The first input that differs from the first raises ValueError naming
+    both inputs and both values.
+    """
+    (head, first), *rest = named
+    for name, v in rest:
+        if channels and v.channels != first.channels:
+            what, texts = "channel mismatch", [[CHANNEL_NAMES[c] for c in u.channels] for u in (first, v)]
+        elif (v.dims, v.spacing) != (first.dims, first.spacing):
+            what, texts = "geometry mismatch", [f"{u.dims} at {u.spacing.as_tuple()} mm" for u in (first, v)]
+        else:
+            continue
+        raise ValueError(f"{what}: {head} {texts[0]}, {name} {texts[1]}")
+
+
 def _raw_path(header_path: Path) -> Path:
     return header_path.with_suffix(".raw")
 
 
-def _parse_header(header, path: Path):
+def _parse_header(header):
     """Validate a parsed header; returns (dims, spacing, dtype, channels).
 
-    Every malformed field raises VolumeFormatError naming the field.
+    Every malformed field raises VolumeFormatError naming the field, not
+    the file: ``open_payload`` names it.
     """
     if not isinstance(header, dict):
-        raise VolumeFormatError(f"header {path} is not a JSON object")
+        raise VolumeFormatError("header is not a JSON object")
     for key in ("dims", "spacing_mm", "dtype", "order"):
         if key not in header:
-            raise VolumeFormatError(f"header {path} missing key {key!r}")
+            raise VolumeFormatError(f"header missing key {key!r}")
     if header["order"] != HEADER_ORDER:
         raise VolumeFormatError(f"unsupported order {header['order']!r}")
     dtype = header["dtype"]
@@ -520,15 +541,20 @@ class Payload:
 
 
 def open_payload(path) -> Payload:
-    """Parse and check a volume header, and check its payload's size, without reading voxels."""
+    """Parse and check a volume header, and check its payload's size, without reading voxels.
+
+    Every refusal names the header, a fault in one of its fields as ``{path}: reason``.
+    """
     path = Path(path)
     try:
-        header = json.loads(path.read_text())
+        payload = Payload(path, *_parse_header(json.loads(path.read_text())))
     except FileNotFoundError:
         raise VolumeFormatError(f"header not found: {path}") from None
-    except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
+    except VolumeFormatError as exc:  # a bad field, named by _parse_header
+        raise VolumeFormatError(f"{path}: {exc}") from None
+    # bad JSON or UTF-8, an int past the digit limit, or arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
         raise VolumeFormatError(f"garbled header {path}: {exc}") from None
-    payload = Payload(path, *_parse_header(header, path))
     try:
         size = payload.raw.stat().st_size
     except FileNotFoundError:
@@ -568,12 +594,14 @@ def _read_set_voxels(payload: Payload, kept: Sequence[bool], top: int,
     """The set voxels of a u8 payload's kept grids, read part by part (``_parts``).
 
     Every part's values must lie in 0..top (``_small_ints``), else
-    VolumeFormatError(message). For each grid whose flag in ``kept`` is
-    set, the result holds, in file order, the sorted flat indices of its
-    nonzero voxels, found part by part (``set_voxels`` of the part plus
-    its offset), and their values.
+    VolumeFormatError names the header and ``message``, a text built once
+    per payload. For each grid whose flag in ``kept`` is set, the result
+    holds, in file order, the sorted flat indices of its nonzero voxels,
+    found part by part (``set_voxels`` of the part plus its offset), and
+    their values.
     """
     found = {grid: [] for grid, keep in enumerate(kept) if keep}
+    message = f"{payload.path}: {message}"
     for grid, lo, part in _parts(payload):
         _small_ints(part, top, message)
         if grid in found:

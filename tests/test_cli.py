@@ -565,7 +565,7 @@ class TestOversizeDims:
             read_volume(tmp_path / "v.json")
         assert run("assess", tmp_path / "v.json") == 2
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: bad dims {dims!r}")
+        assert len(lines) == 1 and lines[0].startswith(f"error: {tmp_path / 'v.json'}: bad dims {dims!r}")
 
 
 class TestAssessMemory:
@@ -684,7 +684,7 @@ class TestStreamedReadErrors:
         (tmp_path / "v.raw").write_bytes(payload.tobytes())
         monkeypatch.setattr(volume, "_STREAM_BYTES", stream_bytes)
         assert run("assess", tmp_path / "v.json") == 2
-        assert capsys.readouterr().err == "error: mask voxels must be 0 or 1\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'v.json'}: mask voxels must be 0 or 1\n"
 
     @pytest.mark.parametrize("stream_bytes", [1, 8, 13])
     def test_label_9_in_last_buffer(self, tmp_path, capsys, monkeypatch, stream_bytes):
@@ -696,7 +696,7 @@ class TestStreamedReadErrors:
         (tmp_path / "l.raw").write_bytes(labels.tobytes())
         monkeypatch.setattr(volume, "_STREAM_BYTES", stream_bytes)
         assert run("assess", tmp_path / "l.json") == 2
-        assert capsys.readouterr().err == "error: layered labels must lie in 0..8\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'l.json'}: layered labels must lie in 0..8\n"
 
     @pytest.mark.parametrize("layered", [False, True])
     @pytest.mark.parametrize("stream_bytes", [1, 8, 13])
@@ -1763,6 +1763,65 @@ class TestOneWayIn:
         (tmp_path / "v.raw").write_bytes(b"")
         assert run("assess", tmp_path / "v.json") == 3
         assert capsys.readouterr().err == "error: volume has no 'tumor' channel\n"
+
+
+def with_dtype(path: Path, dtype: str) -> None:
+    """Rewrite the volume header at ``path`` to declare ``dtype``."""
+    path.write_text(json.dumps({**json.loads(path.read_text()), "dtype": dtype}))
+
+
+class TestFaultNamesItsFile:
+    """A refusal about one of several inputs names that input's file; deep JSON is a garbled input."""
+
+    def test_evaluate_names_the_ground_truth(self, tmp_path, capsys):
+        write_scene(tmp_path, name="ok", span=90.0)
+        write_scene(tmp_path, name="gt", span=90.0)
+        with_dtype(tmp_path / "gt.json", "f64")
+        manifest = write_manifest(tmp_path, [
+            {"scan_id": "ok", "prediction": "ok.json", "ground_truth": "ok.json"},
+            {"scan_id": "bad", "prediction": "ok.json", "ground_truth": "gt.json"},
+        ])
+        assert run("evaluate", manifest) == 4
+        out, err = capsys.readouterr()
+        failure = f"bad: {tmp_path / 'gt.json'}: unknown dtype 'f64'"
+        assert (json.loads(out)["n_scans"], json.loads(out)["failures"]) == (1, [failure])
+        assert err == f"error: {failure}\n"
+
+    def test_loss_names_the_ground_truth(self, tmp_path, capsys):
+        TestLossCmd._write_pair(tmp_path)
+        payload = bytearray((tmp_path / "gt.raw").read_bytes())
+        payload[-1] = 2
+        (tmp_path / "gt.raw").write_bytes(payload)
+        assert run("loss", tmp_path / "pred.json", tmp_path / "gt.json") == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path / 'gt.json'}: mask voxels must be 0 or 1\n")
+
+    def test_uncertainty_names_the_sample(self, tmp_path, capsys):
+        fold = ProbVolume(np.full((3, 1, 2, 2), 0.5, np.float32),
+                          (ChannelId.ARTERY, ChannelId.VEIN, ChannelId.TUMOR), Spacing(1, 1, 1))
+        for i in range(2):
+            for j in range(3):
+                write_volume(fold, tmp_path / f"d{i}" / f"s{j}.json")
+        with_dtype(tmp_path / "d1" / "s2.json", "f64")
+        assert run("uncertainty", "--fold", tmp_path / "d0", "--fold", tmp_path / "d1",
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'd1' / 's2.json'}: unknown dtype 'f64'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_header_nested_too_deep_exit_2(self, tmp_path, capsys):
+        (tmp_path / "deep.json").write_text("[" * 200_000)
+        assert run("assess", tmp_path / "deep.json") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: garbled header {tmp_path / 'deep.json'}: maximum recursion depth")
+        assert err.count("\n") == 1
+
+    def test_manifest_line_nested_too_deep_exit_2(self, tmp_path, capsys):
+        (tmp_path / "deep.jsonl").write_text("[" * 200_000 + "\n")
+        assert run("evaluate", tmp_path / "deep.jsonl") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: manifest line 1: maximum recursion depth")
+        assert err.count("\n") == 1
 
 
 class TestPhantomCmd:

@@ -40,6 +40,8 @@ def test_phantom_cases_rerun_identical(tmp_path):
         shown = missing_channel.fullmatch((p / "stderr").read_text()) is not None
         assert (codes[p.name] == 3) == shown, p.name
     assert all(code in (2, 3, 4) for name, code in codes.items() if name.startswith("error-"))
+    # cli_matrix records a command that raised as exit 1; the CLI itself never exits 1
+    assert [name for name, code in codes.items() if code == 1] == []
     assert codes["uncertainty-output-flag"] == 2
     assert codes["error-uncertainty-mixed-spacing"] == 2
     assert "ph/mixed_samples1/s1.json" in a["error-uncertainty-mixed-spacing/stderr"].decode()

@@ -40,7 +40,7 @@ BEFORE = {
 def test_identical_trees_give_no_line(tmp_path):
     write_tree(tmp_path / "a", BEFORE)
     write_tree(tmp_path / "b", BEFORE)
-    assert tool().compare(tmp_path / "a", tmp_path / "b") == []
+    assert tool().compare(tmp_path / "a", tmp_path / "b") == {}
 
 
 def test_each_differing_and_one_sided_entry_named(tmp_path):
@@ -53,18 +53,24 @@ def test_each_differing_and_one_sided_entry_named(tmp_path):
     del after["only-before/code"]
     write_tree(tmp_path / "a", BEFORE)
     write_tree(tmp_path / "b", after)
-    assert tool().compare(tmp_path / "a", tmp_path / "b", "ac3418a") == [
-        "differs: assess (files/overlay/s_vein_z001.ppm.sha256)",
-        "differs: error-loss (stderr)",
-        "differs: inputs.sha256 (inputs.sha256)",
-        "only in this checkout: only-after",
-        "only in ac3418a: only-before",
-    ]
+    assert tool().compare(tmp_path / "a", tmp_path / "b", "ac3418a") == {
+        "assess": "differs: assess (files/overlay/s_vein_z001.ppm.sha256)",
+        "error-loss": "differs: error-loss (stderr)",
+        "inputs.sha256": "differs: inputs.sha256 (inputs.sha256)",
+        "only-after": "only in this checkout: only-after",
+        "only-before": "only in ac3418a: only-before",
+    }
 
 
 @pytest.mark.parametrize("after, code, out", [
     (BEFORE, 0, "identical: 3 cases\n"),
-    (dict(BEFORE, **{"assess/code": "1\n"}), 1, "differs: assess (code)\n"),
+    (dict(BEFORE, **{"assess/code": "1\n"}), 1, "differs: assess (code)\nidentical: 2 of 3 cases\n"),
+    (dict(BEFORE, **{"inputs.sha256": "ef  ph/scene.json\n"}), 1,
+     "differs: inputs.sha256 (inputs.sha256)\nidentical: 3 of 3 cases\n"),
+    ({**{k: v for k, v in BEFORE.items() if not k.startswith("only-before/")},
+      "error-loss/stderr": "error: x\n", "only-after/code": "0\n"}, 1,
+     "differs: error-loss (stderr)\nonly in this checkout: only-after\nonly in HEAD: only-before\n"
+     "identical: 1 of 4 cases\n"),
 ])
 def test_main_reports_and_removes_its_directory(tmp_path, monkeypatch, capsys, after, code, out):
     module = tool()

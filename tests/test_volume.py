@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vesselwrap import volume
-from vesselwrap.evaluation import check_geometry
 from vesselwrap.involvement import filter_critical_volume
 from vesselwrap.volume import (
     ChannelId,
@@ -20,6 +19,7 @@ from vesselwrap.volume import (
     Spacing,
     STANDARD_CHANNELS,
     VolumeFormatError,
+    check_agree,
     decode_layered,
     encode_layered,
     read_volume,
@@ -131,8 +131,8 @@ class TestOneGeometryRule:
         write_volume(vol, tmp_path / "v.json")
         assert json.loads((tmp_path / "v.json").read_text())["dims"] == [2, 4, 4]
         dense = MaskVolume(vol.data, vol.channels, SP1)
-        check_geometry(vol, dense)
-        check_geometry(volume.open_payload(tmp_path / "v.json"), dense)
+        check_agree([("indices", vol), ("grid", dense)])
+        check_agree([("header", volume.open_payload(tmp_path / "v.json")), ("grid", dense)])
 
     @pytest.mark.parametrize("build", [
         lambda sp: MaskVolume(np.zeros((1, 2, 2, 2), np.uint8), (ChannelId.TUMOR,), sp),
@@ -146,13 +146,64 @@ class TestOneGeometryRule:
         assert build(SP1).spacing is SP1
 
     def test_duplicate_channels_one_message(self, tmp_path):
-        message = r"^duplicate channels in \['artery', 'vein', 'vein'\]$"
+        """The header's refusal is the constructor's, named by the header's path."""
+        message = "duplicate channels in ['artery', 'vein', 'vein']"
         path = _write_raw_pair(tmp_path, _header([1, 1, 1], ["artery", "vein", "vein"], "u8"), bytes(3))
-        with pytest.raises(VolumeFormatError, match=message):
+        with pytest.raises(VolumeFormatError) as header:
             volume.open_payload(path)
-        with pytest.raises(VolumeFormatError, match=message):
+        with pytest.raises(VolumeFormatError) as constructor:
             MaskVolume(np.zeros((3, 1, 1, 1), np.uint8),
                        (ChannelId.ARTERY, ChannelId.VEIN, ChannelId.VEIN), SP1)
+        assert str(constructor.value) == message
+        assert str(header.value) == f"{path}: " + message
+
+
+# Pools for the agreement property: two spacings differ only past float32 precision.
+AGREE_DIMS = ((1, 2, 2), (2, 2, 2), (1, 2, 3))
+AGREE_SPACINGS = (Spacing(1, 1, 1), Spacing(np.float32(0.67), 1, 1), Spacing(0.67, 1, 1))
+AGREE_CHANNELS = ((ChannelId.TUMOR,), (ChannelId.TUMOR, ChannelId.ARTERY), (ChannelId.ARTERY, ChannelId.TUMOR))
+
+
+@st.composite
+def _agree_inputs(draw, channels: bool):
+    """2 to 4 (name, input, (channels, dims, spacing)) triples; an input is a volume or a header."""
+    inputs = []
+    for i in range(draw(st.integers(2, 4))):
+        name = draw(st.sampled_from(["a", "b", "a.json"]))  # names may repeat
+        dims, spacing = draw(st.sampled_from(AGREE_DIMS)), draw(st.sampled_from(AGREE_SPACINGS))
+        chans = draw(st.sampled_from(AGREE_CHANNELS if channels else AGREE_CHANNELS + (None,)))
+        if chans is not None and draw(st.booleans()):
+            v = MaskVolume.from_voxels({c: np.empty(0, np.intp) for c in chans}, dims, spacing)
+        else:
+            v = volume.Payload(Path(f"{i}.json"), dims, spacing, "u8", chans)
+        inputs.append((name, v, (chans, dims, spacing)))
+    return inputs
+
+
+class TestOneAgreementRule:
+    """``check_agree`` refuses exactly the first input whose compared values differ from the first's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), channels=st.booleans())
+    def test_refuses_exactly_the_first_differing_input(self, data, channels):
+        inputs = data.draw(_agree_inputs(channels))
+        (head, _, (chans0, dims0, sp0)), expected = inputs[0], None
+        for name, _, (chans, dims, sp) in inputs[1:]:
+            if channels and chans != chans0:
+                names = [[volume.CHANNEL_NAMES[c] for c in cs] for cs in (chans0, chans)]
+                expected = f"channel mismatch: {head} {names[0]}, {name} {names[1]}"
+            elif (dims, sp) != (dims0, sp0):
+                expected = (f"geometry mismatch: {head} {dims0} at {sp0.as_tuple()} mm, "
+                            f"{name} {dims} at {sp.as_tuple()} mm")
+            if expected:
+                break
+        named = [(name, v) for name, v, _ in inputs]
+        if expected is None:
+            check_agree(named, channels=channels)
+            return
+        with pytest.raises(ValueError) as refused:
+            check_agree(named, channels=channels)
+        assert str(refused.value) == expected
 
 
 # Every header field drawn from arbitrary JSON values, huge integers and non-finite floats among them.
@@ -665,7 +716,7 @@ class TestChannelRead:
         with mock.patch.object(volume, "_STREAM_BYTES", stream_bytes), \
                 pytest.raises(VolumeFormatError) as part:
             read_volume(path, subset)
-        assert str(part.value) == str(whole.value) == "mask voxels must be 0 or 1"
+        assert str(part.value) == str(whole.value) == f"{path}: mask voxels must be 0 or 1"
 
     def test_channels_ignored_for_layered_and_probabilities(self, tmp_path):
         lv = LayeredLabelVolume(np.array([[[0, 5], [7, 8]]], dtype=np.uint8), SP1)

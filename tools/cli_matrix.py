@@ -19,7 +19,10 @@ output byte-identical is checked with::
 
 Cases run in a temporary working directory with relative paths, so error
 messages and documents never hold a machine-specific path, and a rerun
-writes the same tree. Groups:
+writes the same tree. A case whose command raises is recorded with exit
+code 1 and the last line of the traceback, ``Type: message``, as its
+stderr, so an older checkout that lets an exception escape is compared,
+not stopped. Groups:
 
 ``phantom``
     Small scenes from ``vesselwrap.phantom`` (a few seconds): every
@@ -66,7 +69,13 @@ writes the same tree. Groups:
     only line lacks ``prediction`` (exit 4), a layered file given to
     ``loss`` (its header rejects it before any voxel is read), a ``loss``
     pair whose spacings differ (exit 2, from the headers), a ``loss`` pair
-    without its tumor channel (exit 3),
+    without its tumor channel (exit 3), a ``loss`` ground truth holding a
+    voxel of 2, an ``evaluate`` ground truth (exit 4) and one sample of a
+    directory whose headers declare dtype ``f64`` (each refusal names the
+    file at fault), a header and a manifest line of arrays nested 200000
+    deep (``error-evaluate-gt-bad-dtype``, ``error-loss-gt-bad-voxel``,
+    ``error-uncertainty-sample-bad-dtype``, ``error-header-deep-json`` and
+    ``error-manifest-deep-json``),
     folds without their tumor channel (exit 3, before the pass), ``-o``
     naming an existing directory (no staged document may be left beside
     it), ``--critical`` on a volume holding only the tumor
@@ -124,6 +133,11 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(path: str, entries: list[dict]) -> None:
     Path(path).write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+
+def _set_dtype(path: str, dtype: str) -> None:
+    """Rewrite the volume header at ``path`` to declare ``dtype``."""
+    Path(path).write_text(json.dumps({**json.loads(Path(path).read_text()), "dtype": dtype}))
 
 
 def adversarial_scene():
@@ -244,6 +258,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         payload.tofile(f"ph/{name}.raw")
     Path("ph/garbled.json").write_text("{oops")
     Path("ph/garbled.jsonl").write_text("{oops\n")
+    # arrays nested past the JSON decoder's recursion limit, as a header and as a manifest line
+    Path("ph/deep.json").write_text("[" * 200_000)
+    Path("ph/deep.jsonl").write_text("[" * 200_000 + "\n")
 
     for argv in (["phantom", "confusion", "--out", "ph/suite", "--seed", "4"],
                  ["phantom", "uncertainty", "--out", "ph/unc", "--seed", "2"]):
@@ -331,6 +348,11 @@ def _phantom_inputs() -> list[tuple[str, str]]:
                                                          "critical_ground_truth": "crop64.json"}])
     _write_manifest("ph/critical_missing.jsonl",
                     [ok, {"scan_id": "bare", "prediction": "scene.json", "ground_truth": "scene.json"}])
+    # a ground truth whose header declares a dtype no volume has
+    write_volume(scene, "ph/gt_f64.json")
+    _set_dtype("ph/gt_f64.json", "f64")
+    _write_manifest("ph/gt_f64.jsonl",
+                    [ok, {"scan_id": "f64", "prediction": "scene.json", "ground_truth": "gt_f64.json"}])
 
     # Sample sets: each fold plus seeded noise, so both the aleatoric and
     # the epistemic std are nonzero.
@@ -355,6 +377,9 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     middle = read_volume("ph/mixed_samples1/s1.json")
     write_volume(ProbVolume(middle.data, middle.channels, Spacing(2.0, 1.0, 1.0)),
                  "ph/mixed_samples1/s1.json")
+    # the second fold's samples with the last one's header declaring f64
+    shutil.copytree("ph/samples1", "ph/f64_samples1")
+    _set_dtype("ph/f64_samples1/s2.json", "f64")
     # Folds of 17x128x128: a channel holds 278528 voxels, one read chunk
     # of 262144 and half a chunk more, so it ends inside a chunk.
     spec = phantom.PhantomSpec(dims=(17, 128, 128), slice_range=(2, 15), band_extra_deg=25.0,
@@ -374,6 +399,11 @@ def _phantom_inputs() -> list[tuple[str, str]]:
     write_volume(MaskVolume(loss_gt, scene.channels, scene.spacing), "ph/loss_gt.json")
     write_volume(ProbVolume(loss_pred, scene.channels, scene.spacing), "ph/loss_pred.json")
     write_volume(MaskVolume(loss_gt, scene.channels, Spacing(2.0, 1.0, 1.0)), "ph/loss_gt_aniso.json")
+    # the ground truth with a 2 in its last voxel
+    write_volume(MaskVolume(loss_gt, scene.channels, scene.spacing), "ph/loss_gt_bad.json")
+    payload = np.fromfile("ph/loss_gt_bad.raw", dtype=np.uint8)
+    payload[-1] = 2
+    payload.tofile("ph/loss_gt_bad.raw")
     # the same pair without its tumor channel: the overlap term cannot be formed
     keep = [i for i, c in enumerate(scene.channels) if c != ChannelId.TUMOR]
     no_tumor = [scene.channels[i] for i in keep]
@@ -480,6 +510,12 @@ def _phantom_inputs() -> list[tuple[str, str]]:
         ("error-loss-layered", "loss ph/layered.json ph/loss_gt.json"),
         ("error-loss-mixed-spacing", "loss ph/loss_pred.json ph/loss_gt_aniso.json"),
         ("error-loss-no-tumor", "loss ph/loss_pred_no_tumor.json ph/loss_gt_no_tumor.json"),
+        ("error-loss-gt-bad-voxel", "loss ph/loss_pred.json ph/loss_gt_bad.json"),
+        ("error-evaluate-gt-bad-dtype", "evaluate ph/gt_f64.jsonl"),
+        ("error-uncertainty-sample-bad-dtype",
+         "uncertainty --fold ph/samples0 --fold ph/f64_samples1 --out o/u"),
+        ("error-header-deep-json", "assess ph/deep.json"),
+        ("error-manifest-deep-json", "evaluate ph/deep.jsonl"),
         ("error-nan-threshold", f"uncertainty {folds} --out o/u --threshold nan"),
         ("error-uncertainty-late-nan",
          "uncertainty --fold ph/unc/fold0.json --fold ph/unc/fold1.json "
@@ -603,6 +639,9 @@ def _run_case(cli, command: str, dest: Path) -> None:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse: --version, usage errors
             code = exc.code
+        except Exception as exc:  # as the interpreter ends on it, without the traceback's paths
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     dest.mkdir(parents=True)
     (dest / "argv").write_text(command + "\n")
     (dest / "code").write_text(f"{code}\n")

@@ -9,9 +9,10 @@ checkout's ``tools/cli_matrix.py`` on that tree and on this checkout
 (``--only`` is passed on), and compares the two result trees entry by
 entry: each case directory, and ``inputs.sha256``. Prints each case that
 differs, naming its differing files, and each that only one tree holds,
-then exits 1; if there is none, prints ``identical: N cases`` and exits
-0. The temporary directory is removed whatever happens, and nothing is
-written in the checkout.
+then ``identical: K of N cases``, N counting the cases of both trees, and
+exits 1; if there is none, prints ``identical: N cases`` and exits 0. The
+temporary directory is removed whatever happens, and nothing is written
+in the checkout.
 """
 
 from __future__ import annotations
@@ -38,23 +39,23 @@ def _files(entry: Path) -> dict[str, bytes]:
     return {str(p.relative_to(entry)): p.read_bytes() for p in sorted(entry.rglob("*")) if p.is_file()}
 
 
-def compare(before: Path, after: Path, ref: str = "REF") -> list[str]:
-    """One line per entry of the two result trees that differs or that only one holds.
+def compare(before: Path, after: Path, ref: str = "REF") -> dict[str, str]:
+    """One line per entry of the two result trees that differs or that only one holds, by name.
 
     ``before`` is the tree of ``ref``, ``after`` the tree of this checkout.
     """
-    lines = []
+    lines = {}
     for name in sorted({p.name for p in before.iterdir()} | {p.name for p in after.iterdir()}):
         a, b = before / name, after / name
         if not a.exists():
-            lines.append(f"only in this checkout: {name}")
+            lines[name] = f"only in this checkout: {name}"
         elif not b.exists():
-            lines.append(f"only in {ref}: {name}")
+            lines[name] = f"only in {ref}: {name}"
         else:
             fa, fb = _files(a), _files(b)
             changed = sorted(f for f in fa.keys() | fb.keys() if fa.get(f) != fb.get(f))
             if changed:
-                lines.append(f"differs: {name} ({', '.join(changed)})")
+                lines[name] = f"differs: {name} ({', '.join(changed)})"
     return lines
 
 
@@ -82,9 +83,13 @@ def main(argv=None) -> int:
         _matrix(work / "ref", work / "before", args.only)
         _matrix(ROOT, work / "after", args.only)
         lines = compare(work / "before", work / "after", args.ref)
-        cases = sum(p.is_dir() for p in (work / "after").iterdir())
-    print("\n".join(lines) if lines else f"identical: {cases} cases")
-    return 1 if lines else 0
+        # a case is a directory; inputs.sha256 is the one file of a tree
+        cases = {p.name for tree in ("before", "after") for p in (work / tree).iterdir() if p.is_dir()}
+    if not lines:
+        print(f"identical: {len(cases)} cases")
+        return 0
+    print("\n".join(lines.values()) + f"\nidentical: {len(cases - lines.keys())} of {len(cases)} cases")
+    return 1
 
 
 if __name__ == "__main__":
